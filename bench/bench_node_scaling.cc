@@ -12,7 +12,10 @@
  * serialization bandwidth (links stay off the critical path below the
  * cubes' own saturation), credit-based queuing. Loads are offered as a
  * fraction of the *node's* aggregate peak, so the same load fraction
- * stresses every cube count equally.
+ * stresses every cube count equally. The "fan-out peak" column is the
+ * most requests the stream fan-out held for channels that had not pulled
+ * them yet (bounded-memory evidence; it grows past the knee, where
+ * arrived requests wait for admission).
  *
  * Self-checks feeding the exit status:
  *  - scaling: 2 cubes under cache-affinity routing achieve >= 1.8x the
@@ -181,7 +184,7 @@ main(int argc, char** argv)
             " channels/cube, offered Poisson load)");
     t.setHeader({"system", "workload", "cubes", "router", "load",
                  "offered Mrps", "achieved Mrps", "p50 us", "p99 us",
-                 "link q us", "sat"});
+                 "link q us", "fan-out peak", "sat"});
 
     for (const auto& workload : workloads) {
         const std::string path = std::string(ROME_SOURCE_DIR) +
@@ -230,6 +233,7 @@ main(int argc, char** argv)
                               Table::num(pt.node.p99Ns / 1e3, 1),
                               Table::num(pt.linkQueueDelayP99Ns / 1e3,
                                          1),
+                              std::to_string(pt.node.fanOutPeak),
                               pt.node.saturated ? "*" : ""});
                 }
                 // Saturated (capacity) throughput at the top grid point
@@ -290,7 +294,8 @@ main(int argc, char** argv)
             cfg.threads = defaultSimThreads();
             const NodeResult pooled = NodeDriver(cfg).run(rps);
             deterministic = serial.aggregate == pooled.aggregate &&
-                            serial.finishedAt == pooled.finishedAt;
+                            serial.finishedAt == pooled.finishedAt &&
+                            serial.fanOutPeak == pooled.fanOutPeak;
 
             NodeConfig one = cfg;
             one.numCubes = 1;

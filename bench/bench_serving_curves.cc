@@ -130,7 +130,8 @@ samePoint(const RatePoint& a, const RatePoint& b)
            a.p99Ns == b.p99Ns && a.p999Ns == b.p999Ns &&
            a.maxNs == b.maxNs && a.meanNs == b.meanNs &&
            a.effectiveBandwidth == b.effectiveBandwidth &&
-           a.saturated == b.saturated && a.ceCount == b.ceCount &&
+           a.saturated == b.saturated && a.fanOutPeak == b.fanOutPeak &&
+           a.ceCount == b.ceCount &&
            a.dueCount == b.dueCount && a.retryCount == b.retryCount &&
            a.scrubCount == b.scrubCount && a.sparedRows == b.sparedRows &&
            a.poisonedRequests == b.poisonedRequests &&
@@ -269,7 +270,8 @@ main(int argc, char** argv)
             cfg.threads = defaultSimThreads();
             const ServingResult pooled = ServingDriver(cfg).run(rps);
             deterministic = serial.aggregate == pooled.aggregate &&
-                            serial.perChannel == pooled.perChannel;
+                            serial.perChannel == pooled.perChannel &&
+                            serial.fanOutPeak == pooled.fanOutPeak;
         }
     }
 

@@ -262,15 +262,9 @@ doTimeline(int argc, char** argv)
         usage();
     const DramConfig dram = hbm4Config();
 
-    // The system trace shards across the channels exactly like a serving
-    // run; every channel records into its own sink, so the exported
-    // timeline has one Perfetto process per channel.
-    const SourceFactory system = [in] {
-        return std::make_unique<TraceSource>(in);
-    };
-    auto shards =
-        shardAcrossChannels(system, channels, /*stripe_bytes=*/0);
-
+    // The system trace is dealt across the channels exactly like a
+    // serving run; every channel records into its own sink, so the
+    // exported timeline has one Perfetto process per channel.
     ChannelSimEngine engine(defaultSimThreads());
     std::vector<std::unique_ptr<TelemetrySink>> sinks;
     for (int ch = 0; ch < channels; ++ch) {
@@ -288,10 +282,10 @@ doTimeline(int argc, char** argv)
         sinks.push_back(std::make_unique<TelemetrySink>(ch));
         mc->attachTelemetrySink(sinks.back().get(),
                                 /*trace_commands=*/true);
-        const int idx = engine.addChannel(std::move(mc));
-        engine.bindSource(idx,
-                          std::move(shards[static_cast<std::size_t>(ch)]));
+        engine.addChannel(std::move(mc));
     }
+    engine.bindFanOut(std::make_unique<StreamFanOut>(
+        std::make_unique<TraceSource>(in), 1, channels));
     const Tick finished = engine.drainAll();
 
     ControllerStats aggregate;

@@ -47,11 +47,12 @@ LOWER_IS_BETTER = ("seconds", "p99ns", "p999ns")
 # machine-load-sensitive, so they display but never gate — checked before
 # the generic "seconds" suffix would make them lower-is-better. The
 # telemetry overhead percentage is gated by the bench binary itself
-# (hard <10% exit gate), so here it is informational.
+# (hard <10% exit gate), so here it is informational. fanOutPeak is
+# host-memory evidence (requests the stream fan-out held), not perf.
 INFORMATIONAL = ("cecount", "duecount", "retrycount", "scrubcount",
                  "sparedrows", "poisonedrequests", "schedsteps",
                  "memoffsteps", "fffraction", "sweepseconds",
-                 "telemetryoverheadpct")
+                 "telemetryoverheadpct", "fanoutpeak")
 IDENTITY_FIELDS = ("label", "system", "workload", "queueDepth", "banks",
                    "design", "pagePolicy", "load", "cubes", "router")
 

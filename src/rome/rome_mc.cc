@@ -1207,7 +1207,9 @@ RomeMc::complexity() const
     c.numTimingParams = RomeTimingParams::kNumMcVisibleParams;
     c.numBankFsms = cfg_.operateFsms + cfg_.refreshFsms;
     c.numBankStates = kNumRomeVbaStates;
-    c.pagePolicy = "-";
+    // Not `= "-"`: GCC 12 flags that literal assignment with a false
+    // -Wrestrict positive once it is inlined here.
+    c.pagePolicy.assign(1, '-');
     c.schedulingConcerns = {"VBA interleaving"};
     c.requestQueueDepth = cfg_.queueDepth;
     return c;

@@ -117,6 +117,15 @@ IMemoryController::bindSource(RequestSource* src)
         enqueue(r);
 }
 
+Tick
+IMemoryController::drainUntil(Tick until)
+{
+    // Exact for any controller: a wrapper that forwards only drain()
+    // is drained once, in full.
+    (void)until;
+    return drain();
+}
+
 void
 IMemoryController::saveCheckpoint(CheckpointWriter& w) const
 {
@@ -413,13 +422,23 @@ ChannelControllerBase::runUntil(Tick until)
 }
 
 Tick
-ChannelControllerBase::drain()
+ChannelControllerBase::drainUntil(Tick until)
 {
-    while (!idle()) {
+    // Each call resumes the one drain loop where the last one stopped:
+    // stepOnce never decides between event ticks, so where the bounds
+    // fall cannot change what a drain does.
+    while (!idle() && now_ <= until) {
         ++steps_;
-        if (!stepOnce(kTickMax - 1))
+        if (!stepOnce(until))
             break;
     }
+    return idle() ? device().lastDataEnd() : kTickInvalid;
+}
+
+Tick
+ChannelControllerBase::drain()
+{
+    drainUntil(kTickMax - 1);
     return device().lastDataEnd();
 }
 
@@ -709,14 +728,66 @@ ChannelSimEngine::resumeSource(int idx, std::unique_ptr<RequestSource> src)
     sources_[static_cast<std::size_t>(idx)] = std::move(src);
 }
 
+void
+ChannelSimEngine::bindFanOut(std::unique_ptr<StreamFanOut> fan)
+{
+    attachFanOut(std::move(fan), false);
+}
+
+void
+ChannelSimEngine::resumeFanOut(std::unique_ptr<StreamFanOut> fan)
+{
+    attachFanOut(std::move(fan), true);
+}
+
+void
+ChannelSimEngine::attachFanOut(std::unique_ptr<StreamFanOut> fan,
+                               bool resume)
+{
+    if (!fan)
+        fatal("null fan-out bound to engine");
+    if (fan->numViews() != numChannels()) {
+        fatal("fan-out deals %d views, the engine drives %d channels",
+              fan->numViews(), numChannels());
+    }
+    for (int ch = 0; ch < numChannels(); ++ch) {
+        if (resume)
+            resumeSource(ch, fan->makeView(ch));
+        else
+            bindSource(ch, fan->makeView(ch));
+    }
+    fan_ = std::move(fan);
+}
+
+void
+ChannelSimEngine::forEachWindow(Tick limit,
+                                const std::function<void(Tick)>& step)
+{
+    if (fan_ == nullptr)
+        return;
+    for (Tick end = fan_->openWindow(kFanOutWindow); end < limit;
+         end = fan_->openWindow(kFanOutWindow))
+        step(end);
+}
+
 Tick
 ChannelSimEngine::drainAll()
 {
-    std::vector<Tick> ends(channels_.size(), 0);
-    parallelFor(numChannels(), threads_,
-                [&](int i) { ends[static_cast<std::size_t>(i)] =
-                                 channels_[static_cast<std::size_t>(i)]
-                                     ->drain(); });
+    // kTickInvalid until a channel reported its finish tick.
+    std::vector<Tick> ends(channels_.size(), kTickInvalid);
+    const auto drive = [&](const auto& call) {
+        parallelFor(numChannels(), threads_, [&](int i) {
+            Tick& end = ends[static_cast<std::size_t>(i)];
+            if (end == kTickInvalid)
+                end = call(*channels_[static_cast<std::size_t>(i)]);
+        });
+    };
+    forEachWindow(kTickMax, [&](Tick until) {
+        drive([until](IMemoryController& mc) { return mc.drainUntil(until); });
+    });
+    // One exact drain per channel still running; a finished channel is
+    // never drained again (a wrapper's default drainUntil already did).
+    drive([](IMemoryController& mc) { return mc.drain(); });
     Tick last = 0;
     for (const Tick t : ends)
         last = std::max(last, t);
@@ -726,9 +797,13 @@ ChannelSimEngine::drainAll()
 void
 ChannelSimEngine::runAllUntil(Tick until)
 {
-    parallelFor(numChannels(), threads_,
-                [&](int i) { channels_[static_cast<std::size_t>(i)]
-                                 ->runUntil(until); });
+    const auto run = [&](Tick to) {
+        parallelFor(numChannels(), threads_, [&](int i) {
+            channels_[static_cast<std::size_t>(i)]->runUntil(to);
+        });
+    };
+    forEachWindow(until, run);
+    run(until);
 }
 
 bool

@@ -12,17 +12,19 @@
  * system plugs into every harness by adding one factory.
  *
  * Components:
- *  - IMemoryController: enqueue / runUntil(tick) / drain / stats /
- *    complexity — the full contract of a per-channel controller.
+ *  - IMemoryController: enqueue / runUntil(tick) / drain(Until) / stats
+ *    / complexity — the full contract of a per-channel controller.
  *  - ControllerStats: one flat, comparable snapshot of everything the
  *    harnesses consume (bytes, commands, bandwidths, latency, overfetch).
  *  - ChannelControllerBase: the code that used to be duplicated between
  *    src/mc/mc.cc and src/rome/rome_mc.cc — host-request admission,
  *    in-flight/completion/latency accounting, CAM-style outstanding-entry
  *    occupancy, per-bank refresh rotation, and the runUntil/drain loop.
- *  - ChannelSimEngine: owns N independent channels and drives them —
- *    optionally on a std::thread pool, since per-channel simulations are
- *    embarrassingly parallel.
+ *  - ChannelSimEngine: owns N channels and drives them — optionally on
+ *    a std::thread pool, since channels share no simulation state. A
+ *    serving run binds one StreamFanOut (sim/source.h) whose views feed
+ *    every channel from a single pass over the system stream; the engine
+ *    then drains in lock-step windows so that producer stays O(window).
  *  - runSweep: multi-config design-space sweeps (one controller + one
  *    workload source per job) on the same thread pool.
  *
@@ -58,6 +60,7 @@ namespace rome
 {
 
 class RequestSource; // sim/source.h
+class StreamFanOut;  // sim/source.h
 
 /**
  * Uniform statistics snapshot of one controller run. Field-for-field
@@ -213,6 +216,20 @@ class IMemoryController
 
     /** Run until every queued request completed; returns last data tick. */
     virtual Tick drain() = 0;
+
+    /**
+     * Windowed drain: step while work is pending and now() <= @p until,
+     * exactly as drain() would, then stop. Returns the last data tick
+     * once the controller is idle, kTickInvalid while work remains; call
+     * again only in the latter case. Calls with rising bounds followed by
+     * one drain() are bit-identical to a single drain(). Unlike runUntil
+     * it never steps an idle controller, whose refresh calendar a
+     * straight drain would not fire either.
+     *
+     * The default runs one full drain() — exact for every controller, but
+     * it pulls the controller's whole bound stream in one call.
+     */
+    virtual Tick drainUntil(Tick until);
 
     /** True when no work is pending. */
     virtual bool idle() const = 0;
@@ -424,6 +441,7 @@ class ChannelControllerBase : public IMemoryController
     void bindSource(RequestSource* src) final;
     void runUntil(Tick until) final;
     Tick drain() final;
+    Tick drainUntil(Tick until) final;
     bool idle() const override;
     Tick now() const final { return now_; }
     const std::vector<Completion>&
@@ -716,10 +734,19 @@ void parallelFor(int n, int threads, const std::function<void(int)>& fn);
 // ---------------------------------------------------------------------------
 
 /**
- * Owns N independent channel controllers and drives them through the
- * interface. Channels never share state, so drainAll / runAllUntil spread
+ * Owns N channel controllers and drives them through the interface.
+ * Channels never share simulation state, so drainAll / runAllUntil spread
  * them across a thread pool; per-channel results are independent of the
  * thread count.
+ *
+ * With a StreamFanOut bound (bindFanOut), every channel pulls from one
+ * shared producer. drainAll and runAllUntil then advance all channels
+ * through lock-step windows while the producer is live — each window
+ * deals the next kFanOutWindow system requests and runs every channel to
+ * the last one's arrival tick, so the producer stays about a window ahead
+ * of the channels — and finish each channel with one exact drain() once
+ * the system stream has been fully dealt. Slice invariance makes the
+ * windowed drive bit-identical to draining each channel on its own.
  */
 class ChannelSimEngine
 {
@@ -750,10 +777,26 @@ class ChannelSimEngine
 
     /**
      * Bind a pull source to channel @p idx (the engine keeps it alive);
-     * drainAll / runAllUntil then stream it. Typically a ShardSource of
-     * one system-wide stream per channel.
+     * drainAll / runAllUntil then stream it.
      */
     void bindSource(int idx, std::unique_ptr<RequestSource> src);
+
+    /**
+     * Bind view i of @p fan to channel i, for every channel, and keep the
+     * producer alive with its views; @p fan must have exactly
+     * numChannels() views. drainAll / runAllUntil then drive lock-step
+     * windows while it is live. The caller may keep a reference to @p fan
+     * to read its statistics after the drive.
+     */
+    void bindFanOut(std::unique_ptr<StreamFanOut> fan);
+
+    /**
+     * Checkpoint-resume counterpart of bindFanOut: each restored channel
+     * skips its consumed prefix of its view (IMemoryController::
+     * resumeSource). Requests dealt to the other views meanwhile wait in
+     * their FIFOs, so resuming buffers up to the checkpointed prefix.
+     */
+    void resumeFanOut(std::unique_ptr<StreamFanOut> fan);
 
     /**
      * Checkpoint-resume counterpart of bindSource: hands a fresh instance
@@ -769,6 +812,14 @@ class ChannelSimEngine
     /** Advance every channel to @p until. */
     void runAllUntil(Tick until);
 
+    /**
+     * System requests one lock-step window of a fan-out drive deals; the
+     * window runs to the last one's arrival tick. A request count, not a
+     * time span, so a window carries enough work per channel to amortize
+     * switching between channels whatever the stream's rate.
+     */
+    static constexpr std::uint64_t kFanOutWindow = 2048;
+
     bool idle() const;
 
     /** Sum of all channels' stats (bandwidths re-derived from totals). */
@@ -778,8 +829,20 @@ class ChannelSimEngine
     void setThreads(int threads) { threads_ = threads; }
 
   private:
+    void attachFanOut(std::unique_ptr<StreamFanOut> fan, bool resume);
+
+    /**
+     * Call @p step with the end tick of each lock-step window below
+     * @p limit while the bound fan-out's producer is live (never without
+     * one).
+     */
+    void forEachWindow(Tick limit, const std::function<void(Tick)>& step);
+
     int threads_;
     std::vector<std::unique_ptr<IMemoryController>> channels_;
+    /** Producer behind the views bound by bindFanOut (null without);
+     *  declared before sources_ so the views go first. */
+    std::unique_ptr<StreamFanOut> fan_;
     /** Sources bound via bindSource, indexed like channels_. */
     std::vector<std::unique_ptr<RequestSource>> sources_;
 };

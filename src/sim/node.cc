@@ -235,51 +235,26 @@ NodeRouter::route(const Request& r, std::vector<RoutedSlice>& out)
     }
 }
 
-void
-NodeRouter::reset()
-{
-    for (auto& l : links_)
-        l.reset();
-    std::fill(rrCursor_.begin(), rrCursor_.end(), 0);
-}
-
 // ---------------------------------------------------------------------------
-// RoutedSource
+// NodeFanOut
 // ---------------------------------------------------------------------------
 
-RoutedSource::RoutedSource(std::unique_ptr<RequestSource> system,
-                           const NodeRouterConfig& cfg, int cube)
-    : system_(std::move(system)), router_(cfg), cube_(cube)
+NodeFanOut::NodeFanOut(std::unique_ptr<RequestSource> system,
+                       const NodeRouterConfig& cfg, int channels_per_cube,
+                       std::uint64_t stripe_bytes)
+    : StreamFanOut(std::move(system), cfg.numCubes, channels_per_cube,
+                   stripe_bytes),
+      router_(cfg)
 {
-    if (cube_ < 0 || cube_ >= cfg.numCubes)
-        fatal("routed source cube %d out of range", cube_);
-}
-
-bool
-RoutedSource::produce(Request& out)
-{
-    // Each system request lands at most one slice on a given cube (TP
-    // slices go to distinct cubes of one replica), so no slice ever
-    // needs buffering across produce() calls.
-    Request r;
-    while (system_->next(r)) {
-        slices_.clear();
-        router_.route(r, slices_);
-        for (const RoutedSlice& s : slices_) {
-            if (s.cube == cube_) {
-                out = s.req;
-                return true;
-            }
-        }
-    }
-    return false;
 }
 
 void
-RoutedSource::rewind()
+NodeFanOut::deal(const Request& r)
 {
-    system_->reset();
-    router_.reset();
+    slices_.clear();
+    router_.route(r, slices_);
+    for (const RoutedSlice& s : slices_)
+        dealToGroup(s.cube, s.req);
 }
 
 // ---------------------------------------------------------------------------
@@ -329,39 +304,29 @@ NodeDriver::run(double offered_rps) const
     spec.meanGap = std::max<Tick>(ticksFromNs(1e9 / offered_rps), 1);
     const double actual_rps = 1e9 / nsFromTicks(spec.meanGap);
 
-    const NodeRouterConfig rc = routerConfig();
+    auto routed = std::make_unique<NodeFanOut>(
+        std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(), spec),
+        routerConfig(), cfg_.channelsPerCube, cfg_.stripeBytes);
+    const NodeFanOut& fan = *routed;
     ChannelSimEngine engine(cfg_.threads);
-    for (int cube = 0; cube < cfg_.numCubes; ++cube) {
-        // One routed per-cube stream, sharded across the cube's channels
-        // exactly like ServingDriver shards the system stream: every
-        // channel regenerates system stream + router privately, so
-        // channels share no mutable state at any cube count.
-        const SourceFactory cube_stream = [this, spec, rc, cube] {
-            return std::make_unique<RoutedSource>(
-                std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(),
-                                                 spec),
-                rc, cube);
-        };
-        auto shards = shardAcrossChannels(cube_stream, cfg_.channelsPerCube,
-                                          cfg_.stripeBytes);
-        for (int ch = 0; ch < cfg_.channelsPerCube; ++ch) {
-            auto mc = cfg_.makeController();
-            if (!mc)
-                fatal("node controller factory produced no controller");
-            mc->setRetainCompletions(false);
-            const int idx = engine.addChannel(std::move(mc));
-            engine.bindSource(
-                idx, std::move(shards[static_cast<std::size_t>(ch)]));
-        }
+    for (int ch = 0; ch < fan.numViews(); ++ch) {
+        auto mc = cfg_.makeController();
+        if (!mc)
+            fatal("node controller factory produced no controller");
+        mc->setRetainCompletions(false);
+        engine.addChannel(std::move(mc));
     }
+    engine.bindFanOut(std::move(routed));
 
     NodeResult res;
     res.offeredRps = actual_rps;
     res.finishedAt = engine.drainAll();
+    res.fanOutPeak = fan.bufferedPeak();
     res.perCube.resize(static_cast<std::size_t>(cfg_.numCubes));
     // Aggregate merges every channel snapshot in ascending cube/channel
     // order — the exact merge sequence ServingDriver uses for one cube,
     // extended cube-major. Per-cube stats merge the same snapshots.
+    std::uint64_t credit_stall = 0;
     for (int cube = 0; cube < cfg_.numCubes; ++cube) {
         CubeResult& cr = res.perCube[static_cast<std::size_t>(cube)];
         for (int ch = 0; ch < cfg_.channelsPerCube; ++ch) {
@@ -376,6 +341,13 @@ NodeDriver::run(double offered_rps) const
                 static_cast<double>(cr.stats.completedRequests) /
                 nsFromTicks(res.finishedAt) * 1e9;
         }
+        // Routing statistics come from the fan-out's one router: every
+        // slice it dealt to this cube crossed this link once.
+        const LinkModel& link = fan.router().link(cube);
+        cr.routedRequests = link.injectedMessages();
+        cr.routedBytes = link.injectedBytes();
+        res.linkQueueDelayNs.merge(link.queueDelayHistNs());
+        credit_stall += link.creditStallTicks();
     }
     res.aggregate.deriveBandwidths();
     if (res.finishedAt > 0) {
@@ -384,42 +356,17 @@ NodeDriver::run(double offered_rps) const
             nsFromTicks(res.finishedAt) * 1e9;
     }
 
-    // Routing statistics: one dedicated router pass over a fresh timed
-    // stream (cheap next to the channel simulations). It reproduces the
-    // in-simulation routers' decisions exactly — routing is a pure
-    // function of the request sequence.
-    NodeRouter router(rc);
-    auto timed = std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(),
-                                                  spec);
-    std::vector<RoutedSlice> slices;
-    Request r;
-    while (timed->next(r)) {
-        slices.clear();
-        router.route(r, slices);
-        for (const RoutedSlice& s : slices) {
-            CubeResult& cr =
-                res.perCube[static_cast<std::size_t>(s.cube)];
-            ++cr.routedRequests;
-            cr.routedBytes += s.req.size;
-        }
-    }
-    for (int cube = 0; cube < cfg_.numCubes; ++cube)
-        res.linkQueueDelayNs.merge(router.link(cube).queueDelayHistNs());
     // Telemetry: credit-exhaustion waits happen at the links, outside any
-    // controller, so the dedicated router pass is the one place that sees
-    // them. Fold them into the node aggregate's LinkCredit stall bucket —
-    // but only when the controllers themselves ran with telemetry, so a
-    // telemetry-off node result stays bit-identical to PR 9.
+    // controller. Fold them into the node aggregate's LinkCredit stall
+    // bucket — but only when the controllers themselves ran with
+    // telemetry, so a telemetry-off node result stays bit-identical.
     std::uint64_t stall_total = 0;
     for (const std::uint64_t t : res.aggregate.stallTicks)
         stall_total += t;
     if (stall_total > 0 || res.aggregate.queueNsHist.count() > 0 ||
         res.aggregate.timeSeries.enabled()) {
-        std::uint64_t credit = 0;
-        for (int cube = 0; cube < cfg_.numCubes; ++cube)
-            credit += router.link(cube).creditStallTicks();
         res.aggregate.stallTicks[static_cast<std::size_t>(
-            StallCause::LinkCredit)] += credit;
+            StallCause::LinkCredit)] += credit_stall;
     }
     return res;
 }
@@ -439,6 +386,7 @@ runNodeRateSweep(const NodeDriver& driver,
         NodeRatePoint pt;
         pt.node = makeRatePoint(res.offeredRps, res.achievedRps,
                                 res.aggregate, saturation_tolerance);
+        pt.node.fanOutPeak = res.fanOutPeak;
         pt.perCubeAchievedRps.reserve(res.perCube.size());
         pt.perCubeRouted.reserve(res.perCube.size());
         for (const CubeResult& cr : res.perCube) {

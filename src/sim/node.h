@@ -24,13 +24,13 @@
  *  - NodeRouter: pluggable replica-selection policy — round-robin,
  *    cache-affinity (address-hash so KV-cache reuse lands on the owning
  *    cubes), load-aware (fewest outstanding link credits). Routing is a
- *    pure function of the request sequence, so every consumer can run a
- *    private router replica over a fresh system stream and reach
- *    bit-identical decisions — the same shared-nothing construction
- *    that makes shardAcrossChannels thread-count-invariant.
- *  - RoutedSource: one cube's slice stream — re-times a fresh system
- *    stream through a private router and yields only the slices
- *    delivered to that cube, arrival = link delivery tick.
+ *    pure function of the request sequence, so two routers fed the same
+ *    stream reach bit-identical decisions.
+ *  - NodeFanOut: the node's one pass over the stream — a StreamFanOut
+ *    that routes each re-timed system request and deals every slice to
+ *    a channel of its cube by the cube's shard rule, arrival = link
+ *    delivery tick. Its router's links carry the run's routing
+ *    statistics (routed counts and bytes, queue delay, credit stalls).
  *  - NodeDriver / runNodeRateSweep: the ServingDriver/runRateSweep
  *    shape lifted to N cubes on one shared ChannelSimEngine pool.
  *    Aggregate tail latency stays exact (bucket-wise histogram merge in
@@ -226,9 +226,6 @@ class NodeRouter
     /** Route one system request; slices are appended to @p out. */
     void route(const Request& r, std::vector<RoutedSlice>& out);
 
-    /** Restart as new (cursors, links, stats). */
-    void reset();
-
     int cubesPerStage() const { return cubesPerStage_; }
     int replicasPerStage() const { return replicasPerStage_; }
     const LinkModel& link(int cube) const
@@ -250,26 +247,29 @@ class NodeRouter
 };
 
 /**
- * One cube's routed stream: drives a private router replica over a
- * fresh (already re-timed) system stream and yields only the slices
- * delivered to @p cube. Owns everything it touches — no shared state —
- * so binding one RoutedSource per engine channel keeps the node drive
- * embarrassingly parallel and thread-count-invariant.
+ * The node's stream fan-out: routes every request of one (already
+ * re-timed) system stream and deals each slice to a channel of its cube
+ * — group = cube, shardOf over the cube's own running slice index or
+ * address stripe. View v is channel v % channels_per_cube of cube
+ * v / channels_per_cube. After the drive, router() holds the run's
+ * routing statistics: per-link injected slices and bytes, queue-delay
+ * histograms and credit-stall ticks.
  */
-class RoutedSource final : public RequestSource
+class NodeFanOut final : public StreamFanOut
 {
   public:
-    RoutedSource(std::unique_ptr<RequestSource> system,
-                 const NodeRouterConfig& cfg, int cube);
+    NodeFanOut(std::unique_ptr<RequestSource> system,
+               const NodeRouterConfig& cfg, int channels_per_cube,
+               std::uint64_t stripe_bytes = 0);
+
+    /** The one router every request went through. */
+    const NodeRouter& router() const { return router_; }
 
   protected:
-    bool produce(Request& out) override;
-    void rewind() override;
+    void deal(const Request& r) override;
 
   private:
-    std::unique_ptr<RequestSource> system_;
     NodeRouter router_;
-    int cube_;
     std::vector<RoutedSlice> slices_;
 };
 
@@ -327,12 +327,14 @@ struct NodeResult
     std::vector<CubeResult> perCube;
     /** Link queuing delay (start - inject) across all links, ns. */
     LatencyHistogram linkQueueDelayNs;
+    /** Requests the stream fan-out held at most (ServingResult). */
+    std::uint64_t fanOutPeak = 0;
 };
 
 /**
  * Drives one node configuration at arbitrary offered rates. Stateless
  * between runs, like ServingDriver: every run() builds fresh
- * controllers, routers, and sources.
+ * controllers and one fresh NodeFanOut.
  */
 class NodeDriver
 {

@@ -33,31 +33,66 @@ meanGapFor(double offered_rps)
     return std::max<Tick>(ticksFromNs(1e9 / offered_rps), 1);
 }
 
+/**
+ * The rate a whole-tick mean gap actually offers. Runs report it so the
+ * saturation test compares achieved throughput against what the arrival
+ * process really offered, not the pre-rounding request.
+ */
+double
+rpsFor(Tick mean_gap)
+{
+    return 1e9 / nsFromTicks(mean_gap);
+}
+
 } // namespace
 
-std::vector<std::unique_ptr<RequestSource>>
-ServingDriver::makeShards(Tick mean_gap) const
+const StreamFanOut&
+ServingDriver::buildCube(ChannelSimEngine& engine, Tick mean_gap,
+                         const CubeCheckpoint* ck) const
 {
-    // The arrival process re-times the *system* stream before sharding,
+    if (ck != nullptr &&
+        static_cast<int>(ck->channels.size()) != cfg_.numChannels) {
+        fatal("cube checkpoint has %zu channels, this driver drives %d",
+              ck->channels.size(), cfg_.numChannels);
+    }
+    // The arrival process re-times the *system* stream before the deal,
     // so every channel sees its subset with globally assigned arrival
     // ticks — one cube-wide open-loop load, not N independent ones.
     ArrivalSpec spec;
     spec.model = cfg_.arrivalModel;
     spec.seed = cfg_.arrivalSeed;
     spec.meanGap = mean_gap;
-    const SourceFactory timed = [this, spec] {
-        return std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(),
-                                                spec);
-    };
-    return shardAcrossChannels(timed, cfg_.numChannels, cfg_.stripeBytes);
+    auto fan = std::make_unique<StreamFanOut>(
+        std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(), spec), 1,
+        cfg_.numChannels, cfg_.stripeBytes);
+    const StreamFanOut& out = *fan;
+    for (int ch = 0; ch < cfg_.numChannels; ++ch) {
+        auto mc = cfg_.makeController();
+        if (!mc)
+            fatal("serving controller factory produced no controller");
+        if (!cfg_.retainCompletions)
+            mc->setRetainCompletions(false);
+        if (ck != nullptr) {
+            restoreControllerCheckpoint(
+                *mc, ck->channels[static_cast<std::size_t>(ch)]);
+        }
+        engine.addChannel(std::move(mc));
+    }
+    if (ck != nullptr)
+        engine.resumeFanOut(std::move(fan));
+    else
+        engine.bindFanOut(std::move(fan));
+    return out;
 }
 
 ServingResult
-ServingDriver::finishRun(ChannelSimEngine& engine, double actual_rps) const
+ServingDriver::finishRun(ChannelSimEngine& engine, const StreamFanOut& fan,
+                         double actual_rps) const
 {
     ServingResult res;
     res.offeredRps = actual_rps;
     res.finishedAt = engine.drainAll();
+    res.fanOutPeak = fan.bufferedPeak();
     res.perChannel.reserve(static_cast<std::size_t>(cfg_.numChannels));
     for (int ch = 0; ch < cfg_.numChannels; ++ch)
         res.perChannel.push_back(engine.channel(ch).stats());
@@ -76,24 +111,9 @@ ServingResult
 ServingDriver::run(double offered_rps) const
 {
     const Tick gap = meanGapFor(offered_rps);
-    // The gap quantizes to whole ticks; report the rate actually driven
-    // so the saturation test compares achieved throughput against what
-    // the arrival process really offered, not the pre-rounding request.
-    const double actual_rps = 1e9 / nsFromTicks(gap);
-    auto shards = makeShards(gap);
-
     ChannelSimEngine engine(cfg_.threads);
-    for (int ch = 0; ch < cfg_.numChannels; ++ch) {
-        auto mc = cfg_.makeController();
-        if (!mc)
-            fatal("serving controller factory produced no controller");
-        if (!cfg_.retainCompletions)
-            mc->setRetainCompletions(false);
-        const int idx = engine.addChannel(std::move(mc));
-        engine.bindSource(idx,
-                          std::move(shards[static_cast<std::size_t>(ch)]));
-    }
-    return finishRun(engine, actual_rps);
+    const StreamFanOut& fan = buildCube(engine, gap, nullptr);
+    return finishRun(engine, fan, rpsFor(gap));
 }
 
 CubeCheckpoint
@@ -103,24 +123,12 @@ ServingDriver::runToCheckpoint(double offered_rps, Tick at) const
         fatal("checkpoint tick must be positive (got %lld)",
               static_cast<long long>(at));
     const Tick gap = meanGapFor(offered_rps);
-    const double actual_rps = 1e9 / nsFromTicks(gap);
-    auto shards = makeShards(gap);
-
     ChannelSimEngine engine(cfg_.threads);
-    for (int ch = 0; ch < cfg_.numChannels; ++ch) {
-        auto mc = cfg_.makeController();
-        if (!mc)
-            fatal("serving controller factory produced no controller");
-        if (!cfg_.retainCompletions)
-            mc->setRetainCompletions(false);
-        const int idx = engine.addChannel(std::move(mc));
-        engine.bindSource(idx,
-                          std::move(shards[static_cast<std::size_t>(ch)]));
-    }
+    buildCube(engine, gap, nullptr);
     engine.runAllUntil(at);
 
     CubeCheckpoint ck;
-    ck.offeredRps = actual_rps;
+    ck.offeredRps = rpsFor(gap);
     ck.meanGap = gap;
     ck.takenAt = at;
     ck.channels.reserve(static_cast<std::size_t>(cfg_.numChannels));
@@ -132,27 +140,9 @@ ServingDriver::runToCheckpoint(double offered_rps, Tick at) const
 ServingResult
 ServingDriver::resume(const CubeCheckpoint& ck) const
 {
-    if (static_cast<int>(ck.channels.size()) != cfg_.numChannels) {
-        fatal("cube checkpoint has %zu channels, this driver drives %d",
-              ck.channels.size(), cfg_.numChannels);
-    }
-    // Shards regenerate the system stream independently, so each restored
-    // channel fast-forwards its own shard past the consumed prefix inside
-    // resumeSource — no cross-channel coordination needed.
-    auto shards = makeShards(ck.meanGap);
-
     ChannelSimEngine engine(cfg_.threads);
-    for (int ch = 0; ch < cfg_.numChannels; ++ch) {
-        auto mc = cfg_.makeController();
-        if (!mc)
-            fatal("serving controller factory produced no controller");
-        const int idx = engine.addChannel(std::move(mc));
-        restoreControllerCheckpoint(engine.channel(idx),
-                                    ck.channels[static_cast<std::size_t>(ch)]);
-        engine.resumeSource(idx,
-                            std::move(shards[static_cast<std::size_t>(ch)]));
-    }
-    return finishRun(engine, ck.offeredRps);
+    const StreamFanOut& fan = buildCube(engine, ck.meanGap, &ck);
+    return finishRun(engine, fan, ck.offeredRps);
 }
 
 RatePoint
@@ -216,9 +206,10 @@ runRateSweep(const ServingDriver& driver,
     parallelFor(static_cast<int>(offered_rps.size()), workers, [&](int i) {
         const ServingResult res =
             driver.run(offered_rps[static_cast<std::size_t>(i)]);
-        sweep.points[static_cast<std::size_t>(i)] =
-            makeRatePoint(res.offeredRps, res.achievedRps, res.aggregate,
-                          saturation_tolerance);
+        RatePoint& pt = sweep.points[static_cast<std::size_t>(i)];
+        pt = makeRatePoint(res.offeredRps, res.achievedRps, res.aggregate,
+                           saturation_tolerance);
+        pt.fanOutPeak = res.fanOutPeak;
     });
     for (std::size_t i = 0; i < sweep.points.size(); ++i) {
         if (sweep.points[i].saturated) {
@@ -243,6 +234,7 @@ ratePointJson(JsonWriter& w, const RatePoint& pt)
     w.key("latencyMeanNs").value(pt.meanNs);
     w.key("effectiveBandwidth").value(pt.effectiveBandwidth);
     w.key("saturated").value(pt.saturated);
+    w.key("fanOutPeak").value(pt.fanOutPeak);
     w.key("ceCount").value(pt.ceCount);
     w.key("dueCount").value(pt.dueCount);
     w.key("retryCount").value(pt.retryCount);

@@ -11,10 +11,10 @@
  *
  *  - ServingDriver: takes one system-wide RequestSource (a recorded
  *    serving trace or a generator — payloads only), re-times it with an
- *    open-loop ArrivalProcess at the offered rate, shards it across all
- *    N channels of a cube (shardAcrossChannels), drives the channels on
- *    a ChannelSimEngine thread pool, and returns per-channel + aggregate
- *    stats. Aggregate tail latency is exact: the per-channel
+ *    open-loop ArrivalProcess at the offered rate, deals it across all
+ *    N channels of a cube from one producer (StreamFanOut), drives the
+ *    channels on a ChannelSimEngine thread pool, and returns per-channel
+ *    + aggregate stats. Aggregate tail latency is exact: the per-channel
  *    LatencyHistograms merge bucket-wise (ControllerStats::merge), so
  *    the cube's p99/p99.9 are identical to a histogram that watched
  *    every channel's completions.
@@ -26,10 +26,12 @@
  *  - ratePointJson: one sweep point in the BENCH_*.json row schema
  *    shared by bench_serving_curves and the CI bench differ.
  *
- * Determinism: channels share no mutable state (each shard regenerates
- * the system stream independently) and results are merged in channel
- * order, so a run's outcome — including every histogram bucket — is
- * independent of the engine's thread count.
+ * Determinism: the system stream is read once and dealt in stream
+ * order, so each channel sees the same request sequence whichever engine
+ * thread pulls it; channels share no other state, the windowed drive is
+ * bit-identical to independent drains (slice invariance), and results
+ * are merged in channel order. A run's outcome — including every
+ * histogram bucket — is independent of the engine's thread count.
  */
 
 #ifndef ROME_SIM_SERVING_H
@@ -94,6 +96,9 @@ struct ServingResult
     ControllerStats aggregate;
     /** Per-channel snapshots, indexed by channel. */
     std::vector<ControllerStats> perChannel;
+    /** Requests the stream fan-out held at most (bounded-memory
+     *  evidence; StreamFanOut::bufferedPeak). */
+    std::uint64_t fanOutPeak = 0;
 };
 
 /**
@@ -139,7 +144,7 @@ class ServingDriver
 
     /**
      * Rebuild the cube from @p ck — fresh controllers restored from the
-     * blobs, fresh source shards fast-forwarded past each channel's
+     * blobs, fed by a fresh fan-out whose views skip each channel's
      * consumed prefix — and drain it to completion.
      */
     ServingResult resume(const CubeCheckpoint& ck) const;
@@ -147,11 +152,15 @@ class ServingDriver
     const ServingConfig& config() const { return cfg_; }
 
   private:
-    /** Fresh per-channel shards of the stream re-timed at @p mean_gap. */
-    std::vector<std::unique_ptr<RequestSource>>
-    makeShards(Tick mean_gap) const;
+    /**
+     * Fill @p engine with the cube's channels — fresh, or restored from
+     * @p ck when given — fed by one fan-out of the system stream re-timed
+     * at @p mean_gap. Returns the fan-out (owned by @p engine).
+     */
+    const StreamFanOut& buildCube(ChannelSimEngine& engine, Tick mean_gap,
+                                  const CubeCheckpoint* ck) const;
     /** Drain @p engine and assemble per-channel + aggregate results. */
-    ServingResult finishRun(ChannelSimEngine& engine,
+    ServingResult finishRun(ChannelSimEngine& engine, const StreamFanOut& fan,
                             double actual_rps) const;
 
     ServingConfig cfg_;
@@ -174,6 +183,8 @@ struct RatePoint
     double effectiveBandwidth = 0.0;
     /** Achieved fell short of offered by more than the tolerance. */
     bool saturated = false;
+    /** Stream fan-out high-water (requests; ServingResult::fanOutPeak). */
+    std::uint64_t fanOutPeak = 0;
     // ---- reliability counters (zero with fault injection disabled) ----
     std::uint64_t ceCount = 0;
     std::uint64_t dueCount = 0;

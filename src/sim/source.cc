@@ -1,5 +1,6 @@
 #include "sim/source.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/log.h"
@@ -440,11 +441,7 @@ ShardSource::produce(Request& out)
 {
     Request r;
     while (inner_->next(r)) {
-        const std::uint64_t key =
-            stripeBytes_ ? r.addr / stripeBytes_ : index_;
-        ++index_;
-        if (key % static_cast<std::uint64_t>(shards_) ==
-            static_cast<std::uint64_t>(shard_)) {
+        if (shardOf(index_++, r.addr, shards_, stripeBytes_) == shard_) {
             out = r;
             return true;
         }
@@ -459,21 +456,129 @@ ShardSource::rewind()
     index_ = 0;
 }
 
-std::vector<std::unique_ptr<RequestSource>>
-shardAcrossChannels(const SourceFactory& make_system, int num_channels,
-                    std::uint64_t stripe_bytes)
+// ---------------------------------------------------------------------------
+// StreamFanOut
+// ---------------------------------------------------------------------------
+
+/** One view's pull handle: the fan-out's FIFO for it, produced on demand. */
+class StreamFanOut::View final : public RequestSource
 {
-    if (!make_system)
-        fatal("shardAcrossChannels needs a system source factory");
-    if (num_channels < 1)
-        fatal("shardAcrossChannels needs at least one channel");
-    std::vector<std::unique_ptr<RequestSource>> shards;
-    shards.reserve(static_cast<std::size_t>(num_channels));
-    for (int ch = 0; ch < num_channels; ++ch) {
-        shards.push_back(std::make_unique<ShardSource>(
-            make_system(), ch, num_channels, stripe_bytes));
+  public:
+    View(StreamFanOut& fan, int v) : fan_(fan), v_(v) {}
+
+  protected:
+    bool
+    produce(Request& out) override
+    {
+        if (batch_.empty() && !fan_.take(v_, batch_))
+            return false;
+        out = batch_.front();
+        batch_.pop_front();
+        fan_.yielded_[static_cast<std::size_t>(v_)].n.fetch_add(
+            1, std::memory_order_relaxed);
+        return true;
     }
-    return shards;
+
+    void
+    rewind() override
+    {
+        fatal("fan-out view %d cannot rewind: the system stream is read "
+              "once",
+              v_);
+    }
+
+  private:
+    StreamFanOut& fan_;
+    int v_;
+    /** Requests taken from the fan-out, yielded without its lock. */
+    std::deque<Request> batch_;
+};
+
+StreamFanOut::StreamFanOut(std::unique_ptr<RequestSource> system,
+                           int groups, int channels_per_group,
+                           std::uint64_t stripe_bytes)
+    : channelsPerGroup_(channels_per_group), stripeBytes_(stripe_bytes),
+      system_(std::move(system))
+{
+    if (!system_)
+        fatal("stream fan-out needs a system source");
+    if (groups < 1 || channels_per_group < 1)
+        fatal("stream fan-out needs at least one group and one channel "
+              "per group (got %d x %d)",
+              groups, channels_per_group);
+    const std::size_t views = static_cast<std::size_t>(groups) *
+                              static_cast<std::size_t>(channels_per_group);
+    yielded_ = std::vector<YieldCount>(views);
+    queues_.resize(views);
+    groupDealt_.assign(static_cast<std::size_t>(groups), 0);
+}
+
+StreamFanOut::~StreamFanOut() = default;
+
+std::unique_ptr<RequestSource>
+StreamFanOut::makeView(int v)
+{
+    if (v < 0 || v >= numViews())
+        fatal("fan-out view %d out of range (%d views)", v, numViews());
+    return std::make_unique<View>(*this, v);
+}
+
+Tick
+StreamFanOut::openWindow(std::uint64_t n)
+{
+    std::uint64_t yielded = 0;
+    for (const YieldCount& y : yielded_)
+        yielded += y.n.load(std::memory_order_relaxed);
+    const std::lock_guard<std::mutex> lock(mu_);
+    yieldedAtOpen_ = yielded;
+    Request r;
+    for (std::uint64_t i = 0; i < n; ++i) {
+        if (!system_->next(r))
+            return kTickMax;
+        deal(r);
+    }
+    return r.arrival;
+}
+
+std::uint64_t
+StreamFanOut::bufferedPeak() const
+{
+    const std::lock_guard<std::mutex> lock(mu_);
+    return peak_;
+}
+
+void
+StreamFanOut::deal(const Request& r)
+{
+    dealToGroup(0, r);
+}
+
+void
+StreamFanOut::dealToGroup(int group, const Request& r)
+{
+    const auto g = static_cast<std::size_t>(group);
+    const int ch = shardOf(groupDealt_[g]++, r.addr, channelsPerGroup_,
+                           stripeBytes_);
+    queues_[g * static_cast<std::size_t>(channelsPerGroup_) +
+            static_cast<std::size_t>(ch)]
+        .push_back(r);
+    ++dealt_;
+    peak_ = std::max(peak_, dealt_ - yieldedAtOpen_);
+}
+
+bool
+StreamFanOut::take(int v, std::deque<Request>& batch)
+{
+    const std::lock_guard<std::mutex> lock(mu_);
+    std::deque<Request>& q = queues_[static_cast<std::size_t>(v)];
+    Request r;
+    while (q.empty()) {
+        if (!system_->next(r))
+            return false;
+        deal(r);
+    }
+    batch.swap(q);
+    return true;
 }
 
 } // namespace rome

@@ -33,13 +33,18 @@
  *                      bursty) over any inner source.
  *  - MixSource       — arrival-ordered merge of several tenants' sources.
  *  - ShardSource     — per-channel shard of a system-wide source.
+ *  - StreamFanOut    — one pass over a system-wide source, dealt to
+ *                      per-channel views by the same shard rule.
  */
 
 #ifndef ROME_SIM_SOURCE_H
 #define ROME_SIM_SOURCE_H
 
+#include <atomic>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/random.h"
@@ -416,11 +421,25 @@ class SkipSource final : public RequestSource
 };
 
 /**
+ * The channel-shard rule: the shard of @p num_shards a request with
+ * running index @p index (0-based, within the stream being sharded) and
+ * address @p addr belongs to. With stripe_bytes == 0 requests are dealt
+ * round-robin by index; otherwise the address stripe
+ * (addr / stripe_bytes) selects the shard, modeling system-level channel
+ * interleaving.
+ */
+inline int
+shardOf(std::uint64_t index, std::uint64_t addr, int num_shards,
+        std::uint64_t stripe_bytes)
+{
+    const std::uint64_t key = stripe_bytes ? addr / stripe_bytes : index;
+    return static_cast<int>(key % static_cast<std::uint64_t>(num_shards));
+}
+
+/**
  * One channel's shard of a system-wide stream: yields only the requests
- * assigned to @p shard of @p num_shards. With stripe_bytes == 0 requests
- * are dealt round-robin by index; otherwise the request's address stripe
- * (addr / stripe_bytes) selects the shard, modeling system-level
- * channel interleaving.
+ * shardOf assigns to @p shard of @p num_shards. Reads the whole inner
+ * stream to yield its share; StreamFanOut deals every shard in one pass.
  */
 class ShardSource final : public RequestSource
 {
@@ -452,19 +471,107 @@ trimWindow(std::unique_ptr<RequestSource> source, std::uint64_t skip_n,
            std::uint64_t take_n);
 
 /**
- * Shard one system-wide stream across the channels of a cube: element i
- * of the result is ShardSource i of @p num_channels over a fresh instance
- * of @p make_system. Together the shards cover the system stream exactly
- * once (disjoint and complete — asserted by tests/test_serving.cc), so
- * binding shard i to channel i of a ChannelSimEngine drives the whole
- * cube with system-level offered load. Each shard regenerates the stream
- * independently, which keeps channels free of shared mutable state — the
- * property that makes the multi-channel drive embarrassingly parallel
- * and thread-count-invariant.
+ * One deterministic producer dealing a system-wide stream to per-channel
+ * views: the channel fan-out of a serving run.
+ *
+ * The producer pulls the system stream exactly once and deals every
+ * request into the FIFO of the view it belongs to. Views are grouped
+ * (one group per cube); the default deal() puts each request on group
+ * 0, where shardOf — by the group's running index or by address stripe —
+ * picks one of the group's channels. A subclass can split requests
+ * across groups first (the node router; sim/node.h). View v is channel
+ * v % channelsPerGroup of group v / channelsPerGroup.
+ *
+ * Views pull on demand: a view with nothing left produces until its own
+ * FIFO is non-empty or the system stream ends, so it yields exactly the
+ * sequence a ShardSource over the same stream would, and runs dry at the
+ * same point. Requests dealt to other views wait in their FIFOs until
+ * those pull; ChannelSimEngine's lock-step windows keep that backlog to
+ * about one window of requests plus each view's lookahead (below the
+ * saturation knee — past it, also the requests that arrived but wait
+ * for admission). Production and FIFOs sit behind one mutex, so views may
+ * be driven from several engine threads; a view takes its whole FIFO per
+ * lock, which keeps those threads from queueing on it. Which thread
+ * triggers production never changes what a view yields.
  */
-std::vector<std::unique_ptr<RequestSource>>
-shardAcrossChannels(const SourceFactory& make_system, int num_channels,
-                    std::uint64_t stripe_bytes = 0);
+class StreamFanOut
+{
+  public:
+    /** Deal @p system across @p groups x @p channels_per_group views. */
+    StreamFanOut(std::unique_ptr<RequestSource> system, int groups,
+                 int channels_per_group, std::uint64_t stripe_bytes = 0);
+    virtual ~StreamFanOut();
+
+    StreamFanOut(const StreamFanOut&) = delete;
+    StreamFanOut& operator=(const StreamFanOut&) = delete;
+
+    int numViews() const { return static_cast<int>(queues_.size()); }
+
+    /**
+     * A pull handle on view @p v. Make one per view: two handles would
+     * split its requests between them. A handle must not outlive the
+     * fan-out, and it cannot rewind (the system stream is read once).
+     */
+    std::unique_ptr<RequestSource> makeView(int v);
+
+    /**
+     * Open a lock-step window: deal the next @p n system requests now
+     * (fewer when the stream ends first) and start a new accounting
+     * window of bufferedPeak(). Returns the arrival tick of the last one
+     * dealt — the window's end — or kTickMax once the system stream has
+     * ended. Call it only while no view is being pulled.
+     */
+    Tick openWindow(std::uint64_t n);
+
+    /**
+     * High-water of dealt requests no view had yielded yet, counted per
+     * window: the most requests dealt by a window's end that were still
+     * unyielded when it opened (before the first window, since the
+     * start). That bounds the true high-water from above and, unlike it,
+     * does not depend on how engine threads interleave inside a window —
+     * each window's production is set by what its views demand.
+     */
+    std::uint64_t bufferedPeak() const;
+
+  protected:
+    /** Deal one system request; the default shards it onto group 0. */
+    virtual void deal(const Request& r);
+
+    /** Shard @p r onto one of @p group's channels and queue it there. */
+    void dealToGroup(int group, const Request& r);
+
+  private:
+    class View;
+
+    /** Requests one view has yielded, on a cache line of its own: only
+     *  the thread pulling that view adds to it. */
+    struct alignas(64) YieldCount
+    {
+        std::atomic<std::uint64_t> n{0};
+    };
+
+    /**
+     * Move view @p v's whole FIFO into the empty @p batch, producing
+     * first while the FIFO is empty; false once the system stream ended
+     * with nothing left for @p v.
+     */
+    bool take(int v, std::deque<Request>& batch);
+
+    const int channelsPerGroup_;
+    const std::uint64_t stripeBytes_;
+    std::vector<YieldCount> yielded_;
+    /** Guards every member below (pulls may come from engine threads). */
+    mutable std::mutex mu_;
+    std::unique_ptr<RequestSource> system_;
+    /** Dealt, not yet taken, requests of each view. */
+    std::vector<std::deque<Request>> queues_;
+    /** Requests dealt to each group so far (its round-robin index). */
+    std::vector<std::uint64_t> groupDealt_;
+    std::uint64_t dealt_ = 0;
+    /** Requests all views had yielded when the last window opened. */
+    std::uint64_t yieldedAtOpen_ = 0;
+    std::uint64_t peak_ = 0;
+};
 
 } // namespace rome
 

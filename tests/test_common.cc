@@ -239,8 +239,8 @@ TEST(Table, Formatters)
 
 TEST(Log, FatalAndPanicThrow)
 {
-    EXPECT_THROW(fatal("bad config {}", 1), std::runtime_error);
-    EXPECT_THROW(panic("bug {}", 2), std::logic_error);
+    EXPECT_THROW(fatal("bad config %d", 1), std::runtime_error);
+    EXPECT_THROW(panic("bug %d", 2), std::logic_error);
 }
 
 } // namespace

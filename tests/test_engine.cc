@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
+#include <utility>
 
 #include "common/types.h"
 #include "dram/hbm4_config.h"
@@ -218,8 +220,12 @@ TEST(EngineDeterminism, RepeatedThreadedSweepsAgree)
     const auto make_jobs = [&] {
         std::vector<SweepJob> jobs;
         for (int i = 0; i < 4; ++i) {
+            // Appended, not "j" + to_string(i): GCC 12 flags that
+            // operator+ with a false -Wrestrict positive.
+            std::string label = "j";
+            label += std::to_string(i);
             jobs.push_back(SweepJob{
-                "j" + std::to_string(i),
+                std::move(label),
                 [dram] {
                     return makeChannelController(MemorySystem::RoMe, dram);
                 },

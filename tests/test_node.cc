@@ -2,12 +2,14 @@
  * @file
  * Node-model tests: link serialization/credit/queuing semantics and
  * determinism, router-policy semantics (round-robin, cache-affinity,
- * load-aware) and TP/PP slice coverage, routed per-cube streams
- * covering the system stream exactly once, exact node-level histogram
- * merging, thread-count bit-invariance of the NodeDriver, bit-identity
- * of the zero-latency single-cube node with the plain ServingDriver,
- * and per-DUE request poisoning surfaced through completions and the
- * serving RatePoint.
+ * load-aware) and TP/PP slice coverage, the node fan-out dealing the
+ * system stream to its channels exactly once, the fan-out drive against
+ * independent per-channel drains over an independently routed stream
+ * (every policy, TP/PP, a credit-limited link, 1/2/4 engine threads),
+ * its bounded buffer, exact node-level histogram merging, thread-count
+ * bit-invariance of the NodeDriver, bit-identity of the zero-latency
+ * single-cube node with the plain ServingDriver, and per-DUE request
+ * poisoning surfaced through completions and the serving RatePoint.
  */
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "common/stats.h"
@@ -269,7 +272,7 @@ TEST(NodeRouter, TpPpSlicingIsDisjointContiguousAndStageLocal)
     EXPECT_EQ(out[0].req.size, 1u);
 }
 
-TEST(RoutedSource, CubeStreamsCoverSystemStreamExactlyOnce)
+TEST(NodeFanOut, ChannelStreamsCoverSystemStreamExactlyOnce)
 {
     RandomPattern p;
     p.requestBytes = 4_KiB;
@@ -278,22 +281,33 @@ TEST(RoutedSource, CubeStreamsCoverSystemStreamExactlyOnce)
     RandomSource whole(p);
     const std::vector<Request> all = collectRequests(whole);
 
-    const NodeRouterConfig rc = routerConfig(3, RouterPolicy::RoundRobin);
+    // Round-robin over 3 cubes: request i goes to cube i % 3 and is that
+    // cube's (i / 3)-th slice, dealt round-robin over its 2 channels.
+    const int per_cube = 2;
+    NodeFanOut fan(std::make_unique<RandomSource>(p),
+                   routerConfig(3, RouterPolicy::RoundRobin), per_cube);
+    ASSERT_EQ(fan.numViews(), 3 * per_cube);
     std::vector<int> owner(all.size(), -1);
-    for (int cube = 0; cube < 3; ++cube) {
-        RoutedSource src(std::make_unique<RandomSource>(p), rc, cube);
+    for (int v = 0; v < fan.numViews(); ++v) {
+        const auto view = fan.makeView(v);
         Request r;
-        while (src.next(r)) {
+        while (view->next(r)) {
             const std::size_t idx = static_cast<std::size_t>(r.id - 1);
             ASSERT_LT(idx, all.size());
-            EXPECT_EQ(owner[idx], -1); // disjoint across cubes
-            owner[idx] = cube;
+            EXPECT_EQ(owner[idx], -1); // disjoint across channels
+            owner[idx] = v;
             EXPECT_EQ(r.addr, all[idx].addr);
             EXPECT_EQ(r.size, all[idx].size);
+            EXPECT_EQ(v / per_cube, static_cast<int>(idx % 3));
+            EXPECT_EQ(v % per_cube, static_cast<int>(idx / 3 % per_cube));
         }
     }
-    for (const int c : owner)
-        EXPECT_NE(c, -1); // complete
+    for (const int v : owner)
+        EXPECT_NE(v, -1); // complete
+    for (int cube = 0; cube < 3; ++cube) {
+        EXPECT_EQ(fan.router().link(cube).injectedMessages(),
+                  cube < 2 ? 167u : 166u);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -370,6 +384,201 @@ TEST(NodeDriver, ResultsAreThreadCountInvariant)
                   pooled.perCube[c].routedBytes);
     }
     EXPECT_EQ(serial.aggregate.completedRequests, 1200u);
+}
+
+/** The oracle's view of a node run: each channel's dealt stream and the
+ *  router that routed them (its links hold the routing statistics). */
+struct DealtNode
+{
+    std::vector<std::vector<Request>> channels;
+    NodeRouter router;
+};
+
+/** The system stream as NodeDriver::run re-times it for @p rps. */
+std::unique_ptr<RequestSource>
+timedStream(const NodeConfig& cfg, double rps)
+{
+    ArrivalSpec spec;
+    spec.model = cfg.arrivalModel;
+    spec.seed = cfg.arrivalSeed;
+    spec.meanGap = std::max<Tick>(ticksFromNs(1e9 / rps), 1);
+    return std::make_unique<ArrivalProcess>(cfg.makeSystemSource(), spec);
+}
+
+/**
+ * Route timedStream through a standalone router and deal each cube's
+ * slices over its channels by the cube's own running slice index or
+ * address stripe — written out here, independently of NodeFanOut.
+ */
+DealtNode
+dealNode(const NodeConfig& cfg, double rps)
+{
+    NodeRouterConfig rc;
+    rc.numCubes = cfg.numCubes;
+    rc.policy = cfg.policy;
+    rc.placement = cfg.placement;
+    rc.link = cfg.link;
+    rc.affinityBytes = cfg.affinityBytes;
+    rc.spanBytes = cfg.spanBytes;
+    DealtNode out{std::vector<std::vector<Request>>(static_cast<std::size_t>(
+                      cfg.numCubes * cfg.channelsPerCube)),
+                  NodeRouter(rc)};
+    const auto timed = timedStream(cfg, rps);
+    std::vector<std::uint64_t> cube_index(
+        static_cast<std::size_t>(cfg.numCubes), 0);
+    const auto per_cube = static_cast<std::uint64_t>(cfg.channelsPerCube);
+    std::vector<RoutedSlice> slices;
+    Request r;
+    while (timed->next(r)) {
+        slices.clear();
+        out.router.route(r, slices);
+        for (const RoutedSlice& s : slices) {
+            const std::uint64_t key =
+                cfg.stripeBytes ? s.req.addr / cfg.stripeBytes
+                                : cube_index[static_cast<std::size_t>(
+                                      s.cube)]++;
+            const std::uint64_t ch =
+                static_cast<std::uint64_t>(s.cube) * per_cube +
+                key % per_cube;
+            out.channels[ch].push_back(s.req);
+        }
+    }
+    return out;
+}
+
+/**
+ * Check the fan-out drive of @p cfg at @p rps against independent
+ * per-channel drains of the oracle's dealt streams: per channel through
+ * the engine, per cube (stats, routed counts and bytes), link queue
+ * delay and aggregate through NodeDriver, at 1, 2 and 4 engine threads.
+ */
+void
+expectMatchesIndependentDrains(NodeConfig cfg, double rps)
+{
+    const DealtNode dealt = dealNode(cfg, rps);
+    std::vector<ControllerStats> oracle;
+    for (const std::vector<Request>& stream : dealt.channels) {
+        const auto mc = cfg.makeController();
+        oracle.push_back(runWorkload(*mc, stream));
+    }
+    std::uint64_t peak = 0;
+    for (const int threads : {1, 2, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        // Channel by channel, through the engine the driver uses.
+        ChannelSimEngine engine(threads);
+        for (std::size_t ch = 0; ch < oracle.size(); ++ch)
+            engine.addChannel(cfg.makeController());
+        engine.bindFanOut(std::make_unique<NodeFanOut>(
+            timedStream(cfg, rps), dealt.router.config(),
+            cfg.channelsPerCube, cfg.stripeBytes));
+        engine.drainAll();
+        for (std::size_t ch = 0; ch < oracle.size(); ++ch) {
+            EXPECT_TRUE(engine.channel(static_cast<int>(ch)).stats() ==
+                        oracle[ch])
+                << "channel " << ch;
+        }
+
+        // Cube by cube, through the driver.
+        cfg.threads = threads;
+        const NodeResult res = NodeDriver(cfg).run(rps);
+        ASSERT_EQ(res.perCube.size(), static_cast<std::size_t>(cfg.numCubes));
+        ControllerStats aggregate;
+        LatencyHistogram link_delay;
+        for (int cube = 0; cube < cfg.numCubes; ++cube) {
+            ControllerStats merged;
+            std::uint64_t routed = 0;
+            std::uint64_t bytes = 0;
+            for (int c = 0; c < cfg.channelsPerCube; ++c) {
+                const auto ch =
+                    static_cast<std::size_t>(cube * cfg.channelsPerCube + c);
+                merged.merge(oracle[ch]);
+                aggregate.merge(oracle[ch]);
+                routed += dealt.channels[ch].size();
+                for (const Request& r : dealt.channels[ch])
+                    bytes += r.size;
+            }
+            merged.deriveBandwidths();
+            const CubeResult& cr =
+                res.perCube[static_cast<std::size_t>(cube)];
+            EXPECT_TRUE(cr.stats == merged) << "cube " << cube;
+            EXPECT_EQ(cr.routedRequests, routed) << "cube " << cube;
+            EXPECT_EQ(cr.routedBytes, bytes) << "cube " << cube;
+            link_delay.merge(dealt.router.link(cube).queueDelayHistNs());
+        }
+        aggregate.deriveBandwidths();
+        EXPECT_TRUE(res.aggregate == aggregate);
+        EXPECT_TRUE(sameDistribution(res.linkQueueDelayNs, link_delay));
+        if (threads == 1)
+            peak = res.fanOutPeak;
+        EXPECT_EQ(res.fanOutPeak, peak);
+    }
+}
+
+/** A stream spanning several ChannelSimEngine::kFanOutWindow windows. */
+constexpr std::uint64_t kWindowedRequests =
+    5 * ChannelSimEngine::kFanOutWindow;
+
+TEST(NodeFanOut, DriveMatchesIndependentDrainsUnderEveryPolicy)
+{
+    const DramConfig dram = hbm4Config();
+    for (const RouterPolicy policy :
+         {RouterPolicy::RoundRobin, RouterPolicy::CacheAffinity,
+          RouterPolicy::LoadAware}) {
+        SCOPED_TRACE(routerPolicyName(policy));
+        NodeConfig cfg = smallNodeConfig(dram, 2, 2, kWindowedRequests);
+        cfg.policy = policy;
+        cfg.affinityBytes = 64_KiB;
+        expectMatchesIndependentDrains(cfg, 4e7);
+    }
+}
+
+TEST(NodeFanOut, DriveMatchesIndependentDrainsWithTpPpAndStripes)
+{
+    // 4 cubes as 2 pipeline stages x TP 2: every request splits into two
+    // 2 KiB slices on the cubes of its stage; channels interleave by
+    // 4 KiB address stripe.
+    const DramConfig dram = hbm4Config();
+    NodeConfig cfg = smallNodeConfig(dram, 4, 2, kWindowedRequests);
+    cfg.placement.tpDegree = 2;
+    cfg.placement.ppStages = 2;
+    cfg.spanBytes = dram.org.channelCapacity();
+    cfg.stripeBytes = 4_KiB;
+    expectMatchesIndependentDrains(cfg, 4e7);
+}
+
+TEST(NodeFanOut, DriveMatchesIndependentDrainsOnCreditLimitedLink)
+{
+    // Two credits and a narrow link: injections queue and stall on
+    // credits, so arrivals at the cubes differ from the offered ones.
+    const DramConfig dram = hbm4Config();
+    NodeConfig cfg = smallNodeConfig(dram, 2, 2, kWindowedRequests);
+    cfg.policy = RouterPolicy::LoadAware;
+    cfg.link.latencyTicks = ticksFromNs(static_cast<std::int64_t>(100));
+    cfg.link.bytesPerNs = 64.0;
+    cfg.link.credits = 2;
+    const DealtNode dealt = dealNode(cfg, 4e7);
+    EXPECT_GT(dealt.router.link(0).creditStallTicks(), 0u);
+    expectMatchesIndependentDrains(cfg, 4e7);
+}
+
+TEST(NodeDriver, FanOutBufferStaysFarBelowTheStream)
+{
+    // Four 8-channel cubes at 0.7 of node peak: the producer runs one
+    // window plus the channels' lookahead ahead of them, so its buffer
+    // is set by the window, not by the stream's length.
+    const DramConfig dram = hbm4Config();
+    const double rps = 0.7 * 4 * 8 * dram.org.channelBandwidthBytesPerNs() *
+                       1e9 / 4096.0;
+    for (const std::uint64_t requests : {20000u, 80000u}) {
+        NodeConfig cfg = smallNodeConfig(dram, 4, 8, requests);
+        cfg.policy = RouterPolicy::CacheAffinity;
+        cfg.threads = 2;
+        const NodeResult res = NodeDriver(cfg).run(rps);
+        EXPECT_EQ(res.aggregate.completedRequests, requests);
+        EXPECT_GT(res.fanOutPeak, ChannelSimEngine::kFanOutWindow);
+        EXPECT_LT(res.fanOutPeak, 2 * ChannelSimEngine::kFanOutWindow);
+        EXPECT_LT(res.fanOutPeak, requests / 5);
+    }
 }
 
 TEST(NodeDriver, AggregateHistogramIsExactMergeOfCubeHistograms)

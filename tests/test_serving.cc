@@ -2,8 +2,11 @@
  * @file
  * Serving-harness tests: LatencyHistogram percentiles against a
  * sorted-vector oracle, exact/associative merging, histogram plumbing
- * through ControllerStats::merge and the hybrid router, shard-by-channel
- * coverage, ServingDriver thread-count determinism, and saturation-knee
+ * through ControllerStats::merge and the hybrid router, the stream
+ * fan-out's per-channel deal (coverage, ShardSource equality) and its
+ * windowed drive (bit-identical to independent per-channel drains on
+ * both stacks at 1/2/4 engine threads, a drain-only wrapper drained
+ * once), ServingDriver thread-count determinism, and saturation-knee
  * detection of the rate sweep on a synthetic overload.
  */
 
@@ -12,8 +15,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -215,20 +220,25 @@ TEST(ServingShards, EveryRequestLandsOnExactlyOneChannel)
     p.requestBytes = 4_KiB;
     p.totalBytes = 999 * p.requestBytes;
     p.capacity = 1ull << 30;
-    const SourceFactory system = [p] {
-        return std::make_unique<RandomSource>(p);
-    };
     RandomSource whole(p);
     const std::vector<Request> all = collectRequests(whole);
 
     for (const std::uint64_t stripe : {std::uint64_t{0}, 8_KiB}) {
         const int n = 5;
-        auto shards = shardAcrossChannels(system, n, stripe);
-        ASSERT_EQ(shards.size(), static_cast<std::size_t>(n));
+        StreamFanOut fan(std::make_unique<RandomSource>(p), 1, n, stripe);
+        ASSERT_EQ(fan.numViews(), n);
         std::vector<int> owner(all.size(), -1);
         for (int ch = 0; ch < n; ++ch) {
+            // Each view yields exactly the sequence a ShardSource over
+            // its own copy of the stream would.
+            const auto view = fan.makeView(ch);
+            ShardSource shard(std::make_unique<RandomSource>(p), ch, n,
+                              stripe);
             Request r;
-            while (shards[static_cast<std::size_t>(ch)]->next(r)) {
+            while (view->next(r)) {
+                Request expect;
+                ASSERT_TRUE(shard.next(expect));
+                EXPECT_EQ(r.id, expect.id);
                 ASSERT_GE(r.id, 1u);
                 ASSERT_LE(r.id, all.size());
                 const std::size_t idx = static_cast<std::size_t>(r.id - 1);
@@ -243,6 +253,7 @@ TEST(ServingShards, EveryRequestLandsOnExactlyOneChannel)
                               key % static_cast<std::uint64_t>(n)),
                           ch);
             }
+            EXPECT_TRUE(shard.exhausted());
         }
         // Complete: every request was yielded by some shard.
         for (const int ch : owner)
@@ -319,6 +330,166 @@ TEST(ServingDriver, ResultsAreThreadCountInvariant)
     EXPECT_EQ(serial.finishedAt, pooled.finishedAt);
     EXPECT_EQ(serial.aggregate.completedRequests, 2000u);
     EXPECT_EQ(serial.aggregate.latencyHistNs.count(), 2000u);
+}
+
+// ---------------------------------------------------------------------------
+// Stream fan-out drive
+// ---------------------------------------------------------------------------
+
+/**
+ * The oracle for a fan-out drive: every channel drained on its own over
+ * a ShardSource of the stream re-timed as ServingDriver::run re-times it
+ * (whole-tick mean gap for @p rps).
+ */
+std::vector<ControllerStats>
+independentDrains(const ServingConfig& cfg, double rps)
+{
+    ArrivalSpec spec;
+    spec.model = cfg.arrivalModel;
+    spec.seed = cfg.arrivalSeed;
+    spec.meanGap = std::max<Tick>(ticksFromNs(1e9 / rps), 1);
+    std::vector<ControllerStats> out;
+    for (int ch = 0; ch < cfg.numChannels; ++ch) {
+        ShardSource dealt(
+            std::make_unique<ArrivalProcess>(cfg.makeSystemSource(), spec),
+            ch, cfg.numChannels, cfg.stripeBytes);
+        const auto mc = cfg.makeController();
+        out.push_back(runWorkload(*mc, dealt));
+    }
+    return out;
+}
+
+TEST(StreamFanOut, WindowedDriveMatchesIndependentDrainsOnBothStacks)
+{
+    const DramConfig dram = hbm4Config();
+    RandomPattern p;
+    p.requestBytes = 1_KiB;
+    p.totalBytes = 5000 * p.requestBytes;
+    p.capacity = dram.org.channelCapacity();
+    p.writeFraction = 0.25;
+    const int channels = 4;
+    // Half the channels' peak: queues build, and the stream spans two
+    // full windows of ChannelSimEngine::kFanOutWindow requests.
+    const double rps = 0.5 * channels *
+                       dram.org.channelBandwidthBytesPerNs() * 1e9 /
+                       static_cast<double>(p.requestBytes);
+    for (const MemorySystem sys : {MemorySystem::Hbm4, MemorySystem::RoMe}) {
+        for (const std::uint64_t stripe : {std::uint64_t{0}, 4_KiB}) {
+            ServingConfig cfg;
+            cfg.makeController = [dram, sys] {
+                return makeChannelController(sys, dram);
+            };
+            cfg.makeSystemSource = [p] {
+                return std::make_unique<RandomSource>(p);
+            };
+            cfg.numChannels = channels;
+            cfg.stripeBytes = stripe;
+            const std::vector<ControllerStats> oracle =
+                independentDrains(cfg, rps);
+            std::uint64_t peak = 0;
+            for (const int threads : {1, 2, 4}) {
+                SCOPED_TRACE(std::string(sys == MemorySystem::Hbm4 ? "hbm4"
+                                                                   : "rome") +
+                             " stripe " + std::to_string(stripe) +
+                             " threads " + std::to_string(threads));
+                cfg.threads = threads;
+                const ServingResult res = ServingDriver(cfg).run(rps);
+                ASSERT_EQ(res.perChannel.size(), oracle.size());
+                for (std::size_t ch = 0; ch < oracle.size(); ++ch)
+                    EXPECT_TRUE(res.perChannel[ch] == oracle[ch]) << ch;
+                EXPECT_EQ(res.aggregate.completedRequests, 5000u);
+                // The high-water is counted per window, so it is as
+                // thread-count invariant as the results.
+                EXPECT_GT(res.fanOutPeak, 0u);
+                if (threads == 1)
+                    peak = res.fanOutPeak;
+                EXPECT_EQ(res.fanOutPeak, peak);
+            }
+        }
+    }
+}
+
+/**
+ * A controller wrapper that forwards only the calls a wrapper written
+ * before drainUntil existed knows — bindSource, runUntil, drain — and
+ * counts its drains; drainUntil stays at the interface default.
+ */
+class DrainCountingController final : public IMemoryController
+{
+  public:
+    DrainCountingController(std::unique_ptr<IMemoryController> inner,
+                            int* drains)
+        : inner_(std::move(inner)), drains_(drains)
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+    void enqueue(const Request& req) override { inner_->enqueue(req); }
+    void bindSource(RequestSource* src) override { inner_->bindSource(src); }
+    void runUntil(Tick until) override { inner_->runUntil(until); }
+
+    Tick
+    drain() override
+    {
+        ++*drains_;
+        return inner_->drain();
+    }
+
+    bool idle() const override { return inner_->idle(); }
+    Tick now() const override { return inner_->now(); }
+    const std::vector<Completion>&
+    completions() const override
+    {
+        return inner_->completions();
+    }
+    void
+    setRetainCompletions(bool retain) override
+    {
+        inner_->setRetainCompletions(retain);
+    }
+    const Accumulator& latencyNs() const override
+    {
+        return inner_->latencyNs();
+    }
+    const LatencyHistogram&
+    latencyHistogramNs() const override
+    {
+        return inner_->latencyHistogramNs();
+    }
+    McComplexity complexity() const override { return inner_->complexity(); }
+    ControllerStats stats() const override { return inner_->stats(); }
+
+  private:
+    std::unique_ptr<IMemoryController> inner_;
+    int* drains_;
+};
+
+TEST(StreamFanOut, DrainOnlyWrapperIsDrainedOnceAndMatches)
+{
+    const DramConfig dram = hbm4Config();
+    ServingConfig cfg = smallCubeConfig(dram, 4, 8000);
+    cfg.threads = 2;
+    const double rps = 2e7;
+    const ServingResult plain = ServingDriver(cfg).run(rps);
+
+    std::deque<int> drains; // stable addresses, one counter per channel
+    ServingConfig wrapped = cfg;
+    wrapped.makeController = [&drains, make = cfg.makeController] {
+        drains.push_back(0);
+        return std::make_unique<DrainCountingController>(make(),
+                                                         &drains.back());
+    };
+    const ServingResult res = ServingDriver(wrapped).run(rps);
+
+    ASSERT_EQ(drains.size(), 4u);
+    for (const int n : drains)
+        EXPECT_EQ(n, 1);
+    EXPECT_TRUE(res.perChannel == plain.perChannel);
+    EXPECT_TRUE(res.aggregate == plain.aggregate);
+    EXPECT_EQ(res.finishedAt, plain.finishedAt);
+    // The default drains a channel whole in the first window, so the
+    // fan-out holds the other channels' shares meanwhile.
+    EXPECT_GT(res.fanOutPeak, plain.fanOutPeak);
 }
 
 TEST(ServingDriver, RateSweepFlagsSaturationKneeOnOverload)

@@ -11,13 +11,16 @@
  * spanning sub-command-gap to multi-epoch scales — against one unsliced
  * runUntil window over the same horizon, on every design point of both
  * stacks, the hybrid router and the fault path, asserting full
- * ControllerStats equality (which includes the latency histogram).
+ * ControllerStats equality (which includes the latency histogram). The
+ * windowed drain (drainUntil) is checked against one drain() the same
+ * way.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -287,6 +290,55 @@ TEST(SliceInvariance, HybridRouterInterleavesFreely)
     expectSliceInvariant(
         [&] { return std::make_unique<HybridMc>(dram, HybridConfig{}); },
         reqs, "hybrid");
+}
+
+TEST(SliceInvariance, DrainUntilWindowsEqualOneDrain)
+{
+    // drainUntil windows are a sliced drain(): wherever the bounds fall,
+    // and however far the last window overshoots the finish, the result
+    // is one drain()'s — refreshes included. runUntil to a bound past
+    // the finish keeps firing the idle controller's refresh calendar.
+    const DramConfig dram = hbm4Config();
+    const auto reqs = mixedWorkload(307, 0.3);
+    const std::vector<std::function<std::unique_ptr<IMemoryController>()>>
+        makes{[&]() -> std::unique_ptr<IMemoryController> {
+                  return std::make_unique<ConventionalMc>(
+                      dram, bestBaselineMapping(dram.org), McConfig{});
+              },
+              [&]() -> std::unique_ptr<IMemoryController> {
+                  return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
+                                                  RomeMcConfig{});
+              }};
+    for (const auto& make : makes) {
+        auto oracle = make();
+        enqueueAll(*oracle, reqs);
+        const Tick finish = oracle->drain();
+        const ControllerStats want = oracle->stats();
+        const std::string label = oracle->name();
+
+        for (const std::uint64_t seed : {5ULL, 77ULL}) {
+            auto sliced = make();
+            enqueueAll(*sliced, reqs);
+            std::uint64_t s = seed;
+            Tick until = 0;
+            Tick done = kTickInvalid;
+            while (done == kTickInvalid) {
+                until += ticksFromNs(static_cast<std::int64_t>(
+                    1 + (nextRand(s) >> 8) % 5000));
+                done = sliced->drainUntil(until);
+            }
+            EXPECT_EQ(done, finish) << label << " seed " << seed;
+            EXPECT_TRUE(sliced->stats() == want) << label << " seed " << seed;
+        }
+
+        auto overrun = make();
+        enqueueAll(*overrun, reqs);
+        overrun->drain();
+        overrun->runUntil(finish + 20_us);
+        EXPECT_GT(overrun->stats().refPbs + overrun->stats().refAbs,
+                  want.refPbs + want.refAbs)
+            << label;
+    }
 }
 
 } // namespace
