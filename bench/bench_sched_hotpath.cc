@@ -228,12 +228,6 @@ main(int argc, char** argv)
 
     double best_speedup_deep = 0.0;
     double best_rome_speedup_deep = 0.0;
-    double memo_speedup = 0.0;
-    std::uint64_t memo_ff_epochs = 0;
-    bool memo_match = true;
-    double conv_memo_speedup = 0.0;
-    std::uint64_t conv_memo_ff_epochs = 0;
-    bool conv_memo_match = true;
     for (const auto& [bank_label, dram] : orgs) {
         if (quick && bank_label == "64")
             continue;
@@ -364,118 +358,6 @@ main(int argc, char** argv)
         }
     }
 
-    // --- RoMe epoch memoization: fast-forward vs step-by-step oracle ----
-    // The steady-state decode shape (pre-enqueued 4 KiB stream, deep
-    // queue, no refresh): the memoizing controller detects the periodic
-    // schedule and replays whole epochs from cache. Stats — including the
-    // latency histogram — must stay bit-identical to the oracle.
-    {
-        // Not reduced under --quick: the fixed detection latency (~600
-        // live steps) must stay a negligible fraction of the run for the
-        // speedup figure to mean anything, and the oracle side only costs
-        // tens of milliseconds at this size anyway.
-        const std::uint64_t memo_total = 256_MiB;
-        const DramConfig memo_dram = hbm4Config();
-        const auto reqs = buildWorkload("stream", memo_total,
-                                        memo_dram.org.channelCapacity());
-        RomeMcConfig oracle_cfg;
-        oracle_cfg.queueDepth = 64;
-        oracle_cfg.refreshEnabled = false;
-        oracle_cfg.epochMemo = false;
-        RomeMcConfig memo_cfg = oracle_cfg;
-        memo_cfg.epochMemo = true;
-
-        RomeMc oracle(memo_dram, VbaDesign::adopted(), oracle_cfg);
-        RomeMc memo(memo_dram, VbaDesign::adopted(), memo_cfg);
-        const RunResult orr = timedDrain(oracle, reqs);
-        const RunResult mr = timedDrain(memo, reqs);
-
-        memo_match = orr.stats == mr.stats;
-        all_match = all_match && memo_match;
-        memo_speedup =
-            mr.seconds > 0.0 ? orr.seconds / mr.seconds : 0.0;
-        memo_ff_epochs = memo.memoFastForwardedEpochs();
-
-        t.addRow({"rome-memo", "stream", "64", "128",
-                  Table::num(orr.seconds, 3), Table::num(mr.seconds, 3),
-                  Table::num(orr.stepsPerSec / 1e6, 2) + "M",
-                  Table::num(mr.stepsPerSec / 1e6, 2) + "M",
-                  Table::num(memo_speedup, 1) + "x",
-                  memo_match ? "ok" : "MISMATCH"});
-        json.beginObject();
-        json.key("system").value("rome-memo");
-        json.key("workload").value("stream");
-        json.key("queueDepth").value(64);
-        json.key("banks").value(memo_dram.org.banksPerChannel());
-        json.key("requests").value(
-            static_cast<std::uint64_t>(reqs.size()));
-        json.key("replayedSeconds").value(orr.seconds);
-        json.key("memoizedSeconds").value(mr.seconds);
-        json.key("replayedStepsPerSec").value(orr.stepsPerSec);
-        json.key("memoizedStepsPerSec").value(mr.stepsPerSec);
-        json.key("speedup").value(memo_speedup);
-        json.key("fastForwardedEpochs").value(memo_ff_epochs);
-        json.key("fastForwardedSteps").value(
-            memo.memoFastForwardedSteps());
-        json.key("statsMatch").value(memo_match);
-        json.endObject();
-    }
-
-    // --- Conventional epoch memoization: search-elision replay ----------
-    // The column-granularity stack keeps per-bank state concrete and
-    // replays the cached decision stream instead of re-running the
-    // candidate search each step (the search dominates a step; the
-    // bookkeeping does not). The win is accordingly the search's share
-    // of a step (~2x), not the RoMe-style whole-epoch skip — reported
-    // honestly as its own row, gated on bit-identity and engagement.
-    {
-        const std::uint64_t conv_total = 64_MiB;
-        const DramConfig conv_dram = hbm4Config();
-        const auto reqs = buildWorkload("stream", conv_total,
-                                        conv_dram.org.channelCapacity());
-        McConfig conv_oracle_cfg;
-        conv_oracle_cfg.refreshEnabled = false;
-        conv_oracle_cfg.epochMemo = false;
-        McConfig conv_memo_cfg = conv_oracle_cfg;
-        conv_memo_cfg.epochMemo = true;
-
-        ConventionalMc oracle(conv_dram, bestBaselineMapping(conv_dram.org),
-                              conv_oracle_cfg);
-        ConventionalMc memo(conv_dram, bestBaselineMapping(conv_dram.org),
-                            conv_memo_cfg);
-        const RunResult orr = timedDrain(oracle, reqs);
-        const RunResult mr = timedDrain(memo, reqs);
-
-        conv_memo_match = orr.stats == mr.stats;
-        all_match = all_match && conv_memo_match;
-        conv_memo_speedup =
-            mr.seconds > 0.0 ? orr.seconds / mr.seconds : 0.0;
-        conv_memo_ff_epochs = memo.memoFastForwardedEpochs();
-
-        t.addRow({"hbm4-memo", "stream", "64", "128",
-                  Table::num(orr.seconds, 3), Table::num(mr.seconds, 3),
-                  Table::num(orr.stepsPerSec / 1e6, 2) + "M",
-                  Table::num(mr.stepsPerSec / 1e6, 2) + "M",
-                  Table::num(conv_memo_speedup, 1) + "x",
-                  conv_memo_match ? "ok" : "MISMATCH"});
-        json.beginObject();
-        json.key("system").value("hbm4-memo");
-        json.key("workload").value("stream");
-        json.key("queueDepth").value(64);
-        json.key("banks").value(conv_dram.org.banksPerChannel());
-        json.key("requests").value(
-            static_cast<std::uint64_t>(reqs.size()));
-        json.key("replayedSeconds").value(orr.seconds);
-        json.key("memoizedSeconds").value(mr.seconds);
-        json.key("replayedStepsPerSec").value(orr.stepsPerSec);
-        json.key("memoizedStepsPerSec").value(mr.stepsPerSec);
-        json.key("speedup").value(conv_memo_speedup);
-        json.key("fastForwardedEpochs").value(conv_memo_ff_epochs);
-        json.key("fastForwardedSteps").value(
-            memo.memoFastForwardedSteps());
-        json.key("statsMatch").value(conv_memo_match);
-        json.endObject();
-    }
     // --- Telemetry overhead: counter tier on vs off ---------------------
     // Stall attribution and the latency breakdown ride the scheduler hot
     // path; this section times identical drains with telemetry counters
@@ -645,8 +527,6 @@ main(int argc, char** argv)
     json.key("bestSpeedupAtDeepQueues").value(best_speedup_deep);
     json.key("romeLoweringSpeedupAtDeepQueues").value(
         best_rome_speedup_deep);
-    json.key("romeMemoSpeedup").value(memo_speedup);
-    json.key("convMemoSpeedup").value(conv_memo_speedup);
     json.key("telemetryOverheadPct").value(telemetry_overhead_pct);
     json.endObject();
     const bool wrote = writeTextFile("BENCH_sched.json", json.str());
@@ -659,17 +539,6 @@ main(int argc, char** argv)
     std::printf("rome template-lowering speedup at queue depth >= 64: "
                 "%.1fx (target 3x)\n",
                 best_rome_speedup_deep);
-    const bool memo_ok = memo_match && memo_ff_epochs > 0 &&
-                         memo_speedup >= 10.0;
-    std::printf("rome epoch-memo speedup at queue depth 64: %.1fx over "
-                "%llu fast-forwarded epochs (target 10x)\n",
-                memo_speedup,
-                static_cast<unsigned long long>(memo_ff_epochs));
-    const bool conv_memo_ok = conv_memo_match && conv_memo_ff_epochs > 0;
-    std::printf("conventional epoch-memo (search elision) speedup: %.1fx "
-                "over %llu replayed epochs\n",
-                conv_memo_speedup,
-                static_cast<unsigned long long>(conv_memo_ff_epochs));
     const bool telemetry_ok = telemetry_stats_match &&
                               telemetry_alloc_free &&
                               telemetry_overhead_pct < 10.0;
@@ -679,8 +548,8 @@ main(int argc, char** argv)
                 telemetry_stats_match ? "yes" : "NO — BUG",
                 telemetry_alloc_free ? "yes" : "NO — BUG");
 
-    return all_match && alloc_free && rome_alloc_free && memo_ok &&
-                   conv_memo_ok && telemetry_ok && wrote
+    return all_match && alloc_free && rome_alloc_free && telemetry_ok &&
+                   wrote
                ? 0
                : 1;
 }

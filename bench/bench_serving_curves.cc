@@ -135,8 +135,7 @@ samePoint(const RatePoint& a, const RatePoint& b)
            a.dueCount == b.dueCount && a.retryCount == b.retryCount &&
            a.scrubCount == b.scrubCount && a.sparedRows == b.sparedRows &&
            a.poisonedRequests == b.poisonedRequests &&
-           a.schedSteps == b.schedSteps &&
-           a.memoFfSteps == b.memoFfSteps;
+           a.schedSteps == b.schedSteps;
 }
 
 double

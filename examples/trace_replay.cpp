@@ -20,13 +20,10 @@
  *       bench as per-model design points.
  *       --bursty swaps each tenant's Poisson process for Poisson-arriving
  *       16-request bursts at the same long-run rate: batched-inference
- *       arrivals whose queue swings stress tail latency near the knee and
- *       keep the controllers' epoch detector on its fallback path (burst
- *       edges are exactly the aperiodic admissions it must refuse to
- *       memoize). tests/data/serving_bursty.trace was produced by this
- *       command; the other binary fixtures under tests/data/ (including
- *       the long serving trace behind bench_serving_curves) predate the
- *       flag.
+ *       arrivals whose queue swings stress tail latency near the knee.
+ *       tests/data/serving_bursty.trace was produced by this command; the
+ *       other binary fixtures under tests/data/ (including the long
+ *       serving trace behind bench_serving_curves) predate the flag.
  *
  *   $ ./trace_replay replay <in.trace> [hbm4|rome|hybrid]
  *       Stream a trace through one channel controller and print stats.
@@ -41,9 +38,9 @@
  *       Replay a trace across N channels with telemetry command tracing
  *       and export a Perfetto/Chrome trace-event timeline (one process
  *       per channel, one thread per bank plus the scheduler track) —
- *       open out.json at https://ui.perfetto.dev. Command tracing
- *       disables epoch memoization, so the timeline is byte-identical
- *       across thread counts and run slicings.
+ *       open out.json at https://ui.perfetto.dev. Commands commit only on
+ *       event ticks, so the timeline is byte-identical across thread
+ *       counts and run slicings.
  */
 
 #include <cstdio>

@@ -1,14 +1,12 @@
 #!/usr/bin/env python3
-"""Compare BENCH_*.json artifacts and track perf across runs.
+"""Compare two BENCH_*.json artifacts.
 
 Usage:
     bench_diff.py OLD.json NEW.json [--threshold FRAC]
-    bench_diff.py append-history HISTORY.jsonl BENCH.json... [--sha SHA]
-    bench_diff.py history-table HISTORY.jsonl [--last N]
 
-Diff mode matches `rows` entries between the two files by their identity
-fields (label / system / workload / queueDepth / banks / design /
-pagePolicy) and compares the perf metrics:
+Matches `rows` entries between the two files by their identity fields
+(label / system / workload / queueDepth / banks / design / pagePolicy /
+load / cubes / router) and compares the perf metrics:
 
   - *StepsPerSec, speedup        higher is better
   - *Seconds                     lower is better
@@ -18,22 +16,9 @@ A metric counts as regressed when it moved against its direction by more
 than FRAC (default 0.15 — bench runners are noisy). Top-level metrics of
 the same names are compared too. Exit status: 0 clean, 1 regressions
 found, 2 usage/parse error.
-
-append-history extracts every *StepsPerSec metric (top level and per
-row) from the given bench files and appends one JSON line — tagged with
---sha — to HISTORY.jsonl, creating it if needed. history-table renders
-the last N history lines (default 8) as a markdown table, one metric per
-row and one run per column, so a PR comment can show the throughput
-trajectory across runs, not just one pairwise diff.
-
-Intended CI use: download the base branch's bench-json and bench-history
-artifacts, diff the PR's fresh bench JSON against the former, append the
-fresh numbers to the latter, post diff + trajectory table as the sticky
-PR comment, and re-upload the extended history.
 """
 
 import json
-import os
 import sys
 
 HIGHER_IS_BETTER = ("stepspersec", "speedup")
@@ -51,8 +36,7 @@ LOWER_IS_BETTER = ("seconds", "p99ns", "p999ns")
 # host-memory evidence (requests the stream fan-out held), not perf.
 INFORMATIONAL = ("cecount", "duecount", "retrycount", "scrubcount",
                  "sparedrows", "poisonedrequests", "schedsteps",
-                 "memoffsteps", "fffraction", "sweepseconds",
-                 "telemetryoverheadpct", "fanoutpeak")
+                 "sweepseconds", "telemetryoverheadpct", "fanoutpeak")
 IDENTITY_FIELDS = ("label", "system", "workload", "queueDepth", "banks",
                    "design", "pagePolicy", "load", "cubes", "router")
 
@@ -92,146 +76,7 @@ def compare_metrics(ident, old, new, threshold, report):
     return regressions
 
 
-def steps_metrics(data):
-    """Every *StepsPerSec metric of a bench file as {'ident key': value}.
-
-    Top-level *SweepSeconds wall-clock columns ride along for the
-    trajectory table: informational only — the history is display-only
-    and the row diff never sees top-level keys, so they cannot gate.
-    """
-    out = {}
-    for key, val in data.items():
-        if key.lower().endswith(("stepspersec", "sweepseconds")) and \
-                isinstance(val, (int, float)):
-            out[key] = val
-    for row in data.get("rows", []):
-        ident = " ".join(str(v) for _, v in row_identity(row))
-        for key, val in row.items():
-            if key.lower().endswith("stepspersec") and \
-                    isinstance(val, (int, float)):
-                out[f"{ident} {key}"] = val
-    return out
-
-
-def human(value):
-    for scale, suffix in ((1e9, "G"), (1e6, "M"), (1e3, "k")):
-        if abs(value) >= scale:
-            return f"{value / scale:.3g}{suffix}"
-    return f"{value:.3g}"
-
-
-def append_history(argv):
-    sha = ""
-    paths = []
-    rest = argv
-    while rest:
-        a = rest.pop(0)
-        if a == "--sha" and rest:
-            sha = rest.pop(0)
-        elif a.startswith("--sha="):
-            sha = a.split("=", 1)[1]
-        elif a.startswith("--"):
-            print(f"unknown option {a}", file=sys.stderr)
-            return 2
-        else:
-            paths.append(a)
-    if not paths:
-        print(__doc__, file=sys.stderr)
-        return 2
-    history, benches = paths[0], paths[1:]
-    entry = {"sha": sha, "benches": {}}
-    for path in benches:
-        try:
-            with open(path) as f:
-                data = json.load(f)
-        except (OSError, json.JSONDecodeError) as e:
-            # A missing bench artifact must not wipe the trajectory of
-            # the others: record what exists, note what does not.
-            print(f"append-history: skipping {path}: {e}",
-                  file=sys.stderr)
-            continue
-        entry["benches"][data.get("bench", os.path.basename(path))] = \
-            steps_metrics(data)
-    parent = os.path.dirname(history)
-    if parent:
-        os.makedirs(parent, exist_ok=True)
-    with open(history, "a") as f:
-        f.write(json.dumps(entry, sort_keys=True) + "\n")
-    n = sum(len(m) for m in entry["benches"].values())
-    print(f"append-history: {history}: recorded {n} trajectory metric(s) "
-          f"from {len(entry['benches'])} bench(es)")
-    return 0
-
-
-def history_table(argv):
-    last = 8
-    paths = []
-    rest = argv
-    while rest:
-        a = rest.pop(0)
-        if a == "--last" and rest:
-            a = "--last=" + rest.pop(0)
-        if a.startswith("--last="):
-            try:
-                last = int(a.split("=", 1)[1])
-            except ValueError:
-                print("bad --last value", file=sys.stderr)
-                return 2
-        elif a.startswith("--"):
-            print(f"unknown option {a}", file=sys.stderr)
-            return 2
-        else:
-            paths.append(a)
-    if len(paths) != 1 or last < 1:
-        print(__doc__, file=sys.stderr)
-        return 2
-    entries = []
-    try:
-        with open(paths[0]) as f:
-            for line in f:
-                line = line.strip()
-                if line:
-                    entries.append(json.loads(line))
-    except (OSError, json.JSONDecodeError) as e:
-        print(f"cannot load history: {e}", file=sys.stderr)
-        return 2
-    entries = entries[-last:]
-    if not entries:
-        print("history is empty")
-        return 0
-
-    def col(entry):
-        sha = entry.get("sha", "")
-        return sha[:9] if sha else "?"
-
-    print(f"throughput and sweep wall-clock across the last "
-          f"{len(entries)} run(s), oldest first:")
-    print()
-    print("| metric | " + " | ".join(col(e) for e in entries) + " |")
-    print("|---" * (len(entries) + 1) + "|")
-    names = []
-    seen = set()
-    for e in entries:
-        for bench, metrics in sorted(e.get("benches", {}).items()):
-            for key in metrics:
-                if (bench, key) not in seen:
-                    seen.add((bench, key))
-                    names.append((bench, key))
-    for bench, key in names:
-        cells = []
-        for e in entries:
-            val = e.get("benches", {}).get(bench, {}).get(key)
-            cells.append(human(val) if isinstance(val, (int, float))
-                         else "—")
-        print(f"| {bench}: {key} | " + " | ".join(cells) + " |")
-    return 0
-
-
 def main(argv):
-    if len(argv) > 1 and argv[1] == "append-history":
-        return append_history(argv[2:])
-    if len(argv) > 1 and argv[1] == "history-table":
-        return history_table(argv[2:])
     args = []
     threshold = 0.15
     rest = argv[1:]

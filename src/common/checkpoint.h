@@ -19,11 +19,7 @@
  * Restore contract (proven by tests/test_checkpoint.cc): restoring a
  * blob into a freshly constructed controller of the same configuration
  * and continuing with runUntil produces bit-identical stats, latency
- * histograms and completions to a run that never checkpointed. Epoch
- * memoization state is deliberately *not* serialized — the memo layer is
- * bit-exact and simply re-learns after restore (only the schedSteps /
- * memoFfSteps diagnostics differ, which ControllerStats::operator==
- * excludes).
+ * histograms and completions to a run that never checkpointed.
  */
 
 #ifndef ROME_COMMON_CHECKPOINT_H
@@ -42,7 +38,9 @@ namespace rome
 /** Checkpoint format version; bump on any field-order change. */
 // v2: telemetry state (stall tables, breakdown histograms, time-series
 // ring, per-request/op issue+retry/link fields) joined the stream.
-inline constexpr std::uint32_t kCheckpointVersion = 2;
+// v3: the controllers' fast-forward counters and the conventional
+// stack's admission-order ring left the stream.
+inline constexpr std::uint32_t kCheckpointVersion = 3;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

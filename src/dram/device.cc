@@ -629,136 +629,6 @@ ChannelDevice::bankRecord(const DramAddress& a) const
     return bank(a);
 }
 
-// ---------------------------------------------------------------------------
-// Epoch fast-forward support
-// ---------------------------------------------------------------------------
-
-Tick
-ChannelDevice::staleHorizon() const
-{
-    Tick h = 0;
-    for (const Tick c :
-         {t_.tRC, t_.tRAS, t_.tRP, t_.tRCDRD, t_.tRCDWR, t_.tRTP, t_.tWR,
-          t_.tCCDL, t_.tCCDS, t_.tCCDR, t_.tRRDL, t_.tRRDS, t_.tFAW,
-          t_.tCL, t_.tWL, t_.tBURST, t_.tRTW, t_.tWTRS, t_.tWTRL,
-          t_.tRFCab, t_.tRFCpb, t_.tRREFD}) {
-        h = std::max(h, c);
-    }
-    // Twice the largest constant covers every derived gap (sums of two
-    // base parameters, e.g. WR data end + turnaround).
-    return 2 * h + 1;
-}
-
-void
-ChannelDevice::appendStateFingerprint(Tick base, std::vector<Tick>& out) const
-{
-    // Expired and never-set fields collapse to one marker: both are
-    // behaviorally dead (every rule is a lower bound v + C <= horizon
-    // behind base), so distinguishing them would only keep warmup residue
-    // from ever matching across epoch boundaries.
-    constexpr Tick kDead = std::numeric_limits<Tick>::min() / 2;
-    const Tick horizon = staleHorizon();
-    const auto enc = [&](Tick v) {
-        return (v == kTickInvalid || v + horizon <= base) ? kDead : v - base;
-    };
-    for (const BankRecord& b : banks_) {
-        out.push_back(b.open() ? 1 : 0);
-        out.push_back(enc(b.lastAct));
-        out.push_back(enc(b.lastPre));
-        out.push_back(enc(b.lastCas));
-        out.push_back(b.lastCasWasWrite ? 1 : 0);
-        out.push_back(enc(b.refUntil));
-    }
-    for (const SidRecord& s : sids_) {
-        for (const Tick t : s.lastActPerBg)
-            out.push_back(enc(t));
-        out.push_back(enc(s.lastAct));
-        // Capture the tFAW ring oldest-first so two states with rotated
-        // but equivalent rings fingerprint identically.
-        const std::size_t n = s.actWindow.size();
-        for (std::size_t i = 0; i < n; ++i)
-            out.push_back(enc(s.actWindow[(s.actWindowHead + i) % n]));
-        out.push_back(enc(s.lastRefPb));
-        out.push_back(enc(s.refAbUntil));
-    }
-    for (const PcRecord& p : pcs_) {
-        out.push_back(enc(p.lastCas));
-        out.push_back(p.lastCasSid);
-        out.push_back(p.lastCasBg);
-        out.push_back(p.lastCasWasWrite ? 1 : 0);
-        out.push_back(enc(p.lastWrDataEnd));
-        out.push_back(enc(p.busBusyUntil));
-        p.rowBus.appendFingerprint(base, out);
-        p.colBus.appendFingerprint(base, out);
-    }
-    out.push_back(enc(lastDataEnd_));
-}
-
-void
-ChannelDevice::shiftTime(Tick delta)
-{
-    const auto shift = [delta](Tick& v) {
-        if (v != kTickInvalid)
-            v += delta;
-    };
-    for (BankRecord& b : banks_) {
-        shift(b.lastAct);
-        shift(b.lastPre);
-        shift(b.lastCas);
-        shift(b.refUntil);
-    }
-    for (SidRecord& s : sids_) {
-        for (Tick& t : s.lastActPerBg)
-            shift(t);
-        shift(s.lastAct);
-        for (Tick& t : s.actWindow)
-            shift(t);
-        shift(s.lastRefPb);
-        shift(s.refAbUntil);
-    }
-    for (PcRecord& p : pcs_) {
-        shift(p.lastCas);
-        shift(p.lastWrDataEnd);
-        p.busBusyUntil += delta;
-        p.rowBus.shiftAll(delta);
-        p.colBus.shiftAll(delta);
-    }
-    lastDataEnd_ += delta;
-}
-
-DeviceCounterDelta
-ChannelDevice::counterSnapshot() const
-{
-    DeviceCounterDelta d;
-    d.acts = counters_.acts.value();
-    d.pres = counters_.pres.value();
-    d.reads = counters_.reads.value();
-    d.writes = counters_.writes.value();
-    d.refAbs = counters_.refAbs.value();
-    d.refPbs = counters_.refPbs.value();
-    d.dataBusBusyTicks = counters_.dataBusBusyTicks.value();
-    d.dataBytes = counters_.dataBytes.value();
-    d.rowCmds = counters_.rowCmds.value();
-    d.colCmds = counters_.colCmds.value();
-    return d;
-}
-
-void
-ChannelDevice::advanceCounters(const DeviceCounterDelta& d,
-                               std::uint64_t epochs)
-{
-    counters_.acts.inc(d.acts * epochs);
-    counters_.pres.inc(d.pres * epochs);
-    counters_.reads.inc(d.reads * epochs);
-    counters_.writes.inc(d.writes * epochs);
-    counters_.refAbs.inc(d.refAbs * epochs);
-    counters_.refPbs.inc(d.refPbs * epochs);
-    counters_.dataBusBusyTicks.inc(d.dataBusBusyTicks * epochs);
-    counters_.dataBytes.inc(d.dataBytes * epochs);
-    counters_.rowCmds.inc(d.rowCmds * epochs);
-    counters_.colCmds.inc(d.colCmds * epochs);
-}
-
 void
 ChannelDevice::saveState(CheckpointWriter& w) const
 {

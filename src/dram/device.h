@@ -57,45 +57,6 @@ struct DeviceCounters
 };
 
 /**
- * Plain-value snapshot / per-epoch delta of DeviceCounters, used by the
- * epoch-memoization layer: a confirmed steady-state epoch contributes the
- * same counter increments every period, so a fast-forward of K epochs adds
- * K times this delta instead of replaying each command.
- */
-struct DeviceCounterDelta
-{
-    std::uint64_t acts = 0;
-    std::uint64_t pres = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t writes = 0;
-    std::uint64_t refAbs = 0;
-    std::uint64_t refPbs = 0;
-    std::uint64_t dataBusBusyTicks = 0;
-    std::uint64_t dataBytes = 0;
-    std::uint64_t rowCmds = 0;
-    std::uint64_t colCmds = 0;
-
-    /** Component-wise difference (this - @p base); callers guarantee
-     *  monotonicity, so the subtraction never underflows. */
-    DeviceCounterDelta
-    minus(const DeviceCounterDelta& base) const
-    {
-        DeviceCounterDelta d;
-        d.acts = acts - base.acts;
-        d.pres = pres - base.pres;
-        d.reads = reads - base.reads;
-        d.writes = writes - base.writes;
-        d.refAbs = refAbs - base.refAbs;
-        d.refPbs = refPbs - base.refPbs;
-        d.dataBusBusyTicks = dataBusBusyTicks - base.dataBusBusyTicks;
-        d.dataBytes = dataBytes - base.dataBytes;
-        d.rowCmds = rowCmds - base.rowCmds;
-        d.colCmds = colCmds - base.colCmds;
-        return d;
-    }
-};
-
-/**
  * One fixed-offset command of a lowering template (see CmdTemplate).
  * bankSlot indexes the per-call SequenceBinding's bank list, so the same
  * template drives every VBA of a design.
@@ -347,45 +308,6 @@ class ChannelDevice
                                       const IssueResult&) { cb(when, c); };
     }
 
-    /** True when a trace callback is installed (epoch memoization must
-     *  fall back to step-by-step replay so every command is traced). */
-    bool tracingEnabled() const { return static_cast<bool>(trace_); }
-
-    // ---- epoch fast-forward (steady-state memoization) ------------------
-
-    /**
-     * Age beyond which a timestamp can no longer influence any timing
-     * rule: every constraint is of the form max(t, v + C) or (v + C > t)
-     * with C bounded by the largest timing parameter, so a field with
-     * v + staleHorizon() <= now is behaviorally dead. The epoch
-     * fingerprint clamps such fields to one marker value instead of
-     * their exact offset, so ancient warmup residue cannot block two
-     * otherwise-identical epoch boundaries from matching.
-     */
-    Tick staleHorizon() const;
-
-    /**
-     * Append a behavioral fingerprint of the device state to @p out, with
-     * every timestamp encoded as an offset from @p base (expired or
-     * invalid fields collapse to a marker; see staleHorizon). Two states
-     * with equal fingerprints issue every future command sequence with
-     * identical relative timing.
-     */
-    void appendStateFingerprint(Tick base, std::vector<Tick>& out) const;
-    /**
-     * Roll every timestamp (bank/SID/PC records, slot calendars,
-     * lastDataEnd) forward by @p delta, preserving all pairwise
-     * relations. Combined with advanceCounters this is the net device
-     * effect of replaying @p delta / period identical epochs.
-     */
-    void shiftTime(Tick delta);
-
-    /** Plain-value copy of the counters (snapshot for epoch deltas). */
-    DeviceCounterDelta counterSnapshot() const;
-
-    /** Add @p epochs times the per-epoch delta @p d to the counters. */
-    void advanceCounters(const DeviceCounterDelta& d, std::uint64_t epochs);
-
     // ---- checkpoint / restore (common/checkpoint.h) ---------------------
 
     /**
@@ -507,30 +429,6 @@ class ChannelDevice
                                     static_cast<std::ptrdiff_t>(head_));
                 head_ = 0;
             }
-        }
-
-        /** Shift every reservation by @p delta (stays sorted). */
-        void
-        shiftAll(Tick delta)
-        {
-            for (Tick& t : occupied_)
-                t += delta;
-        }
-
-        /**
-         * Append the live tail of the calendar (reservations whose slot
-         * can still overlap a probe at or after @p base) to @p out as
-         * offsets from @p base, preceded by the entry count.
-         */
-        void
-        appendFingerprint(Tick base, std::vector<Tick>& out) const
-        {
-            const auto it = std::lower_bound(
-                occupied_.begin() + static_cast<std::ptrdiff_t>(head_),
-                occupied_.end(), base - width_ + 1);
-            out.push_back(static_cast<Tick>(occupied_.end() - it));
-            for (auto i = it; i != occupied_.end(); ++i)
-                out.push_back(*i - base);
         }
 
         /** Serialize only the live suffix; the retired prefix can never

@@ -43,13 +43,7 @@ bankLastUse(const BankRecord& rec)
 ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
                                McConfig mc_cfg)
     : dramCfg_(cfg), map_(std::move(mapping)), cfg_(mc_cfg),
-      dev_(cfg.org, cfg.timing),
-      // Column-granularity epochs are long: a full bank rotation of row
-      // slices (banks x columns-per-slice steps plus the ACT/PRE seams,
-      // ~4.4k for the baseline mapping's streaming pattern) must fit in
-      // half the ring. The 512-step evidence floor rejects the false
-      // short periods a CAS run between two row switches produces.
-      memo_(16384, 64, 512)
+      dev_(cfg.org, cfg.timing)
 {
     if (cfg_.readQueueDepth < 1 || cfg_.writeQueueDepth < 1)
         fatal("queue depths must be positive");
@@ -101,19 +95,6 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
         activeBanks_.reserve(static_cast<std::size_t>(nbanks));
         openBanks_.reserve(static_cast<std::size_t>(nbanks));
         unitForcedBank_.assign(refreshUnits_.size(), -1);
-
-        // Queue counts must fit the 12-bit fields of the memo occupancy
-        // signature; deeper configs just lose the fast path.
-        if (cfg_.readQueueDepth >= 4096 || cfg_.writeQueueDepth >= 4096)
-            cfg_.epochMemo = false;
-        std::size_t ring = 8;
-        while (ring < cap * 2)
-            ring *= 2;
-        seqNode_.assign(ring, -1);
-        seqNodeMask_ = ring - 1;
-        memoFpRef_.reserve(4096);
-        memoFpLive_.reserve(4096);
-        memoRowScratch_.reserve(cap);
     }
     initTelemetry(cfg_.telemetry, cfg.org.banksPerChannel());
 }
@@ -123,9 +104,8 @@ ConventionalMc::installCommandTrace()
 {
     // Every committed command becomes one span on its bank's track: CAS
     // spans cover the data burst, row/refresh commands the bank-busy
-    // window. Installing a device trace disables epoch memoization
-    // (memoActive checks tracingEnabled), so the recorded timeline is
-    // the literal per-command schedule regardless of slicing.
+    // window. Commands commit only on event ticks, so the recorded
+    // timeline is the literal per-command schedule regardless of slicing.
     dev_.setTrace([this](Tick when, const Command& cmd,
                          const ChannelDevice::IssueResult& res) {
         if (sink_ == nullptr)
@@ -254,14 +234,13 @@ ConventionalMc::completeOp(const Op& op, Tick data_end)
         bytesRead_ += dramCfg_.org.columnBytes;
     else
         bytesWritten_ += dramCfg_.org.columnBytes;
-    // completeOp runs at the CAS issue tick, so the breakdown's default
-    // issue_at (= now_) is exactly the command's issue time.
+    // completeOp runs at the CAS issue tick, so now_ is the breakdown's
+    // first-issue time.
     if (op.singleOp)
         noteSingleOpDone(op.reqId, op.arrival, data_end, poisoned,
-                         kTickInvalid, op.retryWait, op.linkDelay);
+                         op.retryWait, op.linkDelay);
     else
-        noteOpDone(op.reqId, data_end, poisoned, kTickInvalid,
-                   op.retryWait);
+        noteOpDone(op.reqId, data_end, poisoned, op.retryWait);
 }
 
 // ---------------------------------------------------------------------------
@@ -461,9 +440,6 @@ ConventionalMc::insertOpIndexed(Op op)
     n.seq = admitSeq_++;
     n.bank = flatBankIndex(dramCfg_.org, op.addr);
     n.prev = n.next = -1;
-    seqNode_[static_cast<std::size_t>(n.seq & seqNodeMask_)] = node;
-    if (memoActive())
-        memo_.recordAdmit(n.bank, op.kind == ReqKind::Write, op.arrival);
 
     BankEntry& e = bankIx_[static_cast<std::size_t>(n.bank)];
     const bool is_write = op.kind == ReqKind::Write;
@@ -655,14 +631,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
     pumpArrivals();
     updateWriteDrain();
 
-    const bool memo_on = memoActive();
-    if (memo_on && memo_.ready()) {
-        bool progressed = false;
-        if (memoReplayStep(until, progressed))
-            return progressed;
-    }
-    const std::int32_t occ_sig = memo_on ? memoOccupancySignature() : 0;
-
     ++stepStamp_;
     Candidate best;
     bool have_best = false;
@@ -849,7 +817,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
     }
 
     if (!have_best) {
-        memo_.reset(); // idle advance: aperiodic by definition
         Tick adaptive_next = kTickMax;
         if (cfg_.pagePolicy == PagePolicy::Adaptive) {
             for (const int b : openBanks_) {
@@ -932,7 +899,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
                    best.floor == best.earliest) {
             cause = StallCause::ActWindow;
         }
-        lastStallCause_ = cause;
         chargeStall(cause, now_, best.earliest,
                     flatBankIndex(dramCfg_.org, best.cmd.addr));
     }
@@ -950,7 +916,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
         } else {
             applyRowCommand(best.cmd); // opportunistic-refresh precharge
         }
-        memo_.reset(); // refresh rotation advanced: aperiodic
     } else if (best.cmd.kind == CmdKind::Rd ||
                best.cmd.kind == CmdKind::Wr) {
         const Op op = pool_[static_cast<std::size_t>(best.opIndex)].op;
@@ -959,298 +924,9 @@ ConventionalMc::stepOnceIndexed(Tick until)
             .push(res.dataUntil);
         ++casIssued_;
         completeOp(op, res.dataUntil);
-        if (memo_on)
-            memoRecordIssue(best, res.dataUntil, occ_sig);
     } else {
         applyRowCommand(best.cmd); // ACT or conflict/idle PRE
-        if (memo_on)
-            memoRecordIssue(best, now_, occ_sig);
     }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
-// Epoch memoization (steady-state decision replay)
-//
-// The RoMe stack fast-forwards whole epochs by applying cached deltas; here
-// the per-bank index and device row state are cheap to keep concrete while
-// the candidate search (refresh scan + active-bank walk + timing probes)
-// dominates a step. So once the detector confirms a period, each step
-// reconstructs the canonical decision directly, verifies it is issuable at
-// its canonical tick, and issues it through the normal bookkeeping. Stats
-// are bit-identical by construction; any deviation falls back to the full
-// search for that step, and the boundary fingerprint is re-proved once per
-// epoch so no replayed decision can differ from what the search would pick.
-// ---------------------------------------------------------------------------
-
-std::int32_t
-ConventionalMc::memoOccupancySignature() const
-{
-    return static_cast<std::int32_t>(readCount_) |
-           static_cast<std::int32_t>(writeCount_) << 12 |
-           (drainingWrites_ ? 1 << 24 : 0);
-}
-
-void
-ConventionalMc::memoRecordIssue(const Candidate& best, Tick data_until,
-                                std::int32_t occ_sig)
-{
-    EpochDetector::Step s;
-    s.tick = now_;
-    s.dataUntil = data_until;
-    s.target = flatBankIndex(dramCfg_.org, best.cmd.addr);
-    // rankIdx is the involved op's admission seq for every op-derived
-    // candidate; the seq *offset* from the admission frontier is the
-    // epoch-invariant identity replay looks ops up by. Idle-PREs involve
-    // no op.
-    s.queueIdx = best.rankCat == kRankIdlePre
-                     ? -1
-                     : static_cast<std::int32_t>(admitSeq_ - best.rankIdx);
-    s.occupancy = occ_sig;
-    s.admitCount = memo_.pendingAdmits();
-    s.kind = static_cast<std::uint16_t>(best.cmd.kind);
-    s.isWrite = best.isWrite;
-    // Diagnostic rider: replay re-charges the same cause for the same
-    // gap, so memoized and live stall accounting agree exactly.
-    s.stallCause = static_cast<std::uint8_t>(lastStallCause_);
-
-    const auto ev = memo_.recordStep(s);
-    if (ev == EpochDetector::Event::CaptureFirst) {
-        memoCaptureFingerprint(memo_.fingerprintFirst());
-    } else if (ev == EpochDetector::Event::CaptureSecond) {
-        auto& fp = memo_.fingerprintSecond();
-        memoCaptureFingerprint(fp);
-        if (memo_.finalizeConfirmation()) {
-            // Age classification must be frozen before decisions can be
-            // replayed: "aged" is monotone under stale-uniform arrivals,
-            // so all-aged now means all-aged forever.
-            if (!memoAllAged()) {
-                memo_.reset();
-                return;
-            }
-            memoFpRef_ = fp;
-            memoFpBase_ = memo_.epochBase();
-        }
-    }
-}
-
-void
-ConventionalMc::memoCaptureFingerprint(std::vector<Tick>& fp)
-{
-    const Tick base = now_;
-    fp.push_back(readCount_);
-    fp.push_back(writeCount_);
-    fp.push_back(drainingWrites_ ? 1 : 0);
-
-    // Queue contents, in canonical bank order. Absolute row numbers are
-    // excluded on purpose: timing and scheduling are row-value
-    // independent; only the row-equality partition inside a bank (which
-    // ops hit, which row an ACT would open, who conflicts) matters, so
-    // each op records the walk index of the first op in its bank sharing
-    // its row. Arrivals are absolute — the stale-uniform model makes them
-    // time-invariant — and seq offsets pin every order tie-break.
-    for (std::size_t b = 0; b < bankIx_.size(); ++b) {
-        const BankEntry& e = bankIx_[b];
-        if (e.read.count == 0 && e.write.count == 0)
-            continue;
-        const BankRecord& rec = dev_.bankRecord(static_cast<int>(b));
-        const int open_row = rec.open() ? rec.openRow : -1;
-        fp.push_back(static_cast<Tick>(b));
-        fp.push_back(e.read.count);
-        fp.push_back(e.write.count);
-        memoRowScratch_.clear();
-        const auto walk = [&](const BankList& l) {
-            for (int i = l.head; i != -1;
-                 i = pool_[static_cast<std::size_t>(i)].next) {
-                const OpNode& n = pool_[static_cast<std::size_t>(i)];
-                std::size_t first = 0;
-                while (first < memoRowScratch_.size() &&
-                       memoRowScratch_[first] != n.op.addr.row)
-                    ++first;
-                if (first == memoRowScratch_.size())
-                    memoRowScratch_.push_back(n.op.addr.row);
-                fp.push_back(static_cast<Tick>(admitSeq_ - n.seq));
-                fp.push_back(n.op.arrival);
-                fp.push_back(static_cast<Tick>(first));
-                fp.push_back(n.op.addr.row == open_row ? 1 : 0);
-            }
-        };
-        walk(e.read);
-        walk(e.write);
-    }
-
-    // In-flight CAM entries: behavior depends only on the multiset, so
-    // compare sorted offsets.
-    const auto append_heap = [&](const OutstandingOps& h) {
-        fp.push_back(static_cast<Tick>(h.rawEntries().size()));
-        const auto start = static_cast<std::ptrdiff_t>(fp.size());
-        for (const Tick t : h.rawEntries())
-            fp.push_back(t - base);
-        std::sort(fp.begin() + start, fp.end());
-    };
-    append_heap(readOutstanding_);
-    append_heap(writeOutstanding_);
-
-    // Refresh rotations are excluded: replay falls back to the search the
-    // moment any unit has a pending refresh, so their due times cannot
-    // influence a replayed decision.
-    dev_.appendStateFingerprint(base, fp);
-}
-
-bool
-ConventionalMc::memoAllAged() const
-{
-    const Tick thr = cfg_.agePriorityThreshold;
-    const Tick stale = memo_.staleArrival();
-    if (stale != kTickInvalid && now_ - stale <= thr)
-        return false;
-    for (const int b : activeBanks_) {
-        const BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
-        for (const BankList* l : {&e.read, &e.write}) {
-            for (int i = l->head; i != -1;
-                 i = pool_[static_cast<std::size_t>(i)].next) {
-                if (now_ - pool_[static_cast<std::size_t>(i)].op.arrival <=
-                    thr) {
-                    return false;
-                }
-            }
-        }
-    }
-    return true;
-}
-
-bool
-ConventionalMc::memoReplayStep(Tick until, bool& progressed)
-{
-    // A pending refresh anywhere must be arbitrated by the full search
-    // (it may postpone, block a bank, or fire and reset the detector).
-    if (cfg_.refreshEnabled) {
-        for (const auto& u : refreshUnits_) {
-            if (pendingRefreshCount(u) > 0)
-                return false;
-        }
-    }
-
-    const std::size_t pos = memo_.readyPos();
-    if (pos == 0 && memo_.epochBase() != memoFpBase_) {
-        // Epoch boundary: re-prove the state matches the confirmed
-        // boundary (modulo the uniform time shift) before trusting
-        // another epoch of cached decisions. Decisions are a pure
-        // function of this state plus the (per-step verified) admission
-        // stream, so a matching fingerprint makes the whole epoch's
-        // replay exact.
-        if (!memoAllAged()) {
-            memo_.reset();
-            return false;
-        }
-        memoFpLive_.clear();
-        memoCaptureFingerprint(memoFpLive_);
-        if (memoFpLive_ != memoFpRef_) {
-            memo_.reset();
-            return false;
-        }
-        memoFpBase_ = memo_.epochBase();
-    }
-
-    const EpochDetector::Step& c = memo_.epochSteps()[pos];
-    if (c.occupancy != memoOccupancySignature() ||
-        !memo_.admitsMatchReady()) {
-        return false; // deviation: the full search decides this step
-    }
-
-    // Reconstruct the canonical decision against live state. Every
-    // failed check simply falls back to the search; nothing has been
-    // issued yet.
-    const int bank = static_cast<int>(c.target);
-    const BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
-    const BankRecord& rec = dev_.bankRecord(bank);
-    const auto kind = static_cast<CmdKind>(c.kind);
-    Command cmd;
-    int node = -1;
-    switch (kind) {
-      case CmdKind::Rd:
-      case CmdKind::Wr: {
-        const std::uint64_t seq =
-            admitSeq_ - static_cast<std::uint64_t>(c.queueIdx);
-        node = seqNode_[static_cast<std::size_t>(seq & seqNodeMask_)];
-        if (node < 0)
-            return false;
-        const OpNode& n = pool_[static_cast<std::size_t>(node)];
-        if (n.seq != seq || (n.op.kind == ReqKind::Write) != c.isWrite ||
-            n.bank != bank || !rec.open() ||
-            n.op.addr.row != rec.openRow) {
-            return false;
-        }
-        cmd = Command{kind, n.op.addr};
-        break;
-      }
-      case CmdKind::Act: {
-        const bool any_read = e.read.count > 0;
-        const bool any_write = drainingWrites_ && e.write.count > 0;
-        if (rec.open() || (!any_read && !any_write))
-            return false;
-        const int head = any_read ? e.read.head : e.write.head;
-        const OpNode& n = pool_[static_cast<std::size_t>(head)];
-        if (admitSeq_ - n.seq != static_cast<std::uint64_t>(c.queueIdx))
-            return false;
-        cmd = Command{CmdKind::Act, n.op.addr};
-        break;
-      }
-      case CmdKind::Pre: {
-        if (!rec.open())
-            return false;
-        DramAddress a = e.addr;
-        a.row = rec.openRow;
-        cmd = Command{CmdKind::Pre, a};
-        break;
-      }
-      default:
-        return false; // refresh never reaches a canonical epoch
-    }
-
-    const Tick expect = memo_.epochBase() + c.tick;
-    if (dev_.earliestIssue(cmd, now_) != expect)
-        return false;
-    if (expect > until) {
-        progressed = false; // runUntil seam: retried verbatim next call
-        return true;
-    }
-
-    ++stepStamp_;
-    if (telemetryOn()) {
-        chargeStall(static_cast<StallCause>(c.stallCause), now_, expect,
-                    static_cast<int>(c.target));
-    }
-    now_ = expect;
-    const auto res = dev_.issue(cmd, now_);
-    readQOcc_.sample(static_cast<double>(readCount_));
-
-    EpochDetector::Step s;
-    s.tick = now_;
-    s.target = c.target;
-    s.queueIdx = c.queueIdx;
-    s.occupancy = c.occupancy;
-    s.admitCount = memo_.pendingAdmits();
-    s.kind = c.kind;
-    s.isWrite = c.isWrite;
-    s.stallCause = c.stallCause;
-    if (kind == CmdKind::Rd || kind == CmdKind::Wr) {
-        const Op op = pool_[static_cast<std::size_t>(node)].op;
-        removeOpIndexed(node);
-        (c.isWrite ? writeOutstanding_ : readOutstanding_)
-            .push(res.dataUntil);
-        ++casIssued_;
-        completeOp(op, res.dataUntil);
-        s.dataUntil = res.dataUntil;
-    } else {
-        applyRowCommand(cmd);
-        s.dataUntil = now_;
-    }
-    memo_.recordStep(s); // Ready tracking: advances / wraps the boundary
-    ++ffSteps_;
-    if (memo_.ready() && memo_.readyPos() == 0)
-        ++ffEpochs_;
-    progressed = true;
     return true;
 }
 
@@ -1576,7 +1252,6 @@ ConventionalMc::stats() const
 {
     ControllerStats s;
     fillBaseStats(s);
-    s.memoFfSteps = ffSteps_;
     // Conventional MCs drive every DRAM command over the interface.
     s.interfaceCommands = s.rowCmds + s.colCmds;
     s.achievedBandwidth = achievedBandwidth();
@@ -1703,13 +1378,6 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
 
     w.putU64(casIssued_);
     readQOcc_.saveState(w);
-
-    w.putCount(seqNode_.size());
-    for (const int n : seqNode_)
-        w.putI32(n);
-    w.putU64(seqNodeMask_);
-    w.putU64(ffEpochs_);
-    w.putU64(ffSteps_);
 }
 
 void
@@ -1802,23 +1470,7 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
 
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
-
-    seqNode_.resize(r.getCount());
-    for (int& n : seqNode_)
-        n = r.getI32();
-    seqNodeMask_ = r.getU64();
-    ffEpochs_ = r.getU64();
-    ffSteps_ = r.getU64();
-
-    // Memo learning state is not serialized: reset and re-learn. Every
-    // decision the detector could replay is recomputed identically by the
-    // full search, so only step-count diagnostics can differ.
     scrubEvents_.clear();
-    memo_.reset();
-    memoFpRef_.clear();
-    memoFpLive_.clear();
-    memoRowScratch_.clear();
-    memoFpBase_ = kTickInvalid;
 }
 
 } // namespace rome

@@ -48,7 +48,6 @@
 #include "mc/complexity.h"
 #include "mc/request.h"
 #include "sim/engine.h"
-#include "sim/epoch.h"
 
 namespace rome
 {
@@ -87,23 +86,11 @@ struct McConfig
      */
     bool legacyScheduler = false;
     /**
-     * Detect periodic steady-state schedules and replay their cached
-     * decisions (sim/epoch.h), eliding the per-step candidate search.
-     * Unlike the RoMe delta fast-forward, the conventional replay keeps
-     * every state update concrete (the per-bank index and device row
-     * state are cheap; the search dominates), so stats, histograms and
-     * completions are bit-identical by construction and any deviation
-     * falls back to the full search mid-epoch. Off = parity oracle. Only
-     * the indexed scheduler memoizes; tracing disables it dynamically.
-     */
-    bool epochMemo = true;
-    /**
      * Fault injection + ECC/recovery (sim/fault.h). The conventional
      * stack evaluates one SEC-DED codeword per 32 B line, so each read
      * CAS is classified independently. Disabled by default; when
      * disabled the scheduling path is bit-identical to a faultless
-     * build. Enabling faults also disables epoch memoization (a retry
-     * or spare event would deviate from any cached epoch anyway).
+     * build.
      */
     FaultConfig faults;
     /**
@@ -134,10 +121,6 @@ class ConventionalMc : public ChannelControllerBase
     double rowHitRate() const;
     /** Read-queue occupancy sampled at each issued command. */
     const Accumulator& readQueueOccupancy() const { return readQOcc_; }
-    /** Whole epochs whose decisions were replayed from the memo cache. */
-    std::uint64_t memoFastForwardedEpochs() const { return ffEpochs_; }
-    /** Scheduling steps issued without a candidate search (replayed). */
-    std::uint64_t memoFastForwardedSteps() const { return ffSteps_; }
 
     /** Table IV introspection. */
     McComplexity complexity() const override;
@@ -147,11 +130,8 @@ class ConventionalMc : public ChannelControllerBase
     /**
      * Checkpoint the full mutable controller + device state (queues,
      * per-bank index, refresh rotations, retry/fault state, statistics).
-     * Epoch-memo learning state is deliberately not serialized: restore
-     * resets the detector and it re-learns, which leaves every
-     * ControllerStats field bit-identical (only the schedSteps /
-     * memoFfSteps diagnostics may differ). The restore target must be
-     * constructed with the same DramConfig / mapping / McConfig.
+     * The restore target must be constructed with the same DramConfig /
+     * mapping / McConfig.
      */
     void saveCheckpoint(CheckpointWriter& w) const override;
     void restoreCheckpoint(CheckpointReader& r) override;
@@ -311,32 +291,6 @@ class ConventionalMc : public ChannelControllerBase
     static bool candBeats(const Candidate& a, const Candidate& b);
     static bool candRankLess(const Candidate& a, const Candidate& b);
 
-    // ---- epoch memoization (steady-state decision replay) ---------------
-    /** Memoization applies: flag on, indexed scheduler, no tracing, no
-     *  faults (an injected event would deviate from any cached epoch). */
-    bool
-    memoActive() const
-    {
-        return cfg_.epochMemo && !dev_.tracingEnabled() &&
-               !faults_.enabled();
-    }
-    /** Queue-count + drain-state signature matched per canonical step. */
-    std::int32_t memoOccupancySignature() const;
-    /** Record one issued step with the detector; handles captures. */
-    void memoRecordIssue(const Candidate& best, Tick data_until,
-                         std::int32_t occ_sig);
-    /** Boundary fingerprint of all schedule-relevant state. */
-    void memoCaptureFingerprint(std::vector<Tick>& fp);
-    /** Every queued / steady-state arrival is past the age threshold. */
-    bool memoAllAged() const;
-    /**
-     * Issue the canonical decision at the detector's ready position
-     * without a candidate search. Returns true when the step was handled
-     * (issued, or clamped at @p until with @p progressed=false); false
-     * falls back to the full search for this step.
-     */
-    bool memoReplayStep(Tick until, bool& progressed);
-
     // ---- legacy scheduler (decision-order oracle) ----------------------
     bool stepOnceLegacy(Tick until);
     void collectRefreshCandidates(std::vector<Candidate>& out) const;
@@ -380,29 +334,6 @@ class ConventionalMc : public ChannelControllerBase
 
     std::uint64_t casIssued_ = 0;
     Accumulator readQOcc_;
-
-    /** Telemetry: cause of the gap the pending issue jumps over, decided
-     *  where the winning candidate is known; memoRecordIssue copies it
-     *  into the canonical step so replay re-charges it verbatim. */
-    StallCause lastStallCause_ = StallCause::NoRequest;
-
-    /** Steady-state epoch detection (sim/epoch.h). Unlike the RoMe delta
-     *  fast-forward, the conventional replay issues every cached decision
-     *  concretely — the search, not the bookkeeping, dominates a step —
-     *  and re-proves the boundary fingerprint once per epoch. */
-    EpochDetector memo_;
-    /** admission seq -> pool node, a power-of-two ring validated on
-     *  lookup; lets replay fetch canonical ops by seq offset in O(1). */
-    std::vector<int> seqNode_;
-    std::uint64_t seqNodeMask_ = 0;
-    /** Confirmed boundary fingerprint + per-epoch re-check scratch. */
-    std::vector<Tick> memoFpRef_;
-    std::vector<Tick> memoFpLive_;
-    std::vector<int> memoRowScratch_;
-    /** Epoch base whose boundary fingerprint was already verified. */
-    Tick memoFpBase_ = kTickInvalid;
-    std::uint64_t ffEpochs_ = 0;
-    std::uint64_t ffSteps_ = 0;
 };
 
 } // namespace rome

@@ -119,22 +119,6 @@ class CommandGenerator
     std::uint64_t templateFallbacks() const { return templateFallbacks_; }
 
     /**
-     * Credit @p epochs steady-state epochs' worth of accounting without
-     * re-lowering the commands: the epoch fast-forward path applies the
-     * per-epoch counter deltas captured while the period was confirmed.
-     * Fast-forwarded operations are by construction template hits (a
-     * fallback resets the epoch detector).
-     */
-    void
-    advanceCounters(std::uint64_t row_cmds, std::uint64_t hits,
-                    std::uint64_t fallbacks, std::uint64_t epochs)
-    {
-        rowCmds_ += row_cmds * epochs;
-        templateHits_ += hits * epochs;
-        templateFallbacks_ += fallbacks * epochs;
-    }
-
-    /**
      * Serialize / restore the accounting counters. The lowering plans and
      * templates are config-derived and rebuilt by construction; only the
      * accepted/hit/fallback tallies are mutable run state.

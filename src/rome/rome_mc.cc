@@ -71,9 +71,8 @@ void
 RomeMc::installCommandTrace()
 {
     // The generator lowers every row op to device commands; tracing them
-    // gives the literal per-bank schedule. Installing the trace disables
-    // epoch memoization (memoActive checks tracingEnabled), so the
-    // timeline is slicing-invariant by construction.
+    // gives the literal per-bank schedule. Commands commit only on event
+    // ticks, so the timeline is slicing-invariant by construction.
     dev_.setTrace([this](Tick when, const Command& cmd,
                          const ChannelDevice::IssueResult& res) {
         if (sink_ == nullptr)
@@ -241,47 +240,16 @@ RomeMc::stepOnce(Tick until)
 bool
 RomeMc::stepOnceIndexed(Tick until)
 {
-    const bool memo_on = memoActive();
-    if (memo_on && memo_.atBoundary()) {
-        const std::uint64_t replayed = tryFastForward(until);
-        if (replayed != 0) {
-            // runUntil/drain already counted this call as one step;
-            // credit the remaining replayed scheduling steps.
-            steps_ += replayed - 1;
-            return true;
-        }
-    }
-
     outstanding_.release(now_);
     if (faults_.enabled())
         pumpRetries();
-    const std::size_t q_before = queue_.size();
     pumpArrivals();
-    std::uint32_t admitted = 0;
-    std::int32_t occupancy = 0;
-    if (memo_on) {
-        // The pump only appends, so the tail delta is this step's intake.
-        occupancy = static_cast<std::int32_t>(outstanding_.size());
-        for (std::size_t i = q_before; i < queue_.size(); ++i) {
-            const RowOp& op = queue_[i];
-            memo_.recordAdmit(vbaKey(op.cmd.addr),
-                              op.cmd.kind == RowCmdKind::WrRow,
-                              op.arrival);
-        }
-        // Includes admissions carried across a runUntil clamp: the
-        // clamped attempt pumped them, this retry owns them.
-        admitted = memo_.pendingAdmits();
-    }
     opBusy_.release(now_);
     refBusy_.release(now_);
 
     // --- Refresh: one VBA pair-refresh per interval, rotating (§V-B) ----
     std::optional<VbaAddress> refresh_target;
     if (cfg_.refreshEnabled && now_ >= refresh_.due) {
-        // Refresh activity (issued or merely pending) is aperiodic
-        // relative to the data schedule: not a memoizable step.
-        if (memo_on)
-            memo_.reset();
         const int v = map_.vbasPerSid();
         VbaAddress t;
         t.vba = refresh_.cursor % v;
@@ -358,11 +326,7 @@ RomeMc::stepOnceIndexed(Tick until)
         const bool is_write = best->cmd.kind == RowCmdKind::WrRow;
         const Tick at = best_at;
         if (at > until) {
-            // The bounded step issues nothing and is retried verbatim by
-            // the next runUntil call from the same event tick, so both
-            // decisions and detection survive the seam: this step's
-            // recorded admissions stay pending and the retry reports
-            // them as its own intake.
+            // Retried verbatim from the same event tick by the next call.
             return false;
         }
 
@@ -387,7 +351,6 @@ RomeMc::stepOnceIndexed(Tick until)
                            at) {
                 cause = StallCause::CasChain;
             }
-            lastStallCause_ = cause;
             chargeStall(cause, now_, at, static_cast<int>(key));
         }
         const auto res = gen_.execute(op.cmd, at);
@@ -424,22 +387,13 @@ RomeMc::stepOnceIndexed(Tick until)
 
         if (op.singleOp)
             noteSingleOpDone(op.reqId, op.arrival, res.dataUntil, poisoned,
-                             kTickInvalid, op.retryWait, op.linkDelay);
+                             op.retryWait, op.linkDelay);
         else
-            noteOpDone(op.reqId, res.dataUntil, poisoned, kTickInvalid,
-                       op.retryWait);
-        if (memo_on) {
-            memoRecordIssue(at, res, vbaKey(op.cmd.addr), best_idx,
-                            admitted, occupancy, is_write);
-        }
+            noteOpDone(op.reqId, res.dataUntil, poisoned, op.retryWait);
         return true;
     }
 
     // --- Nothing issuable: advance to the next event ----------------------
-    // An idle advance is itself an aperiodic event for the memoizer: the
-    // steady states it targets issue on every step.
-    if (memo_on)
-        memo_.reset();
     Tick next = kTickMax;
     if (!retryQ_.empty()) {
         // A retry re-enters once its backoff passed and the queue has
@@ -636,10 +590,9 @@ RomeMc::stepOnceLegacy(Tick until)
 
         if (op.singleOp)
             noteSingleOpDone(op.reqId, op.arrival, res.dataUntil, poisoned,
-                             kTickInvalid, op.retryWait, op.linkDelay);
+                             op.retryWait, op.linkDelay);
         else
-            noteOpDone(op.reqId, res.dataUntil, poisoned, kTickInvalid,
-                       op.retryWait);
+            noteOpDone(op.reqId, res.dataUntil, poisoned, op.retryWait);
         return true;
     }
 
@@ -804,382 +757,6 @@ RomeMc::applySpare(const SpareEvent& ev)
         rewrite(r.op);
 }
 
-// ---------------------------------------------------------------------------
-// Epoch memoization (steady-state fast-forward)
-//
-// Soundness rests on three observations about the indexed scheduler:
-//
-//  1. Every candidate floor in the queue scan is >= now_ (op_slot_free is
-//     clamped to now_), so any timing record that has fallen to or behind
-//     now_ can never bind a decision. Stale records therefore stay
-//     behaviorally inert under a uniform time shift, and the boundary
-//     fingerprint may collapse them to one marker.
-//  2. Over one whole epoch the in-flight heaps perform exactly as many
-//     releases as pushes, and a periodic boundary state means their entry
-//     multisets recur shifted by the period. Skipping heap maintenance
-//     during replay and shifting the untouched heaps by K*P at the end
-//     reproduces the boundary state exactly.
-//  3. With the stale-uniform arrival model (every queued and admitted
-//     request carries one common arrival tick predating the epoch), age
-//     tie-breaks are time-invariant, so the recorded queue indices replay
-//     the scan's choices verbatim.
-//
-// Request latencies grow across epochs (stale arrivals, advancing
-// completion times), so completions are replayed one by one through
-// noteOpDone rather than applied as a cached histogram delta — the
-// histogram and mean stay bit-identical to the step-by-step oracle.
-// ---------------------------------------------------------------------------
-
-void
-RomeMc::memoRecordIssue(Tick at, const CommandGenerator::RowOpResult& res,
-                        std::int64_t key, std::size_t queue_idx,
-                        std::uint32_t admitted, std::int32_t occupancy,
-                        bool is_write)
-{
-    EpochDetector::Step s;
-    s.tick = at;
-    s.dataUntil = res.dataUntil;
-    s.target = key;
-    s.queueIdx = static_cast<std::int32_t>(queue_idx);
-    s.occupancy = occupancy;
-    s.resBytes = static_cast<std::uint32_t>(res.bytes);
-    s.admitCount = admitted;
-    s.isWrite = is_write;
-    // Diagnostic rider: replay re-charges the same cause for the same
-    // per-step gap, keeping memoized and live stall accounting equal.
-    s.stallCause = static_cast<std::uint8_t>(lastStallCause_);
-    const EpochDetector::Event ev = memo_.recordStep(s);
-    if (ev == EpochDetector::Event::CaptureFirst) {
-        devSnapshot_ = dev_.counterSnapshot();
-        genRowCmdsSnapshot_ = gen_.rowCommandsAccepted();
-        genHitsSnapshot_ = gen_.templateHits();
-        genFallbacksSnapshot_ = gen_.templateFallbacks();
-        memoCaptureFingerprint(memo_.fingerprintFirst());
-    } else if (ev == EpochDetector::Event::CaptureSecond) {
-        devEpochDelta_ = dev_.counterSnapshot().minus(devSnapshot_);
-        genRowCmdsDelta_ = gen_.rowCommandsAccepted() - genRowCmdsSnapshot_;
-        genHitsDelta_ = gen_.templateHits() - genHitsSnapshot_;
-        genFallbacksDelta_ = gen_.templateFallbacks() - genFallbacksSnapshot_;
-        memoCaptureFingerprint(memo_.fingerprintSecond());
-        if (memo_.finalizeConfirmation())
-            memoBuildProgram();
-    }
-}
-
-void
-RomeMc::memoBuildProgram()
-{
-    // Simulate one epoch's queue evolution symbolically: slots are tagged
-    // with their origin (boundary position or admission index), so replay
-    // can fetch every popped op — and rebuild the boundary queue — by
-    // direct lookup instead of per-step vector surgery.
-    const auto& steps = memo_.epochSteps();
-    memoBoundaryCount_ = static_cast<std::int32_t>(queue_.size());
-    memoSim_.clear();
-    memoPopTag_.clear();
-    memoNextTag_.clear();
-    for (std::int32_t i = 0; i < memoBoundaryCount_; ++i)
-        memoSim_.push_back(i);
-    std::int32_t next_admit = memoBoundaryCount_;
-    for (const EpochDetector::Step& s : steps) {
-        for (std::uint32_t j = 0; j < s.admitCount; ++j)
-            memoSim_.push_back(next_admit++);
-        const auto idx = static_cast<std::size_t>(s.queueIdx);
-        memoPopTag_.push_back(memoSim_[idx]);
-        memoSim_.erase(memoSim_.begin() +
-                       static_cast<std::ptrdiff_t>(idx));
-    }
-    memoNextTag_ = memoSim_;
-    memoBoundary_.reserve(static_cast<std::size_t>(memoBoundaryCount_));
-    memoScratchOps_.reserve(static_cast<std::size_t>(memoBoundaryCount_));
-    memoAdmitOps_.reserve(memo_.epochAdmits().size());
-}
-
-void
-RomeMc::memoCaptureFingerprint(std::vector<Tick>& fp) const
-{
-    const Tick base = now_;
-    // Anything at or behind the boundary can never bind (observation 1).
-    constexpr Tick kDead = kTickInvalid / 2;
-
-    // Queue contents. Rows are excluded on purpose: RoMe lowering and
-    // timing are row-value independent, and replay takes the live request
-    // stream, so only the (kind, VBA) schedule shape must recur. Arrivals
-    // are absolute — the stale-uniform model makes them time-invariant,
-    // and equal fingerprints then pin the scan's age tie-breaks.
-    fp.push_back(static_cast<Tick>(queue_.size()));
-    for (const RowOp& op : queue_) {
-        fp.push_back(static_cast<Tick>(op.cmd.kind));
-        fp.push_back(op.cmd.addr.sid);
-        fp.push_back(op.cmd.addr.vba);
-        fp.push_back(op.arrival);
-    }
-
-    // In-flight heaps: behavior depends only on the entry multiset, so
-    // compare sorted offsets (entries already due but not yet released
-    // appear as non-positive offsets).
-    const auto append_heap = [&](const OutstandingOps& h) {
-        fp.push_back(static_cast<Tick>(h.rawEntries().size()));
-        const auto start = static_cast<std::ptrdiff_t>(fp.size());
-        for (const Tick t : h.rawEntries())
-            fp.push_back(t - base);
-        std::sort(fp.begin() + start, fp.end());
-    };
-    append_heap(outstanding_);
-    append_heap(opBusy_);
-    append_heap(refBusy_);
-
-    for (std::size_t k = 0; k < vbaBusyUntil_.size(); ++k) {
-        if (vbaBusyUntil_[k] > base) {
-            fp.push_back(vbaBusyUntil_[k] - base);
-            fp.push_back(static_cast<Tick>(vbaBusyState_[k]));
-        } else {
-            fp.push_back(kDead);
-        }
-    }
-
-    fp.push_back(lastRowCmdAt_ == kTickInvalid ? kDead
-                                               : lastRowCmdAt_ - base);
-    fp.push_back(lastRowCmdWasWrite_);
-    fp.push_back(lastRowCmdSid_);
-    if (lastRowCmdVba_) {
-        fp.push_back(lastRowCmdVba_->sid);
-        fp.push_back(lastRowCmdVba_->vba);
-    } else {
-        fp.push_back(kDead);
-    }
-
-    dev_.appendStateFingerprint(base, fp);
-}
-
-bool
-RomeMc::memoVerifyAndStageEpoch()
-{
-    const auto& steps = memo_.epochSteps();
-    const auto& admits = memo_.epochAdmits();
-    const Tick stale = memo_.staleArrival();
-    const Tick end = memo_.epochBase() + memo_.period();
-    const std::uint64_t eff = map_.effectiveRowBytes();
-    const auto depth = static_cast<std::size_t>(cfg_.queueDepth);
-
-    // Walk the upcoming admission stream (host buffer + mid-request chunk
-    // cursor) against the canonical epoch without touching it, staging the
-    // live row ops (real ids, addresses, useful-byte counts) for replay.
-    // Refills reach the buffer strictly behind everything already visible,
-    // so the walk only fails to see far enough when the buffer runs out.
-    memoAdmitOps_.clear();
-    std::size_t host_idx = 0;
-    std::uint64_t chunk_pos = frontChunk_;
-    std::size_t ai = 0;
-    std::size_t vq = queue_.size();
-    for (const EpochDetector::Step& s : steps) {
-        for (std::uint32_t j = 0; j < s.admitCount; ++j, ++ai) {
-            if (vq + static_cast<std::size_t>(s.occupancy) >= depth)
-                return false; // pump would stop before this admit
-            while (host_idx < host_.size()) {
-                const Request& req = host_[host_idx];
-                const std::uint64_t first = req.addr / eff;
-                const std::uint64_t last = (req.addr + req.size - 1) / eff;
-                if (chunk_pos <= last - first)
-                    break;
-                ++host_idx;
-                chunk_pos = 0;
-            }
-            if (host_idx >= host_.size())
-                return false; // would depend on a refill we cannot foresee
-            const Request& req = host_[host_idx];
-            if (req.arrival != stale)
-                return false;
-            const std::uint64_t first = req.addr / eff;
-            const std::uint64_t chunk_lo = (first + chunk_pos) * eff;
-            const VbaAddress a = decodeRow(chunk_lo);
-            const EpochDetector::Admit& c = admits[ai];
-            if (vbaKey(a) != c.target ||
-                (req.kind == ReqKind::Write) != c.isWrite) {
-                return false;
-            }
-            RowOp op;
-            op.cmd.kind = req.kind == ReqKind::Read ? RowCmdKind::RdRow
-                                                    : RowCmdKind::WrRow;
-            op.cmd.addr = a;
-            op.reqId = req.id;
-            op.arrival = req.arrival;
-            op.usefulBytes = std::min(chunk_lo + eff, req.addr + req.size) -
-                             std::max(chunk_lo, req.addr);
-            op.singleOp = (req.addr + req.size - 1) / eff == first;
-            op.linkDelay = req.linkDelay;
-            memoAdmitOps_.push_back(op);
-            ++chunk_pos;
-            ++vq;
-        }
-        // The live pump must stop exactly after these admissions: either
-        // the queue is full at the recorded occupancy, or nothing
-        // admissible exists for the rest of the epoch.
-        if (vq + static_cast<std::size_t>(s.occupancy) < depth) {
-            std::size_t idx = host_idx;
-            std::uint64_t pos = chunk_pos;
-            const Request* pending = nullptr;
-            while (idx < host_.size()) {
-                const Request& req = host_[idx];
-                const std::uint64_t first = req.addr / eff;
-                const std::uint64_t last = (req.addr + req.size - 1) / eff;
-                if (pos <= last - first) {
-                    pending = &req;
-                    break;
-                }
-                ++idx;
-                pos = 0;
-            }
-            if (pending != nullptr) {
-                // A partially admitted request is always admissible; a
-                // fresh one is safe only if it arrives after the epoch.
-                if (pos != 0 || pending->arrival <= end)
-                    return false;
-            } else if (!sourceDrained()) {
-                return false; // a refill could admit unknown work
-            }
-        }
-        --vq; // the step issues one queued op
-    }
-    return true;
-}
-
-void
-RomeMc::memoConsumeAdmits(std::uint32_t count)
-{
-    // Mirror pumpArrivals' consumption exactly: refill the host window up
-    // front and after every completed request. The ops themselves were
-    // already staged by the verification walk.
-    refillIfBound();
-    while (count > 0) {
-        const Request& req = host_.front();
-        const std::uint64_t eff = map_.effectiveRowBytes();
-        const std::uint64_t first = req.addr / eff;
-        const std::uint64_t last = (req.addr + req.size - 1) / eff;
-        const std::uint64_t total = last - first + 1;
-        const std::uint64_t take =
-            std::min<std::uint64_t>(total - frontChunk_, count);
-        frontChunk_ += take;
-        count -= static_cast<std::uint32_t>(take);
-        if (frontChunk_ == total) {
-            host_.pop_front();
-            frontChunk_ = 0;
-            refillIfBound();
-        }
-    }
-}
-
-void
-RomeMc::memoReplayEpoch()
-{
-    const Tick base = memo_.epochBase();
-    const auto& steps = memo_.epochSteps();
-    memoConsumeAdmits(static_cast<std::uint32_t>(memoAdmitOps_.size()));
-    const auto op_at = [&](std::int32_t tag) -> const RowOp& {
-        return tag < memoBoundaryCount_
-                   ? memoBoundary_[static_cast<std::size_t>(tag)]
-                   : memoAdmitOps_[static_cast<std::size_t>(
-                         tag - memoBoundaryCount_)];
-    };
-    Tick prev = 0; // step-tick offsets from base; now_ == base on entry
-    for (std::size_t i = 0; i < steps.size(); ++i) {
-        const EpochDetector::Step& s = steps[i];
-        const RowOp& op = op_at(memoPopTag_[i]);
-        if (telemetry_) {
-            // Re-charge the recorded cause for the recorded gap: the sum
-            // of all per-step gaps plus the boundary wrap below is one
-            // period, so memoized and live stall totals agree exactly.
-            chargeStall(static_cast<StallCause>(s.stallCause), prev,
-                        s.tick, static_cast<int>(s.target));
-            prev = s.tick;
-        }
-        if (s.isWrite)
-            bytesWritten_ += op.usefulBytes;
-        else
-            bytesRead_ += op.usefulBytes;
-        overfetch_ += s.resBytes - op.usefulBytes;
-        // The canonical issue tick (base + s.tick) feeds the breakdown's
-        // first-issue component; replay's now_ sits at the epoch base.
-        if (op.singleOp)
-            noteSingleOpDone(op.reqId, op.arrival, base + s.dataUntil,
-                             false, base + s.tick, op.retryWait,
-                             op.linkDelay);
-        else
-            noteOpDone(op.reqId, base + s.dataUntil, false, base + s.tick,
-                       op.retryWait);
-    }
-    if (telemetry_ && !steps.empty()) {
-        // Boundary wrap: live charges this gap when the next epoch's
-        // first step issues, with that step's (identical) cause.
-        chargeStall(static_cast<StallCause>(steps[0].stallCause), prev,
-                    memo_.period(), static_cast<int>(steps[0].target));
-    }
-    // The surviving slots become the next epoch's boundary queue.
-    memoScratchOps_.clear();
-    for (const std::int32_t tag : memoNextTag_)
-        memoScratchOps_.push_back(op_at(tag));
-    memoBoundary_.swap(memoScratchOps_);
-    memo_.advanceEpochs(1);
-}
-
-std::uint64_t
-RomeMc::tryFastForward(Tick until)
-{
-    const Tick t0 = memo_.epochBase();
-    if (now_ != t0)
-        return 0; // not on the boundary tick (defensive; runUntil seams
-                  // leave now_ on the event tick, so replay resumes)
-    const Tick period = memo_.period();
-    // Whole epochs only, and never across the run bound or a refresh due
-    // tick: every within-window step then behaves exactly as the oracle,
-    // and the next live step handles the boundary event itself.
-    Tick bound = until;
-    if (cfg_.refreshEnabled)
-        bound = std::min(bound, refresh_.due);
-    if (bound - t0 < period)
-        return 0;
-    const auto max_epochs =
-        static_cast<std::uint64_t>((bound - t0) / period);
-
-    std::uint64_t k = 0;
-    while (k < max_epochs && memoVerifyAndStageEpoch()) {
-        if (k == 0) {
-            // Stage the boundary queue; queue_ itself stays untouched
-            // until fast-forwarding stops.
-            memoBoundary_.assign(queue_.begin(), queue_.end());
-        }
-        memoReplayEpoch();
-        ++k;
-    }
-    if (k == 0)
-        return 0;
-    queue_.assign(memoBoundary_.begin(), memoBoundary_.end());
-
-    // Roll every piece of timing state forward by the replayed span.
-    const Tick delta = static_cast<Tick>(k) * period;
-    outstanding_.shiftAll(delta);
-    opBusy_.shiftAll(delta);
-    refBusy_.shiftAll(delta);
-    for (Tick& v : vbaBusyUntil_)
-        v += delta; // stale entries stay stale relative to the new now
-    if (lastRowCmdAt_ != kTickInvalid)
-        lastRowCmdAt_ += delta;
-    dev_.shiftTime(delta);
-    dev_.advanceCounters(devEpochDelta_, k);
-    gen_.advanceCounters(genRowCmdsDelta_, genHitsDelta_,
-                         genFallbacksDelta_, k);
-    now_ = t0 + delta;
-
-    // Span tier: fast-forwards stay on (only command tracing disables
-    // memoization), so the timeline shows each replayed stretch.
-    if (sink_ != nullptr)
-        sink_->span("epoch-ff", TelemetrySink::kChannelTrack, t0, delta);
-
-    ffEpochs_ += k;
-    ffSteps_ += k * memo_.stepsPerEpoch();
-    return k * memo_.stepsPerEpoch();
-}
-
 double
 RomeMc::achievedBandwidth() const
 {
@@ -1220,7 +797,6 @@ RomeMc::stats() const
 {
     ControllerStats s;
     fillBaseStats(s);
-    s.memoFfSteps = ffSteps_;
     s.overfetchBytes = overfetch_;
     // Only row-level commands cross the MC↔HBM interface (REF counts too);
     // the command generator expands them on the logic die.
@@ -1305,8 +881,6 @@ RomeMc::saveCheckpoint(CheckpointWriter& w) const
     w.putU64(overfetch_);
     w.putI32(opHighWater_);
     w.putI32(refHighWater_);
-    w.putU64(ffEpochs_);
-    w.putU64(ffSteps_);
 }
 
 void
@@ -1388,21 +962,7 @@ RomeMc::restoreCheckpoint(CheckpointReader& r)
     overfetch_ = r.getU64();
     opHighWater_ = r.getI32();
     refHighWater_ = r.getI32();
-    ffEpochs_ = r.getU64();
-    ffSteps_ = r.getU64();
-
-    // Memo learning state is not serialized: reset and re-learn. The
-    // delta fast-forward only ever replays epochs confirmed after the
-    // restore point, so all accounted state stays bit-identical.
     scrubEvents_.clear();
-    memo_.reset();
-    memoPopTag_.clear();
-    memoNextTag_.clear();
-    memoSim_.clear();
-    memoBoundary_.clear();
-    memoAdmitOps_.clear();
-    memoScratchOps_.clear();
-    memoBoundaryCount_ = 0;
 }
 
 } // namespace rome

@@ -40,7 +40,6 @@
 #include "rome/rome_timing.h"
 #include "rome/vba.h"
 #include "sim/engine.h"
-#include "sim/epoch.h"
 
 namespace rome
 {
@@ -96,18 +95,9 @@ struct RomeMcConfig
      */
     bool scalarLowering = false;
     /**
-     * Detect periodic steady-state schedules and fast-forward whole
-     * epochs with cached deltas (sim/epoch.h). Stats, latency histograms
-     * and completions are bit-identical to the step-by-step path, which
-     * remains available as the parity oracle when this is off. Only the
-     * indexed scheduler memoizes; tracing disables it dynamically.
-     */
-    bool epochMemo = true;
-    /**
      * Reliability model (sim/fault.h). RoMe protects the whole effective
      * row with one SEC-DED codeword, so every row op is classified as one
-     * ECC decode over all its lines. Enabling faults disables epoch
-     * memoization (retries make the schedule aperiodic).
+     * ECC decode over all its lines.
      */
     FaultConfig faults;
     /**
@@ -158,10 +148,6 @@ class RomeMc : public ChannelControllerBase
     int operateFsmHighWater() const { return opHighWater_; }
     /** Highest number of simultaneously refreshing VBAs observed. */
     int refreshFsmHighWater() const { return refHighWater_; }
-    /** Whole epochs replayed by the memoized fast path. */
-    std::uint64_t memoFastForwardedEpochs() const { return ffEpochs_; }
-    /** Scheduling steps skipped (replayed from cache) by fast-forwards. */
-    std::uint64_t memoFastForwardedSteps() const { return ffSteps_; }
 
     /** Table IV introspection. */
     McComplexity complexity() const override;
@@ -170,9 +156,6 @@ class RomeMc : public ChannelControllerBase
 
     /**
      * Checkpoint the full mutable controller + device + generator state.
-     * Epoch-memo learning state is not serialized: restore resets the
-     * detector and it re-learns (only the schedSteps / memoFfSteps
-     * diagnostics can differ; all accounted stats are bit-identical).
      * The restore target must be constructed with the same DramConfig /
      * VbaDesign / RomeMcConfig / map order.
      */
@@ -241,34 +224,6 @@ class RomeMc : public ChannelControllerBase
     /** Rewrite queued and retrying ops after a row got spared. */
     void applySpare(const SpareEvent& ev);
 
-    // ---- epoch memoization (steady-state fast-forward) ------------------
-    /** Memoization applies: flag on, indexed scheduler, no tracing, no
-     *  fault injection (retries make the schedule aperiodic). */
-    bool
-    memoActive() const
-    {
-        return cfg_.epochMemo && !cfg_.legacyScheduler &&
-               !dev_.tracingEnabled() && !faults_.enabled();
-    }
-    /** Record one issued step with the detector; handles captures. */
-    void memoRecordIssue(Tick at, const CommandGenerator::RowOpResult& res,
-                         std::int64_t key, std::size_t queue_idx,
-                         std::uint32_t admitted, std::int32_t occupancy,
-                         bool is_write);
-    /** Boundary fingerprint of all schedule-relevant state. */
-    void memoCaptureFingerprint(std::vector<Tick>& fp) const;
-    /** Precompute the epoch's pop/requeue selection program. */
-    void memoBuildProgram();
-    /** Verify the next epoch's admissions against the canonical epoch
-     *  and stage their live row ops for replay. */
-    bool memoVerifyAndStageEpoch();
-    /** Advance the host buffer past @p count staged admissions. */
-    void memoConsumeAdmits(std::uint32_t count);
-    /** Replay one canonical epoch (decisions cached, requests live). */
-    void memoReplayEpoch();
-    /** Fast-forward whole epochs; returns scheduling steps replayed. */
-    std::uint64_t tryFastForward(Tick until);
-
     // ---- deadline-heap slot accounting (indexed scheduler) --------------
     int vbaKey(const VbaAddress& a) const
     {
@@ -311,13 +266,6 @@ class RomeMc : public ChannelControllerBase
     RefreshRotation refresh_;
     int totalVbas_ = 0;
 
-    /**
-     * Cause of the issue gap the pending decision jumped over, decided
-     * where the winning op is known; memoRecordIssue copies it into the
-     * canonical step so epoch replay re-charges it verbatim.
-     */
-    StallCause lastStallCause_ = StallCause::NoRequest;
-
     /** Fault retries waiting out their backoff (unordered; scanned). */
     std::vector<PendingRetry> retryQ_;
     Tick nextRetryAt_ = kTickMax;
@@ -326,34 +274,6 @@ class RomeMc : public ChannelControllerBase
     std::uint64_t overfetch_ = 0;
     int opHighWater_ = 0;
     int refHighWater_ = 0;
-
-    /** Steady-state epoch detection and cached per-epoch deltas. */
-    EpochDetector memo_;
-    /**
-     * Replay program, built once per confirmation: the op popped at step
-     * i of any epoch is a fixed selection from the boundary queue
-     * (tag < memoBoundaryCount_) or the epoch's own admissions (tag -
-     * memoBoundaryCount_), and the next boundary queue is a fixed
-     * selection likewise. Replay then never mutates queue_ per step; the
-     * live queue is rebuilt once when fast-forwarding stops.
-     */
-    std::vector<std::int32_t> memoPopTag_;
-    std::vector<std::int32_t> memoNextTag_;
-    std::vector<std::int32_t> memoSim_;
-    std::vector<RowOp> memoBoundary_;
-    std::vector<RowOp> memoAdmitOps_;
-    std::vector<RowOp> memoScratchOps_;
-    std::int32_t memoBoundaryCount_ = 0;
-    DeviceCounterDelta devSnapshot_;
-    DeviceCounterDelta devEpochDelta_;
-    std::uint64_t genRowCmdsSnapshot_ = 0;
-    std::uint64_t genHitsSnapshot_ = 0;
-    std::uint64_t genFallbacksSnapshot_ = 0;
-    std::uint64_t genRowCmdsDelta_ = 0;
-    std::uint64_t genHitsDelta_ = 0;
-    std::uint64_t genFallbacksDelta_ = 0;
-    std::uint64_t ffEpochs_ = 0;
-    std::uint64_t ffSteps_ = 0;
 };
 
 } // namespace rome

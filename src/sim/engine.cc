@@ -24,16 +24,65 @@ ControllerStats::operator==(const ControllerStats& o) const
            retryCount == o.retryCount && scrubCount == o.scrubCount &&
            sparedRows == o.sparedRows &&
            poisonedRequests == o.poisonedRequests &&
-           // schedSteps/memoFfSteps and the telemetry fields (stallTicks,
-           // breakdown histograms, timeSeries) deliberately excluded (see
-           // engine.h): diagnostics of the run, not results — and
-           // telemetry-on must compare equal to telemetry-off.
+           // schedSteps and the telemetry fields (stallTicks, breakdown
+           // histograms, timeSeries) deliberately excluded (see engine.h):
+           // diagnostics of the run, not results — and telemetry-on must
+           // compare equal to telemetry-off.
            finishedAt == o.finishedAt &&
            achievedBandwidth == o.achievedBandwidth &&
            effectiveBandwidth == o.effectiveBandwidth &&
            rowHitRate == o.rowHitRate && latencyMeanNs == o.latencyMeanNs &&
            latencyMaxNs == o.latencyMaxNs &&
            latencyHistNs == o.latencyHistNs;
+}
+
+namespace
+{
+
+/** 64-bit FNV-1a over the in-memory bytes of each value. */
+struct Fnv1a
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+
+    void
+    bytes(const void* p, std::size_t n)
+    {
+        const auto* b = static_cast<const unsigned char*>(p);
+        for (std::size_t i = 0; i < n; ++i) {
+            h ^= b[i];
+            h *= 0x100000001b3ULL;
+        }
+    }
+    void u64(std::uint64_t v) { bytes(&v, sizeof(v)); }
+    void f64(double v) { bytes(&v, sizeof(v)); }
+};
+
+} // namespace
+
+std::uint64_t
+ControllerStats::digest() const
+{
+    // Field order is part of the definition: the benchmark's stats
+    // digest hashes the same values in the same order.
+    Fnv1a f;
+    for (const std::uint64_t v :
+         {bytesRead, bytesWritten, overfetchBytes, completedRequests, acts,
+          pres, reads, writes, refPbs, refAbs, rowCmds, colCmds,
+          interfaceCommands, ceCount, dueCount, retryCount, scrubCount,
+          sparedRows, poisonedRequests})
+        f.u64(v);
+    f.u64(static_cast<std::uint64_t>(finishedAt));
+    for (const double v : {achievedBandwidth, effectiveBandwidth, rowHitRate,
+                           latencyMeanNs, latencyMaxNs})
+        f.f64(v);
+    const LatencyHistogram& h = latencyHistNs;
+    f.u64(h.count());
+    f.f64(h.minNs());
+    f.f64(h.maxNs());
+    f.f64(h.sumNs());
+    for (std::size_t i = 0; i < LatencyHistogram::kNumBuckets; ++i)
+        f.u64(h.bucketCount(i));
+    return f.h;
 }
 
 void
@@ -75,7 +124,6 @@ ControllerStats::merge(const ControllerStats& o)
     sparedRows += o.sparedRows;
     poisonedRequests += o.poisonedRequests;
     schedSteps += o.schedSteps;
-    memoFfSteps += o.memoFfSteps;
     for (std::size_t i = 0; i < kNumStallCauses; ++i)
         stallTicks[i] += o.stallTicks[i];
     queueNsHist.merge(o.queueNsHist);
@@ -292,8 +340,7 @@ ChannelControllerBase::pumpArrivals()
 
 void
 ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
-                                  bool poisoned, Tick issue_at,
-                                  Tick retry_wait)
+                                  bool poisoned, Tick retry_wait)
 {
     auto it = inflight_.find(req_id);
     if (it == inflight_.end())
@@ -303,7 +350,7 @@ ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
     st.poisoned |= poisoned;
     if (telemetry_) {
         if (st.firstIssue == kTickInvalid)
-            st.firstIssue = issue_at == kTickInvalid ? now_ : issue_at;
+            st.firstIssue = now_;
         st.retryTicks += retry_wait;
     }
     if (--st.opsRemaining == 0) {
@@ -330,8 +377,7 @@ ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
 void
 ChannelControllerBase::noteSingleOpDone(std::uint64_t req_id, Tick arrival,
                                         Tick data_end, bool poisoned,
-                                        Tick issue_at, Tick retry_wait,
-                                        Tick link_delay)
+                                        Tick retry_wait, Tick link_delay)
 {
     --singleOpsPending_;
     ++completedCount_;
@@ -346,8 +392,7 @@ ChannelControllerBase::noteSingleOpDone(std::uint64_t req_id, Tick arrival,
     latencyNs_.sample(lat_ns);
     latencyHistNs_.sample(lat_ns);
     if (telemetry_) {
-        const Tick fi = issue_at == kTickInvalid ? now_ : issue_at;
-        telemetrySampleCompletion(arrival, data_end, fi, retry_wait,
+        telemetrySampleCompletion(arrival, data_end, now_, retry_wait,
                                   link_delay, slot);
     }
 }

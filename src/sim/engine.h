@@ -108,15 +108,13 @@ struct ControllerStats
 
     // ---- scheduling throughput (diagnostic; merge-added, not compared) ---
     /**
-     * Scheduling steps executed, and how many of those were covered by
-     * epoch-memoization fast-forward (mc/epoch.h). Their ratio is the
-     * per-run fast-forward coverage surfaced in RatePoint. Excluded from
-     * operator== because step counts are an implementation diagnostic:
-     * legacy/indexed and eager/streaming drives may legitimately chop
-     * idle jumps differently while producing identical results.
+     * Scheduling steps executed: the host-cost diagnostic RatePoint and
+     * the benchmark's layer tracer report. Excluded from operator==
+     * because step counts are an implementation diagnostic: legacy/
+     * indexed and eager/streaming drives may legitimately chop idle
+     * jumps differently while producing identical results.
      */
     std::uint64_t schedSteps = 0;
-    std::uint64_t memoFfSteps = 0;
 
     // ---- telemetry (sim/telemetry.h; empty with counters disabled) -------
     /**
@@ -178,6 +176,16 @@ struct ControllerStats
 
     bool operator==(const ControllerStats& o) const;
     bool operator!=(const ControllerStats& o) const { return !(*this == o); }
+
+    /**
+     * 64-bit FNV-1a digest of everything operator== compares: the
+     * counters, finishedAt, the derived rates, and latencyHistNs's
+     * count/min/max/sum plus every bucket. Equal snapshots digest
+     * equally, so one hex string pins a run's modelled outputs
+     * (tests/test_golden.cc checks a table of them; the benchmark's stats
+     * digest is the same definition).
+     */
+    std::uint64_t digest() const;
 };
 
 /** Polymorphic contract of a per-channel memory controller. */
@@ -388,21 +396,6 @@ class OutstandingOps
         return first;
     }
 
-    /**
-     * Backing storage, exposed for the epoch-memoization layer: a
-     * fast-forward fingerprints the entry multiset at an epoch boundary
-     * and rolls every entry forward by whole periods. A uniform shift
-     * preserves the heap property, so shiftAll never reorders.
-     */
-    const std::vector<Tick>& rawEntries() const { return heap_; }
-
-    void
-    shiftAll(Tick delta)
-    {
-        for (Tick& t : heap_)
-            t += delta;
-    }
-
     /** The raw heap array round-trips verbatim (heap order included). */
     void
     saveState(CheckpointWriter& w) const
@@ -491,11 +484,10 @@ class ChannelControllerBase : public IMemoryController
     /**
      * Attach an event sink for the timeline exporter (nullptr detaches).
      * With @p trace_commands the controller additionally installs a
-     * device trace that records one span per committed command — which
-     * disables epoch memoization (any device trace does), so the
+     * device trace that records one span per committed command; the
      * recorded timeline is byte-identical across thread counts and
      * runUntil slicings. Without it only coarse events are recorded
-     * (epoch fast-forwards, retries, spares, checkpoints).
+     * (retries, spares, checkpoints).
      */
     void
     attachTelemetrySink(TelemetrySink* sink, bool trace_commands = false)
@@ -580,14 +572,13 @@ class ChannelControllerBase : public IMemoryController
     void pumpArrivals();
 
     /**
-     * Account one finished operation of request @p req_id; records the
-     * completion and samples latency when it was the last one.
-     * @p poisoned marks this op's data as carrying a DUE; the request's
-     * completion is poisoned if any of its ops were.
+     * Account one finished operation of request @p req_id, issued at
+     * now_; records the completion and samples latency when it was the
+     * last one. @p poisoned marks this op's data as carrying a DUE; the
+     * request's completion is poisoned if any of its ops were.
      */
     void noteOpDone(std::uint64_t req_id, Tick data_end,
-                    bool poisoned = false, Tick issue_at = kTickInvalid,
-                    Tick retry_wait = 0);
+                    bool poisoned = false, Tick retry_wait = 0);
 
     /**
      * Completion fast path for a request that decomposed into exactly one
@@ -595,33 +586,14 @@ class ChannelControllerBase : public IMemoryController
      * carries the arrival tick in the op): no in-flight map traffic.
      *
      * The trailing parameters feed the telemetry latency breakdown and
-     * default to "issued now, no retry, no link delay"; issue_at ==
-     * kTickInvalid reads as now_ (epoch replay passes the canonical
-     * issue tick explicitly, since its clock sits at the epoch base).
+     * default to "no retry, no link delay"; the op was issued at now_.
      */
     void noteSingleOpDone(std::uint64_t req_id, Tick arrival, Tick data_end,
-                          bool poisoned = false,
-                          Tick issue_at = kTickInvalid, Tick retry_wait = 0,
+                          bool poisoned = false, Tick retry_wait = 0,
                           Tick link_delay = 0);
 
     /** Fill the base-owned fields of @p s (bytes, latency, bandwidth). */
     void fillBaseStats(ControllerStats& s) const;
-
-    /**
-     * Top the host window up from the bound source (no-op when none is
-     * bound). The epoch-memoization replay path admits recorded per-step
-     * counts directly instead of going through pumpArrivals, so it needs
-     * the refill half of the pump on its own.
-     */
-    void
-    refillIfBound()
-    {
-        if (source_ != nullptr)
-            refillFromSource();
-    }
-
-    /** True when no bound source remains (or none was ever bound). */
-    bool sourceDrained() const { return sourceDone_; }
 
     // ---- telemetry plumbing ---------------------------------------------
 

@@ -168,11 +168,6 @@ makeRatePoint(double offered_rps, double achieved_rps,
     pt.sparedRows = aggregate.sparedRows;
     pt.poisonedRequests = aggregate.poisonedRequests;
     pt.schedSteps = aggregate.schedSteps;
-    pt.memoFfSteps = aggregate.memoFfSteps;
-    if (aggregate.schedSteps > 0) {
-        pt.ffFraction = static_cast<double>(aggregate.memoFfSteps) /
-                        static_cast<double>(aggregate.schedSteps);
-    }
     std::uint64_t stall_total = 0;
     for (const std::uint64_t t : aggregate.stallTicks)
         stall_total += t;
@@ -242,8 +237,6 @@ ratePointJson(JsonWriter& w, const RatePoint& pt)
     w.key("sparedRows").value(pt.sparedRows);
     w.key("poisonedRequests").value(pt.poisonedRequests);
     w.key("schedSteps").value(pt.schedSteps);
-    w.key("memoFfSteps").value(pt.memoFfSteps);
-    w.key("ffFraction").value(pt.ffFraction);
     // Telemetry keys appear only when the run enabled counters, so rows
     // of a telemetry-off bench are byte-identical to the pre-telemetry
     // schema. The nested objects/arrays are informational — the bench

@@ -193,13 +193,8 @@ struct RatePoint
     std::uint64_t sparedRows = 0;
     /** Requests that completed carrying poisoned (DUE) data. */
     std::uint64_t poisonedRequests = 0;
-    // ---- epoch-memoization coverage (mc/epoch.h) ----------------------
-    /** Scheduling steps executed across all channels at this point. */
+    /** Scheduling steps executed across all channels (host cost). */
     std::uint64_t schedSteps = 0;
-    /** Steps covered by epoch fast-forward instead of stepping. */
-    std::uint64_t memoFfSteps = 0;
-    /** memoFfSteps / schedSteps — 0 when memoization never engaged. */
-    double ffFraction = 0.0;
     // ---- telemetry (sim/telemetry.h; populated only when the run's
     // controllers enabled TelemetryConfig::counters) ---------------------
     /** Any stall/breakdown accounting present at this point. */
@@ -257,7 +252,7 @@ RateSweep runRateSweep(const ServingDriver& driver,
  * snapshot. Shared by runRateSweep and the node-level sweep
  * (sim/node.h), so cube- and node-level curves report the same schema —
  * percentiles from the exact merged histogram, reliability counters,
- * and epoch-memoization fast-forward coverage.
+ * and scheduling steps.
  */
 RatePoint makeRatePoint(double offered_rps, double achieved_rps,
                         const ControllerStats& aggregate,

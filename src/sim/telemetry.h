@@ -24,10 +24,8 @@
  *    instants that renders to Chrome trace-event JSON ("traceEvents"),
  *    loadable in Perfetto / chrome://tracing. One process per channel,
  *    one thread per bank (tid 0 is the channel-level scheduler track).
- *    With command tracing enabled the epoch-memoization layer disables
- *    itself (it already does for any device trace), so the emitted JSON
- *    is byte-identical across engine thread counts and runUntil
- *    slicings.
+ *    Commands commit only on event ticks, so the emitted JSON is
+ *    byte-identical across engine thread counts and runUntil slicings.
  *
  * Everything here is off by default. TelemetryConfig::counters gates the
  * stall/breakdown/time-series paths behind a single branch; with it
@@ -186,8 +184,8 @@ struct TimeSample
  * compaction keeps every second sample and doubles the period, so the
  * ring spans any run length without allocating past init. Observations
  * ride the completion path (note*OpDone), whose call sequence is
- * invariant under slicing, thread count, and epoch memoization — the
- * sampled series is therefore deterministic too.
+ * invariant under slicing and thread count — the sampled series is
+ * therefore deterministic too.
  */
 class TimeSeries
 {
@@ -243,7 +241,7 @@ class TimeSeries
 
 /**
  * Opt-in event buffer behind the Perfetto exporter. Spans cover command
- * or fast-forward busy windows; instants mark point events (retry,
+ * busy windows; instants mark point events (retry,
  * fault, spare, checkpoint). Track kChannelTrack is the channel-level
  * scheduler lane; track b >= 0 is bank/VBA b. Event names must be
  * static-storage strings (the sink stores the pointers).

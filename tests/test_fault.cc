@@ -2,9 +2,9 @@
  * @file
  * Reliability subsystem tests (sim/fault.h): deterministic fault sites
  * and verdicts, the CE retry path, CE-threshold row sparing with
- * in-flight replay, DUE accounting, scrub/refresh interleaving, epoch
- * memo fallback under faults, and bit-determinism across engine thread
- * counts and runUntil slicing — for both controller stacks.
+ * in-flight replay, DUE accounting, scrub/refresh interleaving, and
+ * bit-determinism across engine thread counts and runUntil slicing — for
+ * both controller stacks.
  */
 
 #include <gtest/gtest.h>
@@ -324,7 +324,7 @@ TEST(FaultRecovery, ScrubRidesTheRefreshCalendar)
 }
 
 // ---------------------------------------------------------------------------
-// Zero-cost when disabled, memo fallback when enabled
+// Zero-cost when disabled
 // ---------------------------------------------------------------------------
 
 TEST(FaultsOff, ConfiguredButDisabledIsBitIdentical)
@@ -341,47 +341,6 @@ TEST(FaultsOff, ConfiguredButDisabledIsBitIdentical)
     rarmed.faults.transientLineRate = 0.5;
     rarmed.faults.stuckRowFraction = 0.5;
     EXPECT_TRUE(runRome(reqs, RomeMcConfig{}) == runRome(reqs, rarmed));
-}
-
-TEST(FaultsOn, EpochMemoFallsBackAndStaysBitIdentical)
-{
-    // A steady sequential stream is the memoizer's best case; with
-    // faults enabled it must not fast-forward a single epoch, and the
-    // memo-on run must match the memo-off oracle bit for bit.
-    StreamPattern p;
-    p.requestBytes = 4_KiB;
-    p.totalBytes = 4_MiB;
-    const auto reqs = streamRequests(p);
-
-    FaultConfig faults;
-    faults.enabled = true;
-    faults.seed = 17;
-    faults.transientLineRate = 1e-5;
-
-    RomeMcConfig on;
-    on.faults = faults;
-    RomeMc mc(hbm4Config(), VbaDesign::adopted(), on);
-    for (const auto& r : reqs)
-        mc.enqueue(r);
-    mc.drain();
-    EXPECT_EQ(mc.memoFastForwardedEpochs(), 0u);
-
-    RomeMcConfig off = on;
-    off.epochMemo = false;
-    EXPECT_TRUE(mc.stats() == runRome(reqs, off));
-
-    McConfig con;
-    con.faults = faults;
-    const DramConfig dram = hbm4Config();
-    ConventionalMc cmc(dram, bestBaselineMapping(dram.org), con);
-    for (const auto& r : reqs)
-        cmc.enqueue(r);
-    cmc.drain();
-    EXPECT_EQ(cmc.memoFastForwardedEpochs(), 0u);
-
-    McConfig coff = con;
-    coff.epochMemo = false;
-    EXPECT_TRUE(cmc.stats() == runConventional(reqs, coff));
 }
 
 // ---------------------------------------------------------------------------

@@ -8,9 +8,9 @@
  * time was sliced: refresh-calendar firing, age-priority tie-breaks and
  * write-drain hysteresis flips all evaluate at the same ticks in every
  * partition. These tests drive pseudo-random slice boundaries — widths
- * spanning sub-command-gap to multi-epoch scales — against one unsliced
- * runUntil window over the same horizon, on every design point of both
- * stacks, the hybrid router and the fault path, asserting full
+ * spanning sub-command-gap to multi-microsecond scales — against one
+ * unsliced runUntil window over the same horizon, on every design point
+ * of both stacks, the hybrid router and the fault path, asserting full
  * ControllerStats equality (which includes the latency histogram). The
  * windowed drain (drainUntil) is checked against one drain() the same
  * way.
@@ -54,8 +54,8 @@ nextRand(std::uint64_t& s)
 /**
  * Drive @p mc through pseudo-random runUntil windows partitioning
  * [now, end]. Widths mix four scales so boundaries land inside command
- * gaps, inside epochs, between refreshes, and across whole steady-state
- * periods. The final slice lands exactly on @p end so both runs cover
+ * gaps, between commands, between refreshes, and across many refresh
+ * intervals. The final slice lands exactly on @p end so both runs cover
  * the same horizon (past its work a controller keeps honoring the
  * refresh calendar, so a longer window would legitimately issue more
  * refreshes than the oracle's).
@@ -80,7 +80,7 @@ slicedDrain(IMemoryController& mc, std::uint64_t seed, Tick end)
         case 2: // ~a refresh interval's scale
             w = ticksFromNs(static_cast<std::int64_t>(1 + v % 1500));
             break;
-        default: // multi-epoch jumps
+        default: // multi-microsecond jumps
             w = ticksFromNs(static_cast<std::int64_t>(1 + v % 20000));
             break;
         }
@@ -190,20 +190,6 @@ TEST(SliceInvariance, ConventionalEveryPagePolicy)
     }
 }
 
-TEST(SliceInvariance, ConventionalMemoOffOracle)
-{
-    const DramConfig dram = hbm4Config();
-    const auto reqs = mixedWorkload(103, 0.3);
-    McConfig cfg;
-    cfg.epochMemo = false;
-    expectSliceInvariant(
-        [&] {
-            return std::make_unique<ConventionalMc>(
-                dram, bestBaselineMapping(dram.org), cfg);
-        },
-        reqs, "hbm4 memo off");
-}
-
 TEST(SliceInvariance, ConventionalWithFaults)
 {
     const DramConfig dram = hbm4Config();
@@ -253,19 +239,10 @@ TEST(SliceInvariance, RomeEveryMapOrder)
     }
 }
 
-TEST(SliceInvariance, RomeMemoOffAndFaults)
+TEST(SliceInvariance, RomeWithFaults)
 {
     const DramConfig dram = hbm4Config();
     const auto reqs = mixedWorkload(227, 0.25);
-    RomeMcConfig memo_off;
-    memo_off.epochMemo = false;
-    expectSliceInvariant(
-        [&] {
-            return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
-                                            memo_off);
-        },
-        reqs, "rome memo off");
-
     RomeMcConfig faulty;
     faulty.faults.enabled = true;
     faulty.faults.transientLineRate = 2e-5;

@@ -294,13 +294,11 @@ TEST(Trace, CorpusPhaseTracesReplayOnBothStacks)
     }
 }
 
-TEST(Trace, BurstyServingFixtureStressesTheMemoFallback)
+TEST(Trace, BurstyServingFixtureReplaysOnBothStacks)
 {
     // Recorded by `trace_replay record ... serve --bursty`: two tenants
-    // of Poisson-arriving 16-request bursts. Burst edges are aperiodic
-    // admissions with fresh arrival ticks — exactly what the epoch
-    // detector must refuse to memoize — so both stacks have to match
-    // their step-by-step oracles bit for bit on this shape.
+    // of Poisson-arriving 16-request bursts, so many requests share an
+    // arrival tick and admission comes in aperiodic waves.
     TraceSource trace(std::string(ROME_SOURCE_DIR) +
                       "/tests/data/serving_bursty.trace");
     EXPECT_EQ(trace.format(), TraceFormat::Binary);
@@ -314,28 +312,15 @@ TEST(Trace, BurstyServingFixtureStressesTheMemoFallback)
     // Burst members share an arrival tick: ties dominate the stream.
     EXPECT_GT(tied, reqs.size() / 2);
 
-    const DramConfig dram = hbm4Config();
-    {
-        RomeMcConfig on, off;
-        off.epochMemo = false;
-        RomeMc memo(dram, VbaDesign::adopted(), on);
-        RomeMc oracle(dram, VbaDesign::adopted(), off);
+    for (const MemorySystem sys : {MemorySystem::Hbm4, MemorySystem::RoMe}) {
+        auto a = makeChannelController(sys, hbm4Config());
         trace.reset();
-        const ControllerStats a = runWorkload(memo, trace);
+        const ControllerStats sa = runWorkload(*a, trace);
+        EXPECT_EQ(sa.completedRequests, reqs.size());
+        auto b = makeChannelController(sys, hbm4Config());
         trace.reset();
-        EXPECT_TRUE(a == runWorkload(oracle, trace));
-        EXPECT_EQ(a.completedRequests, reqs.size());
-    }
-    {
-        McConfig on, off;
-        off.epochMemo = false;
-        ConventionalMc memo(dram, bestBaselineMapping(dram.org), on);
-        ConventionalMc oracle(dram, bestBaselineMapping(dram.org), off);
-        trace.reset();
-        const ControllerStats a = runWorkload(memo, trace);
-        trace.reset();
-        EXPECT_TRUE(a == runWorkload(oracle, trace));
-        EXPECT_EQ(a.completedRequests, reqs.size());
+        EXPECT_TRUE(sa == runWorkload(*b, trace))
+            << "bursty replay is not deterministic";
     }
 }
 

@@ -1,8 +1,8 @@
 /**
  * @file
  * Telemetry tests: stall-cause attribution summing to the drained clock
- * on both controller stacks (invariant under runUntil slicing and epoch
- * memoization), per-request latency-breakdown exactness, exact breakdown
+ * on both controller stacks (invariant under runUntil slicing),
+ * per-request latency-breakdown exactness, exact breakdown
  * histogram merging at the cube level, Chrome trace-event JSON
  * byte-identity across engine thread counts and slicings, telemetry-off
  * bit-identity with telemetry-on (ControllerStats::operator== excludes
@@ -152,7 +152,7 @@ TEST(TimeSeries, MergeAlignsPeriodsAndPadsTheShorterSide)
 }
 
 // ---------------------------------------------------------------------------
-// Stall attribution: sums to the drained clock, slicing- and memo-proof
+// Stall attribution: sums to the drained clock, slicing-proof
 // ---------------------------------------------------------------------------
 
 TEST(Telemetry, ConventionalStallCausesSumToDrainedClock)
@@ -199,35 +199,6 @@ TEST(Telemetry, ConventionalStallAttributionIsSlicingInvariant)
     EXPECT_TRUE(whole.stats() == sliced.stats());
 }
 
-TEST(Telemetry, ConventionalMemoReplayAttributesLikeLiveStepping)
-{
-    StreamPattern p;
-    p.totalBytes = 8_MiB;
-    const auto reqs = streamRequests(p);
-
-    McConfig live_cfg;
-    live_cfg.telemetry = countersOn();
-    live_cfg.refreshEnabled = false;
-    live_cfg.epochMemo = false;
-    McConfig memo_cfg = live_cfg;
-    memo_cfg.epochMemo = true;
-
-    ConventionalMc live(hbm4Config(),
-                        bestBaselineMapping(hbm4Config().org), live_cfg);
-    ConventionalMc memo(hbm4Config(),
-                        bestBaselineMapping(hbm4Config().org), memo_cfg);
-    for (const auto& r : reqs) {
-        live.enqueue(r);
-        memo.enqueue(r);
-    }
-    live.drain();
-    memo.drain();
-    ASSERT_GT(memo.memoFastForwardedEpochs(), 0u);
-    EXPECT_EQ(live.stallTable().totals(), memo.stallTable().totals());
-    EXPECT_EQ(memo.stallTable().totalTicks(),
-              static_cast<std::uint64_t>(memo.now()));
-}
-
 TEST(Telemetry, RomeStallCausesSumToDrainedClock)
 {
     RomeMcConfig cfg;
@@ -265,33 +236,6 @@ TEST(Telemetry, RomeStallAttributionIsSlicingInvariant)
 
     EXPECT_EQ(whole.stallTable().totals(), sliced.stallTable().totals());
     EXPECT_TRUE(whole.stats() == sliced.stats());
-}
-
-TEST(Telemetry, RomeMemoReplayAttributesLikeLiveStepping)
-{
-    StreamPattern p;
-    p.totalBytes = 16_MiB;
-    const auto reqs = streamRequests(p);
-
-    RomeMcConfig live_cfg;
-    live_cfg.telemetry = countersOn();
-    live_cfg.refreshEnabled = false;
-    live_cfg.epochMemo = false;
-    RomeMcConfig memo_cfg = live_cfg;
-    memo_cfg.epochMemo = true;
-
-    RomeMc live(hbm4Config(), VbaDesign::adopted(), live_cfg);
-    RomeMc memo(hbm4Config(), VbaDesign::adopted(), memo_cfg);
-    for (const auto& r : reqs) {
-        live.enqueue(r);
-        memo.enqueue(r);
-    }
-    live.drain();
-    memo.drain();
-    ASSERT_GT(memo.memoFastForwardedEpochs(), 0u);
-    EXPECT_EQ(live.stallTable().totals(), memo.stallTable().totals());
-    EXPECT_EQ(memo.stallTable().totalTicks(),
-              static_cast<std::uint64_t>(memo.now()));
 }
 
 // ---------------------------------------------------------------------------
@@ -528,9 +472,8 @@ TEST(Telemetry, TraceJsonIsByteIdenticalAcrossThreadCounts)
 
 TEST(Telemetry, TraceJsonIsByteIdenticalAcrossRunUntilSlicings)
 {
-    // RoMe with epoch memoization configured on: installing the command
-    // trace must disable it (memoActive checks the device trace), so the
-    // recorded timeline is identical however the drive is sliced.
+    // RoMe with the command trace installed: the recorded timeline is
+    // identical however the drive is sliced.
     StreamPattern p;
     p.totalBytes = 512_KiB;
     const auto reqs = streamRequests(p);
@@ -539,7 +482,6 @@ TEST(Telemetry, TraceJsonIsByteIdenticalAcrossRunUntilSlicings)
     auto record = [&](Tick slice, Tick finish) {
         RomeMcConfig cfg;
         cfg.telemetry = countersOn();
-        cfg.epochMemo = true;
         RomeMc mc(hbm4Config(), VbaDesign::adopted(), cfg);
         TelemetrySink sink(0);
         mc.attachTelemetrySink(&sink, /*trace_commands=*/true);
@@ -550,7 +492,6 @@ TEST(Telemetry, TraceJsonIsByteIdenticalAcrossRunUntilSlicings)
                 mc.runUntil(t);
         }
         const Tick done = mc.drain();
-        EXPECT_EQ(mc.memoFastForwardedEpochs(), 0u);
         return std::make_pair(chromeTraceJson({&sink}), done);
     };
     const auto [whole, finish] = record(0, 0);
