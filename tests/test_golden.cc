@@ -17,7 +17,14 @@
  *    sequential stream (every arrival at tick 0) across page policies,
  *    VBA designs, map orders, write mixes, mid-run arrivals, runUntil
  *    slicing and refresh cadences: the steady traffic whose schedule
- *    repeats with a fixed period.
+ *    repeats with a fixed period;
+ *  - sched/hbm4/<variant>: the conventional scheduler's corner paths —
+ *    aged-QoS priorities with shallow queues, the pathological mapping
+ *    with and without refresh, 32 B random traffic under the close and
+ *    adaptive page policies, and write-drain hysteresis;
+ *  - stalls/hbm4: a telemetry-counters cube point whose row hashes the
+ *    stall-cause ticks as well as the digest (operator== and digest()
+ *    leave telemetry out).
  *
  * A change that is meant to move modelled behaviour regenerates the table
  * with
@@ -54,6 +61,7 @@
 #include "sim/serving.h"
 #include "sim/source.h"
 #include "sim/trace.h"
+#include "sim/workloads.h"
 
 namespace rome
 {
@@ -70,11 +78,38 @@ constexpr std::uint64_t kTraceCap = 400;
 /** Channels of every cube in the corpus. */
 constexpr int kChannels = 4;
 
-/** One corpus row: a name and the run that produces its stats. */
+std::uint64_t
+statsDigest(const ControllerStats& s)
+{
+    return s.digest();
+}
+
+/** The digest extended with the stall-cause ticks, in cause order. */
+std::uint64_t
+stallDigest(const ControllerStats& s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL; // FNV-1a over 64-bit words
+    const auto word = [&h](std::uint64_t v) {
+        for (int i = 0; i < 8; ++i) {
+            h ^= (v >> (8 * i)) & 0xffU;
+            h *= 0x100000001b3ULL;
+        }
+    };
+    word(s.digest());
+    for (const std::uint64_t t : s.stallTicks)
+        word(t);
+    return h;
+}
+
+/**
+ * One corpus row: a name, the run that produces its stats and the
+ * reduction of those stats to the pinned value.
+ */
 struct GoldenCase
 {
     std::string name;
     std::function<ControllerStats()> run;
+    std::uint64_t (*reduce)(const ControllerStats&) = statsDigest;
 };
 
 std::string
@@ -321,6 +356,88 @@ goldenCorpus()
     }
     hbm4_stream("refresh", McConfig{}, {4_MiB});
 
+    // Conventional scheduler corner paths, each the workload of a legacy
+    // scheduler parity test (tests/test_mc.cc), replayed through one
+    // controller.
+    const auto hbm4_sched = [&](const std::string& name, McConfig c,
+                                std::vector<Request> reqs,
+                                bool pathological = false) {
+        out.push_back({"sched/hbm4/" + name, [=] {
+            const AddressMapping mapping =
+                pathological ? standardMappings(dram.org).back()
+                             : bestBaselineMapping(dram.org);
+            ConventionalMc mc(dram, mapping, c);
+            return runWorkload(mc, reqs);
+        }});
+    };
+    {
+        // Tight age threshold: forced CAS and aged conflict precharges;
+        // shallow queues block admission.
+        RandomPattern p;
+        p.totalBytes = 128_KiB;
+        p.requestBytes = 64;
+        p.capacity = dram.org.channelCapacity();
+        p.writeFraction = 0.25;
+        p.seed = 3;
+        McConfig c;
+        c.readQueueDepth = 24;
+        c.writeQueueDepth = 16;
+        c.agePriorityThreshold = 300_ns;
+        hbm4_sched("aged-qos", c, randomRequests(p));
+    }
+    {
+        // The worst standard mapping piles traffic onto few banks: heavy
+        // conflict-precharge representative selection.
+        StreamPattern p;
+        p.totalBytes = 256_KiB;
+        p.requestBytes = 4_KiB;
+        p.writeFraction = 0.2;
+        p.seed = 17;
+        McConfig c;
+        hbm4_sched("pathological-refresh", c, streamRequests(p), true);
+        c.refreshEnabled = false;
+        hbm4_sched("pathological-no-refresh", c, streamRequests(p), true);
+    }
+    {
+        RandomPattern p;
+        p.totalBytes = 64_KiB;
+        p.requestBytes = 32;
+        p.capacity = dram.org.channelCapacity();
+        p.writeFraction = 0.1;
+        p.seed = 9;
+        McConfig c;
+        c.pagePolicy = PagePolicy::Close;
+        hbm4_sched("fine-random-close", c, randomRequests(p));
+        c.pagePolicy = PagePolicy::Adaptive;
+        hbm4_sched("fine-random-adaptive", c, randomRequests(p));
+    }
+    {
+        // Write bursts push occupancy through the high watermark; read
+        // tails pull it back below the low one, so the drain toggles.
+        std::vector<Request> reqs;
+        std::uint64_t id = 1;
+        std::uint64_t addr = 0;
+        for (int block = 0; block < 4; ++block) {
+            for (int i = 0; i < 96; ++i, addr += 4_KiB)
+                reqs.push_back({id++, ReqKind::Write, addr, 4_KiB, 0});
+            for (int i = 0; i < 24; ++i, addr += 4_KiB)
+                reqs.push_back({id++, ReqKind::Read, addr, 4_KiB, 0});
+        }
+        hbm4_sched("write-drain", McConfig{}, reqs);
+    }
+
+    out.push_back({"stalls/hbm4", [=] {
+        McConfig c;
+        c.telemetry.counters = true;
+        const ServingDriver driver(cubeConfig(
+            [dram, c] {
+                return std::make_unique<ConventionalMc>(
+                    dram, bestBaselineMapping(dram.org), c);
+            },
+            serving));
+        return driver.run(rateForLoad(serving, 0.8, kChannels)).aggregate;
+    }, stallDigest});
+
     // RoMe streams: 64-entry queue, refresh off unless named.
     const auto rome_stream = [&](const std::string& name, DramConfig d,
                                  RomeMcConfig c, StreamSpec spec,
@@ -365,7 +482,7 @@ renderTable(const std::vector<GoldenCase>& corpus)
        << "# Regenerate only for an intended change of modelled behaviour"
        << " (see tests/test_golden.cc).\n";
     for (const GoldenCase& c : corpus)
-        os << c.name << ' ' << hex64(c.run().digest()) << '\n';
+        os << c.name << ' ' << hex64(c.reduce(c.run())) << '\n';
     return os.str();
 }
 
@@ -400,7 +517,7 @@ TEST(Golden, CorpusDigestsMatchTheCheckedInTable)
             ADD_FAILURE() << c.name << ": no row in " << kTablePath;
             continue;
         }
-        EXPECT_EQ(hex64(c.run().digest()), it->second)
+        EXPECT_EQ(hex64(c.reduce(c.run())), it->second)
             << c.name << ": modelled output moved";
     }
 }
