@@ -40,7 +40,9 @@ namespace rome
 // ring, per-request/op issue+retry/link fields) joined the stream.
 // v3: the controllers' fast-forward counters and the conventional
 // stack's admission-order ring left the stream.
-inline constexpr std::uint32_t kCheckpointVersion = 3;
+// v4: the conventional stack's per-step PRE dedupe stamps left the
+// stream.
+inline constexpr std::uint32_t kCheckpointVersion = 4;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

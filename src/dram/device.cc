@@ -67,104 +67,6 @@ ChannelDevice::sidRec(int pc, int sid) const
 }
 
 Tick
-ChannelDevice::earliestAct(const DramAddress& a, Tick t0) const
-{
-    const BankRecord& b = bank(a);
-    if (b.open())
-        return kTickMax; // must precharge first
-    const SidRecord& s = sidRec(a.pc, a.sid);
-
-    Tick t = t0;
-    if (b.lastPre != kTickInvalid)
-        t = maxTick(t, b.lastPre + t_.tRP);
-    if (b.lastAct != kTickInvalid)
-        t = maxTick(t, b.lastAct + t_.tRC);
-    if (b.refUntil != kTickInvalid)
-        t = maxTick(t, b.refUntil);
-    if (s.refAbUntil != kTickInvalid)
-        t = maxTick(t, s.refAbUntil);
-    if (s.lastActPerBg[static_cast<std::size_t>(a.bg)] != kTickInvalid) {
-        t = maxTick(t, s.lastActPerBg[static_cast<std::size_t>(a.bg)] +
-                    t_.tRRDL);
-    }
-    if (s.lastAct != kTickInvalid)
-        t = maxTick(t, s.lastAct + t_.tRRDS);
-    // tFAW: the fourth-to-last ACT bounds the next one.
-    const Tick oldest = s.actWindow[s.actWindowHead];
-    if (oldest != kTickInvalid)
-        t = maxTick(t, oldest + t_.tFAW);
-    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
-}
-
-Tick
-ChannelDevice::earliestPre(const DramAddress& a, Tick t0) const
-{
-    const BankRecord& b = bank(a);
-    if (!b.open())
-        return kTickMax;
-    Tick t = t0;
-    if (b.lastAct != kTickInvalid)
-        t = maxTick(t, b.lastAct + t_.tRAS);
-    if (b.lastCas != kTickInvalid) {
-        if (b.lastCasWasWrite)
-            t = maxTick(t, b.lastCas + t_.tWR);
-        else
-            t = maxTick(t, b.lastCas + t_.tRTP);
-    }
-    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
-}
-
-Tick
-ChannelDevice::earliestCas(const DramAddress& a, bool is_write, Tick t0) const
-{
-    const BankRecord& b = bank(a);
-    if (!b.open() || b.openRow != a.row)
-        return kTickMax; // row must be open (the MC handles ACT/PRE)
-    const PcRecord& pc = pcs_[static_cast<std::size_t>(a.pc)];
-
-    Tick t = t0;
-    if (b.lastAct != kTickInvalid)
-        t = maxTick(t, b.lastAct + (is_write ? t_.tRCDWR : t_.tRCDRD));
-    if (pc.lastCas != kTickInvalid) {
-        // CAS-to-CAS spacing on the shared PC data path.
-        Tick gap = t_.tCCDS;
-        if (pc.lastCasSid != a.sid)
-            gap = t_.tCCDR;
-        else if (pc.lastCasBg == a.bg)
-            gap = t_.tCCDL;
-        t = maxTick(t, pc.lastCas + gap);
-        // Bus-direction turnarounds (command-level).
-        if (!pc.lastCasWasWrite && is_write)
-            t = maxTick(t, pc.lastCas + t_.tRTW);
-        if (pc.lastCasWasWrite && !is_write) {
-            const Tick wtr = (pc.lastCasBg == a.bg) ? t_.tWTRL : t_.tWTRS;
-            t = maxTick(t, pc.lastCas + wtr);
-        }
-    }
-    return pc.colBus.nextFree(t);
-}
-
-Tick
-ChannelDevice::earliestRefPb(const DramAddress& a, Tick t0) const
-{
-    const BankRecord& b = bank(a);
-    if (b.open())
-        return kTickMax; // REFpb requires a precharged bank
-    const SidRecord& s = sidRec(a.pc, a.sid);
-
-    Tick t = t0;
-    if (b.lastPre != kTickInvalid)
-        t = maxTick(t, b.lastPre + t_.tRP);
-    if (b.refUntil != kTickInvalid)
-        t = maxTick(t, b.refUntil);
-    if (s.refAbUntil != kTickInvalid)
-        t = maxTick(t, s.refAbUntil);
-    if (s.lastRefPb != kTickInvalid)
-        t = maxTick(t, s.lastRefPb + t_.tRREFD);
-    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
-}
-
-Tick
 ChannelDevice::earliestRefAb(const DramAddress& a, Tick t0) const
 {
     // Every bank in the (PC, SID) must be idle.
@@ -200,19 +102,35 @@ ChannelDevice::earliestIssue(const Command& cmd, Tick not_before) const
 #ifndef NDEBUG
     checkAddress(org_, cmd.addr);
 #endif
+    const DramAddress& a = cmd.addr;
+    const BankRecord& b = bank(a);
+    const PcRecord& pc = pcs_[static_cast<std::size_t>(a.pc)];
     switch (cmd.kind) {
       case CmdKind::Act:
-        return earliestAct(cmd.addr, not_before);
+        if (b.open())
+            return kTickMax; // must precharge first
+        return pc.rowBus.nextFree(std::max(
+            {not_before, actBankTerm(b), actSharedTerm(a.pc, a.sid, a.bg)}));
       case CmdKind::Pre:
-        return earliestPre(cmd.addr, not_before);
+        if (!b.open())
+            return kTickMax;
+        return pc.rowBus.nextFree(std::max(not_before, preBankTerm(b)));
       case CmdKind::Rd:
-        return earliestCas(cmd.addr, false, not_before);
-      case CmdKind::Wr:
-        return earliestCas(cmd.addr, true, not_before);
+      case CmdKind::Wr: {
+        if (!b.open() || b.openRow != a.row)
+            return kTickMax; // row must be open (the MC handles ACT/PRE)
+        const bool is_write = cmd.kind == CmdKind::Wr;
+        return pc.colBus.nextFree(
+            std::max({not_before, casBankTerm(b, is_write),
+                      casSharedTerm(a.pc, a.sid, a.bg, is_write)}));
+      }
       case CmdKind::RefPb:
-        return earliestRefPb(cmd.addr, not_before);
+        if (b.open())
+            return kTickMax; // REFpb requires a precharged bank
+        return pc.rowBus.nextFree(std::max(
+            {not_before, refPbBankTerm(b), refPbSharedTerm(a.pc, a.sid)}));
       case CmdKind::RefAb:
-        return earliestRefAb(cmd.addr, not_before);
+        return earliestRefAb(a, not_before);
       default:
         panic("unknown command kind");
     }

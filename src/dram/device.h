@@ -208,11 +208,152 @@ class ChannelDevice
         return banks_[static_cast<std::size_t>(flat_index)];
     }
 
-    // ---- scheduler probe pruning ---------------------------------------
-    // Cheap lower bounds on earliestIssue: never above the exact answer,
-    // computable without touching bank state or the slot calendars. A
-    // scheduler probing candidates in tie-break order can skip the exact
-    // probe for any candidate whose floor cannot beat its current best.
+    // ---- timing terms ----------------------------------------------------
+    // Every probe has the form bus(pc).nextFree(max(t0, bank term, shared
+    // term)): the bank term reads only the addressed bank's record, the
+    // shared term only (PC, SID, bank group, direction) state. earliestIssue
+    // composes these same helpers, so a scheduler that caches bank terms
+    // between commands to the bank applies every timing rule through its
+    // one definition. A term is 0 when no rule binds.
+
+    /** tRP since the last PRE, tRC since the last ACT, refresh busy. */
+    Tick
+    actBankTerm(const BankRecord& b) const
+    {
+        Tick t = 0;
+        if (b.lastPre != kTickInvalid)
+            t = std::max(t, b.lastPre + t_.tRP);
+        if (b.lastAct != kTickInvalid)
+            t = std::max(t, b.lastAct + t_.tRC);
+        if (b.refUntil != kTickInvalid)
+            t = std::max(t, b.refUntil);
+        return t;
+    }
+
+    /** All-bank refresh busy, tRRDL / tRRDS and the tFAW window. */
+    Tick
+    actSharedTerm(int pc, int sid, int bg) const
+    {
+        const SidRecord& s = sidRec(pc, sid);
+        Tick t = 0;
+        if (s.refAbUntil != kTickInvalid)
+            t = std::max(t, s.refAbUntil);
+        const Tick bg_last = s.lastActPerBg[static_cast<std::size_t>(bg)];
+        if (bg_last != kTickInvalid)
+            t = std::max(t, bg_last + t_.tRRDL);
+        if (s.lastAct != kTickInvalid)
+            t = std::max(t, s.lastAct + t_.tRRDS);
+        // tFAW: the fourth-to-last ACT bounds the next one.
+        const Tick oldest = s.actWindow[s.actWindowHead];
+        if (oldest != kTickInvalid)
+            t = std::max(t, oldest + t_.tFAW);
+        return t;
+    }
+
+    /** tRAS since the ACT, read (tRTP) or write (tWR) recovery. */
+    Tick
+    preBankTerm(const BankRecord& b) const
+    {
+        Tick t = 0;
+        if (b.lastAct != kTickInvalid)
+            t = std::max(t, b.lastAct + t_.tRAS);
+        if (b.lastCas != kTickInvalid)
+            t = std::max(t, b.lastCas + (b.lastCasWasWrite ? t_.tWR
+                                                           : t_.tRTP));
+        return t;
+    }
+
+    /** tRCDRD / tRCDWR since the ACT. */
+    Tick
+    casBankTerm(const BankRecord& b, bool is_write) const
+    {
+        if (b.lastAct == kTickInvalid)
+            return 0;
+        return b.lastAct + (is_write ? t_.tRCDWR : t_.tRCDRD);
+    }
+
+    /**
+     * CAS-to-CAS spacing and bus turnarounds on the PC's data path for a
+     * RD/WR whose SID and bank group do (@p same_sid, @p same_bg) or do
+     * not match the PC's last CAS: the term depends on nothing else.
+     */
+    Tick
+    casClassTerm(int pc, bool same_sid, bool same_bg, bool is_write) const
+    {
+        const PcRecord& p = pcs_[static_cast<std::size_t>(pc)];
+        if (p.lastCas == kTickInvalid)
+            return 0;
+        Tick gap = t_.tCCDS;
+        if (!same_sid)
+            gap = t_.tCCDR;
+        else if (same_bg)
+            gap = t_.tCCDL;
+        Tick t = p.lastCas + gap;
+        if (!p.lastCasWasWrite && is_write)
+            t = std::max(t, p.lastCas + t_.tRTW);
+        if (p.lastCasWasWrite && !is_write)
+            t = std::max(t, p.lastCas + (same_bg ? t_.tWTRL : t_.tWTRS));
+        return t;
+    }
+
+    /** casClassTerm of a RD/WR to (@p sid, @p bg). */
+    Tick
+    casSharedTerm(int pc, int sid, int bg, bool is_write) const
+    {
+        const PcRecord& p = pcs_[static_cast<std::size_t>(pc)];
+        return casClassTerm(pc, p.lastCasSid == sid, p.lastCasBg == bg,
+                            is_write);
+    }
+
+    /** tRP since the last PRE and the bank's own refresh busy window. */
+    Tick
+    refPbBankTerm(const BankRecord& b) const
+    {
+        Tick t = 0;
+        if (b.lastPre != kTickInvalid)
+            t = std::max(t, b.lastPre + t_.tRP);
+        if (b.refUntil != kTickInvalid)
+            t = std::max(t, b.refUntil);
+        return t;
+    }
+
+    /** All-bank refresh busy and tRREFD spacing in the (PC, SID). */
+    Tick
+    refPbSharedTerm(int pc, int sid) const
+    {
+        const SidRecord& s = sidRec(pc, sid);
+        Tick t = 0;
+        if (s.refAbUntil != kTickInvalid)
+            t = std::max(t, s.refAbUntil);
+        if (s.lastRefPb != kTickInvalid)
+            t = std::max(t, s.lastRefPb + t_.tRREFD);
+        return t;
+    }
+
+    /**
+     * End of the newest reservation on @p pc's row command bus (0 when
+     * there is none). Slots never overlap, so for every t at or after the
+     * newest reservation the bus's first free slot is max(t, this floor):
+     * a scheduler that issues in time order folds the bus into its max of
+     * terms.
+     */
+    Tick
+    rowBusFloor(int pc) const
+    {
+        return pcs_[static_cast<std::size_t>(pc)].rowBus.newestEnd();
+    }
+
+    /** Column-bus counterpart of rowBusFloor. */
+    Tick
+    colBusFloor(int pc) const
+    {
+        return pcs_[static_cast<std::size_t>(pc)].colBus.newestEnd();
+    }
+
+    // ---- stall attribution floors ---------------------------------------
+    // The part of a probe set by other banks' traffic alone. A stalled
+    // RD/WR or ACT whose exact issue tick equals its floor waited on the
+    // CAS chain or the ACT window rather than on its own bank.
 
     /** Lower bound for any RD/WR on @p pc at or after @p t. */
     Tick
@@ -234,48 +375,6 @@ class ChannelDevice
         const Tick oldest = s.actWindow[s.actWindowHead];
         if (oldest != kTickInvalid && oldest + t_.tFAW > t)
             t = oldest + t_.tFAW;
-        return t;
-    }
-
-    /**
-     * Lower bound for a PRE to the bank at @p a at or after @p t: the
-     * tRAS window since its ACT and the read/write recovery (tRTP / tWR)
-     * since its last CAS — everything earliestPre enforces except the
-     * row-bus slot lookup.
-     */
-    Tick
-    preFloor(const DramAddress& a, Tick t) const
-    {
-        const BankRecord& b = bank(a);
-        if (b.lastAct != kTickInvalid && b.lastAct + t_.tRAS > t)
-            t = b.lastAct + t_.tRAS;
-        if (b.lastCas != kTickInvalid) {
-            const Tick rec =
-                b.lastCas + (b.lastCasWasWrite ? t_.tWR : t_.tRTP);
-            if (rec > t)
-                t = rec;
-        }
-        return t;
-    }
-
-    /**
-     * Lower bound for a REFpb to the bank at @p a at or after @p t:
-     * precharge completion, its own and the (PC, SID)'s refresh busy
-     * windows, and tRREFD spacing.
-     */
-    Tick
-    refPbFloor(const DramAddress& a, Tick t) const
-    {
-        const BankRecord& b = bank(a);
-        if (b.lastPre != kTickInvalid && b.lastPre + t_.tRP > t)
-            t = b.lastPre + t_.tRP;
-        if (b.refUntil != kTickInvalid && b.refUntil > t)
-            t = b.refUntil;
-        const SidRecord& s = sidRec(a.pc, a.sid);
-        if (s.refAbUntil != kTickInvalid && s.refAbUntil > t)
-            t = s.refAbUntil;
-        if (s.lastRefPb != kTickInvalid && s.lastRefPb + t_.tRREFD > t)
-            t = s.lastRefPb + t_.tRREFD;
         return t;
     }
 
@@ -386,6 +485,13 @@ class ChannelDevice
             return cand;
         }
 
+        /** End of the newest reservation, 0 when there is none. */
+        Tick
+        newestEnd() const
+        {
+            return occupied_.size() == head_ ? 0 : occupied_.back() + width_;
+        }
+
         /**
          * True when no reservation overlaps [from, until) — a bulk probe
          * for a template's whole column-command stream.
@@ -486,10 +592,6 @@ class ChannelDevice
     SidRecord& sidRec(int pc, int sid);
     const SidRecord& sidRec(int pc, int sid) const;
 
-    Tick earliestAct(const DramAddress& a, Tick t0) const;
-    Tick earliestPre(const DramAddress& a, Tick t0) const;
-    Tick earliestCas(const DramAddress& a, bool is_write, Tick t0) const;
-    Tick earliestRefPb(const DramAddress& a, Tick t0) const;
     Tick earliestRefAb(const DramAddress& a, Tick t0) const;
 
     /** State-transition body of issue() (no validation). */
@@ -497,7 +599,7 @@ class ChannelDevice
 
     Organization org_;
     TimingParams t_;
-    /** Smallest possible CAS-to-CAS / ACT-to-ACT gaps (probe floors). */
+    /** Smallest possible CAS-to-CAS / ACT-to-ACT gaps (stall floors). */
     Tick minCcd_ = 0;
     Tick minRrd_ = 0;
     std::vector<BankRecord> banks_;

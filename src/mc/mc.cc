@@ -88,6 +88,18 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
             a.pc = idx;
             bankIx_[static_cast<std::size_t>(b)].addr = a;
         }
+        cands_.resize(static_cast<std::size_t>(nbanks));
+        for (int b = 0; b < nbanks; ++b) {
+            BankCands& c = cands_[static_cast<std::size_t>(b)];
+            c.pc = bankIx_[static_cast<std::size_t>(b)].addr.pc;
+            c.group = b / cfg.org.banksPerGroup; // flat index is PC-major
+            c.unit = b / cfg.org.banksPerSid();
+        }
+        numGroups_ = nbanks / cfg.org.banksPerGroup;
+        sharedTerm_.assign(static_cast<std::size_t>(1 + 3 * numGroups_), 0);
+        busFloor_.assign(static_cast<std::size_t>(2 * cfg.org.pcsPerChannel),
+                         0);
+        fillSharedTerms();
         const auto cap = static_cast<std::size_t>(cfg_.readQueueDepth +
                                                   cfg_.writeQueueDepth);
         pool_.reserve(cap);
@@ -95,6 +107,7 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
         activeBanks_.reserve(static_cast<std::size_t>(nbanks));
         openBanks_.reserve(static_cast<std::size_t>(nbanks));
         unitForcedBank_.assign(refreshUnits_.size(), -1);
+        nextRefreshDue_ = firstRefreshDue();
     }
     initTelemetry(cfg_.telemetry, cfg.org.banksPerChannel());
 }
@@ -216,11 +229,19 @@ ConventionalMc::updateWriteDrain()
     const auto w_occ = static_cast<double>(writeQueueSize());
     const auto w_depth = static_cast<double>(cfg_.writeQueueDepth);
     const bool forced = readQueueSize() == 0 && writeQueueSize() != 0;
+    const bool was = drainingWrites_;
     if (!drainingWrites_) {
         if (w_occ >= cfg_.writeHighWatermark * w_depth || forced)
             drainingWrites_ = true;
     } else if (w_occ <= cfg_.writeLowWatermark * w_depth && !forced) {
         drainingWrites_ = false;
+    }
+    if (drainingWrites_ != was) {
+        // Queued writes join or leave every bank's candidate set.
+        for (const int b : activeBanks_) {
+            if (bankIx_[static_cast<std::size_t>(b)].write.count > 0)
+                cands_[static_cast<std::size_t>(b)].stale = true;
+        }
     }
 }
 
@@ -385,7 +406,7 @@ ConventionalMc::idleWakeTick(Tick adaptive_next) const
         next = std::min(next, admit_at);
     }
     for (const auto& u : refreshUnits_) {
-        if (pendingRefreshCount(u) == 0)
+        if (now_ < u.rot.due)
             next = std::min(next, u.rot.due);
     }
     if (nextRetryAt_ != kTickMax)
@@ -404,24 +425,21 @@ ConventionalMc::stepOnce(Tick until)
 // Indexed scheduler
 // ---------------------------------------------------------------------------
 
-bool
-ConventionalMc::candBeats(const Candidate& a, const Candidate& b)
+ConventionalMc::RankKey
+ConventionalMc::rankKey(int priority, Tick age, int rank_cat,
+                        std::uint64_t rank_idx)
 {
-    if (a.earliest != b.earliest)
-        return a.earliest < b.earliest;
-    return candRankLess(a, b);
+    return {static_cast<std::uint64_t>(priority) << 60 |
+                static_cast<std::uint64_t>(age),
+            static_cast<std::uint64_t>(rank_cat) << 62 | rank_idx};
 }
 
-bool
-ConventionalMc::candRankLess(const Candidate& a, const Candidate& b)
+Tick
+ConventionalMc::agedAt(Tick arrival) const
 {
-    if (a.priority != b.priority)
-        return a.priority < b.priority;
-    if (a.age != b.age)
-        return a.age < b.age;
-    if (a.rankCat != b.rankCat)
-        return a.rankCat < b.rankCat;
-    return a.rankIdx < b.rankIdx;
+    // Aged means now - arrival > threshold; saturate a huge threshold.
+    const Tick thr = cfg_.agePriorityThreshold;
+    return thr >= kTickMax - 1 - arrival ? kTickMax : arrival + thr + 1;
 }
 
 void
@@ -447,6 +465,8 @@ ConventionalMc::insertOpIndexed(Op op)
     if (l.tail == -1) {
         l.head = l.tail = node;
     } else {
+        if (op.arrival < pool_[static_cast<std::size_t>(l.tail)].op.arrival)
+            l.sorted = false;
         pool_[static_cast<std::size_t>(l.tail)].next = node;
         n.prev = l.tail;
         l.tail = node;
@@ -473,6 +493,7 @@ ConventionalMc::insertOpIndexed(Op op)
     }
     if (op.arrival < l.minArrivalLb)
         l.minArrivalLb = op.arrival;
+    cands_[static_cast<std::size_t>(n.bank)].stale = true;
 }
 
 void
@@ -503,8 +524,19 @@ ConventionalMc::removeOpIndexed(int node)
     if (l.count == 0) {
         l.hitRep = kRepNone;
         l.minArrivalLb = kTickMax;
+        l.sorted = true;
     } else if (l.hitRep == node) {
         l.hitRep = l.hitCount == 0 ? kRepNone : kRepUnknown;
+        if (l.hitRep == kRepUnknown && l.sorted) {
+            // In a sorted list no hit precedes the min-(arrival, seq) hit,
+            // so its successor is the next hit in list order.
+            int i = n.next;
+            while (i != -1 && pool_[static_cast<std::size_t>(i)].op.addr.row !=
+                                  rec.openRow)
+                i = pool_[static_cast<std::size_t>(i)].next;
+            if (i != -1)
+                l.hitRep = i;
+        }
     }
 
     if (e.read.count == 0 && e.write.count == 0) {
@@ -514,6 +546,7 @@ ConventionalMc::removeOpIndexed(int node)
         activeBanks_.pop_back();
         e.activePos = -1;
     }
+    cands_[static_cast<std::size_t>(n.bank)].stale = true;
     freeNodes_.push_back(node);
 }
 
@@ -522,11 +555,16 @@ ConventionalMc::rescanList(BankList& l, int open_row)
 {
     l.hitCount = 0;
     l.hitRep = kRepNone;
+    l.sorted = true;
     Tick min_arr = kTickMax;
+    Tick prev_arr = 0;
     for (int i = l.head; i != -1;
          i = pool_[static_cast<std::size_t>(i)].next) {
         const OpNode& n = pool_[static_cast<std::size_t>(i)];
         min_arr = std::min(min_arr, n.op.arrival);
+        if (n.op.arrival < prev_arr)
+            l.sorted = false;
+        prev_arr = n.op.arrival;
         if (open_row >= 0 && n.op.addr.row == open_row) {
             ++l.hitCount;
             if (l.hitRep == kRepNone ||
@@ -547,6 +585,7 @@ ConventionalMc::reindexBankRow(int bank)
     const int open_row = rec.open() ? rec.openRow : -1;
     rescanList(e.read, open_row);
     rescanList(e.write, open_row);
+    cands_[static_cast<std::size_t>(bank)].stale = true;
 }
 
 int
@@ -560,31 +599,117 @@ ConventionalMc::resolveHitRep(BankList& l, int open_row)
 
 int
 ConventionalMc::agedConflictRep(const BankEntry& e, bool any_write,
-                                int open_row, bool& rep_is_write)
+                                int open_row, bool& rep_is_write,
+                                Tick& valid_until)
 {
+    // An op ahead of the result in list order that ages later takes its
+    // place; an unwalked list ages no earlier than its oldest arrival.
     const Tick thr = cfg_.agePriorityThreshold;
-    if (e.read.count > 0 && now_ - e.read.minArrivalLb > thr) {
-        for (int i = e.read.head; i != -1;
+    const auto scan = [&](const BankList& l) {
+        if (now_ - l.minArrivalLb <= thr) {
+            valid_until = std::min(valid_until, agedAt(l.minArrivalLb));
+            return -1;
+        }
+        for (int i = l.head; i != -1;
              i = pool_[static_cast<std::size_t>(i)].next) {
-            const OpNode& n = pool_[static_cast<std::size_t>(i)];
-            if (now_ - n.op.arrival > thr && n.op.addr.row != open_row) {
-                rep_is_write = false;
+            const Op& op = pool_[static_cast<std::size_t>(i)].op;
+            if (op.addr.row == open_row)
+                continue;
+            const Tick at = agedAt(op.arrival);
+            if (now_ >= at)
                 return i;
-            }
+            valid_until = std::min(valid_until, at);
+        }
+        return -1;
+    };
+    if (e.read.count > 0) {
+        const int rep = scan(e.read);
+        if (rep != -1) {
+            rep_is_write = false;
+            return rep;
         }
     }
-    if (any_write && e.write.count > 0 &&
-        now_ - e.write.minArrivalLb > thr) {
-        for (int i = e.write.head; i != -1;
-             i = pool_[static_cast<std::size_t>(i)].next) {
-            const OpNode& n = pool_[static_cast<std::size_t>(i)];
-            if (now_ - n.op.arrival > thr && n.op.addr.row != open_row) {
-                rep_is_write = true;
-                return i;
-            }
+    if (any_write && e.write.count > 0) {
+        const int rep = scan(e.write);
+        if (rep != -1) {
+            rep_is_write = true;
+            return rep;
         }
     }
     return -1;
+}
+
+void
+ConventionalMc::rebuildCands(int bank)
+{
+    BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
+    BankCands& c = cands_[static_cast<std::size_t>(bank)];
+    c.stale = false;
+    c.count = 0;
+    c.validUntil = kTickMax;
+    const bool any_read = e.read.count > 0;
+    const bool any_write = drainingWrites_ && e.write.count > 0;
+    if (!any_read && !any_write)
+        return;
+
+    const auto add = [&](CmdKind kind, int node, int prio, int rank_cat,
+                         Tick bank_term) {
+        const OpNode& n = pool_[static_cast<std::size_t>(node)];
+        const Tick aged_at = agedAt(n.op.arrival);
+        if (now_ < aged_at)
+            c.validUntil = std::min(c.validUntil, aged_at);
+        CachedCand& k = c.cand[static_cast<std::size_t>(c.count++)];
+        k.key = rankKey(now_ >= aged_at ? kPrioForced : prio, n.op.arrival,
+                        rank_cat, n.seq);
+        k.bankTerm = bank_term;
+        k.node = node;
+        k.kind = kind;
+        const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
+        k.busIdx = 2 * c.pc + (is_cas ? 1 : 0);
+        k.sharedIdx = kind == CmdKind::Act ? actTermIdx(c.group)
+                      : is_cas ? casTermIdx(c.group, kind == CmdKind::Wr)
+                               : 0; // PRE: bank-local terms only
+    };
+
+    const BankRecord& rec = dev_.bankRecord(bank);
+    if (!rec.open()) {
+        // One structural ACT candidate: the first queued op (in
+        // read-then-write admission order) supplies row and age.
+        add(CmdKind::Act, any_read ? e.read.head : e.write.head, kPrioAct,
+            any_read ? kRankReadOp : kRankWriteOp, dev_.actBankTerm(rec));
+        return;
+    }
+
+    if (any_read && e.read.hitCount > 0) {
+        add(CmdKind::Rd, resolveHitRep(e.read, rec.openRow), kPrioCasHit,
+            kRankReadOp, dev_.casBankTerm(rec, false));
+    }
+    if (any_write && e.write.hitCount > 0) {
+        add(CmdKind::Wr, resolveHitRep(e.write, rec.openRow), kPrioCasHit,
+            kRankWriteOp, dev_.casBankTerm(rec, true));
+    }
+
+    // Conflict precharge: only when no queued op still hits the open
+    // row, unless a conflicting op is aged (QoS).
+    const bool conflicts = e.read.count - e.read.hitCount > 0 ||
+                           (any_write && e.write.count - e.write.hitCount > 0);
+    if (!conflicts)
+        return;
+    const bool has_hit =
+        e.read.hitCount > 0 || (any_write && e.write.hitCount > 0);
+    int rep = -1;
+    bool rep_write = false;
+    if (!has_hit) {
+        rep = any_read ? e.read.head : e.write.head;
+        rep_write = !any_read;
+    } else {
+        rep = agedConflictRep(e, any_write, rec.openRow, rep_write,
+                              c.validUntil);
+    }
+    if (rep != -1) {
+        add(CmdKind::Pre, rep, kPrioPre,
+            rep_write ? kRankWriteOp : kRankReadOp, dev_.preBankTerm(rec));
+    }
 }
 
 void
@@ -621,6 +746,86 @@ ConventionalMc::applyRowCommand(const Command& cmd)
     reindexBankRow(bank);
 }
 
+void
+ConventionalMc::fillSharedTerms()
+{
+    const Organization& org = dramCfg_.org;
+    for (int g = 0; g < numGroups_; ++g) {
+        const int bg = g % org.bankGroupsPerSid;
+        const int sid = g / org.bankGroupsPerSid % org.sidsPerChannel;
+        const int pc = g / org.bankGroupsPerSid / org.sidsPerChannel;
+        sharedTerm_[static_cast<std::size_t>(actTermIdx(g))] =
+            dev_.actSharedTerm(pc, sid, bg);
+        for (const bool w : {false, true}) {
+            sharedTerm_[static_cast<std::size_t>(casTermIdx(g, w))] =
+                dev_.casSharedTerm(pc, sid, bg, w);
+        }
+    }
+}
+
+void
+ConventionalMc::updateSharedTerms(const Command& cmd)
+{
+    const Organization& org = dramCfg_.org;
+    const DramAddress& a = cmd.addr;
+    if (cmd.kind == CmdKind::Act) {
+        // tRRD and tFAW move for every bank group of the (PC, SID).
+        const int g0 = (a.pc * org.sidsPerChannel + a.sid) *
+                       org.bankGroupsPerSid;
+        for (int bg = 0; bg < org.bankGroupsPerSid; ++bg) {
+            sharedTerm_[static_cast<std::size_t>(actTermIdx(g0 + bg))] =
+                dev_.actSharedTerm(a.pc, a.sid, bg);
+        }
+    } else if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
+        // The CAS chain moves for every group of the PC; it depends only
+        // on whether a group shares this CAS's SID and bank group.
+        Tick cls[2][2][2];
+        for (const bool same_sid : {false, true}) {
+            for (const bool same_bg : {false, true}) {
+                for (const bool w : {false, true}) {
+                    cls[same_sid][same_bg][w] =
+                        dev_.casClassTerm(a.pc, same_sid, same_bg, w);
+                }
+            }
+        }
+        const int g0 = a.pc * org.sidsPerChannel * org.bankGroupsPerSid;
+        for (int sid = 0; sid < org.sidsPerChannel; ++sid) {
+            for (int bg = 0; bg < org.bankGroupsPerSid; ++bg) {
+                const int g = g0 + sid * org.bankGroupsPerSid + bg;
+                const Tick* v = cls[sid == a.sid][bg == a.bg];
+                sharedTerm_[static_cast<std::size_t>(casTermIdx(g, false))] =
+                    v[0];
+                sharedTerm_[static_cast<std::size_t>(casTermIdx(g, true))] =
+                    v[1];
+            }
+        }
+    }
+}
+
+Tick
+ConventionalMc::firstRefreshDue() const
+{
+    Tick t = kTickMax;
+    for (const RefreshUnit& u : refreshUnits_)
+        t = std::min(t, u.rot.due);
+    return t;
+}
+
+Command
+ConventionalMc::pickCommand(const Pick& p) const
+{
+    if (p.node >= 0) {
+        DramAddress a = pool_[static_cast<std::size_t>(p.node)].op.addr;
+        if (p.kind == CmdKind::Pre)
+            a.row = dev_.bankRecord(p.bank).openRow; // conflict PRE
+        return Command{p.kind, a};
+    }
+    DramAddress a = bankIx_[static_cast<std::size_t>(p.bank)].addr;
+    if (p.kind == CmdKind::Pre)
+        a.row = dev_.bankRecord(p.bank).openRow; // refresh or idle PRE
+    return Command{p.kind, a};
+}
+
 bool
 ConventionalMc::stepOnceIndexed(Tick until)
 {
@@ -631,169 +836,98 @@ ConventionalMc::stepOnceIndexed(Tick until)
     pumpArrivals();
     updateWriteDrain();
 
-    ++stepStamp_;
-    Candidate best;
-    bool have_best = false;
-    // Probe pruning: a candidate whose cheap lower bound (floor) cannot
-    // strictly beat the running best — and whose tie-break key loses on an
-    // exact tie — is discarded without the exact earliestIssue probe.
-    const auto consider = [&](Candidate& c) {
-        if (have_best) {
-            if (c.floor > best.earliest)
-                return;
-            if (c.floor == best.earliest && candRankLess(best, c))
-                return;
-        }
-        c.earliest = dev_.earliestIssue(c.cmd, now_);
-        if (c.earliest == kTickMax)
-            return;
-        if (!have_best || candBeats(c, best)) {
-            best = c;
-            have_best = true;
-        }
+    // Every command issues at its bus's first free slot at or after
+    // max(now, bank term, shared term). Commands issue in time order, so
+    // that slot is max(that max, the bus's newest reservation end): one
+    // max of cached terms per candidate, with ties broken by rank.
+    for (int pc = 0; pc < dramCfg_.org.pcsPerChannel; ++pc) {
+        busFloor_[static_cast<std::size_t>(2 * pc)] = dev_.rowBusFloor(pc);
+        busFloor_[static_cast<std::size_t>(2 * pc + 1)] =
+            dev_.colBusFloor(pc);
+    }
+    // The winner is the min of (issue tick, rank key). The running best
+    // is kept in scalars and updated without branches: most candidates
+    // lose, in data-dependent ways. A ref names the winner: its bank
+    // times kRefSlots plus a cached-candidate slot, kRefRefresh or
+    // kRefIdlePre.
+    constexpr int kRefSlots = 8;
+    constexpr int kRefRefresh = 3;
+    constexpr int kRefIdlePre = 4;
+    Tick best_e = kTickMax;
+    std::uint64_t best_hi = ~std::uint64_t{0};
+    std::uint64_t best_lo = ~std::uint64_t{0};
+    int best_ref = -1;
+    const auto consider = [&](Tick e, const RankKey& key, int ref) {
+        const bool win =
+            (e < best_e) |
+            ((e == best_e) &
+             ((key.hi < best_hi) | ((key.hi == best_hi) & (key.lo < best_lo))));
+        best_e = win ? e : best_e;
+        best_hi = win ? key.hi : best_hi;
+        best_lo = win ? key.lo : best_lo;
+        best_ref = win ? ref : best_ref;
     };
 
     // --- refresh candidates + the per-step forced-block table -----------
-    if (cfg_.refreshEnabled) {
+    heldAny_ = false;
+    if (cfg_.refreshEnabled && now_ >= nextRefreshDue_) {
+        const int banks_per_sid = dramCfg_.org.banksPerSid();
         for (std::size_t i = 0; i < refreshUnits_.size(); ++i) {
             const RefreshUnit& u = refreshUnits_[i];
             unitForcedBank_[i] = -1;
-            const int pending = pendingRefreshCount(u);
-            if (pending == 0)
-                continue;
-            DramAddress a;
-            a.pc = u.pc;
-            a.sid = u.sid;
-            a.bg = u.rot.cursor / dramCfg_.org.banksPerGroup;
-            a.bank = u.rot.cursor % dramCfg_.org.banksPerGroup;
-            const int bank = flatBankIndex(dramCfg_.org, a);
+            if (now_ < u.rot.due)
+                continue; // nothing owed
+            const bool forced = now_ >= u.rot.owedAt(kRefreshForceAt);
+            // Units are PC-major (PC, SID) pairs, as are flat bank indices.
+            const int bank = static_cast<int>(i) * banks_per_sid +
+                             u.rot.cursor;
             const BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
-            const bool forced = pending >= kRefreshForceAt;
             if (forced) {
                 unitForcedBank_[i] = bank;
+                heldAny_ = true;
             } else if (e.read.count + e.write.count > 0) {
                 continue; // postpone while the target bank has queued work
             }
-            Candidate c;
-            c.isRefresh = true;
-            c.refreshUnit = static_cast<int>(i);
-            c.priority = forced ? kPrioForced : kPrioRefresh;
-            c.age = u.rot.due; // most-overdue first among refresh ties
-            c.rankCat = kRankRefresh;
-            c.rankIdx = i;
-            if (dev_.bankRecord(a).open()) {
-                a.row = dev_.openRow(a);
-                c.cmd = Command{CmdKind::Pre, a};
-                c.floor = dev_.preFloor(a, now_);
-            } else {
-                c.cmd = Command{CmdKind::RefPb, a};
-                c.floor = dev_.refPbFloor(a, now_);
-            }
-            consider(c);
+            // Most-overdue first among refresh ties.
+            const RankKey key = rankKey(forced ? kPrioForced : kPrioRefresh,
+                                        u.rot.due, kRankRefresh, i);
+            const BankRecord& rec = dev_.bankRecord(bank);
+            const Tick x =
+                rec.open() ? dev_.preBankTerm(rec)
+                           : std::max(dev_.refPbBankTerm(rec),
+                                      dev_.refPbSharedTerm(u.pc, u.sid));
+            consider(std::max({now_, x,
+                               busFloor_[static_cast<std::size_t>(2 * u.pc)]}),
+                     key, bank * kRefSlots + kRefRefresh);
         }
     }
 
-    // --- op candidates: one walk over the banks that have work ----------
-    const bool draining = drainingWrites_;
-    const Tick thr = cfg_.agePriorityThreshold;
+    // --- op candidates: the cached entries of the banks that have work --
     for (const int b : activeBanks_) {
-        BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
-        const bool any_read = e.read.count > 0;
-        const bool any_write = draining && e.write.count > 0;
-        if (!any_read && !any_write)
-            continue;
-        if (cfg_.refreshEnabled &&
-            unitForcedBank_[static_cast<std::size_t>(
-                b / dramCfg_.org.banksPerSid())] == b) {
+        BankCands& c = cands_[static_cast<std::size_t>(b)];
+        if (heldAny_ &&
+            unitForcedBank_[static_cast<std::size_t>(c.unit)] == b) {
             continue; // bank held for a forced refresh
         }
-        const BankRecord& rec = dev_.bankRecord(b);
-        if (!rec.open()) {
-            // One structural ACT candidate: the first queued op (in
-            // read-then-write admission order) supplies row and age.
-            const int node = any_read ? e.read.head : e.write.head;
-            const OpNode& n = pool_[static_cast<std::size_t>(node)];
-            Candidate c;
-            c.cmd = Command{CmdKind::Act, n.op.addr};
-            c.priority =
-                now_ - n.op.arrival > thr ? kPrioForced : kPrioAct;
-            c.age = n.op.arrival;
-            c.rankCat = any_read ? kRankReadOp : kRankWriteOp;
-            c.rankIdx = n.seq;
-            c.floor = dev_.actFloor(n.op.addr.pc, n.op.addr.sid, now_);
-            consider(c);
-            continue;
-        }
-
-        const bool has_hit =
-            e.read.hitCount > 0 || (draining && e.write.hitCount > 0);
-        if (any_read && e.read.hitCount > 0) {
-            const int rep = resolveHitRep(e.read, rec.openRow);
-            const OpNode& n = pool_[static_cast<std::size_t>(rep)];
-            Candidate c;
-            c.cmd = Command{CmdKind::Rd, n.op.addr};
-            c.priority =
-                now_ - n.op.arrival > thr ? kPrioForced : kPrioCasHit;
-            c.age = n.op.arrival;
-            c.opIndex = rep;
-            c.isWrite = false;
-            c.rankCat = kRankReadOp;
-            c.rankIdx = n.seq;
-            c.floor = dev_.casFloor(n.op.addr.pc, now_);
-            consider(c);
-        }
-        if (any_write && e.write.hitCount > 0) {
-            const int rep = resolveHitRep(e.write, rec.openRow);
-            const OpNode& n = pool_[static_cast<std::size_t>(rep)];
-            Candidate c;
-            c.cmd = Command{CmdKind::Wr, n.op.addr};
-            c.priority =
-                now_ - n.op.arrival > thr ? kPrioForced : kPrioCasHit;
-            c.age = n.op.arrival;
-            c.opIndex = rep;
-            c.isWrite = true;
-            c.rankCat = kRankWriteOp;
-            c.rankIdx = n.seq;
-            c.floor = dev_.casFloor(n.op.addr.pc, now_);
-            consider(c);
-        }
-
-        // Conflict precharge: only when no queued op still hits the open
-        // row, unless a conflicting op is aged (QoS).
-        const bool conflicts =
-            e.read.count - e.read.hitCount > 0 ||
-            (any_write && e.write.count - e.write.hitCount > 0);
-        if (conflicts) {
-            int rep = -1;
-            bool rep_write = false;
-            if (!has_hit) {
-                rep = any_read ? e.read.head : e.write.head;
-                rep_write = !any_read;
-            } else {
-                rep = agedConflictRep(e, any_write, rec.openRow, rep_write);
-            }
-            if (rep != -1) {
-                const OpNode& n = pool_[static_cast<std::size_t>(rep)];
-                DramAddress a = n.op.addr;
-                a.row = rec.openRow;
-                Candidate c;
-                c.cmd = Command{CmdKind::Pre, a};
-                c.priority =
-                    now_ - n.op.arrival > thr ? kPrioForced : kPrioPre;
-                c.age = n.op.arrival;
-                c.rankCat = rep_write ? kRankWriteOp : kRankReadOp;
-                c.rankIdx = n.seq;
-                c.floor = dev_.preFloor(a, now_);
-                e.preStamp = stepStamp_;
-                consider(c);
-            }
+        if (c.stale || now_ >= c.validUntil)
+            rebuildCands(b);
+        for (int k = 0; k < c.count; ++k) {
+            const CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
+            const Tick e = std::max(
+                std::max(now_, cc.bankTerm),
+                std::max(sharedTerm_[static_cast<std::size_t>(cc.sharedIdx)],
+                         busFloor_[static_cast<std::size_t>(cc.busIdx)]));
+            consider(e, cc.key, b * kRefSlots + k);
         }
     }
 
     // --- close/adaptive policies: precharge idle open rows --------------
+    // A bank with a conflict PRE offers the same command at a better
+    // rank, so its idle PRE can never win and needs no dedupe.
+    const bool draining = drainingWrites_;
     if (cfg_.pagePolicy != PagePolicy::Open) {
         for (const int b : openBanks_) {
-            BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
+            const BankEntry& e = bankIx_[static_cast<std::size_t>(b)];
             if (e.read.hitCount > 0 || (draining && e.write.hitCount > 0))
                 continue;
             const BankRecord& rec = dev_.bankRecord(b);
@@ -801,18 +935,33 @@ ConventionalMc::stepOnceIndexed(Tick until)
                 now_ - bankLastUse(rec) < cfg_.adaptiveIdleTimeout) {
                 continue;
             }
-            if (e.preStamp == stepStamp_)
-                continue; // a conflict-PRE for this bank already exists
-            DramAddress a = e.addr;
-            a.row = rec.openRow;
-            Candidate c;
-            c.cmd = Command{CmdKind::Pre, a};
-            c.priority = kPrioIdlePre;
-            c.age = 0;
-            c.rankCat = kRankIdlePre;
-            c.rankIdx = static_cast<std::uint64_t>(b);
-            c.floor = dev_.preFloor(a, now_);
-            consider(c);
+            const Tick floor =
+                busFloor_[static_cast<std::size_t>(2 * e.addr.pc)];
+            consider(std::max({now_, dev_.preBankTerm(rec), floor}),
+                     rankKey(kPrioIdlePre, 0, kRankIdlePre,
+                             static_cast<std::uint64_t>(b)),
+                     b * kRefSlots + kRefIdlePre);
+        }
+    }
+
+    const bool have_best = best_ref >= 0;
+    Pick best;
+    if (have_best) {
+        best.earliest = best_e;
+        best.bank = best_ref / kRefSlots;
+        const int slot = best_ref % kRefSlots;
+        if (slot == kRefRefresh) {
+            best.kind = dev_.bankRecord(best.bank).open() ? CmdKind::Pre
+                                                          : CmdKind::RefPb;
+            best.refreshUnit = cands_[static_cast<std::size_t>(best.bank)].unit;
+        } else if (slot == kRefIdlePre) {
+            best.kind = CmdKind::Pre;
+        } else {
+            const CachedCand& cc =
+                cands_[static_cast<std::size_t>(best.bank)]
+                    .cand[static_cast<std::size_t>(slot)];
+            best.kind = cc.kind;
+            best.node = cc.node;
         }
     }
 
@@ -883,49 +1032,58 @@ ConventionalMc::stepOnceIndexed(Tick until)
         return false;
     }
 
+    const Command cmd = pickCommand(best);
     if (telemetryOn() && best.earliest > now_) {
-        // The winning candidate waited [now_, earliest): when the cheap
-        // structural floor (tRRD/tFAW for ACT, CAS-chain/turnaround for
-        // RD/WR) already equals the exact probe, that constraint binds;
-        // otherwise the bank FSM itself was the holdup.
+        // The winning candidate waited [now_, earliest): when the
+        // structural floor set by other banks' traffic (tRRD/tFAW for
+        // ACT, CAS-chain/turnaround for RD/WR) already equals the exact
+        // issue tick, that constraint binds; otherwise the bank FSM
+        // itself was the holdup.
         StallCause cause = StallCause::BankBusy;
-        if (best.isRefresh) {
+        if (best.refreshUnit >= 0) {
             cause = StallCause::Refresh;
-        } else if (best.cmd.kind == CmdKind::Rd ||
-                   best.cmd.kind == CmdKind::Wr) {
-            if (best.floor == best.earliest)
+        } else if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
+            if (dev_.casFloor(cmd.addr.pc, now_) == best.earliest)
                 cause = StallCause::CasChain;
-        } else if (best.cmd.kind == CmdKind::Act &&
-                   best.floor == best.earliest) {
+        } else if (cmd.kind == CmdKind::Act &&
+                   dev_.actFloor(cmd.addr.pc, cmd.addr.sid, now_) ==
+                       best.earliest) {
             cause = StallCause::ActWindow;
         }
-        chargeStall(cause, now_, best.earliest,
-                    flatBankIndex(dramCfg_.org, best.cmd.addr));
+        chargeStall(cause, now_, best.earliest, best.bank);
     }
+#ifndef NDEBUG
+    if (dev_.earliestIssue(cmd, now_) != best.earliest)
+        panic("cached terms disagree with the device probe for %s",
+              cmd.str().c_str());
+#endif
     now_ = best.earliest;
-    const auto res = dev_.issue(best.cmd, now_);
+    const auto res = dev_.issue(cmd, now_);
     readQOcc_.sample(static_cast<double>(readCount_));
+    // Every command moves its bank's timing terms.
+    cands_[static_cast<std::size_t>(best.bank)].stale = true;
+    updateSharedTerms(cmd);
 
-    if (best.isRefresh) {
-        if (best.cmd.kind == CmdKind::RefPb) {
+    if (best.refreshUnit >= 0) {
+        if (cmd.kind == CmdKind::RefPb) {
             RefreshUnit& u =
                 refreshUnits_[static_cast<std::size_t>(best.refreshUnit)];
             u.rot.advance(dramCfg_.org.banksPerSid());
+            nextRefreshDue_ = firstRefreshDue();
             if (faults_.enabled())
                 runScrub(); // patrol scrub rides the refresh calendar
         } else {
-            applyRowCommand(best.cmd); // opportunistic-refresh precharge
+            applyRowCommand(cmd); // opportunistic-refresh precharge
         }
-    } else if (best.cmd.kind == CmdKind::Rd ||
-               best.cmd.kind == CmdKind::Wr) {
-        const Op op = pool_[static_cast<std::size_t>(best.opIndex)].op;
-        removeOpIndexed(best.opIndex);
-        (best.isWrite ? writeOutstanding_ : readOutstanding_)
+    } else if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
+        const Op op = pool_[static_cast<std::size_t>(best.node)].op;
+        removeOpIndexed(best.node);
+        (cmd.kind == CmdKind::Wr ? writeOutstanding_ : readOutstanding_)
             .push(res.dataUntil);
         ++casIssued_;
         completeOp(op, res.dataUntil);
     } else {
-        applyRowCommand(best.cmd); // ACT or conflict/idle PRE
+        applyRowCommand(cmd); // ACT or conflict/idle PRE
     }
     return true;
 }
@@ -1313,6 +1471,7 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         w.putI32(l.hitCount);
         w.putI32(l.hitRep);
         w.putI64(l.minArrivalLb);
+        w.putBool(l.sorted);
     };
 
     saveBaseState(w);
@@ -1342,7 +1501,6 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         put_bank_list(e.write);
         w.putI32(e.activePos);
         w.putI32(e.openPos);
-        w.putU64(e.preStamp);
         putDramAddress(w, e.addr);
     }
     w.putCount(activeBanks_.size());
@@ -1351,11 +1509,7 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
     w.putCount(openBanks_.size());
     for (const int b : openBanks_)
         w.putI32(b);
-    w.putCount(unitForcedBank_.size());
-    for (const int b : unitForcedBank_)
-        w.putI32(b);
     w.putU64(admitSeq_);
-    w.putU64(stepStamp_);
     w.putI32(readCount_);
     w.putI32(writeCount_);
 
@@ -1402,6 +1556,7 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         l.hitCount = r.getI32();
         l.hitRep = r.getI32();
         l.minArrivalLb = r.getI64();
+        l.sorted = r.getBool();
     };
 
     loadBaseState(r);
@@ -1432,7 +1587,6 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         get_bank_list(e.write);
         e.activePos = r.getI32();
         e.openPos = r.getI32();
-        e.preStamp = r.getU64();
         e.addr = getDramAddress(r);
     }
     activeBanks_.resize(r.getCount());
@@ -1441,12 +1595,7 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     openBanks_.resize(r.getCount());
     for (int& b : openBanks_)
         b = r.getI32();
-    if (r.getCount() != unitForcedBank_.size())
-        fatal("hbm4 checkpoint refresh-unit count mismatch");
-    for (int& b : unitForcedBank_)
-        b = r.getI32();
     admitSeq_ = r.getU64();
-    stepStamp_ = r.getU64();
     readCount_ = r.getI32();
     writeCount_ = r.getI32();
 
@@ -1471,6 +1620,14 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
     scrubEvents_.clear();
+    // Cached candidates and shared terms are functions of the restored
+    // state: re-derive them.
+    for (BankCands& c : cands_)
+        c.stale = true;
+    if (!cfg_.legacyScheduler) {
+        fillSharedTerms();
+        nextRefreshDue_ = firstRefreshDue();
+    }
 }
 
 } // namespace rome

@@ -13,11 +13,18 @@
  *    pooled node linked into its bank's per-queue FIFO list, with per-bank
  *    summaries (queued-op counts, open-row hit counts, cached best-hit
  *    representatives, oldest-arrival bounds) maintained incrementally on
- *    admit/issue/row-change. A scheduling step walks only the banks that
- *    have work, emits at most one ACT/PRE candidate per bank structurally
- *    (no per-step hash sets), consults a per-step refresh-block table, and
- *    tracks the running best candidate — zero heap allocation in steady
- *    state and O(active banks) device probes per step.
+ *    admit/issue/row-change. Each bank with work also caches its
+ *    scheduling candidates — at most one ACT, or a RD-hit, a WR-hit and a
+ *    conflict PRE — with their rank keys and the device's bank-local
+ *    timing terms. Only an event on the bank re-derives them: an admitted
+ *    or issued op, any command to the bank, a spare-row rewrite, a
+ *    write-drain flip, or the next tick at which one of its ops ages into
+ *    QoS priority. Picking the winner then needs no per-bank device probe:
+ *    a candidate's issue tick is its bus's next free slot at the max of
+ *    now, its cached bank term and the shared (PC, SID, bank group,
+ *    direction) term, and the bus lookup itself is skipped whenever that
+ *    max cannot beat the running best. Zero heap allocation in steady
+ *    state.
  *
  *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
  *    FR-FCFS loop that rebuilds its whole candidate set from the flat
@@ -36,6 +43,7 @@
 #ifndef ROME_MC_MC_H
 #define ROME_MC_MC_H
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <vector>
@@ -169,31 +177,17 @@ class ConventionalMc : public ChannelControllerBase
         RefreshRotation rot;
     };
 
-    /** A schedulable command candidate. */
+    /** A schedulable command candidate (legacy scheduler). */
     struct Candidate
     {
         Command cmd;
         Tick earliest;
-        /** Cheap lower bound on earliest (ChannelDevice::casFloor etc.);
-         *  lets the indexed scheduler skip exact probes that cannot win. */
-        Tick floor = 0;
         int priority;     // smaller = more urgent
         Tick age;         // older first among equals
-        /** Legacy: index into the flat queue. Indexed: pool node id. */
-        int opIndex = -1;
+        int opIndex = -1; ///< index into the flat queue
         bool isWrite = false;
         bool isRefresh = false;
         int refreshUnit = -1;
-        /**
-         * Final tie-break, encoding the legacy candidate collection order:
-         * category (refresh < read op < write op < idle-PRE) then the
-         * in-category index (refresh-unit index, op admission sequence, or
-         * flat bank index). Unique per candidate, so the indexed
-         * scheduler's running-best selection reproduces the legacy
-         * first-encountered-wins result exactly.
-         */
-        int rankCat = 0;
-        std::uint64_t rankIdx = 0;
     };
 
     // ---- incremental per-bank scheduling index -------------------------
@@ -223,6 +217,8 @@ class ConventionalMc : public ChannelControllerBase
         int hitRep = kRepNone;
         /** Lower bound on the oldest arrival queued here (aged-QoS gate). */
         Tick minArrivalLb = kTickMax;
+        /** Arrivals never decrease along the list (a retry can break it). */
+        bool sorted = true;
     };
 
     /** Per-bank index entry. */
@@ -232,9 +228,66 @@ class ConventionalMc : public ChannelControllerBase
         BankList write;
         int activePos = -1; ///< position in activeBanks_, -1 when absent
         int openPos = -1;   ///< position in openBanks_, -1 when closed
-        /** Step stamp of an emitted conflict-PRE (dedupes idle-PRE). */
-        std::uint64_t preStamp = 0;
         DramAddress addr;   ///< bank coordinates (row/col unused)
+    };
+
+    /**
+     * Tie-break key among candidates that issue on the same tick, in the
+     * legacy collection order: priority, age, then category (refresh <
+     * read op < write op < idle-PRE) and the in-category index
+     * (refresh-unit index, op admission sequence, or flat bank index).
+     * Unique per candidate, so the min-key selection reproduces the
+     * legacy first-encountered-wins result exactly. Packed so that
+     * (hi, lo) compares lexicographically: the priority sits above a
+     * 60-bit age, the category above a 62-bit index.
+     */
+    struct RankKey
+    {
+        std::uint64_t hi = 0;
+        std::uint64_t lo = 0;
+    };
+    static RankKey rankKey(int priority, Tick age, int rank_cat,
+                           std::uint64_t rank_idx);
+
+    /**
+     * One cached candidate of a bank. Its issue tick at now is
+     * max(now, bankTerm, sharedTerm_[sharedIdx], busFloor_[busIdx]).
+     */
+    struct CachedCand
+    {
+        RankKey key;
+        /** The device's bank-local timing term for the command. */
+        Tick bankTerm = 0;
+        /** Pool node of the op the candidate serves or is ranked by. */
+        int node = -1;
+        int sharedIdx = 0;
+        int busIdx = 0;
+        CmdKind kind = CmdKind::Act;
+    };
+
+    /** A bank's cached candidates plus its constant coordinates. */
+    struct BankCands
+    {
+        std::array<CachedCand, 3> cand{};
+        int count = 0;
+        /** An event on the bank invalidated the candidates. */
+        bool stale = true;
+        /** First tick at which an op's aging can change a candidate. */
+        Tick validUntil = kTickMax;
+        int pc = 0;
+        int group = 0; ///< flat (PC, SID, bank group) index
+        int unit = 0;  ///< refresh unit ((PC, SID) index)
+    };
+
+    /** A step's winning candidate. */
+    struct Pick
+    {
+        Tick earliest = kTickMax;
+        CmdKind kind = CmdKind::Act;
+        int bank = -1;
+        /** Pool node (op candidates), -1 for refresh and idle-PRE. */
+        int node = -1;
+        int refreshUnit = -1;
     };
 
     bool admitOps() override;
@@ -282,14 +335,35 @@ class ConventionalMc : public ChannelControllerBase
     void reindexBankRow(int bank);
     void rescanList(BankList& l, int open_row);
     int resolveHitRep(BankList& l, int open_row);
-    /** First aged conflicting op in read-then-write seq order, or -1. */
+    /** First tick at which an op that arrived at @p arrival is aged. */
+    Tick agedAt(Tick arrival) const;
+    /**
+     * First aged conflicting op in read-then-write seq order, or -1.
+     * Lowers @p valid_until to the first tick a not-yet-aged op could
+     * take that role.
+     */
     int agedConflictRep(const BankEntry& e, bool any_write, int open_row,
-                        bool& rep_is_write);
+                        bool& rep_is_write, Tick& valid_until);
+    /** Re-derive a bank's cached candidates at now_. */
+    void rebuildCands(int bank);
+    /** Shared-term table slots: ACT per group, RD/WR per group and way. */
+    int actTermIdx(int group) const { return 1 + group; }
+    int
+    casTermIdx(int group, bool is_write) const
+    {
+        return 1 + numGroups_ + 2 * group + (is_write ? 1 : 0);
+    }
+    /** Recompute every shared term (construction, restore). */
+    void fillSharedTerms();
+    /** Recompute the shared terms @p cmd (just committed) changed. */
+    void updateSharedTerms(const Command& cmd);
+    /** Earliest refresh due tick over every unit. */
+    Tick firstRefreshDue() const;
     void noteBankOpened(int bank);
     void noteBankClosed(int bank);
     void applyRowCommand(const Command& cmd);
-    static bool candBeats(const Candidate& a, const Candidate& b);
-    static bool candRankLess(const Candidate& a, const Candidate& b);
+    /** The device command a pick stands for. */
+    Command pickCommand(const Pick& p) const;
 
     // ---- legacy scheduler (decision-order oracle) ----------------------
     bool stepOnceLegacy(Tick until);
@@ -309,12 +383,25 @@ class ConventionalMc : public ChannelControllerBase
     std::vector<OpNode> pool_;
     std::vector<int> freeNodes_;
     std::vector<BankEntry> bankIx_;
+    std::vector<BankCands> cands_; ///< per bank; rebuilt, never serialized
+    int numGroups_ = 0; ///< (PC, SID, bank group) triples
+    /**
+     * The device's shared timing terms, refreshed only by the commands
+     * that move them: slot 0 is the empty term of a PRE, then one ACT
+     * term per group, then one RD and one WR term per group.
+     */
+    std::vector<Tick> sharedTerm_;
+    /** Per PC: row-bus floor at 2 * pc, column-bus floor at 2 * pc + 1. */
+    std::vector<Tick> busFloor_;
     std::vector<int> activeBanks_; ///< banks with any queued op
     std::vector<int> openBanks_;   ///< banks the MC holds open
-    /** Per refresh unit: cursor bank when its refresh is forced, else -1. */
+    /** Per refresh unit: cursor bank when its refresh is forced, else -1
+     *  (valid in a step when heldAny_). */
     std::vector<int> unitForcedBank_;
+    bool heldAny_ = false;
+    /** firstRefreshDue(), maintained as refreshes issue. */
+    Tick nextRefreshDue_ = kTickMax;
     std::uint64_t admitSeq_ = 0;
-    std::uint64_t stepStamp_ = 0;
     int readCount_ = 0;
     int writeCount_ = 0;
 

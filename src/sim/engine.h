@@ -335,6 +335,13 @@ struct RefreshRotation
         return static_cast<int>(n < static_cast<Tick>(cap) ? n : cap);
     }
 
+    /** First tick at which pendingCount reaches @p n (n >= 1). */
+    Tick
+    owedAt(int n) const
+    {
+        return due + static_cast<Tick>(n - 1) * interval;
+    }
+
     /** Account one issued refresh: step the cursor and push the due time. */
     void
     advance(int num_targets)

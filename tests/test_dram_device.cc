@@ -198,34 +198,38 @@ TEST_F(DeviceTest, WriteRecoveryBeforePrecharge)
               wr_at + cfg_.timing.tWR);
 }
 
-TEST_F(DeviceTest, PrechargeAndRefreshFloorsNeverExceedExactProbes)
+TEST_F(DeviceTest, PrechargeAndRefreshTermsMatchTheExactProbes)
 {
-    // preFloor: a sound, nontrivial lower bound on earliestIssue(PRE)
-    // after ACT (tRAS), read (tRTP), and write (tWR) histories.
+    // PRE's bank term: tRAS after the ACT, then write recovery (tWR).
+    // With the row bus free, the exact probe lands on the term.
     const auto a = addr(0, 0, 0, 0, 1);
+    const BankRecord& rec = dev_.bankRecord(a);
     dev_.issue({CmdKind::Act, a}, 0);
-    EXPECT_EQ(dev_.preFloor(a, 0), cfg_.timing.tRAS);
-    EXPECT_LE(dev_.preFloor(a, 0), dev_.earliestIssue({CmdKind::Pre, a}, 0));
+    EXPECT_EQ(dev_.preBankTerm(rec), cfg_.timing.tRAS);
+    EXPECT_EQ(dev_.earliestIssue({CmdKind::Pre, a}, 0), cfg_.timing.tRAS);
 
     const Tick wr_at = cfg_.timing.tRAS;
     dev_.issue({CmdKind::Wr, a}, wr_at);
-    EXPECT_EQ(dev_.preFloor(a, 0), wr_at + cfg_.timing.tWR);
-    EXPECT_LE(dev_.preFloor(a, 0), dev_.earliestIssue({CmdKind::Pre, a}, 0));
+    EXPECT_EQ(dev_.preBankTerm(rec), wr_at + cfg_.timing.tWR);
+    EXPECT_EQ(dev_.earliestIssue({CmdKind::Pre, a}, 0),
+              wr_at + cfg_.timing.tWR);
 
-    // refPbFloor: bounded by the precharge completion, then by tRREFD
-    // spacing after a refresh elsewhere in the (PC, SID).
+    // REFpb: the precharge completion is the bank term; a refresh
+    // elsewhere in the (PC, SID) sets the tRREFD shared term.
     const Tick pre_at = dev_.earliestIssue({CmdKind::Pre, a}, 0);
     dev_.issue({CmdKind::Pre, a}, pre_at);
-    EXPECT_EQ(dev_.refPbFloor(a, pre_at), pre_at + cfg_.timing.tRP);
-    EXPECT_LE(dev_.refPbFloor(a, pre_at),
-              dev_.earliestIssue({CmdKind::RefPb, a}, pre_at));
+    EXPECT_EQ(dev_.refPbBankTerm(rec), pre_at + cfg_.timing.tRP);
+    EXPECT_EQ(dev_.earliestIssue({CmdKind::RefPb, a}, pre_at),
+              pre_at + cfg_.timing.tRP);
 
     const auto other = addr(0, 0, 1, 0);
     const Tick ref_at = dev_.earliestIssue({CmdKind::RefPb, other}, pre_at);
     dev_.issue({CmdKind::RefPb, other}, ref_at);
-    EXPECT_GE(dev_.refPbFloor(a, ref_at), ref_at + cfg_.timing.tRREFD);
-    EXPECT_LE(dev_.refPbFloor(a, ref_at),
-              dev_.earliestIssue({CmdKind::RefPb, a}, ref_at));
+    EXPECT_EQ(dev_.refPbSharedTerm(a.pc, a.sid),
+              ref_at + cfg_.timing.tRREFD);
+    EXPECT_EQ(dev_.earliestIssue({CmdKind::RefPb, a}, ref_at),
+              std::max(pre_at + cfg_.timing.tRP,
+                       ref_at + cfg_.timing.tRREFD));
 }
 
 TEST_F(DeviceTest, ReadToWriteTurnaround)
