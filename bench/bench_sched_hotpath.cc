@@ -361,10 +361,13 @@ main(int argc, char** argv)
     // --- Telemetry overhead: counter tier on vs off ---------------------
     // Stall attribution and the latency breakdown ride the scheduler hot
     // path; this section times identical drains with telemetry counters
-    // off and on and gates the cost at <10% steps/s. Best-of-N absorbs
-    // machine noise, and ControllerStats::operator== (which excludes the
-    // telemetry fields by design) proves the modeled behavior — every
-    // decision, latency, and energy figure — is untouched by counting.
+    // off and on and gates the cost at <10% steps/s. The trials run in
+    // off/on pairs, alternating which goes first, so a drift in host speed
+    // lands on both sides instead of on whichever ran later; best-of-N
+    // then absorbs the remaining noise. ControllerStats::operator==
+    // (which excludes the telemetry fields by design) proves the modeled
+    // behavior — every decision, latency, and energy figure — is
+    // untouched by counting.
     double telemetry_overhead_pct = 0.0;
     bool telemetry_stats_match = true;
     bool telemetry_alloc_free = true;
@@ -379,22 +382,25 @@ main(int argc, char** argv)
         McConfig on_cfg = off_cfg;
         on_cfg.telemetry.counters = true;
 
-        const int trials = quick ? 5 : 3;
+        const int pairs = quick ? 5 : 3;
         RunResult best_off;
         RunResult best_on;
-        for (int i = 0; i < trials; ++i) {
-            ConventionalMc off(tel_dram, bestBaselineMapping(tel_dram.org),
-                               off_cfg);
-            const RunResult r = timedDrain(off, reqs);
-            if (i == 0 || r.stepsPerSec > best_off.stepsPerSec)
-                best_off = r;
-        }
-        for (int i = 0; i < trials; ++i) {
-            ConventionalMc on(tel_dram, bestBaselineMapping(tel_dram.org),
-                              on_cfg);
-            const RunResult r = timedDrain(on, reqs);
-            if (i == 0 || r.stepsPerSec > best_on.stepsPerSec)
-                best_on = r;
+        const auto trial = [&](const McConfig& cfg, RunResult& best,
+                               bool first) {
+            ConventionalMc mc(tel_dram, bestBaselineMapping(tel_dram.org),
+                              cfg);
+            const RunResult r = timedDrain(mc, reqs);
+            if (first || r.stepsPerSec > best.stepsPerSec)
+                best = r;
+        };
+        for (int i = 0; i < pairs; ++i) {
+            if (i % 2 == 0) {
+                trial(off_cfg, best_off, i == 0);
+                trial(on_cfg, best_on, i == 0);
+            } else {
+                trial(on_cfg, best_on, false);
+                trial(off_cfg, best_off, false);
+            }
         }
         telemetry_stats_match = best_off.stats == best_on.stats;
         all_match = all_match && telemetry_stats_match;

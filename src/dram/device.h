@@ -296,6 +296,20 @@ class ChannelDevice
         return t;
     }
 
+    /** SID of the PC's last RD/WR (-1 before the first). */
+    int
+    lastCasSid(int pc) const
+    {
+        return pcs_[static_cast<std::size_t>(pc)].lastCasSid;
+    }
+
+    /** Bank group of the PC's last RD/WR (-1 before the first). */
+    int
+    lastCasBg(int pc) const
+    {
+        return pcs_[static_cast<std::size_t>(pc)].lastCasBg;
+    }
+
     /** casClassTerm of a RD/WR to (@p sid, @p bg). */
     Tick
     casSharedTerm(int pc, int sid, int bg, bool is_write) const

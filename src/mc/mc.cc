@@ -20,6 +20,9 @@ constexpr int kPrioPre = 4;
 constexpr int kPrioIdlePre = 5;  // close/adaptive policy precharges
 constexpr int kPrioRefresh = 6;  // opportunistic refresh
 
+/** PCs per channel the scheduler's per-step PC ordering supports. */
+constexpr int kMaxPcs = 8;
+
 /** Refresh postponement bound before a refresh becomes forced (JEDEC: 8). */
 constexpr int kRefreshForceAt = 8;
 constexpr int kRefreshPendingCap = 9;
@@ -29,6 +32,31 @@ constexpr int kRankRefresh = 0;
 constexpr int kRankReadOp = 1;
 constexpr int kRankWriteOp = 2;
 constexpr int kRankIdlePre = 3;
+
+/**
+ * Running min of (issue tick, rank key hi, rank key lo) with the ref of
+ * its candidate. Updated with masked selects: most offers lose, in
+ * data-dependent ways, so a branch would mispredict on every win.
+ */
+struct Best
+{
+    Tick e = kTickMax;
+    std::uint64_t hi = ~std::uint64_t{0};
+    std::uint64_t lo = ~std::uint64_t{0};
+    int ref = -1;
+
+    void
+    offer(Tick oe, std::uint64_t ohi, std::uint64_t olo, int oref)
+    {
+        const bool win =
+            (oe < e) | ((oe == e) & ((ohi < hi) | ((ohi == hi) & (olo < lo))));
+        const std::uint64_t m = 0 - static_cast<std::uint64_t>(win);
+        e ^= (e ^ oe) & static_cast<Tick>(m);
+        hi ^= (hi ^ ohi) & m;
+        lo ^= (lo ^ olo) & m;
+        ref ^= (ref ^ oref) & static_cast<int>(m);
+    }
+};
 
 /** Last activity of an open bank (adaptive idle-timeout reference). */
 Tick
@@ -47,6 +75,8 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
 {
     if (cfg_.readQueueDepth < 1 || cfg_.writeQueueDepth < 1)
         fatal("queue depths must be positive");
+    if (cfg.org.pcsPerChannel > kMaxPcs)
+        fatal("at most %d pseudo channels per channel", kMaxPcs);
 #if !ROME_ORACLES
     if (cfg_.legacyScheduler)
         fatal("McConfig::legacyScheduler is a test-only oracle compiled "
@@ -89,14 +119,26 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
             bankIx_[static_cast<std::size_t>(b)].addr = a;
         }
         cands_.resize(static_cast<std::size_t>(nbanks));
+        staleBanks_.reserve(cands_.size());
+        for (int b = 0; b < nbanks; ++b)
+            staleBanks_.push_back(b);
+        walkTick_.resize(cands_.size() * 3);
+        walkRef_.resize(cands_.size() * 3);
         for (int b = 0; b < nbanks; ++b) {
             BankCands& c = cands_[static_cast<std::size_t>(b)];
-            c.pc = bankIx_[static_cast<std::size_t>(b)].addr.pc;
+            const DramAddress& a = bankIx_[static_cast<std::size_t>(b)].addr;
+            c.pc = a.pc;
+            c.sid = a.sid;
+            c.bg = a.bg;
             c.group = b / cfg.org.banksPerGroup; // flat index is PC-major
             c.unit = b / cfg.org.banksPerSid();
         }
         numGroups_ = nbanks / cfg.org.banksPerGroup;
-        sharedTerm_.assign(static_cast<std::size_t>(1 + 3 * numGroups_), 0);
+        sharedTerm_.assign(
+            static_cast<std::size_t>(1 + numGroups_ + 8 * cfg.org.pcsPerChannel),
+            0);
+        lastCas_.assign(static_cast<std::size_t>(2 * cfg.org.pcsPerChannel),
+                        -1);
         busFloor_.assign(static_cast<std::size_t>(2 * cfg.org.pcsPerChannel),
                          0);
         fillSharedTerms();
@@ -104,10 +146,14 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
                                                   cfg_.writeQueueDepth);
         pool_.reserve(cap);
         freeNodes_.reserve(cap);
-        activeBanks_.reserve(static_cast<std::size_t>(nbanks));
+        banksPerPc_ = nbanks / cfg.org.pcsPerChannel;
+        activeBanks_.assign(static_cast<std::size_t>(nbanks), -1);
+        activeCount_.assign(static_cast<std::size_t>(cfg.org.pcsPerChannel),
+                            0);
+        rowCands_.assign(static_cast<std::size_t>(cfg.org.pcsPerChannel), 0);
         openBanks_.reserve(static_cast<std::size_t>(nbanks));
         unitForcedBank_.assign(refreshUnits_.size(), -1);
-        nextRefreshDue_ = firstRefreshDue();
+        liveRefresh_.reserve(refreshUnits_.size());
     }
     initTelemetry(cfg_.telemetry, cfg.org.banksPerChannel());
 }
@@ -238,9 +284,13 @@ ConventionalMc::updateWriteDrain()
     }
     if (drainingWrites_ != was) {
         // Queued writes join or leave every bank's candidate set.
-        for (const int b : activeBanks_) {
-            if (bankIx_[static_cast<std::size_t>(b)].write.count > 0)
-                cands_[static_cast<std::size_t>(b)].stale = true;
+        for (std::size_t pc = 0; pc < activeCount_.size(); ++pc) {
+            const int* seg =
+                &activeBanks_[pc * static_cast<std::size_t>(banksPerPc_)];
+            for (int i = 0; i < activeCount_[pc]; ++i) {
+                if (bankIx_[static_cast<std::size_t>(seg[i])].write.count > 0)
+                    markStale(seg[i]);
+            }
         }
     }
 }
@@ -462,6 +512,9 @@ ConventionalMc::insertOpIndexed(Op op)
     BankEntry& e = bankIx_[static_cast<std::size_t>(n.bank)];
     const bool is_write = op.kind == ReqKind::Write;
     BankList& l = is_write ? e.write : e.read;
+    const int count_before = l.count;
+    const int hits_before = l.hitCount;
+    const int rep_before = l.hitRep;
     if (l.tail == -1) {
         l.head = l.tail = node;
     } else {
@@ -477,8 +530,11 @@ ConventionalMc::insertOpIndexed(Op op)
     else
         ++readCount_;
     if (e.activePos == -1) {
-        e.activePos = static_cast<int>(activeBanks_.size());
-        activeBanks_.push_back(n.bank);
+        const int pc = op.addr.pc;
+        e.activePos = activeCount_[static_cast<std::size_t>(pc)]++;
+        activeBanks_[static_cast<std::size_t>(pc * banksPerPc_ +
+                                              e.activePos)] = n.bank;
+        refreshWake_ = 0; // a refresh at this bank is now postponed
     }
 
     const BankRecord& rec = dev_.bankRecord(n.bank);
@@ -493,7 +549,21 @@ ConventionalMc::insertOpIndexed(Op op)
     }
     if (op.arrival < l.minArrivalLb)
         l.minArrivalLb = op.arrival;
-    cands_[static_cast<std::size_t>(n.bank)].stale = true;
+
+    // Most admissions leave the bank's candidates as they were: a write
+    // outside a drain is invisible, a closed bank's ACT keeps the same
+    // list head, and a hit behind an unchanged representative changes no
+    // count the candidates read.
+    bool keep;
+    if (is_write && !drainingWrites_)
+        keep = true;
+    else if (!rec.open())
+        keep = count_before > 0 || (is_write && e.read.count > 0);
+    else
+        keep = rec.openRow == op.addr.row && hits_before > 0 &&
+               rep_before >= 0 && l.hitRep == rep_before;
+    if (!keep)
+        markStale(n.bank);
 }
 
 void
@@ -540,13 +610,20 @@ ConventionalMc::removeOpIndexed(int node)
     }
 
     if (e.read.count == 0 && e.write.count == 0) {
-        const int last = activeBanks_.back();
-        activeBanks_[static_cast<std::size_t>(e.activePos)] = last;
+        const int pc = n.op.addr.pc;
+        int* seg = &activeBanks_[static_cast<std::size_t>(pc * banksPerPc_)];
+        const int last = seg[--activeCount_[static_cast<std::size_t>(pc)]];
+        seg[e.activePos] = last;
         bankIx_[static_cast<std::size_t>(last)].activePos = e.activePos;
-        activeBanks_.pop_back();
         e.activePos = -1;
+        // An idle bank offers nothing until work arrives.
+        BankCands& c = cands_[static_cast<std::size_t>(n.bank)];
+        rowCands_[static_cast<std::size_t>(pc)] -= c.rowCount;
+        c.rowCount = 0;
+        c.count = 0;
+        refreshWake_ = 0; // a refresh postponed for this bank may issue
     }
-    cands_[static_cast<std::size_t>(n.bank)].stale = true;
+    markStale(n.bank);
     freeNodes_.push_back(node);
 }
 
@@ -585,7 +662,7 @@ ConventionalMc::reindexBankRow(int bank)
     const int open_row = rec.open() ? rec.openRow : -1;
     rescanList(e.read, open_row);
     rescanList(e.write, open_row);
-    cands_[static_cast<std::size_t>(bank)].stale = true;
+    markStale(bank);
 }
 
 int
@@ -640,6 +717,16 @@ ConventionalMc::agedConflictRep(const BankEntry& e, bool any_write,
 }
 
 void
+ConventionalMc::markStale(int bank)
+{
+    BankCands& c = cands_[static_cast<std::size_t>(bank)];
+    if (!c.stale) {
+        c.stale = true;
+        staleBanks_.push_back(bank);
+    }
+}
+
+void
 ConventionalMc::rebuildCands(int bank)
 {
     BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
@@ -647,6 +734,8 @@ ConventionalMc::rebuildCands(int bank)
     c.stale = false;
     c.count = 0;
     c.validUntil = kTickMax;
+    rowCands_[static_cast<std::size_t>(c.pc)] -= c.rowCount;
+    c.rowCount = 0;
     const bool any_read = e.read.count > 0;
     const bool any_write = drainingWrites_ && e.write.count > 0;
     if (!any_read && !any_write)
@@ -656,8 +745,10 @@ ConventionalMc::rebuildCands(int bank)
                          Tick bank_term) {
         const OpNode& n = pool_[static_cast<std::size_t>(node)];
         const Tick aged_at = agedAt(n.op.arrival);
-        if (now_ < aged_at)
+        if (now_ < aged_at) {
             c.validUntil = std::min(c.validUntil, aged_at);
+            nextAging_ = std::min(nextAging_, aged_at);
+        }
         CachedCand& k = c.cand[static_cast<std::size_t>(c.count++)];
         k.key = rankKey(now_ >= aged_at ? kPrioForced : prio, n.op.arrival,
                         rank_cat, n.seq);
@@ -665,10 +756,15 @@ ConventionalMc::rebuildCands(int bank)
         k.node = node;
         k.kind = kind;
         const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
+        if (!is_cas) {
+            ++c.rowCount;
+            ++rowCands_[static_cast<std::size_t>(c.pc)];
+        }
         k.busIdx = 2 * c.pc + (is_cas ? 1 : 0);
         k.sharedIdx = kind == CmdKind::Act ? actTermIdx(c.group)
-                      : is_cas ? casTermIdx(c.group, kind == CmdKind::Wr)
+                      : is_cas ? casTermIdx(c.pc, 0, kind == CmdKind::Wr)
                                : 0; // PRE: bank-local terms only
+        k.classMask = is_cas ? ~0 : 0;
     };
 
     const BankRecord& rec = dev_.bankRecord(bank);
@@ -705,6 +801,7 @@ ConventionalMc::rebuildCands(int bank)
     } else {
         rep = agedConflictRep(e, any_write, rec.openRow, rep_write,
                               c.validUntil);
+        nextAging_ = std::min(nextAging_, c.validUntil);
     }
     if (rep != -1) {
         add(CmdKind::Pre, rep, kPrioPre,
@@ -756,9 +853,27 @@ ConventionalMc::fillSharedTerms()
         const int pc = g / org.bankGroupsPerSid / org.sidsPerChannel;
         sharedTerm_[static_cast<std::size_t>(actTermIdx(g))] =
             dev_.actSharedTerm(pc, sid, bg);
-        for (const bool w : {false, true}) {
-            sharedTerm_[static_cast<std::size_t>(casTermIdx(g, w))] =
-                dev_.casSharedTerm(pc, sid, bg, w);
+    }
+    for (int pc = 0; pc < org.pcsPerChannel; ++pc) {
+        fillCasTerms(pc);
+        lastCas_[static_cast<std::size_t>(2 * pc)] = dev_.lastCasSid(pc);
+        lastCas_[static_cast<std::size_t>(2 * pc + 1)] = dev_.lastCasBg(pc);
+        busFloor_[static_cast<std::size_t>(2 * pc)] = dev_.rowBusFloor(pc);
+        busFloor_[static_cast<std::size_t>(2 * pc + 1)] =
+            dev_.colBusFloor(pc);
+    }
+}
+
+void
+ConventionalMc::fillCasTerms(int pc)
+{
+    for (const bool same_sid : {false, true}) {
+        for (const bool same_bg : {false, true}) {
+            for (const bool w : {false, true}) {
+                sharedTerm_[static_cast<std::size_t>(casTermIdx(
+                    pc, 2 * same_sid + same_bg, w))] =
+                    dev_.casClassTerm(pc, same_sid, same_bg, w);
+            }
         }
     }
 }
@@ -768,6 +883,7 @@ ConventionalMc::updateSharedTerms(const Command& cmd)
 {
     const Organization& org = dramCfg_.org;
     const DramAddress& a = cmd.addr;
+    const bool is_cas = cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr;
     if (cmd.kind == CmdKind::Act) {
         // tRRD and tFAW move for every bank group of the (PC, SID).
         const int g0 = (a.pc * org.sidsPerChannel + a.sid) *
@@ -776,39 +892,16 @@ ConventionalMc::updateSharedTerms(const Command& cmd)
             sharedTerm_[static_cast<std::size_t>(actTermIdx(g0 + bg))] =
                 dev_.actSharedTerm(a.pc, a.sid, bg);
         }
-    } else if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
-        // The CAS chain moves for every group of the PC; it depends only
-        // on whether a group shares this CAS's SID and bank group.
-        Tick cls[2][2][2];
-        for (const bool same_sid : {false, true}) {
-            for (const bool same_bg : {false, true}) {
-                for (const bool w : {false, true}) {
-                    cls[same_sid][same_bg][w] =
-                        dev_.casClassTerm(a.pc, same_sid, same_bg, w);
-                }
-            }
-        }
-        const int g0 = a.pc * org.sidsPerChannel * org.bankGroupsPerSid;
-        for (int sid = 0; sid < org.sidsPerChannel; ++sid) {
-            for (int bg = 0; bg < org.bankGroupsPerSid; ++bg) {
-                const int g = g0 + sid * org.bankGroupsPerSid + bg;
-                const Tick* v = cls[sid == a.sid][bg == a.bg];
-                sharedTerm_[static_cast<std::size_t>(casTermIdx(g, false))] =
-                    v[0];
-                sharedTerm_[static_cast<std::size_t>(casTermIdx(g, true))] =
-                    v[1];
-            }
-        }
+    } else if (is_cas) {
+        // The CAS chain moves for the whole PC, and each bank's class
+        // moves with this CAS's SID and bank group.
+        fillCasTerms(a.pc);
+        lastCas_[static_cast<std::size_t>(2 * a.pc)] = a.sid;
+        lastCas_[static_cast<std::size_t>(2 * a.pc + 1)] = a.bg;
     }
-}
-
-Tick
-ConventionalMc::firstRefreshDue() const
-{
-    Tick t = kTickMax;
-    for (const RefreshUnit& u : refreshUnits_)
-        t = std::min(t, u.rot.due);
-    return t;
+    // The command's bus moved its floor.
+    busFloor_[static_cast<std::size_t>(2 * a.pc + (is_cas ? 1 : 0))] =
+        is_cas ? dev_.colBusFloor(a.pc) : dev_.rowBusFloor(a.pc);
 }
 
 Command
@@ -840,44 +933,32 @@ ConventionalMc::stepOnceIndexed(Tick until)
     // max(now, bank term, shared term). Commands issue in time order, so
     // that slot is max(that max, the bus's newest reservation end): one
     // max of cached terms per candidate, with ties broken by rank.
-    for (int pc = 0; pc < dramCfg_.org.pcsPerChannel; ++pc) {
-        busFloor_[static_cast<std::size_t>(2 * pc)] = dev_.rowBusFloor(pc);
-        busFloor_[static_cast<std::size_t>(2 * pc + 1)] =
-            dev_.colBusFloor(pc);
-    }
-    // The winner is the min of (issue tick, rank key). The running best
-    // is kept in scalars and updated without branches: most candidates
-    // lose, in data-dependent ways. A ref names the winner: its bank
-    // times kRefSlots plus a cached-candidate slot, kRefRefresh or
-    // kRefIdlePre.
+    // The winner is the min of (issue tick, rank key). A ref names it:
+    // its bank times kRefSlots plus a cached-candidate slot, kRefRefresh
+    // or kRefIdlePre.
     constexpr int kRefSlots = 8;
     constexpr int kRefRefresh = 3;
     constexpr int kRefIdlePre = 4;
-    Tick best_e = kTickMax;
-    std::uint64_t best_hi = ~std::uint64_t{0};
-    std::uint64_t best_lo = ~std::uint64_t{0};
-    int best_ref = -1;
-    const auto consider = [&](Tick e, const RankKey& key, int ref) {
-        const bool win =
-            (e < best_e) |
-            ((e == best_e) &
-             ((key.hi < best_hi) | ((key.hi == best_hi) & (key.lo < best_lo))));
-        best_e = win ? e : best_e;
-        best_hi = win ? key.hi : best_hi;
-        best_lo = win ? key.lo : best_lo;
-        best_ref = win ? ref : best_ref;
+    Best best_run;
+    const auto consider = [&best_run](Tick e, const RankKey& key, int ref) {
+        best_run.offer(e, key.hi, key.lo, ref);
     };
 
-    // --- refresh candidates + the per-step forced-block table -----------
-    heldAny_ = false;
-    if (cfg_.refreshEnabled && now_ >= nextRefreshDue_) {
+    // --- refresh candidates + the forced-block table ---------------------
+    if (cfg_.refreshEnabled && now_ >= refreshWake_) {
         const int banks_per_sid = dramCfg_.org.banksPerSid();
+        Tick wake = kTickMax;
+        heldAny_ = false;
+        liveRefresh_.clear();
         for (std::size_t i = 0; i < refreshUnits_.size(); ++i) {
             const RefreshUnit& u = refreshUnits_[i];
             unitForcedBank_[i] = -1;
-            if (now_ < u.rot.due)
-                continue; // nothing owed
-            const bool forced = now_ >= u.rot.owedAt(kRefreshForceAt);
+            if (now_ < u.rot.due) {
+                wake = std::min(wake, u.rot.due); // nothing owed yet
+                continue;
+            }
+            const Tick forced_at = u.rot.owedAt(kRefreshForceAt);
+            const bool forced = now_ >= forced_at;
             // Units are PC-major (PC, SID) pairs, as are flat bank indices.
             const int bank = static_cast<int>(i) * banks_per_sid +
                              u.rot.cursor;
@@ -885,39 +966,128 @@ ConventionalMc::stepOnceIndexed(Tick until)
             if (forced) {
                 unitForcedBank_[i] = bank;
                 heldAny_ = true;
-            } else if (e.read.count + e.write.count > 0) {
-                continue; // postpone while the target bank has queued work
+            } else {
+                wake = std::min(wake, forced_at);
+                if (e.read.count + e.write.count > 0)
+                    continue; // postponed while the bank has queued work
             }
-            // Most-overdue first among refresh ties.
-            const RankKey key = rankKey(forced ? kPrioForced : kPrioRefresh,
-                                        u.rot.due, kRankRefresh, i);
             const BankRecord& rec = dev_.bankRecord(bank);
-            const Tick x =
-                rec.open() ? dev_.preBankTerm(rec)
-                           : std::max(dev_.refPbBankTerm(rec),
-                                      dev_.refPbSharedTerm(u.pc, u.sid));
-            consider(std::max({now_, x,
-                               busFloor_[static_cast<std::size_t>(2 * u.pc)]}),
-                     key, bank * kRefSlots + kRefRefresh);
+            RefreshCand rc;
+            rc.term = rec.open() ? dev_.preBankTerm(rec)
+                                 : std::max(dev_.refPbBankTerm(rec),
+                                            dev_.refPbSharedTerm(u.pc, u.sid));
+            // Most-overdue first among refresh ties.
+            rc.key = rankKey(forced ? kPrioForced : kPrioRefresh, u.rot.due,
+                             kRankRefresh, i);
+            rc.bank = bank;
+            rc.pc = u.pc;
+            liveRefresh_.push_back(rc);
         }
+        refreshWake_ = wake;
+    }
+    for (const RefreshCand& rc : liveRefresh_) {
+        consider(std::max({now_, rc.term,
+                           busFloor_[static_cast<std::size_t>(2 * rc.pc)]}),
+                 rc.key, rc.bank * kRefSlots + kRefRefresh);
     }
 
     // --- op candidates: the cached entries of the banks that have work --
-    for (const int b : activeBanks_) {
-        BankCands& c = cands_[static_cast<std::size_t>(b)];
-        if (heldAny_ &&
-            unitForcedBank_[static_cast<std::size_t>(c.unit)] == b) {
-            continue; // bank held for a forced refresh
+    const int num_pcs = dramCfg_.org.pcsPerChannel;
+    if (now_ >= nextAging_) {
+        // Some cache may hold an op that has aged since: recheck them all.
+        nextAging_ = kTickMax;
+        for (int pc = 0; pc < num_pcs; ++pc) {
+            const int* seg = &activeBanks_[static_cast<std::size_t>(
+                pc * banksPerPc_)];
+            for (int i = 0; i < activeCount_[static_cast<std::size_t>(pc)];
+                 ++i) {
+                const BankCands& c = cands_[static_cast<std::size_t>(seg[i])];
+                if (now_ >= c.validUntil)
+                    markStale(seg[i]);
+                else if (!c.stale)
+                    nextAging_ = std::min(nextAging_, c.validUntil);
+            }
         }
-        if (c.stale || now_ >= c.validUntil)
-            rebuildCands(b);
+    }
+    for (const int b : staleBanks_)
+        rebuildCands(b);
+    staleBanks_.clear();
+    const Tick now = now_;
+    const Tick* shared = sharedTerm_.data();
+    const Tick* bus = busFloor_.data();
+    const BankCands* cands = cands_.data();
+    const int* held = heldAny_ ? unitForcedBank_.data() : nullptr;
+    // Two passes: the first finds the earliest issue tick over the
+    // walked candidates (a min chain of one compare per candidate), the
+    // second ranks only the candidates that reach it.
+    const int* last_cas = lastCas_.data();
+    Tick* scratch_e = walkTick_.data();
+    int* scratch_ref = walkRef_.data();
+    int n_walked = 0;
+    Tick min_e = kTickMax;
+    const auto walk_bank = [&](int b) {
+        const BankCands& c = cands[b];
+        if (held != nullptr && held[c.unit] == b)
+            return; // bank held for a forced refresh
+        const int cas_class =
+            2 * (2 * (c.sid == last_cas[2 * c.pc]) +
+                 (c.bg == last_cas[2 * c.pc + 1]));
         for (int k = 0; k < c.count; ++k) {
             const CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
-            const Tick e = std::max(
-                std::max(now_, cc.bankTerm),
-                std::max(sharedTerm_[static_cast<std::size_t>(cc.sharedIdx)],
-                         busFloor_[static_cast<std::size_t>(cc.busIdx)]));
-            consider(e, cc.key, b * kRefSlots + k);
+            const Tick term = shared[cc.sharedIdx + (cas_class & cc.classMask)];
+            const Tick e = std::max(std::max(now, cc.bankTerm),
+                                    std::max(term, bus[cc.busIdx]));
+            // Keep only candidates that tie or beat the running min: a
+            // superset of the final ties.
+            scratch_e[n_walked] = e;
+            scratch_ref[n_walked] = b * kRefSlots + k;
+            n_walked += e <= min_e;
+            min_e = std::min(min_e, e);
+        }
+    };
+    // A PC's candidates issue no earlier than its bound: the column bus
+    // floor and CAS chain for RD/WR, the row bus floor for ACT/PRE. PCs
+    // are walked in bound order; one whose bound exceeds the earliest
+    // tick so far cannot win (an equal bound may still tie and win on
+    // rank).
+    std::array<Tick, kMaxPcs> bound{};
+    std::array<int, kMaxPcs> order{};
+    for (int pc = 0; pc < num_pcs; ++pc) {
+        Tick lb = std::max({now, bus[2 * pc + 1], dev_.casFloor(pc, now)});
+        if (rowCands_[static_cast<std::size_t>(pc)] > 0)
+            lb = std::min(lb, std::max(now, bus[2 * pc]));
+        int j = pc; // insertion sort: a handful of PCs
+        while (j > 0 && bound[static_cast<std::size_t>(j - 1)] > lb) {
+            bound[static_cast<std::size_t>(j)] =
+                bound[static_cast<std::size_t>(j - 1)];
+            order[static_cast<std::size_t>(j)] =
+                order[static_cast<std::size_t>(j - 1)];
+            --j;
+        }
+        bound[static_cast<std::size_t>(j)] = lb;
+        order[static_cast<std::size_t>(j)] = pc;
+    }
+    for (int j = 0; j < num_pcs; ++j) {
+        if (bound[static_cast<std::size_t>(j)] >
+            std::min(min_e, best_run.e)) {
+            break; // this PC and every later one lose
+        }
+        const int p = order[static_cast<std::size_t>(j)];
+        const int* seg = &activeBanks_[static_cast<std::size_t>(
+            p * banksPerPc_)];
+        for (int i = 0; i < activeCount_[static_cast<std::size_t>(p)]; ++i)
+            walk_bank(seg[i]);
+    }
+    if (min_e <= best_run.e) {
+        for (int i = 0; i < n_walked; ++i) {
+            if (scratch_e[i] != min_e)
+                continue;
+            const int ref = scratch_ref[i];
+            const RankKey& key = cands[ref / kRefSlots]
+                                     .cand[static_cast<std::size_t>(
+                                         ref % kRefSlots)]
+                                     .key;
+            best_run.offer(min_e, key.hi, key.lo, ref);
         }
     }
 
@@ -944,12 +1114,12 @@ ConventionalMc::stepOnceIndexed(Tick until)
         }
     }
 
-    const bool have_best = best_ref >= 0;
+    const bool have_best = best_run.ref >= 0;
     Pick best;
     if (have_best) {
-        best.earliest = best_e;
-        best.bank = best_ref / kRefSlots;
-        const int slot = best_ref % kRefSlots;
+        best.earliest = best_run.e;
+        best.bank = best_run.ref / kRefSlots;
+        const int slot = best_run.ref % kRefSlots;
         if (slot == kRefRefresh) {
             best.kind = dev_.bankRecord(best.bank).open() ? CmdKind::Pre
                                                           : CmdKind::RefPb;
@@ -1014,7 +1184,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
             }
             if (!matched) {
                 for (const auto& u : refreshUnits_) {
-                    if (pendingRefreshCount(u) == 0 && u.rot.due == next) {
+                    if (now_ < u.rot.due && u.rot.due == next) {
                         cause = StallCause::Refresh;
                         break;
                     }
@@ -1061,15 +1231,17 @@ ConventionalMc::stepOnceIndexed(Tick until)
     const auto res = dev_.issue(cmd, now_);
     readQOcc_.sample(static_cast<double>(readCount_));
     // Every command moves its bank's timing terms.
-    cands_[static_cast<std::size_t>(best.bank)].stale = true;
+    markStale(best.bank);
     updateSharedTerms(cmd);
+    if (cmd.kind == CmdKind::Pre)
+        refreshWake_ = 0; // a refresh at this bank turns PRE into REFpb
 
     if (best.refreshUnit >= 0) {
         if (cmd.kind == CmdKind::RefPb) {
             RefreshUnit& u =
                 refreshUnits_[static_cast<std::size_t>(best.refreshUnit)];
             u.rot.advance(dramCfg_.org.banksPerSid());
-            nextRefreshDue_ = firstRefreshDue();
+            refreshWake_ = 0;
             if (faults_.enabled())
                 runScrub(); // patrol scrub rides the refresh calendar
         } else {
@@ -1503,9 +1675,15 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         w.putI32(e.openPos);
         putDramAddress(w, e.addr);
     }
-    w.putCount(activeBanks_.size());
-    for (const int b : activeBanks_)
-        w.putI32(b);
+    w.putCount(activeCount_.size());
+    for (std::size_t pc = 0; pc < activeCount_.size(); ++pc) {
+        const int n = activeCount_[pc];
+        w.putI32(n);
+        for (int i = 0; i < n; ++i) {
+            w.putI32(activeBanks_[pc * static_cast<std::size_t>(banksPerPc_) +
+                                  static_cast<std::size_t>(i)]);
+        }
+    }
     w.putCount(openBanks_.size());
     for (const int b : openBanks_)
         w.putI32(b);
@@ -1589,9 +1767,18 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         e.openPos = r.getI32();
         e.addr = getDramAddress(r);
     }
-    activeBanks_.resize(r.getCount());
-    for (int& b : activeBanks_)
-        b = r.getI32();
+    if (r.getCount() != activeCount_.size())
+        fatal("hbm4 checkpoint PC count mismatch");
+    for (std::size_t pc = 0; pc < activeCount_.size(); ++pc) {
+        const int n = r.getI32();
+        if (n < 0 || n > banksPerPc_)
+            fatal("hbm4 checkpoint active-bank count out of range");
+        activeCount_[pc] = n;
+        for (int i = 0; i < n; ++i) {
+            activeBanks_[pc * static_cast<std::size_t>(banksPerPc_) +
+                         static_cast<std::size_t>(i)] = r.getI32();
+        }
+    }
     openBanks_.resize(r.getCount());
     for (int& b : openBanks_)
         b = r.getI32();
@@ -1622,12 +1809,20 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     scrubEvents_.clear();
     // Cached candidates and shared terms are functions of the restored
     // state: re-derive them.
-    for (BankCands& c : cands_)
+    staleBanks_.clear();
+    for (std::size_t b = 0; b < cands_.size(); ++b) {
+        BankCands& c = cands_[b];
         c.stale = true;
-    if (!cfg_.legacyScheduler) {
-        fillSharedTerms();
-        nextRefreshDue_ = firstRefreshDue();
+        c.count = 0;
+        c.rowCount = 0;
+        staleBanks_.push_back(static_cast<int>(b));
     }
+    nextAging_ = kTickMax;
+    std::fill(rowCands_.begin(), rowCands_.end(), 0);
+    if (!cfg_.legacyScheduler)
+        fillSharedTerms();
+    refreshWake_ = 0;
+    liveRefresh_.clear();
 }
 
 } // namespace rome

@@ -226,7 +226,7 @@ class ConventionalMc : public ChannelControllerBase
     {
         BankList read;
         BankList write;
-        int activePos = -1; ///< position in activeBanks_, -1 when absent
+        int activePos = -1; ///< position in its PC's active list, or -1
         int openPos = -1;   ///< position in openBanks_, -1 when closed
         DramAddress addr;   ///< bank coordinates (row/col unused)
     };
@@ -251,32 +251,49 @@ class ConventionalMc : public ChannelControllerBase
 
     /**
      * One cached candidate of a bank. Its issue tick at now is
-     * max(now, bankTerm, sharedTerm_[sharedIdx], busFloor_[busIdx]).
+     * max(now, bankTerm, sharedTerm_[sharedIdx + (class & classMask)],
+     * busFloor_[busIdx]), where a RD/WR's class says whether its bank
+     * shares the SID and bank group of its PC's last CAS.
      */
     struct CachedCand
     {
-        RankKey key;
         /** The device's bank-local timing term for the command. */
         Tick bankTerm = 0;
+        int sharedIdx = 0;
+        int classMask = 0; ///< ~0 for RD/WR, 0 for ACT/PRE
+        int busIdx = 0;
+        RankKey key;
         /** Pool node of the op the candidate serves or is ranked by. */
         int node = -1;
-        int sharedIdx = 0;
-        int busIdx = 0;
         CmdKind kind = CmdKind::Act;
     };
 
     /** A bank's cached candidates plus its constant coordinates. */
     struct BankCands
     {
-        std::array<CachedCand, 3> cand{};
-        int count = 0;
-        /** An event on the bank invalidated the candidates. */
-        bool stale = true;
         /** First tick at which an op's aging can change a candidate. */
         Tick validUntil = kTickMax;
+        int count = 0;
+        /** Candidates among them on the row bus (ACT, PRE). */
+        int rowCount = 0;
+        int unit = 0; ///< refresh unit ((PC, SID) index)
+        /** An event on the bank invalidated the candidates. */
+        bool stale = true;
         int pc = 0;
+        int sid = 0;
+        int bg = 0;
         int group = 0; ///< flat (PC, SID, bank group) index
-        int unit = 0;  ///< refresh unit ((PC, SID) index)
+        std::array<CachedCand, 3> cand{};
+    };
+
+    /** A refresh unit's live candidate (PRE or REFpb at its cursor). */
+    struct RefreshCand
+    {
+        /** Bank-local and (PC, SID) terms; the row bus adds its floor. */
+        Tick term = 0;
+        RankKey key;
+        int bank = 0;
+        int pc = 0;
     };
 
     /** A step's winning candidate. */
@@ -346,19 +363,25 @@ class ConventionalMc : public ChannelControllerBase
                         bool& rep_is_write, Tick& valid_until);
     /** Re-derive a bank's cached candidates at now_. */
     void rebuildCands(int bank);
-    /** Shared-term table slots: ACT per group, RD/WR per group and way. */
+    /** Queue a bank whose candidates an event invalidated. */
+    void markStale(int bank);
+    /**
+     * Shared-term table slots: ACT per group; RD/WR per PC, CAS class
+     * (2 * same SID + same bank group as the PC's last CAS) and way.
+     */
     int actTermIdx(int group) const { return 1 + group; }
     int
-    casTermIdx(int group, bool is_write) const
+    casTermIdx(int pc, int cas_class, bool is_write) const
     {
-        return 1 + numGroups_ + 2 * group + (is_write ? 1 : 0);
+        return 1 + numGroups_ + 8 * pc + 2 * cas_class + (is_write ? 1 : 0);
     }
-    /** Recompute every shared term (construction, restore). */
+    /** Recompute every shared term and bus floor (construction, restore). */
     void fillSharedTerms();
-    /** Recompute the shared terms @p cmd (just committed) changed. */
+    /** Recompute @p pc's RD/WR terms for every CAS class. */
+    void fillCasTerms(int pc);
+    /** Recompute the shared terms and bus floor @p cmd (just committed)
+     *  moved. */
     void updateSharedTerms(const Command& cmd);
-    /** Earliest refresh due tick over every unit. */
-    Tick firstRefreshDue() const;
     void noteBankOpened(int bank);
     void noteBankClosed(int bank);
     void applyRowCommand(const Command& cmd);
@@ -384,23 +407,50 @@ class ConventionalMc : public ChannelControllerBase
     std::vector<int> freeNodes_;
     std::vector<BankEntry> bankIx_;
     std::vector<BankCands> cands_; ///< per bank; rebuilt, never serialized
+    /** Banks marked stale since the last walk, each once. */
+    std::vector<int> staleBanks_;
+    /** No cache needs rebuilding for aging before this tick. */
+    Tick nextAging_ = kTickMax;
+    /** Scratch of a step's walk: issue tick and ref per candidate. */
+    std::vector<Tick> walkTick_;
+    std::vector<int> walkRef_;
     int numGroups_ = 0; ///< (PC, SID, bank group) triples
     /**
      * The device's shared timing terms, refreshed only by the commands
      * that move them: slot 0 is the empty term of a PRE, then one ACT
-     * term per group, then one RD and one WR term per group.
+     * term per group, then per PC one RD and one WR term per CAS class.
      */
     std::vector<Tick> sharedTerm_;
-    /** Per PC: row-bus floor at 2 * pc, column-bus floor at 2 * pc + 1. */
+    /** Per PC: SID at 2 * pc and bank group at 2 * pc + 1 of its last
+     *  CAS (ChannelDevice::lastCasSid / lastCasBg). */
+    std::vector<int> lastCas_;
+    /** Per PC: row-bus floor at 2 * pc, column-bus floor at 2 * pc + 1
+     *  (ChannelDevice::rowBusFloor), refreshed as commands issue. */
     std::vector<Tick> busFloor_;
-    std::vector<int> activeBanks_; ///< banks with any queued op
+    /**
+     * Banks with any queued op, one segment of banksPerPc_ slots per PC
+     * holding activeCount_[pc] banks. A step walks the PCs in order of a
+     * lower bound on their candidates' issue ticks and skips a PC whose
+     * bound already loses to the running best.
+     */
+    std::vector<int> activeBanks_;
+    std::vector<int> activeCount_;
+    int banksPerPc_ = 0;
+    /** Per PC: row-bus candidates cached for its active banks. */
+    std::vector<int> rowCands_;
     std::vector<int> openBanks_;   ///< banks the MC holds open
+    // Refresh units are rescanned only when their candidates can change:
+    // at the next due tick or forcing deadline, or after an event that
+    // can move one (a bank joining or leaving the set with work, a
+    // precharge, a refresh). In between the scan's results stand.
     /** Per refresh unit: cursor bank when its refresh is forced, else -1
-     *  (valid in a step when heldAny_). */
+     *  (meaningful when heldAny_). */
     std::vector<int> unitForcedBank_;
     bool heldAny_ = false;
-    /** firstRefreshDue(), maintained as refreshes issue. */
-    Tick nextRefreshDue_ = kTickMax;
+    /** Refresh candidates found by the last scan. */
+    std::vector<RefreshCand> liveRefresh_;
+    /** First step tick at which the units must be rescanned. */
+    Tick refreshWake_ = 0;
     std::uint64_t admitSeq_ = 0;
     int readCount_ = 0;
     int writeCount_ = 0;

@@ -4,7 +4,10 @@
  * proves that each stack's indexed scheduler, once warmed up on a steady
  * pre-enqueued workload, steps through a long window without touching
  * the heap: once with telemetry off, and once with the counter tier
- * (stall attribution, latency breakdown, time series) on.
+ * (stall attribution, latency breakdown, time series) on. The
+ * conventional stack also runs its close and adaptive page policies
+ * (idle-row precharges) and a short QoS age threshold (aged priorities
+ * and aged conflict precharges).
  *
  * This is its own test binary because it replaces the global allocator.
  */
@@ -110,11 +113,9 @@ expectAllocFreeWindow(ChannelControllerBase& mc,
 }
 
 void
-conventionalWindow(bool counters)
+conventionalWindow(const McConfig& cfg)
 {
     const DramConfig dram = hbm4Config();
-    McConfig cfg;
-    cfg.telemetry.counters = counters;
     ConventionalMc mc(dram, bestBaselineMapping(dram.org), cfg);
     expectAllocFreeWindow(mc, mixedRequests(16_MiB), 60_us, 220_us);
 }
@@ -132,9 +133,35 @@ romeWindow(bool counters)
     expectAllocFreeWindow(mc, streamRequests(p), 120_us, 280_us);
 }
 
-TEST(AllocFree, ConventionalStep) { conventionalWindow(false); }
+TEST(AllocFree, ConventionalStep) { conventionalWindow(McConfig{}); }
 
-TEST(AllocFree, ConventionalStepWithCounters) { conventionalWindow(true); }
+TEST(AllocFree, ConventionalStepWithCounters)
+{
+    McConfig cfg;
+    cfg.telemetry.counters = true;
+    conventionalWindow(cfg);
+}
+
+TEST(AllocFree, ConventionalStepClosePage)
+{
+    McConfig cfg;
+    cfg.pagePolicy = PagePolicy::Close;
+    conventionalWindow(cfg);
+}
+
+TEST(AllocFree, ConventionalStepAdaptivePage)
+{
+    McConfig cfg;
+    cfg.pagePolicy = PagePolicy::Adaptive;
+    conventionalWindow(cfg);
+}
+
+TEST(AllocFree, ConventionalStepShortAgeThreshold)
+{
+    McConfig cfg;
+    cfg.agePriorityThreshold = 300_ns;
+    conventionalWindow(cfg);
+}
 
 TEST(AllocFree, RomeStep) { romeWindow(false); }
 
