@@ -1,6 +1,7 @@
 #include "mc/mc.h"
 
 #include <algorithm>
+#include <limits>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -75,8 +76,11 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
 {
     if (cfg_.readQueueDepth < 1 || cfg_.writeQueueDepth < 1)
         fatal("queue depths must be positive");
-    if (cfg.org.pcsPerChannel > kMaxPcs)
-        fatal("at most %d pseudo channels per channel", kMaxPcs);
+    if (cfg.org.pcsPerChannel > kMaxPcs || cfg.org.sidsPerChannel > 127 ||
+        cfg.org.bankGroupsPerSid > 127 ||
+        cfg.org.banksPerChannel() > std::numeric_limits<std::uint16_t>::max() / 2) {
+        fatal("bank geometry exceeds the scheduler's compact indices");
+    }
 #if !ROME_ORACLES
     if (cfg_.legacyScheduler)
         fatal("McConfig::legacyScheduler is a test-only oracle compiled "
@@ -127,11 +131,11 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
         for (int b = 0; b < nbanks; ++b) {
             BankCands& c = cands_[static_cast<std::size_t>(b)];
             const DramAddress& a = bankIx_[static_cast<std::size_t>(b)].addr;
-            c.pc = a.pc;
-            c.sid = a.sid;
-            c.bg = a.bg;
+            c.pc = static_cast<std::int8_t>(a.pc);
+            c.sid = static_cast<std::int8_t>(a.sid);
+            c.bg = static_cast<std::int8_t>(a.bg);
             c.group = b / cfg.org.banksPerGroup; // flat index is PC-major
-            c.unit = b / cfg.org.banksPerSid();
+            c.unit = static_cast<std::int16_t>(b / cfg.org.banksPerSid());
         }
         numGroups_ = nbanks / cfg.org.banksPerGroup;
         sharedTerm_.assign(
@@ -754,17 +758,17 @@ ConventionalMc::rebuildCands(int bank)
                         rank_cat, n.seq);
         k.bankTerm = bank_term;
         k.node = node;
-        k.kind = kind;
         const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
         if (!is_cas) {
             ++c.rowCount;
             ++rowCands_[static_cast<std::size_t>(c.pc)];
         }
-        k.busIdx = 2 * c.pc + (is_cas ? 1 : 0);
-        k.sharedIdx = kind == CmdKind::Act ? actTermIdx(c.group)
-                      : is_cas ? casTermIdx(c.pc, 0, kind == CmdKind::Wr)
-                               : 0; // PRE: bank-local terms only
-        k.classMask = is_cas ? ~0 : 0;
+        k.sharedIdx = static_cast<std::uint16_t>(
+            kind == CmdKind::Act ? actTermIdx(c.group)
+            : is_cas             ? casTermIdx(c.pc, 0, kind == CmdKind::Wr)
+                                 : 0); // PRE: bank-local terms only
+        k.classMask = is_cas ? -1 : 0;
+        k.kind = static_cast<std::uint8_t>(kind);
     };
 
     const BankRecord& rec = dev_.bankRecord(bank);
@@ -1035,8 +1039,9 @@ ConventionalMc::stepOnceIndexed(Tick until)
         for (int k = 0; k < c.count; ++k) {
             const CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
             const Tick term = shared[cc.sharedIdx + (cas_class & cc.classMask)];
+            const Tick floor = bus[2 * c.pc + (cc.classMask & 1)];
             const Tick e = std::max(std::max(now, cc.bankTerm),
-                                    std::max(term, bus[cc.busIdx]));
+                                    std::max(term, floor));
             // Keep only candidates that tie or beat the running min: a
             // superset of the final ties.
             scratch_e[n_walked] = e;
@@ -1130,7 +1135,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
             const CachedCand& cc =
                 cands_[static_cast<std::size_t>(best.bank)]
                     .cand[static_cast<std::size_t>(slot)];
-            best.kind = cc.kind;
+            best.kind = static_cast<CmdKind>(cc.kind);
             best.node = cc.node;
         }
     }

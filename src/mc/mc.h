@@ -17,14 +17,23 @@
  *    scheduling candidates — at most one ACT, or a RD-hit, a WR-hit and a
  *    conflict PRE — with their rank keys and the device's bank-local
  *    timing terms. Only an event on the bank re-derives them: an admitted
- *    or issued op, any command to the bank, a spare-row rewrite, a
- *    write-drain flip, or the next tick at which one of its ops ages into
- *    QoS priority. Picking the winner then needs no per-bank device probe:
- *    a candidate's issue tick is its bus's next free slot at the max of
- *    now, its cached bank term and the shared (PC, SID, bank group,
- *    direction) term, and the bus lookup itself is skipped whenever that
- *    max cannot beat the running best. Zero heap allocation in steady
- *    state.
+ *    op that changes them, an issued op, any command to the bank, a
+ *    spare-row rewrite, a write-drain flip, or the first tick at which
+ *    one of its ops ages into QoS priority.
+ *
+ *    Every device probe has the form bus.nextFree(max(now, bank term,
+ *    shared term)), and the shared term depends only on (PC, SID, bank
+ *    group, direction). The scheduler keeps the shared terms in a table
+ *    that only the command moving them refreshes (ACT terms per bank
+ *    group, RD/WR terms per PC and CAS class), and since it issues in
+ *    time order the bus slot is one more max term: the newest
+ *    reservation's end. A candidate's issue tick is then a max of cached
+ *    values, with no per-bank device probe. A step walks the PCs in
+ *    order of a lower bound on their issue ticks, skips a PC that
+ *    cannot win, takes the min tick and ranks only the candidates that
+ *    reach it. Refresh units are rescanned only at their due and forcing
+ *    deadlines or after an event that can move them. Zero heap
+ *    allocation in steady state.
  *
  *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
  *    FR-FCFS loop that rebuilds its whole candidate set from the flat
@@ -250,22 +259,22 @@ class ConventionalMc : public ChannelControllerBase
                            std::uint64_t rank_idx);
 
     /**
-     * One cached candidate of a bank. Its issue tick at now is
+     * One cached candidate of a bank (32 bytes). Its issue tick at now is
      * max(now, bankTerm, sharedTerm_[sharedIdx + (class & classMask)],
-     * busFloor_[busIdx]), where a RD/WR's class says whether its bank
-     * shares the SID and bank group of its PC's last CAS.
+     * its bus floor), where a RD/WR's class says whether its bank shares
+     * the SID and bank group of its PC's last CAS.
      */
     struct CachedCand
     {
         /** The device's bank-local timing term for the command. */
         Tick bankTerm = 0;
-        int sharedIdx = 0;
-        int classMask = 0; ///< ~0 for RD/WR, 0 for ACT/PRE
-        int busIdx = 0;
         RankKey key;
         /** Pool node of the op the candidate serves or is ranked by. */
         int node = -1;
-        CmdKind kind = CmdKind::Act;
+        std::uint16_t sharedIdx = 0;
+        /** -1 for RD/WR (column bus, classed term), 0 for ACT/PRE. */
+        std::int8_t classMask = 0;
+        std::uint8_t kind = 0; ///< CmdKind
     };
 
     /** A bank's cached candidates plus its constant coordinates. */
@@ -273,16 +282,16 @@ class ConventionalMc : public ChannelControllerBase
     {
         /** First tick at which an op's aging can change a candidate. */
         Tick validUntil = kTickMax;
-        int count = 0;
+        std::int8_t count = 0;
         /** Candidates among them on the row bus (ACT, PRE). */
-        int rowCount = 0;
-        int unit = 0; ///< refresh unit ((PC, SID) index)
+        std::int8_t rowCount = 0;
         /** An event on the bank invalidated the candidates. */
         bool stale = true;
-        int pc = 0;
-        int sid = 0;
-        int bg = 0;
-        int group = 0; ///< flat (PC, SID, bank group) index
+        std::int8_t pc = 0;
+        std::int8_t sid = 0;
+        std::int8_t bg = 0;
+        std::int16_t unit = 0;  ///< refresh unit ((PC, SID) index)
+        std::int32_t group = 0; ///< flat (PC, SID, bank group) index
         std::array<CachedCand, 3> cand{};
     };
 
