@@ -363,8 +363,8 @@ main(int argc, char** argv)
     // path; this section times identical drains with telemetry counters
     // off and on and gates the cost at <10% steps/s. The trials run in
     // off/on pairs, alternating which goes first, so a drift in host speed
-    // lands on both sides instead of on whichever ran later; best-of-N
-    // then absorbs the remaining noise. ControllerStats::operator==
+    // lands on both sides instead of on whichever ran later, and the gate
+    // takes the median of the pairs' overheads. ControllerStats::operator==
     // (which excludes the telemetry fields by design) proves the modeled
     // behavior — every decision, latency, and energy figure — is
     // untouched by counting.
@@ -382,33 +382,41 @@ main(int argc, char** argv)
         McConfig on_cfg = off_cfg;
         on_cfg.telemetry.counters = true;
 
-        const int pairs = quick ? 5 : 3;
+        const int pairs = quick ? 7 : 3;
         RunResult best_off;
         RunResult best_on;
-        const auto trial = [&](const McConfig& cfg, RunResult& best,
-                               bool first) {
+        std::vector<double> pair_overhead_pct;
+        const auto trial = [&](const McConfig& cfg, RunResult& best) {
             ConventionalMc mc(tel_dram, bestBaselineMapping(tel_dram.org),
                               cfg);
             const RunResult r = timedDrain(mc, reqs);
-            if (first || r.stepsPerSec > best.stepsPerSec)
+            if (best.steps == 0 || r.stepsPerSec > best.stepsPerSec)
                 best = r;
+            return r;
         };
         for (int i = 0; i < pairs; ++i) {
+            RunResult off;
+            RunResult on;
             if (i % 2 == 0) {
-                trial(off_cfg, best_off, i == 0);
-                trial(on_cfg, best_on, i == 0);
+                off = trial(off_cfg, best_off);
+                on = trial(on_cfg, best_on);
             } else {
-                trial(on_cfg, best_on, false);
-                trial(off_cfg, best_off, false);
+                on = trial(on_cfg, best_on);
+                off = trial(off_cfg, best_off);
             }
+            telemetry_stats_match = telemetry_stats_match &&
+                                    off.stats == on.stats;
+            pair_overhead_pct.push_back(
+                off.stepsPerSec > 0.0
+                    ? (off.stepsPerSec - on.stepsPerSec) / off.stepsPerSec *
+                          100.0
+                    : 0.0);
         }
-        telemetry_stats_match = best_off.stats == best_on.stats;
         all_match = all_match && telemetry_stats_match;
-        if (best_off.stepsPerSec > 0.0) {
-            telemetry_overhead_pct =
-                (best_off.stepsPerSec - best_on.stepsPerSec) /
-                best_off.stepsPerSec * 100.0;
-        }
+        // The gate reads the median pair: one pair that a burst of host
+        // load hit on one side cannot move it.
+        std::sort(pair_overhead_pct.begin(), pair_overhead_pct.end());
+        telemetry_overhead_pct = pair_overhead_pct[pair_overhead_pct.size() / 2];
 
         // Counter-tier steady-state allocation probe: the stall table,
         // breakdown histograms, and op fields are all preallocated, so
