@@ -21,9 +21,6 @@ constexpr int kPrioPre = 4;
 constexpr int kPrioIdlePre = 5;  // close/adaptive policy precharges
 constexpr int kPrioRefresh = 6;  // opportunistic refresh
 
-/** PCs per channel the scheduler's per-step PC ordering supports. */
-constexpr int kMaxPcs = 8;
-
 /** Refresh postponement bound before a refresh becomes forced (JEDEC: 8). */
 constexpr int kRefreshForceAt = 8;
 constexpr int kRefreshPendingCap = 9;
@@ -122,42 +119,13 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
             a.pc = idx;
             bankIx_[static_cast<std::size_t>(b)].addr = a;
         }
-        cands_.resize(static_cast<std::size_t>(nbanks));
-        staleBanks_.reserve(cands_.size());
-        for (int b = 0; b < nbanks; ++b)
-            staleBanks_.push_back(b);
-        walkTick_.resize(cands_.size() * 3);
-        walkRef_.resize(cands_.size() * 3);
-        for (int b = 0; b < nbanks; ++b) {
-            BankCands& c = cands_[static_cast<std::size_t>(b)];
-            const DramAddress& a = bankIx_[static_cast<std::size_t>(b)].addr;
-            c.pc = static_cast<std::int8_t>(a.pc);
-            c.sid = static_cast<std::int8_t>(a.sid);
-            c.bg = static_cast<std::int8_t>(a.bg);
-            c.group = b / cfg.org.banksPerGroup; // flat index is PC-major
-            c.unit = static_cast<std::int16_t>(b / cfg.org.banksPerSid());
-        }
-        numGroups_ = nbanks / cfg.org.banksPerGroup;
-        sharedTerm_.assign(
-            static_cast<std::size_t>(1 + numGroups_ + 8 * cfg.org.pcsPerChannel),
-            0);
-        lastCas_.assign(static_cast<std::size_t>(2 * cfg.org.pcsPerChannel),
-                        -1);
-        busFloor_.assign(static_cast<std::size_t>(2 * cfg.org.pcsPerChannel),
-                         0);
-        fillSharedTerms();
         const auto cap = static_cast<std::size_t>(cfg_.readQueueDepth +
                                                   cfg_.writeQueueDepth);
         pool_.reserve(cap);
         freeNodes_.reserve(cap);
-        banksPerPc_ = nbanks / cfg.org.pcsPerChannel;
-        activeBanks_.assign(static_cast<std::size_t>(nbanks), -1);
-        activeCount_.assign(static_cast<std::size_t>(cfg.org.pcsPerChannel),
-                            0);
-        rowCands_.assign(static_cast<std::size_t>(cfg.org.pcsPerChannel), 0);
+        activeBanks_.reserve(static_cast<std::size_t>(nbanks));
         openBanks_.reserve(static_cast<std::size_t>(nbanks));
         unitForcedBank_.assign(refreshUnits_.size(), -1);
-        liveRefresh_.reserve(refreshUnits_.size());
     }
     initTelemetry(cfg_.telemetry, cfg.org.banksPerChannel());
 }
@@ -286,12 +254,13 @@ ConventionalMc::updateWriteDrain()
     } else if (w_occ <= cfg_.writeLowWatermark * w_depth && !forced) {
         drainingWrites_ = false;
     }
-    if (drainingWrites_ != was) {
+    if (drainingWrites_ != was && sc_ != nullptr) {
         // Queued writes join or leave every bank's candidate set.
-        for (std::size_t pc = 0; pc < activeCount_.size(); ++pc) {
+        for (std::size_t pc = 0;
+             pc < static_cast<std::size_t>(dramCfg_.org.pcsPerChannel); ++pc) {
             const int* seg =
-                &activeBanks_[pc * static_cast<std::size_t>(banksPerPc_)];
-            for (int i = 0; i < activeCount_[pc]; ++i) {
+                &activeBanks_[pc * static_cast<std::size_t>(sc_->banksPerPc)];
+            for (int i = 0; i < sc_->activeCount[pc]; ++i) {
                 if (bankIx_[static_cast<std::size_t>(seg[i])].write.count > 0)
                     markStale(seg[i]);
             }
@@ -535,10 +504,10 @@ ConventionalMc::insertOpIndexed(Op op)
         ++readCount_;
     if (e.activePos == -1) {
         const int pc = op.addr.pc;
-        e.activePos = activeCount_[static_cast<std::size_t>(pc)]++;
-        activeBanks_[static_cast<std::size_t>(pc * banksPerPc_ +
+        e.activePos = sc_->activeCount[static_cast<std::size_t>(pc)]++;
+        activeBanks_[static_cast<std::size_t>(pc * sc_->banksPerPc +
                                               e.activePos)] = n.bank;
-        refreshWake_ = 0; // a refresh at this bank is now postponed
+        sc_->refreshWake = 0; // a refresh at this bank is now postponed
     }
 
     const BankRecord& rec = dev_.bankRecord(n.bank);
@@ -615,17 +584,17 @@ ConventionalMc::removeOpIndexed(int node)
 
     if (e.read.count == 0 && e.write.count == 0) {
         const int pc = n.op.addr.pc;
-        int* seg = &activeBanks_[static_cast<std::size_t>(pc * banksPerPc_)];
-        const int last = seg[--activeCount_[static_cast<std::size_t>(pc)]];
+        int* seg = &activeBanks_[static_cast<std::size_t>(pc * sc_->banksPerPc)];
+        const int last = seg[--sc_->activeCount[static_cast<std::size_t>(pc)]];
         seg[e.activePos] = last;
         bankIx_[static_cast<std::size_t>(last)].activePos = e.activePos;
         e.activePos = -1;
         // An idle bank offers nothing until work arrives.
-        BankCands& c = cands_[static_cast<std::size_t>(n.bank)];
-        rowCands_[static_cast<std::size_t>(pc)] -= c.rowCount;
+        BankCands& c = sc_->cands[static_cast<std::size_t>(n.bank)];
+        sc_->rowCands[static_cast<std::size_t>(pc)] -= c.rowCount;
         c.rowCount = 0;
         c.count = 0;
-        refreshWake_ = 0; // a refresh postponed for this bank may issue
+        sc_->refreshWake = 0; // a refresh postponed for this bank may issue
     }
     markStale(n.bank);
     freeNodes_.push_back(node);
@@ -680,8 +649,7 @@ ConventionalMc::resolveHitRep(BankList& l, int open_row)
 
 int
 ConventionalMc::agedConflictRep(const BankEntry& e, bool any_write,
-                                int open_row, bool& rep_is_write,
-                                Tick& valid_until)
+                                int open_row, Tick& valid_until)
 {
     // An op ahead of the result in list order that ages later takes its
     // place; an unwalked list ages no earlier than its oldest arrival.
@@ -705,28 +673,21 @@ ConventionalMc::agedConflictRep(const BankEntry& e, bool any_write,
     };
     if (e.read.count > 0) {
         const int rep = scan(e.read);
-        if (rep != -1) {
-            rep_is_write = false;
+        if (rep != -1)
             return rep;
-        }
     }
-    if (any_write && e.write.count > 0) {
-        const int rep = scan(e.write);
-        if (rep != -1) {
-            rep_is_write = true;
-            return rep;
-        }
-    }
+    if (any_write && e.write.count > 0)
+        return scan(e.write);
     return -1;
 }
 
 void
 ConventionalMc::markStale(int bank)
 {
-    BankCands& c = cands_[static_cast<std::size_t>(bank)];
+    BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
     if (!c.stale) {
         c.stale = true;
-        staleBanks_.push_back(bank);
+        sc_->staleBanks.push_back(bank);
     }
 }
 
@@ -734,34 +695,25 @@ void
 ConventionalMc::rebuildCands(int bank)
 {
     BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
-    BankCands& c = cands_[static_cast<std::size_t>(bank)];
+    BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
     c.stale = false;
     c.count = 0;
     c.validUntil = kTickMax;
-    rowCands_[static_cast<std::size_t>(c.pc)] -= c.rowCount;
+    sc_->rowCands[static_cast<std::size_t>(c.pc)] -= c.rowCount;
     c.rowCount = 0;
     const bool any_read = e.read.count > 0;
     const bool any_write = drainingWrites_ && e.write.count > 0;
     if (!any_read && !any_write)
         return;
 
-    const auto add = [&](CmdKind kind, int node, int prio, int rank_cat,
-                         Tick bank_term) {
-        const OpNode& n = pool_[static_cast<std::size_t>(node)];
-        const Tick aged_at = agedAt(n.op.arrival);
-        if (now_ < aged_at) {
-            c.validUntil = std::min(c.validUntil, aged_at);
-            nextAging_ = std::min(nextAging_, aged_at);
-        }
+    const auto add = [&](CmdKind kind, int node, Tick bank_term) {
         CachedCand& k = c.cand[static_cast<std::size_t>(c.count++)];
-        k.key = rankKey(now_ >= aged_at ? kPrioForced : prio, n.op.arrival,
-                        rank_cat, n.seq);
         k.bankTerm = bank_term;
         k.node = node;
         const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
         if (!is_cas) {
             ++c.rowCount;
-            ++rowCands_[static_cast<std::size_t>(c.pc)];
+            ++sc_->rowCands[static_cast<std::size_t>(c.pc)];
         }
         k.sharedIdx = static_cast<std::uint16_t>(
             kind == CmdKind::Act ? actTermIdx(c.group)
@@ -775,18 +727,18 @@ ConventionalMc::rebuildCands(int bank)
     if (!rec.open()) {
         // One structural ACT candidate: the first queued op (in
         // read-then-write admission order) supplies row and age.
-        add(CmdKind::Act, any_read ? e.read.head : e.write.head, kPrioAct,
-            any_read ? kRankReadOp : kRankWriteOp, dev_.actBankTerm(rec));
+        add(CmdKind::Act, any_read ? e.read.head : e.write.head,
+            dev_.actBankTerm(rec));
         return;
     }
 
     if (any_read && e.read.hitCount > 0) {
-        add(CmdKind::Rd, resolveHitRep(e.read, rec.openRow), kPrioCasHit,
-            kRankReadOp, dev_.casBankTerm(rec, false));
+        add(CmdKind::Rd, resolveHitRep(e.read, rec.openRow),
+            dev_.casBankTerm(rec, false));
     }
     if (any_write && e.write.hitCount > 0) {
-        add(CmdKind::Wr, resolveHitRep(e.write, rec.openRow), kPrioCasHit,
-            kRankWriteOp, dev_.casBankTerm(rec, true));
+        add(CmdKind::Wr, resolveHitRep(e.write, rec.openRow),
+            dev_.casBankTerm(rec, true));
     }
 
     // Conflict precharge: only when no queued op still hits the open
@@ -798,19 +750,29 @@ ConventionalMc::rebuildCands(int bank)
     const bool has_hit =
         e.read.hitCount > 0 || (any_write && e.write.hitCount > 0);
     int rep = -1;
-    bool rep_write = false;
     if (!has_hit) {
         rep = any_read ? e.read.head : e.write.head;
-        rep_write = !any_read;
     } else {
-        rep = agedConflictRep(e, any_write, rec.openRow, rep_write,
-                              c.validUntil);
-        nextAging_ = std::min(nextAging_, c.validUntil);
+        rep = agedConflictRep(e, any_write, rec.openRow, c.validUntil);
+        sc_->nextAging = std::min(sc_->nextAging, c.validUntil);
     }
-    if (rep != -1) {
-        add(CmdKind::Pre, rep, kPrioPre,
-            rep_write ? kRankWriteOp : kRankReadOp, dev_.preBankTerm(rec));
-    }
+    if (rep != -1)
+        add(CmdKind::Pre, rep, dev_.preBankTerm(rec));
+}
+
+ConventionalMc::RankKey
+ConventionalMc::opKey(CmdKind kind, int node) const
+{
+    // An aged op outranks everything but a forced refresh; otherwise the
+    // command kind sets the priority. The category is the op's queue.
+    const OpNode& n = pool_[static_cast<std::size_t>(node)];
+    const int prio = now_ >= agedAt(n.op.arrival) ? kPrioForced
+                     : kind == CmdKind::Act       ? kPrioAct
+                     : kind == CmdKind::Pre       ? kPrioPre
+                                                  : kPrioCasHit;
+    return rankKey(prio, n.op.arrival,
+                   n.op.kind == ReqKind::Write ? kRankWriteOp : kRankReadOp,
+                   n.seq);
 }
 
 void
@@ -848,22 +810,55 @@ ConventionalMc::applyRowCommand(const Command& cmd)
 }
 
 void
+ConventionalMc::initCaches()
+{
+    // Deferred from construction: set-ups that never step (sweeps build
+    // every channel's controller up front) allocate no more than the
+    // index itself.
+    const Organization& org = dramCfg_.org;
+    const int nbanks = org.banksPerChannel();
+    sc_ = std::make_unique<StepCache>();
+    sc_->banksPerPc = nbanks / org.pcsPerChannel;
+    activeBanks_.assign(static_cast<std::size_t>(nbanks), -1);
+    sc_->cands.resize(static_cast<std::size_t>(nbanks));
+    for (int b = 0; b < nbanks; ++b) {
+        BankCands& c = sc_->cands[static_cast<std::size_t>(b)];
+        const DramAddress& a = bankIx_[static_cast<std::size_t>(b)].addr;
+        c.pc = static_cast<std::int8_t>(a.pc);
+        c.sid = static_cast<std::int8_t>(a.sid);
+        c.bg = static_cast<std::int8_t>(a.bg);
+        c.group = b / org.banksPerGroup; // flat index is PC-major
+        c.unit = static_cast<std::int16_t>(b / org.banksPerSid());
+    }
+    sc_->staleBanks.reserve(sc_->cands.size());
+    for (int b = 0; b < nbanks; ++b)
+        sc_->staleBanks.push_back(b);
+    sc_->walkTick.resize(sc_->cands.size() * 3);
+    sc_->walkRef.resize(sc_->cands.size() * 3);
+    sc_->liveRefresh.reserve(refreshUnits_.size());
+    sc_->numGroups = nbanks / org.banksPerGroup;
+    sc_->sharedTerm.assign(
+        static_cast<std::size_t>(1 + sc_->numGroups + 8 * org.pcsPerChannel), 0);
+    fillSharedTerms();
+}
+
+void
 ConventionalMc::fillSharedTerms()
 {
     const Organization& org = dramCfg_.org;
-    for (int g = 0; g < numGroups_; ++g) {
+    for (int g = 0; g < sc_->numGroups; ++g) {
         const int bg = g % org.bankGroupsPerSid;
         const int sid = g / org.bankGroupsPerSid % org.sidsPerChannel;
         const int pc = g / org.bankGroupsPerSid / org.sidsPerChannel;
-        sharedTerm_[static_cast<std::size_t>(actTermIdx(g))] =
+        sc_->sharedTerm[static_cast<std::size_t>(actTermIdx(g))] =
             dev_.actSharedTerm(pc, sid, bg);
     }
     for (int pc = 0; pc < org.pcsPerChannel; ++pc) {
         fillCasTerms(pc);
-        lastCas_[static_cast<std::size_t>(2 * pc)] = dev_.lastCasSid(pc);
-        lastCas_[static_cast<std::size_t>(2 * pc + 1)] = dev_.lastCasBg(pc);
-        busFloor_[static_cast<std::size_t>(2 * pc)] = dev_.rowBusFloor(pc);
-        busFloor_[static_cast<std::size_t>(2 * pc + 1)] =
+        sc_->lastCas[static_cast<std::size_t>(2 * pc)] = dev_.lastCasSid(pc);
+        sc_->lastCas[static_cast<std::size_t>(2 * pc + 1)] = dev_.lastCasBg(pc);
+        sc_->busFloor[static_cast<std::size_t>(2 * pc)] = dev_.rowBusFloor(pc);
+        sc_->busFloor[static_cast<std::size_t>(2 * pc + 1)] =
             dev_.colBusFloor(pc);
     }
 }
@@ -874,7 +869,7 @@ ConventionalMc::fillCasTerms(int pc)
     for (const bool same_sid : {false, true}) {
         for (const bool same_bg : {false, true}) {
             for (const bool w : {false, true}) {
-                sharedTerm_[static_cast<std::size_t>(casTermIdx(
+                sc_->sharedTerm[static_cast<std::size_t>(casTermIdx(
                     pc, 2 * same_sid + same_bg, w))] =
                     dev_.casClassTerm(pc, same_sid, same_bg, w);
             }
@@ -893,18 +888,18 @@ ConventionalMc::updateSharedTerms(const Command& cmd)
         const int g0 = (a.pc * org.sidsPerChannel + a.sid) *
                        org.bankGroupsPerSid;
         for (int bg = 0; bg < org.bankGroupsPerSid; ++bg) {
-            sharedTerm_[static_cast<std::size_t>(actTermIdx(g0 + bg))] =
+            sc_->sharedTerm[static_cast<std::size_t>(actTermIdx(g0 + bg))] =
                 dev_.actSharedTerm(a.pc, a.sid, bg);
         }
     } else if (is_cas) {
         // The CAS chain moves for the whole PC, and each bank's class
         // moves with this CAS's SID and bank group.
         fillCasTerms(a.pc);
-        lastCas_[static_cast<std::size_t>(2 * a.pc)] = a.sid;
-        lastCas_[static_cast<std::size_t>(2 * a.pc + 1)] = a.bg;
+        sc_->lastCas[static_cast<std::size_t>(2 * a.pc)] = a.sid;
+        sc_->lastCas[static_cast<std::size_t>(2 * a.pc + 1)] = a.bg;
     }
     // The command's bus moved its floor.
-    busFloor_[static_cast<std::size_t>(2 * a.pc + (is_cas ? 1 : 0))] =
+    sc_->busFloor[static_cast<std::size_t>(2 * a.pc + (is_cas ? 1 : 0))] =
         is_cas ? dev_.colBusFloor(a.pc) : dev_.rowBusFloor(a.pc);
 }
 
@@ -926,6 +921,8 @@ ConventionalMc::pickCommand(const Pick& p) const
 bool
 ConventionalMc::stepOnceIndexed(Tick until)
 {
+    if (sc_ == nullptr)
+        initCaches();
     readOutstanding_.release(now_);
     writeOutstanding_.release(now_);
     if (faults_.enabled())
@@ -949,11 +946,11 @@ ConventionalMc::stepOnceIndexed(Tick until)
     };
 
     // --- refresh candidates + the forced-block table ---------------------
-    if (cfg_.refreshEnabled && now_ >= refreshWake_) {
+    if (cfg_.refreshEnabled && now_ >= sc_->refreshWake) {
         const int banks_per_sid = dramCfg_.org.banksPerSid();
         Tick wake = kTickMax;
-        heldAny_ = false;
-        liveRefresh_.clear();
+        sc_->heldAny = false;
+        sc_->liveRefresh.clear();
         for (std::size_t i = 0; i < refreshUnits_.size(); ++i) {
             const RefreshUnit& u = refreshUnits_[i];
             unitForcedBank_[i] = -1;
@@ -969,7 +966,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
             const BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
             if (forced) {
                 unitForcedBank_[i] = bank;
-                heldAny_ = true;
+                sc_->heldAny = true;
             } else {
                 wake = std::min(wake, forced_at);
                 if (e.read.count + e.write.count > 0)
@@ -985,48 +982,48 @@ ConventionalMc::stepOnceIndexed(Tick until)
                              kRankRefresh, i);
             rc.bank = bank;
             rc.pc = u.pc;
-            liveRefresh_.push_back(rc);
+            sc_->liveRefresh.push_back(rc);
         }
-        refreshWake_ = wake;
+        sc_->refreshWake = wake;
     }
-    for (const RefreshCand& rc : liveRefresh_) {
+    for (const RefreshCand& rc : sc_->liveRefresh) {
         consider(std::max({now_, rc.term,
-                           busFloor_[static_cast<std::size_t>(2 * rc.pc)]}),
+                           sc_->busFloor[static_cast<std::size_t>(2 * rc.pc)]}),
                  rc.key, rc.bank * kRefSlots + kRefRefresh);
     }
 
     // --- op candidates: the cached entries of the banks that have work --
     const int num_pcs = dramCfg_.org.pcsPerChannel;
-    if (now_ >= nextAging_) {
+    if (now_ >= sc_->nextAging) {
         // Some cache may hold an op that has aged since: recheck them all.
-        nextAging_ = kTickMax;
+        sc_->nextAging = kTickMax;
         for (int pc = 0; pc < num_pcs; ++pc) {
             const int* seg = &activeBanks_[static_cast<std::size_t>(
-                pc * banksPerPc_)];
-            for (int i = 0; i < activeCount_[static_cast<std::size_t>(pc)];
+                pc * sc_->banksPerPc)];
+            for (int i = 0; i < sc_->activeCount[static_cast<std::size_t>(pc)];
                  ++i) {
-                const BankCands& c = cands_[static_cast<std::size_t>(seg[i])];
+                const BankCands& c = sc_->cands[static_cast<std::size_t>(seg[i])];
                 if (now_ >= c.validUntil)
                     markStale(seg[i]);
                 else if (!c.stale)
-                    nextAging_ = std::min(nextAging_, c.validUntil);
+                    sc_->nextAging = std::min(sc_->nextAging, c.validUntil);
             }
         }
     }
-    for (const int b : staleBanks_)
+    for (const int b : sc_->staleBanks)
         rebuildCands(b);
-    staleBanks_.clear();
+    sc_->staleBanks.clear();
     const Tick now = now_;
-    const Tick* shared = sharedTerm_.data();
-    const Tick* bus = busFloor_.data();
-    const BankCands* cands = cands_.data();
-    const int* held = heldAny_ ? unitForcedBank_.data() : nullptr;
+    const Tick* shared = sc_->sharedTerm.data();
+    const Tick* bus = sc_->busFloor.data();
+    const BankCands* cands = sc_->cands.data();
+    const int* held = sc_->heldAny ? unitForcedBank_.data() : nullptr;
     // Two passes: the first finds the earliest issue tick over the
     // walked candidates (a min chain of one compare per candidate), the
     // second ranks only the candidates that reach it.
-    const int* last_cas = lastCas_.data();
-    Tick* scratch_e = walkTick_.data();
-    int* scratch_ref = walkRef_.data();
+    const int* last_cas = sc_->lastCas.data();
+    Tick* scratch_e = sc_->walkTick.data();
+    int* scratch_ref = sc_->walkRef.data();
     int n_walked = 0;
     Tick min_e = kTickMax;
     const auto walk_bank = [&](int b) {
@@ -1059,7 +1056,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
     std::array<int, kMaxPcs> order{};
     for (int pc = 0; pc < num_pcs; ++pc) {
         Tick lb = std::max({now, bus[2 * pc + 1], dev_.casFloor(pc, now)});
-        if (rowCands_[static_cast<std::size_t>(pc)] > 0)
+        if (sc_->rowCands[static_cast<std::size_t>(pc)] > 0)
             lb = std::min(lb, std::max(now, bus[2 * pc]));
         int j = pc; // insertion sort: a handful of PCs
         while (j > 0 && bound[static_cast<std::size_t>(j - 1)] > lb) {
@@ -1079,8 +1076,8 @@ ConventionalMc::stepOnceIndexed(Tick until)
         }
         const int p = order[static_cast<std::size_t>(j)];
         const int* seg = &activeBanks_[static_cast<std::size_t>(
-            p * banksPerPc_)];
-        for (int i = 0; i < activeCount_[static_cast<std::size_t>(p)]; ++i)
+            p * sc_->banksPerPc)];
+        for (int i = 0; i < sc_->activeCount[static_cast<std::size_t>(p)]; ++i)
             walk_bank(seg[i]);
     }
     if (min_e <= best_run.e) {
@@ -1088,10 +1085,9 @@ ConventionalMc::stepOnceIndexed(Tick until)
             if (scratch_e[i] != min_e)
                 continue;
             const int ref = scratch_ref[i];
-            const RankKey& key = cands[ref / kRefSlots]
-                                     .cand[static_cast<std::size_t>(
-                                         ref % kRefSlots)]
-                                     .key;
+            const CachedCand& cc = cands[ref / kRefSlots].cand[
+                static_cast<std::size_t>(ref % kRefSlots)];
+            const RankKey key = opKey(static_cast<CmdKind>(cc.kind), cc.node);
             best_run.offer(min_e, key.hi, key.lo, ref);
         }
     }
@@ -1111,7 +1107,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
                 continue;
             }
             const Tick floor =
-                busFloor_[static_cast<std::size_t>(2 * e.addr.pc)];
+                sc_->busFloor[static_cast<std::size_t>(2 * e.addr.pc)];
             consider(std::max({now_, dev_.preBankTerm(rec), floor}),
                      rankKey(kPrioIdlePre, 0, kRankIdlePre,
                              static_cast<std::uint64_t>(b)),
@@ -1128,12 +1124,12 @@ ConventionalMc::stepOnceIndexed(Tick until)
         if (slot == kRefRefresh) {
             best.kind = dev_.bankRecord(best.bank).open() ? CmdKind::Pre
                                                           : CmdKind::RefPb;
-            best.refreshUnit = cands_[static_cast<std::size_t>(best.bank)].unit;
+            best.refreshUnit = sc_->cands[static_cast<std::size_t>(best.bank)].unit;
         } else if (slot == kRefIdlePre) {
             best.kind = CmdKind::Pre;
         } else {
             const CachedCand& cc =
-                cands_[static_cast<std::size_t>(best.bank)]
+                sc_->cands[static_cast<std::size_t>(best.bank)]
                     .cand[static_cast<std::size_t>(slot)];
             best.kind = static_cast<CmdKind>(cc.kind);
             best.node = cc.node;
@@ -1239,14 +1235,14 @@ ConventionalMc::stepOnceIndexed(Tick until)
     markStale(best.bank);
     updateSharedTerms(cmd);
     if (cmd.kind == CmdKind::Pre)
-        refreshWake_ = 0; // a refresh at this bank turns PRE into REFpb
+        sc_->refreshWake = 0; // a refresh at this bank turns PRE into REFpb
 
     if (best.refreshUnit >= 0) {
         if (cmd.kind == CmdKind::RefPb) {
             RefreshUnit& u =
                 refreshUnits_[static_cast<std::size_t>(best.refreshUnit)];
             u.rot.advance(dramCfg_.org.banksPerSid());
-            refreshWake_ = 0;
+            sc_->refreshWake = 0;
             if (faults_.enabled())
                 runScrub(); // patrol scrub rides the refresh calendar
         } else {
@@ -1680,12 +1676,14 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         w.putI32(e.openPos);
         putDramAddress(w, e.addr);
     }
-    w.putCount(activeCount_.size());
-    for (std::size_t pc = 0; pc < activeCount_.size(); ++pc) {
-        const int n = activeCount_[pc];
+    const auto num_pcs =
+        static_cast<std::size_t>(dramCfg_.org.pcsPerChannel);
+    w.putCount(num_pcs);
+    for (std::size_t pc = 0; pc < num_pcs; ++pc) {
+        const int n = sc_ != nullptr ? sc_->activeCount[pc] : 0;
         w.putI32(n);
         for (int i = 0; i < n; ++i) {
-            w.putI32(activeBanks_[pc * static_cast<std::size_t>(banksPerPc_) +
+            w.putI32(activeBanks_[pc * static_cast<std::size_t>(sc_->banksPerPc) +
                                   static_cast<std::size_t>(i)]);
         }
     }
@@ -1772,15 +1770,23 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         e.openPos = r.getI32();
         e.addr = getDramAddress(r);
     }
-    if (r.getCount() != activeCount_.size())
+    const auto num_pcs =
+        static_cast<std::size_t>(dramCfg_.org.pcsPerChannel);
+    if (r.getCount() != num_pcs)
         fatal("hbm4 checkpoint PC count mismatch");
-    for (std::size_t pc = 0; pc < activeCount_.size(); ++pc) {
+    // The step's caches are a function of the restored state (the device
+    // is already loaded): start them afresh, every bank stale.
+    if (!cfg_.legacyScheduler)
+        initCaches();
+    for (std::size_t pc = 0; pc < num_pcs; ++pc) {
         const int n = r.getI32();
-        if (n < 0 || n > banksPerPc_)
+        if (n < 0 || n > (sc_ != nullptr ? sc_->banksPerPc : 0))
             fatal("hbm4 checkpoint active-bank count out of range");
-        activeCount_[pc] = n;
+        if (n == 0)
+            continue;
+        sc_->activeCount[pc] = n;
         for (int i = 0; i < n; ++i) {
-            activeBanks_[pc * static_cast<std::size_t>(banksPerPc_) +
+            activeBanks_[pc * static_cast<std::size_t>(sc_->banksPerPc) +
                          static_cast<std::size_t>(i)] = r.getI32();
         }
     }
@@ -1812,22 +1818,6 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
     scrubEvents_.clear();
-    // Cached candidates and shared terms are functions of the restored
-    // state: re-derive them.
-    staleBanks_.clear();
-    for (std::size_t b = 0; b < cands_.size(); ++b) {
-        BankCands& c = cands_[b];
-        c.stale = true;
-        c.count = 0;
-        c.rowCount = 0;
-        staleBanks_.push_back(static_cast<int>(b));
-    }
-    nextAging_ = kTickMax;
-    std::fill(rowCands_.begin(), rowCands_.end(), 0);
-    if (!cfg_.legacyScheduler)
-        fillSharedTerms();
-    refreshWake_ = 0;
-    liveRefresh_.clear();
 }
 
 } // namespace rome

@@ -54,6 +54,7 @@
 
 #include <array>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -201,6 +202,8 @@ class ConventionalMc : public ChannelControllerBase
 
     // ---- incremental per-bank scheduling index -------------------------
 
+    /** PCs per channel the scheduler supports. */
+    static constexpr int kMaxPcs = 8;
     static constexpr int kRepNone = -1;    ///< no hit representative
     static constexpr int kRepUnknown = -2; ///< representative needs rescan
 
@@ -224,10 +227,10 @@ class ConventionalMc : public ChannelControllerBase
         int hitCount = 0;
         /** Min-(arrival, seq) hit op — the bank's best CAS candidate. */
         int hitRep = kRepNone;
-        /** Lower bound on the oldest arrival queued here (aged-QoS gate). */
-        Tick minArrivalLb = kTickMax;
         /** Arrivals never decrease along the list (a retry can break it). */
         bool sorted = true;
+        /** Lower bound on the oldest arrival queued here (aged-QoS gate). */
+        Tick minArrivalLb = kTickMax;
     };
 
     /** Per-bank index entry. */
@@ -259,16 +262,16 @@ class ConventionalMc : public ChannelControllerBase
                            std::uint64_t rank_idx);
 
     /**
-     * One cached candidate of a bank (32 bytes). Its issue tick at now is
-     * max(now, bankTerm, sharedTerm_[sharedIdx + (class & classMask)],
+     * One cached candidate of a bank (16 bytes). Its issue tick at now is
+     * max(now, bankTerm, sharedTerm[sharedIdx + (class & classMask)],
      * its bus floor), where a RD/WR's class says whether its bank shares
-     * the SID and bank group of its PC's last CAS.
+     * the SID and bank group of its PC's last CAS. Its rank key is
+     * opKey(kind, node), taken only when it ties for the earliest tick.
      */
     struct CachedCand
     {
         /** The device's bank-local timing term for the command. */
         Tick bankTerm = 0;
-        RankKey key;
         /** Pool node of the op the candidate serves or is ranked by. */
         int node = -1;
         std::uint16_t sharedIdx = 0;
@@ -280,7 +283,8 @@ class ConventionalMc : public ChannelControllerBase
     /** A bank's cached candidates plus its constant coordinates. */
     struct BankCands
     {
-        /** First tick at which an op's aging can change a candidate. */
+        /** First tick at which an op's aging can change which op a
+         *  conflict PRE is ranked by. */
         Tick validUntil = kTickMax;
         std::int8_t count = 0;
         /** Candidates among them on the row bus (ACT, PRE). */
@@ -369,7 +373,12 @@ class ConventionalMc : public ChannelControllerBase
      * take that role.
      */
     int agedConflictRep(const BankEntry& e, bool any_write, int open_row,
-                        bool& rep_is_write, Tick& valid_until);
+                        Tick& valid_until);
+    /** Rank key at now_ of a @p kind candidate served or ranked by the
+     *  op at pool @p node. */
+    RankKey opKey(CmdKind kind, int node) const;
+    /** Allocate and fill the scheduling caches (first step, restore). */
+    void initCaches();
     /** Re-derive a bank's cached candidates at now_. */
     void rebuildCands(int bank);
     /** Queue a bank whose candidates an event invalidated. */
@@ -382,7 +391,8 @@ class ConventionalMc : public ChannelControllerBase
     int
     casTermIdx(int pc, int cas_class, bool is_write) const
     {
-        return 1 + numGroups_ + 8 * pc + 2 * cas_class + (is_write ? 1 : 0);
+        return 1 + sc_->numGroups + 8 * pc + 2 * cas_class +
+               (is_write ? 1 : 0);
     }
     /** Recompute every shared term and bus floor (construction, restore). */
     void fillSharedTerms();
@@ -415,54 +425,67 @@ class ConventionalMc : public ChannelControllerBase
     std::vector<OpNode> pool_;
     std::vector<int> freeNodes_;
     std::vector<BankEntry> bankIx_;
-    std::vector<BankCands> cands_; ///< per bank; rebuilt, never serialized
-    /** Banks marked stale since the last walk, each once. */
-    std::vector<int> staleBanks_;
-    /** No cache needs rebuilding for aging before this tick. */
-    Tick nextAging_ = kTickMax;
-    /** Scratch of a step's walk: issue tick and ref per candidate. */
-    std::vector<Tick> walkTick_;
-    std::vector<int> walkRef_;
-    int numGroups_ = 0; ///< (PC, SID, bank group) triples
     /**
-     * The device's shared timing terms, refreshed only by the commands
-     * that move them: slot 0 is the empty term of a PRE, then one ACT
-     * term per group, then per PC one RD and one WR term per CAS class.
-     */
-    std::vector<Tick> sharedTerm_;
-    /** Per PC: SID at 2 * pc and bank group at 2 * pc + 1 of its last
-     *  CAS (ChannelDevice::lastCasSid / lastCasBg). */
-    std::vector<int> lastCas_;
-    /** Per PC: row-bus floor at 2 * pc, column-bus floor at 2 * pc + 1
-     *  (ChannelDevice::rowBusFloor), refreshed as commands issue. */
-    std::vector<Tick> busFloor_;
-    /**
-     * Banks with any queued op, one segment of banksPerPc_ slots per PC
-     * holding activeCount_[pc] banks. A step walks the PCs in order of a
-     * lower bound on their candidates' issue ticks and skips a PC whose
-     * bound already loses to the running best.
+     * Banks with any queued op, one segment of StepCache::banksPerPc
+     * slots per PC holding StepCache::activeCount[pc] banks.
      */
     std::vector<int> activeBanks_;
-    std::vector<int> activeCount_;
-    int banksPerPc_ = 0;
-    /** Per PC: row-bus candidates cached for its active banks. */
-    std::vector<int> rowCands_;
     std::vector<int> openBanks_;   ///< banks the MC holds open
-    // Refresh units are rescanned only when their candidates can change:
-    // at the next due tick or forcing deadline, or after an event that
-    // can move one (a bank joining or leaving the set with work, a
-    // precharge, a refresh). In between the scan's results stand.
     /** Per refresh unit: cursor bank when its refresh is forced, else -1
-     *  (meaningful when heldAny_). */
+     *  (meaningful when StepCache::heldAny). */
     std::vector<int> unitForcedBank_;
-    bool heldAny_ = false;
-    /** Refresh candidates found by the last scan. */
-    std::vector<RefreshCand> liveRefresh_;
-    /** First step tick at which the units must be rescanned. */
-    Tick refreshWake_ = 0;
     std::uint64_t admitSeq_ = 0;
     int readCount_ = 0;
     int writeCount_ = 0;
+
+    /**
+     * State the indexed step derives and caches, allocated by the first
+     * step (initCaches) so that set-ups which never step pay nothing.
+     */
+    struct StepCache
+    {
+        std::vector<BankCands> cands; ///< per bank; never serialized
+        /** Banks marked stale since the last walk, each once. */
+        std::vector<int> staleBanks;
+        /** No cache needs rebuilding for aging before this tick. */
+        Tick nextAging = kTickMax;
+        /** Scratch of a step's walk: issue tick and ref per candidate. */
+        std::vector<Tick> walkTick;
+        std::vector<int> walkRef;
+        int numGroups = 0; ///< (PC, SID, bank group) triples
+        /**
+         * The device's shared timing terms, refreshed only by the
+         * commands that move them: slot 0 is the empty term of a PRE,
+         * then one ACT term per group, then per PC one RD and one WR term
+         * per CAS class.
+         */
+        std::vector<Tick> sharedTerm;
+        /** Per PC: SID at 2 * pc and bank group at 2 * pc + 1 of its
+         *  last CAS (ChannelDevice::lastCasSid / lastCasBg). */
+        std::array<int, 2 * kMaxPcs> lastCas{};
+        /** Per PC: row-bus floor at 2 * pc, column-bus floor at
+         *  2 * pc + 1 (ChannelDevice::rowBusFloor), refreshed as
+         *  commands issue. */
+        std::array<Tick, 2 * kMaxPcs> busFloor{};
+        /** Banks in each PC's segment of activeBanks_. A step walks the
+         *  PCs in order of a lower bound on their candidates' issue ticks
+         *  and skips a PC whose bound already loses to the running best. */
+        std::array<int, kMaxPcs> activeCount{};
+        int banksPerPc = 0;
+        /** Per PC: row-bus candidates cached for its active banks. */
+        std::array<int, kMaxPcs> rowCands{};
+        // Refresh units are rescanned only when their candidates can
+        // change: at the next due tick or forcing deadline, or after an
+        // event that can move one (a bank joining or leaving the set with
+        // work, a precharge, a refresh). In between the scan's results
+        // stand.
+        bool heldAny = false;
+        /** Refresh candidates found by the last scan. */
+        std::vector<RefreshCand> liveRefresh;
+        /** First step tick at which the units must be rescanned. */
+        Tick refreshWake = 0;
+    };
+    std::unique_ptr<StepCache> sc_;
 
     /** CAM entries of issued-but-incomplete column ops (count against
      *  queue depth until their data transfers). */
