@@ -698,7 +698,7 @@ ConventionalMc::rebuildCands(int bank)
     BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
     c.stale = false;
     c.count = 0;
-    c.validUntil = kTickMax;
+    e.validUntil = kTickMax;
     sc_->rowCands[static_cast<std::size_t>(c.pc)] -= c.rowCount;
     c.rowCount = 0;
     const bool any_read = e.read.count > 0;
@@ -753,8 +753,8 @@ ConventionalMc::rebuildCands(int bank)
     if (!has_hit) {
         rep = any_read ? e.read.head : e.write.head;
     } else {
-        rep = agedConflictRep(e, any_write, rec.openRow, c.validUntil);
-        sc_->nextAging = std::min(sc_->nextAging, c.validUntil);
+        rep = agedConflictRep(e, any_write, rec.openRow, e.validUntil);
+        sc_->nextAging = std::min(sc_->nextAging, e.validUntil);
     }
     if (rep != -1)
         add(CmdKind::Pre, rep, dev_.preBankTerm(rec));
@@ -1002,11 +1002,12 @@ ConventionalMc::stepOnceIndexed(Tick until)
                 pc * sc_->banksPerPc)];
             for (int i = 0; i < sc_->activeCount[static_cast<std::size_t>(pc)];
                  ++i) {
-                const BankCands& c = sc_->cands[static_cast<std::size_t>(seg[i])];
-                if (now_ >= c.validUntil)
+                const Tick until =
+                    bankIx_[static_cast<std::size_t>(seg[i])].validUntil;
+                if (now_ >= until)
                     markStale(seg[i]);
-                else if (!c.stale)
-                    sc_->nextAging = std::min(sc_->nextAging, c.validUntil);
+                else if (!sc_->cands[static_cast<std::size_t>(seg[i])].stale)
+                    sc_->nextAging = std::min(sc_->nextAging, until);
             }
         }
     }

@@ -15,11 +15,11 @@
  *    representatives, oldest-arrival bounds) maintained incrementally on
  *    admit/issue/row-change. Each bank with work also caches its
  *    scheduling candidates — at most one ACT, or a RD-hit, a WR-hit and a
- *    conflict PRE — with their rank keys and the device's bank-local
+ *    conflict PRE — with the op each serves and the device's bank-local
  *    timing terms. Only an event on the bank re-derives them: an admitted
  *    op that changes them, an issued op, any command to the bank, a
- *    spare-row rewrite, a write-drain flip, or the first tick at which
- *    one of its ops ages into QoS priority.
+ *    spare-row rewrite, a write-drain flip, or the first tick at which an
+ *    op's aging can change which op a conflict PRE is ranked by.
  *
  *    Every device probe has the form bus.nextFree(max(now, bank term,
  *    shared term)), and the shared term depends only on (PC, SID, bank
@@ -31,9 +31,10 @@
  *    values, with no per-bank device probe. A step walks the PCs in
  *    order of a lower bound on their issue ticks, skips a PC that
  *    cannot win, takes the min tick and ranks only the candidates that
- *    reach it. Refresh units are rescanned only at their due and forcing
- *    deadlines or after an event that can move them. Zero heap
- *    allocation in steady state.
+ *    reach it, deriving their rank keys from their ops. Refresh units
+ *    are rescanned only at their due and forcing deadlines or after an
+ *    event that can move them. The caches are allocated by the first
+ *    step; there is no heap allocation in steady state.
  *
  *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
  *    FR-FCFS loop that rebuilds its whole candidate set from the flat
@@ -240,6 +241,9 @@ class ConventionalMc : public ChannelControllerBase
         BankList write;
         int activePos = -1; ///< position in its PC's active list, or -1
         int openPos = -1;   ///< position in openBanks_, -1 when closed
+        /** First tick at which an op's aging can change which op the
+         *  bank's conflict PRE is ranked by (cache state, not saved). */
+        Tick validUntil = kTickMax;
         DramAddress addr;   ///< bank coordinates (row/col unused)
     };
 
@@ -280,12 +284,10 @@ class ConventionalMc : public ChannelControllerBase
         std::uint8_t kind = 0; ///< CmdKind
     };
 
-    /** A bank's cached candidates plus its constant coordinates. */
+    /** A bank's cached candidates plus its constant coordinates: one
+     *  64-byte line. */
     struct BankCands
     {
-        /** First tick at which an op's aging can change which op a
-         *  conflict PRE is ranked by. */
-        Tick validUntil = kTickMax;
         std::int8_t count = 0;
         /** Candidates among them on the row bus (ACT, PRE). */
         std::int8_t rowCount = 0;
