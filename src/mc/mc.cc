@@ -256,14 +256,9 @@ ConventionalMc::updateWriteDrain()
     }
     if (drainingWrites_ != was && sc_ != nullptr) {
         // Queued writes join or leave every bank's candidate set.
-        for (std::size_t pc = 0;
-             pc < static_cast<std::size_t>(dramCfg_.org.pcsPerChannel); ++pc) {
-            const int* seg =
-                &activeBanks_[pc * static_cast<std::size_t>(sc_->banksPerPc)];
-            for (int i = 0; i < sc_->activeCount[pc]; ++i) {
-                if (bankIx_[static_cast<std::size_t>(seg[i])].write.count > 0)
-                    markStale(seg[i]);
-            }
+        for (const int b : activeBanks_) {
+            if (bankIx_[static_cast<std::size_t>(b)].write.count > 0)
+                markStale(b);
         }
     }
 }
@@ -503,10 +498,8 @@ ConventionalMc::insertOpIndexed(Op op)
     else
         ++readCount_;
     if (e.activePos == -1) {
-        const int pc = op.addr.pc;
-        e.activePos = sc_->activeCount[static_cast<std::size_t>(pc)]++;
-        activeBanks_[static_cast<std::size_t>(pc * sc_->banksPerPc +
-                                              e.activePos)] = n.bank;
+        e.activePos = static_cast<int>(activeBanks_.size());
+        activeBanks_.push_back(n.bank);
         sc_->refreshWake = 0; // a refresh at this bank is now postponed
     }
 
@@ -583,17 +576,11 @@ ConventionalMc::removeOpIndexed(int node)
     }
 
     if (e.read.count == 0 && e.write.count == 0) {
-        const int pc = n.op.addr.pc;
-        int* seg = &activeBanks_[static_cast<std::size_t>(pc * sc_->banksPerPc)];
-        const int last = seg[--sc_->activeCount[static_cast<std::size_t>(pc)]];
-        seg[e.activePos] = last;
+        const int last = activeBanks_.back();
+        activeBanks_[static_cast<std::size_t>(e.activePos)] = last;
         bankIx_[static_cast<std::size_t>(last)].activePos = e.activePos;
+        activeBanks_.pop_back();
         e.activePos = -1;
-        // An idle bank offers nothing until work arrives.
-        BankCands& c = sc_->cands[static_cast<std::size_t>(n.bank)];
-        sc_->rowCands[static_cast<std::size_t>(pc)] -= c.rowCount;
-        c.rowCount = 0;
-        c.count = 0;
         sc_->refreshWake = 0; // a refresh postponed for this bank may issue
     }
     markStale(n.bank);
@@ -699,8 +686,6 @@ ConventionalMc::rebuildCands(int bank)
     c.stale = false;
     c.count = 0;
     e.validUntil = kTickMax;
-    sc_->rowCands[static_cast<std::size_t>(c.pc)] -= c.rowCount;
-    c.rowCount = 0;
     const bool any_read = e.read.count > 0;
     const bool any_write = drainingWrites_ && e.write.count > 0;
     if (!any_read && !any_write)
@@ -711,10 +696,6 @@ ConventionalMc::rebuildCands(int bank)
         k.bankTerm = bank_term;
         k.node = node;
         const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
-        if (!is_cas) {
-            ++c.rowCount;
-            ++sc_->rowCands[static_cast<std::size_t>(c.pc)];
-        }
         k.sharedIdx = static_cast<std::uint16_t>(
             kind == CmdKind::Act ? actTermIdx(c.group)
             : is_cas             ? casTermIdx(c.pc, 0, kind == CmdKind::Wr)
@@ -818,8 +799,6 @@ ConventionalMc::initCaches()
     const Organization& org = dramCfg_.org;
     const int nbanks = org.banksPerChannel();
     sc_ = std::make_unique<StepCache>();
-    sc_->banksPerPc = nbanks / org.pcsPerChannel;
-    activeBanks_.assign(static_cast<std::size_t>(nbanks), -1);
     sc_->cands.resize(static_cast<std::size_t>(nbanks));
     for (int b = 0; b < nbanks; ++b) {
         BankCands& c = sc_->cands[static_cast<std::size_t>(b)];
@@ -993,22 +972,15 @@ ConventionalMc::stepOnceIndexed(Tick until)
     }
 
     // --- op candidates: the cached entries of the banks that have work --
-    const int num_pcs = dramCfg_.org.pcsPerChannel;
     if (now_ >= sc_->nextAging) {
         // Some cache may hold an op that has aged since: recheck them all.
         sc_->nextAging = kTickMax;
-        for (int pc = 0; pc < num_pcs; ++pc) {
-            const int* seg = &activeBanks_[static_cast<std::size_t>(
-                pc * sc_->banksPerPc)];
-            for (int i = 0; i < sc_->activeCount[static_cast<std::size_t>(pc)];
-                 ++i) {
-                const Tick until =
-                    bankIx_[static_cast<std::size_t>(seg[i])].validUntil;
-                if (now_ >= until)
-                    markStale(seg[i]);
-                else if (!sc_->cands[static_cast<std::size_t>(seg[i])].stale)
-                    sc_->nextAging = std::min(sc_->nextAging, until);
-            }
+        for (const int b : activeBanks_) {
+            const Tick until = bankIx_[static_cast<std::size_t>(b)].validUntil;
+            if (now_ >= until)
+                markStale(b);
+            else if (!sc_->cands[static_cast<std::size_t>(b)].stale)
+                sc_->nextAging = std::min(sc_->nextAging, until);
         }
     }
     for (const int b : sc_->staleBanks)
@@ -1048,39 +1020,8 @@ ConventionalMc::stepOnceIndexed(Tick until)
             min_e = std::min(min_e, e);
         }
     };
-    // A PC's candidates issue no earlier than its bound: the column bus
-    // floor and CAS chain for RD/WR, the row bus floor for ACT/PRE. PCs
-    // are walked in bound order; one whose bound exceeds the earliest
-    // tick so far cannot win (an equal bound may still tie and win on
-    // rank).
-    std::array<Tick, kMaxPcs> bound{};
-    std::array<int, kMaxPcs> order{};
-    for (int pc = 0; pc < num_pcs; ++pc) {
-        Tick lb = std::max({now, bus[2 * pc + 1], dev_.casFloor(pc, now)});
-        if (sc_->rowCands[static_cast<std::size_t>(pc)] > 0)
-            lb = std::min(lb, std::max(now, bus[2 * pc]));
-        int j = pc; // insertion sort: a handful of PCs
-        while (j > 0 && bound[static_cast<std::size_t>(j - 1)] > lb) {
-            bound[static_cast<std::size_t>(j)] =
-                bound[static_cast<std::size_t>(j - 1)];
-            order[static_cast<std::size_t>(j)] =
-                order[static_cast<std::size_t>(j - 1)];
-            --j;
-        }
-        bound[static_cast<std::size_t>(j)] = lb;
-        order[static_cast<std::size_t>(j)] = pc;
-    }
-    for (int j = 0; j < num_pcs; ++j) {
-        if (bound[static_cast<std::size_t>(j)] >
-            std::min(min_e, best_run.e)) {
-            break; // this PC and every later one lose
-        }
-        const int p = order[static_cast<std::size_t>(j)];
-        const int* seg = &activeBanks_[static_cast<std::size_t>(
-            p * sc_->banksPerPc)];
-        for (int i = 0; i < sc_->activeCount[static_cast<std::size_t>(p)]; ++i)
-            walk_bank(seg[i]);
-    }
+    for (const int b : activeBanks_)
+        walk_bank(b);
     if (min_e <= best_run.e) {
         for (int i = 0; i < n_walked; ++i) {
             if (scratch_e[i] != min_e)
@@ -1677,17 +1618,9 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         w.putI32(e.openPos);
         putDramAddress(w, e.addr);
     }
-    const auto num_pcs =
-        static_cast<std::size_t>(dramCfg_.org.pcsPerChannel);
-    w.putCount(num_pcs);
-    for (std::size_t pc = 0; pc < num_pcs; ++pc) {
-        const int n = sc_ != nullptr ? sc_->activeCount[pc] : 0;
-        w.putI32(n);
-        for (int i = 0; i < n; ++i) {
-            w.putI32(activeBanks_[pc * static_cast<std::size_t>(sc_->banksPerPc) +
-                                  static_cast<std::size_t>(i)]);
-        }
-    }
+    w.putCount(activeBanks_.size());
+    for (const int b : activeBanks_)
+        w.putI32(b);
     w.putCount(openBanks_.size());
     for (const int b : openBanks_)
         w.putI32(b);
@@ -1771,26 +1704,9 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         e.openPos = r.getI32();
         e.addr = getDramAddress(r);
     }
-    const auto num_pcs =
-        static_cast<std::size_t>(dramCfg_.org.pcsPerChannel);
-    if (r.getCount() != num_pcs)
-        fatal("hbm4 checkpoint PC count mismatch");
-    // The step's caches are a function of the restored state (the device
-    // is already loaded): start them afresh, every bank stale.
-    if (!cfg_.legacyScheduler)
-        initCaches();
-    for (std::size_t pc = 0; pc < num_pcs; ++pc) {
-        const int n = r.getI32();
-        if (n < 0 || n > (sc_ != nullptr ? sc_->banksPerPc : 0))
-            fatal("hbm4 checkpoint active-bank count out of range");
-        if (n == 0)
-            continue;
-        sc_->activeCount[pc] = n;
-        for (int i = 0; i < n; ++i) {
-            activeBanks_[pc * static_cast<std::size_t>(sc_->banksPerPc) +
-                         static_cast<std::size_t>(i)] = r.getI32();
-        }
-    }
+    activeBanks_.resize(r.getCount());
+    for (int& b : activeBanks_)
+        b = r.getI32();
     openBanks_.resize(r.getCount());
     for (int& b : openBanks_)
         b = r.getI32();
@@ -1819,6 +1735,9 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     casIssued_ = r.getU64();
     readQOcc_.loadState(r);
     scrubEvents_.clear();
+    // The step's caches are a function of the restored state: the next
+    // step derives them afresh.
+    sc_.reset();
 }
 
 } // namespace rome

@@ -28,10 +28,9 @@
  *    group, RD/WR terms per PC and CAS class), and since it issues in
  *    time order the bus slot is one more max term: the newest
  *    reservation's end. A candidate's issue tick is then a max of cached
- *    values, with no per-bank device probe. A step walks the PCs in
- *    order of a lower bound on their issue ticks, skips a PC that
- *    cannot win, takes the min tick and ranks only the candidates that
- *    reach it, deriving their rank keys from their ops. Refresh units
+ *    values, with no per-bank device probe. A step takes the min tick
+ *    over the banks with work and ranks only the candidates that reach
+ *    it, deriving their rank keys from their ops. Refresh units
  *    are rescanned only at their due and forcing deadlines or after an
  *    event that can move them. The caches are allocated by the first
  *    step; there is no heap allocation in steady state.
@@ -239,7 +238,7 @@ class ConventionalMc : public ChannelControllerBase
     {
         BankList read;
         BankList write;
-        int activePos = -1; ///< position in its PC's active list, or -1
+        int activePos = -1; ///< position in activeBanks_, -1 when absent
         int openPos = -1;   ///< position in openBanks_, -1 when closed
         /** First tick at which an op's aging can change which op the
          *  bank's conflict PRE is ranked by (cache state, not saved). */
@@ -289,8 +288,6 @@ class ConventionalMc : public ChannelControllerBase
     struct BankCands
     {
         std::int8_t count = 0;
-        /** Candidates among them on the row bus (ACT, PRE). */
-        std::int8_t rowCount = 0;
         /** An event on the bank invalidated the candidates. */
         bool stale = true;
         std::int8_t pc = 0;
@@ -427,11 +424,7 @@ class ConventionalMc : public ChannelControllerBase
     std::vector<OpNode> pool_;
     std::vector<int> freeNodes_;
     std::vector<BankEntry> bankIx_;
-    /**
-     * Banks with any queued op, one segment of StepCache::banksPerPc
-     * slots per PC holding StepCache::activeCount[pc] banks.
-     */
-    std::vector<int> activeBanks_;
+    std::vector<int> activeBanks_; ///< banks with any queued op
     std::vector<int> openBanks_;   ///< banks the MC holds open
     /** Per refresh unit: cursor bank when its refresh is forced, else -1
      *  (meaningful when StepCache::heldAny). */
@@ -469,13 +462,6 @@ class ConventionalMc : public ChannelControllerBase
          *  2 * pc + 1 (ChannelDevice::rowBusFloor), refreshed as
          *  commands issue. */
         std::array<Tick, 2 * kMaxPcs> busFloor{};
-        /** Banks in each PC's segment of activeBanks_. A step walks the
-         *  PCs in order of a lower bound on their candidates' issue ticks
-         *  and skips a PC whose bound already loses to the running best. */
-        std::array<int, kMaxPcs> activeCount{};
-        int banksPerPc = 0;
-        /** Per PC: row-bus candidates cached for its active banks. */
-        std::array<int, kMaxPcs> rowCands{};
         // Refresh units are rescanned only when their candidates can
         // change: at the next due tick or forcing deadline, or after an
         // event that can move one (a bank joining or leaving the set with
