@@ -31,11 +31,8 @@ constexpr int kRankReadOp = 1;
 constexpr int kRankWriteOp = 2;
 constexpr int kRankIdlePre = 3;
 
-/**
- * Running min of (issue tick, rank key hi, rank key lo) with the ref of
- * its candidate. Updated with masked selects: most offers lose, in
- * data-dependent ways, so a branch would mispredict on every win.
- */
+/** Running min of (issue tick, rank key hi, rank key lo), with a ref
+ *  naming its candidate. */
 struct Best
 {
     Tick e = kTickMax;
@@ -46,13 +43,12 @@ struct Best
     void
     offer(Tick oe, std::uint64_t ohi, std::uint64_t olo, int oref)
     {
-        const bool win =
-            (oe < e) | ((oe == e) & ((ohi < hi) | ((ohi == hi) & (olo < lo))));
-        const std::uint64_t m = 0 - static_cast<std::uint64_t>(win);
-        e ^= (e ^ oe) & static_cast<Tick>(m);
-        hi ^= (hi ^ ohi) & m;
-        lo ^= (lo ^ olo) & m;
-        ref ^= (ref ^ oref) & static_cast<int>(m);
+        if (oe < e || (oe == e && (ohi < hi || (ohi == hi && olo < lo)))) {
+            e = oe;
+            hi = ohi;
+            lo = olo;
+            ref = oref;
+        }
     }
 };
 
@@ -919,10 +915,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
     constexpr int kRefSlots = 8;
     constexpr int kRefRefresh = 3;
     constexpr int kRefIdlePre = 4;
-    Best best_run;
-    const auto consider = [&best_run](Tick e, const RankKey& key, int ref) {
-        best_run.offer(e, key.hi, key.lo, ref);
-    };
+    Best run;
 
     // --- refresh candidates + the forced-block table ---------------------
     if (cfg_.refreshEnabled && now_ >= sc_->refreshWake) {
@@ -966,9 +959,10 @@ ConventionalMc::stepOnceIndexed(Tick until)
         sc_->refreshWake = wake;
     }
     for (const RefreshCand& rc : sc_->liveRefresh) {
-        consider(std::max({now_, rc.term,
-                           sc_->busFloor[static_cast<std::size_t>(2 * rc.pc)]}),
-                 rc.key, rc.bank * kRefSlots + kRefRefresh);
+        run.offer(std::max({now_, rc.term,
+                            sc_->busFloor[static_cast<std::size_t>(
+                                2 * rc.pc)]}),
+                  rc.key.hi, rc.key.lo, rc.bank * kRefSlots + kRefRefresh);
     }
 
     // --- op candidates: the cached entries of the banks that have work --
@@ -992,17 +986,17 @@ ConventionalMc::stepOnceIndexed(Tick until)
     const BankCands* cands = sc_->cands.data();
     const int* held = sc_->heldAny ? unitForcedBank_.data() : nullptr;
     // Two passes: the first finds the earliest issue tick over the
-    // walked candidates (a min chain of one compare per candidate), the
-    // second ranks only the candidates that reach it.
+    // candidates (a min chain of one compare each, no data-dependent
+    // branch), the second ranks only the candidates that reach it.
     const int* last_cas = sc_->lastCas.data();
     Tick* scratch_e = sc_->walkTick.data();
     int* scratch_ref = sc_->walkRef.data();
     int n_walked = 0;
     Tick min_e = kTickMax;
-    const auto walk_bank = [&](int b) {
+    for (const int b : activeBanks_) {
         const BankCands& c = cands[b];
         if (held != nullptr && held[c.unit] == b)
-            return; // bank held for a forced refresh
+            continue; // bank held for a forced refresh
         const int cas_class =
             2 * (2 * (c.sid == last_cas[2 * c.pc]) +
                  (c.bg == last_cas[2 * c.pc + 1]));
@@ -1019,10 +1013,8 @@ ConventionalMc::stepOnceIndexed(Tick until)
             n_walked += e <= min_e;
             min_e = std::min(min_e, e);
         }
-    };
-    for (const int b : activeBanks_)
-        walk_bank(b);
-    if (min_e <= best_run.e) {
+    }
+    if (min_e <= run.e) {
         for (int i = 0; i < n_walked; ++i) {
             if (scratch_e[i] != min_e)
                 continue;
@@ -1030,7 +1022,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
             const CachedCand& cc = cands[ref / kRefSlots].cand[
                 static_cast<std::size_t>(ref % kRefSlots)];
             const RankKey key = opKey(static_cast<CmdKind>(cc.kind), cc.node);
-            best_run.offer(min_e, key.hi, key.lo, ref);
+            run.offer(min_e, key.hi, key.lo, ref);
         }
     }
 
@@ -1050,19 +1042,19 @@ ConventionalMc::stepOnceIndexed(Tick until)
             }
             const Tick floor =
                 sc_->busFloor[static_cast<std::size_t>(2 * e.addr.pc)];
-            consider(std::max({now_, dev_.preBankTerm(rec), floor}),
-                     rankKey(kPrioIdlePre, 0, kRankIdlePre,
-                             static_cast<std::uint64_t>(b)),
-                     b * kRefSlots + kRefIdlePre);
+            const RankKey key = rankKey(kPrioIdlePre, 0, kRankIdlePre,
+                                        static_cast<std::uint64_t>(b));
+            run.offer(std::max({now_, dev_.preBankTerm(rec), floor}), key.hi,
+                      key.lo, b * kRefSlots + kRefIdlePre);
         }
     }
 
-    const bool have_best = best_run.ref >= 0;
+    const bool have_best = run.ref >= 0;
     Pick best;
     if (have_best) {
-        best.earliest = best_run.e;
-        best.bank = best_run.ref / kRefSlots;
-        const int slot = best_run.ref % kRefSlots;
+        best.earliest = run.e;
+        best.bank = run.ref / kRefSlots;
+        const int slot = run.ref % kRefSlots;
         if (slot == kRefRefresh) {
             best.kind = dev_.bankRecord(best.bank).open() ? CmdKind::Pre
                                                           : CmdKind::RefPb;
