@@ -688,8 +688,16 @@ ConventionalMc::rebuildCands(int bank)
         return;
 
     const auto add = [&](CmdKind kind, int node, Tick bank_term) {
+        const OpNode& n = pool_[static_cast<std::size_t>(node)];
         CachedCand& k = c.cand[static_cast<std::size_t>(c.count++)];
         k.bankTerm = bank_term;
+        k.age = n.op.arrival;
+        // The category is the op's queue.
+        k.rankLo = rankKey(0, 0,
+                           n.op.kind == ReqKind::Write ? kRankWriteOp
+                                                       : kRankReadOp,
+                           n.seq)
+                       .lo;
         k.node = node;
         const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
         k.sharedIdx = static_cast<std::uint16_t>(
@@ -738,18 +746,18 @@ ConventionalMc::rebuildCands(int bank)
 }
 
 ConventionalMc::RankKey
-ConventionalMc::opKey(CmdKind kind, int node) const
+ConventionalMc::candKey(const CachedCand& cc) const
 {
-    // An aged op outranks everything but a forced refresh; otherwise the
-    // command kind sets the priority. The category is the op's queue.
-    const OpNode& n = pool_[static_cast<std::size_t>(node)];
-    const int prio = now_ >= agedAt(n.op.arrival) ? kPrioForced
-                     : kind == CmdKind::Act       ? kPrioAct
-                     : kind == CmdKind::Pre       ? kPrioPre
-                                                  : kPrioCasHit;
-    return rankKey(prio, n.op.arrival,
-                   n.op.kind == ReqKind::Write ? kRankWriteOp : kRankReadOp,
-                   n.seq);
+    // An aged op takes absolute priority; otherwise the command kind
+    // sets it.
+    const auto kind = static_cast<CmdKind>(cc.kind);
+    const int prio = now_ >= agedAt(cc.age) ? kPrioForced
+                     : kind == CmdKind::Act ? kPrioAct
+                     : kind == CmdKind::Pre ? kPrioPre
+                                            : kPrioCasHit;
+    RankKey key = rankKey(prio, cc.age, 0, 0);
+    key.lo = cc.rankLo;
+    return key;
 }
 
 void
@@ -987,7 +995,8 @@ ConventionalMc::stepOnceIndexed(Tick until)
     const int* held = sc_->heldAny ? unitForcedBank_.data() : nullptr;
     // Two passes: the first finds the earliest issue tick over the
     // candidates (a min chain of one compare each, no data-dependent
-    // branch), the second ranks only the candidates that reach it.
+    // branch) and keeps those that reached the running min when seen;
+    // the second ranks only those.
     const int* last_cas = sc_->lastCas.data();
     Tick* scratch_e = sc_->walkTick.data();
     int* scratch_ref = sc_->walkRef.data();
@@ -1016,13 +1025,11 @@ ConventionalMc::stepOnceIndexed(Tick until)
     }
     if (min_e <= run.e) {
         for (int i = 0; i < n_walked; ++i) {
-            if (scratch_e[i] != min_e)
-                continue;
             const int ref = scratch_ref[i];
             const CachedCand& cc = cands[ref / kRefSlots].cand[
                 static_cast<std::size_t>(ref % kRefSlots)];
-            const RankKey key = opKey(static_cast<CmdKind>(cc.kind), cc.node);
-            run.offer(min_e, key.hi, key.lo, ref);
+            const RankKey key = candKey(cc);
+            run.offer(scratch_e[i], key.hi, key.lo, ref);
         }
     }
 

@@ -265,17 +265,22 @@ class ConventionalMc : public ChannelControllerBase
                            std::uint64_t rank_idx);
 
     /**
-     * One cached candidate of a bank (16 bytes). Its issue tick at now is
+     * One cached candidate of a bank (32 bytes). Its issue tick at now is
      * max(now, bankTerm, sharedTerm[sharedIdx + (class & classMask)],
      * its bus floor), where a RD/WR's class says whether its bank shares
-     * the SID and bank group of its PC's last CAS. Its rank key is
-     * opKey(kind, node), taken only when it ties for the earliest tick.
+     * the SID and bank group of its PC's last CAS. Its rank key, taken
+     * only when it ties for the earliest tick, is candKey(): the op's
+     * arrival and (category, sequence) word with the priority at now.
      */
     struct CachedCand
     {
         /** The device's bank-local timing term for the command. */
         Tick bankTerm = 0;
-        /** Pool node of the op the candidate serves or is ranked by. */
+        /** Arrival of the op the candidate serves or is ranked by. */
+        Tick age = 0;
+        /** RankKey::lo of that op: its queue category and sequence. */
+        std::uint64_t rankLo = 0;
+        /** Pool node of that op. */
         int node = -1;
         std::uint16_t sharedIdx = 0;
         /** -1 for RD/WR (column bus, classed term), 0 for ACT/PRE. */
@@ -283,8 +288,7 @@ class ConventionalMc : public ChannelControllerBase
         std::uint8_t kind = 0; ///< CmdKind
     };
 
-    /** A bank's cached candidates plus its constant coordinates: one
-     *  64-byte line. */
+    /** A bank's cached candidates plus its constant coordinates. */
     struct BankCands
     {
         std::int8_t count = 0;
@@ -373,9 +377,8 @@ class ConventionalMc : public ChannelControllerBase
      */
     int agedConflictRep(const BankEntry& e, bool any_write, int open_row,
                         Tick& valid_until);
-    /** Rank key at now_ of a @p kind candidate served or ranked by the
-     *  op at pool @p node. */
-    RankKey opKey(CmdKind kind, int node) const;
+    /** Rank key of a cached candidate at now_. */
+    RankKey candKey(const CachedCand& cc) const;
     /** Allocate and fill the scheduling caches (first step, restore). */
     void initCaches();
     /** Re-derive a bank's cached candidates at now_. */
