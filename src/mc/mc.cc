@@ -998,8 +998,8 @@ ConventionalMc::stepOnceIndexed(Tick until)
     // branch) and keeps those that reached the running min when seen;
     // the second ranks only those.
     const int* last_cas = sc_->lastCas.data();
-    Tick* scratch_e = sc_->walkTick.data();
-    int* scratch_ref = sc_->walkRef.data();
+    Tick* kept_e = sc_->walkTick.data();
+    int* kept_ref = sc_->walkRef.data();
     int n_walked = 0;
     Tick min_e = kTickMax;
     for (const int b : activeBanks_) {
@@ -1017,19 +1017,19 @@ ConventionalMc::stepOnceIndexed(Tick until)
                                     std::max(term, floor));
             // Keep only candidates that tie or beat the running min: a
             // superset of the final ties.
-            scratch_e[n_walked] = e;
-            scratch_ref[n_walked] = b * kRefSlots + k;
+            kept_e[n_walked] = e;
+            kept_ref[n_walked] = b * kRefSlots + k;
             n_walked += e <= min_e;
             min_e = std::min(min_e, e);
         }
     }
     if (min_e <= run.e) {
         for (int i = 0; i < n_walked; ++i) {
-            const int ref = scratch_ref[i];
+            const int ref = kept_ref[i];
             const CachedCand& cc = cands[ref / kRefSlots].cand[
                 static_cast<std::size_t>(ref % kRefSlots)];
             const RankKey key = candKey(cc);
-            run.offer(scratch_e[i], key.hi, key.lo, ref);
+            run.offer(kept_e[i], key.hi, key.lo, ref);
         }
     }
 

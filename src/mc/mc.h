@@ -447,7 +447,7 @@ class ConventionalMc : public ChannelControllerBase
         std::vector<int> staleBanks;
         /** No cache needs rebuilding for aging before this tick. */
         Tick nextAging = kTickMax;
-        /** Scratch of a step's walk: issue tick and ref per candidate. */
+        /** The walk's kept candidates: issue tick and ref of each. */
         std::vector<Tick> walkTick;
         std::vector<int> walkRef;
         int numGroups = 0; ///< (PC, SID, bank group) triples
