@@ -6,26 +6,20 @@
  * across queue depths, bank counts, and traffic patterns.
  *
  * Every pairing also asserts that the two schedulers' ControllerStats are
- * bit-identical (operator==) — the legacy implementation is the
- * pre-refactor decision-order oracle — and a counting global allocator
- * verifies that the indexed conventional scheduler performs no heap
- * allocation per steady-state step.
+ * bit-identical (operator==): the legacy implementation is the
+ * pre-refactor decision-order reference. A last section times the
+ * telemetry counter tier and gates its steps/s overhead below 10%.
+ * (Zero heap allocations per steady-state step is test_alloc's gate.)
  *
  * Results are emitted as a table and as machine-readable BENCH_sched.json
- * (uploaded by the bench-smoke CI job), establishing the repo's perf
- * trajectory. `--quick` runs a reduced grid for CI smoke runs.
- *
- * Under -DROME_ORACLES=OFF the legacy/scalar oracle columns are compiled
- * out: the bench times only the fast paths and skips the parity asserts.
+ * (uploaded by the bench-smoke CI job). `--quick` runs a reduced grid for
+ * CI smoke runs.
  */
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <new>
 #include <string>
 #include <vector>
 
@@ -37,88 +31,6 @@
 #include "rome/rome_mc.h"
 #include "sim/engine.h"
 #include "sim/workloads.h"
-
-// ---------------------------------------------------------------------------
-// Counting allocator: every operator-new in the process bumps g_allocs, so a
-// steady-state window with zero delta proves the scheduling loop never
-// touches the heap.
-// ---------------------------------------------------------------------------
-
-namespace
-{
-std::atomic<std::uint64_t> g_allocs{0};
-}
-
-void*
-operator new(std::size_t n)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(n ? n : 1))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t n)
-{
-    return ::operator new(n);
-}
-
-void*
-operator new(std::size_t n, std::align_val_t align)
-{
-    g_allocs.fetch_add(1, std::memory_order_relaxed);
-    // aligned_alloc requires the size to be a multiple of the alignment
-    // (UB / NULL on non-glibc otherwise).
-    const std::size_t a = static_cast<std::size_t>(align);
-    const std::size_t rounded = (std::max<std::size_t>(n, 1) + a - 1) /
-                                a * a;
-    if (void* p = std::aligned_alloc(a, rounded))
-        return p;
-    throw std::bad_alloc();
-}
-
-void*
-operator new[](std::size_t n, std::align_val_t align)
-{
-    return ::operator new(n, align);
-}
-
-void
-operator delete(void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::size_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete(void* p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
-
-void
-operator delete[](void* p, std::align_val_t) noexcept
-{
-    std::free(p);
-}
 
 using namespace rome;
 using namespace rome::literals;
@@ -239,22 +151,19 @@ main(int argc, char** argv)
                 indexed_cfg.readQueueDepth = depth;
                 indexed_cfg.writeQueueDepth = depth;
 
-                ConventionalMc indexed(dram, bestBaselineMapping(dram.org),
-                                       indexed_cfg);
-                // The legacy rescan scheduler is the baseline column and
-                // the stats oracle; ROME_ORACLES=OFF builds compile it
-                // out and report the fast path alone.
-                RunResult lr;
-#if ROME_ORACLES
                 McConfig legacy_cfg = indexed_cfg;
                 legacy_cfg.legacyScheduler = true;
+
+                // The legacy rescan scheduler is the baseline column and
+                // the stats reference.
                 ConventionalMc legacy(dram, bestBaselineMapping(dram.org),
                                       legacy_cfg);
-                lr = timedDrain(legacy, reqs);
-#endif
+                ConventionalMc indexed(dram, bestBaselineMapping(dram.org),
+                                       indexed_cfg);
+                const RunResult lr = timedDrain(legacy, reqs);
                 const RunResult ir = timedDrain(indexed, reqs);
 
-                const bool match = !ROME_ORACLES || lr.stats == ir.stats;
+                const bool match = lr.stats == ir.stats;
                 all_match = all_match && match;
                 const double speedup =
                     ir.seconds > 0.0 ? lr.seconds / ir.seconds : 0.0;
@@ -297,30 +206,21 @@ main(int argc, char** argv)
                     continue; // RoMe saturates at tiny depths; bench deep
                 RomeMcConfig template_cfg;
                 template_cfg.queueDepth = depth;
-
-                RomeMc tmpl(dram, VbaDesign::adopted(), template_cfg);
-                // Scalar lowering and the legacy scheduler are the
-                // baseline columns and the three-way stats oracle;
-                // ROME_ORACLES=OFF builds compile them out and report
-                // the template path alone.
-                RunResult lr;
-                RunResult sr;
-#if ROME_ORACLES
                 RomeMcConfig legacy_cfg = template_cfg;
                 legacy_cfg.legacyScheduler = true;
                 legacy_cfg.scalarLowering = true;
                 RomeMcConfig scalar_cfg = template_cfg;
                 scalar_cfg.scalarLowering = true;
+
                 RomeMc legacy(dram, VbaDesign::adopted(), legacy_cfg);
                 RomeMc scalar(dram, VbaDesign::adopted(), scalar_cfg);
-                lr = timedDrain(legacy, reqs);
-                sr = timedDrain(scalar, reqs);
-#endif
+                RomeMc tmpl(dram, VbaDesign::adopted(), template_cfg);
+                const RunResult lr = timedDrain(legacy, reqs);
+                const RunResult sr = timedDrain(scalar, reqs);
                 const RunResult tr = timedDrain(tmpl, reqs);
 
                 const bool match =
-                    !ROME_ORACLES ||
-                    (lr.stats == sr.stats && sr.stats == tr.stats);
+                    lr.stats == sr.stats && sr.stats == tr.stats;
                 all_match = all_match && match;
                 const double lowering_speedup =
                     tr.seconds > 0.0 ? sr.seconds / tr.seconds : 0.0;
@@ -370,7 +270,6 @@ main(int argc, char** argv)
     // untouched by counting.
     double telemetry_overhead_pct = 0.0;
     bool telemetry_stats_match = true;
-    bool telemetry_alloc_free = true;
     {
         const std::uint64_t tel_total = quick ? 8_MiB : 32_MiB;
         const DramConfig tel_dram = hbm4Config();
@@ -418,26 +317,6 @@ main(int argc, char** argv)
         std::sort(pair_overhead_pct.begin(), pair_overhead_pct.end());
         telemetry_overhead_pct = pair_overhead_pct[pair_overhead_pct.size() / 2];
 
-        // Counter-tier steady-state allocation probe: the stall table,
-        // breakdown histograms, and op fields are all preallocated, so
-        // telemetry on must stay alloc-free per step like the base path.
-        ConventionalMc probe(tel_dram, bestBaselineMapping(tel_dram.org),
-                             on_cfg);
-        for (const auto& r : reqs)
-            probe.enqueue(r);
-        probe.runUntil(60_us); // warm-up
-        const std::uint64_t tel_steps0 = probe.stepsExecuted();
-        const std::uint64_t tel_allocs0 = g_allocs.load();
-        probe.runUntil(220_us); // steady window
-        const std::uint64_t tel_steps =
-            probe.stepsExecuted() - tel_steps0;
-        const std::uint64_t tel_allocs = g_allocs.load() - tel_allocs0;
-        const double tel_allocs_per_step =
-            tel_steps ? static_cast<double>(tel_allocs) /
-                            static_cast<double>(tel_steps)
-                      : 0.0;
-        telemetry_alloc_free = tel_allocs_per_step <= 0.001;
-
         t.addRow({"hbm4-telemetry", "mixed", "64", "128",
                   Table::num(best_off.seconds, 3),
                   Table::num(best_on.seconds, 3),
@@ -457,87 +336,12 @@ main(int argc, char** argv)
         json.key("telemetryOffStepsPerSec").value(best_off.stepsPerSec);
         json.key("telemetryOnStepsPerSec").value(best_on.stepsPerSec);
         json.key("telemetryOverheadPct").value(telemetry_overhead_pct);
-        json.key("telemetryAllocsPerStep").value(tel_allocs_per_step);
         json.key("statsMatch").value(telemetry_stats_match);
         json.endObject();
     }
     json.endArray();
     t.print();
 
-    // --- Steady-state allocation probe ----------------------------------
-    // Enqueue everything up front, run past the warm-up horizon (pool,
-    // heaps, and slot calendars reach their steady capacity), then count
-    // operator-new calls across a long steady window.
-    const DramConfig dram = hbm4Config();
-    McConfig cfg;
-    cfg.readQueueDepth = 128;
-    cfg.writeQueueDepth = 128;
-    ConventionalMc mc(dram, bestBaselineMapping(dram.org), cfg);
-    for (const auto& r :
-         buildWorkload("mixed", 16_MiB, dram.org.channelCapacity()))
-        mc.enqueue(r);
-    mc.runUntil(60_us); // warm-up
-    const std::uint64_t steps0 = mc.stepsExecuted();
-    const std::uint64_t allocs0 = g_allocs.load();
-    mc.runUntil(220_us); // steady window
-    const std::uint64_t window_steps = mc.stepsExecuted() - steps0;
-    const std::uint64_t window_allocs = g_allocs.load() - allocs0;
-    const double allocs_per_step =
-        window_steps
-            ? static_cast<double>(window_allocs) /
-                  static_cast<double>(window_steps)
-            : 0.0;
-    std::printf("\nsteady-state allocation probe: %llu allocs over %llu "
-                "steps (%.6f allocs/step)\n",
-                static_cast<unsigned long long>(window_allocs),
-                static_cast<unsigned long long>(window_steps),
-                allocs_per_step);
-    const bool alloc_free = allocs_per_step <= 0.001;
-
-    json.key("allocProbe").beginObject();
-    json.key("windowSteps").value(window_steps);
-    json.key("windowAllocs").value(window_allocs);
-    json.key("allocsPerStep").value(allocs_per_step);
-    json.key("allocFree").value(alloc_free);
-    json.endObject();
-
-    // --- RoMe steady-state allocation probe ------------------------------
-    // Same recipe on the RoMe stack: with the plan cache and the template
-    // fast path, steady-state lowering — including the occasional scalar
-    // fallback and refresh templates — must never touch the heap.
-    RomeMcConfig rome_probe_cfg;
-    rome_probe_cfg.queueDepth = 128;
-    RomeMc rome_mc(dram, VbaDesign::adopted(), rome_probe_cfg);
-    for (const auto& r :
-         buildWorkload("stream", 16_MiB, dram.org.channelCapacity()))
-        rome_mc.enqueue(r);
-    // Warm-up runs past the bus calendars's first retire-compact cycle
-    // (~100 us at stream rates), where their capacity high-water settles.
-    rome_mc.runUntil(120_us);
-    const std::uint64_t rome_steps0 = rome_mc.stepsExecuted();
-    const std::uint64_t rome_allocs0 = g_allocs.load();
-    rome_mc.runUntil(280_us); // steady window
-    const std::uint64_t rome_window_steps =
-        rome_mc.stepsExecuted() - rome_steps0;
-    const std::uint64_t rome_window_allocs = g_allocs.load() - rome_allocs0;
-    const double rome_allocs_per_step =
-        rome_window_steps
-            ? static_cast<double>(rome_window_allocs) /
-                  static_cast<double>(rome_window_steps)
-            : 0.0;
-    std::printf("rome steady-state allocation probe: %llu allocs over "
-                "%llu steps (%.6f allocs/step)\n",
-                static_cast<unsigned long long>(rome_window_allocs),
-                static_cast<unsigned long long>(rome_window_steps),
-                rome_allocs_per_step);
-    const bool rome_alloc_free = rome_allocs_per_step <= 0.001;
-
-    json.key("romeAllocProbe").beginObject();
-    json.key("windowSteps").value(rome_window_steps);
-    json.key("windowAllocs").value(rome_window_allocs);
-    json.key("allocsPerStep").value(rome_allocs_per_step);
-    json.key("allocFree").value(rome_alloc_free);
-    json.endObject();
     json.key("bestSpeedupAtDeepQueues").value(best_speedup_deep);
     json.key("romeLoweringSpeedupAtDeepQueues").value(
         best_rome_speedup_deep);
@@ -554,16 +358,11 @@ main(int argc, char** argv)
                 "%.1fx (target 3x)\n",
                 best_rome_speedup_deep);
     const bool telemetry_ok = telemetry_stats_match &&
-                              telemetry_alloc_free &&
                               telemetry_overhead_pct < 10.0;
     std::printf("telemetry counter-tier overhead: %.1f%% steps/s "
-                "(gate <10%%), stats match: %s, alloc-free: %s\n",
+                "(gate <10%%), stats match: %s\n",
                 telemetry_overhead_pct,
-                telemetry_stats_match ? "yes" : "NO — BUG",
-                telemetry_alloc_free ? "yes" : "NO — BUG");
+                telemetry_stats_match ? "yes" : "NO — BUG");
 
-    return all_match && alloc_free && rome_alloc_free && telemetry_ok &&
-                   wrote
-               ? 0
-               : 1;
+    return all_match && telemetry_ok && wrote ? 0 : 1;
 }

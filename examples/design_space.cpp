@@ -55,8 +55,8 @@ main()
                   Table::num(nsFromTicks(rt.tR2RS), 0),
                   Table::num(nsFromTicks(rt.tRDrow), 0),
                   std::to_string(mc.config().queueDepth),
-                  std::to_string(mc.config().operateFsms) + "+" +
-                      std::to_string(mc.config().refreshFsms),
+                  std::to_string(mc.operateFsms()) + "+" +
+                      std::to_string(mc.refreshFsms()),
                   Table::percent(d.areaOverheadFraction())});
     }
     t.print();

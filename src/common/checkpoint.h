@@ -42,7 +42,9 @@ namespace rome
 // stack's admission-order ring left the stream.
 // v4: the conventional stack's per-step PRE dedupe stamps left the
 // stream.
-inline constexpr std::uint32_t kCheckpointVersion = 4;
+// v5: the base state's source window and the conventional stack's
+// read-queue occupancy accumulator left the stream.
+inline constexpr std::uint32_t kCheckpointVersion = 5;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

@@ -3,8 +3,6 @@
 #include <bit>
 #include <cmath>
 
-#include "common/strfmt.h"
-
 namespace rome
 {
 
@@ -113,79 +111,6 @@ LatencyHistogram::operator==(const LatencyHistogram& o) const
 {
     return count_ == o.count_ && sum_ == o.sum_ && min_ == o.min_ &&
            max_ == o.max_ && buckets_ == o.buckets_;
-}
-
-void
-Log2Histogram::sample(std::uint64_t v)
-{
-    const std::size_t idx = v == 0 ? 0 : static_cast<std::size_t>(
-        std::bit_width(v) - 1);
-    if (idx >= buckets_.size())
-        buckets_.resize(idx + 1, 0);
-    ++buckets_[idx];
-    if (total_ == 0 || v < min_)
-        min_ = v;
-    if (total_ == 0 || v > max_)
-        max_ = v;
-    ++total_;
-}
-
-std::uint64_t
-Log2Histogram::bucketCount(std::size_t i) const
-{
-    return i < buckets_.size() ? buckets_[i] : 0;
-}
-
-double
-Log2Histogram::percentile(double p) const
-{
-    if (total_ == 0)
-        return 0.0;
-    const double target = p / 100.0 * static_cast<double>(total_);
-    std::uint64_t seen = 0;
-    for (std::size_t i = 0; i < buckets_.size(); ++i) {
-        seen += buckets_[i];
-        if (static_cast<double>(seen) >= target)
-            return std::ldexp(1.0, static_cast<int>(i));
-    }
-    return static_cast<double>(max_);
-}
-
-void
-StatGroup::addCounter(const std::string& stat_name, const Counter* c)
-{
-    counters_[stat_name] = c;
-}
-
-void
-StatGroup::addAccumulator(const std::string& stat_name, const Accumulator* a)
-{
-    accumulators_[stat_name] = a;
-}
-
-std::map<std::string, std::uint64_t>
-StatGroup::counterValues() const
-{
-    std::map<std::string, std::uint64_t> out;
-    for (const auto& [n, c] : counters_)
-        out[n] = c->value();
-    return out;
-}
-
-std::string
-StatGroup::report() const
-{
-    std::string out = name_ + "\n";
-    for (const auto& [n, c] : counters_) {
-        out += strfmt("  %-40s %llu\n", n.c_str(),
-                      static_cast<unsigned long long>(c->value()));
-    }
-    for (const auto& [n, a] : accumulators_) {
-        out += strfmt("  %-40s count=%llu mean=%.3f min=%.3f max=%.3f\n",
-                      n.c_str(), static_cast<unsigned long long>(a->count()),
-                      a->mean(), a->min(), a->max());
-    }
-    return out;
 }
 
 } // namespace rome

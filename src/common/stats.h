@@ -1,8 +1,7 @@
 /**
  * @file
- * Lightweight statistics primitives: named counters, scalar gauges, and
- * fixed-bucket histograms, grouped into a registry that owning components
- * expose for reporting.
+ * Lightweight statistics primitives: event counters, running scalar
+ * statistics, and a log-linear latency histogram.
  */
 
 #ifndef ROME_COMMON_STATS_H
@@ -10,9 +9,6 @@
 
 #include <array>
 #include <cstdint>
-#include <map>
-#include <string>
-#include <vector>
 
 #include "common/checkpoint.h"
 
@@ -228,62 +224,6 @@ class LatencyHistogram
     double sum_ = 0.0;
     double min_ = 0.0;
     double max_ = 0.0;
-};
-
-/** Histogram over log2-spaced buckets, suitable for size distributions. */
-class Log2Histogram
-{
-  public:
-    /** Record one sample (values < 1 land in bucket 0). */
-    void sample(std::uint64_t v);
-
-    /** Bucket index holding values in [2^i, 2^(i+1)). */
-    std::uint64_t bucketCount(std::size_t i) const;
-
-    /** Number of populated buckets (highest index + 1). */
-    std::size_t numBuckets() const { return buckets_.size(); }
-
-    std::uint64_t totalSamples() const { return total_; }
-
-    /** Smallest / largest recorded sample. */
-    std::uint64_t minSample() const { return total_ ? min_ : 0; }
-    std::uint64_t maxSample() const { return total_ ? max_ : 0; }
-
-    /** p-th percentile (0..100) estimated from bucket boundaries. */
-    double percentile(double p) const;
-
-  private:
-    std::vector<std::uint64_t> buckets_;
-    std::uint64_t total_ = 0;
-    std::uint64_t min_ = 0;
-    std::uint64_t max_ = 0;
-};
-
-/**
- * A named collection of statistics. Components own a StatGroup and register
- * references to their counters so reporting code can enumerate them.
- */
-class StatGroup
-{
-  public:
-    explicit StatGroup(std::string name) : name_(std::move(name)) {}
-
-    /** Register a counter under @p stat_name; the counter must outlive us. */
-    void addCounter(const std::string& stat_name, const Counter* c);
-    void addAccumulator(const std::string& stat_name, const Accumulator* a);
-
-    const std::string& name() const { return name_; }
-
-    /** Snapshot of all registered counters as name → value. */
-    std::map<std::string, std::uint64_t> counterValues() const;
-
-    /** Render a human-readable multi-line report. */
-    std::string report() const;
-
-  private:
-    std::string name_;
-    std::map<std::string, const Counter*> counters_;
-    std::map<std::string, const Accumulator*> accumulators_;
 };
 
 } // namespace rome

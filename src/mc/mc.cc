@@ -25,6 +25,14 @@ constexpr int kPrioRefresh = 6;  // opportunistic refresh
 constexpr int kRefreshForceAt = 8;
 constexpr int kRefreshPendingCap = 9;
 
+/** Write-drain hysteresis: start draining at this write-queue occupancy
+ *  fraction, stop at the low one. */
+constexpr double kWriteHighWatermark = 0.9;
+constexpr double kWriteLowWatermark = 0.05;
+
+/** Adaptive policy: precharge an idle open row after this long. */
+constexpr Tick kAdaptiveIdleTimeout = ticksFromNs(std::int64_t{100});
+
 /** Candidate tie-break categories, in legacy collection order. */
 constexpr int kRankRefresh = 0;
 constexpr int kRankReadOp = 1;
@@ -74,11 +82,6 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
         cfg.org.banksPerChannel() > std::numeric_limits<std::uint16_t>::max() / 2) {
         fatal("bank geometry exceeds the scheduler's compact indices");
     }
-#if !ROME_ORACLES
-    if (cfg_.legacyScheduler)
-        fatal("McConfig::legacyScheduler is a test-only oracle compiled "
-              "out of this build — reconfigure with -DROME_ORACLES=ON");
-#endif
     // One SEC-DED codeword per 32 B line: every read CAS is classified
     // as exactly one codeword. Fault domains are flat bank indices.
     faults_.configure(cfg_.faults, cfg.org.banksPerChannel(),
@@ -245,9 +248,9 @@ ConventionalMc::updateWriteDrain()
     const bool forced = readQueueSize() == 0 && writeQueueSize() != 0;
     const bool was = drainingWrites_;
     if (!drainingWrites_) {
-        if (w_occ >= cfg_.writeHighWatermark * w_depth || forced)
+        if (w_occ >= kWriteHighWatermark * w_depth || forced)
             drainingWrites_ = true;
-    } else if (w_occ <= cfg_.writeLowWatermark * w_depth && !forced) {
+    } else if (w_occ <= kWriteLowWatermark * w_depth && !forced) {
         drainingWrites_ = false;
     }
     if (drainingWrites_ != was && sc_ != nullptr) {
@@ -1044,7 +1047,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
                 continue;
             const BankRecord& rec = dev_.bankRecord(b);
             if (cfg_.pagePolicy == PagePolicy::Adaptive &&
-                now_ - bankLastUse(rec) < cfg_.adaptiveIdleTimeout) {
+                now_ - bankLastUse(rec) < kAdaptiveIdleTimeout) {
                 continue;
             }
             const Tick floor =
@@ -1084,7 +1087,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
                 adaptive_next = std::min(
                     adaptive_next,
                     std::max(now_ + 1, bankLastUse(dev_.bankRecord(b)) +
-                                           cfg_.adaptiveIdleTimeout));
+                                           kAdaptiveIdleTimeout));
             }
         }
         const Tick next = idleWakeTick(adaptive_next);
@@ -1098,11 +1101,7 @@ ConventionalMc::stepOnceIndexed(Tick until)
             // `next`, matched in idleWakeTick's own evaluation order.
             StallCause cause = StallCause::NoRequest;
             bool matched = false;
-            if (writeCount_ > 0 && !drainingWrites_ && readCount_ == 0) {
-                cause = StallCause::WriteDrain;
-                matched = true;
-            }
-            if (!matched && nextRetryAt_ != kTickMax &&
+            if (nextRetryAt_ != kTickMax &&
                 std::max(nextRetryAt_, now_ + 1) == next) {
                 cause = StallCause::RetryBackoff;
                 matched = true;
@@ -1171,7 +1170,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
 #endif
     now_ = best.earliest;
     const auto res = dev_.issue(cmd, now_);
-    readQOcc_.sample(static_cast<double>(readCount_));
     // Every command moves its bank's timing terms.
     markStale(best.bank);
     updateSharedTerms(cmd);
@@ -1203,12 +1201,9 @@ ConventionalMc::stepOnceIndexed(Tick until)
 }
 
 // ---------------------------------------------------------------------------
-// Legacy scheduler (the seed's rescan-everything loop; decision oracle).
-// Test-only: compiled out under -DROME_ORACLES=OFF — the constructor
-// rejects cfg_.legacyScheduler there, so the stubs are unreachable.
+// Legacy scheduler (the seed's rescan-everything loop; the parity tests'
+// reference).
 // ---------------------------------------------------------------------------
-
-#if ROME_ORACLES
 
 void
 ConventionalMc::collectRefreshCandidates(std::vector<Candidate>& out) const
@@ -1342,7 +1337,7 @@ ConventionalMc::collectOpCandidates(std::vector<Candidate>& out) const
                             continue;
                         if (cfg_.pagePolicy == PagePolicy::Adaptive &&
                             now_ - bankLastUse(rec) <
-                                cfg_.adaptiveIdleTimeout) {
+                                kAdaptiveIdleTimeout) {
                             continue;
                         }
                         if (!pre_banks.insert(idx).second)
@@ -1394,7 +1389,7 @@ ConventionalMc::stepOnceLegacy(Tick until)
                                 adaptive_next,
                                 std::max(now_ + 1,
                                          bankLastUse(rec) +
-                                         cfg_.adaptiveIdleTimeout));
+                                         kAdaptiveIdleTimeout));
                         }
                     }
                 }
@@ -1426,7 +1421,6 @@ ConventionalMc::stepOnceLegacy(Tick until)
 
     now_ = best->earliest;
     const auto res = dev_.issue(best->cmd, now_);
-    readQOcc_.sample(static_cast<double>(readQ_.size()));
 
     if (best->isRefresh) {
         if (best->cmd.kind == CmdKind::RefPb) {
@@ -1447,28 +1441,6 @@ ConventionalMc::stepOnceLegacy(Tick until)
     }
     return true;
 }
-
-#else // !ROME_ORACLES
-
-void
-ConventionalMc::collectRefreshCandidates(std::vector<Candidate>&) const
-{
-    panic("legacy oracle compiled out (ROME_ORACLES=OFF)");
-}
-
-void
-ConventionalMc::collectOpCandidates(std::vector<Candidate>&) const
-{
-    panic("legacy oracle compiled out (ROME_ORACLES=OFF)");
-}
-
-bool
-ConventionalMc::stepOnceLegacy(Tick)
-{
-    panic("legacy oracle compiled out (ROME_ORACLES=OFF)");
-}
-
-#endif // ROME_ORACLES
 
 // ---------------------------------------------------------------------------
 // Statistics
@@ -1645,7 +1617,6 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
     w.putI64(nextRetryAt_);
 
     w.putU64(casIssued_);
-    readQOcc_.saveState(w);
 }
 
 void
@@ -1732,7 +1703,6 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
     nextRetryAt_ = r.getI64();
 
     casIssued_ = r.getU64();
-    readQOcc_.loadState(r);
     scrubEvents_.clear();
     // The step's caches are a function of the restored state: the next
     // step derives them afresh.

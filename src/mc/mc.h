@@ -82,25 +82,22 @@ struct McConfig
      * 64 per PC; this controller serves both PCs of a channel.
      */
     int readQueueDepth = 128;
-    /** Column-op entries in the write queue. */
+    /**
+     * Column-op entries in the write queue. Writes drain from 90%
+     * occupancy, or whenever no read is queued, down to 5%.
+     */
     int writeQueueDepth = 128;
+    /** Row-buffer policy; adaptive precharges a row idle for 100 ns. */
     PagePolicy pagePolicy = PagePolicy::Open;
-    /** Drain writes above this occupancy fraction. */
-    double writeHighWatermark = 0.9;
-    /** Stop draining below this occupancy fraction. */
-    double writeLowWatermark = 0.05;
     /** Enable the refresh scheduler. */
     bool refreshEnabled = true;
     /** Ops older than this get absolute priority (QoS, §II-D). */
     Tick agePriorityThreshold = ticksFromNs(static_cast<std::int64_t>(5000));
-    /** Adaptive policy: precharge an idle open row after this long. */
-    Tick adaptiveIdleTimeout = ticksFromNs(static_cast<std::int64_t>(100));
     /**
      * Use the seed's rescan-everything scheduler instead of the
-     * incremental per-bank index. Decisions are bit-identical; this exists
-     * as the parity oracle and as the baseline of bench_sched_hotpath.
-     * Test-only: builds configured with -DROME_ORACLES=OFF compile the
-     * oracle out and reject this flag at construction.
+     * incremental per-bank index. Decisions are bit-identical; this is
+     * the reference the parity tests and bench_sched_hotpath compare
+     * the indexed scheduler against.
      */
     bool legacyScheduler = false;
     /**
@@ -137,8 +134,6 @@ class ConventionalMc : public ChannelControllerBase
     double achievedBandwidth() const;
     /** Fraction of column ops that hit an open row. */
     double rowHitRate() const;
-    /** Read-queue occupancy sampled at each issued command. */
-    const Accumulator& readQueueOccupancy() const { return readQOcc_; }
 
     /** Table IV introspection. */
     McComplexity complexity() const override;
@@ -493,7 +488,6 @@ class ConventionalMc : public ChannelControllerBase
     std::vector<SpareEvent> scrubEvents_;
 
     std::uint64_t casIssued_ = 0;
-    Accumulator readQOcc_;
 };
 
 } // namespace rome

@@ -35,10 +35,6 @@ namespace rome
 /** Configuration of the heterogeneous channel split. */
 struct HybridConfig
 {
-    /** Requests of at least this many bytes go to the RoMe partition. */
-    std::uint64_t coarseThreshold = 4096;
-    /** Fraction of the cube's channels built as RoMe (rest HBM4). */
-    double romeChannelFraction = 0.75;
     /**
      * Reliability model applied to both partitions (sim/fault.h). Each
      * partition classifies at its own ECC granularity — 32 B lines on the
@@ -58,6 +54,9 @@ struct HybridConfig
 class HybridMc : public IMemoryController
 {
   public:
+    /** Requests of at least this many bytes go to the RoMe partition. */
+    static constexpr std::uint64_t kCoarseThreshold = 4096;
+
     HybridMc(const DramConfig& base, HybridConfig cfg);
 
     std::string name() const override { return "hybrid"; }
@@ -201,7 +200,7 @@ class HybridMc : public IMemoryController
     int
     partitionOf(const Request& r) const
     {
-        return r.size >= cfg_.coarseThreshold ? 0 : 1;
+        return r.size >= kCoarseThreshold ? 0 : 1;
     }
 
     /**

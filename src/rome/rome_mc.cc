@@ -14,18 +14,8 @@ RomeMc::RomeMc(const DramConfig& base, VbaDesign design, RomeMcConfig cfg,
                                  map_.deviceTiming()),
       gen_(map_, dev_, CmdGenPlacement::LogicDie, !cfg.scalarLowering)
 {
-#if !ROME_ORACLES
-    // The template (vectorized) lowering path stays live either way —
-    // only the force-scalar flag and the legacy scheduler are oracles.
-    if (cfg_.legacyScheduler || cfg_.scalarLowering)
-        fatal("RomeMcConfig::%s is a test-only oracle compiled out of "
-              "this build — reconfigure with -DROME_ORACLES=ON",
-              cfg_.legacyScheduler ? "legacyScheduler" : "scalarLowering");
-#endif
-    if (cfg_.timing) {
-        timing_ = *cfg_.timing;
-    } else if (design.bankMode == VbaDesign::adopted().bankMode &&
-               design.pcMode == VbaDesign::adopted().pcMode) {
+    if (design.bankMode == VbaDesign::adopted().bankMode &&
+        design.pcMode == VbaDesign::adopted().pcMode) {
         timing_ = romeTableVTiming();
     } else {
         timing_ = deriveRomeTiming(base.timing, map_);
@@ -36,24 +26,20 @@ RomeMc::RomeMc(const DramConfig& base, VbaDesign design, RomeMcConfig cfg,
     }
     if (cfg_.queueDepth < 1)
         fatal("RoMe queue depth must be positive");
-    if (cfg_.operateFsms == 0) {
-        cfg_.operateFsms = static_cast<int>(
-            (timing_.tRDrow + timing_.tR2RS - 1) / timing_.tR2RS);
-    }
+    operateFsms_ = static_cast<int>(
+        (timing_.tRDrow + timing_.tR2RS - 1) / timing_.tR2RS);
     totalVbas_ = map_.vbasPerSid() *
                  map_.deviceOrganization().sidsPerChannel;
     refresh_.interval = base.timing.tREFIbank / totalVbas_;
-    if (cfg_.refreshFsms == 0) {
-        // Average refresh concurrency: one VBA stall per interval.
-        const VbaPlan& plan = map_.planRef(VbaAddress{0, 0, 0});
-        const Tick stall = base.timing.tRFCpb +
-            (plan.banks.size() == 2 ? base.timing.tRREFD : 0);
-        const double demand = static_cast<double>(stall) /
-                              static_cast<double>(refresh_.interval);
-        cfg_.refreshFsms = std::max(3, static_cast<int>(demand * 1.2) + 1);
-    }
-    opSlots_.resize(static_cast<std::size_t>(cfg_.operateFsms));
-    refSlots_.resize(static_cast<std::size_t>(cfg_.refreshFsms));
+    // Average refresh concurrency: one VBA stall per interval.
+    const VbaPlan& plan = map_.planRef(VbaAddress{0, 0, 0});
+    const Tick stall = base.timing.tRFCpb +
+        (plan.banks.size() == 2 ? base.timing.tRREFD : 0);
+    const double demand = static_cast<double>(stall) /
+                          static_cast<double>(refresh_.interval);
+    refreshFsms_ = std::max(3, static_cast<int>(demand * 1.2) + 1);
+    opSlots_.resize(static_cast<std::size_t>(operateFsms_));
+    refSlots_.resize(static_cast<std::size_t>(refreshFsms_));
     vbaBusyUntil_.assign(static_cast<std::size_t>(totalVbas_), 0);
     vbaBusyState_.assign(static_cast<std::size_t>(totalVbas_),
                          VbaState::Idle);
@@ -258,7 +244,7 @@ RomeMc::stepOnceIndexed(Tick until)
         refresh_target = t;
         const auto key = static_cast<std::size_t>(vbaKey(t));
         if (vbaBusyUntil_[key] <= now_ &&
-            static_cast<int>(refBusy_.size()) < cfg_.refreshFsms) {
+            static_cast<int>(refBusy_.size()) < refreshFsms_) {
             const auto res = gen_.execute({RowCmdKind::Ref, t}, now_);
             refBusy_.push(res.vbaReadyAt);
             vbaBusyUntil_[key] = res.vbaReadyAt;
@@ -275,7 +261,7 @@ RomeMc::stepOnceIndexed(Tick until)
     // --- Data scheduling: issue the op that can go earliest; ties go to
     // VBAs other than the last issued one (interleaving), then to age.
     const Tick op_slot_free =
-        static_cast<int>(opBusy_.size()) < cfg_.operateFsms
+        static_cast<int>(opBusy_.size()) < operateFsms_
             ? now_
             : opBusy_.firstFreeAfter(now_);
 
@@ -458,10 +444,8 @@ RomeMc::stepOnceIndexed(Tick until)
     return true;
 }
 
-// Legacy scheduler (the seed's rescan-everything loop; decision oracle).
-// Test-only: compiled out under -DROME_ORACLES=OFF — the constructor
-// rejects cfg_.legacyScheduler there, so the stub is unreachable.
-#if ROME_ORACLES
+// Legacy scheduler (the seed's rescan-everything loop; the parity tests'
+// reference).
 
 bool
 RomeMc::stepOnceLegacy(Tick until)
@@ -482,7 +466,7 @@ RomeMc::stepOnceLegacy(Tick until)
                 map_.deviceOrganization().sidsPerChannel;
         refresh_target = t;
         if (!vbaBusy(t, now_) &&
-            busyCount(refSlots_, now_) < cfg_.refreshFsms) {
+            busyCount(refSlots_, now_) < refreshFsms_) {
             const auto res = gen_.execute({RowCmdKind::Ref, t}, now_);
             for (auto& s : refSlots_) {
                 if (s.busyUntil == kTickInvalid || s.busyUntil <= now_) {
@@ -637,16 +621,6 @@ RomeMc::stepOnceLegacy(Tick until)
     return true;
 }
 
-#else // !ROME_ORACLES
-
-bool
-RomeMc::stepOnceLegacy(Tick)
-{
-    panic("legacy oracle compiled out (ROME_ORACLES=OFF)");
-}
-
-#endif // ROME_ORACLES
-
 // ---------------------------------------------------------------------------
 // Reliability (sim/fault.h)
 //
@@ -782,7 +756,7 @@ RomeMc::complexity() const
 {
     McComplexity c;
     c.numTimingParams = RomeTimingParams::kNumMcVisibleParams;
-    c.numBankFsms = cfg_.operateFsms + cfg_.refreshFsms;
+    c.numBankFsms = operateFsms_ + refreshFsms_;
     c.numBankStates = kNumRomeVbaStates;
     // Not `= "-"`: GCC 12 flags that literal assignment with a false
     // -Wrestrict positive once it is inlined here.

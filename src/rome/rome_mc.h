@@ -58,40 +58,19 @@ struct RomeMcConfig
      * saturate), proportionally more for smaller effective rows.
      */
     int queueDepth = 0;
-    /**
-     * Row-level timing. Unset: the adopted design uses the paper's Table V
-     * values; other VBA design points derive theirs from first principles
-     * (their transfer lengths differ).
-     */
-    std::optional<RomeTimingParams> timing;
     bool refreshEnabled = true;
-    /**
-     * FSMs for concurrently operating VBAs. 0 = derive as
-     * ceil(tRD_row / tR2RS); the adopted design needs exactly two (§V-A).
-     * Design points with shorter transfers need proportionally more.
-     */
-    int operateFsms = 0;
-    /**
-     * FSMs for concurrently refreshing VBAs. 0 = derive from the refresh
-     * duty (VBA count × stall / tREFI); the adopted design needs exactly
-     * three (§V-A). Designs with more, smaller VBAs need more.
-     */
-    int refreshFsms = 0;
     /**
      * Use the seed's scan-every-slot scheduler instead of the
      * deadline-heap + per-VBA busy index. Decisions are bit-identical;
-     * this exists as the parity oracle and the bench baseline.
-     * Test-only: builds configured with -DROME_ORACLES=OFF compile the
-     * oracle out and reject this flag at construction.
+     * this is the reference the parity tests and bench_sched_hotpath
+     * compare the indexed scheduler against.
      */
     bool legacyScheduler = false;
     /**
      * Lower every row op through the scalar per-command path instead of
      * the precomputed-template fast path. Results are bit-identical;
-     * this exists as the parity oracle and the bench baseline. The scalar
-     * code itself stays live (template misses fall back to it); only this
-     * force flag is test-only — -DROME_ORACLES=OFF builds reject it at
-     * construction.
+     * this is the lowering parity tests' reference. The scalar code
+     * itself stays live either way: template misses fall back to it.
      */
     bool scalarLowering = false;
     /**
@@ -129,8 +108,18 @@ class RomeMc : public ChannelControllerBase
     const VbaMap& vbaMap() const { return map_; }
     const CommandGenerator& generator() const { return gen_; }
     const RomeMcConfig& config() const { return cfg_; }
-    /** The row-level timing parameters in effect (Table III). */
-    const RomeTimingParams& rowTiming() const { return timing_; }
+    /**
+     * FSMs for concurrently operating VBAs: ceil(tRD_row / tR2RS). The
+     * adopted design needs exactly two (§V-A); design points with
+     * shorter transfers need proportionally more.
+     */
+    int operateFsms() const { return operateFsms_; }
+    /**
+     * FSMs for concurrently refreshing VBAs, from the refresh duty (VBA
+     * count × stall / tREFI). The adopted design needs exactly three
+     * (§V-A); designs with more, smaller VBAs need more.
+     */
+    int refreshFsms() const { return refreshFsms_; }
 
     /** Decode a channel-local byte address into its VBA row. */
     VbaAddress decodeRow(std::uint64_t addr) const;
@@ -233,7 +222,14 @@ class RomeMc : public ChannelControllerBase
     DramConfig baseCfg_;
     VbaMap map_;
     RomeMcConfig cfg_;
+    /**
+     * Row-level timing (Table III): the paper's Table V values for the
+     * adopted design; other VBA design points derive theirs from first
+     * principles (their transfer lengths differ).
+     */
     RomeTimingParams timing_;
+    int operateFsms_ = 0;
+    int refreshFsms_ = 0;
     RomeMapOrder mapOrder_;
     ChannelDevice dev_;
     CommandGenerator gen_;

@@ -278,20 +278,10 @@ ChannelControllerBase::bindSource(RequestSource* src)
 }
 
 void
-ChannelControllerBase::setSourceWindow(std::size_t window)
-{
-    if (window == 0)
-        fatal("source window must hold at least one request");
-    sourceWindow_ = window;
-    if (source_ != nullptr)
-        refillFromSource();
-}
-
-void
 ChannelControllerBase::refillFromSource()
 {
     Request r;
-    while (host_.size() < sourceWindow_ && source_->next(r)) {
+    while (host_.size() < kSourceWindow && source_->next(r)) {
         ++sourcePulled_;
         enqueue(r);
     }
@@ -405,10 +395,9 @@ ChannelControllerBase::initTelemetry(const TelemetryConfig& cfg,
         return;
     telemetry_ = true;
     stall_.init(num_banks);
-    const Tick period = cfg.samplePeriod > 0
-                            ? cfg.samplePeriod
-                            : ticksFromNs(std::int64_t{1000});
-    series_.init(period, cfg.sampleCapacity);
+    // One time-series sample per microsecond of completion time, in a
+    // 64-entry ring that halves its resolution when it fills.
+    series_.init(ticksFromNs(std::int64_t{1000}), 64);
 }
 
 void
@@ -608,7 +597,6 @@ ChannelControllerBase::saveBaseState(CheckpointWriter& w) const
     w.putU64(totalRequests_);
     w.putBool(sourceDone_);
     w.putU64(sourcePulled_);
-    w.putU64(sourceWindow_);
     w.putU64(hostPeak_);
     w.putU64(completedCount_);
     w.putU64(poisonedCount_);
@@ -669,7 +657,6 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
     totalRequests_ = r.getU64();
     sourceDone_ = r.getBool();
     sourcePulled_ = r.getU64();
-    sourceWindow_ = static_cast<std::size_t>(r.getU64());
     hostPeak_ = static_cast<std::size_t>(r.getU64());
     completedCount_ = r.getU64();
     poisonedCount_ = r.getU64();

@@ -468,17 +468,12 @@ class ChannelControllerBase : public IMemoryController
     /**
      * How many bound-source requests the host buffer prefetches. Only
      * host_.front() drives scheduling decisions, so the window size never
-     * changes results — it only bounds memory. Must be >= 1.
+     * changes results — it only bounds memory.
      */
-    void setSourceWindow(std::size_t window);
-
-    std::size_t sourceWindow() const { return sourceWindow_; }
+    std::size_t sourceWindow() const { return kSourceWindow; }
 
     /** High-water mark of the host buffer (bounded-memory evidence). */
     std::size_t hostBufferPeak() const { return hostPeak_; }
-
-    /** The fault process and recovery state this controller consults. */
-    const FaultInjector& faultInjector() const { return faults_; }
 
     // ---- telemetry (sim/telemetry.h) ------------------------------------
 
@@ -503,8 +498,6 @@ class ChannelControllerBase : public IMemoryController
         if (sink != nullptr && trace_commands)
             installCommandTrace();
     }
-
-    TelemetrySink* telemetrySink() const { return sink_; }
 
     /**
      * Disable the per-request completion log (completions() stays
@@ -670,6 +663,8 @@ class ChannelControllerBase : public IMemoryController
     TelemetrySink* sink_ = nullptr;
 
   private:
+    static constexpr std::size_t kSourceWindow = 8;
+
     /** Record breakdown components and push a time-series observation. */
     void telemetrySampleCompletion(Tick arrival, Tick data_end,
                                    Tick first_issue, Tick retry_ticks,
@@ -684,7 +679,6 @@ class ChannelControllerBase : public IMemoryController
     /** Requests ever pulled from bound sources — the checkpointed source
      *  cursor resumeSource() fast-forwards a fresh stream to. */
     std::uint64_t sourcePulled_ = 0;
-    std::size_t sourceWindow_ = 8;
     std::size_t hostPeak_ = 0;
     std::uint64_t completedCount_ = 0;
     /** Completed requests whose data carried at least one DUE. */
@@ -805,7 +799,6 @@ class ChannelSimEngine
     ControllerStats totals() const;
 
     int threads() const { return threads_; }
-    void setThreads(int threads) { threads_ = threads; }
 
   private:
     void attachFanOut(std::unique_ptr<StreamFanOut> fan, bool resume);

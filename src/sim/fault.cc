@@ -61,8 +61,6 @@ FaultInjector::configure(const FaultConfig& cfg, int num_banks,
     if (cfg_.spareRowsPerBank < 0 ||
         cfg_.spareRowsPerBank >= rows_per_bank)
         fatal("spareRowsPerBank must leave data rows in the bank");
-    if (cfg_.retryBackoffTicks < 1)
-        fatal("retry backoff must be at least one tick");
     if (cfg_.retryLimit < 0 || cfg_.ceSpareThreshold < 1)
         fatal("retryLimit must be >= 0 and ceSpareThreshold >= 1");
     firstSpareRow_ = rows_per_bank - cfg_.spareRowsPerBank;

@@ -86,8 +86,6 @@ struct FaultConfig
     double stuckDueFraction = 0.25;
     /** Re-read attempts per correctable error before giving up. */
     int retryLimit = 3;
-    /** Base retry backoff; doubles per attempt. */
-    Tick retryBackoffTicks = ticksFromNs(static_cast<std::int64_t>(100));
     /** CE strikes on one row before it is spared. */
     int ceSpareThreshold = 3;
     /** Spare rows reserved at the top of each bank. */
@@ -166,12 +164,15 @@ class FaultInjector
      */
     void scrub(std::vector<SpareEvent>& out);
 
-    /** When a retry issued now at @p attempt may re-enter the queue. */
+    /**
+     * When a retry issued now at @p attempt may re-enter the queue: the
+     * base backoff doubles per attempt.
+     */
     Tick
     retryReadyAt(Tick now, int attempt) const
     {
         const int shift = attempt < 10 ? attempt : 10;
-        return now + (cfg_.retryBackoffTicks << shift);
+        return now + (kRetryBackoff << shift);
     }
 
     /** Count one scheduled re-read. */
@@ -221,6 +222,9 @@ class FaultInjector
     std::uint64_t siteHash(std::uint64_t salt, int bank, int row) const;
     std::uint64_t eventHash(int bank, int row, std::uint64_t access,
                             int line) const;
+
+    /** Base ECC retry backoff. */
+    static constexpr Tick kRetryBackoff = ticksFromNs(std::int64_t{100});
 
     FaultConfig cfg_{};
     int numBanks_ = 0;

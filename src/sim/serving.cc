@@ -70,8 +70,9 @@ ServingDriver::buildCube(ChannelSimEngine& engine, Tick mean_gap,
         auto mc = cfg_.makeController();
         if (!mc)
             fatal("serving controller factory produced no controller");
-        if (!cfg_.retainCompletions)
-            mc->setRetainCompletions(false);
+        // Serving traces run to millions of requests, and the histograms
+        // already carry the full latency distribution: no completion log.
+        mc->setRetainCompletions(false);
         if (ck != nullptr) {
             restoreControllerCheckpoint(
                 *mc, ck->channels[static_cast<std::size_t>(ch)]);

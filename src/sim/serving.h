@@ -70,12 +70,6 @@ struct ServingConfig
     std::uint64_t arrivalSeed = 9;
     /** Worker threads driving the channels (never changes results). */
     int threads = defaultSimThreads();
-    /**
-     * Keep per-request completion logs. Off by default: serving traces
-     * run to millions of requests and the histograms already carry the
-     * full latency distribution.
-     */
-    bool retainCompletions = false;
 };
 
 /** Outcome of one offered-rate point. */
@@ -261,9 +255,9 @@ RatePoint makeRatePoint(double offered_rps, double achieved_rps,
 /**
  * Emit @p pt's key/value pairs (offeredRps, achievedRps, latencyP50Ns,
  * latencyP90Ns, latencyP99Ns, latencyP999Ns, ...) into the JSON object
- * currently open on @p w — the row schema BENCH_serving.json and
- * scripts/bench_diff.py agree on. The caller brackets the object and
- * adds its identity keys (label/system/workload) beside them.
+ * currently open on @p w — the row schema of BENCH_serving.json and
+ * the other sweep artifacts. The caller brackets the object and adds
+ * its identity keys (label/system/workload) beside them.
  */
 void ratePointJson(JsonWriter& w, const RatePoint& pt);
 

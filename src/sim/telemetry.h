@@ -16,10 +16,9 @@
  *    now_ advances, so any runUntil slicing attributes identically.
  *  - TimeSeries: a fixed-capacity ring of cumulative samples (completed
  *    requests, useful bytes, occupancy, stall mix) taken every
- *    samplePeriod ticks of completion time. When the ring fills it
- *    halves its resolution in place (drop-odd compaction), so arbitrary
- *    run lengths fit in constant memory with zero steady-state
- *    allocations.
+ *    microsecond of completion time. When the ring fills it halves its
+ *    resolution in place (drop-odd compaction), so arbitrary run lengths
+ *    fit in constant memory with zero steady-state allocations.
  *  - TelemetrySink + writeChromeTrace: an event buffer of spans and
  *    instants that renders to Chrome trace-event JSON ("traceEvents"),
  *    loadable in Perfetto / chrome://tracing. One process per channel,
@@ -66,7 +65,11 @@ enum class StallCause : std::uint8_t
     Refresh,
     /** Bank / VBA core busy, FSM slot or outstanding-entry starvation. */
     BankBusy,
-    /** Write-drain hysteresis parked pending writes below the bar. */
+    /**
+     * Write-drain hysteresis parked pending writes below the bar. No
+     * stack charges it: the conventional MC drains whenever no read is
+     * queued, and RoMe handles writes on arrival.
+     */
     WriteDrain,
     /** ECC retry backoff was the next wake event. */
     RetryBackoff,
@@ -91,10 +94,6 @@ struct TelemetryConfig
      * hot path bit-identical and allocation-free.
      */
     bool counters = false;
-    /** Time-series sample period in ticks; 0 picks 1 us. */
-    Tick samplePeriod = 0;
-    /** Ring capacity before drop-odd compaction halves resolution. */
-    int sampleCapacity = 64;
 };
 
 /**

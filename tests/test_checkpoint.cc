@@ -307,17 +307,21 @@ TEST(Checkpoint, MismatchedRestoreIsFatal)
     EXPECT_THROW(restoreControllerCheckpoint(fresh2, cut),
                  std::runtime_error);
 
-    // An older format version: the envelope's version check rejects it
-    // (v2 streams still carried fields v3 dropped). The little-endian
-    // version field follows the 4-byte magic.
+    // Older format versions: the envelope's version check rejects both
+    // an old one and the one the current version retired (each carries
+    // fields a later version dropped). The little-endian version field
+    // follows the 4-byte magic.
     ASSERT_EQ(blob[4], static_cast<std::uint8_t>(kCheckpointVersion));
-    auto old = blob;
-    const std::uint32_t v2 = 2;
-    for (std::size_t i = 0; i < 4; ++i)
-        old[4 + i] = static_cast<std::uint8_t>(v2 >> (8 * i));
-    ConventionalMc fresh3(dram, bestBaselineMapping(dram.org), McConfig{});
-    EXPECT_THROW(restoreControllerCheckpoint(fresh3, old),
-                 std::runtime_error);
+    for (const std::uint32_t version : {2u, kCheckpointVersion - 1}) {
+        SCOPED_TRACE(version);
+        auto old = blob;
+        for (std::size_t i = 0; i < 4; ++i)
+            old[4 + i] = static_cast<std::uint8_t>(version >> (8 * i));
+        ConventionalMc fresh3(dram, bestBaselineMapping(dram.org),
+                              McConfig{});
+        EXPECT_THROW(restoreControllerCheckpoint(fresh3, old),
+                     std::runtime_error);
+    }
     ConventionalMc fresh4(dram, bestBaselineMapping(dram.org), McConfig{});
     EXPECT_NO_THROW(restoreControllerCheckpoint(fresh4, blob));
 }

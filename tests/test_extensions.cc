@@ -152,7 +152,7 @@ TEST(Hybrid, StreamingStagesOnlyTheSiblingShare)
         Request r;
         while (count.next(r)) {
             ++total_requests;
-            fine_requests += r.size < HybridConfig{}.coarseThreshold;
+            fine_requests += r.size < HybridMc::kCoarseThreshold;
         }
     }
     HybridMc mc(hbm4Config(), HybridConfig{});

@@ -20,16 +20,6 @@
 #include "rome/rome_timing.h"
 #include "sim/workloads.h"
 
-// Parity tests drive the legacy scheduler / forced scalar lowering as
-// decision oracles; perf builds compile them out (-DROME_ORACLES=OFF)
-// and skip.
-#if ROME_ORACLES
-#define REQUIRE_ORACLES() ((void)0)
-#else
-#define REQUIRE_ORACLES() \
-    GTEST_SKIP() << "test-only oracles compiled out (ROME_ORACLES=OFF)"
-#endif
-
 namespace rome
 {
 namespace
@@ -227,7 +217,6 @@ TEST(LoweringParity, StretchedScheduleAgrees)
 
 TEST(LoweringParity, ControllerStatsAcrossDesignsAndSchedulers)
 {
-    REQUIRE_ORACLES();
     RandomPattern p;
     p.totalBytes = 384_KiB;
     p.requestBytes = 4_KiB;
@@ -254,7 +243,6 @@ TEST(LoweringParity, ControllerStatsAcrossDesignsAndSchedulers)
 
 TEST(LoweringParity, ControllerStatsAcrossMapOrders)
 {
-    REQUIRE_ORACLES();
     RandomPattern p;
     p.totalBytes = 256_KiB;
     p.requestBytes = 2_KiB;
@@ -276,7 +264,6 @@ TEST(LoweringParity, ControllerStatsAcrossMapOrders)
 
 TEST(LoweringParity, VbaStateAgreesUnderTemplates)
 {
-    REQUIRE_ORACLES();
     RomeMcConfig scalar_cfg;
     scalar_cfg.scalarLowering = true;
     RomeMc a(hbm4Config(), VbaDesign::adopted(), RomeMcConfig{});

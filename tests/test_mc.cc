@@ -13,15 +13,6 @@
 #include "sim/engine.h"
 #include "sim/workloads.h"
 
-// Parity/golden tests drive the legacy scheduler as their decision
-// oracle; perf builds compile it out (-DROME_ORACLES=OFF) and skip.
-#if ROME_ORACLES
-#define REQUIRE_ORACLES() ((void)0)
-#else
-#define REQUIRE_ORACLES() \
-    GTEST_SKIP() << "legacy oracle compiled out (ROME_ORACLES=OFF)"
-#endif
-
 namespace rome
 {
 namespace
@@ -329,7 +320,6 @@ writeDrainWorkload()
 
 TEST(SchedulerParity, AllPagePoliciesAndWorkloads)
 {
-    REQUIRE_ORACLES();
     const auto policy_reqs = policyWorkload();
     const auto drain_reqs = writeDrainWorkload();
     RandomPattern fine;
@@ -355,7 +345,6 @@ TEST(SchedulerParity, AllPagePoliciesAndWorkloads)
 
 TEST(SchedulerParity, AgedQosAndSmallQueues)
 {
-    REQUIRE_ORACLES();
     // A tight age threshold forces the aged-priority paths (forced CAS,
     // aged conflict precharges); a small queue stresses admission blocking.
     RandomPattern p;
@@ -377,7 +366,6 @@ TEST(SchedulerParity, AgedQosAndSmallQueues)
 
 TEST(SchedulerParity, PathologicalMappingAndNoRefresh)
 {
-    REQUIRE_ORACLES();
     // The worst standard mapping serializes traffic onto few banks, which
     // exercises the conflict-PRE representative selection heavily.
     StreamPattern p;
@@ -428,7 +416,6 @@ expectGolden(const ControllerStats& s, const GoldenStats& g)
 
 TEST(SchedulerGolden, PagePolicySnapshots)
 {
-    REQUIRE_ORACLES();
     const GoldenStats golden[] = {
         {"open", 1030u, 925u, 5632u, 2560u, 155u, 8192u, 128u, 262144u,
          19028},
@@ -453,7 +440,6 @@ TEST(SchedulerGolden, PagePolicySnapshots)
 
 TEST(SchedulerGolden, WriteDrainHysteresisSnapshot)
 {
-    REQUIRE_ORACLES();
     const GoldenStats golden{"write-drain", 1955u, 1859u, 12288u, 49152u,
                              1030u, 61440u, 480u, 1966080u, 126372};
     const auto reqs = writeDrainWorkload();

@@ -180,8 +180,8 @@ TEST_P(RomeProperty, ConservationAndFsmBounds)
     EXPECT_EQ((mc.bytesRead() + mc.bytesWritten() + mc.overfetchBytes()) %
                   mc.vbaMap().effectiveRowBytes(),
               0u);
-    EXPECT_LE(mc.operateFsmHighWater(), mc.config().operateFsms);
-    EXPECT_LE(mc.refreshFsmHighWater(), mc.config().refreshFsms);
+    EXPECT_LE(mc.operateFsmHighWater(), mc.operateFsms());
+    EXPECT_LE(mc.refreshFsmHighWater(), mc.refreshFsms());
     EXPECT_LE(mc.effectiveBandwidth(), 64.0 + 1e-9);
     EXPECT_TRUE(mc.idle());
 }

@@ -14,16 +14,6 @@
 #include "rome/rome_mc.h"
 #include "sim/workloads.h"
 
-// Parity tests drive the legacy scheduler / forced scalar lowering as
-// decision oracles; perf builds compile them out (-DROME_ORACLES=OFF)
-// and skip.
-#if ROME_ORACLES
-#define REQUIRE_ORACLES() ((void)0)
-#else
-#define REQUIRE_ORACLES() \
-    GTEST_SKIP() << "test-only oracles compiled out (ROME_ORACLES=OFF)"
-#endif
-
 namespace rome
 {
 namespace
@@ -265,7 +255,6 @@ TEST(RomeMc, WorksAcrossAllVbaDesigns)
 
 TEST(RomeSchedulerParity, AllDesignsAndMapOrders)
 {
-    REQUIRE_ORACLES();
     RandomPattern p;
     p.totalBytes = 512_KiB;
     p.requestBytes = 4_KiB;
@@ -298,7 +287,6 @@ TEST(RomeSchedulerParity, AllDesignsAndMapOrders)
 
 TEST(RomeSchedulerParity, VbaStateAgrees)
 {
-    REQUIRE_ORACLES();
     RomeMcConfig legacy;
     legacy.legacyScheduler = true;
     auto a = makeMc();
