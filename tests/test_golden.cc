@@ -13,6 +13,9 @@
  *  - fault/<stack>: one fault-injected cube point per stack;
  *  - checkpoint/<stack>: a ServingDriver point saved a third of the way
  *    in and resumed from the blobs;
+ *  - random/hbm4/<point>: the HBM4 cube on 512 B gathers at random
+ *    addresses, one in three a write, at the two loads and resumed from
+ *    a checkpoint taken a third of the way into the 1.2 load run;
  *  - stream/<stack>/<variant>: one controller draining a pre-enqueued
  *    sequential stream (every arrival at tick 0) across page policies,
  *    VBA designs, map orders, write mixes, mid-run arrivals, runUntil
@@ -75,6 +78,8 @@ const std::string kTablePath = kDataDir + "/golden_digests.txt";
 
 /** Requests read from each trace fixture (keeps the corpus ~1 s). */
 constexpr std::uint64_t kTraceCap = 400;
+/** Requests of each random-gather run (likewise). */
+constexpr std::uint64_t kRandomRequests = 2000;
 /** Channels of every cube in the corpus. */
 constexpr int kChannels = 4;
 
@@ -332,6 +337,34 @@ goldenCorpus()
                 .aggregate;
         }});
     }
+
+    // 512 B gathers at random channel addresses, one in three a write:
+    // many banks with work at once, ACT/PRE-heavy steps and turnarounds.
+    RandomPattern gathers;
+    gathers.requestBytes = 512;
+    gathers.totalBytes = kRandomRequests * gathers.requestBytes;
+    gathers.capacity = hbm4Config().org.channelCapacity();
+    gathers.writeFraction = 1.0 / 3.0;
+    gathers.seed = 23;
+    const SourceFactory random = [gathers] {
+        return std::make_unique<RandomSource>(gathers);
+    };
+    for (const double load : {0.5, 1.2}) {
+        char name[64];
+        std::snprintf(name, sizeof(name), "random/hbm4/load%.1f", load);
+        out.push_back({name, [=] {
+            const ServingDriver driver(
+                cubeConfig(stackFactory("hbm4", false), random));
+            return driver.run(rateForLoad(random, load, kChannels)).aggregate;
+        }});
+    }
+    out.push_back({"random/hbm4/checkpoint", [=] {
+        const ServingDriver driver(
+            cubeConfig(stackFactory("hbm4", false), random));
+        const double rps = rateForLoad(random, 1.2, kChannels);
+        const Tick end = driver.run(rps).finishedAt;
+        return driver.resume(driver.runToCheckpoint(rps, end / 3)).aggregate;
+    }});
 
     // Conventional streams: refresh off unless named, open page policy.
     const DramConfig dram = hbm4Config();
