@@ -39,27 +39,6 @@ constexpr int kRankReadOp = 1;
 constexpr int kRankWriteOp = 2;
 constexpr int kRankIdlePre = 3;
 
-/** Running min of (issue tick, rank key hi, rank key lo), with a ref
- *  naming its candidate. */
-struct Best
-{
-    Tick e = kTickMax;
-    std::uint64_t hi = ~std::uint64_t{0};
-    std::uint64_t lo = ~std::uint64_t{0};
-    int ref = -1;
-
-    void
-    offer(Tick oe, std::uint64_t ohi, std::uint64_t olo, int oref)
-    {
-        if (oe < e || (oe == e && (ohi < hi || (ohi == hi && olo < lo)))) {
-            e = oe;
-            hi = ohi;
-            lo = olo;
-            ref = oref;
-        }
-    }
-};
-
 /** Last activity of an open bank (adaptive idle-timeout reference). */
 Tick
 bankLastUse(const BankRecord& rec)
@@ -682,6 +661,20 @@ ConventionalMc::rebuildCands(int bank)
 {
     BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
     BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
+    // Swap-remove the old entries. Removing any other entry leaves a
+    // partition's best standing.
+    for (int k = 0; k < c.count; ++k) {
+        Partition& p = sc_->parts[static_cast<std::size_t>(
+            partOf(c, c.cand[static_cast<std::size_t>(k)]))];
+        const int pos = c.pos[static_cast<std::size_t>(k)];
+        const int last = p.refs.back();
+        p.refs[static_cast<std::size_t>(pos)] = last;
+        sc_->cands[static_cast<std::size_t>(last / kRefSlots)]
+            .pos[static_cast<std::size_t>(last % kRefSlots)] = pos;
+        p.refs.pop_back();
+        if (p.best.ref == bank * kRefSlots + k)
+            p.valid = false;
+    }
     c.stale = false;
     c.count = 0;
     e.validUntil = kTickMax;
@@ -692,7 +685,8 @@ ConventionalMc::rebuildCands(int bank)
 
     const auto add = [&](CmdKind kind, int node, Tick bank_term) {
         const OpNode& n = pool_[static_cast<std::size_t>(node)];
-        CachedCand& k = c.cand[static_cast<std::size_t>(c.count++)];
+        const int slot = c.count++;
+        CachedCand& k = c.cand[static_cast<std::size_t>(slot)];
         k.bankTerm = bank_term;
         k.age = n.op.arrival;
         // The category is the op's queue.
@@ -709,6 +703,21 @@ ConventionalMc::rebuildCands(int bank)
                                  : 0); // PRE: bank-local terms only
         k.classMask = is_cas ? -1 : 0;
         k.kind = static_cast<std::uint8_t>(kind);
+
+        // Join the partition; one whose best stands takes the entry as a
+        // challenger, remembering when it would reorder a tie by aging.
+        Partition& p = sc_->parts[static_cast<std::size_t>(partOf(c, k))];
+        const int ref = bank * kRefSlots + slot;
+        c.pos[static_cast<std::size_t>(slot)] = static_cast<int>(p.refs.size());
+        p.refs.push_back(ref);
+        if (!p.valid || held(c, bank))
+            return;
+        const Tick tick = candTick(c, k);
+        const RankKey key = candKey(k);
+        p.best.offer(tick, key.hi, key.lo, ref);
+        const Tick aged = agedAt(k.age);
+        if (tick == p.best.e && aged > now_)
+            p.expires = std::min(p.expires, aged);
     };
 
     const BankRecord& rec = dev_.bankRecord(bank);
@@ -746,6 +755,70 @@ ConventionalMc::rebuildCands(int bank)
     }
     if (rep != -1)
         add(CmdKind::Pre, rep, dev_.preBankTerm(rec));
+}
+
+Tick
+ConventionalMc::candTick(const BankCands& c, const CachedCand& cc) const
+{
+    const int* last_cas = sc_->lastCas.data();
+    const int cas_class = 2 * (2 * (c.sid == last_cas[2 * c.pc]) +
+                               (c.bg == last_cas[2 * c.pc + 1]));
+    const Tick term = sc_->sharedTerm[static_cast<std::size_t>(
+        cc.sharedIdx + (cas_class & cc.classMask))];
+    const Tick floor =
+        sc_->busFloor[static_cast<std::size_t>(partOf(c, cc))];
+    return std::max(std::max(now_, cc.bankTerm), std::max(term, floor));
+}
+
+bool
+ConventionalMc::held(const BankCands& c, int bank) const
+{
+    return sc_->heldAny &&
+           unitForcedBank_[static_cast<std::size_t>(c.unit)] == bank;
+}
+
+void
+ConventionalMc::walkPartition(int part)
+{
+    Partition& p = sc_->parts[static_cast<std::size_t>(part)];
+    const BankCands* cands = sc_->cands.data();
+    const int* held_bank = sc_->heldAny ? unitForcedBank_.data() : nullptr;
+    // Two passes: the first finds the earliest issue tick over the
+    // candidates (a min chain of one compare each, no data-dependent
+    // branch) and keeps those that reached the running min when seen;
+    // the second ranks the ones that reach the final min.
+    Tick* kept_e = sc_->walkTick.data();
+    int* kept_ref = sc_->walkRef.data();
+    int n_walked = 0;
+    Tick min_e = kTickMax;
+    for (const int ref : p.refs) {
+        const int b = ref / kRefSlots;
+        const BankCands& c = cands[b];
+        if (held_bank != nullptr && held_bank[c.unit] == b)
+            continue; // bank held for a forced refresh
+        const Tick e =
+            candTick(c, c.cand[static_cast<std::size_t>(ref % kRefSlots)]);
+        kept_e[n_walked] = e;
+        kept_ref[n_walked] = ref;
+        n_walked += e <= min_e;
+        min_e = std::min(min_e, e);
+    }
+    p.best = Best{};
+    p.expires = kTickMax;
+    p.valid = true;
+    for (int i = 0; i < n_walked; ++i) {
+        if (kept_e[i] != min_e)
+            continue;
+        const int ref = kept_ref[i];
+        const CachedCand& cc = cands[ref / kRefSlots].cand[
+            static_cast<std::size_t>(ref % kRefSlots)];
+        const RankKey key = candKey(cc);
+        p.best.offer(min_e, key.hi, key.lo, ref);
+        // A tie that ages later may overtake the best then.
+        const Tick aged = agedAt(cc.age);
+        if (aged > now_)
+            p.expires = std::min(p.expires, aged);
+    }
 }
 
 ConventionalMc::RankKey
@@ -819,8 +892,14 @@ ConventionalMc::initCaches()
     sc_->staleBanks.reserve(sc_->cands.size());
     for (int b = 0; b < nbanks; ++b)
         sc_->staleBanks.push_back(b);
-    sc_->walkTick.resize(sc_->cands.size() * 3);
-    sc_->walkRef.resize(sc_->cands.size() * 3);
+    // A PC's banks hold at most three candidates each, on two buses.
+    const auto part_cap =
+        static_cast<std::size_t>(nbanks / org.pcsPerChannel * 3);
+    sc_->parts.resize(static_cast<std::size_t>(2 * org.pcsPerChannel));
+    for (Partition& p : sc_->parts)
+        p.refs.reserve(part_cap);
+    sc_->walkTick.resize(part_cap);
+    sc_->walkRef.resize(part_cap);
     sc_->liveRefresh.reserve(refreshUnits_.size());
     sc_->numGroups = nbanks / org.banksPerGroup;
     sc_->sharedTerm.assign(
@@ -884,9 +963,12 @@ ConventionalMc::updateSharedTerms(const Command& cmd)
         sc_->lastCas[static_cast<std::size_t>(2 * a.pc)] = a.sid;
         sc_->lastCas[static_cast<std::size_t>(2 * a.pc + 1)] = a.bg;
     }
-    // The command's bus moved its floor.
-    sc_->busFloor[static_cast<std::size_t>(2 * a.pc + (is_cas ? 1 : 0))] =
+    // The command's bus moved its floor. Nothing else moved a term of
+    // another (PC, bus).
+    const auto part = static_cast<std::size_t>(2 * a.pc + (is_cas ? 1 : 0));
+    sc_->busFloor[part] =
         is_cas ? dev_.colBusFloor(a.pc) : dev_.rowBusFloor(a.pc);
+    sc_->parts[part].valid = false;
 }
 
 Command
@@ -920,25 +1002,23 @@ ConventionalMc::stepOnceIndexed(Tick until)
     // max(now, bank term, shared term). Commands issue in time order, so
     // that slot is max(that max, the bus's newest reservation end): one
     // max of cached terms per candidate, with ties broken by rank.
-    // The winner is the min of (issue tick, rank key). A ref names it:
-    // its bank times kRefSlots plus a cached-candidate slot, kRefRefresh
-    // or kRefIdlePre.
-    constexpr int kRefSlots = 8;
-    constexpr int kRefRefresh = 3;
-    constexpr int kRefIdlePre = 4;
+    // The winner is the min of (issue tick, rank key).
     Best run;
 
     // --- refresh candidates + the forced-block table ---------------------
     if (cfg_.refreshEnabled && now_ >= sc_->refreshWake) {
         const int banks_per_sid = dramCfg_.org.banksPerSid();
         Tick wake = kTickMax;
+        bool holds_moved = false;
         sc_->heldAny = false;
         sc_->liveRefresh.clear();
         for (std::size_t i = 0; i < refreshUnits_.size(); ++i) {
             const RefreshUnit& u = refreshUnits_[i];
+            const int was_held = unitForcedBank_[i];
             unitForcedBank_[i] = -1;
             if (now_ < u.rot.due) {
                 wake = std::min(wake, u.rot.due); // nothing owed yet
+                holds_moved |= was_held != -1;
                 continue;
             }
             const Tick forced_at = u.rot.owedAt(kRefreshForceAt);
@@ -950,7 +1030,9 @@ ConventionalMc::stepOnceIndexed(Tick until)
             if (forced) {
                 unitForcedBank_[i] = bank;
                 sc_->heldAny = true;
-            } else {
+            }
+            holds_moved |= was_held != unitForcedBank_[i];
+            if (!forced) {
                 wake = std::min(wake, forced_at);
                 if (e.read.count + e.write.count > 0)
                     continue; // postponed while the bank has queued work
@@ -968,6 +1050,11 @@ ConventionalMc::stepOnceIndexed(Tick until)
             sc_->liveRefresh.push_back(rc);
         }
         sc_->refreshWake = wake;
+        if (holds_moved) {
+            // A held bank's candidates left or rejoined their partitions.
+            for (Partition& p : sc_->parts)
+                p.valid = false;
+        }
     }
     for (const RefreshCand& rc : sc_->liveRefresh) {
         run.offer(std::max({now_, rc.term,
@@ -976,7 +1063,11 @@ ConventionalMc::stepOnceIndexed(Tick until)
                   rc.key.hi, rc.key.lo, rc.bank * kRefSlots + kRefRefresh);
     }
 
-    // --- op candidates: the cached entries of the banks that have work --
+    // --- op candidates: the minima of the (PC, bus) partitions ----------
+    for (Partition& p : sc_->parts) {
+        if (now_ >= p.expires)
+            p.valid = false; // a tie aged: its rank moved
+    }
     if (now_ >= sc_->nextAging) {
         // Some cache may hold an op that has aged since: recheck them all.
         sc_->nextAging = kTickMax;
@@ -991,50 +1082,39 @@ ConventionalMc::stepOnceIndexed(Tick until)
     for (const int b : sc_->staleBanks)
         rebuildCands(b);
     sc_->staleBanks.clear();
-    const Tick now = now_;
-    const Tick* shared = sc_->sharedTerm.data();
-    const Tick* bus = sc_->busFloor.data();
-    const BankCands* cands = sc_->cands.data();
-    const int* held = sc_->heldAny ? unitForcedBank_.data() : nullptr;
-    // Two passes: the first finds the earliest issue tick over the
-    // candidates (a min chain of one compare each, no data-dependent
-    // branch) and keeps those that reached the running min when seen;
-    // the second ranks only those.
-    const int* last_cas = sc_->lastCas.data();
-    Tick* kept_e = sc_->walkTick.data();
-    int* kept_ref = sc_->walkRef.data();
-    int n_walked = 0;
-    Tick min_e = kTickMax;
-    for (const int b : activeBanks_) {
-        const BankCands& c = cands[b];
-        if (held != nullptr && held[c.unit] == b)
-            continue; // bank held for a forced refresh
-        const int cas_class =
-            2 * (2 * (c.sid == last_cas[2 * c.pc]) +
-                 (c.bg == last_cas[2 * c.pc + 1]));
-        for (int k = 0; k < c.count; ++k) {
-            const CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
-            const Tick term = shared[cc.sharedIdx + (cas_class & cc.classMask)];
-            const Tick floor = bus[2 * c.pc + (cc.classMask & 1)];
-            const Tick e = std::max(std::max(now, cc.bankTerm),
-                                    std::max(term, floor));
-            // Keep only candidates that tie or beat the running min: a
-            // superset of the final ties.
-            kept_e[n_walked] = e;
-            kept_ref[n_walked] = b * kRefSlots + k;
-            n_walked += e <= min_e;
-            min_e = std::min(min_e, e);
+    Best ops;
+    for (std::size_t part = 0; part < sc_->parts.size(); ++part) {
+        const Partition& p = sc_->parts[part];
+        if (!p.valid)
+            walkPartition(static_cast<int>(part));
+        if (p.best.ref >= 0)
+            ops.offer(p.best.e, p.best.hi, p.best.lo, p.best.ref);
+    }
+#ifndef NDEBUG
+    {
+        // The flat walk over every cached candidate must pick the same.
+        Best flat;
+        for (std::size_t b = 0; b < sc_->cands.size(); ++b) {
+            const BankCands& c = sc_->cands[b];
+            if (held(c, static_cast<int>(b)))
+                continue;
+            for (int k = 0; k < c.count; ++k) {
+                const CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
+                const RankKey key = candKey(cc);
+                flat.offer(candTick(c, cc), key.hi, key.lo,
+                           static_cast<int>(b) * kRefSlots + k);
+            }
+        }
+        if (flat.e != ops.e || flat.hi != ops.hi || flat.lo != ops.lo ||
+            flat.ref != ops.ref) {
+            panic("partitioned pick (ref %d) differs from the flat walk's "
+                  "(ref %d) at tick %lld", ops.ref, flat.ref,
+                  static_cast<long long>(now_));
         }
     }
-    if (min_e <= run.e) {
-        for (int i = 0; i < n_walked; ++i) {
-            const int ref = kept_ref[i];
-            const CachedCand& cc = cands[ref / kRefSlots].cand[
-                static_cast<std::size_t>(ref % kRefSlots)];
-            const RankKey key = candKey(cc);
-            run.offer(kept_e[i], key.hi, key.lo, ref);
-        }
-    }
+#endif
+    if (ops.ref >= 0)
+        run.offer(ops.e, ops.hi, ops.lo, ops.ref);
 
     // --- close/adaptive policies: precharge idle open rows --------------
     // A bank with a conflict PRE offers the same command at a better

@@ -28,12 +28,35 @@
  *    group, RD/WR terms per PC and CAS class), and since it issues in
  *    time order the bus slot is one more max term: the newest
  *    reservation's end. A candidate's issue tick is then a max of cached
- *    values, with no per-bank device probe. A step takes the min tick
- *    over the banks with work and ranks only the candidates that reach
- *    it, deriving their rank keys from their ops. Refresh units
- *    are rescanned only at their due and forcing deadlines or after an
- *    event that can move them. The caches are allocated by the first
- *    step; there is no heap allocation in steady state.
+ *    values, with no per-bank device probe.
+ *
+ *    The cached candidates are split into one partition per (PC,
+ *    command bus): ACT/PRE on the row bus, RD/WR on the column bus. Each
+ *    partition caches its min (issue tick, rank key), and a step takes
+ *    the min over the partitions, the refresh candidates and the idle
+ *    PREs. Only these events re-walk a partition:
+ *      - a committed RD/WR re-walks its (PC, column): it moved the PC's
+ *        CAS terms, last-CAS SID and bank group and column-bus floor;
+ *      - an ACT, PRE or REFpb re-walks its (PC, row): it moved its
+ *        (PC, SID)'s ACT terms and the row-bus floor;
+ *      - a rebuilt bank swap-removes its old entries, which re-walks a
+ *        partition only if one of them was the partition's best, and
+ *        offers each new entry to the cached best;
+ *      - a refresh scan that changes any forced-refresh hold re-walks
+ *        every partition;
+ *      - a partition expires at the first tick at which a candidate
+ *        that tied its best tick ages, since aging reorders ties;
+ *      - the first step and a checkpoint restore start with every
+ *        partition unwalked.
+ *    Between them a partition's best stands. now only advances to the
+ *    last winner's tick, which is at most every partition's best tick,
+ *    or jumps while no partition has a candidate, so max(now, ...) moves
+ *    none of its ticks. Rank keys are unique, so the min over the
+ *    partition minima is the min over every candidate; Debug builds
+ *    check that on every step. Refresh units are rescanned only at
+ *    their due and forcing deadlines or after an event that can move
+ *    them. The caches are allocated by the first step; there is no heap
+ *    allocation in steady state.
  *
  *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
  *    FR-FCFS loop that rebuilds its whole candidate set from the flat
@@ -201,6 +224,12 @@ class ConventionalMc : public ChannelControllerBase
     static constexpr int kMaxPcs = 8;
     static constexpr int kRepNone = -1;    ///< no hit representative
     static constexpr int kRepUnknown = -2; ///< representative needs rescan
+    /** A step's candidates are named by a ref: their bank times
+     *  kRefSlots plus a cached-candidate slot, kRefRefresh or
+     *  kRefIdlePre. */
+    static constexpr int kRefSlots = 8;
+    static constexpr int kRefRefresh = 3;
+    static constexpr int kRefIdlePre = 4;
 
     /** Pooled node of one queued op, linked into its bank's FIFO list. */
     struct OpNode
@@ -294,7 +323,46 @@ class ConventionalMc : public ChannelControllerBase
         std::int8_t bg = 0;
         std::int16_t unit = 0;  ///< refresh unit ((PC, SID) index)
         std::int32_t group = 0; ///< flat (PC, SID, bank group) index
+        /** Each candidate's index in its partition's ref list. */
+        std::array<std::int32_t, 3> pos{};
         std::array<CachedCand, 3> cand{};
+    };
+
+    /** Running min of (issue tick, rank key hi, rank key lo), with a ref
+     *  naming its candidate. */
+    struct Best
+    {
+        Tick e = kTickMax;
+        std::uint64_t hi = ~std::uint64_t{0};
+        std::uint64_t lo = ~std::uint64_t{0};
+        int ref = -1;
+
+        void
+        offer(Tick oe, std::uint64_t ohi, std::uint64_t olo, int oref)
+        {
+            if (oe < e ||
+                (oe == e && (ohi < hi || (ohi == hi && olo < lo)))) {
+                e = oe;
+                hi = ohi;
+                lo = olo;
+                ref = oref;
+            }
+        }
+    };
+
+    /**
+     * The cached candidates of one (PC, command bus) and their cached
+     * minimum. A ref is bank * kRefSlots + the candidate's slot.
+     */
+    struct Partition
+    {
+        std::vector<int> refs;
+        /** Min over the refs not held for a forced refresh. */
+        Best best;
+        /** First tick at which a candidate that ties best.e ages. */
+        Tick expires = kTickMax;
+        /** best and expires stand; cleared by the events that move them. */
+        bool valid = false;
     };
 
     /** A refresh unit's live candidate (PRE or REFpb at its cursor). */
@@ -374,10 +442,25 @@ class ConventionalMc : public ChannelControllerBase
                         Tick& valid_until);
     /** Rank key of a cached candidate at now_. */
     RankKey candKey(const CachedCand& cc) const;
+    /** Issue tick at now_ of candidate @p cc of bank cands @p c. */
+    Tick candTick(const BankCands& c, const CachedCand& cc) const;
+    /** Partition of candidate @p cc of bank cands @p c. */
+    static int
+    partOf(const BankCands& c, const CachedCand& cc)
+    {
+        return 2 * c.pc + (cc.classMask & 1);
+    }
+    /** The bank is held for its unit's forced refresh. */
+    bool held(const BankCands& c, int bank) const;
     /** Allocate and fill the scheduling caches (first step, restore). */
     void initCaches();
-    /** Re-derive a bank's cached candidates at now_. */
+    /**
+     * Re-derive a bank's cached candidates at now_: swap-remove the old
+     * entries from their partitions and offer the new ones to theirs.
+     */
     void rebuildCands(int bank);
+    /** Recompute a partition's best and expiry at now_. */
+    void walkPartition(int part);
     /** Queue a bank whose candidates an event invalidated. */
     void markStale(int bank);
     /**
@@ -442,7 +525,10 @@ class ConventionalMc : public ChannelControllerBase
         std::vector<int> staleBanks;
         /** No cache needs rebuilding for aging before this tick. */
         Tick nextAging = kTickMax;
-        /** The walk's kept candidates: issue tick and ref of each. */
+        /** Per (PC, bus), at 2 * pc + (column bus), like busFloor. */
+        std::vector<Partition> parts;
+        /** A partition walk's kept candidates: issue tick and ref of
+         *  each. */
         std::vector<Tick> walkTick;
         std::vector<int> walkRef;
         int numGroups = 0; ///< (PC, SID, bank group) triples

@@ -362,6 +362,23 @@ TEST(SchedulerParity, AgedQosAndSmallQueues)
     McConfig legacy = indexed;
     legacy.legacyScheduler = true;
     EXPECT_TRUE(runConv(indexed, reqs) == runConv(legacy, reqs));
+
+    // A threshold of a few bus slots lets a candidate that ties the cached
+    // best of its (PC, bus) age before that best issues, so the aged tie
+    // must overtake it.
+    p.totalBytes = 64_KiB;
+    p.requestBytes = 512;
+    p.writeFraction = 0.3;
+    p.seed = 1;
+    const auto gathers = randomRequests(p);
+    for (const Tick thr : {10_ns, 30_ns}) {
+        indexed = McConfig{};
+        indexed.agePriorityThreshold = thr;
+        legacy = indexed;
+        legacy.legacyScheduler = true;
+        EXPECT_TRUE(runConv(indexed, gathers) == runConv(legacy, gathers))
+            << "threshold " << thr;
+    }
 }
 
 TEST(SchedulerParity, PathologicalMappingAndNoRefresh)
