@@ -44,7 +44,10 @@ namespace rome
 // stream.
 // v5: the base state's source window and the conventional stack's
 // read-queue occupancy accumulator left the stream.
-inline constexpr std::uint32_t kCheckpointVersion = 5;
+// v6: in-flight slots replaced the id-keyed in-flight table, ops carry
+// their slot instead of a single-op flag, and outstanding-op CAMs list
+// their live entries in release order.
+inline constexpr std::uint32_t kCheckpointVersion = 6;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

@@ -50,48 +50,38 @@ fieldWidth(const Organization& org, AddrField f)
 AddressMapping::AddressMapping(const Organization& org,
                                std::vector<AddrFieldSpec> spec,
                                std::string name)
-    : org_(org), spec_(std::move(spec)), name_(std::move(name)),
+    : spec_(std::move(spec)), name_(std::move(name)),
       colOffsetBits_(log2Exact(org.columnBytes, "columnBytes"))
 {
-    // The widths per field must cover the organization exactly.
-    int widths[6] = {0, 0, 0, 0, 0, 0};
-    for (const auto& s : spec_)
-        widths[static_cast<int>(s.field)] += s.bits;
+    // Each field is one slice whose width covers the organization exactly.
+    bool listed[6] = {false, false, false, false, false, false};
+    int shift = colOffsetBits_;
+    for (const auto& s : spec_) {
+        const auto f = static_cast<std::size_t>(s.field);
+        if (listed[f]) {
+            fatal("mapping %s: field %d is listed twice", name_.c_str(),
+                  static_cast<int>(s.field));
+        }
+        listed[f] = true;
+        if (s.bits != fieldWidth(org, s.field)) {
+            fatal("mapping %s: field %d covers %d bits, organization needs "
+                  "%d",
+                  name_.c_str(), static_cast<int>(s.field), s.bits,
+                  fieldWidth(org, s.field));
+        }
+        mask_[f] = (std::uint64_t{1} << s.bits) - 1;
+        shift_[f] = static_cast<std::uint8_t>(shift);
+        shift += s.bits;
+    }
     const AddrField all[] = {AddrField::Pc, AddrField::Sid, AddrField::Bg,
                              AddrField::Bank, AddrField::Col, AddrField::Row};
     for (AddrField f : all) {
-        if (widths[static_cast<int>(f)] != fieldWidth(org_, f)) {
-            fatal("mapping %s: field %d covers %d bits, organization needs "
+        if (!listed[static_cast<std::size_t>(f)] && fieldWidth(org, f) != 0) {
+            fatal("mapping %s: field %d covers 0 bits, organization needs "
                   "%d",
-                  name_.c_str(), static_cast<int>(f),
-                  widths[static_cast<int>(f)], fieldWidth(org_, f));
+                  name_.c_str(), static_cast<int>(f), fieldWidth(org, f));
         }
     }
-}
-
-DramAddress
-AddressMapping::decode(std::uint64_t addr) const
-{
-    std::uint64_t v = addr >> colOffsetBits_;
-    DramAddress out;
-    int colShift = 0;
-    for (const auto& s : spec_) {
-        const std::uint64_t chunk = v & ((1ULL << s.bits) - 1);
-        v >>= s.bits;
-        const int ichunk = static_cast<int>(chunk);
-        switch (s.field) {
-          case AddrField::Pc: out.pc |= ichunk; break;
-          case AddrField::Sid: out.sid |= ichunk; break;
-          case AddrField::Bg: out.bg |= ichunk; break;
-          case AddrField::Bank: out.bank |= ichunk; break;
-          case AddrField::Col:
-            out.col |= ichunk << colShift;
-            colShift += s.bits;
-            break;
-          case AddrField::Row: out.row |= ichunk; break;
-        }
-    }
-    return out;
 }
 
 std::vector<AddressMapping>

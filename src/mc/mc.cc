@@ -56,6 +56,12 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
 {
     if (cfg_.readQueueDepth < 1 || cfg_.writeQueueDepth < 1)
         fatal("queue depths must be positive");
+    if (std::uint64_t{1} << map_.columnShift() != cfg.org.columnBytes) {
+        fatal("mapping %s decodes %d-bit column offsets, the device has "
+              "%llu B columns",
+              map_.name().c_str(), map_.columnShift(),
+              static_cast<unsigned long long>(cfg.org.columnBytes));
+    }
     if (cfg.org.pcsPerChannel > kMaxPcs || cfg.org.sidsPerChannel > 127 ||
         cfg.org.bankGroupsPerSid > 127 ||
         cfg.org.banksPerChannel() > std::numeric_limits<std::uint16_t>::max() / 2) {
@@ -180,23 +186,28 @@ ConventionalMc::writeQueueSize() const
 bool
 ConventionalMc::admitOps()
 {
-    Request& req = host_.front();
+    const Request& req = host_.front();
     const bool is_read = req.kind == ReqKind::Read;
     const auto& outstanding = is_read ? readOutstanding_ : writeOutstanding_;
     const auto depth = static_cast<std::size_t>(
         is_read ? cfg_.readQueueDepth : cfg_.writeQueueDepth);
-    const std::uint64_t col = dramCfg_.org.columnBytes;
-    const std::uint64_t first_line = req.addr / col;
-    const std::uint64_t last_line = (req.addr + req.size - 1) / col;
-    const std::uint64_t total = last_line - first_line + 1;
-
-    const auto queued = [&] {
-        return is_read ? readQueueSize() : writeQueueSize();
+    const auto has_room = [&] {
+        return (is_read ? readQueueSize() : writeQueueSize()) +
+                   outstanding.size() <
+               depth;
     };
-    while (frontChunk_ < total && queued() + outstanding.size() < depth) {
+    if (!has_room())
+        return false;
+    // Lines are columnBytes apart, a power of two the mapping checked.
+    const int shift = map_.columnShift();
+    const std::uint64_t first_line = req.addr >> shift;
+    const std::uint64_t total =
+        ((req.addr + req.size - 1) >> shift) - first_line + 1;
+    const int slot = frontSlot(total);
+    do {
         const std::uint64_t line = first_line + frontChunk_;
-        Op op{map_.decode(line * col), req.id, req.kind, req.arrival,
-              total == 1};
+        Op op{map_.decode(line << shift), req.id, req.kind, req.arrival,
+              slot};
         op.linkDelay = req.linkDelay;
         if (faults_.enabled()) {
             // Spared rows are remapped at admission so every queued op
@@ -209,7 +220,7 @@ ConventionalMc::admitOps()
         else
             insertOpIndexed(op);
         ++frontChunk_;
-    }
+    } while (frontChunk_ < total && has_room());
     if (frontChunk_ == total) {
         host_.pop_front();
         frontChunk_ = 0;
@@ -253,11 +264,11 @@ ConventionalMc::completeOp(const Op& op, Tick data_end)
         bytesWritten_ += dramCfg_.org.columnBytes;
     // completeOp runs at the CAS issue tick, so now_ is the breakdown's
     // first-issue time.
-    if (op.singleOp)
+    if (op.slot < 0)
         noteSingleOpDone(op.reqId, op.arrival, data_end, poisoned,
                          op.retryWait, op.linkDelay);
     else
-        noteOpDone(op.reqId, data_end, poisoned, op.retryWait);
+        noteOpDone(op.slot, data_end, poisoned, op.retryWait);
 }
 
 // ---------------------------------------------------------------------------
@@ -1625,7 +1636,7 @@ ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
         w.putU64(op.reqId);
         w.putU8(static_cast<std::uint8_t>(op.kind));
         w.putI64(op.arrival);
-        w.putBool(op.singleOp);
+        w.putI32(op.slot);
         w.putI32(op.attempt);
         w.putI64(op.retryWait);
         w.putI64(op.linkDelay);
@@ -1708,7 +1719,7 @@ ConventionalMc::restoreCheckpoint(CheckpointReader& r)
         op.reqId = r.getU64();
         op.kind = static_cast<ReqKind>(r.getU8());
         op.arrival = r.getI64();
-        op.singleOp = r.getBool();
+        op.slot = r.getI32();
         op.attempt = r.getI32();
         op.retryWait = r.getI64();
         op.linkDelay = r.getI64();

@@ -180,8 +180,8 @@ class ConventionalMc : public ChannelControllerBase
         std::uint64_t reqId;
         ReqKind kind;
         Tick arrival;
-        /** The op is its request's only one (completion fast path). */
-        bool singleOp = false;
+        /** The request's in-flight slot; -1 when this is its only op. */
+        int slot = -1;
         /** Re-read attempts already spent clearing a CE (fault path). */
         int attempt = 0;
         /** ECC retry backoff absorbed so far (telemetry breakdown). */
@@ -387,11 +387,6 @@ class ConventionalMc : public ChannelControllerBase
     };
 
     bool admitOps() override;
-    std::uint64_t
-    admissionChunkBytes() const override
-    {
-        return dramCfg_.org.columnBytes;
-    }
     bool stepOnce(Tick until) override;
 
     /** Telemetry timeline: one span per committed device command. */

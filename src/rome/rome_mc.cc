@@ -114,15 +114,19 @@ RomeMc::decodeRow(std::uint64_t addr) const
 bool
 RomeMc::admitOps()
 {
+    const auto has_room = [&] {
+        return queue_.size() + outstanding_.size() <
+               static_cast<std::size_t>(cfg_.queueDepth);
+    };
+    if (!has_room())
+        return false;
     const Request& req = host_.front();
     const std::uint64_t eff = map_.effectiveRowBytes();
     const std::uint64_t first = req.addr / eff;
     const std::uint64_t last = (req.addr + req.size - 1) / eff;
     const std::uint64_t total = last - first + 1;
-
-    while (frontChunk_ < total &&
-           queue_.size() + outstanding_.size() <
-               static_cast<std::size_t>(cfg_.queueDepth)) {
+    const int slot = frontSlot(total);
+    do {
         const std::uint64_t chunk = first + frontChunk_;
         const std::uint64_t chunk_lo = chunk * eff;
         const std::uint64_t lo = std::max(chunk_lo, req.addr);
@@ -139,11 +143,11 @@ RomeMc::admitOps()
         op.reqId = req.id;
         op.arrival = req.arrival;
         op.usefulBytes = hi - lo;
-        op.singleOp = total == 1;
+        op.slot = slot;
         op.linkDelay = req.linkDelay;
         queue_.push_back(op);
         ++frontChunk_;
-    }
+    } while (frontChunk_ < total && has_room());
     if (frontChunk_ == total) {
         host_.pop_front();
         frontChunk_ = 0;
@@ -371,11 +375,11 @@ RomeMc::stepOnceIndexed(Tick until)
             bytesRead_ += op.usefulBytes;
         overfetch_ += res.bytes - op.usefulBytes;
 
-        if (op.singleOp)
+        if (op.slot < 0)
             noteSingleOpDone(op.reqId, op.arrival, res.dataUntil, poisoned,
                              op.retryWait, op.linkDelay);
         else
-            noteOpDone(op.reqId, res.dataUntil, poisoned, op.retryWait);
+            noteOpDone(op.slot, res.dataUntil, poisoned, op.retryWait);
         return true;
     }
 
@@ -403,7 +407,7 @@ RomeMc::stepOnceIndexed(Tick until)
         next = std::min(next, admit_at);
     }
     // A refresh that is already due but blocked wakes up when a slot frees
-    // (covered by the deadline-heap tops below).
+    // (covered by the FSM buffers' first deadlines below).
     if (nextRefreshDue() > now_)
         next = std::min(next, nextRefreshDue());
     next = std::min(next, opBusy_.firstFreeAfter(now_));
@@ -572,11 +576,11 @@ RomeMc::stepOnceLegacy(Tick until)
             bytesRead_ += op.usefulBytes;
         overfetch_ += res.bytes - op.usefulBytes;
 
-        if (op.singleOp)
+        if (op.slot < 0)
             noteSingleOpDone(op.reqId, op.arrival, res.dataUntil, poisoned,
                              op.retryWait, op.linkDelay);
         else
-            noteOpDone(op.reqId, res.dataUntil, poisoned, op.retryWait);
+            noteOpDone(op.slot, res.dataUntil, poisoned, op.retryWait);
         return true;
     }
 
@@ -795,7 +799,7 @@ RomeMc::saveCheckpoint(CheckpointWriter& w) const
         w.putU64(op.reqId);
         w.putI64(op.arrival);
         w.putU64(op.usefulBytes);
-        w.putBool(op.singleOp);
+        w.putI32(op.slot);
         w.putI32(op.attempt);
         w.putI64(op.retryWait);
         w.putI64(op.linkDelay);
@@ -869,7 +873,7 @@ RomeMc::restoreCheckpoint(CheckpointReader& r)
         op.reqId = r.getU64();
         op.arrival = r.getI64();
         op.usefulBytes = r.getU64();
-        op.singleOp = r.getBool();
+        op.slot = r.getI32();
         op.attempt = r.getI32();
         op.retryWait = r.getI64();
         op.linkDelay = r.getI64();

@@ -60,10 +60,10 @@ struct RomeMcConfig
     int queueDepth = 0;
     bool refreshEnabled = true;
     /**
-     * Use the seed's scan-every-slot scheduler instead of the
-     * deadline-heap + per-VBA busy index. Decisions are bit-identical;
-     * this is the reference the parity tests and bench_sched_hotpath
-     * compare the indexed scheduler against.
+     * Use the seed's scan-every-slot scheduler instead of the sorted
+     * FSM-deadline buffers + per-VBA busy index. Decisions are
+     * bit-identical; this is the reference the parity tests and
+     * bench_sched_hotpath compare the indexed scheduler against.
      */
     bool legacyScheduler = false;
     /**
@@ -159,8 +159,8 @@ class RomeMc : public ChannelControllerBase
         std::uint64_t reqId;
         Tick arrival;
         std::uint64_t usefulBytes;
-        /** The op is its request's only one (completion fast path). */
-        bool singleOp = false;
+        /** The request's in-flight slot; -1 when this is its only op. */
+        int slot = -1;
         /** Fault-retry attempt count (0 = first issue). */
         int attempt = 0;
         /** Accumulated retry backoff (telemetry breakdown component). */
@@ -186,11 +186,6 @@ class RomeMc : public ChannelControllerBase
     };
 
     bool admitOps() override;
-    std::uint64_t
-    admissionChunkBytes() const override
-    {
-        return map_.effectiveRowBytes();
-    }
     bool stepOnce(Tick until) override;
     bool stepOnceLegacy(Tick until);
     bool stepOnceIndexed(Tick until);
@@ -213,7 +208,7 @@ class RomeMc : public ChannelControllerBase
     /** Rewrite queued and retrying ops after a row got spared. */
     void applySpare(const SpareEvent& ev);
 
-    // ---- deadline-heap slot accounting (indexed scheduler) --------------
+    // ---- FSM-deadline slot accounting (indexed scheduler) ---------------
     int vbaKey(const VbaAddress& a) const
     {
         return a.sid * map_.vbasPerSid() + a.vba;
@@ -230,6 +225,8 @@ class RomeMc : public ChannelControllerBase
     RomeTimingParams timing_;
     int operateFsms_ = 0;
     int refreshFsms_ = 0;
+    /** (SID, VBA) pairs of the channel: the refresh rotation's targets. */
+    int totalVbas_ = 0;
     RomeMapOrder mapOrder_;
     ChannelDevice dev_;
     CommandGenerator gen_;
@@ -242,10 +239,12 @@ class RomeMc : public ChannelControllerBase
     std::vector<FsmSlot> opSlots_;
     std::vector<FsmSlot> refSlots_;
     /**
-     * Indexed scheduler: FSM occupancy as min-heaps on retire deadline
-     * (OutstandingOps: earliest-deadline retirement is a heap pop instead
-     * of a slot scan) plus a per-VBA busy table indexed by (sid, vba) key,
-     * so vbaBusy and the per-op ready-time query are O(1) lookups.
+     * Indexed scheduler: FSM occupancy as buffers sorted by retire
+     * deadline (OutstandingOps: retirement advances a cursor past the
+     * expired prefix instead of scanning slots; a window that ends before
+     * an earlier one moves back a few places on push) plus a per-VBA busy
+     * table indexed by (sid, vba) key, so vbaBusy and the per-op
+     * ready-time query are O(1) lookups.
      */
     OutstandingOps opBusy_;
     OutstandingOps refBusy_;
@@ -260,7 +259,6 @@ class RomeMc : public ChannelControllerBase
 
     /** Refresh rotation across all (SID, VBA) pairs of the channel. */
     RefreshRotation refresh_;
-    int totalVbas_ = 0;
 
     /** Fault retries waiting out their backoff (unordered; scanned). */
     std::vector<PendingRetry> retryQ_;

@@ -240,19 +240,9 @@ ChannelControllerBase::enqueue(const Request& req)
 {
     if (req.size == 0)
         fatal("zero-size request");
-    const std::uint64_t chunk = admissionChunkBytes();
-    const std::uint64_t first = req.addr / chunk;
-    const std::uint64_t last = (req.addr + req.size - 1) / chunk;
-    if (first == last) {
-        // Single-operation request: it completes with its one op, so it
-        // needs no per-request progress entry — the hot completion path
-        // (noteSingleOpDone) skips the in-flight map entirely.
-        ++singleOpsPending_;
-    } else {
-        ReqState st{req.arrival, static_cast<int>(last - first + 1)};
-        st.linkDelay = req.linkDelay;
-        inflight_[req.id] = st;
-    }
+    // The request is live from here; a multi-op one takes an in-flight
+    // slot when its first op is admitted (frontSlot).
+    ++live_;
     host_.push_back(req);
     hostPeak_ = std::max(hostPeak_, host_.size());
     // Keep the completion log's capacity ahead of everything enqueued so
@@ -328,15 +318,40 @@ ChannelControllerBase::pumpArrivals()
     }
 }
 
-void
-ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
-                                  bool poisoned, Tick retry_wait)
+int
+ChannelControllerBase::frontSlot(std::uint64_t total)
 {
-    auto it = inflight_.find(req_id);
-    if (it == inflight_.end())
-        panic("completion for unknown request %llu",
-              static_cast<unsigned long long>(req_id));
-    ReqState& st = it->second;
+    if (total == 1)
+        return -1;
+    if (frontChunk_ == 0) {
+        const Request& req = host_.front();
+        ReqState st;
+        st.id = req.id;
+        st.arrival = req.arrival;
+        st.opsRemaining = static_cast<int>(total);
+        st.linkDelay = req.linkDelay;
+        if (freeSlots_.empty()) {
+            frontSlot_ = static_cast<int>(slots_.size());
+            slots_.push_back(st);
+            freeSlots_.reserve(slots_.capacity());
+        } else {
+            frontSlot_ = freeSlots_.back();
+            freeSlots_.pop_back();
+            slots_[static_cast<std::size_t>(frontSlot_)] = st;
+        }
+    }
+    return frontSlot_;
+}
+
+void
+ChannelControllerBase::noteOpDone(int slot, Tick data_end, bool poisoned,
+                                  Tick retry_wait)
+{
+    if (static_cast<std::size_t>(slot) >= slots_.size() ||
+        slots_[static_cast<std::size_t>(slot)].opsRemaining == 0)
+        panic("completion for unknown request (free in-flight slot %d)",
+              slot);
+    ReqState& st = slots_[static_cast<std::size_t>(slot)];
     st.poisoned |= poisoned;
     if (telemetry_) {
         if (st.firstIssue == kTickInvalid)
@@ -344,23 +359,23 @@ ChannelControllerBase::noteOpDone(std::uint64_t req_id, Tick data_end,
         st.retryTicks += retry_wait;
     }
     if (--st.opsRemaining == 0) {
+        --live_;
         ++completedCount_;
         if (st.poisoned)
             ++poisonedCount_;
-        Completion* slot = nullptr;
+        Completion* c = nullptr;
         if (retainCompletions_) {
-            completions_.push_back(Completion{req_id, data_end,
-                                              st.poisoned});
-            slot = &completions_.back();
+            completions_.push_back(Completion{st.id, data_end, st.poisoned});
+            c = &completions_.back();
         }
         const double lat_ns = nsFromTicks(data_end - st.arrival);
         latencyNs_.sample(lat_ns);
         latencyHistNs_.sample(lat_ns);
         if (telemetry_) {
             telemetrySampleCompletion(st.arrival, data_end, st.firstIssue,
-                                      st.retryTicks, st.linkDelay, slot);
+                                      st.retryTicks, st.linkDelay, c);
         }
-        inflight_.erase(it);
+        freeSlots_.push_back(slot);
     }
 }
 
@@ -369,7 +384,7 @@ ChannelControllerBase::noteSingleOpDone(std::uint64_t req_id, Tick arrival,
                                         Tick data_end, bool poisoned,
                                         Tick retry_wait, Tick link_delay)
 {
-    --singleOpsPending_;
+    --live_;
     ++completedCount_;
     if (poisoned)
         ++poisonedCount_;
@@ -433,7 +448,7 @@ ChannelControllerBase::telemetrySampleCompletion(Tick arrival, Tick data_end,
         TimeSample cur;
         cur.completed = completedCount_;
         cur.bytes = bytesRead_ + bytesWritten_;
-        cur.occupancy = inflight_.size() + singleOpsPending_;
+        cur.occupancy = live_;
         cur.stall = stall_.totals();
         series_.observe(data_end, cur);
     }
@@ -479,12 +494,10 @@ ChannelControllerBase::drain()
 bool
 ChannelControllerBase::idle() const
 {
-    // Every queued or outstanding operation belongs to an in-flight
-    // request (a map entry or a pending single-op), so no in-flight
-    // requests implies empty op queues. A bound source with requests left
-    // means pending work even when the host window drained.
-    return host_.empty() && inflight_.empty() && singleOpsPending_ == 0 &&
-           sourceDone_;
+    // Every queued or outstanding operation belongs to a live request, so
+    // no live requests implies empty op queues. A bound source with
+    // requests left means pending work even when the host window drained.
+    return host_.empty() && live_ == 0 && sourceDone_;
 }
 
 void
@@ -561,17 +574,12 @@ ChannelControllerBase::saveBaseState(CheckpointWriter& w) const
     for (const Request& r : host_)
         putRequest(w, r);
     w.putU64(frontChunk_);
-    // unordered_map: serialize in sorted key order so two checkpoints of
-    // the same state are byte-identical.
-    std::vector<std::uint64_t> ids;
-    ids.reserve(inflight_.size());
-    for (const auto& [id, st] : inflight_)
-        ids.push_back(id);
-    std::sort(ids.begin(), ids.end());
-    w.putCount(ids.size());
-    for (const std::uint64_t id : ids) {
-        const ReqState& st = inflight_.at(id);
-        w.putU64(id);
+    w.putI32(frontSlot_);
+    // Queued ops name their slots, so every slot round-trips in place,
+    // free ones included, and so does the free list's order.
+    w.putCount(slots_.size());
+    for (const ReqState& st : slots_) {
+        w.putU64(st.id);
         w.putI64(st.arrival);
         w.putI32(st.opsRemaining);
         w.putBool(st.poisoned);
@@ -579,6 +587,9 @@ ChannelControllerBase::saveBaseState(CheckpointWriter& w) const
         w.putI64(st.retryTicks);
         w.putI64(st.linkDelay);
     }
+    w.putCount(freeSlots_.size());
+    for (const int slot : freeSlots_)
+        w.putI32(slot);
     w.putCount(completions_.size());
     for (const Completion& c : completions_) {
         w.putU64(c.id);
@@ -600,7 +611,7 @@ ChannelControllerBase::saveBaseState(CheckpointWriter& w) const
     w.putU64(hostPeak_);
     w.putU64(completedCount_);
     w.putU64(poisonedCount_);
-    w.putU64(singleOpsPending_);
+    w.putU64(live_);
     w.putBool(retainCompletions_);
     // Telemetry accumulators (empty structures when the tier is off —
     // the enable flags themselves are config-derived, not serialized).
@@ -622,18 +633,24 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
     for (std::size_t i = 0; i < nhost; ++i)
         host_.push_back(getRequest(r));
     frontChunk_ = r.getU64();
-    inflight_.clear();
-    const std::size_t ninflight = r.getCount();
-    for (std::size_t i = 0; i < ninflight; ++i) {
-        const std::uint64_t id = r.getU64();
-        ReqState st{};
+    frontSlot_ = r.getI32();
+    slots_.resize(r.getCount());
+    for (ReqState& st : slots_) {
+        st.id = r.getU64();
         st.arrival = r.getI64();
         st.opsRemaining = r.getI32();
         st.poisoned = r.getBool();
         st.firstIssue = r.getI64();
         st.retryTicks = r.getI64();
         st.linkDelay = r.getI64();
-        inflight_.emplace(id, st);
+    }
+    freeSlots_.reserve(slots_.capacity());
+    freeSlots_.resize(r.getCount());
+    for (int& slot : freeSlots_) {
+        slot = r.getI32();
+        if (static_cast<std::size_t>(slot) >= slots_.size())
+            fatal("checkpoint frees in-flight slot %d of %zu", slot,
+                  slots_.size());
     }
     completions_.clear();
     const std::size_t ncomp = r.getCount();
@@ -660,7 +677,7 @@ ChannelControllerBase::loadBaseState(CheckpointReader& r)
     hostPeak_ = static_cast<std::size_t>(r.getU64());
     completedCount_ = r.getU64();
     poisonedCount_ = r.getU64();
-    singleOpsPending_ = r.getU64();
+    live_ = r.getU64();
     retainCompletions_ = r.getBool();
     stall_.loadState(r);
     series_.loadState(r);

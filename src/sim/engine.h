@@ -44,7 +44,6 @@
 #include <functional>
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/checkpoint.h"
@@ -357,11 +356,16 @@ struct RefreshRotation
  * still count against the queue depth (this is what makes deep queues
  * necessary for bank-parallelism, §V-A).
  *
- * Entries live in a min-heap on their release tick, so the controller hot
- * loop pays O(log n) per push/release and O(1) for the next-release query
- * that feeds the schedulers' event calendars. The backing vector's capacity
- * persists across steps, so a warmed-up controller releases and pushes
- * without touching the heap allocator.
+ * Entries live in one array sorted by release tick, behind a cursor over
+ * the already-released prefix. A push appends and moves the entry back
+ * past any later one; release advances the cursor and erases the released
+ * prefix once it is at least half the array. The conventional controller
+ * pushes each direction's data-end ticks in issue order (a fixed latency
+ * after commands that issue in time order), so its pushes never move and
+ * every operation is O(1) amortized; RoMe's FSM windows can arrive out of
+ * order and move back a few places. The array's capacity persists across
+ * steps, so a warmed-up controller releases and pushes without touching
+ * the heap allocator.
  */
 class OutstandingOps
 {
@@ -370,58 +374,62 @@ class OutstandingOps
     void
     release(Tick now)
     {
-        while (!heap_.empty() && heap_.front() <= now) {
-            std::pop_heap(heap_.begin(), heap_.end(), std::greater<Tick>{});
-            heap_.pop_back();
+        while (head_ < ticks_.size() && ticks_[head_] <= now)
+            ++head_;
+        if (head_ != 0 && 2 * head_ >= ticks_.size()) {
+            ticks_.erase(ticks_.begin(),
+                         ticks_.begin() + static_cast<std::ptrdiff_t>(head_));
+            head_ = 0;
         }
     }
 
     void
     push(Tick data_end)
     {
-        heap_.push_back(data_end);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<Tick>{});
+        ticks_.push_back(data_end);
+        std::size_t i = ticks_.size() - 1;
+        for (; i > head_ && ticks_[i - 1] > data_end; --i)
+            ticks_[i] = ticks_[i - 1];
+        ticks_[i] = data_end;
     }
 
-    std::size_t size() const { return heap_.size(); }
+    std::size_t size() const { return ticks_.size() - head_; }
 
     /** Earliest strictly-future release, or kTickMax when none. */
     Tick
     firstFreeAfter(Tick now) const
     {
-        if (heap_.empty())
-            return kTickMax;
-        if (heap_.front() > now)
-            return heap_.front();
-        // Entries at or before now survive only between release() calls;
-        // fall back to an exact scan so the query stays correct anywhere.
-        Tick first = kTickMax;
-        for (const Tick t : heap_) {
-            if (t > now && t < first)
-                first = t;
+        // Entries at or before now survive only between release() calls,
+        // so the first live entry is usually the answer.
+        for (std::size_t i = head_; i < ticks_.size(); ++i) {
+            if (ticks_[i] > now)
+                return ticks_[i];
         }
-        return first;
+        return kTickMax;
     }
 
-    /** The raw heap array round-trips verbatim (heap order included). */
+    /** The live entries, in release order. */
     void
     saveState(CheckpointWriter& w) const
     {
-        w.putCount(heap_.size());
-        for (const Tick t : heap_)
-            w.putI64(t);
+        w.putCount(size());
+        for (std::size_t i = head_; i < ticks_.size(); ++i)
+            w.putI64(ticks_[i]);
     }
 
     void
     loadState(CheckpointReader& r)
     {
-        heap_.resize(r.getCount());
-        for (Tick& t : heap_)
+        ticks_.resize(r.getCount());
+        for (Tick& t : ticks_)
             t = r.getI64();
+        head_ = 0;
     }
 
   private:
-    std::vector<Tick> heap_; ///< min-heap on release tick
+    /** Sorted by release tick; [0, head_) is already released. */
+    std::vector<Tick> ticks_;
+    std::size_t head_ = 0;
 };
 
 /**
@@ -527,11 +535,13 @@ class ChannelControllerBase : public IMemoryController
     void attachResumedFeed(RequestSource* src) { source_ = src; }
 
   protected:
-    /** Host-request progress tracking. */
+    /** Progress of one multi-op host request: an in-flight slot. */
     struct ReqState
     {
-        Tick arrival;
-        int opsRemaining; // not yet completed
+        std::uint64_t id = 0;
+        Tick arrival = 0;
+        /** Ops not yet completed; 0 marks a free slot. */
+        int opsRemaining = 0;
         /** Any op of this request read poisoned (DUE) data. */
         bool poisoned = false;
         /** First command issued for the request (breakdown; telemetry). */
@@ -559,8 +569,13 @@ class ChannelControllerBase : public IMemoryController
      */
     virtual bool admitOps() = 0;
 
-    /** Operation granularity requests decompose into (column / eff. row). */
-    virtual std::uint64_t admissionChunkBytes() const = 0;
+    /**
+     * In-flight slot of host_.front(), which decomposes into @p total
+     * operations: -1 for a single-op request, else the slot its first
+     * admitted op opens. Call only when admitOps is about to admit at
+     * least one op of it; every op carries the slot to its completion.
+     */
+    int frontSlot(std::uint64_t total);
 
     /**
      * Admit from the host buffer while requests have arrived. With a
@@ -572,18 +587,19 @@ class ChannelControllerBase : public IMemoryController
     void pumpArrivals();
 
     /**
-     * Account one finished operation of request @p req_id, issued at
-     * now_; records the completion and samples latency when it was the
-     * last one. @p poisoned marks this op's data as carrying a DUE; the
-     * request's completion is poisoned if any of its ops were.
+     * Account one finished operation of the request in in-flight slot
+     * @p slot, issued at now_; records the completion, samples latency and
+     * frees the slot when it was the last one. @p poisoned marks this
+     * op's data as carrying a DUE; the request's completion is poisoned
+     * if any of its ops were.
      */
-    void noteOpDone(std::uint64_t req_id, Tick data_end,
-                    bool poisoned = false, Tick retry_wait = 0);
+    void noteOpDone(int slot, Tick data_end, bool poisoned = false,
+                    Tick retry_wait = 0);
 
     /**
-     * Completion fast path for a request that decomposed into exactly one
-     * operation (the caller knows from its admission-time chunking, and
-     * carries the arrival tick in the op): no in-flight map traffic.
+     * Completion path for a request that decomposed into exactly one
+     * operation (slot -1; the op carries the arrival tick): no in-flight
+     * slot.
      *
      * The trailing parameters feed the telemetry latency breakdown and
      * default to "no retry, no link delay"; the op was issued at now_.
@@ -625,7 +641,7 @@ class ChannelControllerBase : public IMemoryController
 
     /**
      * Serialize / restore every base-owned mutable field (clock, host
-     * window, in-flight map, completion log, latency stats, source
+     * window, in-flight slots, completion log, latency stats, source
      * cursor, fault state). Subclass saveCheckpoint overrides call these
      * first, then append their scheduler and device state.
      */
@@ -642,7 +658,6 @@ class ChannelControllerBase : public IMemoryController
     std::deque<Request> host_;
     /** Next not-yet-admitted chunk index of host_.front(). */
     std::uint64_t frontChunk_ = 0;
-    std::unordered_map<std::uint64_t, ReqState> inflight_;
     std::vector<Completion> completions_;
     Accumulator latencyNs_;
     LatencyHistogram latencyHistNs_;
@@ -674,8 +689,6 @@ class ChannelControllerBase : public IMemoryController
     void refillFromSource();
 
     RequestSource* source_ = nullptr;
-    /** Cached source_->exhausted(); lets idle() stay const and cheap. */
-    bool sourceDone_ = true;
     /** Requests ever pulled from bound sources — the checkpointed source
      *  cursor resumeSource() fast-forwards a fresh stream to. */
     std::uint64_t sourcePulled_ = 0;
@@ -683,8 +696,19 @@ class ChannelControllerBase : public IMemoryController
     std::uint64_t completedCount_ = 0;
     /** Completed requests whose data carried at least one DUE. */
     std::uint64_t poisonedCount_ = 0;
-    /** In-flight single-operation requests (kept out of inflight_). */
-    std::uint64_t singleOpsPending_ = 0;
+    /** Requests enqueued and not yet completed. */
+    std::uint64_t live_ = 0;
+    /**
+     * In-flight slots of the multi-op requests with an admitted op, and
+     * the free ones, reused last-freed first. freeSlots_ keeps capacity
+     * for every slot, so a completion never allocates.
+     */
+    std::vector<ReqState> slots_;
+    std::vector<int> freeSlots_;
+    /** Slot of host_.front() (meaningful while frontChunk_ > 0). */
+    int frontSlot_ = -1;
+    /** Cached source_->exhausted(); lets idle() stay const and cheap. */
+    bool sourceDone_ = true;
     bool retainCompletions_ = true;
 };
 

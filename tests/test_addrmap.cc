@@ -1,13 +1,18 @@
 /**
  * @file
- * Address-mapping tests: bijectivity over the channel space, interleaving
- * order of the presets, and configuration validation.
+ * Address-mapping tests: decode against a bit-by-bit reference,
+ * bijectivity over the channel space, interleaving order of the presets,
+ * and configuration validation.
  */
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <set>
+#include <string>
 #include <tuple>
+#include <vector>
 
 #include "dram/hbm4_config.h"
 #include "mc/addrmap.h"
@@ -23,6 +28,95 @@ std::tuple<int, int, int, int, int, int>
 key(const DramAddress& a)
 {
     return {a.pc, a.sid, a.bg, a.bank, a.row, a.col};
+}
+
+int
+widthOf(std::uint64_t count)
+{
+    return static_cast<int>(std::bit_width(count)) - 1;
+}
+
+/**
+ * Reference decode, one address bit at a time: the fields, listed
+ * LSB→MSB, take consecutive bits above the intra-column offset.
+ */
+DramAddress
+referenceDecode(const Organization& org,
+                const std::vector<AddrFieldSpec>& spec, std::uint64_t addr)
+{
+    DramAddress out;
+    int bit = widthOf(org.columnBytes);
+    for (const AddrFieldSpec& f : spec) {
+        int* dst = nullptr;
+        switch (f.field) {
+          case AddrField::Pc: dst = &out.pc; break;
+          case AddrField::Sid: dst = &out.sid; break;
+          case AddrField::Bg: dst = &out.bg; break;
+          case AddrField::Bank: dst = &out.bank; break;
+          case AddrField::Col: dst = &out.col; break;
+          case AddrField::Row: dst = &out.row; break;
+        }
+        for (int b = 0; b < f.bits; ++b, ++bit) {
+            if ((addr >> bit) & 1)
+                *dst |= 1 << b;
+        }
+    }
+    return out;
+}
+
+/**
+ * The LSB→MSB spec a preset's name spells: two-letter fields read
+ * MSB→LSB ("RoSiBaCoBgPc"), each as wide as @p org requires.
+ */
+std::vector<AddrFieldSpec>
+specFromName(const Organization& org, const std::string& name)
+{
+    std::vector<AddrFieldSpec> spec;
+    for (std::size_t i = name.size(); i >= 2; i -= 2) {
+        const std::string f = name.substr(i - 2, 2);
+        if (f == "Pc")
+            spec.push_back({AddrField::Pc, widthOf(org.pcsPerChannel)});
+        else if (f == "Si")
+            spec.push_back({AddrField::Sid, widthOf(org.sidsPerChannel)});
+        else if (f == "Bg")
+            spec.push_back({AddrField::Bg, widthOf(org.bankGroupsPerSid)});
+        else if (f == "Ba")
+            spec.push_back({AddrField::Bank, widthOf(org.banksPerGroup)});
+        else if (f == "Co")
+            spec.push_back({AddrField::Col, widthOf(org.columnsPerRow())});
+        else if (f == "Ro")
+            spec.push_back({AddrField::Row, widthOf(org.rowsPerBank)});
+        else
+            ADD_FAILURE() << "unknown field " << f << " in " << name;
+    }
+    return spec;
+}
+
+TEST(AddrMap, PresetsMatchBitByBitReference)
+{
+    const Organization org = hbm4Config().org;
+    const auto maps = standardMappings(org);
+    EXPECT_EQ(maps.size(), 6u);
+    for (const auto& m : maps) {
+        // The preset lists the fields its name spells.
+        const auto spec = specFromName(org, m.name());
+        ASSERT_EQ(spec.size(), 6u) << m.name();
+        ASSERT_EQ(m.spec().size(), spec.size()) << m.name();
+        for (std::size_t f = 0; f < spec.size(); ++f) {
+            EXPECT_EQ(m.spec()[f].field, spec[f].field) << m.name();
+            EXPECT_EQ(m.spec()[f].bits, spec[f].bits) << m.name();
+        }
+        const std::uint64_t stride = 32 * 1009;
+        std::uint64_t i = 0;
+        for (std::uint64_t a = 0; a < org.channelCapacity();
+             a += stride, ++i) {
+            // A varying intra-column offset, which decode must drop.
+            const std::uint64_t addr = a + i % org.columnBytes;
+            ASSERT_EQ(key(m.decode(addr)),
+                      key(referenceDecode(org, spec, addr)))
+                << m.name() << " at addr " << addr;
+        }
+    }
 }
 
 TEST(AddrMap, PresetsAreBijectiveOnSample)
@@ -108,6 +202,38 @@ TEST(AddrMap, MisconfiguredWidthsAreFatal)
                         {AddrField::Sid, 2}, {AddrField::Row, 13}},
                        "bad"),
         std::runtime_error);
+    // Every field is one slice: listing one twice is fatal, whether it
+    // repeats at full width or splits its width (Col as 2 + 3 bits).
+    std::vector<AddrFieldSpec> twice = specFromName(org, "RoSiBaBgCoPc");
+    ASSERT_EQ(twice[0].field, AddrField::Pc);
+    twice.push_back(twice[0]);
+    EXPECT_THROW(AddressMapping(org, twice, "twice"), std::runtime_error);
+    std::vector<AddrFieldSpec> split = specFromName(org, "RoSiBaBgCoPc");
+    ASSERT_EQ(split[1].field, AddrField::Col);
+    ASSERT_EQ(split[1].bits, 5);
+    split[1].bits = 2;
+    split.push_back({AddrField::Col, 3});
+    EXPECT_THROW(AddressMapping(org, split, "split"), std::runtime_error);
+}
+
+TEST(AddrMap, ZeroWidthFieldMayBeOmitted)
+{
+    // One pseudo channel: Pc needs 0 bits, so a spec may leave it out.
+    Organization org = hbm4Config().org;
+    org.pcsPerChannel = 1;
+    std::vector<AddrFieldSpec> spec = specFromName(org, "RoSiBaCoBg");
+    ASSERT_EQ(spec.size(), 5u);
+    const AddressMapping m(org, spec, "RoSiBaCoBg");
+    const std::uint64_t stride = 32 * 1009;
+    for (std::uint64_t a = 0; a < org.channelCapacity(); a += stride) {
+        const DramAddress d = m.decode(a);
+        ASSERT_EQ(d.pc, 0) << a;
+        ASSERT_EQ(key(d), key(referenceDecode(org, spec, a))) << a;
+        ASSERT_NO_THROW(checkAddress(org, d)) << a;
+    }
+    // The other fields still need their full widths.
+    spec.pop_back();
+    EXPECT_THROW(AddressMapping(org, spec, "RoSiBaCo"), std::runtime_error);
 }
 
 } // namespace

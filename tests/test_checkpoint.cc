@@ -7,7 +7,8 @@
  *
  * The property is exercised at several mid-run points on both stacks and
  * the hybrid router, with faults on and off, in both drive modes
- * (pre-enqueued requests and streaming bindSource). The streaming
+ * (pre-enqueued requests and streaming bindSource). A restored twin must
+ * also re-save byte-identically, which pins every field of the format. The streaming
  * variants restore the source cursor through resumeSource on a
  * fresh source instance — the mechanism ServingDriver::resume relies on —
  * and the serving test closes the loop: snapshot a mid-flight cube sweep
@@ -116,6 +117,10 @@ expectCheckpointRoundTrip(MakeMc make, const std::vector<Request>& reqs,
         auto b = make();
         restoreControllerCheckpoint(*b, blob);
         EXPECT_EQ(b->now(), a->now()) << label;
+        // Every field the format carries was restored as saved.
+        EXPECT_TRUE(saveControllerCheckpoint(*b) == blob)
+            << label << ": restored twin re-saves differently (mid=" << mid
+            << ")";
         b->runUntil(end);
         EXPECT_TRUE(want == b->stats())
             << label << ": restored twin diverged (mid=" << mid << ")";
@@ -167,6 +172,11 @@ expectStreamingCheckpointRoundTrip(MakeMc make,
         restoreControllerCheckpoint(*b, blob);
         ReplaySource b_src(reqs);
         b->resumeSource(&b_src);
+        // Only after the resume: the hybrid saves whether a source is
+        // attached.
+        EXPECT_TRUE(saveControllerCheckpoint(*b) == blob)
+            << label << ": resumed twin re-saves differently (mid=" << mid
+            << ")";
         b->runUntil(end);
         EXPECT_TRUE(want == b->stats())
             << label << ": streaming restore diverged (mid=" << mid << ")";
