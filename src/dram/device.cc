@@ -93,6 +93,15 @@ ChannelDevice::earliestRefAb(const DramAddress& a, Tick t0) const
     return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
 }
 
+void
+ChannelDevice::checkProbe(Tick t) const
+{
+    if (t < clock_) {
+        panic("probe at %.2f ns precedes the device clock (%.2f ns)",
+              nsFromTicks(t), nsFromTicks(clock_));
+    }
+}
+
 Tick
 ChannelDevice::earliestIssue(const Command& cmd, Tick not_before) const
 {
@@ -101,6 +110,7 @@ ChannelDevice::earliestIssue(const Command& cmd, Tick not_before) const
     // issue() re-validating every command that actually commits.
 #ifndef NDEBUG
     checkAddress(org_, cmd.addr);
+    checkProbe(not_before);
 #endif
     const DramAddress& a = cmd.addr;
     const BankRecord& b = bank(a);
@@ -170,7 +180,7 @@ ChannelDevice::commit(const Command& cmd, Tick when)
         s.lastAct = when;
         s.actWindow[s.actWindowHead] = when;
         s.actWindowHead = (s.actWindowHead + 1) % s.actWindow.size();
-        pc.rowBus.reserve(when);
+        pc.rowBus.reserve(when, clock_);
         counters_.acts.inc();
         counters_.rowCmds.inc();
         res.bankReadyAt = when + std::min(t_.tRCDRD, t_.tRCDWR);
@@ -179,7 +189,7 @@ ChannelDevice::commit(const Command& cmd, Tick when)
       case CmdKind::Pre:
         b.lastPre = when;
         b.openRow = -1;
-        pc.rowBus.reserve(when);
+        pc.rowBus.reserve(when, clock_);
         counters_.pres.inc();
         counters_.rowCmds.inc();
         res.bankReadyAt = when + t_.tRP;
@@ -204,7 +214,7 @@ ChannelDevice::commit(const Command& cmd, Tick when)
         }
         pc.busBusyUntil = data_until;
         lastDataEnd_ = maxTick(lastDataEnd_, data_until);
-        pc.colBus.reserve(when);
+        pc.colBus.reserve(when, clock_);
         counters_.colCmds.inc();
         counters_.dataBusBusyTicks.inc(static_cast<std::uint64_t>(t_.tBURST));
         counters_.dataBytes.inc(org_.columnBytes);
@@ -217,7 +227,7 @@ ChannelDevice::commit(const Command& cmd, Tick when)
       case CmdKind::RefPb:
         b.refUntil = when + t_.tRFCpb;
         s.lastRefPb = when;
-        pc.rowBus.reserve(when);
+        pc.rowBus.reserve(when, clock_);
         counters_.refPbs.inc();
         counters_.rowCmds.inc();
         res.bankReadyAt = b.refUntil;
@@ -233,7 +243,7 @@ ChannelDevice::commit(const Command& cmd, Tick when)
             }
         }
         s.refAbUntil = when + t_.tRFCab;
-        pc.rowBus.reserve(when);
+        pc.rowBus.reserve(when, clock_);
         counters_.refAbs.inc();
         counters_.rowCmds.inc();
         res.bankReadyAt = when + t_.tRFCab;
@@ -277,6 +287,9 @@ ChannelDevice::earliestSequence(const CmdTemplate& tpl,
     // per-PC counters track how many template commands of each class were
     // already placed: later commands of a class interact only with the
     // template's own commands, whose spacing holds by construction.
+#ifndef NDEBUG
+    checkProbe(t0);
+#endif
     constexpr std::size_t kMaxPcs = 4;
     if (static_cast<std::size_t>(org_.pcsPerChannel) > kMaxPcs)
         panic("sequence probe supports at most %zu PCs", kMaxPcs);
@@ -446,21 +459,21 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
             s.lastAct = at;
             s.actWindow[s.actWindowHead] = at;
             s.actWindowHead = (s.actWindowHead + 1) % s.actWindow.size();
-            pc.rowBus.reserve(at);
+            pc.rowBus.reserve(at, clock_);
             ++n_act;
             break;
           }
           case CmdKind::Pre:
             b.lastPre = at;
             b.openRow = -1;
-            pc.rowBus.reserve(at);
+            pc.rowBus.reserve(at, clock_);
             ++n_pre;
             break;
           case CmdKind::RefPb: {
             SidRecord& s = sidRec(a.pc, a.sid);
             b.refUntil = at + t_.tRFCpb;
             s.lastRefPb = at;
-            pc.rowBus.reserve(at);
+            pc.rowBus.reserve(at, clock_);
             ++n_ref;
             break;
           }
@@ -483,7 +496,7 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
             SlotCalendar& bus = pcs_[static_cast<std::size_t>(p)].colBus;
             Tick at = t0 + tpl.casFirstOffset;
             for (int i = 0; i < tpl.casPerPc; ++i, at += tpl.casCadence)
-                bus.reserve(at);
+                bus.reserve(at, clock_);
         }
         const Tick last_cas = t0 + tpl.casLastOffset;
         const Tick data_until =

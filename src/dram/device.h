@@ -28,6 +28,7 @@
 #include <vector>
 
 #include "common/checkpoint.h"
+#include "common/sorted_ticks.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "dram/address.h"
@@ -191,6 +192,15 @@ class ChannelDevice
      */
     void issueSequence(const CmdTemplate& tpl, const SequenceBinding& b,
                        Tick t0);
+
+    /**
+     * Advance the device's clock to @p now: no later earliestIssue or
+     * earliestSequence asks about a tick before it (Debug builds panic if
+     * one does), so the command-bus calendars may release the slots that
+     * ended by it. Controllers set it at the top of every step; a device
+     * whose clock stays 0 keeps every slot.
+     */
+    void setClock(Tick now) { clock_ = now; }
 
     /** Observable state of the addressed bank at @p now. */
     BankState bankState(const DramAddress& a, Tick now) const;
@@ -457,25 +467,17 @@ class ChannelDevice
      * operations at once, so a later operation may legally claim an earlier
      * free slot between commands that were already committed.
      *
-     * Backed by a sorted vector with a retired-prefix cursor instead of a
-     * node-based std::set: reservations are near-monotone, so inserts are
-     * almost always appends, lookups are cache-friendly binary searches,
-     * and — crucially for the allocation-free scheduler hot loop — a
-     * warmed-up calendar reserves slots without calling the allocator.
+     * The slots' start ticks live in a SortedTicks buffer. A reservation
+     * first releases every slot that ended by the device's clock: no probe
+     * asks about a tick before the clock, and a window that starts at or
+     * after it cannot overlap such a slot, so no answer changes. The slot
+     * it then pushes is at or after the clock, so the newest slot (the
+     * bus floors) survives every release.
      */
     class SlotCalendar
     {
       public:
-        explicit SlotCalendar(Tick width) : width_(width)
-        {
-            // Steady-state capacity: reservations are at least width_
-            // apart, so the retire loop bounds the live window to 16 Ki
-            // entries and the compaction threshold bounds the retired
-            // prefix to 4 Ki. Reserving the sum up front keeps
-            // reserve() allocation-free for the whole run instead of
-            // doubling its way there mid-simulation.
-            occupied_.reserve(16384 + 4096 + 64);
-        }
+        explicit SlotCalendar(Tick width) : width_(width) {}
 
         /** First tick >= @p t whose [t, t+width) window is free. */
         Tick
@@ -484,18 +486,13 @@ class ChannelDevice
             // Fast path: conventional schedulers probe at monotonically
             // increasing times, so most queries land past the newest
             // reservation and need no search at all.
-            if (occupied_.size() == head_ ||
-                t >= occupied_.back() + width_) {
+            if (t >= newestEnd())
                 return t;
-            }
             Tick cand = t;
-            auto it = std::lower_bound(occupied_.begin() +
-                                           static_cast<std::ptrdiff_t>(head_),
-                                       occupied_.end(), cand - width_ + 1);
-            while (it != occupied_.end() && *it < cand + width_) {
+            const Tick* it =
+                std::lower_bound(slots_.begin(), slots_.end(), t - width_ + 1);
+            for (; it != slots_.end() && *it < cand + width_; ++it)
                 cand = std::max(cand, *it + width_);
-                ++it;
-            }
             return cand;
         }
 
@@ -503,7 +500,7 @@ class ChannelDevice
         Tick
         newestEnd() const
         {
-            return occupied_.size() == head_ ? 0 : occupied_.back() + width_;
+            return slots_.size() == 0 ? 0 : slots_.back() + width_;
         }
 
         /**
@@ -513,68 +510,27 @@ class ChannelDevice
         bool
         rangeFree(Tick from, Tick until) const
         {
-            if (occupied_.size() == head_ ||
-                from >= occupied_.back() + width_) {
+            if (from >= newestEnd())
                 return true;
-            }
-            const auto it = std::lower_bound(
-                occupied_.begin() + static_cast<std::ptrdiff_t>(head_),
-                occupied_.end(), from - width_ + 1);
-            return it == occupied_.end() || *it >= until;
+            const Tick* it = std::lower_bound(slots_.begin(), slots_.end(),
+                                              from - width_ + 1);
+            return it == slots_.end() || *it >= until;
         }
 
-        /** Mark [at, at+width) busy. */
+        /** Mark [at, at+width) busy, releasing the slots ended by @p clock. */
         void
-        reserve(Tick at)
+        reserve(Tick at, Tick clock)
         {
-            if (occupied_.empty() || at >= occupied_.back()) {
-                occupied_.push_back(at);
-            } else {
-                occupied_.insert(
-                    std::lower_bound(occupied_.begin() +
-                                         static_cast<std::ptrdiff_t>(head_),
-                                     occupied_.end(), at),
-                    at);
-            }
-            // Bound memory: issue times are near-monotone, so very old
-            // slots can never conflict again. Retire them behind the head
-            // cursor and compact in bulk so capacity is reused, not grown.
-            while (occupied_.size() - head_ > 8192 &&
-                   occupied_[head_] + 16384 * width_ < at) {
-                ++head_;
-            }
-            if (head_ > 4096) {
-                occupied_.erase(occupied_.begin(),
-                                occupied_.begin() +
-                                    static_cast<std::ptrdiff_t>(head_));
-                head_ = 0;
-            }
+            slots_.release(clock - width_);
+            slots_.push(at);
         }
 
-        /** Serialize only the live suffix; the retired prefix can never
-         *  conflict again, so dropping it is behavior-preserving. */
-        void
-        saveState(CheckpointWriter& w) const
-        {
-            w.putCount(occupied_.size() - head_);
-            for (std::size_t i = head_; i < occupied_.size(); ++i)
-                w.putI64(occupied_[i]);
-        }
-
-        void
-        loadState(CheckpointReader& r)
-        {
-            head_ = 0;
-            occupied_.resize(r.getCount());
-            for (Tick& t : occupied_)
-                t = r.getI64();
-        }
+        void saveState(CheckpointWriter& w) const { slots_.saveState(w); }
+        void loadState(CheckpointReader& r) { slots_.loadState(r); }
 
       private:
         Tick width_;
-        /** Entries before head_ are retired; the rest is sorted live data. */
-        std::size_t head_ = 0;
-        std::vector<Tick> occupied_;
+        SortedTicks slots_;
     };
 
     /** Tracking shared by one PC (CAS stream, data bus, command slots). */
@@ -608,6 +564,9 @@ class ChannelDevice
 
     Tick earliestRefAb(const DramAddress& a, Tick t0) const;
 
+    /** Debug check that a probe at @p t does not precede the clock. */
+    void checkProbe(Tick t) const;
+
     /** State-transition body of issue() (no validation). */
     IssueResult commit(const Command& cmd, Tick when);
 
@@ -620,6 +579,8 @@ class ChannelDevice
     std::vector<SidRecord> sids_;
     std::vector<PcRecord> pcs_;
     Tick lastDataEnd_ = 0;
+    /** See setClock. */
+    Tick clock_ = 0;
     DeviceCounters counters_;
     std::function<void(Tick, const Command&, const IssueResult&)> trace_;
 };

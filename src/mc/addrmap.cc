@@ -48,15 +48,15 @@ fieldWidth(const Organization& org, AddrField f)
 } // namespace
 
 AddressMapping::AddressMapping(const Organization& org,
-                               std::vector<AddrFieldSpec> spec,
+                               const std::vector<AddrFieldSpec>& spec,
                                std::string name)
-    : spec_(std::move(spec)), name_(std::move(name)),
+    : name_(std::move(name)),
       colOffsetBits_(log2Exact(org.columnBytes, "columnBytes"))
 {
     // Each field is one slice whose width covers the organization exactly.
     bool listed[6] = {false, false, false, false, false, false};
     int shift = colOffsetBits_;
-    for (const auto& s : spec_) {
+    for (const auto& s : spec) {
         const auto f = static_cast<std::size_t>(s.field);
         if (listed[f]) {
             fatal("mapping %s: field %d is listed twice", name_.c_str(),

@@ -43,8 +43,8 @@ class AddressMapping
      * field may be listed twice (checked); a field the organization
      * gives 0 bits may be omitted.
      */
-    AddressMapping(const Organization& org, std::vector<AddrFieldSpec> spec,
-                   std::string name);
+    AddressMapping(const Organization& org,
+                   const std::vector<AddrFieldSpec>& spec, std::string name);
 
     /** Decode a byte address (the intra-column offset is dropped). */
     DramAddress
@@ -67,14 +67,10 @@ class AddressMapping
     /** log2 of the column size: the intra-column offset's width. */
     int columnShift() const { return colOffsetBits_; }
 
-    /** The fields LSB→MSB, as constructed. */
-    const std::vector<AddrFieldSpec>& spec() const { return spec_; }
-
     /** Human-readable mapping name, e.g. "RoSiBaBgCoPc". */
     const std::string& name() const { return name_; }
 
   private:
-    std::vector<AddrFieldSpec> spec_;
     std::string name_;
     /** Each field's slice of the byte address, indexed by AddrField:
      *  (addr >> shift) & mask. An omitted 0-bit field decodes as 0. */

@@ -406,8 +406,8 @@ ConventionalMc::idleWakeTick(Tick adaptive_next) const
     Tick next = adaptive_next;
     if (!host_.empty()) {
         Tick admit_at = std::max(host_.front().arrival, now_ + 1);
-        Tick first_free = std::min(readOutstanding_.firstFreeAfter(now_),
-                                   writeOutstanding_.firstFreeAfter(now_));
+        Tick first_free = std::min(readOutstanding_.firstAfter(now_),
+                                   writeOutstanding_.firstAfter(now_));
         if (first_free != kTickMax)
             admit_at = std::min(admit_at, std::max(now_ + 1, first_free));
         next = std::min(next, admit_at);
@@ -424,6 +424,7 @@ ConventionalMc::idleWakeTick(Tick adaptive_next) const
 bool
 ConventionalMc::stepOnce(Tick until)
 {
+    dev_.setClock(now_);
     return cfg_.legacyScheduler ? stepOnceLegacy(until)
                                 : stepOnceIndexed(until);
 }
@@ -1200,8 +1201,8 @@ ConventionalMc::stepOnceIndexed(Tick until)
             if (!matched && !host_.empty()) {
                 Tick admit_at = std::max(host_.front().arrival, now_ + 1);
                 const Tick first_free =
-                    std::min(readOutstanding_.firstFreeAfter(now_),
-                             writeOutstanding_.firstFreeAfter(now_));
+                    std::min(readOutstanding_.firstAfter(now_),
+                             writeOutstanding_.firstAfter(now_));
                 if (first_free != kTickMax)
                     admit_at = std::min(admit_at,
                                         std::max(now_ + 1, first_free));

@@ -556,8 +556,8 @@ class ConventionalMc : public ChannelControllerBase
 
     /** CAM entries of issued-but-incomplete column ops (count against
      *  queue depth until their data transfers). */
-    OutstandingOps readOutstanding_;
-    OutstandingOps writeOutstanding_;
+    SortedTicks readOutstanding_;
+    SortedTicks writeOutstanding_;
     bool drainingWrites_ = false;
     std::vector<RefreshUnit> refreshUnits_;
 

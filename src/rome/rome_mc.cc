@@ -223,6 +223,7 @@ RomeMc::vbaState(const VbaAddress& a, Tick at) const
 bool
 RomeMc::stepOnce(Tick until)
 {
+    dev_.setClock(now_);
     return cfg_.legacyScheduler ? stepOnceLegacy(until)
                                 : stepOnceIndexed(until);
 }
@@ -267,7 +268,7 @@ RomeMc::stepOnceIndexed(Tick until)
     const Tick op_slot_free =
         static_cast<int>(opBusy_.size()) < operateFsms_
             ? now_
-            : opBusy_.firstFreeAfter(now_);
+            : opBusy_.firstAfter(now_);
 
     // Candidate floors depend on the op only through (is_write, same_sid)
     // and its VBA: precompute the four Table III gap variants so the scan
@@ -391,8 +392,7 @@ RomeMc::stepOnceIndexed(Tick until)
         Tick retry_at = std::max(nextRetryAt_, now_ + 1);
         if (queue_.size() + outstanding_.size() >=
             static_cast<std::size_t>(cfg_.queueDepth)) {
-            retry_at = std::max(retry_at,
-                                outstanding_.firstFreeAfter(now_));
+            retry_at = std::max(retry_at, outstanding_.firstAfter(now_));
         }
         next = std::min(next, retry_at);
     }
@@ -401,8 +401,7 @@ RomeMc::stepOnceIndexed(Tick until)
         if (queue_.size() + outstanding_.size() >=
             static_cast<std::size_t>(cfg_.queueDepth)) {
             // Admission is queue-bound: wake when the first entry frees.
-            admit_at = std::max(admit_at,
-                                outstanding_.firstFreeAfter(now_));
+            admit_at = std::max(admit_at, outstanding_.firstAfter(now_));
         }
         next = std::min(next, admit_at);
     }
@@ -410,8 +409,8 @@ RomeMc::stepOnceIndexed(Tick until)
     // (covered by the FSM buffers' first deadlines below).
     if (nextRefreshDue() > now_)
         next = std::min(next, nextRefreshDue());
-    next = std::min(next, opBusy_.firstFreeAfter(now_));
-    next = std::min(next, refBusy_.firstFreeAfter(now_));
+    next = std::min(next, opBusy_.firstAfter(now_));
+    next = std::min(next, refBusy_.firstAfter(now_));
     if (next == kTickMax || next > until) {
         // now_ stays on its last event tick (slice invariance).
         return false;
@@ -437,9 +436,9 @@ RomeMc::stepOnceIndexed(Tick until)
             cause = StallCause::BankBusy; // admission is queue-bound
         } else if (nextRefreshDue() == next) {
             cause = StallCause::Refresh;
-        } else if (opBusy_.firstFreeAfter(now_) == next) {
+        } else if (opBusy_.firstAfter(now_) == next) {
             cause = StallCause::BankBusy;
-        } else if (refBusy_.firstFreeAfter(now_) == next) {
+        } else if (refBusy_.firstAfter(now_) == next) {
             cause = StallCause::Refresh;
         }
         chargeStall(cause, now_, next);
@@ -592,8 +591,7 @@ RomeMc::stepOnceLegacy(Tick until)
         Tick retry_at = std::max(nextRetryAt_, now_ + 1);
         if (queue_.size() + outstanding_.size() >=
             static_cast<std::size_t>(cfg_.queueDepth)) {
-            retry_at = std::max(retry_at,
-                                outstanding_.firstFreeAfter(now_));
+            retry_at = std::max(retry_at, outstanding_.firstAfter(now_));
         }
         next = std::min(next, retry_at);
     }
@@ -602,8 +600,7 @@ RomeMc::stepOnceLegacy(Tick until)
         if (queue_.size() + outstanding_.size() >=
             static_cast<std::size_t>(cfg_.queueDepth)) {
             // Admission is queue-bound: wake when the first entry frees.
-            admit_at = std::max(admit_at,
-                                outstanding_.firstFreeAfter(now_));
+            admit_at = std::max(admit_at, outstanding_.firstAfter(now_));
         }
         next = std::min(next, admit_at);
     }

@@ -234,20 +234,20 @@ class RomeMc : public ChannelControllerBase
     std::vector<RowOp> queue_;
     /** CAM entries of issued-but-incomplete row ops (count against
      *  queueDepth until their data transfers). */
-    OutstandingOps outstanding_;
+    SortedTicks outstanding_;
     /** Legacy scheduler: flat FSM-slot arrays, rescanned per step. */
     std::vector<FsmSlot> opSlots_;
     std::vector<FsmSlot> refSlots_;
     /**
      * Indexed scheduler: FSM occupancy as buffers sorted by retire
-     * deadline (OutstandingOps: retirement advances a cursor past the
+     * deadline (SortedTicks: retirement advances a cursor past the
      * expired prefix instead of scanning slots; a window that ends before
      * an earlier one moves back a few places on push) plus a per-VBA busy
      * table indexed by (sid, vba) key, so vbaBusy and the per-op
      * ready-time query are O(1) lookups.
      */
-    OutstandingOps opBusy_;
-    OutstandingOps refBusy_;
+    SortedTicks opBusy_;
+    SortedTicks refBusy_;
     std::vector<Tick> vbaBusyUntil_;
     std::vector<VbaState> vbaBusyState_;
 

@@ -19,7 +19,8 @@
  *  - ChannelControllerBase: the code that used to be duplicated between
  *    src/mc/mc.cc and src/rome/rome_mc.cc — host-request admission,
  *    in-flight/completion/latency accounting, CAM-style outstanding-entry
- *    occupancy, per-bank refresh rotation, and the runUntil/drain loop.
+ *    occupancy (a SortedTicks buffer, common/sorted_ticks.h), per-bank
+ *    refresh rotation, and the runUntil/drain loop.
  *  - ChannelSimEngine: owns N channels and drives them — optionally on
  *    a std::thread pool, since channels share no simulation state. A
  *    serving run binds one StreamFanOut (sim/source.h) whose views feed
@@ -47,6 +48,7 @@
 #include <vector>
 
 #include "common/checkpoint.h"
+#include "common/sorted_ticks.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "dram/device.h"
@@ -348,88 +350,6 @@ struct RefreshRotation
         cursor = (cursor + 1) % num_targets;
         due += interval;
     }
-};
-
-/**
- * CAM-occupancy bookkeeping for issued-but-incomplete operations. An entry
- * tracks its transaction until the data transfers, so outstanding entries
- * still count against the queue depth (this is what makes deep queues
- * necessary for bank-parallelism, §V-A).
- *
- * Entries live in one array sorted by release tick, behind a cursor over
- * the already-released prefix. A push appends and moves the entry back
- * past any later one; release advances the cursor and erases the released
- * prefix once it is at least half the array. The conventional controller
- * pushes each direction's data-end ticks in issue order (a fixed latency
- * after commands that issue in time order), so its pushes never move and
- * every operation is O(1) amortized; RoMe's FSM windows can arrive out of
- * order and move back a few places. The array's capacity persists across
- * steps, so a warmed-up controller releases and pushes without touching
- * the heap allocator.
- */
-class OutstandingOps
-{
-  public:
-    /** Release every entry whose data transfer ended by @p now. */
-    void
-    release(Tick now)
-    {
-        while (head_ < ticks_.size() && ticks_[head_] <= now)
-            ++head_;
-        if (head_ != 0 && 2 * head_ >= ticks_.size()) {
-            ticks_.erase(ticks_.begin(),
-                         ticks_.begin() + static_cast<std::ptrdiff_t>(head_));
-            head_ = 0;
-        }
-    }
-
-    void
-    push(Tick data_end)
-    {
-        ticks_.push_back(data_end);
-        std::size_t i = ticks_.size() - 1;
-        for (; i > head_ && ticks_[i - 1] > data_end; --i)
-            ticks_[i] = ticks_[i - 1];
-        ticks_[i] = data_end;
-    }
-
-    std::size_t size() const { return ticks_.size() - head_; }
-
-    /** Earliest strictly-future release, or kTickMax when none. */
-    Tick
-    firstFreeAfter(Tick now) const
-    {
-        // Entries at or before now survive only between release() calls,
-        // so the first live entry is usually the answer.
-        for (std::size_t i = head_; i < ticks_.size(); ++i) {
-            if (ticks_[i] > now)
-                return ticks_[i];
-        }
-        return kTickMax;
-    }
-
-    /** The live entries, in release order. */
-    void
-    saveState(CheckpointWriter& w) const
-    {
-        w.putCount(size());
-        for (std::size_t i = head_; i < ticks_.size(); ++i)
-            w.putI64(ticks_[i]);
-    }
-
-    void
-    loadState(CheckpointReader& r)
-    {
-        ticks_.resize(r.getCount());
-        for (Tick& t : ticks_)
-            t = r.getI64();
-        head_ = 0;
-    }
-
-  private:
-    /** Sorted by release tick; [0, head_) is already released. */
-    std::vector<Tick> ticks_;
-    std::size_t head_ = 0;
 };
 
 /**

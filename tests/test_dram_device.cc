@@ -2,11 +2,16 @@
  * @file
  * Timing-rule tests for the HBM channel device: every JEDEC-style constraint
  * the paper's Table II lists is exercised, plus bank FSM observability,
- * refresh windows, command-bus serialization, and event counters.
+ * refresh windows, command-bus serialization and its slot calendars, and
+ * event counters.
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
+#include "common/checkpoint.h"
 #include "dram/device.h"
 #include "dram/hbm4_config.h"
 #include "dram/hbm_generations.h"
@@ -394,6 +399,119 @@ TEST_F(DeviceTest, TraceCallbackSeesCommands)
     EXPECT_EQ(trace[1].second, CmdKind::Rd);
 }
 
+TEST_F(DeviceTest, RowBusTakesAnEarlierGapFromAnotherSid)
+{
+    // RoMe lowers whole row operations, so a later operation may claim a
+    // row-bus slot before commands already committed (§IV-C).
+    dev_.issue({CmdKind::Act, addr(0, 0, 0, 0, 1)}, 10_ns);
+    const Command early{CmdKind::Act, addr(0, 1, 0, 0, 1)};
+    EXPECT_EQ(dev_.earliestIssue(early, 4_ns), 4_ns);
+    dev_.issue(early, 4_ns);
+    // A third SID finds both slots taken and the gap between them free.
+    const Command probe{CmdKind::Act, addr(0, 2, 0, 0, 1)};
+    EXPECT_EQ(dev_.earliestIssue(probe, 4_ns), 5_ns);
+    EXPECT_EQ(dev_.earliestIssue(probe, 9_ns), 9_ns);
+    EXPECT_EQ(dev_.earliestIssue(probe, 9_ns + 1), 11_ns);
+    EXPECT_EQ(dev_.earliestIssue(probe, 10_ns), 11_ns);
+    EXPECT_EQ(dev_.earliestIssue({CmdKind::Act, addr(1, 2, 0, 0, 1)}, 4_ns),
+              4_ns);
+}
+
+TEST_F(DeviceTest, RowBusProbeStepsOverAdjacentSlots)
+{
+    for (int sid = 0; sid < 3; ++sid)
+        dev_.issue({CmdKind::Act, addr(0, sid, 0, 0, 1)}, (20 + sid) * 1_ns);
+    // A refresh probe in the fourth SID waits on the row bus alone.
+    const Command probe{CmdKind::RefPb, addr(0, 3, 0, 0)};
+    EXPECT_EQ(dev_.earliestIssue(probe, 19_ns), 19_ns);
+    EXPECT_EQ(dev_.earliestIssue(probe, 19_ns + 1), 23_ns);
+    EXPECT_EQ(dev_.earliestIssue(probe, 20_ns), 23_ns);
+    EXPECT_EQ(dev_.earliestIssue(probe, 22_ns + 1), 23_ns);
+    EXPECT_EQ(dev_.earliestIssue(probe, 23_ns), 23_ns);
+}
+
+TEST_F(DeviceTest, ColumnRangeProbeIsExactAtBothEdges)
+{
+    const auto a = addr(0, 0, 0, 0, 1);
+    dev_.issue({CmdKind::Act, a}, 0);
+    dev_.issue({CmdKind::Rd, a}, 30_ns);
+    dev_.issue({CmdKind::Rd, a}, 40_ns);
+    // A hand-built template whose one RD sits past its 9 ns column range,
+    // so that the range probe alone decides.
+    CmdTemplate tpl;
+    tpl.cmds.push_back({CmdKind::Rd, 0, 0, 0, 40_ns});
+    tpl.probeIdx = {0};
+    tpl.hasCas = true;
+    tpl.casLastOffset = 8_ns;
+    SequenceBinding b;
+    b.row = 1;
+    b.numBanks = 1;
+    // [31, 40) ns fits between the two column slots...
+    EXPECT_EQ(dev_.earliestSequence(tpl, b, 31_ns), 31_ns);
+    // ...and one tick either way overlaps one of them.
+    EXPECT_EQ(dev_.earliestSequence(tpl, b, 31_ns - 1), kTickMax);
+    EXPECT_EQ(dev_.earliestSequence(tpl, b, 31_ns + 1), kTickMax);
+}
+
+std::vector<std::uint8_t>
+saved(const ChannelDevice& dev)
+{
+    CheckpointWriter w;
+    dev.saveState(w);
+    return w.take();
+}
+
+TEST_F(DeviceTest, ClockReleasesOnlySlotsNoLaterProbeSees)
+{
+    // Both devices get the same commands; only dev_ learns the clock.
+    ChannelDevice kept(cfg_.org, cfg_.timing);
+    const auto issue = [&](CmdKind k, const DramAddress& a, Tick at) {
+        dev_.issue({k, a}, at);
+        kept.issue({k, a}, at);
+    };
+    issue(CmdKind::Act, addr(0, 0, 0, 0, 1), 10_ns);
+    issue(CmdKind::Act, addr(0, 1, 0, 0, 1), 4_ns);
+    issue(CmdKind::Act, addr(0, 2, 0, 0, 1), 12_ns);
+    issue(CmdKind::Rd, addr(0, 1, 0, 0, 1), 20_ns);
+    issue(CmdKind::Rd, addr(0, 1, 0, 0, 1), 22_ns);
+    issue(CmdKind::Rd, addr(0, 0, 0, 0, 1), 26_ns);
+    issue(CmdKind::Rd, addr(0, 2, 0, 0, 1), 39_ns);
+    issue(CmdKind::Rd, addr(0, 2, 0, 0, 1), 45_ns);
+    issue(CmdKind::Act, addr(0, 3, 0, 0, 1), 39_ns + 1);
+
+    const Tick clock = 40_ns;
+    dev_.setClock(clock);
+    // Each bus releases on its next reservation: the row slots at 4, 10
+    // and 12 ns, and the column slots at 20, 22, 26 and 39 ns (the last
+    // ends at the clock). The row slot that straddles the clock stays.
+    issue(CmdKind::Act, addr(0, 0, 1, 0, 2), 41_ns);
+    issue(CmdKind::Rd, addr(0, 2, 0, 0, 1), 47_ns);
+    const std::vector<std::uint8_t> blob = saved(dev_);
+    EXPECT_EQ(saved(kept).size() - blob.size(), 7 * sizeof(std::int64_t));
+
+    ChannelDevice restored(cfg_.org, cfg_.timing);
+    CheckpointReader r(blob);
+    restored.loadState(r);
+    r.finish();
+    EXPECT_EQ(saved(restored), blob);
+
+    const Command probes[] = {
+        {CmdKind::Act, addr(0, 3, 1, 0, 1)},
+        {CmdKind::RefPb, addr(0, 2, 3, 3)},
+        {CmdKind::Rd, addr(0, 0, 1, 0, 2)},
+        {CmdKind::Wr, addr(0, 2, 0, 0, 1)},
+        {CmdKind::Pre, addr(0, 1, 0, 0)},
+    };
+    for (const Command& c : probes) {
+        for (Tick t = clock; t < 60_ns; ++t) {
+            const Tick want = kept.earliestIssue(c, t);
+            ASSERT_EQ(dev_.earliestIssue(c, t), want) << c.str() << " " << t;
+            ASSERT_EQ(restored.earliestIssue(c, t), want)
+                << c.str() << " " << t;
+        }
+    }
+}
+
 TEST(HbmGenerations, TrendsMatchFigure2)
 {
     const auto& gens = hbmGenerations();
@@ -429,6 +547,28 @@ TEST(DeviceDeathTest, IssueTooEarlyPanics)
     dev.issue({CmdKind::Act, a}, 0);
     EXPECT_THROW(dev.issue({CmdKind::Act, a}, 0), std::logic_error);
 }
+
+#ifndef NDEBUG
+TEST(DeviceDeathTest, ProbeBeforeTheClockPanics)
+{
+    // The calendars may have released any slot that ended by the clock,
+    // so an earlier probe could be answered wrongly.
+    const DramConfig cfg = hbm4Config();
+    ChannelDevice dev(cfg.org, cfg.timing);
+    dev.setClock(100_ns);
+    const Command act{CmdKind::Act, DramAddress{0, 0, 0, 0, 1, 0}};
+    EXPECT_EQ(dev.earliestIssue(act, 100_ns), 100_ns);
+    EXPECT_THROW(dev.earliestIssue(act, 100_ns - 1), std::logic_error);
+    CmdTemplate tpl;
+    tpl.cmds.push_back({CmdKind::Act, 0, 0, 0, 0});
+    tpl.probeIdx = {0};
+    SequenceBinding b;
+    b.row = 1;
+    b.numBanks = 1;
+    EXPECT_EQ(dev.earliestSequence(tpl, b, 100_ns), 100_ns);
+    EXPECT_THROW(dev.earliestSequence(tpl, b, 100_ns - 1), std::logic_error);
+}
+#endif
 
 } // namespace
 } // namespace rome

@@ -3,8 +3,7 @@
  * Engine tests: the polymorphic controller interface reproduces the exact
  * stats of direct controller invocation for both MC stacks, multi-channel
  * aggregation is a faithful sum, the threaded sweep is bit-identical
- * to the single-threaded one, and the outstanding-op CAM agrees with a
- * multiset reference.
+ * to the single-threaded one.
  */
 
 #include <gtest/gtest.h>
@@ -12,12 +11,10 @@
 #include <algorithm>
 #include <cstdint>
 #include <memory>
-#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "common/checkpoint.h"
 #include "common/types.h"
 #include "dram/hbm4_config.h"
 #include "mc/mc.h"
@@ -254,138 +251,6 @@ TEST(Engine, ParallelForCoversEveryIndexOnce)
     parallelFor(257, 8, [&](int i) { ++hits[static_cast<std::size_t>(i)]; });
     for (const int h : hits)
         EXPECT_EQ(h, 1);
-}
-
-/**
- * Release every @p ref entry at or before @p now alongside @p ops, then
- * check the two hold the same live entries: size and first release after
- * a few probe ticks.
- */
-void
-releaseAndCompare(OutstandingOps& ops, std::multiset<Tick>& ref, Tick now)
-{
-    ops.release(now);
-    ref.erase(ref.begin(), ref.upper_bound(now));
-    ASSERT_EQ(ops.size(), ref.size()) << "at " << now;
-    for (const Tick probe : {now, now + 1, now + 7, now + 40}) {
-        const auto it = ref.upper_bound(probe);
-        ASSERT_EQ(ops.firstFreeAfter(probe),
-                  it == ref.end() ? kTickMax : *it)
-            << "probe " << probe << " at " << now;
-    }
-}
-
-TEST(Engine, OutstandingOpsSortedBufferSemantics)
-{
-    OutstandingOps ops;
-    EXPECT_EQ(ops.size(), 0u);
-    EXPECT_EQ(ops.firstFreeAfter(0), kTickMax);
-
-    // Out-of-order pushes: the earliest entry always surfaces first.
-    ops.push(500);
-    ops.push(100);
-    ops.push(300);
-    ops.push(100);
-    EXPECT_EQ(ops.size(), 4u);
-    EXPECT_EQ(ops.firstFreeAfter(0), 100);
-    EXPECT_EQ(ops.firstFreeAfter(100), 300);
-    EXPECT_EQ(ops.firstFreeAfter(499), 500);
-    EXPECT_EQ(ops.firstFreeAfter(500), kTickMax);
-
-    // release() drops everything at or before now, nothing else.
-    ops.release(100);
-    EXPECT_EQ(ops.size(), 2u);
-    EXPECT_EQ(ops.firstFreeAfter(0), 300);
-    ops.release(299);
-    EXPECT_EQ(ops.size(), 2u);
-    ops.release(500);
-    EXPECT_EQ(ops.size(), 0u);
-    EXPECT_EQ(ops.firstFreeAfter(0), kTickMax);
-}
-
-TEST(Engine, OutstandingOpsInOrderRunCrossesPrefixReclaim)
-{
-    // The conventional CAMs push each direction's data ends in issue
-    // order. A long run whose live count rises and falls erases the
-    // released prefix many times; a multiset is the reference.
-    OutstandingOps ops;
-    std::multiset<Tick> ref;
-    Tick now = 0;
-    Tick last_end = 0;
-    for (int i = 0; i < 20000; ++i) {
-        now += i % 9;
-        for (int k = 0; k < i % 5; ++k) {
-            last_end = std::max(last_end, now + 20) + (i + k) % 3;
-            ops.push(last_end);
-            ref.insert(last_end);
-        }
-        ASSERT_NO_FATAL_FAILURE(releaseAndCompare(ops, ref, now));
-    }
-    releaseAndCompare(ops, ref, last_end);
-    EXPECT_EQ(ops.size(), 0u);
-}
-
-TEST(Engine, OutstandingOpsOutOfOrderPushesLandBehindNewest)
-{
-    // RoMe's FSM windows can end before ones pushed earlier: each push
-    // lands up to 60 ticks behind the newest entry.
-    OutstandingOps ops;
-    std::multiset<Tick> ref;
-    Tick now = 0;
-    std::uint64_t lcg = 12345;
-    for (int i = 0; i < 20000; ++i) {
-        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-        now += static_cast<Tick>((lcg >> 33) % 7);
-        const int pushes = static_cast<int>((lcg >> 40) % 4);
-        for (int k = 0; k < pushes; ++k) {
-            lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
-            const Tick end = now + 1 + static_cast<Tick>((lcg >> 33) % 60);
-            ops.push(end);
-            ref.insert(end);
-        }
-        ASSERT_NO_FATAL_FAILURE(releaseAndCompare(ops, ref, now));
-    }
-}
-
-TEST(Engine, OutstandingOpsCheckpointKeepsReleaseOrder)
-{
-    OutstandingOps ops;
-    for (const Tick t : {700, 200, 900, 400, 200, 600})
-        ops.push(t);
-    ops.release(200); // a released prefix is not part of the state
-
-    CheckpointWriter w;
-    ops.saveState(w);
-    const std::vector<std::uint8_t> blob = w.take();
-    {
-        // The live entries, earliest release first.
-        CheckpointReader r(blob);
-        ASSERT_EQ(r.getCount(), 4u);
-        for (const Tick want : {400, 600, 700, 900})
-            EXPECT_EQ(r.getI64(), want);
-        r.finish();
-    }
-
-    OutstandingOps twin;
-    CheckpointReader r(blob);
-    twin.loadState(r);
-    r.finish();
-    CheckpointWriter again;
-    twin.saveState(again);
-    EXPECT_EQ(again.take(), blob) << "a restored CAM re-saves identically";
-
-    // Both continue alike, out-of-order pushes included.
-    for (OutstandingOps* o : {&ops, &twin}) {
-        o->push(500);
-        o->push(1000);
-    }
-    for (const Tick now : {450, 550, 650, 950, 1000}) {
-        ops.release(now);
-        twin.release(now);
-        EXPECT_EQ(twin.size(), ops.size()) << now;
-        EXPECT_EQ(twin.firstFreeAfter(now), ops.firstFreeAfter(now)) << now;
-    }
-    EXPECT_EQ(ops.size(), 0u);
 }
 
 TEST(Engine, StepCounterAdvancesWithWork)
