@@ -5,9 +5,9 @@
  *
  * JEDEC has not finalized HBM4 timings; like the paper we adopt the values of
  * prior studies (Table V). Parameters the paper does not list (tRTP, write
- * latency, turnaround bubbles) are set to HBM3-class values and documented in
- * EXPERIMENTS.md; they only shift read/write turnaround corners, which affect
- * baseline and RoMe identically.
+ * latency, turnaround bubbles) are set to HBM3-class values. They shift the
+ * read/write turnaround corners of baseline and RoMe identically, and RoMe's
+ * derived tRD_row/tWR_row: see those rows of bench/paper_claims.cc.
  */
 
 #ifndef ROME_DRAM_TIMING_H
