@@ -47,7 +47,9 @@ namespace rome
 // v6: in-flight slots replaced the id-keyed in-flight table, ops carry
 // their slot instead of a single-op flag, and outstanding-op CAMs list
 // their live entries in release order.
-inline constexpr std::uint32_t kCheckpointVersion = 6;
+// v7: the device writes one column-bus tick per PC instead of its slot
+// list.
+inline constexpr std::uint32_t kCheckpointVersion = 7;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

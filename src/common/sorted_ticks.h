@@ -1,7 +1,7 @@
 /**
  * @file
  * A multiset of ticks kept in one sorted array: the outstanding-op CAMs,
- * RoMe's FSM windows and the device's command-bus slot calendars all keep
+ * RoMe's FSM windows and the device's row-bus slot calendars all keep
  * their entries in it.
  */
 
@@ -22,7 +22,7 @@ namespace rome
  * already-released prefix. A push appends and moves the entry back past
  * any later one; release advances the cursor and erases the released
  * prefix once it is at least half the array. Callers that push in tick
- * order (the conventional controller's data ends, its command-bus slots)
+ * order (the conventional controller's data ends, its row-bus slots)
  * never move an entry, so every operation is O(1) amortized; RoMe's FSM
  * windows and lowered row operations can arrive out of order and move
  * back a few places. The array's capacity persists, so a warmed-up buffer

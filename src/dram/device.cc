@@ -130,9 +130,8 @@ ChannelDevice::earliestIssue(const Command& cmd, Tick not_before) const
         if (!b.open() || b.openRow != a.row)
             return kTickMax; // row must be open (the MC handles ACT/PRE)
         const bool is_write = cmd.kind == CmdKind::Wr;
-        return pc.colBus.nextFree(
-            std::max({not_before, casBankTerm(b, is_write),
-                      casSharedTerm(a.pc, a.sid, a.bg, is_write)}));
+        return std::max({not_before, pc.colBusEnd, casBankTerm(b, is_write),
+                         casSharedTerm(a.pc, a.sid, a.bg, is_write)});
       }
       case CmdKind::RefPb:
         if (b.open())
@@ -214,7 +213,7 @@ ChannelDevice::commit(const Command& cmd, Tick when)
         }
         pc.busBusyUntil = data_until;
         lastDataEnd_ = maxTick(lastDataEnd_, data_until);
-        pc.colBus.reserve(when, clock_);
+        pc.colBusEnd = when + kCmdSlot;
         counters_.colCmds.inc();
         counters_.dataBusBusyTicks.inc(static_cast<std::uint64_t>(t_.tBURST));
         counters_.dataBytes.inc(org_.columnBytes);
@@ -363,11 +362,10 @@ ChannelDevice::earliestSequence(const CmdTemplate& tpl,
                         return kTickMax;
                 }
             }
-            // One range probe covers the whole fixed-cadence CAS stream.
-            if (!pc.colBus.rangeFree(t0 + tpl.casFirstOffset,
-                                     t0 + tpl.casLastOffset + kCmdSlot)) {
+            // The rest of the stream follows its first CAS at the
+            // recorded cadence, so only the first can meet the column bus.
+            if (t0 + tpl.casFirstOffset < pc.colBusEnd)
                 return kTickMax;
-            }
             break;
           }
 
@@ -436,11 +434,10 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
     }
 
     // Bulk path: row commands update their bank/SID records individually
-    // (few per template); the column stream reserves its bus slots per
-    // command but folds its record updates and counters into one
-    // aggregate application — the end state is identical to the
-    // per-command path because later CAS writes simply overwrite earlier
-    // ones and counters commute.
+    // (few per template); the column stream folds its record updates,
+    // column-bus floor and counters into one aggregate application — the
+    // end state is identical to the per-command path because later CAS
+    // writes simply overwrite earlier ones and counters commute.
     std::uint64_t n_act = 0;
     std::uint64_t n_pre = 0;
     std::uint64_t n_ref = 0;
@@ -490,17 +487,10 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
     if (tpl.casPerPc > 0) {
         const auto cas_per_pc = static_cast<std::uint64_t>(tpl.casPerPc);
         const auto n_pcs = static_cast<std::uint64_t>(tpl.pcCount);
-        // The column stream's bus slots march at the fixed cadence; every
-        // PC sees the same offsets.
-        for (int p = 0; p < tpl.pcCount; ++p) {
-            SlotCalendar& bus = pcs_[static_cast<std::size_t>(p)].colBus;
-            Tick at = t0 + tpl.casFirstOffset;
-            for (int i = 0; i < tpl.casPerPc; ++i, at += tpl.casCadence)
-                bus.reserve(at, clock_);
-        }
         const Tick last_cas = t0 + tpl.casLastOffset;
         const Tick data_until =
             last_cas + (tpl.casIsWrite ? t_.tWL : t_.tCL) + t_.tBURST;
+        // Every PC sees the same offsets.
         for (int p = 0; p < tpl.pcCount; ++p) {
             PcRecord& pc = pcs_[static_cast<std::size_t>(p)];
             pc.lastCas = last_cas;
@@ -511,6 +501,7 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
             if (tpl.casIsWrite)
                 pc.lastWrDataEnd = data_until;
             pc.busBusyUntil = data_until;
+            pc.colBusEnd = last_cas + kCmdSlot;
             for (int slot = 0; slot < bind.numBanks; ++slot) {
                 const Tick off =
                     tpl.lastCasOffsetPerSlot[static_cast<std::size_t>(slot)];
@@ -594,7 +585,7 @@ ChannelDevice::saveState(CheckpointWriter& w) const
         w.putI64(p.lastWrDataEnd);
         w.putI64(p.busBusyUntil);
         p.rowBus.saveState(w);
-        p.colBus.saveState(w);
+        w.putI64(p.colBusEnd);
     }
     w.putI64(lastDataEnd_);
     counters_.acts.saveState(w);
@@ -648,7 +639,7 @@ ChannelDevice::loadState(CheckpointReader& r)
         p.lastWrDataEnd = r.getI64();
         p.busBusyUntil = r.getI64();
         p.rowBus.loadState(r);
-        p.colBus.loadState(r);
+        p.colBusEnd = r.getI64();
     }
     lastDataEnd_ = r.getI64();
     counters_.acts.loadState(r);

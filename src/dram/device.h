@@ -14,8 +14,8 @@
  *  - CAS-to-CAS: tCCDL (same BG), tCCDS (diff BG), tCCDR (diff SID)
  *  - bus turnaround: tRTW and derived WR→RD gaps
  *  - refresh: tRFCab / tRFCpb busy windows, tRREFD spacing
- *  - command bus: one row command and one column command per ns per channel
- *    (both PCs share the C/A pins)
+ *  - command bus: one row command and one column command per ns per PC
+ *    (the two PCs share the C/A pins, which are fast enough for both)
  */
 
 #ifndef ROME_DRAM_DEVICE_H
@@ -86,7 +86,10 @@ struct TemplateCmd
 struct CmdTemplate
 {
     std::vector<TemplateCmd> cmds;
-    /** Offset of the first / last column command (column-bus range check). */
+    /**
+     * Offset of the first / last column command: the first is checked
+     * against each PC's column bus, the last is where the stream leaves it.
+     */
     Tick casFirstOffset = 0;
     Tick casLastOffset = 0;
     bool hasCas = false;
@@ -114,8 +117,8 @@ struct CmdTemplate
      * only with the template's own stream.
      */
     std::vector<std::uint32_t> probeIdx;
-    /** Row-command entries (the bulk committer reserves CAS slots
-     *  arithmetically from casFirstOffset/casCadence instead). */
+    /** Row-command entries (the bulk committer applies the column stream
+     *  as one aggregate instead). */
     std::vector<std::uint32_t> rowIdx;
 };
 
@@ -173,12 +176,14 @@ class ChannelDevice
      *
      * The probe validates only the constraints that involve pre-existing
      * device state (per-bank floors, tRRD/tFAW/CAS-chain interaction with
-     * the last committed commands, refresh windows, and the row/column
-     * command-bus slot calendars); intra-template constraints hold by
-     * construction, since the template was recorded from a validated
-     * scalar run. The tFAW window — the one rule mixing pre-existing and
-     * template commands by order statistics — is checked against the k-th
-     * oldest entry of the ACT ring for the k-th template ACT.
+     * the last committed commands, refresh windows, the row-bus slot
+     * calendar, and the column bus at the stream's first CAS: every later
+     * CAS follows it at the recorded cadence); intra-template constraints
+     * hold by construction, since the template was recorded from a
+     * validated scalar run. The tFAW window — the one rule mixing
+     * pre-existing and template commands by order statistics — is checked
+     * against the k-th oldest entry of the ACT ring for the k-th template
+     * ACT.
      */
     Tick earliestSequence(const CmdTemplate& tpl, const SequenceBinding& b,
                           Tick t0) const;
@@ -196,9 +201,9 @@ class ChannelDevice
     /**
      * Advance the device's clock to @p now: no later earliestIssue or
      * earliestSequence asks about a tick before it (Debug builds panic if
-     * one does), so the command-bus calendars may release the slots that
-     * ended by it. Controllers set it at the top of every step; a device
-     * whose clock stays 0 keeps every slot.
+     * one does), so the row-bus calendars may release the slots that ended
+     * by it. Controllers set it at the top of every step; a device whose
+     * clock stays 0 keeps every slot.
      */
     void setClock(Tick now) { clock_ = now; }
 
@@ -219,12 +224,13 @@ class ChannelDevice
     }
 
     // ---- timing terms ----------------------------------------------------
-    // Every probe has the form bus(pc).nextFree(max(t0, bank term, shared
-    // term)): the bank term reads only the addressed bank's record, the
-    // shared term only (PC, SID, bank group, direction) state. earliestIssue
-    // composes these same helpers, so a scheduler that caches bank terms
-    // between commands to the bank applies every timing rule through its
-    // one definition. A term is 0 when no rule binds.
+    // Every row-command probe has the form rowBus(pc).nextFree(max(t0, bank
+    // term, shared term)), and every RD/WR probe max(t0, colBusFloor(pc),
+    // bank term, shared term): the bank term reads only the addressed
+    // bank's record, the shared term only (PC, SID, bank group, direction)
+    // state. earliestIssue composes these same helpers, so a scheduler that
+    // caches bank terms between commands to the bank applies every timing
+    // rule through its one definition. A term is 0 when no rule binds.
 
     /** tRP since the last PRE, tRC since the last ACT, refresh busy. */
     Tick
@@ -367,11 +373,17 @@ class ChannelDevice
         return pcs_[static_cast<std::size_t>(pc)].rowBus.newestEnd();
     }
 
-    /** Column-bus counterpart of rowBusFloor. */
+    /**
+     * End of @p pc's newest column-bus slot (0 when there is none). Every
+     * RD/WR on a PC issues at least min(tCCDS, tCCDL, tCCDR) after the
+     * PC's last one (casClassTerm), so column commands commit in tick
+     * order and the newest slot is the latest: the bus's first free slot
+     * at any tick a probe can ask about is max(t, this floor).
+     */
     Tick
     colBusFloor(int pc) const
     {
-        return pcs_[static_cast<std::size_t>(pc)].colBus.newestEnd();
+        return pcs_[static_cast<std::size_t>(pc)].colBusEnd;
     }
 
     // ---- stall attribution floors ---------------------------------------
@@ -435,7 +447,8 @@ class ChannelDevice
 
     /**
      * Serialize every mutable timing record (banks, SIDs, PCs including
-     * the command-bus slot calendars), lastDataEnd and the counters.
+     * the row-bus slot calendar and the column-bus floor), lastDataEnd
+     * and the counters.
      * Geometry, timing parameters and derived floors are reproduced by
      * constructing the restore target with the same configuration.
      */
@@ -462,17 +475,18 @@ class ChannelDevice
     };
 
     /**
-     * Occupied command-bus slots (one per ns). A calendar rather than a
-     * high-water mark: the RoMe command generator lowers whole row
-     * operations at once, so a later operation may legally claim an earlier
-     * free slot between commands that were already committed.
+     * Occupied row-bus slots (one per ns). A calendar rather than a
+     * high-water mark like the column bus: the RoMe command generator
+     * lowers whole row operations at once, so a later operation's ACT may
+     * legally claim an earlier free slot between row commands that were
+     * already committed.
      *
      * The slots' start ticks live in a SortedTicks buffer. A reservation
      * first releases every slot that ended by the device's clock: no probe
      * asks about a tick before the clock, and a window that starts at or
      * after it cannot overlap such a slot, so no answer changes. The slot
      * it then pushes is at or after the clock, so the newest slot (the
-     * bus floors) survives every release.
+     * bus floor) survives every release.
      */
     class SlotCalendar
     {
@@ -503,20 +517,6 @@ class ChannelDevice
             return slots_.size() == 0 ? 0 : slots_.back() + width_;
         }
 
-        /**
-         * True when no reservation overlaps [from, until) — a bulk probe
-         * for a template's whole column-command stream.
-         */
-        bool
-        rangeFree(Tick from, Tick until) const
-        {
-            if (from >= newestEnd())
-                return true;
-            const Tick* it = std::lower_bound(slots_.begin(), slots_.end(),
-                                              from - width_ + 1);
-            return it == slots_.end() || *it >= until;
-        }
-
         /** Mark [at, at+width) busy, releasing the slots ended by @p clock. */
         void
         reserve(Tick at, Tick clock)
@@ -536,9 +536,7 @@ class ChannelDevice
     /** Tracking shared by one PC (CAS stream, data bus, command slots). */
     struct PcRecord
     {
-        explicit PcRecord(Tick slot_width)
-            : rowBus(slot_width), colBus(slot_width)
-        {}
+        explicit PcRecord(Tick slot_width) : rowBus(slot_width) {}
 
         Tick lastCas = kTickInvalid;
         int lastCasSid = -1;
@@ -554,7 +552,8 @@ class ChannelDevice
          * tCCDS and ACTs every tRRDS (§IV-D): one slot per ns per PC.
          */
         SlotCalendar rowBus;
-        SlotCalendar colBus;
+        /** End of the newest column slot, 0 when none (colBusFloor). */
+        Tick colBusEnd = 0;
     };
 
     BankRecord& bank(const DramAddress& a);

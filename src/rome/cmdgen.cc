@@ -96,8 +96,9 @@ CommandGenerator::buildTemplate(RowCmdKind kind)
             t.seq.probeIdx.push_back(i);
         }
         if (e.pc == 0) {
-            // The bulk committer reserves bus slots arithmetically; the
-            // recorded stream must really be fixed-cadence.
+            // The sequence probe checks the column bus at the first CAS
+            // only, and the bulk committer applies the stream as one
+            // aggregate; the recorded stream must really be fixed-cadence.
             const Tick want = t.seq.casFirstOffset +
                 static_cast<Tick>(t.seq.casPerPc) * t.seq.casCadence;
             if (e.offset != want)
@@ -204,9 +205,9 @@ CommandGenerator::executeRdWr(ChannelDevice& dev, const RowCommand& cmd,
     for (int b = 0; b < n_banks; ++b) {
         const Tick nominal = b == 0 ? not_before + align
                                     : act_at[0] + t.tRRDS;
-        // Legality must be queried at the nominal time: the shared-bus
-        // slot calendars are not monotone (an earlier free slot does not
-        // imply the nominal one is free).
+        // Legality must be queried at the nominal time: the row-bus slot
+        // calendar is not monotone (an earlier free slot does not imply
+        // the nominal one is free).
         const Tick at = earliestAll(
             dev, plan, CmdKind::Act, bank_addr[static_cast<std::size_t>(b)],
             nominal);

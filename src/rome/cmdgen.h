@@ -25,14 +25,15 @@
  * on a scratch device into a CmdTemplate — a flat array of
  * (kind, PC, bank slot, column, tick offset) entries — and caches the
  * per-VBA lowering plans. execute() then asks the device to validate the
- * whole template against its floors and bus calendars in one pass
- * (ChannelDevice::earliestSequence) and, when it fits, commits every slot
- * in one pass (issueSequence) without per-command probing or any heap
- * allocation. Whenever the steady-state check fails — back-to-back ops on
- * the same VBA, refresh collisions, command-bus slot collisions, cold or
- * busy banks — the generator falls back to the scalar per-command path,
- * so results are bit-identical to pre-template lowering (asserted across
- * all VBA designs by tests/test_lowering.cc).
+ * whole template against its floors, its row-bus calendar and its
+ * column-bus floor in one pass (ChannelDevice::earliestSequence) and, when
+ * it fits, commits every command in one pass (issueSequence) without
+ * per-command probing or any heap allocation. Whenever the steady-state
+ * check fails — back-to-back ops on the same VBA, refresh collisions,
+ * row-bus slot collisions, cold or busy banks — the generator falls back
+ * to the scalar per-command path, so results are bit-identical to
+ * pre-template lowering (asserted across all VBA designs by
+ * tests/test_lowering.cc).
  *
  * REF lowering implements the §V-B optimization: the two banks of a VBA are
  * refreshed back-to-back tRREFD apart, so the VBA stalls for

@@ -91,8 +91,8 @@ mixedRequests(std::uint64_t total)
 
 /**
  * Enqueue @p reqs, run to @p warm (queues, heaps, and the sorted-tick
- * buffers of the CAMs and of the bus calendars, which reserve nothing at
- * construction, grow to their peak), then count allocations while
+ * buffers of the CAMs and of the row-bus calendars, which reserve nothing
+ * at construction, grow to their peak), then count allocations while
  * stepping on to @p end. The workload outlasts the window, so every step
  * in it is a steady-state step.
  */

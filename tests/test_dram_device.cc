@@ -2,8 +2,9 @@
  * @file
  * Timing-rule tests for the HBM channel device: every JEDEC-style constraint
  * the paper's Table II lists is exercised, plus bank FSM observability,
- * refresh windows, command-bus serialization and its slot calendars, and
- * event counters.
+ * refresh windows, command-bus serialization (the row bus's slot calendar
+ * and the column bus's floor, which binds only under a CAS gap shorter
+ * than one slot), and event counters.
  */
 
 #include <gtest/gtest.h>
@@ -430,27 +431,39 @@ TEST_F(DeviceTest, RowBusProbeStepsOverAdjacentSlots)
     EXPECT_EQ(dev_.earliestIssue(probe, 23_ns), 23_ns);
 }
 
-TEST_F(DeviceTest, ColumnRangeProbeIsExactAtBothEdges)
+TEST_F(DeviceTest, ColumnBusHoldsCasGapsShorterThanASlot)
 {
+    // Under HBM4's 1 ns tCCDS the CAS chain always clears the 1 ns column
+    // slot; a half-slot tCCDS is the only timing where the bus binds.
+    TimingParams timing = cfg_.timing;
+    timing.tCCDS = kTicksPerNs / 2;
+    ChannelDevice dev(cfg_.org, timing);
     const auto a = addr(0, 0, 0, 0, 1);
-    dev_.issue({CmdKind::Act, a}, 0);
-    dev_.issue({CmdKind::Rd, a}, 30_ns);
-    dev_.issue({CmdKind::Rd, a}, 40_ns);
-    // A hand-built template whose one RD sits past its 9 ns column range,
-    // so that the range probe alone decides.
+    const auto b = addr(0, 0, 1, 0, 1);
+    dev.issue({CmdKind::Act, a}, 0);
+    dev.issue({CmdKind::Act, b}, 2_ns);
+    dev.issue({CmdKind::Rd, a}, 30_ns);
+    // tCCDS alone would allow the other bank group at 30.5 ns.
+    EXPECT_EQ(dev.earliestIssue({CmdKind::Rd, b}, 0), 31_ns);
+
+    // A one-RD template to bank group 1, shaped as the recorder shapes it.
     CmdTemplate tpl;
-    tpl.cmds.push_back({CmdKind::Rd, 0, 0, 0, 40_ns});
+    tpl.cmds.push_back({CmdKind::Rd, 0, 0, 0, 0});
     tpl.probeIdx = {0};
     tpl.hasCas = true;
-    tpl.casLastOffset = 8_ns;
-    SequenceBinding b;
-    b.row = 1;
-    b.numBanks = 1;
-    // [31, 40) ns fits between the two column slots...
-    EXPECT_EQ(dev_.earliestSequence(tpl, b, 31_ns), 31_ns);
-    // ...and one tick either way overlaps one of them.
-    EXPECT_EQ(dev_.earliestSequence(tpl, b, 31_ns - 1), kTickMax);
-    EXPECT_EQ(dev_.earliestSequence(tpl, b, 31_ns + 1), kTickMax);
+    tpl.casPerPc = 1;
+    tpl.pcCount = 1;
+    tpl.casCadence = timing.tCCDS;
+    tpl.lastCasOffsetPerSlot[0] = 0;
+    SequenceBinding bind;
+    bind.row = 1;
+    bind.banks[0] = {1, 0};
+    bind.numBanks = 1;
+    EXPECT_EQ(dev.earliestSequence(tpl, bind, 31_ns - 1), kTickMax);
+    EXPECT_EQ(dev.earliestSequence(tpl, bind, 31_ns), 31_ns);
+    dev.issueSequence(tpl, bind, 31_ns);
+    // The template's RD holds [31, 32) ns; tCCDS alone would allow 31.5 ns.
+    EXPECT_EQ(dev.earliestIssue({CmdKind::Rd, a}, 0), 32_ns);
 }
 
 std::vector<std::uint8_t>
@@ -481,13 +494,13 @@ TEST_F(DeviceTest, ClockReleasesOnlySlotsNoLaterProbeSees)
 
     const Tick clock = 40_ns;
     dev_.setClock(clock);
-    // Each bus releases on its next reservation: the row slots at 4, 10
-    // and 12 ns, and the column slots at 20, 22, 26 and 39 ns (the last
-    // ends at the clock). The row slot that straddles the clock stays.
+    // The row bus releases on its next reservation: the slots at 4, 10
+    // and 12 ns go, and the one that straddles the clock stays. The column
+    // bus keeps one tick on both devices.
     issue(CmdKind::Act, addr(0, 0, 1, 0, 2), 41_ns);
     issue(CmdKind::Rd, addr(0, 2, 0, 0, 1), 47_ns);
     const std::vector<std::uint8_t> blob = saved(dev_);
-    EXPECT_EQ(saved(kept).size() - blob.size(), 7 * sizeof(std::int64_t));
+    EXPECT_EQ(saved(kept).size() - blob.size(), 3 * sizeof(std::int64_t));
 
     ChannelDevice restored(cfg_.org, cfg_.timing);
     CheckpointReader r(blob);
@@ -551,8 +564,8 @@ TEST(DeviceDeathTest, IssueTooEarlyPanics)
 #ifndef NDEBUG
 TEST(DeviceDeathTest, ProbeBeforeTheClockPanics)
 {
-    // The calendars may have released any slot that ended by the clock,
-    // so an earlier probe could be answered wrongly.
+    // The row-bus calendars may have released any slot that ended by the
+    // clock, so an earlier probe could be answered wrongly.
     const DramConfig cfg = hbm4Config();
     ChannelDevice dev(cfg.org, cfg.timing);
     dev.setClock(100_ns);
