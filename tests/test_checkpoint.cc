@@ -18,6 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <functional>
+#include <iterator>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -287,6 +290,165 @@ TEST(Checkpoint, HybridRoundTrip)
                                            std::string(c.label) +
                                                " streaming");
     }
+}
+
+/** FNV-1a over a blob's bytes. */
+std::uint64_t
+fnv1a(const std::vector<std::uint8_t>& blob)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (const std::uint8_t b : blob) {
+        h ^= b;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
+/**
+ * The blob a controller saves a third of the way through @p reqs, driven
+ * pre-enqueued or from a bound source.
+ */
+template <typename MakeMc>
+std::vector<std::uint8_t>
+blobAtThird(MakeMc make, const std::vector<Request>& reqs, bool streaming)
+{
+    ReplaySource probe_src(reqs);
+    ReplaySource src(reqs);
+    auto probe = make();
+    auto mc = make();
+    if (streaming) {
+        probe->bindSource(&probe_src);
+        mc->bindSource(&src);
+    } else {
+        enqueueAll(*probe, reqs);
+        enqueueAll(*mc, reqs);
+    }
+    probe->drain();
+    mc->runUntil(probe->now() / 3);
+    return saveControllerCheckpoint(*mc);
+}
+
+/** A labelled controller factory for the blob corpus. */
+struct BlobCase
+{
+    std::string label;
+    std::function<std::unique_ptr<IMemoryController>()> make;
+    std::vector<Request> reqs;
+};
+
+/**
+ * One case per checkpointed configuration: both conventional schedulers,
+ * both RoMe lowerings, a non-adopted VBA design and the hybrid router,
+ * with faults and telemetry counters on and off.
+ */
+std::vector<BlobCase>
+blobCorpus()
+{
+    const DramConfig dram = hbm4Config();
+    McConfig legacy;
+    legacy.legacyScheduler = true;
+    McConfig mc_faults = faultyMcConfig();
+    mc_faults.telemetry.counters = true;
+    RomeMcConfig scalar;
+    scalar.legacyScheduler = true;
+    scalar.scalarLowering = true;
+    RomeMcConfig rome_faults = faultyRomeConfig();
+    rome_faults.telemetry.counters = true;
+    HybridConfig hybrid_faults;
+    hybrid_faults.faults = faultyRomeConfig().faults;
+    hybrid_faults.telemetry.counters = true;
+
+    const auto hbm4 = [dram](McConfig cfg) {
+        return [dram, cfg]() -> std::unique_ptr<IMemoryController> {
+            return std::make_unique<ConventionalMc>(
+                dram, bestBaselineMapping(dram.org), cfg);
+        };
+    };
+    const auto rome = [dram](VbaDesign design, RomeMcConfig cfg) {
+        return [dram, design, cfg]() -> std::unique_ptr<IMemoryController> {
+            return std::make_unique<RomeMc>(dram, design, cfg);
+        };
+    };
+    const auto hybrid = [dram](HybridConfig cfg) {
+        return [dram, cfg]() -> std::unique_ptr<IMemoryController> {
+            return std::make_unique<HybridMc>(dram, cfg);
+        };
+    };
+    const auto mixed = mixedWorkload(341, 0.3);
+    return {
+        {"hbm4", hbm4(McConfig{}), mixed},
+        {"hbm4 legacy", hbm4(legacy), mixed},
+        {"hbm4 faults telemetry", hbm4(mc_faults), mixed},
+        {"rome", rome(VbaDesign::adopted(), RomeMcConfig{}), mixed},
+        {"rome legacy scalar", rome(VbaDesign::adopted(), scalar), mixed},
+        {"rome faults telemetry", rome(VbaDesign::adopted(), rome_faults),
+         mixed},
+        {"rome 7b x 8a", rome(VbaDesign::all().back(), RomeMcConfig{}),
+         mixed},
+        {"hybrid", hybrid(HybridConfig{}), hybridWorkload()},
+        {"hybrid faults telemetry", hybrid(hybrid_faults),
+         hybridWorkload()},
+    };
+}
+
+struct PinnedBlob
+{
+    const char* label;
+    std::size_t size;
+    std::uint64_t fnv;
+};
+
+/**
+ * Size and FNV-1a of every corpus blob, pre-enqueued then streaming.
+ * These bytes are the checkpoint format: a change that moves any of them
+ * must bump kCheckpointVersion and regenerate this table from the
+ * failure messages below.
+ */
+constexpr PinnedBlob kPinnedBlobs[] = {
+    {"hbm4", 42830, 0x1de60fed4b231775ull},
+    {"hbm4 streaming", 39714, 0x312d1a5e9355da03ull},
+    {"hbm4 legacy", 20069, 0x4528673eeaaf41adull},
+    {"hbm4 legacy streaming", 16953, 0x23df3af46a789e8full},
+    {"hbm4 faults telemetry", 59188, 0x0fce602cebb80f20ull},
+    {"hbm4 faults telemetry streaming", 56072, 0xd4582123a0570353ull},
+    {"rome", 13287, 0xd7a42bc844ce4f9aull},
+    {"rome streaming", 10212, 0x6d2b87317c6ad618ull},
+    {"rome legacy scalar", 13247, 0x44785c4b2bfb9641ull},
+    {"rome legacy scalar streaming", 10172, 0xb54dab5a87fee797ull},
+    {"rome faults telemetry", 16915, 0x341081a097f10f60ull},
+    {"rome faults telemetry streaming", 13799, 0x3f9d9852e50b81b2ull},
+    {"rome 7b x 8a", 13799, 0x0782fe09124a8211ull},
+    {"rome 7b x 8a streaming", 10683, 0xbe9cace98d0c75d3ull},
+    {"hybrid", 38076, 0xead9a4508698c87full},
+    {"hybrid streaming", 38035, 0x60ca3135e3121fa4ull},
+    {"hybrid faults telemetry", 58253, 0xd614a0b15260f833ull},
+    {"hybrid faults telemetry streaming", 58212, 0xe69ba79ce0c9fb9cull},
+};
+
+TEST(Checkpoint, BlobBytesArePinned)
+{
+    std::size_t i = 0;
+    std::string regenerated;
+    for (const BlobCase& c : blobCorpus()) {
+        for (const bool streaming : {false, true}) {
+            const std::string label =
+                c.label + (streaming ? " streaming" : "");
+            const auto blob = blobAtThird(c.make, c.reqs, streaming);
+            char row[160];
+            std::snprintf(row, sizeof(row),
+                          "    {\"%s\", %zu, 0x%016llxull},\n",
+                          label.c_str(), blob.size(),
+                          static_cast<unsigned long long>(fnv1a(blob)));
+            regenerated += row;
+            const bool pinned = i < std::size(kPinnedBlobs) &&
+                                kPinnedBlobs[i].label == label &&
+                                kPinnedBlobs[i].size == blob.size() &&
+                                kPinnedBlobs[i].fnv == fnv1a(blob);
+            EXPECT_TRUE(pinned) << "blob " << i << " moved: " << row;
+            ++i;
+        }
+    }
+    EXPECT_EQ(i, std::size(kPinnedBlobs)) << "table rows:\n" << regenerated;
 }
 
 TEST(Checkpoint, MismatchedRestoreIsFatal)
