@@ -76,21 +76,13 @@ class SortedTicks
         return kTickMax;
     }
 
-    /** The live entries, ascending. */
-    void
-    saveState(CheckpointWriter& w) const
-    {
-        w.putCount(size());
-        for (std::size_t i = head_; i < ticks_.size(); ++i)
-            w.putI64(ticks_[i]);
-    }
+    /** The live entries, ascending; a load restores them unreleased. */
+    void saveState(CheckpointWriter& w) const { w.seq(*this); }
 
     void
     loadState(CheckpointReader& r)
     {
-        ticks_.resize(r.getCount());
-        for (Tick& t : ticks_)
-            t = r.getI64();
+        r.seq(ticks_);
         head_ = 0;
     }
 

@@ -25,10 +25,17 @@ class Counter
     void reset() { value_ = 0; }
     std::uint64_t value() const { return value_; }
 
-    void saveState(CheckpointWriter& w) const { w.putU64(value_); }
-    void loadState(CheckpointReader& r) { value_ = r.getU64(); }
+    void saveState(CheckpointWriter& w) const { fields(w, *this); }
+    void loadState(CheckpointReader& r) { fields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    fields(Ar& ar, Self& self)
+    {
+        ar(self.value_);
+    }
+
     std::uint64_t value_ = 0;
 };
 
@@ -82,27 +89,17 @@ class Accumulator
     /** Population variance. */
     double variance() const;
 
-    void
-    saveState(CheckpointWriter& w) const
-    {
-        w.putU64(count_);
-        w.putF64(sum_);
-        w.putF64(sumSq_);
-        w.putF64(min_);
-        w.putF64(max_);
-    }
-
-    void
-    loadState(CheckpointReader& r)
-    {
-        count_ = r.getU64();
-        sum_ = r.getF64();
-        sumSq_ = r.getF64();
-        min_ = r.getF64();
-        max_ = r.getF64();
-    }
+    void saveState(CheckpointWriter& w) const { fields(w, *this); }
+    void loadState(CheckpointReader& r) { fields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    fields(Ar& ar, Self& self)
+    {
+        ar(self.count_, self.sum_, self.sumSq_, self.min_, self.max_);
+    }
+
     std::uint64_t count_ = 0;
     double sum_ = 0.0;
     double sumSq_ = 0.0;
@@ -181,23 +178,21 @@ class LatencyHistogram
     bool operator==(const LatencyHistogram& o) const;
     bool operator!=(const LatencyHistogram& o) const { return !(*this == o); }
 
-    /** Sparse serialization: only populated buckets are written. */
+    /**
+     * Sparse serialization: only populated buckets are written, each as
+     * its index and count, so save and load differ by direction.
+     */
     void
     saveState(CheckpointWriter& w) const
     {
-        w.putU64(count_);
-        w.putF64(sum_);
-        w.putF64(min_);
-        w.putF64(max_);
-        std::uint64_t populated = 0;
+        w(count_, sum_, min_, max_);
+        std::size_t populated = 0;
         for (const std::uint64_t b : buckets_)
             populated += b != 0;
-        w.putCount(static_cast<std::size_t>(populated));
+        w.putCount(populated);
         for (std::size_t i = 0; i < buckets_.size(); ++i) {
-            if (buckets_[i] != 0) {
-                w.putU32(static_cast<std::uint32_t>(i));
-                w.putU64(buckets_[i]);
-            }
+            if (buckets_[i] != 0)
+                w(static_cast<std::uint32_t>(i), buckets_[i]);
         }
     }
 
@@ -205,16 +200,12 @@ class LatencyHistogram
     loadState(CheckpointReader& r)
     {
         *this = LatencyHistogram{};
-        count_ = r.getU64();
-        sum_ = r.getF64();
-        min_ = r.getF64();
-        max_ = r.getF64();
-        const std::size_t populated = r.getCount();
-        for (std::size_t k = 0; k < populated; ++k) {
+        r(count_, sum_, min_, max_);
+        for (std::size_t k = r.getCount(); k > 0; --k) {
             const std::uint32_t i = r.getU32();
             if (i >= buckets_.size())
                 fatal("latency-histogram bucket index %u out of range", i);
-            buckets_[i] = r.getU64();
+            r(buckets_[i]);
         }
     }
 

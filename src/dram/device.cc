@@ -551,107 +551,39 @@ ChannelDevice::bankRecord(const DramAddress& a) const
     return bank(a);
 }
 
+template <class Ar, class Self>
+void
+ChannelDevice::fields(Ar& ar, Self& self)
+{
+    ar.fixed(self.banks_, "device bank", [&ar](auto& b) {
+        ar(b.openRow, b.lastAct, b.lastPre, b.lastCas, b.lastCasWasWrite,
+           b.refUntil);
+    });
+    ar.fixed(self.sids_, "device SID", [&ar](auto& s) {
+        ar.fixed(s.lastActPerBg, "device bank-group");
+        ar(s.lastAct);
+        ar.fixed(s.actWindow, "device ACT-window");
+        ar(s.actWindowHead, s.lastRefPb, s.refAbUntil);
+    });
+    ar.fixed(self.pcs_, "device PC", [&ar](auto& p) {
+        ar(p.lastCas, p.lastCasSid, p.lastCasBg, p.lastCasWasWrite,
+           p.lastWrDataEnd, p.busBusyUntil, p.rowBus, p.colBusEnd);
+    });
+    auto& c = self.counters_;
+    ar(self.lastDataEnd_, c.acts, c.pres, c.reads, c.writes, c.refAbs,
+       c.refPbs, c.dataBusBusyTicks, c.dataBytes, c.rowCmds, c.colCmds);
+}
+
 void
 ChannelDevice::saveState(CheckpointWriter& w) const
 {
-    w.putCount(banks_.size());
-    for (const BankRecord& b : banks_) {
-        w.putI32(b.openRow);
-        w.putI64(b.lastAct);
-        w.putI64(b.lastPre);
-        w.putI64(b.lastCas);
-        w.putBool(b.lastCasWasWrite);
-        w.putI64(b.refUntil);
-    }
-    w.putCount(sids_.size());
-    for (const SidRecord& s : sids_) {
-        w.putCount(s.lastActPerBg.size());
-        for (const Tick t : s.lastActPerBg)
-            w.putI64(t);
-        w.putI64(s.lastAct);
-        w.putCount(s.actWindow.size());
-        for (const Tick t : s.actWindow)
-            w.putI64(t);
-        w.putU64(s.actWindowHead);
-        w.putI64(s.lastRefPb);
-        w.putI64(s.refAbUntil);
-    }
-    w.putCount(pcs_.size());
-    for (const PcRecord& p : pcs_) {
-        w.putI64(p.lastCas);
-        w.putI32(p.lastCasSid);
-        w.putI32(p.lastCasBg);
-        w.putBool(p.lastCasWasWrite);
-        w.putI64(p.lastWrDataEnd);
-        w.putI64(p.busBusyUntil);
-        p.rowBus.saveState(w);
-        w.putI64(p.colBusEnd);
-    }
-    w.putI64(lastDataEnd_);
-    counters_.acts.saveState(w);
-    counters_.pres.saveState(w);
-    counters_.reads.saveState(w);
-    counters_.writes.saveState(w);
-    counters_.refAbs.saveState(w);
-    counters_.refPbs.saveState(w);
-    counters_.dataBusBusyTicks.saveState(w);
-    counters_.dataBytes.saveState(w);
-    counters_.rowCmds.saveState(w);
-    counters_.colCmds.saveState(w);
+    fields(w, *this);
 }
 
 void
 ChannelDevice::loadState(CheckpointReader& r)
 {
-    if (r.getCount() != banks_.size())
-        fatal("device checkpoint bank count mismatch");
-    for (BankRecord& b : banks_) {
-        b.openRow = r.getI32();
-        b.lastAct = r.getI64();
-        b.lastPre = r.getI64();
-        b.lastCas = r.getI64();
-        b.lastCasWasWrite = r.getBool();
-        b.refUntil = r.getI64();
-    }
-    if (r.getCount() != sids_.size())
-        fatal("device checkpoint SID count mismatch");
-    for (SidRecord& s : sids_) {
-        if (r.getCount() != s.lastActPerBg.size())
-            fatal("device checkpoint bank-group count mismatch");
-        for (Tick& t : s.lastActPerBg)
-            t = r.getI64();
-        s.lastAct = r.getI64();
-        if (r.getCount() != s.actWindow.size())
-            fatal("device checkpoint ACT-window size mismatch");
-        for (Tick& t : s.actWindow)
-            t = r.getI64();
-        s.actWindowHead = static_cast<std::size_t>(r.getU64());
-        s.lastRefPb = r.getI64();
-        s.refAbUntil = r.getI64();
-    }
-    if (r.getCount() != pcs_.size())
-        fatal("device checkpoint PC count mismatch");
-    for (PcRecord& p : pcs_) {
-        p.lastCas = r.getI64();
-        p.lastCasSid = r.getI32();
-        p.lastCasBg = r.getI32();
-        p.lastCasWasWrite = r.getBool();
-        p.lastWrDataEnd = r.getI64();
-        p.busBusyUntil = r.getI64();
-        p.rowBus.loadState(r);
-        p.colBusEnd = r.getI64();
-    }
-    lastDataEnd_ = r.getI64();
-    counters_.acts.loadState(r);
-    counters_.pres.loadState(r);
-    counters_.reads.loadState(r);
-    counters_.writes.loadState(r);
-    counters_.refAbs.loadState(r);
-    counters_.refPbs.loadState(r);
-    counters_.dataBusBusyTicks.loadState(r);
-    counters_.dataBytes.loadState(r);
-    counters_.rowCmds.loadState(r);
-    counters_.colCmds.loadState(r);
+    fields(r, *this);
 }
 
 } // namespace rome

@@ -458,6 +458,9 @@ class ChannelDevice
     void loadState(CheckpointReader& r);
 
   private:
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& self);
+
     /** Tracking shared by the banks of one (PC, SID). */
     struct SidRecord
     {

@@ -1598,203 +1598,64 @@ ConventionalMc::stats() const
 
 // ---- checkpointing -------------------------------------------------------
 
-namespace
-{
-
+template <class Ar, class Self>
 void
-putDramAddress(CheckpointWriter& w, const DramAddress& a)
+ConventionalMc::fields(Ar& ar, Self& self)
 {
-    w.putI32(a.pc);
-    w.putI32(a.sid);
-    w.putI32(a.bg);
-    w.putI32(a.bank);
-    w.putI32(a.row);
-    w.putI32(a.col);
-}
+    const auto addr = [&ar](auto& a) {
+        ar(a.pc, a.sid, a.bg, a.bank, a.row, a.col);
+    };
+    const auto op = [&](auto& o) {
+        addr(o.addr);
+        ar(o.reqId, o.kind, o.arrival, o.slot, o.attempt, o.retryWait,
+           o.linkDelay);
+    };
+    const auto bank_list = [&ar](auto& l) {
+        ar(l.head, l.tail, l.count, l.hitCount, l.hitRep, l.minArrivalLb,
+           l.sorted);
+    };
 
-DramAddress
-getDramAddress(CheckpointReader& r)
-{
-    DramAddress a;
-    a.pc = r.getI32();
-    a.sid = r.getI32();
-    a.bg = r.getI32();
-    a.bank = r.getI32();
-    a.row = r.getI32();
-    a.col = r.getI32();
-    return a;
+    self.baseState(ar);
+    ar(self.dev_);
+    ar.seq(self.readQ_, op);
+    ar.seq(self.writeQ_, op);
+    ar.seq(self.pool_, [&](auto& n) {
+        op(n.op);
+        ar(n.seq, n.bank, n.prev, n.next);
+    });
+    ar.seq(self.freeNodes_);
+    ar.fixed(self.bankIx_, "hbm4 bank-index", [&](auto& e) {
+        bank_list(e.read);
+        bank_list(e.write);
+        ar(e.activePos, e.openPos);
+        addr(e.addr);
+    });
+    ar.seq(self.activeBanks_);
+    ar.seq(self.openBanks_);
+    ar(self.admitSeq_, self.readCount_, self.writeCount_,
+       self.readOutstanding_, self.writeOutstanding_, self.drainingWrites_);
+    ar.fixed(self.refreshUnits_, "hbm4 refresh-unit", [&ar](auto& u) {
+        ar(u.rot.interval, u.rot.due, u.rot.cursor);
+    });
+    ar.seq(self.retryQ_, [&](auto& p) {
+        op(p.op);
+        ar(p.readyAt);
+    });
+    ar(self.nextRetryAt_, self.casIssued_);
 }
-
-} // namespace
 
 void
 ConventionalMc::saveCheckpoint(CheckpointWriter& w) const
 {
     if (sink_ != nullptr)
         sink_->instant("checkpoint", TelemetrySink::kChannelTrack, now_);
-    const auto put_op = [&w](const Op& op) {
-        putDramAddress(w, op.addr);
-        w.putU64(op.reqId);
-        w.putU8(static_cast<std::uint8_t>(op.kind));
-        w.putI64(op.arrival);
-        w.putI32(op.slot);
-        w.putI32(op.attempt);
-        w.putI64(op.retryWait);
-        w.putI64(op.linkDelay);
-    };
-    const auto put_bank_list = [&w](const BankList& l) {
-        w.putI32(l.head);
-        w.putI32(l.tail);
-        w.putI32(l.count);
-        w.putI32(l.hitCount);
-        w.putI32(l.hitRep);
-        w.putI64(l.minArrivalLb);
-        w.putBool(l.sorted);
-    };
-
-    saveBaseState(w);
-    dev_.saveState(w);
-
-    w.putCount(readQ_.size());
-    for (const Op& op : readQ_)
-        put_op(op);
-    w.putCount(writeQ_.size());
-    for (const Op& op : writeQ_)
-        put_op(op);
-
-    w.putCount(pool_.size());
-    for (const OpNode& n : pool_) {
-        put_op(n.op);
-        w.putU64(n.seq);
-        w.putI32(n.bank);
-        w.putI32(n.prev);
-        w.putI32(n.next);
-    }
-    w.putCount(freeNodes_.size());
-    for (const int n : freeNodes_)
-        w.putI32(n);
-    w.putCount(bankIx_.size());
-    for (const BankEntry& e : bankIx_) {
-        put_bank_list(e.read);
-        put_bank_list(e.write);
-        w.putI32(e.activePos);
-        w.putI32(e.openPos);
-        putDramAddress(w, e.addr);
-    }
-    w.putCount(activeBanks_.size());
-    for (const int b : activeBanks_)
-        w.putI32(b);
-    w.putCount(openBanks_.size());
-    for (const int b : openBanks_)
-        w.putI32(b);
-    w.putU64(admitSeq_);
-    w.putI32(readCount_);
-    w.putI32(writeCount_);
-
-    readOutstanding_.saveState(w);
-    writeOutstanding_.saveState(w);
-    w.putBool(drainingWrites_);
-    w.putCount(refreshUnits_.size());
-    for (const RefreshUnit& u : refreshUnits_) {
-        w.putI64(u.rot.interval);
-        w.putI64(u.rot.due);
-        w.putI32(u.rot.cursor);
-    }
-
-    w.putCount(retryQ_.size());
-    for (const PendingRetry& p : retryQ_) {
-        put_op(p.op);
-        w.putI64(p.readyAt);
-    }
-    w.putI64(nextRetryAt_);
-
-    w.putU64(casIssued_);
+    fields(w, *this);
 }
 
 void
 ConventionalMc::restoreCheckpoint(CheckpointReader& r)
 {
-    const auto get_op = [&r]() {
-        Op op;
-        op.addr = getDramAddress(r);
-        op.reqId = r.getU64();
-        op.kind = static_cast<ReqKind>(r.getU8());
-        op.arrival = r.getI64();
-        op.slot = r.getI32();
-        op.attempt = r.getI32();
-        op.retryWait = r.getI64();
-        op.linkDelay = r.getI64();
-        return op;
-    };
-    const auto get_bank_list = [&r](BankList& l) {
-        l.head = r.getI32();
-        l.tail = r.getI32();
-        l.count = r.getI32();
-        l.hitCount = r.getI32();
-        l.hitRep = r.getI32();
-        l.minArrivalLb = r.getI64();
-        l.sorted = r.getBool();
-    };
-
-    loadBaseState(r);
-    dev_.loadState(r);
-
-    readQ_.resize(r.getCount());
-    for (Op& op : readQ_)
-        op = get_op();
-    writeQ_.resize(r.getCount());
-    for (Op& op : writeQ_)
-        op = get_op();
-
-    pool_.resize(r.getCount());
-    for (OpNode& n : pool_) {
-        n.op = get_op();
-        n.seq = r.getU64();
-        n.bank = r.getI32();
-        n.prev = r.getI32();
-        n.next = r.getI32();
-    }
-    freeNodes_.resize(r.getCount());
-    for (int& n : freeNodes_)
-        n = r.getI32();
-    if (r.getCount() != bankIx_.size())
-        fatal("hbm4 checkpoint bank-index size mismatch");
-    for (BankEntry& e : bankIx_) {
-        get_bank_list(e.read);
-        get_bank_list(e.write);
-        e.activePos = r.getI32();
-        e.openPos = r.getI32();
-        e.addr = getDramAddress(r);
-    }
-    activeBanks_.resize(r.getCount());
-    for (int& b : activeBanks_)
-        b = r.getI32();
-    openBanks_.resize(r.getCount());
-    for (int& b : openBanks_)
-        b = r.getI32();
-    admitSeq_ = r.getU64();
-    readCount_ = r.getI32();
-    writeCount_ = r.getI32();
-
-    readOutstanding_.loadState(r);
-    writeOutstanding_.loadState(r);
-    drainingWrites_ = r.getBool();
-    if (r.getCount() != refreshUnits_.size())
-        fatal("hbm4 checkpoint refresh-unit count mismatch");
-    for (RefreshUnit& u : refreshUnits_) {
-        u.rot.interval = r.getI64();
-        u.rot.due = r.getI64();
-        u.rot.cursor = r.getI32();
-    }
-
-    retryQ_.resize(r.getCount());
-    for (PendingRetry& p : retryQ_) {
-        p.op = get_op();
-        p.readyAt = r.getI64();
-    }
-    nextRetryAt_ = r.getI64();
-
-    casIssued_ = r.getU64();
+    fields(r, *this);
     scrubEvents_.clear();
     // The step's caches are a function of the restored state: the next
     // step derives them afresh.

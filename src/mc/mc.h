@@ -173,6 +173,9 @@ class ConventionalMc : public ChannelControllerBase
     void restoreCheckpoint(CheckpointReader& r) override;
 
   private:
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& self);
+
     /** One cache-line-sized column operation. */
     struct Op
     {

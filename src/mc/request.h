@@ -42,6 +42,14 @@ struct Request
     Tick linkDelay = 0;
 };
 
+/** A request's checkpointed fields (field lists: common/checkpoint.h). */
+template <class Ar, class Req>
+void
+requestFields(Ar& ar, Req& r)
+{
+    ar(r.id, r.kind, r.addr, r.size, r.arrival, r.linkDelay);
+}
+
 /** Completion record produced by a memory controller. */
 struct Completion
 {

@@ -124,23 +124,17 @@ class CommandGenerator
      * templates are config-derived and rebuilt by construction; only the
      * accepted/hit/fallback tallies are mutable run state.
      */
-    void
-    saveCounters(CheckpointWriter& w) const
-    {
-        w.putU64(rowCmds_);
-        w.putU64(templateHits_);
-        w.putU64(templateFallbacks_);
-    }
-
-    void
-    loadCounters(CheckpointReader& r)
-    {
-        rowCmds_ = r.getU64();
-        templateHits_ = r.getU64();
-        templateFallbacks_ = r.getU64();
-    }
+    void saveState(CheckpointWriter& w) const { fields(w, *this); }
+    void loadState(CheckpointReader& r) { fields(r, *this); }
 
   private:
+    template <class Ar, class Self>
+    static void
+    fields(Ar& ar, Self& self)
+    {
+        ar(self.rowCmds_, self.templateHits_, self.templateFallbacks_);
+    }
+
     /** One op kind's fixed-offset sequence and its relative outcome. */
     struct OpTemplate
     {

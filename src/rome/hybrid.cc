@@ -213,58 +213,48 @@ HybridMc::stats() const
 
 // ---- checkpointing -------------------------------------------------------
 
-namespace
-{
-
+template <class Ar, class Self>
 void
-putHybridRequest(CheckpointWriter& w, const Request& r)
+HybridMc::fields(Ar& ar, Self& self)
 {
-    w.putU64(r.id);
-    w.putU8(static_cast<std::uint8_t>(r.kind));
-    w.putU64(r.addr);
-    w.putU64(r.size);
-    w.putI64(r.arrival);
-    w.putI64(r.linkDelay);
+    for (auto& staged : self.staging_)
+        ar.seq(staged, [&ar](auto& r) { requestFields(ar, r); });
+    ar(self.stagingPeak_, self.pulledFromSource_);
+    bool had_source = self.source_ != nullptr;
+    ar(had_source);
+    // Each feed's one-request lookahead is live router state: a refill
+    // probing exhausted() peeks through the feed, which already pulled
+    // the request off the shared stream (counted in pulledFromSource_).
+    for (auto& f : self.feeds_) {
+        Request peek{};
+        bool have = f.peekState(peek);
+        bool ended = f.endedState();
+        ar(have);
+        requestFields(ar, peek);
+        ar(ended);
+        if constexpr (Ar::kLoading)
+            f.restoreStreamState(peek, have, ended);
+    }
+    if constexpr (Ar::kLoading) {
+        self.source_ = nullptr;
+        if (had_source) {
+            // Reconnect the partitions to the (restored) feeds now; the
+            // shared stream itself arrives via resumeSource before
+            // running.
+            self.feeds_[0].attach(&self, 0);
+            self.feeds_[1].attach(&self, 1);
+            self.rome_.attachResumedFeed(&self.feeds_[0]);
+            self.fine_.attachResumedFeed(&self.feeds_[1]);
+        }
+    }
 }
-
-Request
-getHybridRequest(CheckpointReader& r)
-{
-    Request req;
-    req.id = r.getU64();
-    req.kind = static_cast<ReqKind>(r.getU8());
-    req.addr = r.getU64();
-    req.size = r.getU64();
-    req.arrival = r.getI64();
-    req.linkDelay = r.getI64();
-    return req;
-}
-
-} // namespace
 
 void
 HybridMc::saveCheckpoint(CheckpointWriter& w) const
 {
     rome_.saveCheckpoint(w);
     fine_.saveCheckpoint(w);
-    for (const auto& staged : staging_) {
-        w.putCount(staged.size());
-        for (const Request& r : staged)
-            putHybridRequest(w, r);
-    }
-    w.putU64(static_cast<std::uint64_t>(stagingPeak_));
-    w.putU64(pulledFromSource_);
-    w.putBool(source_ != nullptr);
-    // Each feed's one-request lookahead is live router state: a refill
-    // probing exhausted() peeks through the feed, which already pulled
-    // the request off the shared stream (counted in pulledFromSource_).
-    for (const PartitionFeed& f : feeds_) {
-        Request peek{};
-        const bool have = f.peekState(peek);
-        w.putBool(have);
-        putHybridRequest(w, peek);
-        w.putBool(f.endedState());
-    }
+    fields(w, *this);
 }
 
 void
@@ -272,29 +262,7 @@ HybridMc::restoreCheckpoint(CheckpointReader& r)
 {
     rome_.restoreCheckpoint(r);
     fine_.restoreCheckpoint(r);
-    for (auto& staged : staging_) {
-        staged.clear();
-        const std::size_t n = r.getCount();
-        for (std::size_t i = 0; i < n; ++i)
-            staged.push_back(getHybridRequest(r));
-    }
-    stagingPeak_ = static_cast<std::size_t>(r.getU64());
-    pulledFromSource_ = r.getU64();
-    const bool had_source = r.getBool();
-    for (PartitionFeed& f : feeds_) {
-        const bool have = r.getBool();
-        const Request peek = getHybridRequest(r);
-        f.restoreStreamState(peek, have, r.getBool());
-    }
-    source_ = nullptr;
-    if (had_source) {
-        // Reconnect the partitions to the (restored) feeds now; the
-        // shared stream itself arrives via resumeSource before running.
-        feeds_[0].attach(this, 0);
-        feeds_[1].attach(this, 1);
-        rome_.attachResumedFeed(&feeds_[0]);
-        fine_.attachResumedFeed(&feeds_[1]);
-    }
+    fields(r, *this);
     mergedCompletions_.clear();
     romeMerged_ = 0;
     fineMerged_ = 0;

@@ -171,6 +171,9 @@ class HybridMc : public IMemoryController
     void resumeSource(RequestSource* src) override;
 
   private:
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& self);
+
     /** One partition's demand-driven view of the shared bound source. */
     class PartitionFeed final : public RequestSource
     {

@@ -783,160 +783,65 @@ RomeMc::stats() const
 
 // ---- checkpointing -------------------------------------------------------
 
+template <class Ar, class Self>
+void
+RomeMc::fields(Ar& ar, Self& self)
+{
+    const auto vba = [&ar](auto& a) { ar(a.sid, a.vba, a.row); };
+    const auto row_op = [&](auto& op) {
+        ar(op.cmd.kind);
+        vba(op.cmd.addr);
+        ar(op.reqId, op.arrival, op.usefulBytes, op.slot, op.attempt,
+           op.retryWait, op.linkDelay);
+    };
+    const auto fsm_slot = [&](auto& s) {
+        vba(s.vba);
+        ar(s.busyUntil, s.state);
+    };
+
+    self.baseState(ar);
+    ar(self.dev_, self.gen_);
+    ar.seq(self.queue_, row_op);
+    ar(self.outstanding_);
+    ar.fixed(self.opSlots_, "RoMe operate-FSM", fsm_slot);
+    ar.fixed(self.refSlots_, "RoMe refresh-FSM", fsm_slot);
+    ar(self.opBusy_, self.refBusy_);
+    ar.fixed(self.vbaBusyUntil_, "RoMe VBA");
+    for (auto& s : self.vbaBusyState_)
+        ar(s);
+
+    ar(self.lastRowCmdAt_, self.lastRowCmdWasWrite_, self.lastRowCmdSid_);
+    bool has_vba = self.lastRowCmdVba_.has_value();
+    ar(has_vba);
+    if constexpr (Ar::kLoading) {
+        self.lastRowCmdVba_.reset();
+        if (has_vba)
+            self.lastRowCmdVba_.emplace();
+    }
+    if (has_vba)
+        vba(*self.lastRowCmdVba_);
+
+    ar(self.refresh_.interval, self.refresh_.due, self.refresh_.cursor);
+    ar.seq(self.retryQ_, [&](auto& p) {
+        row_op(p.op);
+        ar(p.readyAt);
+    });
+    ar(self.nextRetryAt_, self.overfetch_, self.opHighWater_,
+       self.refHighWater_);
+}
+
 void
 RomeMc::saveCheckpoint(CheckpointWriter& w) const
 {
     if (sink_ != nullptr)
         sink_->instant("checkpoint", TelemetrySink::kChannelTrack, now_);
-    const auto put_row_op = [&w](const RowOp& op) {
-        w.putU8(static_cast<std::uint8_t>(op.cmd.kind));
-        w.putI32(op.cmd.addr.sid);
-        w.putI32(op.cmd.addr.vba);
-        w.putI32(op.cmd.addr.row);
-        w.putU64(op.reqId);
-        w.putI64(op.arrival);
-        w.putU64(op.usefulBytes);
-        w.putI32(op.slot);
-        w.putI32(op.attempt);
-        w.putI64(op.retryWait);
-        w.putI64(op.linkDelay);
-    };
-    const auto put_slot = [&w](const FsmSlot& s) {
-        w.putI32(s.vba.sid);
-        w.putI32(s.vba.vba);
-        w.putI32(s.vba.row);
-        w.putI64(s.busyUntil);
-        w.putU8(static_cast<std::uint8_t>(s.state));
-    };
-
-    saveBaseState(w);
-    dev_.saveState(w);
-    gen_.saveCounters(w);
-
-    w.putCount(queue_.size());
-    for (const RowOp& op : queue_)
-        put_row_op(op);
-    outstanding_.saveState(w);
-
-    w.putCount(opSlots_.size());
-    for (const FsmSlot& s : opSlots_)
-        put_slot(s);
-    w.putCount(refSlots_.size());
-    for (const FsmSlot& s : refSlots_)
-        put_slot(s);
-    opBusy_.saveState(w);
-    refBusy_.saveState(w);
-    w.putCount(vbaBusyUntil_.size());
-    for (const Tick t : vbaBusyUntil_)
-        w.putI64(t);
-    for (const VbaState s : vbaBusyState_)
-        w.putU8(static_cast<std::uint8_t>(s));
-
-    w.putI64(lastRowCmdAt_);
-    w.putBool(lastRowCmdWasWrite_);
-    w.putI32(lastRowCmdSid_);
-    w.putBool(lastRowCmdVba_.has_value());
-    if (lastRowCmdVba_) {
-        w.putI32(lastRowCmdVba_->sid);
-        w.putI32(lastRowCmdVba_->vba);
-        w.putI32(lastRowCmdVba_->row);
-    }
-
-    w.putI64(refresh_.interval);
-    w.putI64(refresh_.due);
-    w.putI32(refresh_.cursor);
-
-    w.putCount(retryQ_.size());
-    for (const PendingRetry& p : retryQ_) {
-        put_row_op(p.op);
-        w.putI64(p.readyAt);
-    }
-    w.putI64(nextRetryAt_);
-
-    w.putU64(overfetch_);
-    w.putI32(opHighWater_);
-    w.putI32(refHighWater_);
+    fields(w, *this);
 }
 
 void
 RomeMc::restoreCheckpoint(CheckpointReader& r)
 {
-    const auto get_row_op = [&r]() {
-        RowOp op{};
-        op.cmd.kind = static_cast<RowCmdKind>(r.getU8());
-        op.cmd.addr.sid = r.getI32();
-        op.cmd.addr.vba = r.getI32();
-        op.cmd.addr.row = r.getI32();
-        op.reqId = r.getU64();
-        op.arrival = r.getI64();
-        op.usefulBytes = r.getU64();
-        op.slot = r.getI32();
-        op.attempt = r.getI32();
-        op.retryWait = r.getI64();
-        op.linkDelay = r.getI64();
-        return op;
-    };
-    const auto get_slot = [&r](FsmSlot& s) {
-        s.vba.sid = r.getI32();
-        s.vba.vba = r.getI32();
-        s.vba.row = r.getI32();
-        s.busyUntil = r.getI64();
-        s.state = static_cast<VbaState>(r.getU8());
-    };
-
-    loadBaseState(r);
-    dev_.loadState(r);
-    gen_.loadCounters(r);
-
-    queue_.resize(r.getCount());
-    for (RowOp& op : queue_)
-        op = get_row_op();
-    outstanding_.loadState(r);
-
-    if (r.getCount() != opSlots_.size())
-        fatal("rome checkpoint operate-FSM count mismatch");
-    for (FsmSlot& s : opSlots_)
-        get_slot(s);
-    if (r.getCount() != refSlots_.size())
-        fatal("rome checkpoint refresh-FSM count mismatch");
-    for (FsmSlot& s : refSlots_)
-        get_slot(s);
-    opBusy_.loadState(r);
-    refBusy_.loadState(r);
-    if (r.getCount() != vbaBusyUntil_.size())
-        fatal("rome checkpoint VBA count mismatch");
-    for (Tick& t : vbaBusyUntil_)
-        t = r.getI64();
-    for (VbaState& s : vbaBusyState_)
-        s = static_cast<VbaState>(r.getU8());
-
-    lastRowCmdAt_ = r.getI64();
-    lastRowCmdWasWrite_ = r.getBool();
-    lastRowCmdSid_ = r.getI32();
-    if (r.getBool()) {
-        VbaAddress a;
-        a.sid = r.getI32();
-        a.vba = r.getI32();
-        a.row = r.getI32();
-        lastRowCmdVba_ = a;
-    } else {
-        lastRowCmdVba_.reset();
-    }
-
-    refresh_.interval = r.getI64();
-    refresh_.due = r.getI64();
-    refresh_.cursor = r.getI32();
-
-    retryQ_.resize(r.getCount());
-    for (PendingRetry& p : retryQ_) {
-        p.op = get_row_op();
-        p.readyAt = r.getI64();
-    }
-    nextRetryAt_ = r.getI64();
-
-    overfetch_ = r.getU64();
-    opHighWater_ = r.getI32();
-    refHighWater_ = r.getI32();
+    fields(r, *this);
     scrubEvents_.clear();
 }
 

@@ -152,6 +152,9 @@ class RomeMc : public ChannelControllerBase
     void restoreCheckpoint(CheckpointReader& r) override;
 
   private:
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& self);
+
     /** One queued row operation. */
     struct RowOp
     {

@@ -536,155 +536,54 @@ ChannelControllerBase::fillBaseStats(ControllerStats& s) const
     s.finishedAt = device().lastDataEnd();
 }
 
-namespace
-{
-
+template <class Ar, class Self>
 void
-putRequest(CheckpointWriter& w, const Request& r)
+ChannelControllerBase::baseFields(Ar& ar, Self& self)
 {
-    w.putU64(r.id);
-    w.putU8(static_cast<std::uint8_t>(r.kind));
-    w.putU64(r.addr);
-    w.putU64(r.size);
-    w.putI64(r.arrival);
-    w.putI64(r.linkDelay);
-}
-
-Request
-getRequest(CheckpointReader& r)
-{
-    Request q;
-    q.id = r.getU64();
-    q.kind = static_cast<ReqKind>(r.getU8());
-    q.addr = r.getU64();
-    q.size = r.getU64();
-    q.arrival = r.getI64();
-    q.linkDelay = r.getI64();
-    return q;
-}
-
-} // namespace
-
-void
-ChannelControllerBase::saveBaseState(CheckpointWriter& w) const
-{
-    w.putI64(now_);
-    faults_.saveState(w);
-    w.putCount(host_.size());
-    for (const Request& r : host_)
-        putRequest(w, r);
-    w.putU64(frontChunk_);
-    w.putI32(frontSlot_);
+    ar(self.now_, self.faults_);
+    ar.seq(self.host_, [&ar](auto& r) { requestFields(ar, r); });
+    ar(self.frontChunk_, self.frontSlot_);
     // Queued ops name their slots, so every slot round-trips in place,
     // free ones included, and so does the free list's order.
-    w.putCount(slots_.size());
-    for (const ReqState& st : slots_) {
-        w.putU64(st.id);
-        w.putI64(st.arrival);
-        w.putI32(st.opsRemaining);
-        w.putBool(st.poisoned);
-        w.putI64(st.firstIssue);
-        w.putI64(st.retryTicks);
-        w.putI64(st.linkDelay);
-    }
-    w.putCount(freeSlots_.size());
-    for (const int slot : freeSlots_)
-        w.putI32(slot);
-    w.putCount(completions_.size());
-    for (const Completion& c : completions_) {
-        w.putU64(c.id);
-        w.putI64(c.finished);
-        w.putBool(c.poisoned);
-        w.putF64(c.queueNs);
-        w.putF64(c.serviceNs);
-        w.putF64(c.retryNs);
-        w.putF64(c.linkNs);
-    }
-    latencyNs_.saveState(w);
-    latencyHistNs_.saveState(w);
-    w.putU64(bytesRead_);
-    w.putU64(bytesWritten_);
-    w.putU64(steps_);
-    w.putU64(totalRequests_);
-    w.putBool(sourceDone_);
-    w.putU64(sourcePulled_);
-    w.putU64(hostPeak_);
-    w.putU64(completedCount_);
-    w.putU64(poisonedCount_);
-    w.putU64(live_);
-    w.putBool(retainCompletions_);
+    ar.seq(self.slots_, [&ar](auto& st) {
+        ar(st.id, st.arrival, st.opsRemaining, st.poisoned, st.firstIssue,
+           st.retryTicks, st.linkDelay);
+    });
+    if constexpr (Ar::kLoading)
+        self.freeSlots_.reserve(self.slots_.capacity());
+    ar.seq(self.freeSlots_, [&](auto& slot) {
+        ar(slot);
+        if (Ar::kLoading &&
+            static_cast<std::size_t>(slot) >= self.slots_.size()) {
+            fatal("checkpoint frees in-flight slot %d of %zu", slot,
+                  self.slots_.size());
+        }
+    });
+    ar.seq(self.completions_, [&ar](auto& c) {
+        ar(c.id, c.finished, c.poisoned, c.queueNs, c.serviceNs, c.retryNs,
+           c.linkNs);
+    });
+    ar(self.latencyNs_, self.latencyHistNs_, self.bytesRead_,
+       self.bytesWritten_, self.steps_, self.totalRequests_,
+       self.sourceDone_, self.sourcePulled_, self.hostPeak_,
+       self.completedCount_, self.poisonedCount_, self.live_,
+       self.retainCompletions_);
     // Telemetry accumulators (empty structures when the tier is off —
     // the enable flags themselves are config-derived, not serialized).
-    stall_.saveState(w);
-    series_.saveState(w);
-    queueHistNs_.saveState(w);
-    serviceHistNs_.saveState(w);
-    retryHistNs_.saveState(w);
-    linkHistNs_.saveState(w);
+    ar(self.stall_, self.series_, self.queueHistNs_, self.serviceHistNs_,
+       self.retryHistNs_, self.linkHistNs_);
 }
 
 void
-ChannelControllerBase::loadBaseState(CheckpointReader& r)
+ChannelControllerBase::baseState(CheckpointWriter& w) const
 {
-    now_ = r.getI64();
-    faults_.loadState(r);
-    host_.clear();
-    const std::size_t nhost = r.getCount();
-    for (std::size_t i = 0; i < nhost; ++i)
-        host_.push_back(getRequest(r));
-    frontChunk_ = r.getU64();
-    frontSlot_ = r.getI32();
-    slots_.resize(r.getCount());
-    for (ReqState& st : slots_) {
-        st.id = r.getU64();
-        st.arrival = r.getI64();
-        st.opsRemaining = r.getI32();
-        st.poisoned = r.getBool();
-        st.firstIssue = r.getI64();
-        st.retryTicks = r.getI64();
-        st.linkDelay = r.getI64();
-    }
-    freeSlots_.reserve(slots_.capacity());
-    freeSlots_.resize(r.getCount());
-    for (int& slot : freeSlots_) {
-        slot = r.getI32();
-        if (static_cast<std::size_t>(slot) >= slots_.size())
-            fatal("checkpoint frees in-flight slot %d of %zu", slot,
-                  slots_.size());
-    }
-    completions_.clear();
-    const std::size_t ncomp = r.getCount();
-    completions_.reserve(ncomp);
-    for (std::size_t i = 0; i < ncomp; ++i) {
-        Completion c;
-        c.id = r.getU64();
-        c.finished = r.getI64();
-        c.poisoned = r.getBool();
-        c.queueNs = r.getF64();
-        c.serviceNs = r.getF64();
-        c.retryNs = r.getF64();
-        c.linkNs = r.getF64();
-        completions_.push_back(c);
-    }
-    latencyNs_.loadState(r);
-    latencyHistNs_.loadState(r);
-    bytesRead_ = r.getU64();
-    bytesWritten_ = r.getU64();
-    steps_ = r.getU64();
-    totalRequests_ = r.getU64();
-    sourceDone_ = r.getBool();
-    sourcePulled_ = r.getU64();
-    hostPeak_ = static_cast<std::size_t>(r.getU64());
-    completedCount_ = r.getU64();
-    poisonedCount_ = r.getU64();
-    live_ = r.getU64();
-    retainCompletions_ = r.getBool();
-    stall_.loadState(r);
-    series_.loadState(r);
-    queueHistNs_.loadState(r);
-    serviceHistNs_.loadState(r);
-    retryHistNs_.loadState(r);
-    linkHistNs_.loadState(r);
+    baseFields(w, *this);
+}
+
+void
+ChannelControllerBase::baseState(CheckpointReader& r)
+{
+    baseFields(r, *this);
     // The source pointer is transient: the caller re-attaches a fresh
     // stream with resumeSource (or leaves it detached when none was
     // bound — sourceDone_ then restored as true).

@@ -562,11 +562,11 @@ class ChannelControllerBase : public IMemoryController
     /**
      * Serialize / restore every base-owned mutable field (clock, host
      * window, in-flight slots, completion log, latency stats, source
-     * cursor, fault state). Subclass saveCheckpoint overrides call these
-     * first, then append their scheduler and device state.
+     * cursor, fault state). Subclass field lists run this first, then
+     * their scheduler and device state.
      */
-    void saveBaseState(CheckpointWriter& w) const;
-    void loadBaseState(CheckpointReader& r);
+    void baseState(CheckpointWriter& w) const;
+    void baseState(CheckpointReader& r);
 
     Tick now_ = 0;
     /**
@@ -599,6 +599,9 @@ class ChannelControllerBase : public IMemoryController
 
   private:
     static constexpr std::size_t kSourceWindow = 8;
+
+    template <class Ar, class Self>
+    static void baseFields(Ar& ar, Self& self);
 
     /** Record breakdown components and push a time-series observation. */
     void telemetrySampleCompletion(Tick arrival, Tick data_end,

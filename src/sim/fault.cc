@@ -1,7 +1,5 @@
 #include "sim/fault.h"
 
-#include <algorithm>
-
 #include "common/log.h"
 
 namespace rome
@@ -221,77 +219,34 @@ FaultInjector::scrub(std::vector<SpareEvent>& out)
     }
 }
 
+template <class Ar, class Self>
+void
+FaultInjector::fields(Ar& ar, Self& self)
+{
+    ar.sortedMap(self.rows_, [&ar](auto& k, auto& st) {
+        ar(k, st.accesses, st.readsSinceScrub, st.ceStrikes);
+    });
+    ar.sortedMap(self.spareMap_, [&ar](auto& k, auto& row) { ar(k, row); });
+    // A configured injector holds one spare tally per bank; an
+    // unconfigured one takes the blob's.
+    if (self.spareUsed_.empty())
+        ar.seq(self.spareUsed_);
+    else
+        ar.fixed(self.spareUsed_, "fault-injector bank");
+    ar(self.scrubCursor_, self.ceCount_, self.dueCount_, self.retryCount_,
+       self.scrubCount_, self.sparedRows_);
+}
+
 void
 FaultInjector::saveState(CheckpointWriter& w) const
 {
-    // Maps go out in sorted key order so identical states serialize to
-    // identical bytes regardless of hash-table iteration order.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(rows_.size());
-    for (const auto& [k, st] : rows_)
-        keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.putCount(keys.size());
-    for (const std::uint64_t k : keys) {
-        const RowState& st = rows_.at(k);
-        w.putU64(k);
-        w.putU64(st.accesses);
-        w.putU32(st.readsSinceScrub);
-        w.putU32(st.ceStrikes);
-    }
-    keys.clear();
-    for (const auto& [k, row] : spareMap_)
-        keys.push_back(k);
-    std::sort(keys.begin(), keys.end());
-    w.putCount(keys.size());
-    for (const std::uint64_t k : keys) {
-        w.putU64(k);
-        w.putI32(spareMap_.at(k));
-    }
-    w.putCount(spareUsed_.size());
-    for (const int used : spareUsed_)
-        w.putI32(used);
-    w.putU64(scrubCursor_);
-    w.putU64(ceCount_);
-    w.putU64(dueCount_);
-    w.putU64(retryCount_);
-    w.putU64(scrubCount_);
-    w.putU64(sparedRows_);
+    fields(w, *this);
 }
 
 void
 FaultInjector::loadState(CheckpointReader& r)
 {
-    rows_.clear();
-    const std::size_t nrows = r.getCount();
-    for (std::size_t i = 0; i < nrows; ++i) {
-        const std::uint64_t k = r.getU64();
-        RowState st{};
-        st.accesses = r.getU64();
-        st.readsSinceScrub = r.getU32();
-        st.ceStrikes = r.getU32();
-        rows_.emplace(k, st);
-    }
-    spareMap_.clear();
-    const std::size_t nspares = r.getCount();
-    for (std::size_t i = 0; i < nspares; ++i) {
-        const std::uint64_t k = r.getU64();
-        spareMap_.emplace(k, r.getI32());
-    }
-    const std::size_t nused = r.getCount();
-    if (!spareUsed_.empty() && nused != spareUsed_.size()) {
-        fatal("fault checkpoint counts %zu banks, this injector has %zu",
-              nused, spareUsed_.size());
-    }
-    spareUsed_.resize(nused);
-    for (int& used : spareUsed_)
-        used = r.getI32();
-    scrubCursor_ = r.getU64();
-    ceCount_ = r.getU64();
-    dueCount_ = r.getU64();
-    retryCount_ = r.getU64();
-    scrubCount_ = r.getU64();
-    sparedRows_ = r.getU64();
+    fields(r, *this);
 }
 
 } // namespace rome

@@ -199,6 +199,9 @@ class FaultInjector
     void loadState(CheckpointReader& r);
 
   private:
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& self);
+
     struct RowState
     {
         /** Total read accesses (keys the transient hash). */

@@ -29,33 +29,33 @@ stallCauseName(StallCause c)
 // StallTable
 // ---------------------------------------------------------------------------
 
+template <class Ar, class Self>
+void
+StallTable::fields(Ar& ar, Self& self)
+{
+    const auto row = [&ar](auto& ticks) {
+        for (auto& v : ticks)
+            ar(v);
+    };
+    row(self.total_);
+    // An armed table holds its configured rows; a disarmed one takes the
+    // blob's.
+    if (self.banks_.empty())
+        ar.seq(self.banks_, row);
+    else
+        ar.fixed(self.banks_, "stall-table row", row);
+}
+
 void
 StallTable::saveState(CheckpointWriter& w) const
 {
-    for (const std::uint64_t v : total_)
-        w.putU64(v);
-    w.putCount(banks_.size());
-    for (const StallTicks& row : banks_) {
-        for (const std::uint64_t v : row)
-            w.putU64(v);
-    }
+    fields(w, *this);
 }
 
 void
 StallTable::loadState(CheckpointReader& r)
 {
-    for (std::uint64_t& v : total_)
-        v = r.getU64();
-    const std::size_t n = r.getCount();
-    if (n != banks_.size() && !banks_.empty()) {
-        fatal("stall table of %zu banks cannot restore %zu rows",
-              banks_.size(), n);
-    }
-    banks_.resize(n);
-    for (StallTicks& row : banks_) {
-        for (std::uint64_t& v : row)
-            v = r.getU64();
-    }
+    fields(r, *this);
 }
 
 // ---------------------------------------------------------------------------
@@ -132,41 +132,29 @@ TimeSeries::operator==(const TimeSeries& o) const
     return true;
 }
 
+template <class Ar, class Self>
+void
+TimeSeries::fields(Ar& ar, Self& self)
+{
+    ar(self.period_, self.next_, self.capacity_);
+    // The restore target's init() already reserved capacity_ samples.
+    ar.seq(self.samples_, [&ar](auto& s) {
+        ar(s.completed, s.bytes, s.occupancy);
+        for (auto& v : s.stall)
+            ar(v);
+    });
+}
+
 void
 TimeSeries::saveState(CheckpointWriter& w) const
 {
-    w.putI64(period_);
-    w.putI64(next_);
-    w.putI32(capacity_);
-    w.putCount(samples_.size());
-    for (const TimeSample& s : samples_) {
-        w.putU64(s.completed);
-        w.putU64(s.bytes);
-        w.putU64(s.occupancy);
-        for (const std::uint64_t v : s.stall)
-            w.putU64(v);
-    }
+    fields(w, *this);
 }
 
 void
 TimeSeries::loadState(CheckpointReader& r)
 {
-    period_ = r.getI64();
-    next_ = r.getI64();
-    capacity_ = r.getI32();
-    const std::size_t n = r.getCount();
-    samples_.clear();
-    samples_.reserve(static_cast<std::size_t>(
-        std::max(capacity_, static_cast<int>(n))));
-    for (std::size_t i = 0; i < n; ++i) {
-        TimeSample s;
-        s.completed = r.getU64();
-        s.bytes = r.getU64();
-        s.occupancy = r.getU64();
-        for (std::uint64_t& v : s.stall)
-            v = r.getU64();
-        samples_.push_back(s);
-    }
+    fields(r, *this);
 }
 
 // ---------------------------------------------------------------------------

@@ -149,6 +149,9 @@ class StallTable
     void loadState(CheckpointReader& r);
 
   private:
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& self);
+
     bool enabled_ = false;
     StallTicks total_{};
     std::vector<StallTicks> banks_;
@@ -229,6 +232,9 @@ class TimeSeries
     void loadState(CheckpointReader& r);
 
   private:
+    template <class Ar, class Self>
+    static void fields(Ar& ar, Self& self);
+
     /** Keep odd-indexed samples (boundaries 2P, 4P, ...), double P. */
     void compact();
 
