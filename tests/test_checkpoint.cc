@@ -37,6 +37,8 @@
 #include "sim/source.h"
 #include "sim/workloads.h"
 
+#include "mutate.h"
+
 namespace rome
 {
 namespace
@@ -256,13 +258,20 @@ TEST(Checkpoint, RomeNonAdoptedDesignRoundTrip)
 {
     const DramConfig dram = hbm4Config();
     const auto reqs = mixedWorkload(313, 0.25);
-    // A non-adopted VBA design exercises different geometry (slot
+    // Each non-adopted VBA design exercises different geometry (slot
     // counts, VBA tables) through the size-checked restore path.
-    const VbaDesign design = VbaDesign::all().front();
-    const auto make = [&] {
-        return std::make_unique<RomeMc>(dram, design, RomeMcConfig{});
-    };
-    expectCheckpointRoundTrip(make, reqs, "rome non-adopted");
+    const std::string adopted = VbaDesign::adopted().name();
+    int designs = 0;
+    for (const VbaDesign& design : VbaDesign::all()) {
+        if (design.name() == adopted)
+            continue;
+        const auto make = [&] {
+            return std::make_unique<RomeMc>(dram, design, RomeMcConfig{});
+        };
+        expectCheckpointRoundTrip(make, reqs, design.name());
+        ++designs;
+    }
+    EXPECT_EQ(designs, 5);
 }
 
 TEST(Checkpoint, HybridRoundTrip)
@@ -496,6 +505,48 @@ TEST(Checkpoint, MismatchedRestoreIsFatal)
     }
     ConventionalMc fresh4(dram, bestBaselineMapping(dram.org), McConfig{});
     EXPECT_NO_THROW(restoreControllerCheckpoint(fresh4, blob));
+
+    // A name length of 2^64 - 5: the reader's bound must not wrap.
+    CheckpointWriter huge;
+    huge.putU32(kCheckpointMagic);
+    huge.putU32(kCheckpointVersion);
+    huge.putU64(~std::uint64_t{0} - 4);
+    huge.putU64(0);
+    ConventionalMc fresh5(dram, bestBaselineMapping(dram.org), McConfig{});
+    EXPECT_THROW(restoreControllerCheckpoint(fresh5, huge.take()),
+                 std::runtime_error);
+}
+
+TEST(Checkpoint, MutatedBlobsRestoreOrFailCleanly)
+{
+    // Byte flips, 0xFF runs and truncations of blobs that carry every
+    // optional section: each must restore or fatal, never crash or throw
+    // anything else.
+    std::uint64_t seed = 1;
+    for (const BlobCase& c : blobCorpus()) {
+        if (c.label.find("faults telemetry") == std::string::npos)
+            continue;
+        for (const bool streaming : {false, true}) {
+            const auto blob = blobAtThird(c.make, c.reqs, streaming);
+            int restored = 0;
+            int rejected = 0;
+            forEachMutant(blob, seed++, 150,
+                          [&](const std::vector<std::uint8_t>& m) {
+                auto mc = c.make();
+                try {
+                    restoreControllerCheckpoint(*mc, m);
+                    ++restored;
+                } catch (const std::runtime_error&) {
+                    ++rejected;
+                } catch (const std::exception& e) {
+                    ADD_FAILURE() << c.label << " case "
+                                  << restored + rejected << ": " << e.what();
+                }
+            });
+            EXPECT_GT(restored, 0) << c.label;
+            EXPECT_GT(rejected, 0) << c.label;
+        }
+    }
 }
 
 TEST(Checkpoint, ResumedSourceMustReplayTheStream)

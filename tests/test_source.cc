@@ -12,8 +12,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <memory>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include "common/types.h"
 #include "dram/hbm4_config.h"
@@ -23,6 +27,8 @@
 #include "sim/memsim.h"
 #include "sim/source.h"
 #include "sim/trace.h"
+
+#include "mutate.h"
 
 namespace rome
 {
@@ -255,6 +261,46 @@ TEST(Trace, CheckedInFixtureReplays)
     const ControllerStats s = runWorkload(*mc, trace);
     EXPECT_EQ(s.completedRequests, 32u);
     EXPECT_GT(s.totalBytes(), 0u);
+}
+
+TEST(Trace, MutatedBinaryTracesReadOrFailCleanly)
+{
+    // The checked-in fixture's 32 records, re-encoded as a binary trace.
+    const std::string fixture = tmpPath("fixture.btrace");
+    TraceSource text(std::string(ROME_SOURCE_DIR) +
+                     "/tests/data/sample.trace");
+    ASSERT_EQ(recordTrace(text, fixture, TraceFormat::Binary), 32u);
+    std::ifstream in(fixture, std::ios::binary);
+    const std::vector<std::uint8_t> bytes(
+        (std::istreambuf_iterator<char>(in)),
+        std::istreambuf_iterator<char>());
+    ASSERT_EQ(bytes.size(), 8u + 32u * 33u);
+
+    // Every byte flip, 0xFF run and truncation must read to the end or
+    // fatal, never crash or throw anything else.
+    const std::string path = tmpPath("mutant.btrace");
+    int read = 0;
+    int rejected = 0;
+    forEachMutant(bytes, 7, 300, [&](const std::vector<std::uint8_t>& m) {
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            out.write(reinterpret_cast<const char*>(m.data()),
+                      static_cast<std::streamsize>(m.size()));
+        }
+        try {
+            TraceSource trace(path);
+            collectRequests(trace);
+            ++read;
+        } catch (const std::runtime_error&) {
+            ++rejected;
+        } catch (const std::exception& e) {
+            ADD_FAILURE() << "case " << read + rejected << ": " << e.what();
+        }
+    });
+    EXPECT_GT(read, 0);
+    EXPECT_GT(rejected, 0);
+    std::remove(fixture.c_str());
+    std::remove(path.c_str());
 }
 
 TEST(Trace, CorpusPhaseTracesReplayOnBothStacks)
