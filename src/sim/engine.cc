@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <climits>
 #include <thread>
 
 #include "common/log.h"
@@ -240,6 +241,10 @@ ChannelControllerBase::enqueue(const Request& req)
 {
     if (req.size == 0)
         fatal("zero-size request");
+    if (req.addr + req.size < req.addr) {
+        fatal("request %llu's byte range ends past 2^64 - 1",
+              static_cast<unsigned long long>(req.id));
+    }
     // The request is live from here; a multi-op one takes an in-flight
     // slot when its first op is admitted (frontSlot).
     ++live_;
@@ -325,6 +330,12 @@ ChannelControllerBase::frontSlot(std::uint64_t total)
         return -1;
     if (frontChunk_ == 0) {
         const Request& req = host_.front();
+        // ReqState::opsRemaining counts the ops in an int.
+        if (total > static_cast<std::uint64_t>(INT_MAX)) {
+            fatal("request %llu splits into %llu ops, more than %d",
+                  static_cast<unsigned long long>(req.id),
+                  static_cast<unsigned long long>(total), INT_MAX);
+        }
         ReqState st;
         st.id = req.id;
         st.arrival = req.arrival;

@@ -198,7 +198,11 @@ class IMemoryController
     /** Human-readable controller identity ("hbm4", "rome", "hybrid"). */
     virtual std::string name() const = 0;
 
-    /** Queue a host request (unbounded host-side buffer; FIFO admission). */
+    /**
+     * Queue a host request (unbounded host-side buffer; FIFO admission).
+     * Fatals on a zero-size request or one whose end, addr + size,
+     * wraps 2^64.
+     */
     virtual void enqueue(const Request& req) = 0;
 
     /**
@@ -494,6 +498,7 @@ class ChannelControllerBase : public IMemoryController
      * operations: -1 for a single-op request, else the slot its first
      * admitted op opens. Call only when admitOps is about to admit at
      * least one op of it; every op carries the slot to its completion.
+     * Fatals when @p total exceeds INT_MAX, the slot's op counter.
      */
     int frontSlot(std::uint64_t total);
 

@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "common/random.h"
 #include "dram/hbm4_config.h"
 #include "mc/mc.h"
@@ -175,6 +177,24 @@ TEST(ConventionalMc, RequestLargerThanQueueCompletes)
     mc.drain();
     ASSERT_EQ(mc.completions().size(), 1u);
     EXPECT_EQ(mc.bytesRead(), 4_KiB);
+}
+
+TEST(ConventionalMc, RejectsRequestsTheInFlightAccountingCannotHold)
+{
+    ConventionalMc mc = makeMc(McConfig{});
+    // The last byte of the address space is addressable, but a request
+    // whose end, addr + size, wraps 2^64 is not.
+    mc.enqueue({1, ReqKind::Read, ~0ull - 64, 64, 0});
+    mc.drain();
+    EXPECT_EQ(mc.stats().completedRequests, 1u);
+    for (const std::uint64_t addr : {~0ull - 63, ~0ull - 31}) {
+        EXPECT_THROW(mc.enqueue({2, ReqKind::Read, addr, 64, 0}),
+                     std::runtime_error);
+    }
+    // 2^31 32-byte column ops overflow the in-flight slot's op counter.
+    ConventionalMc big = makeMc(McConfig{});
+    big.enqueue({3, ReqKind::Read, 0, 64_GiB, 0});
+    EXPECT_THROW(big.drain(), std::runtime_error);
 }
 
 TEST(ConventionalMc, ClosePolicyLeavesBanksPrecharged)

@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <stdexcept>
 
 #include "dram/hbm4_config.h"
 #include "rome/rome_mc.h"
@@ -174,6 +175,24 @@ TEST(RomeMc, AllRequestsCompleteExactlyOnce)
     for (const auto& c : mc.completions())
         EXPECT_TRUE(ids.insert(c.id).second);
     EXPECT_TRUE(mc.idle());
+}
+
+TEST(RomeMc, RejectsRequestsTheInFlightAccountingCannotHold)
+{
+    RomeMc mc = makeMc();
+    // The last byte of the address space is addressable, but a request
+    // whose end, addr + size, wraps 2^64 is not.
+    mc.enqueue({1, ReqKind::Read, ~0ull - 64, 64, 0});
+    mc.drain();
+    EXPECT_EQ(mc.stats().completedRequests, 1u);
+    for (const std::uint64_t addr : {~0ull - 63, ~0ull - 31}) {
+        EXPECT_THROW(mc.enqueue({2, ReqKind::Read, addr, 64, 0}),
+                     std::runtime_error);
+    }
+    // 2^31 4 KiB row ops overflow the in-flight slot's op counter.
+    RomeMc big = makeMc();
+    big.enqueue({3, ReqKind::Read, 0, 8192_GiB, 0});
+    EXPECT_THROW(big.drain(), std::runtime_error);
 }
 
 TEST(RomeMc, DefaultMappingRotatesVbasFirst)
