@@ -8,11 +8,14 @@
  * The property is exercised at several mid-run points on both stacks and
  * the hybrid router, with faults on and off, in both drive modes
  * (pre-enqueued requests and streaming bindSource). A restored twin must
- * also re-save byte-identically, which pins every field of the format. The streaming
- * variants restore the source cursor through resumeSource on a
+ * also re-save byte-identically, and a table pins the size and FNV-1a of
+ * 18 blobs, so the format cannot move between builds unnoticed. The
+ * streaming variants restore the source cursor through resumeSource on a
  * fresh source instance — the mechanism ServingDriver::resume relies on —
  * and the serving test closes the loop: snapshot a mid-flight cube sweep
- * point, resume it, and compare against the straight run.
+ * point, resume it, and compare against the straight run. Foreign,
+ * truncated, padded and seeded-mutant blobs must fatal or restore, never
+ * crash.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +27,7 @@
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/checkpoint.h"
@@ -437,6 +441,7 @@ constexpr PinnedBlob kPinnedBlobs[] = {
 TEST(Checkpoint, BlobBytesArePinned)
 {
     std::size_t i = 0;
+    std::size_t moved = 0;
     std::string regenerated;
     for (const BlobCase& c : blobCorpus()) {
         for (const bool streaming : {false, true}) {
@@ -454,10 +459,12 @@ TEST(Checkpoint, BlobBytesArePinned)
                                 kPinnedBlobs[i].size == blob.size() &&
                                 kPinnedBlobs[i].fnv == fnv1a(blob);
             EXPECT_TRUE(pinned) << "blob " << i << " moved: " << row;
+            moved += !pinned;
             ++i;
         }
     }
-    EXPECT_EQ(i, std::size(kPinnedBlobs)) << "table rows:\n" << regenerated;
+    EXPECT_TRUE(moved == 0 && i == std::size(kPinnedBlobs))
+        << "regenerated table rows:\n" << regenerated;
 }
 
 TEST(Checkpoint, MismatchedRestoreIsFatal)
@@ -506,15 +513,100 @@ TEST(Checkpoint, MismatchedRestoreIsFatal)
     ConventionalMc fresh4(dram, bestBaselineMapping(dram.org), McConfig{});
     EXPECT_NO_THROW(restoreControllerCheckpoint(fresh4, blob));
 
+    // One byte past the field list: finish() rejects it.
+    auto longer = blob;
+    longer.push_back(0);
+    ConventionalMc fresh5(dram, bestBaselineMapping(dram.org), McConfig{});
+    EXPECT_THROW(restoreControllerCheckpoint(fresh5, longer),
+                 std::runtime_error);
+
     // A name length of 2^64 - 5: the reader's bound must not wrap.
     CheckpointWriter huge;
     huge.putU32(kCheckpointMagic);
     huge.putU32(kCheckpointVersion);
     huge.putU64(~std::uint64_t{0} - 4);
     huge.putU64(0);
-    ConventionalMc fresh5(dram, bestBaselineMapping(dram.org), McConfig{});
-    EXPECT_THROW(restoreControllerCheckpoint(fresh5, huge.take()),
+    ConventionalMc fresh6(dram, bestBaselineMapping(dram.org), McConfig{});
+    EXPECT_THROW(restoreControllerCheckpoint(fresh6, huge.take()),
                  std::runtime_error);
+}
+
+/** The message a restore of @p blob into @p mc fatals with, or "". */
+std::string
+restoreError(IMemoryController& mc, const std::vector<std::uint8_t>& blob)
+{
+    try {
+        restoreControllerCheckpoint(mc, blob);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Checkpoint, ForeignGeometryIsFatal)
+{
+    // A blob restores only into the geometry it was saved from: each
+    // configured-count check names the first structure that differs.
+    const DramConfig dram = hbm4Config();
+    const auto reqs = mixedWorkload(347, 0.3);
+    const auto blob_of = [&](IMemoryController& mc) {
+        enqueueAll(mc, reqs);
+        mc.runUntil(ticksFromNs(static_cast<std::int64_t>(2000)));
+        return saveControllerCheckpoint(mc);
+    };
+    const auto hbm4 = [](const DramConfig& d, const McConfig& cfg) {
+        return ConventionalMc(d, bestBaselineMapping(d.org), cfg);
+    };
+    struct Org
+    {
+        const char* what;
+        int pcs, sids, bgs, banks;
+    };
+    for (const Org& o : {Org{"device bank", 2, 4, 4, 8},
+                         Org{"device SID", 2, 8, 2, 4},
+                         Org{"device bank-group", 2, 4, 8, 2},
+                         Org{"device PC", 4, 2, 4, 4}}) {
+        DramConfig other = dram;
+        other.org.pcsPerChannel = o.pcs;
+        other.org.sidsPerChannel = o.sids;
+        other.org.bankGroupsPerSid = o.bgs;
+        other.org.banksPerGroup = o.banks;
+        ConventionalMc saved = hbm4(dram, McConfig{});
+        ConventionalMc target = hbm4(other, McConfig{});
+        EXPECT_NE(restoreError(target, blob_of(saved)).find(o.what),
+                  std::string::npos)
+            << o.what;
+    }
+
+    // Banks doubled: the base state's per-bank tables come first.
+    DramConfig wide = dram;
+    wide.org.banksPerGroup *= 2;
+    McConfig telemetry;
+    telemetry.telemetry.counters = true;
+    for (const auto& [what, cfg] :
+         {std::pair{"stall-table row", telemetry},
+          std::pair{"fault-injector bank", faultyMcConfig()}}) {
+        ConventionalMc saved = hbm4(dram, cfg);
+        ConventionalMc target = hbm4(wide, cfg);
+        EXPECT_NE(restoreError(target, blob_of(saved)).find(what),
+                  std::string::npos)
+            << what;
+    }
+
+    McConfig no_refresh;
+    no_refresh.refreshEnabled = false;
+    ConventionalMc refreshing = hbm4(dram, McConfig{});
+    ConventionalMc idle = hbm4(dram, no_refresh);
+    EXPECT_NE(restoreError(idle, blob_of(refreshing)).find("refresh-unit"),
+              std::string::npos);
+
+    // The 7b widened-bank design runs more refresh FSMs than the adopted.
+    RomeMc adopted(dram, VbaDesign::adopted(), RomeMcConfig{});
+    RomeMc widened(dram,
+                   VbaDesign{BankMode::Widened, PcMode::LockstepPcs},
+                   RomeMcConfig{});
+    EXPECT_NE(restoreError(widened, blob_of(adopted)).find("refresh-FSM"),
+              std::string::npos);
 }
 
 TEST(Checkpoint, MutatedBlobsRestoreOrFailCleanly)
@@ -644,6 +736,55 @@ TEST(Checkpoint, ServingResumeWithRomeCube)
     EXPECT_EQ(resumed.finishedAt, straight.finishedAt);
     EXPECT_TRUE(resumed.aggregate == straight.aggregate)
         << "rome cube resume diverged from the straight run";
+}
+
+TEST(Checkpoint, FieldListsEncodeEachTypeAtItsWidth)
+{
+    struct Fields
+    {
+        bool flag = true;
+        std::uint8_t byte = 0xab;
+        int count = -3;
+        std::uint32_t u32 = 7;
+        Tick tick = -5;
+        std::size_t size = 9;
+        double ratio = 0.25;
+        ReqKind kind = ReqKind::Write;
+        std::vector<int> list{1, 2, 3};
+        std::vector<Tick> fixed{4, 5};
+    };
+    const auto fields = [](auto& ar, auto& f) {
+        ar(f.flag, f.byte, f.count, f.u32, f.tick, f.size, f.ratio, f.kind);
+        ar.seq(f.list);
+        ar.fixed(f.fixed, "test tick");
+    };
+    Fields saved;
+    CheckpointWriter w;
+    fields(w, saved);
+    const auto blob = w.take();
+    // 1 + 1 + 4 + 4 + 8 + 8 + 8 + 1 bytes, then 8 + 3 * 4 and 8 + 2 * 8.
+    EXPECT_EQ(blob.size(), 35u + 20u + 24u);
+
+    Fields loaded{false, 0, 0, 0, 0, 0, 0.0, ReqKind::Read, {}, {0, 0}};
+    CheckpointReader r(blob);
+    fields(r, loaded);
+    r.finish();
+    EXPECT_EQ(loaded.flag, saved.flag);
+    EXPECT_EQ(loaded.byte, saved.byte);
+    EXPECT_EQ(loaded.count, saved.count);
+    EXPECT_EQ(loaded.u32, saved.u32);
+    EXPECT_EQ(loaded.tick, saved.tick);
+    EXPECT_EQ(loaded.size, saved.size);
+    EXPECT_EQ(loaded.ratio, saved.ratio);
+    EXPECT_EQ(loaded.kind, saved.kind);
+    EXPECT_EQ(loaded.list, saved.list);
+    EXPECT_EQ(loaded.fixed, saved.fixed);
+
+    // fixed() restores only into its configured size.
+    Fields smaller;
+    smaller.fixed.resize(1);
+    CheckpointReader again(blob);
+    EXPECT_THROW(fields(again, smaller), std::runtime_error);
 }
 
 TEST(Checkpoint, ReaderRejectsTrailingBytes)
