@@ -102,28 +102,6 @@ struct ReliabilityRow
     RatePoint pt;
 };
 
-RatePoint
-toRatePoint(const ServingResult& res)
-{
-    RatePoint pt;
-    pt.offeredRps = res.offeredRps;
-    pt.achievedRps = res.achievedRps;
-    pt.completedRequests = res.aggregate.completedRequests;
-    pt.p50Ns = res.aggregate.latencyPercentileNs(50.0);
-    pt.p90Ns = res.aggregate.latencyPercentileNs(90.0);
-    pt.p99Ns = res.aggregate.latencyPercentileNs(99.0);
-    pt.p999Ns = res.aggregate.latencyPercentileNs(99.9);
-    pt.maxNs = res.aggregate.latencyHistNs.maxNs();
-    pt.meanNs = res.aggregate.latencyHistNs.meanNs();
-    pt.effectiveBandwidth = res.aggregate.effectiveBandwidth;
-    pt.ceCount = res.aggregate.ceCount;
-    pt.dueCount = res.aggregate.dueCount;
-    pt.retryCount = res.aggregate.retryCount;
-    pt.scrubCount = res.aggregate.scrubCount;
-    pt.sparedRows = res.aggregate.sparedRows;
-    return pt;
-}
-
 std::string
 rateLabel(double rate)
 {
@@ -176,17 +154,18 @@ main(int argc, char** argv)
     }
     const double rps = load * cube_peak * 1e9 / mean_bytes;
 
-    const auto run_point = [&](const std::string& system, double rate,
-                               std::uint64_t fault_seed,
-                               int threads) -> ServingResult {
-        ServingConfig cfg;
+    // One cube: a one-cube node over the ideal link.
+    const auto cube = [&](const std::string& system, double rate,
+                          std::uint64_t fault_seed, int threads) {
+        NodeConfig cfg;
         cfg.makeController =
             systemFactory(system, dram, faultConfigAt(rate, fault_seed));
         cfg.makeSystemSource = source;
-        cfg.numChannels = channels;
+        cfg.channelsPerCube = channels;
+        cfg.link = LinkConfig::idealLink();
         if (threads > 0)
             cfg.threads = threads;
-        return ServingDriver(cfg).run(rps);
+        return NodeDriver(cfg);
     };
 
     std::vector<ReliabilityRow> rows;
@@ -196,8 +175,8 @@ main(int argc, char** argv)
                  "p99.9 us", "CE", "DUE", "retries", "scrubs", "spared"});
     for (const auto& system : systems) {
         for (const double rate : rates) {
-            const ServingResult res = run_point(system, rate, seed, 0);
-            const RatePoint pt = toRatePoint(res);
+            const RatePoint pt =
+                runRateSweep(cube(system, rate, seed, 0), {rps}).points[0];
             rows.push_back({system, rate, pt});
             t.addRow({system, rateLabel(rate), Table::num(pt.p50Ns / 1e3, 1),
                       Table::num(pt.p99Ns / 1e3, 1),
@@ -226,20 +205,20 @@ main(int argc, char** argv)
     // ---- self-checks ----------------------------------------------------
     const std::string det_system = "rome";
     const double det_rate = rates.back();
-    const ServingResult a = run_point(det_system, det_rate, seed, 0);
-    const ServingResult b = run_point(det_system, det_rate, seed, 0);
+    const NodeResult a = cube(det_system, det_rate, seed, 0).run(rps);
+    const NodeResult b = cube(det_system, det_rate, seed, 0).run(rps);
     const bool reproducible = a.aggregate == b.aggregate &&
-                              a.perChannel == b.perChannel;
+                              a.perCube == b.perCube;
 
-    const ServingResult other = run_point(det_system, det_rate, seed + 1, 0);
+    const NodeResult other = cube(det_system, det_rate, seed + 1, 0).run(rps);
     const bool seed_sensitive =
         other.aggregate.ceCount != a.aggregate.ceCount ||
         other.aggregate.dueCount != a.aggregate.dueCount ||
         !(other.aggregate == a.aggregate);
 
-    const ServingResult serial = run_point(det_system, det_rate, seed, 1);
+    const NodeResult serial = cube(det_system, det_rate, seed, 1).run(rps);
     const bool thread_invariant = serial.aggregate == a.aggregate &&
-                                  serial.perChannel == a.perChannel;
+                                  serial.perCube == a.perCube;
 
     std::printf("seed-reproducible: %s | seed-sensitive: %s | "
                 "thread-count invariant: %s\n",

@@ -10,12 +10,18 @@
  * The primary input is the long mixed decode+prefill serving trace
  * recorded by `trace_replay record ... serve` (tests/data/serving.trace,
  * >= 100k requests); the decode/prefill phase traces ride along as extra
- * workloads in full mode. The bench self-checks two properties:
+ * workloads in full mode. A cube is the serving driver's one-cube node
+ * over the ideal link. The bench self-checks four properties:
  *  - the p99 curve is monotone non-decreasing in offered rate up to the
- *    saturation knee for every (system, workload) pair, and
+ *    saturation knee for every (system, workload) pair;
  *  - one design point re-run on a different engine thread count yields
- *    bit-identical aggregate stats (histogram buckets included).
- * Both feed the exit status. `--quick` runs a reduced grid for CI smoke.
+ *    bit-identical aggregate and per-cube stats (histogram buckets
+ *    included);
+ *  - a rate sweep sharded over 4 workers merges to the serial curve
+ *    exactly (and, in full mode on 4+ cores, at least 1.5x faster);
+ *  - a point checkpointed a third of the way in resumes to the straight
+ *    run's result.
+ * All feed the exit status. `--quick` runs a reduced grid for CI smoke.
  */
 
 #include <chrono>
@@ -25,6 +31,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/json_writer.h"
@@ -61,6 +68,19 @@ systemFactory(const std::string& system, const DramConfig& dram)
     return [dram] {
         return std::make_unique<HybridMc>(dram, HybridConfig{});
     };
+}
+
+/** One cube of @p system fed by @p source: a one-cube ideal-link node. */
+NodeConfig
+cubeConfig(const std::string& system, const DramConfig& dram,
+           SourceFactory source)
+{
+    NodeConfig cfg;
+    cfg.makeController = systemFactory(system, dram);
+    cfg.makeSystemSource = std::move(source);
+    cfg.channelsPerCube = dram.org.channelsPerCube;
+    cfg.link = LinkConfig::idealLink();
+    return cfg;
 }
 
 /** Request count and mean size of a workload source. */
@@ -113,30 +133,6 @@ struct CurveRow
     double load = 0.0; ///< offered rate as a fraction of cube peak
     RatePoint pt;
 };
-
-/**
- * Exact field-by-field equality for merged-sweep verification: the
- * sharded walk must reproduce the serial curve bit-for-bit, doubles
- * included — every point is a self-contained run, so even the
- * histogram-derived percentiles admit no tolerance.
- */
-bool
-samePoint(const RatePoint& a, const RatePoint& b)
-{
-    return a.offeredRps == b.offeredRps &&
-           a.achievedRps == b.achievedRps &&
-           a.completedRequests == b.completedRequests &&
-           a.p50Ns == b.p50Ns && a.p90Ns == b.p90Ns &&
-           a.p99Ns == b.p99Ns && a.p999Ns == b.p999Ns &&
-           a.maxNs == b.maxNs && a.meanNs == b.meanNs &&
-           a.effectiveBandwidth == b.effectiveBandwidth &&
-           a.saturated == b.saturated && a.fanOutPeak == b.fanOutPeak &&
-           a.ceCount == b.ceCount &&
-           a.dueCount == b.dueCount && a.retryCount == b.retryCount &&
-           a.scrubCount == b.scrubCount && a.sparedRows == b.sparedRows &&
-           a.poisonedRequests == b.poisonedRequests &&
-           a.schedSteps == b.schedSteps;
-}
 
 double
 secondsSince(std::chrono::steady_clock::time_point t0)
@@ -202,12 +198,9 @@ main(int argc, char** argv)
         for (const double l : loads)
             rates.push_back(l * base_rps);
         for (const auto& system : systems) {
-            ServingConfig cfg;
-            cfg.makeController = systemFactory(system, dram);
-            cfg.makeSystemSource = source;
-            cfg.numChannels = channels;
-            const ServingDriver driver(cfg);
-            const RateSweep sweep = runRateSweep(driver, rates);
+            const RateSweep sweep =
+                runRateSweep(NodeDriver(cubeConfig(system, dram, source)),
+                             rates);
 
             for (std::size_t i = 0; i < sweep.points.size(); ++i) {
                 const RatePoint& pt = sweep.points[i];
@@ -257,19 +250,17 @@ main(int argc, char** argv)
             std::string(ROME_SOURCE_DIR) + "/tests/data/serving.trace";
         if (std::ifstream(path).good()) {
             const std::uint64_t det_cap = quick ? 5000 : 20000;
-            ServingConfig cfg;
-            cfg.makeController = systemFactory("rome", dram);
-            cfg.makeSystemSource = workloadSource(path, false, det_cap);
-            cfg.numChannels = channels;
+            NodeConfig cfg = cubeConfig(
+                "rome", dram, workloadSource(path, false, det_cap));
             const double rps =
                 0.8 * cube_peak * 1e9 /
                 scanSource(*cfg.makeSystemSource()).meanBytes;
             cfg.threads = 1;
-            const ServingResult serial = ServingDriver(cfg).run(rps);
+            const NodeResult serial = NodeDriver(cfg).run(rps);
             cfg.threads = defaultSimThreads();
-            const ServingResult pooled = ServingDriver(cfg).run(rps);
+            const NodeResult pooled = NodeDriver(cfg).run(rps);
             deterministic = serial.aggregate == pooled.aggregate &&
-                            serial.perChannel == pooled.perChannel &&
+                            serial.perCube == pooled.perCube &&
                             serial.fanOutPeak == pooled.fanOutPeak;
         }
     }
@@ -290,12 +281,10 @@ main(int argc, char** argv)
             std::string(ROME_SOURCE_DIR) + "/tests/data/serving.trace";
         if (std::ifstream(path).good()) {
             const std::uint64_t sweep_cap = quick ? 5000 : 20000;
-            ServingConfig cfg;
-            cfg.makeController = systemFactory("rome", dram);
-            cfg.makeSystemSource = workloadSource(path, false, sweep_cap);
-            cfg.numChannels = channels;
+            NodeConfig cfg = cubeConfig(
+                "rome", dram, workloadSource(path, false, sweep_cap));
             cfg.threads = 1;
-            const ServingDriver driver(cfg);
+            const NodeDriver driver(cfg);
             const double base_rps =
                 cube_peak * 1e9 /
                 scanSource(*cfg.makeSystemSource()).meanBytes;
@@ -313,13 +302,8 @@ main(int argc, char** argv)
             sharded_speedup =
                 sharded_secs > 0.0 ? serial_secs / sharded_secs : 0.0;
 
-            sharded_identical =
-                serial.kneeIndex == sharded.kneeIndex &&
-                serial.points.size() == sharded.points.size();
-            for (std::size_t i = 0;
-                 sharded_identical && i < serial.points.size(); ++i)
-                sharded_identical =
-                    samePoint(serial.points[i], sharded.points[i]);
+            sharded_identical = serial.kneeIndex == sharded.kneeIndex &&
+                                serial.points == sharded.points;
             if (!sharded_identical)
                 std::fprintf(stderr, "SHARDED SWEEP DIVERGED from the "
                                      "serial walk — BUG\n");
@@ -345,26 +329,24 @@ main(int argc, char** argv)
         const std::string path =
             std::string(ROME_SOURCE_DIR) + "/tests/data/serving.trace";
         if (std::ifstream(path).good()) {
-            ServingConfig cfg;
-            cfg.makeController = systemFactory("rome", dram);
-            cfg.makeSystemSource =
-                workloadSource(path, false, quick ? 5000 : 20000);
-            cfg.numChannels = channels;
+            const std::uint64_t ck_cap = quick ? 5000 : 20000;
+            NodeConfig cfg = cubeConfig(
+                "rome", dram, workloadSource(path, false, ck_cap));
             cfg.threads = 1;
-            const ServingDriver driver(cfg);
+            const NodeDriver driver(cfg);
             const double rps =
                 0.7 * cube_peak * 1e9 /
                 scanSource(*cfg.makeSystemSource()).meanBytes;
-            const ServingResult straight = driver.run(rps);
-            const CubeCheckpoint ck =
+            const NodeResult straight = driver.run(rps);
+            const NodeCheckpoint ck =
                 driver.runToCheckpoint(rps, straight.finishedAt / 3);
-            const ServingResult resumed = driver.resume(ck);
+            const NodeResult resumed = driver.resume(ck);
             checkpoint_exact =
                 resumed.finishedAt == straight.finishedAt &&
                 resumed.offeredRps == straight.offeredRps &&
                 resumed.achievedRps == straight.achievedRps &&
                 resumed.aggregate == straight.aggregate &&
-                resumed.perChannel == straight.perChannel;
+                resumed.perCube == straight.perCube;
             std::printf("checkpoint resume at tick %lld: %s\n",
                         static_cast<long long>(ck.takenAt),
                         checkpoint_exact ? "matches straight run exactly"

@@ -3,11 +3,12 @@
  * LLM-serving walkthrough on the serving harness: pick a model, check
  * how large a batch fits, then serve the model's decode traffic shape as
  * system-level offered load against a full 32-channel HBM4 cube and a
- * RoMe cube. The ServingDriver shards one system-wide stream across all
- * channels and the rate sweep walks offered load up past saturation, so
- * the output is each cube's latency–throughput curve (cube-aggregate
- * p50/p99/p99.9 from the exact bucket-merged histograms) plus the
- * classic single-step TPOT comparison.
+ * RoMe cube. The serving driver (a cube is its one-cube node over the
+ * ideal link) shards one system-wide stream across all channels and the
+ * rate sweep walks offered load up past saturation, so the output is
+ * each cube's latency–throughput curve (cube-aggregate p50/p99/p99.9
+ * from the exact bucket-merged histograms) plus the classic single-step
+ * TPOT comparison.
  *
  *   $ ./llm_serving [deepseek|grok|llama] [batch] [seq]
  */
@@ -38,7 +39,7 @@ sweepCube(MemorySystem sys, const DramConfig& dram,
           const ChannelWorkloadProfile& profile,
           const std::vector<double>& rates)
 {
-    ServingConfig cfg;
+    NodeConfig cfg;
     cfg.makeController = [sys, dram] {
         return makeChannelController(sys, dram);
     };
@@ -46,8 +47,9 @@ sweepCube(MemorySystem sys, const DramConfig& dram,
         return std::make_unique<ProfileSource>(
             profile, false, 4096, dram.org.channelCapacity());
     };
-    cfg.numChannels = dram.org.channelsPerCube;
-    return runRateSweep(ServingDriver(cfg), rates);
+    cfg.channelsPerCube = dram.org.channelsPerCube;
+    cfg.link = LinkConfig::idealLink();
+    return runRateSweep(NodeDriver(cfg), rates);
 }
 
 } // namespace

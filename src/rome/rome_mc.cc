@@ -130,8 +130,6 @@ RomeMc::admitOps()
         const std::uint64_t chunk = first + frontChunk_;
         const std::uint64_t chunk_lo = chunk * eff;
         const std::uint64_t lo = std::max(chunk_lo, req.addr);
-        const std::uint64_t hi = std::min(chunk_lo + eff,
-                                          req.addr + req.size);
         RowOp op;
         op.cmd.kind = req.kind == ReqKind::Read ? RowCmdKind::RdRow
                                                 : RowCmdKind::WrRow;
@@ -142,7 +140,11 @@ RomeMc::admitOps()
         }
         op.reqId = req.id;
         op.arrival = req.arrival;
-        op.usefulBytes = hi - lo;
+        // Bytes from lo to the row's end or the request's, whichever comes
+        // first. Neither term wraps, where chunk_lo + eff does for the top
+        // row of the address space (enqueue keeps addr + size below 2^64).
+        op.usefulBytes =
+            std::min(eff - (lo - chunk_lo), req.addr + req.size - lo);
         op.slot = slot;
         op.linkDelay = req.linkDelay;
         queue_.push_back(op);

@@ -5,7 +5,6 @@
 #include <memory>
 #include <utility>
 
-#include "common/json_writer.h"
 #include "common/log.h"
 
 namespace rome
@@ -21,8 +20,8 @@ LinkModel::inject(Tick at, std::uint64_t bytes)
     ++injected_;
     bytes_ += bytes;
     if (cfg_.ideal()) {
-        // Bypass: delivery == injection, bit for bit. This is the link
-        // the ServingDriver-equivalence proof runs over.
+        // Bypass: delivery == injection, bit for bit. A one-cube node
+        // over this link is a plain cube.
         queueHist_.sample(0.0);
         return at;
     }
@@ -207,6 +206,8 @@ NodeRouter::pickReplica(int stage, const Request& r)
 void
 NodeRouter::route(const Request& r, std::vector<RoutedSlice>& out)
 {
+    if (r.size == 0)
+        fatal("zero-size request");
     const int stage = stageOf(r.addr);
     const int rep = pickReplica(stage, r);
     const int tp = cfg_.placement.tpDegree;
@@ -255,171 +256,6 @@ NodeFanOut::deal(const Request& r)
     router_.route(r, slices_);
     for (const RoutedSlice& s : slices_)
         dealToGroup(s.cube, s.req);
-}
-
-// ---------------------------------------------------------------------------
-// NodeDriver
-// ---------------------------------------------------------------------------
-
-NodeDriver::NodeDriver(NodeConfig cfg) : cfg_(std::move(cfg))
-{
-    if (!cfg_.makeController)
-        fatal("node driver needs a controller factory");
-    if (!cfg_.makeSystemSource)
-        fatal("node driver needs a system source factory");
-    if (cfg_.numCubes < 1)
-        fatal("node driver needs at least one cube");
-    if (cfg_.channelsPerCube < 1)
-        fatal("node driver needs at least one channel per cube");
-    // Validate placement/topology eagerly (the router ctor checks).
-    NodeRouter probe(routerConfig());
-    (void)probe;
-}
-
-NodeRouterConfig
-NodeDriver::routerConfig() const
-{
-    NodeRouterConfig rc;
-    rc.numCubes = cfg_.numCubes;
-    rc.policy = cfg_.policy;
-    rc.placement = cfg_.placement;
-    rc.link = cfg_.link;
-    rc.affinityBytes = cfg_.affinityBytes;
-    rc.spanBytes = cfg_.spanBytes;
-    return rc;
-}
-
-NodeResult
-NodeDriver::run(double offered_rps) const
-{
-    if (offered_rps <= 0.0)
-        fatal("offered rate must be positive (got %g rps)", offered_rps);
-
-    // Identical arrival construction to ServingDriver::run — the
-    // single-cube ideal-link node is bit-identical to it because every
-    // step below degenerates to the same operations in the same order.
-    ArrivalSpec spec;
-    spec.model = cfg_.arrivalModel;
-    spec.seed = cfg_.arrivalSeed;
-    spec.meanGap = std::max<Tick>(ticksFromNs(1e9 / offered_rps), 1);
-    const double actual_rps = 1e9 / nsFromTicks(spec.meanGap);
-
-    auto routed = std::make_unique<NodeFanOut>(
-        std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(), spec),
-        routerConfig(), cfg_.channelsPerCube, cfg_.stripeBytes);
-    const NodeFanOut& fan = *routed;
-    ChannelSimEngine engine(cfg_.threads);
-    for (int ch = 0; ch < fan.numViews(); ++ch) {
-        auto mc = cfg_.makeController();
-        if (!mc)
-            fatal("node controller factory produced no controller");
-        mc->setRetainCompletions(false);
-        engine.addChannel(std::move(mc));
-    }
-    engine.bindFanOut(std::move(routed));
-
-    NodeResult res;
-    res.offeredRps = actual_rps;
-    res.finishedAt = engine.drainAll();
-    res.fanOutPeak = fan.bufferedPeak();
-    res.perCube.resize(static_cast<std::size_t>(cfg_.numCubes));
-    // Aggregate merges every channel snapshot in ascending cube/channel
-    // order — the exact merge sequence ServingDriver uses for one cube,
-    // extended cube-major. Per-cube stats merge the same snapshots.
-    std::uint64_t credit_stall = 0;
-    for (int cube = 0; cube < cfg_.numCubes; ++cube) {
-        CubeResult& cr = res.perCube[static_cast<std::size_t>(cube)];
-        for (int ch = 0; ch < cfg_.channelsPerCube; ++ch) {
-            const ControllerStats s =
-                engine.channel(cube * cfg_.channelsPerCube + ch).stats();
-            res.aggregate.merge(s);
-            cr.stats.merge(s);
-        }
-        cr.stats.deriveBandwidths();
-        if (res.finishedAt > 0) {
-            cr.achievedRps =
-                static_cast<double>(cr.stats.completedRequests) /
-                nsFromTicks(res.finishedAt) * 1e9;
-        }
-        // Routing statistics come from the fan-out's one router: every
-        // slice it dealt to this cube crossed this link once.
-        const LinkModel& link = fan.router().link(cube);
-        cr.routedRequests = link.injectedMessages();
-        cr.routedBytes = link.injectedBytes();
-        res.linkQueueDelayNs.merge(link.queueDelayHistNs());
-        credit_stall += link.creditStallTicks();
-    }
-    res.aggregate.deriveBandwidths();
-    if (res.finishedAt > 0) {
-        res.achievedRps =
-            static_cast<double>(res.aggregate.completedRequests) /
-            nsFromTicks(res.finishedAt) * 1e9;
-    }
-
-    // Telemetry: credit-exhaustion waits happen at the links, outside any
-    // controller. Fold them into the node aggregate's LinkCredit stall
-    // bucket — but only when the controllers themselves ran with
-    // telemetry, so a telemetry-off node result stays bit-identical.
-    std::uint64_t stall_total = 0;
-    for (const std::uint64_t t : res.aggregate.stallTicks)
-        stall_total += t;
-    if (stall_total > 0 || res.aggregate.queueNsHist.count() > 0 ||
-        res.aggregate.timeSeries.enabled()) {
-        res.aggregate.stallTicks[static_cast<std::size_t>(
-            StallCause::LinkCredit)] += credit_stall;
-    }
-    return res;
-}
-
-NodeRateSweep
-runNodeRateSweep(const NodeDriver& driver,
-                 const std::vector<double>& offered_rps,
-                 double saturation_tolerance, int workers)
-{
-    NodeRateSweep sweep;
-    sweep.points.resize(offered_rps.size());
-    // Independent self-contained runs into per-index slots: the sharded
-    // walk merges to exactly the serial curve (see runRateSweep).
-    parallelFor(static_cast<int>(offered_rps.size()), workers, [&](int i) {
-        const NodeResult res =
-            driver.run(offered_rps[static_cast<std::size_t>(i)]);
-        NodeRatePoint pt;
-        pt.node = makeRatePoint(res.offeredRps, res.achievedRps,
-                                res.aggregate, saturation_tolerance);
-        pt.node.fanOutPeak = res.fanOutPeak;
-        pt.perCubeAchievedRps.reserve(res.perCube.size());
-        pt.perCubeRouted.reserve(res.perCube.size());
-        for (const CubeResult& cr : res.perCube) {
-            pt.perCubeAchievedRps.push_back(cr.achievedRps);
-            pt.perCubeRouted.push_back(cr.routedRequests);
-        }
-        pt.linkQueueDelayMeanNs = res.linkQueueDelayNs.meanNs();
-        pt.linkQueueDelayP99Ns = res.linkQueueDelayNs.percentileNs(99.0);
-        sweep.points[static_cast<std::size_t>(i)] = std::move(pt);
-    });
-    for (std::size_t i = 0; i < sweep.points.size(); ++i) {
-        if (sweep.points[i].node.saturated) {
-            sweep.kneeIndex = static_cast<int>(i);
-            break;
-        }
-    }
-    return sweep;
-}
-
-void
-nodeRatePointJson(JsonWriter& w, const NodeRatePoint& pt)
-{
-    ratePointJson(w, pt.node);
-    w.key("linkQueueDelayMeanNs").value(pt.linkQueueDelayMeanNs);
-    w.key("linkQueueDelayP99Ns").value(pt.linkQueueDelayP99Ns);
-    w.key("perCubeAchievedRps").beginArray();
-    for (const double v : pt.perCubeAchievedRps)
-        w.value(v);
-    w.endArray();
-    w.key("perCubeRouted").beginArray();
-    for (const std::uint64_t v : pt.perCubeRouted)
-        w.value(v);
-    w.endArray();
 }
 
 } // namespace rome

@@ -2,10 +2,10 @@
  * @file
  * Multi-cube node model: interconnect links, request router, placement.
  *
- * The serving harness (sim/serving.h) tops out at one 32-channel cube.
- * This layer models a *node*: N RoMe/HBM4 cubes behind a front-end
- * router and per-cube interconnect links, so "requests per node vs.
- * cube count" becomes a measurable axis.
+ * A serving node is N RoMe/HBM4 cubes behind a front-end router and
+ * per-cube interconnect links. The serving driver (sim/serving.h) deals
+ * its system stream through the pieces below; a single cube is the node
+ * with numCubes = 1 and LinkConfig::idealLink().
  *
  *  - LinkModel: a deterministic host→cube link with one-way latency,
  *    serialization bandwidth, and credit-based queuing. It is computed
@@ -25,19 +25,14 @@
  *    cache-affinity (address-hash so KV-cache reuse lands on the owning
  *    cubes), load-aware (fewest outstanding link credits). Routing is a
  *    pure function of the request sequence, so two routers fed the same
- *    stream reach bit-identical decisions.
+ *    stream reach bit-identical decisions — which is also why a
+ *    checkpoint needs no router or link state: a resumed run re-routes
+ *    the stream from the start.
  *  - NodeFanOut: the node's one pass over the stream — a StreamFanOut
  *    that routes each re-timed system request and deals every slice to
  *    a channel of its cube by the cube's shard rule, arrival = link
  *    delivery tick. Its router's links carry the run's routing
  *    statistics (routed counts and bytes, queue delay, credit stalls).
- *  - NodeDriver / runNodeRateSweep: the ServingDriver/runRateSweep
- *    shape lifted to N cubes on one shared ChannelSimEngine pool.
- *    Aggregate tail latency stays exact (bucket-wise histogram merge in
- *    fixed cube/channel order) and results are independent of the
- *    engine thread count. A single-cube node with the ideal link is
- *    bit-identical to the plain ServingDriver (asserted by
- *    tests/test_node.cc).
  */
 
 #ifndef ROME_SIM_NODE_H
@@ -45,11 +40,13 @@
 
 #include <cstdint>
 #include <deque>
+#include <memory>
 #include <vector>
 
 #include "common/stats.h"
+#include "common/types.h"
 #include "llm/parallelism.h"
-#include "sim/serving.h"
+#include "sim/source.h"
 
 namespace rome
 {
@@ -80,7 +77,7 @@ struct LinkConfig
         return latencyTicks == 0 && bytesPerNs <= 0.0 && credits <= 0;
     }
 
-    /** The bypass link used to prove ServingDriver equivalence. */
+    /** The bypass link: a node of one cube over it is a plain cube. */
     static LinkConfig
     idealLink()
     {
@@ -213,7 +210,8 @@ struct RoutedSlice
 /**
  * Deterministic front-end router. route() consumes system requests in
  * arrival order and appends each request's slices (one per TP cube of
- * the chosen replica, skipping zero-byte slices) to @p out. All state —
+ * the chosen replica, skipping zero-byte slices) to @p out; a zero-size
+ * request is fatal, as it is to a channel controller. All state —
  * round-robin cursors, link occupancy — advances as a pure function of
  * the consumed sequence, so two routers fed the same stream make
  * identical decisions.
@@ -272,132 +270,6 @@ class NodeFanOut final : public StreamFanOut
     NodeRouter router_;
     std::vector<RoutedSlice> slices_;
 };
-
-// ---------------------------------------------------------------------------
-// NodeDriver
-// ---------------------------------------------------------------------------
-
-/** Configuration of a node-level open-loop serving run. */
-struct NodeConfig
-{
-    /** Fresh per-channel controller (every cube's channel type). */
-    ControllerFactory makeController;
-    /** Fresh instance of the system-wide request stream (payloads). */
-    SourceFactory makeSystemSource;
-    int numCubes = 1;
-    /** Channels per cube (32 = one HBM cube). */
-    int channelsPerCube = 32;
-    /** Intra-cube shard granularity (0 = round-robin by slice index). */
-    std::uint64_t stripeBytes = 0;
-    ArrivalModel arrivalModel = ArrivalModel::Poisson;
-    std::uint64_t arrivalSeed = 9;
-    /** Worker threads driving the channels (never changes results). */
-    int threads = defaultSimThreads();
-    RouterPolicy policy = RouterPolicy::RoundRobin;
-    NodePlacement placement;
-    LinkConfig link;
-    std::uint64_t affinityBytes = 1ull << 20;
-    std::uint64_t spanBytes = 1ull << 30;
-};
-
-/** One cube's share of a node run. */
-struct CubeResult
-{
-    /** Cube-aggregate stats (its channels merged in channel order). */
-    ControllerStats stats;
-    /** Completions / node finish span (comparable across cubes). */
-    double achievedRps = 0.0;
-    /** Slices the router delivered to this cube. */
-    std::uint64_t routedRequests = 0;
-    std::uint64_t routedBytes = 0;
-};
-
-/** Outcome of one node-level offered-rate point. */
-struct NodeResult
-{
-    /** Tick-rounded rate actually driven (see ServingResult). */
-    double offeredRps = 0.0;
-    /** Node-wide completions / finish span. */
-    double achievedRps = 0.0;
-    /** Latest channel finish tick across all cubes. */
-    Tick finishedAt = 0;
-    /** Node-aggregate stats; histogram percentiles are exact. */
-    ControllerStats aggregate;
-    /** Indexed by cube. */
-    std::vector<CubeResult> perCube;
-    /** Link queuing delay (start - inject) across all links, ns. */
-    LatencyHistogram linkQueueDelayNs;
-    /** Requests the stream fan-out held at most (ServingResult). */
-    std::uint64_t fanOutPeak = 0;
-};
-
-/**
- * Drives one node configuration at arbitrary offered rates. Stateless
- * between runs, like ServingDriver: every run() builds fresh
- * controllers and one fresh NodeFanOut.
- */
-class NodeDriver
-{
-  public:
-    explicit NodeDriver(NodeConfig cfg);
-
-    /** Serve the full system stream at @p offered_rps requests/s. */
-    NodeResult run(double offered_rps) const;
-
-    const NodeConfig& config() const { return cfg_; }
-
-  private:
-    NodeRouterConfig routerConfig() const;
-
-    NodeConfig cfg_;
-};
-
-/** One node-level latency–throughput point. */
-struct NodeRatePoint
-{
-    /** Node-aggregate point (same schema as the cube-level sweep). */
-    RatePoint node;
-    /** Per-cube achieved rps over the node finish span. */
-    std::vector<double> perCubeAchievedRps;
-    /** Per-cube routed slice counts (router balance evidence). */
-    std::vector<std::uint64_t> perCubeRouted;
-    double linkQueueDelayMeanNs = 0.0;
-    double linkQueueDelayP99Ns = 0.0;
-};
-
-/** A node-level offered-rate sweep plus its saturation knee. */
-struct NodeRateSweep
-{
-    std::vector<NodeRatePoint> points;
-    /** Index of the first saturated point, -1 when none saturates. */
-    int kneeIndex = -1;
-
-    const NodeRatePoint* knee() const
-    {
-        return kneeIndex >= 0
-                   ? &points[static_cast<std::size_t>(kneeIndex)]
-                   : nullptr;
-    }
-};
-
-/**
- * runRateSweep lifted to the node driver (same saturation rule). As with
- * the cube-level sweep, @p workers > 1 shards the independent rate
- * points across threads with a bit-identical merged curve; callers
- * usually drop the driver's own threads to 1 when sharding.
- */
-NodeRateSweep runNodeRateSweep(const NodeDriver& driver,
-                               const std::vector<double>& offered_rps,
-                               double saturation_tolerance = 0.05,
-                               int workers = 1);
-
-/**
- * Emit @p pt into the JSON object currently open on @p w: the shared
- * RatePoint schema (ratePointJson) plus link-delay scalars and the
- * per-cube achieved-rps / routed-count arrays. The caller brackets the
- * object and adds identity keys (label/system/workload/cubes/router).
- */
-void nodeRatePointJson(JsonWriter& w, const NodeRatePoint& pt);
 
 } // namespace rome
 

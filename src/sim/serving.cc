@@ -11,14 +11,32 @@
 namespace rome
 {
 
-ServingDriver::ServingDriver(ServingConfig cfg) : cfg_(std::move(cfg))
+NodeDriver::NodeDriver(NodeConfig cfg) : cfg_(std::move(cfg))
 {
     if (!cfg_.makeController)
-        fatal("serving driver needs a controller factory");
+        fatal("node driver needs a controller factory");
     if (!cfg_.makeSystemSource)
-        fatal("serving driver needs a system source factory");
-    if (cfg_.numChannels < 1)
-        fatal("serving driver needs at least one channel");
+        fatal("node driver needs a system source factory");
+    if (cfg_.numCubes < 1)
+        fatal("node driver needs at least one cube");
+    if (cfg_.channelsPerCube < 1)
+        fatal("node driver needs at least one channel per cube");
+    // Validate placement/topology eagerly (the router ctor checks).
+    NodeRouter probe(routerConfig());
+    (void)probe;
+}
+
+NodeRouterConfig
+NodeDriver::routerConfig() const
+{
+    NodeRouterConfig rc;
+    rc.numCubes = cfg_.numCubes;
+    rc.policy = cfg_.policy;
+    rc.placement = cfg_.placement;
+    rc.link = cfg_.link;
+    rc.affinityBytes = cfg_.affinityBytes;
+    rc.spanBytes = cfg_.spanBytes;
+    return rc;
 }
 
 namespace
@@ -44,32 +62,40 @@ rpsFor(Tick mean_gap)
     return 1e9 / nsFromTicks(mean_gap);
 }
 
+/** Completions per second over a @p span-tick finish span. */
+double
+rateOver(std::uint64_t completed, Tick span)
+{
+    return span > 0 ? static_cast<double>(completed) / nsFromTicks(span) * 1e9
+                    : 0.0;
+}
+
 } // namespace
 
-const StreamFanOut&
-ServingDriver::buildCube(ChannelSimEngine& engine, Tick mean_gap,
-                         const CubeCheckpoint* ck) const
+const NodeFanOut&
+NodeDriver::build(ChannelSimEngine& engine, Tick mean_gap,
+                  const NodeCheckpoint* ck) const
 {
-    if (ck != nullptr &&
-        static_cast<int>(ck->channels.size()) != cfg_.numChannels) {
-        fatal("cube checkpoint has %zu channels, this driver drives %d",
-              ck->channels.size(), cfg_.numChannels);
+    const int channels = cfg_.numCubes * cfg_.channelsPerCube;
+    if (ck != nullptr && static_cast<int>(ck->channels.size()) != channels) {
+        fatal("checkpoint has %zu channels, this driver drives %d",
+              ck->channels.size(), channels);
     }
     // The arrival process re-times the *system* stream before the deal,
     // so every channel sees its subset with globally assigned arrival
-    // ticks — one cube-wide open-loop load, not N independent ones.
+    // ticks — one open-loop load, not N independent ones.
     ArrivalSpec spec;
     spec.model = cfg_.arrivalModel;
     spec.seed = cfg_.arrivalSeed;
     spec.meanGap = mean_gap;
-    auto fan = std::make_unique<StreamFanOut>(
-        std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(), spec), 1,
-        cfg_.numChannels, cfg_.stripeBytes);
-    const StreamFanOut& out = *fan;
-    for (int ch = 0; ch < cfg_.numChannels; ++ch) {
+    auto fan = std::make_unique<NodeFanOut>(
+        std::make_unique<ArrivalProcess>(cfg_.makeSystemSource(), spec),
+        routerConfig(), cfg_.channelsPerCube, cfg_.stripeBytes);
+    const NodeFanOut& out = *fan;
+    for (int ch = 0; ch < channels; ++ch) {
         auto mc = cfg_.makeController();
         if (!mc)
-            fatal("serving controller factory produced no controller");
+            fatal("node controller factory produced no controller");
         // Serving traces run to millions of requests, and the histograms
         // already carry the full latency distribution: no completion log.
         mc->setRetainCompletions(false);
@@ -86,74 +112,107 @@ ServingDriver::buildCube(ChannelSimEngine& engine, Tick mean_gap,
     return out;
 }
 
-ServingResult
-ServingDriver::finishRun(ChannelSimEngine& engine, const StreamFanOut& fan,
-                         double actual_rps) const
+NodeResult
+NodeDriver::finish(ChannelSimEngine& engine, const NodeFanOut& fan,
+                   double actual_rps) const
 {
-    ServingResult res;
+    NodeResult res;
     res.offeredRps = actual_rps;
     res.finishedAt = engine.drainAll();
     res.fanOutPeak = fan.bufferedPeak();
-    res.perChannel.reserve(static_cast<std::size_t>(cfg_.numChannels));
-    for (int ch = 0; ch < cfg_.numChannels; ++ch)
-        res.perChannel.push_back(engine.channel(ch).stats());
-    for (const auto& s : res.perChannel)
-        res.aggregate.merge(s);
+    res.perCube.resize(static_cast<std::size_t>(cfg_.numCubes));
+    // Aggregate merges every channel snapshot in ascending cube/channel
+    // order; per-cube stats merge the same snapshots.
+    std::uint64_t credit_stall = 0;
+    for (int cube = 0; cube < cfg_.numCubes; ++cube) {
+        CubeResult& cr = res.perCube[static_cast<std::size_t>(cube)];
+        for (int ch = 0; ch < cfg_.channelsPerCube; ++ch) {
+            const ControllerStats s =
+                engine.channel(cube * cfg_.channelsPerCube + ch).stats();
+            res.aggregate.merge(s);
+            cr.stats.merge(s);
+        }
+        cr.stats.deriveBandwidths();
+        cr.achievedRps = rateOver(cr.stats.completedRequests, res.finishedAt);
+        // Routing statistics come from the fan-out's one router: every
+        // slice it dealt to this cube crossed this link once.
+        const LinkModel& link = fan.router().link(cube);
+        cr.routedRequests = link.injectedMessages();
+        cr.routedBytes = link.injectedBytes();
+        res.linkQueueDelayNs.merge(link.queueDelayHistNs());
+        credit_stall += link.creditStallTicks();
+    }
     res.aggregate.deriveBandwidths();
-    if (res.finishedAt > 0) {
-        res.achievedRps =
-            static_cast<double>(res.aggregate.completedRequests) /
-            nsFromTicks(res.finishedAt) * 1e9;
+    res.achievedRps =
+        rateOver(res.aggregate.completedRequests, res.finishedAt);
+
+    // Telemetry: credit-exhaustion waits happen at the links, outside any
+    // controller. Fold them into the aggregate's LinkCredit stall bucket
+    // — but only when the controllers themselves ran with telemetry, so
+    // a telemetry-off result stays bit-identical.
+    std::uint64_t stall_total = 0;
+    for (const std::uint64_t t : res.aggregate.stallTicks)
+        stall_total += t;
+    if (stall_total > 0 || res.aggregate.queueNsHist.count() > 0 ||
+        res.aggregate.timeSeries.enabled()) {
+        res.aggregate.stallTicks[static_cast<std::size_t>(
+            StallCause::LinkCredit)] += credit_stall;
     }
     return res;
 }
 
-ServingResult
-ServingDriver::run(double offered_rps) const
+NodeResult
+NodeDriver::run(double offered_rps) const
 {
     const Tick gap = meanGapFor(offered_rps);
     ChannelSimEngine engine(cfg_.threads);
-    const StreamFanOut& fan = buildCube(engine, gap, nullptr);
-    return finishRun(engine, fan, rpsFor(gap));
+    const NodeFanOut& fan = build(engine, gap, nullptr);
+    return finish(engine, fan, rpsFor(gap));
 }
 
-CubeCheckpoint
-ServingDriver::runToCheckpoint(double offered_rps, Tick at) const
+NodeCheckpoint
+NodeDriver::runToCheckpoint(double offered_rps, Tick at) const
 {
     if (at <= 0)
         fatal("checkpoint tick must be positive (got %lld)",
               static_cast<long long>(at));
     const Tick gap = meanGapFor(offered_rps);
     ChannelSimEngine engine(cfg_.threads);
-    buildCube(engine, gap, nullptr);
+    build(engine, gap, nullptr);
     engine.runAllUntil(at);
 
-    CubeCheckpoint ck;
+    NodeCheckpoint ck;
     ck.offeredRps = rpsFor(gap);
     ck.meanGap = gap;
     ck.takenAt = at;
-    ck.channels.reserve(static_cast<std::size_t>(cfg_.numChannels));
-    for (int ch = 0; ch < cfg_.numChannels; ++ch)
+    ck.channels.reserve(static_cast<std::size_t>(engine.numChannels()));
+    for (int ch = 0; ch < engine.numChannels(); ++ch) {
+        if (engine.channel(ch).idle()) {
+            fatal("checkpoint at tick %lld falls past channel %d's natural "
+                  "finish; a resumed run would not match the straight one",
+                  static_cast<long long>(at), ch);
+        }
         ck.channels.push_back(saveControllerCheckpoint(engine.channel(ch)));
+    }
     return ck;
 }
 
-ServingResult
-ServingDriver::resume(const CubeCheckpoint& ck) const
+NodeResult
+NodeDriver::resume(const NodeCheckpoint& ck) const
 {
     ChannelSimEngine engine(cfg_.threads);
-    const StreamFanOut& fan = buildCube(engine, ck.meanGap, &ck);
-    return finishRun(engine, fan, ck.offeredRps);
+    const NodeFanOut& fan = build(engine, ck.meanGap, &ck);
+    return finish(engine, fan, ck.offeredRps);
 }
 
 RatePoint
-makeRatePoint(double offered_rps, double achieved_rps,
-              const ControllerStats& aggregate,
+makeRatePoint(const NodeConfig& cfg, const NodeResult& res,
               double saturation_tolerance)
 {
+    const ControllerStats& aggregate = res.aggregate;
     RatePoint pt;
-    pt.offeredRps = offered_rps;
-    pt.achievedRps = achieved_rps;
+    pt.offeredRps = res.offeredRps;
+    pt.achievedRps = res.achievedRps;
     pt.completedRequests = aggregate.completedRequests;
     pt.p50Ns = aggregate.latencyPercentileNs(50.0);
     pt.p90Ns = aggregate.latencyPercentileNs(90.0);
@@ -162,6 +221,7 @@ makeRatePoint(double offered_rps, double achieved_rps,
     pt.maxNs = aggregate.latencyHistNs.maxNs();
     pt.meanNs = aggregate.latencyHistNs.meanNs();
     pt.effectiveBandwidth = aggregate.effectiveBandwidth;
+    pt.fanOutPeak = res.fanOutPeak;
     pt.ceCount = aggregate.ceCount;
     pt.dueCount = aggregate.dueCount;
     pt.retryCount = aggregate.retryCount;
@@ -184,13 +244,22 @@ makeRatePoint(double offered_rps, double achieved_rps,
         pt.linkMeanNs = aggregate.linkNsHist.meanNs();
         pt.timeSeries = aggregate.timeSeries;
     }
+    pt.linked = !cfg.link.ideal();
+    if (pt.linked) {
+        pt.linkQueueDelayMeanNs = res.linkQueueDelayNs.meanNs();
+        pt.linkQueueDelayP99Ns = res.linkQueueDelayNs.percentileNs(99.0);
+        for (const CubeResult& cr : res.perCube) {
+            pt.perCubeAchievedRps.push_back(cr.achievedRps);
+            pt.perCubeRouted.push_back(cr.routedRequests);
+        }
+    }
     pt.saturated =
         pt.achievedRps < pt.offeredRps * (1.0 - saturation_tolerance);
     return pt;
 }
 
 RateSweep
-runRateSweep(const ServingDriver& driver,
+runRateSweep(const NodeDriver& driver,
              const std::vector<double>& offered_rps,
              double saturation_tolerance, int workers)
 {
@@ -200,12 +269,10 @@ runRateSweep(const ServingDriver& driver,
     // sharded walk merges to exactly the serial result; the knee scan
     // below runs in rate order either way.
     parallelFor(static_cast<int>(offered_rps.size()), workers, [&](int i) {
-        const ServingResult res =
-            driver.run(offered_rps[static_cast<std::size_t>(i)]);
-        RatePoint& pt = sweep.points[static_cast<std::size_t>(i)];
-        pt = makeRatePoint(res.offeredRps, res.achievedRps, res.aggregate,
-                           saturation_tolerance);
-        pt.fanOutPeak = res.fanOutPeak;
+        const auto idx = static_cast<std::size_t>(i);
+        sweep.points[idx] =
+            makeRatePoint(driver.config(), driver.run(offered_rps[idx]),
+                          saturation_tolerance);
     });
     for (std::size_t i = 0; i < sweep.points.size(); ++i) {
         if (sweep.points[i].saturated) {
@@ -239,9 +306,7 @@ ratePointJson(JsonWriter& w, const RatePoint& pt)
     w.key("poisonedRequests").value(pt.poisonedRequests);
     w.key("schedSteps").value(pt.schedSteps);
     // Telemetry keys appear only when the run enabled counters, so rows
-    // of a telemetry-off bench are byte-identical to the pre-telemetry
-    // schema. The nested objects/arrays are informational — the bench
-    // differ only compares scalar top-level values.
+    // of a telemetry-off bench keep the pre-telemetry schema.
     if (pt.telemetry) {
         w.key("telemetry").value(true);
         w.key("stallTicks").beginObject();
@@ -275,6 +340,43 @@ ratePointJson(JsonWriter& w, const RatePoint& pt)
             w.endObject();
         }
     }
+    // Link keys likewise appear only for a run over a non-ideal link.
+    if (pt.linked) {
+        w.key("linkQueueDelayMeanNs").value(pt.linkQueueDelayMeanNs);
+        w.key("linkQueueDelayP99Ns").value(pt.linkQueueDelayP99Ns);
+        w.key("perCubeAchievedRps").beginArray();
+        for (const double v : pt.perCubeAchievedRps)
+            w.value(v);
+        w.endArray();
+        w.key("perCubeRouted").beginArray();
+        for (const std::uint64_t v : pt.perCubeRouted)
+            w.value(v);
+        w.endArray();
+    }
+}
+
+namespace
+{
+
+NodeConfig
+oneCube(const ServingConfig& cfg)
+{
+    NodeConfig node;
+    node.makeController = cfg.makeController;
+    node.makeSystemSource = cfg.makeSystemSource;
+    node.channelsPerCube = cfg.numChannels;
+    node.stripeBytes = cfg.stripeBytes;
+    node.arrivalModel = cfg.arrivalModel;
+    node.arrivalSeed = cfg.arrivalSeed;
+    node.threads = cfg.threads;
+    node.link = LinkConfig::idealLink();
+    return node;
+}
+
+} // namespace
+
+ServingDriver::ServingDriver(const ServingConfig& cfg) : node_(oneCube(cfg))
+{
 }
 
 } // namespace rome

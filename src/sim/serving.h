@@ -1,30 +1,39 @@
 /**
  * @file
- * Serving harness: multi-channel open-loop driver with tail-latency
- * histograms and latency–throughput curves.
+ * The serving driver: open-loop offered load through one cube or a
+ * multi-cube node, with tail-latency histograms, latency–throughput
+ * curves and mid-run checkpoints.
  *
  * This is the system-level layer above the channel engine. Where
  * runSweep drives *one* controller per design point to completion, the
- * serving harness asks the question real inference serving asks: at a
- * given *offered* request rate, what latency distribution does a whole
- * cube (all N channels) deliver, and where does it saturate?
+ * serving driver asks the question real inference serving asks: at a
+ * given *offered* request rate, what latency distribution do all the
+ * channels of a cube — or of every cube of a node — deliver, and where
+ * do they saturate?
  *
- *  - ServingDriver: takes one system-wide RequestSource (a recorded
+ *  - NodeDriver: takes one system-wide RequestSource (a recorded
  *    serving trace or a generator — payloads only), re-times it with an
- *    open-loop ArrivalProcess at the offered rate, deals it across all
- *    N channels of a cube from one producer (StreamFanOut), drives the
- *    channels on a ChannelSimEngine thread pool, and returns per-channel
- *    + aggregate stats. Aggregate tail latency is exact: the per-channel
- *    LatencyHistograms merge bucket-wise (ControllerStats::merge), so
- *    the cube's p99/p99.9 are identical to a histogram that watched
- *    every channel's completions.
+ *    open-loop ArrivalProcess at the offered rate, routes and deals it
+ *    to numCubes x channelsPerCube channels from one producer
+ *    (NodeFanOut, sim/node.h), drives the channels on a
+ *    ChannelSimEngine thread pool, and returns aggregate + per-cube
+ *    stats. A cube is the node with numCubes = 1 and
+ *    LinkConfig::idealLink(): routing then passes every request through
+ *    unchanged. Aggregate tail latency is exact: the per-channel
+ *    LatencyHistograms merge bucket-wise (ControllerStats::merge) in
+ *    cube/channel order, so p99/p99.9 are identical to a histogram that
+ *    watched every channel's completions.
+ *  - runToCheckpoint / resume: stop a run at a tick as one blob per
+ *    channel and continue it bit-identically later. Routing is a pure
+ *    function of the request sequence, so the checkpoint holds no
+ *    router or link state: the resumed run re-routes the stream from the
+ *    start and each channel skips its consumed prefix.
  *  - runRateSweep: walks an offered-rate grid, producing one
  *    latency–throughput point per rate and flagging the saturation knee
  *    (first rate whose achieved throughput falls short of offered by
  *    more than a tolerance) — the open-loop serving curve of Fig. 12/13
  *    -style comparisons.
- *  - ratePointJson: one sweep point in the BENCH_*.json row schema
- *    shared by bench_serving_curves and the CI bench differ.
+ *  - ratePointJson: one sweep point in the BENCH_*.json row schema.
  *
  * Determinism: the system stream is read once and dealt in stream
  * order, so each channel sees the same request sequence whichever engine
@@ -42,6 +51,7 @@
 
 #include "common/stats.h"
 #include "sim/engine.h"
+#include "sim/node.h"
 #include "sim/source.h"
 
 namespace rome
@@ -49,10 +59,10 @@ namespace rome
 
 class JsonWriter; // common/json_writer.h
 
-/** Configuration of a multi-channel open-loop serving run. */
-struct ServingConfig
+/** Configuration of an open-loop serving run over one or more cubes. */
+struct NodeConfig
 {
-    /** Fresh per-channel controller (the cube's channel type). */
+    /** Fresh per-channel controller (every cube's channel type). */
     ControllerFactory makeController;
     /**
      * Fresh instance of the system-wide request stream. Only payloads
@@ -60,9 +70,10 @@ struct ServingConfig
      * the offered-rate arrival process.
      */
     SourceFactory makeSystemSource;
-    /** Channels the system stream shards across (32 = one HBM cube). */
-    int numChannels = 32;
-    /** Address-stripe shard granularity (0 = round-robin by index). */
+    int numCubes = 1;
+    /** Channels per cube (32 = one HBM cube). */
+    int channelsPerCube = 32;
+    /** Intra-cube shard granularity (0 = round-robin by slice index). */
     std::uint64_t stripeBytes = 0;
     /** Inter-arrival model of the offered load. */
     ArrivalModel arrivalModel = ArrivalModel::Poisson;
@@ -70,10 +81,30 @@ struct ServingConfig
     std::uint64_t arrivalSeed = 9;
     /** Worker threads driving the channels (never changes results). */
     int threads = defaultSimThreads();
+    RouterPolicy policy = RouterPolicy::RoundRobin;
+    NodePlacement placement;
+    /** Every host→cube link; LinkConfig::idealLink() for a plain cube. */
+    LinkConfig link;
+    std::uint64_t affinityBytes = 1ull << 20;
+    std::uint64_t spanBytes = 1ull << 30;
+};
+
+/** One cube's share of a run. */
+struct CubeResult
+{
+    /** Cube-aggregate stats (its channels merged in channel order). */
+    ControllerStats stats;
+    /** Completions / node finish span (comparable across cubes). */
+    double achievedRps = 0.0;
+    /** Slices the router delivered to this cube. */
+    std::uint64_t routedRequests = 0;
+    std::uint64_t routedBytes = 0;
+
+    bool operator==(const CubeResult&) const = default;
 };
 
 /** Outcome of one offered-rate point. */
-struct ServingResult
+struct NodeResult
 {
     /**
      * Offered request rate actually driven (requests / second). Arrival
@@ -82,14 +113,16 @@ struct ServingResult
      * gap, and it is what achieved throughput is compared against.
      */
     double offeredRps = 0.0;
-    /** Completed requests over the cube's finish span. */
+    /** Completed requests over the finish span. */
     double achievedRps = 0.0;
-    /** Latest channel finish tick. */
+    /** Latest channel finish tick across all cubes. */
     Tick finishedAt = 0;
-    /** Cube-level stats; latencyHistNs percentiles are exact. */
+    /** Node-aggregate stats; histogram percentiles are exact. */
     ControllerStats aggregate;
-    /** Per-channel snapshots, indexed by channel. */
-    std::vector<ControllerStats> perChannel;
+    /** Indexed by cube. */
+    std::vector<CubeResult> perCube;
+    /** Link queuing delay (start - inject) across all links, ns. */
+    LatencyHistogram linkQueueDelayNs;
     /** Requests the stream fan-out held at most (bounded-memory
      *  evidence; StreamFanOut::bufferedPeak). */
     std::uint64_t fanOutPeak = 0;
@@ -101,7 +134,7 @@ struct ServingResult
  * (saveControllerCheckpoint), plus the arrival parameters needed to
  * rebuild the offered load bit-identically on resume.
  */
-struct CubeCheckpoint
+struct NodeCheckpoint
 {
     /** Tick-rounded offered rate the snapshot was driven at. */
     double offeredRps = 0.0;
@@ -109,55 +142,59 @@ struct CubeCheckpoint
     Tick meanGap = 0;
     /** Simulation tick the snapshot was taken at. */
     Tick takenAt = 0;
-    /** One enveloped checkpoint blob per channel, in channel order. */
+    /** One enveloped checkpoint blob per channel, cube-major. */
     std::vector<std::vector<std::uint8_t>> channels;
 };
 
 /**
- * Drives one cube configuration at arbitrary offered rates. The driver
- * is stateless between runs — every run() builds fresh controllers and
- * sources, so points of a sweep are independent and reproducible.
+ * Drives one cube or node configuration at arbitrary offered rates. The
+ * driver is stateless between runs — every run() builds fresh
+ * controllers and one fresh NodeFanOut, so points of a sweep are
+ * independent and reproducible.
  */
-class ServingDriver
+class NodeDriver
 {
   public:
-    explicit ServingDriver(ServingConfig cfg);
+    explicit NodeDriver(NodeConfig cfg);
 
     /** Serve the full system stream at @p offered_rps requests/s. */
-    ServingResult run(double offered_rps) const;
+    NodeResult run(double offered_rps) const;
 
     /**
-     * Drive a fresh cube at @p offered_rps up to tick @p at, then
+     * Drive a fresh run at @p offered_rps up to tick @p at, then
      * snapshot every channel. resume() continues the run to completion
-     * with results bit-identical to an uninterrupted run() — provided
-     * @p at lands while every channel still has work in flight (past a
-     * channel's natural finish, the timed window would add refresh
-     * catch-up a straight drain never performs).
+     * with results bit-identical to an uninterrupted run(). That needs
+     * every channel to still have work at @p at — past a channel's
+     * natural finish, the timed window adds refresh catch-up a straight
+     * drain never performs — so a cut that finds a channel idle is
+     * fatal.
      */
-    CubeCheckpoint runToCheckpoint(double offered_rps, Tick at) const;
+    NodeCheckpoint runToCheckpoint(double offered_rps, Tick at) const;
 
     /**
-     * Rebuild the cube from @p ck — fresh controllers restored from the
+     * Rebuild the run from @p ck — fresh controllers restored from the
      * blobs, fed by a fresh fan-out whose views skip each channel's
-     * consumed prefix — and drain it to completion.
+     * consumed prefix — and drain it to completion. fanOutPeak counts
+     * the prefix the fan-out buffers while the views skip it.
      */
-    ServingResult resume(const CubeCheckpoint& ck) const;
+    NodeResult resume(const NodeCheckpoint& ck) const;
 
-    const ServingConfig& config() const { return cfg_; }
+    const NodeConfig& config() const { return cfg_; }
 
   private:
+    NodeRouterConfig routerConfig() const;
     /**
-     * Fill @p engine with the cube's channels — fresh, or restored from
-     * @p ck when given — fed by one fan-out of the system stream re-timed
-     * at @p mean_gap. Returns the fan-out (owned by @p engine).
+     * Fill @p engine with every cube's channels — fresh, or restored
+     * from @p ck when given — fed by one NodeFanOut of the system stream
+     * re-timed at @p mean_gap. Returns the fan-out (owned by @p engine).
      */
-    const StreamFanOut& buildCube(ChannelSimEngine& engine, Tick mean_gap,
-                                  const CubeCheckpoint* ck) const;
-    /** Drain @p engine and assemble per-channel + aggregate results. */
-    ServingResult finishRun(ChannelSimEngine& engine, const StreamFanOut& fan,
-                            double actual_rps) const;
+    const NodeFanOut& build(ChannelSimEngine& engine, Tick mean_gap,
+                            const NodeCheckpoint* ck) const;
+    /** Drain @p engine and assemble per-cube + aggregate results. */
+    NodeResult finish(ChannelSimEngine& engine, const NodeFanOut& fan,
+                      double actual_rps) const;
 
-    ServingConfig cfg_;
+    NodeConfig cfg_;
 };
 
 /** One latency–throughput point of an offered-rate sweep. */
@@ -166,18 +203,18 @@ struct RatePoint
     double offeredRps = 0.0;
     double achievedRps = 0.0;
     std::uint64_t completedRequests = 0;
-    /** Cube-aggregate request latency percentiles (ns, exact merge). */
+    /** Aggregate request latency percentiles (ns, exact merge). */
     double p50Ns = 0.0;
     double p90Ns = 0.0;
     double p99Ns = 0.0;
     double p999Ns = 0.0;
     double maxNs = 0.0;
     double meanNs = 0.0;
-    /** Cube useful bytes / ns over the finish span. */
+    /** Aggregate useful bytes / ns over the finish span. */
     double effectiveBandwidth = 0.0;
     /** Achieved fell short of offered by more than the tolerance. */
     bool saturated = false;
-    /** Stream fan-out high-water (requests; ServingResult::fanOutPeak). */
+    /** Stream fan-out high-water (requests; NodeResult::fanOutPeak). */
     std::uint64_t fanOutPeak = 0;
     // ---- reliability counters (zero with fault injection disabled) ----
     std::uint64_t ceCount = 0;
@@ -193,7 +230,7 @@ struct RatePoint
     // controllers enabled TelemetryConfig::counters) ---------------------
     /** Any stall/breakdown accounting present at this point. */
     bool telemetry = false;
-    /** Cube-total idle ticks by cause (sums to the channels' spans). */
+    /** Total idle ticks by cause (sums to the channels' spans). */
     StallTicks stallTicks{};
     /** Per-request latency decomposition (means + tail, ns). */
     double queueMeanNs = 0.0;
@@ -202,8 +239,19 @@ struct RatePoint
     double serviceP99Ns = 0.0;
     double retryMeanNs = 0.0;
     double linkMeanNs = 0.0;
-    /** Cube-merged occupancy/bandwidth/stall-mix time series. */
+    /** Merged occupancy/bandwidth/stall-mix time series. */
     TimeSeries timeSeries;
+    // ---- node links (populated only for a run over a non-ideal link) --
+    /** The run's cubes sat behind a non-ideal LinkConfig. */
+    bool linked = false;
+    double linkQueueDelayMeanNs = 0.0;
+    double linkQueueDelayP99Ns = 0.0;
+    /** Per-cube achieved rps over the node finish span. */
+    std::vector<double> perCubeAchievedRps;
+    /** Per-cube routed slice counts (router balance evidence). */
+    std::vector<std::uint64_t> perCubeRouted;
+
+    bool operator==(const RatePoint&) const = default;
 };
 
 /** An offered-rate sweep: the latency–throughput curve plus its knee. */
@@ -234,32 +282,64 @@ struct RateSweep
  * percentile — is bit-identical to the serial walk regardless of worker
  * count. Sharding composes with the driver's own per-run channel
  * threading; callers sharding across points usually set
- * ServingConfig::threads = 1 so the two levels don't oversubscribe.
+ * NodeConfig::threads = 1 so the two levels don't oversubscribe.
  */
-RateSweep runRateSweep(const ServingDriver& driver,
+RateSweep runRateSweep(const NodeDriver& driver,
                        const std::vector<double>& offered_rps,
                        double saturation_tolerance = 0.05,
                        int workers = 1);
 
 /**
- * Assemble one latency–throughput point from an aggregate stats
- * snapshot. Shared by runRateSweep and the node-level sweep
- * (sim/node.h), so cube- and node-level curves report the same schema —
+ * Assemble the latency–throughput point of @p res, a run of @p cfg:
  * percentiles from the exact merged histogram, reliability counters,
- * and scheduling steps.
+ * scheduling steps, telemetry when the controllers counted it, and the
+ * link delay and per-cube split when @p cfg's link is not ideal.
  */
-RatePoint makeRatePoint(double offered_rps, double achieved_rps,
-                        const ControllerStats& aggregate,
+RatePoint makeRatePoint(const NodeConfig& cfg, const NodeResult& res,
                         double saturation_tolerance);
 
 /**
  * Emit @p pt's key/value pairs (offeredRps, achievedRps, latencyP50Ns,
  * latencyP90Ns, latencyP99Ns, latencyP999Ns, ...) into the JSON object
  * currently open on @p w — the row schema of BENCH_serving.json and
- * the other sweep artifacts. The caller brackets the object and adds
- * its identity keys (label/system/workload) beside them.
+ * the other sweep artifacts. Telemetry keys follow only when
+ * pt.telemetry is set, the four link keys only when pt.linked is. The
+ * caller brackets the object and adds its identity keys
+ * (label/system/workload/...) beside them.
  */
 void ratePointJson(JsonWriter& w, const RatePoint& pt);
+
+// ---------------------------------------------------------------------------
+// Cube-only spelling of the driver, kept for perfbench/src/workloads.cc
+// until the next benchmark change
+// ---------------------------------------------------------------------------
+
+/** A one-cube NodeConfig under its old field names. */
+struct ServingConfig
+{
+    ControllerFactory makeController;
+    SourceFactory makeSystemSource;
+    /** channelsPerCube of the one cube. */
+    int numChannels = 32;
+    std::uint64_t stripeBytes = 0;
+    ArrivalModel arrivalModel = ArrivalModel::Poisson;
+    std::uint64_t arrivalSeed = 9;
+    int threads = defaultSimThreads();
+};
+
+using ServingResult = NodeResult;
+
+/** A NodeDriver over one cube and LinkConfig::idealLink(). */
+class ServingDriver
+{
+  public:
+    explicit ServingDriver(const ServingConfig& cfg);
+
+    NodeResult run(double offered_rps) const { return node_.run(offered_rps); }
+
+  private:
+    NodeDriver node_;
+};
 
 } // namespace rome
 

@@ -11,9 +11,10 @@
  * also re-save byte-identically, and a table pins the size and FNV-1a of
  * 18 blobs, so the format cannot move between builds unnoticed. The
  * streaming variants restore the source cursor through resumeSource on a
- * fresh source instance — the mechanism ServingDriver::resume relies on —
- * and the serving test closes the loop: snapshot a mid-flight cube sweep
- * point, resume it, and compare against the straight run. Foreign,
+ * fresh source instance — the mechanism NodeDriver::resume relies on —
+ * and the serving tests close the loop: snapshot a mid-flight cube or
+ * multi-cube node point, resume it, and compare against the straight
+ * run; a cut past a channel's natural finish is fatal. Foreign,
  * truncated, padded and seeded-mutant blobs must fatal or restore, never
  * crash.
  */
@@ -665,8 +666,9 @@ TEST(Checkpoint, ResumedSourceMustReplayTheStream)
 TEST(Checkpoint, ServingResumeMatchesStraightRun)
 {
     const DramConfig dram = hbm4Config();
-    ServingConfig cfg;
-    cfg.numChannels = 4;
+    NodeConfig cfg;
+    cfg.channelsPerCube = 4;
+    cfg.link = LinkConfig::idealLink();
     cfg.threads = 2;
     cfg.makeController = [&dram] {
         return std::make_unique<ConventionalMc>(
@@ -681,36 +683,33 @@ TEST(Checkpoint, ServingResumeMatchesStraightRun)
         p.writeFraction = 0.25;
         return std::make_unique<RandomSource>(p);
     };
-    const ServingDriver driver(cfg);
+    const NodeDriver driver(cfg);
     const double rps = 2.0e6;
 
-    const ServingResult straight = driver.run(rps);
+    const NodeResult straight = driver.run(rps);
     ASSERT_GT(straight.finishedAt, 0);
 
     // A third of the way in, every channel still has arrivals ahead of
     // it, so the timed prefix is a pure slice of the straight drain.
-    const CubeCheckpoint ck =
+    const NodeCheckpoint ck =
         driver.runToCheckpoint(rps, straight.finishedAt / 3);
     EXPECT_EQ(ck.channels.size(), 4u);
-    const ServingResult resumed = driver.resume(ck);
+    const NodeResult resumed = driver.resume(ck);
 
     EXPECT_EQ(resumed.finishedAt, straight.finishedAt);
     EXPECT_EQ(resumed.offeredRps, straight.offeredRps);
     EXPECT_EQ(resumed.achievedRps, straight.achievedRps);
     EXPECT_TRUE(resumed.aggregate == straight.aggregate)
         << "resumed cube aggregate diverged from the straight run";
-    ASSERT_EQ(resumed.perChannel.size(), straight.perChannel.size());
-    for (std::size_t ch = 0; ch < straight.perChannel.size(); ++ch) {
-        EXPECT_TRUE(resumed.perChannel[ch] == straight.perChannel[ch])
-            << "channel " << ch << " diverged across save/restore";
-    }
+    EXPECT_TRUE(resumed.perCube == straight.perCube);
 }
 
 TEST(Checkpoint, ServingResumeWithRomeCube)
 {
     const DramConfig dram = hbm4Config();
-    ServingConfig cfg;
-    cfg.numChannels = 4;
+    NodeConfig cfg;
+    cfg.channelsPerCube = 4;
+    cfg.link = LinkConfig::idealLink();
     cfg.threads = 2;
     cfg.makeController = [&dram] {
         return std::make_unique<RomeMc>(dram, VbaDesign::adopted(),
@@ -724,18 +723,84 @@ TEST(Checkpoint, ServingResumeWithRomeCube)
         p.capacity = hbm4Config().org.channelCapacity();
         return std::make_unique<RandomSource>(p);
     };
-    const ServingDriver driver(cfg);
+    const NodeDriver driver(cfg);
     const double rps = 2.0e6;
 
-    const ServingResult straight = driver.run(rps);
+    const NodeResult straight = driver.run(rps);
     ASSERT_GT(straight.finishedAt, 0);
-    const CubeCheckpoint ck =
+    const NodeCheckpoint ck =
         driver.runToCheckpoint(rps, straight.finishedAt / 3);
-    const ServingResult resumed = driver.resume(ck);
+    const NodeResult resumed = driver.resume(ck);
 
     EXPECT_EQ(resumed.finishedAt, straight.finishedAt);
     EXPECT_TRUE(resumed.aggregate == straight.aggregate)
         << "rome cube resume diverged from the straight run";
+}
+
+/**
+ * Two 2-channel RoMe cubes under load-aware routing behind a narrow
+ * two-credit link: the router sends most requests to one cube, so the
+ * other cube's channels finish long before the node does.
+ */
+NodeConfig
+skewedNode()
+{
+    NodeConfig cfg;
+    cfg.numCubes = 2;
+    cfg.channelsPerCube = 2;
+    cfg.policy = RouterPolicy::LoadAware;
+    cfg.link.latencyTicks = ticksFromNs(static_cast<std::int64_t>(100));
+    cfg.link.bytesPerNs = 64.0;
+    cfg.link.credits = 2;
+    cfg.makeController = [] {
+        return std::make_unique<RomeMc>(hbm4Config(), VbaDesign::adopted(),
+                                        RomeMcConfig{});
+    };
+    cfg.makeSystemSource = [] {
+        RandomPattern p;
+        p.requestBytes = 4_KiB;
+        p.totalBytes = 10240 * p.requestBytes;
+        p.capacity = hbm4Config().org.channelCapacity();
+        return std::make_unique<RandomSource>(p);
+    };
+    return cfg;
+}
+
+TEST(Checkpoint, NodeResumeMatchesStraightRun)
+{
+    // Routing is a pure function of the request sequence, so the blobs
+    // need no router or link state: the resumed run re-routes the stream
+    // from the start. Cut at a tenth, every channel still has work.
+    const double rps = 4e7;
+    for (const int threads : {1, 4}) {
+        SCOPED_TRACE("threads " + std::to_string(threads));
+        NodeConfig cfg = skewedNode();
+        cfg.threads = threads;
+        const NodeDriver driver(cfg);
+        const NodeResult straight = driver.run(rps);
+        const NodeCheckpoint ck =
+            driver.runToCheckpoint(rps, straight.finishedAt / 10);
+        EXPECT_EQ(ck.channels.size(), 4u);
+        const NodeResult resumed = driver.resume(ck);
+
+        EXPECT_EQ(resumed.finishedAt, straight.finishedAt);
+        EXPECT_EQ(resumed.achievedRps, straight.achievedRps);
+        EXPECT_TRUE(resumed.aggregate == straight.aggregate);
+        EXPECT_TRUE(resumed.perCube == straight.perCube);
+        EXPECT_TRUE(resumed.linkQueueDelayNs == straight.linkQueueDelayNs);
+        EXPECT_GT(straight.linkQueueDelayNs.maxNs(), 0.0);
+    }
+}
+
+TEST(Checkpoint, CutPastAChannelsFinishIsFatal)
+{
+    // A third of the way in, the lightly routed cube's channels have
+    // drained: a timed window would fire refreshes a straight drain
+    // never does, so the cut is refused rather than resumed wrongly.
+    const NodeDriver driver(skewedNode());
+    const double rps = 4e7;
+    const Tick end = driver.run(rps).finishedAt;
+    EXPECT_THROW(driver.runToCheckpoint(rps, end / 3), std::runtime_error);
 }
 
 TEST(Checkpoint, FieldListsEncodeEachTypeAtItsWidth)

@@ -6,13 +6,14 @@
  * the simulator computes fails here, in every build configuration:
  *
  *  - serve/<stack>/<trace>/<load>: HBM4, RoMe and the hybrid, each on a
- *    4-channel ServingDriver cube fed every .trace fixture in tests/data
- *    (capped at kTraceCap requests) at two offered loads with fixed
- *    inter-arrival gaps (no pinned value depends on libm's log1p);
+ *    4-channel cube (the serving driver's one-cube ideal-link node) fed
+ *    every .trace fixture in tests/data (capped at kTraceCap requests)
+ *    at two offered loads with fixed inter-arrival gaps (no pinned value
+ *    depends on libm's log1p);
  *  - node/<policy>: one 2-cube node point per RouterPolicy;
  *  - fault/<stack>: one fault-injected cube point per stack;
- *  - checkpoint/<stack>: a ServingDriver point saved a third of the way
- *    in and resumed from the blobs;
+ *  - checkpoint/<stack>: a cube point saved a third of the way in and
+ *    resumed from the blobs;
  *  - random/hbm4/<point>: the HBM4 cube on 512 B gathers at random
  *    addresses, one in three a write, at the two loads and resumed from
  *    a checkpoint taken a third of the way into the 1.2 load run;
@@ -226,15 +227,16 @@ stackFactory(const std::string& stack, bool faults)
     return [dram, c] { return std::make_unique<HybridMc>(dram, c); };
 }
 
-ServingConfig
+NodeConfig
 cubeConfig(ControllerFactory make, SourceFactory source)
 {
-    ServingConfig cfg;
+    NodeConfig cfg;
     cfg.makeController = std::move(make);
     cfg.makeSystemSource = std::move(source);
-    cfg.numChannels = kChannels;
+    cfg.channelsPerCube = kChannels;
     cfg.arrivalModel = ArrivalModel::Fixed;
     cfg.threads = 1;
+    cfg.link = LinkConfig::idealLink();
     return cfg;
 }
 
@@ -292,7 +294,7 @@ goldenCorpus()
                 std::snprintf(name, sizeof(name), "serve/%s/%s/load%.1f",
                               stack, trace.c_str(), load);
                 out.push_back({name, [=] {
-                    const ServingDriver driver(
+                    const NodeDriver driver(
                         cubeConfig(stackFactory(stack, false), source));
                     return driver.run(rps).aggregate;
                 }});
@@ -320,7 +322,7 @@ goldenCorpus()
 
     for (const char* stack : stacks) {
         out.push_back({std::string("fault/") + stack, [=] {
-            const ServingDriver driver(
+            const NodeDriver driver(
                 cubeConfig(stackFactory(stack, true), serving));
             const double rps = rateForLoad(serving, 0.8, kChannels);
             return driver.run(rps).aggregate;
@@ -329,7 +331,7 @@ goldenCorpus()
 
     for (const char* stack : {"hbm4", "rome"}) {
         out.push_back({std::string("checkpoint/") + stack, [=] {
-            const ServingDriver driver(
+            const NodeDriver driver(
                 cubeConfig(stackFactory(stack, false), serving));
             const double rps = rateForLoad(serving, 0.8, kChannels);
             const Tick end = driver.run(rps).finishedAt;
@@ -353,13 +355,13 @@ goldenCorpus()
         char name[64];
         std::snprintf(name, sizeof(name), "random/hbm4/load%.1f", load);
         out.push_back({name, [=] {
-            const ServingDriver driver(
+            const NodeDriver driver(
                 cubeConfig(stackFactory("hbm4", false), random));
             return driver.run(rateForLoad(random, load, kChannels)).aggregate;
         }});
     }
     out.push_back({"random/hbm4/checkpoint", [=] {
-        const ServingDriver driver(
+        const NodeDriver driver(
             cubeConfig(stackFactory("hbm4", false), random));
         const double rps = rateForLoad(random, 1.2, kChannels);
         const Tick end = driver.run(rps).finishedAt;
@@ -462,7 +464,7 @@ goldenCorpus()
     out.push_back({"stalls/hbm4", [=] {
         McConfig c;
         c.telemetry.counters = true;
-        const ServingDriver driver(cubeConfig(
+        const NodeDriver driver(cubeConfig(
             [dram, c] {
                 return std::make_unique<ConventionalMc>(
                     dram, bestBaselineMapping(dram.org), c);

@@ -1,25 +1,31 @@
 /**
  * @file
- * Node-model tests: link serialization/credit/queuing semantics and
- * determinism, router-policy semantics (round-robin, cache-affinity,
- * load-aware) and TP/PP slice coverage, the node fan-out dealing the
- * system stream to its channels exactly once, the fan-out drive against
- * independent per-channel drains over an independently routed stream
- * (every policy, TP/PP, a credit-limited link, 1/2/4 engine threads),
- * its bounded buffer, exact node-level histogram merging, thread-count
- * bit-invariance of the NodeDriver, bit-identity of the zero-latency
- * single-cube node with the plain ServingDriver, and per-DUE request
- * poisoning surfaced through completions and the serving RatePoint.
+ * Node-model and serving-driver tests: link serialization/credit/queuing
+ * semantics and determinism, router-policy semantics (round-robin,
+ * cache-affinity, load-aware), TP/PP slice coverage and the zero-size
+ * request check, the node fan-out dealing the system stream to its
+ * channels exactly once, and the one serving driver (sim/serving.h) in
+ * both shapes — a cube (one cube, ideal link) and a multi-cube node:
+ * the fan-out drive against independent per-channel drains over an
+ * independently routed stream (a cube on both stacks, every policy,
+ * TP/PP, a credit-limited link, 1/2/4 engine threads), a drain-only
+ * controller wrapper, its bounded buffer, exact histogram merging,
+ * thread-count bit-invariance, saturation-knee detection, the row
+ * schema, the cube-only forwarding shim, and per-DUE request poisoning
+ * surfaced through completions and the RatePoint.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/json_writer.h"
 #include "common/stats.h"
 #include "common/types.h"
 #include "dram/hbm4_config.h"
@@ -311,7 +317,7 @@ TEST(NodeFanOut, ChannelStreamsCoverSystemStreamExactlyOnce)
 }
 
 // ---------------------------------------------------------------------------
-// NodeDriver
+// The serving driver: cubes and nodes
 // ---------------------------------------------------------------------------
 
 NodeConfig
@@ -334,13 +340,30 @@ smallNodeConfig(const DramConfig& dram, int cubes, int channels,
     return cfg;
 }
 
+/** A cube: the one-cube node over the ideal link. */
+NodeConfig
+smallCubeConfig(const DramConfig& dram, int channels, std::uint64_t requests)
+{
+    NodeConfig cfg = smallNodeConfig(dram, 1, channels, requests);
+    cfg.link = LinkConfig::idealLink();
+    return cfg;
+}
+
+/** Both driver shapes with their request counts, for shared properties. */
+struct Shape
+{
+    NodeConfig cfg;
+    std::uint64_t requests;
+};
+
 TEST(NodeDriver, SingleCubeIdealLinkIsBitIdenticalToServingDriver)
 {
+    // ServingDriver is the cube-only spelling kept for perfbench: it must
+    // forward to the one driver unchanged.
     const DramConfig dram = hbm4Config();
     const double rps = 2e7;
 
-    NodeConfig ncfg = smallNodeConfig(dram, 1, 4, 1500);
-    ncfg.link = LinkConfig::idealLink();
+    const NodeConfig ncfg = smallCubeConfig(dram, 4, 1500);
     const NodeResult node = NodeDriver(ncfg).run(rps);
 
     ServingConfig scfg;
@@ -355,35 +378,54 @@ TEST(NodeDriver, SingleCubeIdealLinkIsBitIdenticalToServingDriver)
     EXPECT_EQ(node.finishedAt, serving.finishedAt);
     EXPECT_EQ(node.offeredRps, serving.offeredRps);
     EXPECT_EQ(node.achievedRps, serving.achievedRps);
+    EXPECT_TRUE(node.perCube == serving.perCube);
     ASSERT_EQ(node.perCube.size(), 1u);
     EXPECT_EQ(node.perCube[0].routedRequests, 1500u);
     // The ideal link never queues.
     EXPECT_EQ(node.linkQueueDelayNs.maxNs(), 0.0);
 }
 
-TEST(NodeDriver, ResultsAreThreadCountInvariant)
+TEST(NodeDriver, ResultsAreThreadCountInvariantForCubesAndNodes)
 {
     const DramConfig dram = hbm4Config();
-    NodeConfig cfg = smallNodeConfig(dram, 2, 2, 1200);
-    cfg.policy = RouterPolicy::CacheAffinity;
-    const double rps = 2e7;
+    Shape node{smallNodeConfig(dram, 2, 2, 1200), 1200};
+    node.cfg.policy = RouterPolicy::CacheAffinity;
+    for (Shape shape : {Shape{smallCubeConfig(dram, 4, 2000), 2000}, node}) {
+        NodeConfig& cfg = shape.cfg;
+        SCOPED_TRACE(std::to_string(cfg.numCubes) + " cubes");
+        const double rps = 2e7;
+        cfg.threads = 1;
+        const NodeResult serial = NodeDriver(cfg).run(rps);
+        cfg.threads = 4;
+        const NodeResult pooled = NodeDriver(cfg).run(rps);
 
-    cfg.threads = 1;
-    const NodeResult serial = NodeDriver(cfg).run(rps);
-    cfg.threads = 4;
-    const NodeResult pooled = NodeDriver(cfg).run(rps);
-
-    EXPECT_TRUE(serial.aggregate == pooled.aggregate);
-    EXPECT_EQ(serial.finishedAt, pooled.finishedAt);
-    ASSERT_EQ(serial.perCube.size(), pooled.perCube.size());
-    for (std::size_t c = 0; c < serial.perCube.size(); ++c) {
-        EXPECT_TRUE(serial.perCube[c].stats == pooled.perCube[c].stats);
-        EXPECT_EQ(serial.perCube[c].routedRequests,
-                  pooled.perCube[c].routedRequests);
-        EXPECT_EQ(serial.perCube[c].routedBytes,
-                  pooled.perCube[c].routedBytes);
+        // Bit-identical per cube and in aggregate — histograms included.
+        EXPECT_TRUE(serial.aggregate == pooled.aggregate);
+        EXPECT_TRUE(serial.perCube == pooled.perCube);
+        EXPECT_TRUE(serial.linkQueueDelayNs == pooled.linkQueueDelayNs);
+        EXPECT_EQ(serial.finishedAt, pooled.finishedAt);
+        EXPECT_EQ(serial.aggregate.completedRequests, shape.requests);
+        EXPECT_EQ(serial.aggregate.latencyHistNs.count(), shape.requests);
     }
-    EXPECT_EQ(serial.aggregate.completedRequests, 1200u);
+}
+
+TEST(NodeRouter, ZeroSizeRequestIsFatal)
+{
+    // Eight 4 KiB reads, the fourth of size 0: a channel controller would
+    // reject it, and so must the router in front of any number of cubes.
+    std::vector<Request> reqs;
+    for (std::uint64_t i = 0; i < 8; ++i)
+        reqs.push_back(readReq(i + 1, i * 4_KiB, i == 3 ? 0 : 4_KiB));
+    const DramConfig dram = hbm4Config();
+    for (NodeConfig cfg :
+         {smallCubeConfig(dram, 2, 0), smallNodeConfig(dram, 2, 1, 0)}) {
+        SCOPED_TRACE(std::to_string(cfg.numCubes) + " cubes");
+        cfg.makeSystemSource = [reqs] {
+            return std::make_unique<ReplaySource>(reqs);
+        };
+        cfg.threads = 1; // the fatal throws on the calling thread
+        EXPECT_THROW(NodeDriver(cfg).run(1e7), std::runtime_error);
+    }
 }
 
 /** The oracle's view of a node run: each channel's dealt stream and the
@@ -508,6 +550,9 @@ expectMatchesIndependentDrains(NodeConfig cfg, double rps)
         aggregate.deriveBandwidths();
         EXPECT_TRUE(res.aggregate == aggregate);
         EXPECT_TRUE(sameDistribution(res.linkQueueDelayNs, link_delay));
+        // The high-water is counted per window, so it is as thread-count
+        // invariant as the results.
+        EXPECT_GT(res.fanOutPeak, 0u);
         if (threads == 1)
             peak = res.fanOutPeak;
         EXPECT_EQ(res.fanOutPeak, peak);
@@ -517,6 +562,39 @@ expectMatchesIndependentDrains(NodeConfig cfg, double rps)
 /** A stream spanning several ChannelSimEngine::kFanOutWindow windows. */
 constexpr std::uint64_t kWindowedRequests =
     5 * ChannelSimEngine::kFanOutWindow;
+
+TEST(NodeFanOut, CubeDriveMatchesIndependentDrainsOnBothStacks)
+{
+    // One cube over the ideal link, by slice index and by address
+    // stripe. Half the channels' peak: queues build, and the stream
+    // spans two full windows of ChannelSimEngine::kFanOutWindow requests.
+    const DramConfig dram = hbm4Config();
+    RandomPattern p;
+    p.requestBytes = 1_KiB;
+    p.totalBytes = 5000 * p.requestBytes;
+    p.capacity = dram.org.channelCapacity();
+    p.writeFraction = 0.25;
+    const int channels = 4;
+    const double rps = 0.5 * channels *
+                       dram.org.channelBandwidthBytesPerNs() * 1e9 /
+                       static_cast<double>(p.requestBytes);
+    for (const MemorySystem sys : {MemorySystem::Hbm4, MemorySystem::RoMe}) {
+        for (const std::uint64_t stripe : {std::uint64_t{0}, 4_KiB}) {
+            SCOPED_TRACE(std::string(sys == MemorySystem::Hbm4 ? "hbm4"
+                                                               : "rome") +
+                         " stripe " + std::to_string(stripe));
+            NodeConfig cfg = smallCubeConfig(dram, channels, 0);
+            cfg.makeController = [dram, sys] {
+                return makeChannelController(sys, dram);
+            };
+            cfg.makeSystemSource = [p] {
+                return std::make_unique<RandomSource>(p);
+            };
+            cfg.stripeBytes = stripe;
+            expectMatchesIndependentDrains(cfg, rps);
+        }
+    }
+}
 
 TEST(NodeFanOut, DriveMatchesIndependentDrainsUnderEveryPolicy)
 {
@@ -559,6 +637,89 @@ TEST(NodeFanOut, DriveMatchesIndependentDrainsOnCreditLimitedLink)
     const DealtNode dealt = dealNode(cfg, 4e7);
     EXPECT_GT(dealt.router.link(0).creditStallTicks(), 0u);
     expectMatchesIndependentDrains(cfg, 4e7);
+}
+
+/**
+ * A controller wrapper that forwards only the calls a wrapper written
+ * before drainUntil existed knows — bindSource, runUntil, drain — and
+ * counts its drains; drainUntil stays at the interface default.
+ */
+class DrainCountingController final : public IMemoryController
+{
+  public:
+    DrainCountingController(std::unique_ptr<IMemoryController> inner,
+                            int* drains)
+        : inner_(std::move(inner)), drains_(drains)
+    {
+    }
+
+    std::string name() const override { return inner_->name(); }
+    void enqueue(const Request& req) override { inner_->enqueue(req); }
+    void bindSource(RequestSource* src) override { inner_->bindSource(src); }
+    void runUntil(Tick until) override { inner_->runUntil(until); }
+
+    Tick
+    drain() override
+    {
+        ++*drains_;
+        return inner_->drain();
+    }
+
+    bool idle() const override { return inner_->idle(); }
+    Tick now() const override { return inner_->now(); }
+    const std::vector<Completion>&
+    completions() const override
+    {
+        return inner_->completions();
+    }
+    void
+    setRetainCompletions(bool retain) override
+    {
+        inner_->setRetainCompletions(retain);
+    }
+    const Accumulator& latencyNs() const override
+    {
+        return inner_->latencyNs();
+    }
+    const LatencyHistogram&
+    latencyHistogramNs() const override
+    {
+        return inner_->latencyHistogramNs();
+    }
+    McComplexity complexity() const override { return inner_->complexity(); }
+    ControllerStats stats() const override { return inner_->stats(); }
+
+  private:
+    std::unique_ptr<IMemoryController> inner_;
+    int* drains_;
+};
+
+TEST(NodeFanOut, DrainOnlyWrapperIsDrainedOnceAndMatches)
+{
+    const DramConfig dram = hbm4Config();
+    NodeConfig cfg = smallCubeConfig(dram, 4, 8000);
+    cfg.threads = 2;
+    const double rps = 2e7;
+    const NodeResult plain = NodeDriver(cfg).run(rps);
+
+    std::deque<int> drains; // stable addresses, one counter per channel
+    NodeConfig wrapped = cfg;
+    wrapped.makeController = [&drains, make = cfg.makeController] {
+        drains.push_back(0);
+        return std::make_unique<DrainCountingController>(make(),
+                                                         &drains.back());
+    };
+    const NodeResult res = NodeDriver(wrapped).run(rps);
+
+    ASSERT_EQ(drains.size(), 4u);
+    for (const int n : drains)
+        EXPECT_EQ(n, 1);
+    EXPECT_TRUE(res.perCube == plain.perCube);
+    EXPECT_TRUE(res.aggregate == plain.aggregate);
+    EXPECT_EQ(res.finishedAt, plain.finishedAt);
+    // The default drains a channel whole in the first window, so the
+    // fan-out holds the other channels' shares meanwhile.
+    EXPECT_GT(res.fanOutPeak, plain.fanOutPeak);
 }
 
 TEST(NodeDriver, FanOutBufferStaysFarBelowTheStream)
@@ -605,31 +766,135 @@ TEST(NodeDriver, AggregateHistogramIsExactMergeOfCubeHistograms)
     }
 }
 
-TEST(NodeDriver, NodeRateSweepDetectsKneeAndReportsCoverage)
+TEST(NodeDriver, RateSweepFlagsSaturationKneeForCubesAndNodes)
 {
+    // Two channels in either shape — one cube of two, or two one-channel
+    // cubes behind the default link — deliver at most 2 x channel peak;
+    // 4 KiB requests put 100% load at peak / 4096 rps. The grid
+    // straddles that capacity.
     const DramConfig dram = hbm4Config();
-    NodeConfig cfg = smallNodeConfig(dram, 2, 1, 2500);
-    // Two single-channel cubes: capacity is 2 x channel peak over 4 KiB
-    // requests. Straddle it.
-    const double base_rps =
-        2.0 * dram.org.channelBandwidthBytesPerNs() * 1e9 / 4096.0;
-    const NodeRateSweep sweep = runNodeRateSweep(
-        NodeDriver(cfg), {0.4 * base_rps, 3.0 * base_rps});
-    ASSERT_EQ(sweep.points.size(), 2u);
-    EXPECT_FALSE(sweep.points[0].node.saturated);
-    EXPECT_TRUE(sweep.points[1].node.saturated);
-    EXPECT_EQ(sweep.kneeIndex, 1);
-    // Scheduling steps are plumbed through to every point.
-    for (const NodeRatePoint& pt : sweep.points) {
-        EXPECT_GT(pt.node.schedSteps, 0u);
-        ASSERT_EQ(pt.perCubeAchievedRps.size(), 2u);
-        ASSERT_EQ(pt.perCubeRouted.size(), 2u);
-        EXPECT_EQ(pt.perCubeRouted[0] + pt.perCubeRouted[1], 2500u);
+    const double base_rps = 2.0 * dram.org.channelBandwidthBytesPerNs() *
+                            1e9 / 4096.0;
+    const std::vector<double> loads{0.25, 0.5, 3.0, 5.0};
+    std::vector<double> rates;
+    for (const double l : loads)
+        rates.push_back(l * base_rps);
+    const NodeConfig cube = smallCubeConfig(dram, 2, 4000);
+    const NodeConfig node = smallNodeConfig(dram, 2, 1, 4000);
+    for (const NodeConfig& cfg : {cube, node}) {
+        SCOPED_TRACE(std::to_string(cfg.numCubes) + " cubes");
+        const RateSweep sweep = runRateSweep(NodeDriver(cfg), rates);
+
+        ASSERT_EQ(sweep.points.size(), loads.size());
+        // Below capacity the open loop keeps up...
+        EXPECT_FALSE(sweep.points[0].saturated);
+        EXPECT_FALSE(sweep.points[1].saturated);
+        // ...and a 3x overload cannot: achieved pins at capacity.
+        EXPECT_TRUE(sweep.points[2].saturated);
+        EXPECT_TRUE(sweep.points[3].saturated);
+        EXPECT_EQ(sweep.kneeIndex, 2);
+        ASSERT_NE(sweep.knee(), nullptr);
+        EXPECT_LT(sweep.points[2].achievedRps, rates[2]);
+        // Tail latency is monotone along the grid and explodes past the
+        // knee (the backlog grows with the whole stream length).
+        for (std::size_t i = 1; i < sweep.points.size(); ++i)
+            EXPECT_GE(sweep.points[i].p99Ns, sweep.points[i - 1].p99Ns);
+        EXPECT_GT(sweep.points[2].p99Ns, 10.0 * sweep.points[1].p99Ns);
+        // Every point carries its scheduling steps; a point over a
+        // non-ideal link also carries the per-cube split.
+        for (const RatePoint& pt : sweep.points) {
+            EXPECT_EQ(pt.completedRequests, 4000u);
+            EXPECT_GT(pt.schedSteps, 0u);
+            EXPECT_EQ(pt.linked, !cfg.link.ideal());
+            const std::size_t cubes = pt.linked ? 2 : 0;
+            ASSERT_EQ(pt.perCubeAchievedRps.size(), cubes);
+            ASSERT_EQ(pt.perCubeRouted.size(), cubes);
+            if (pt.linked) {
+                EXPECT_EQ(pt.perCubeRouted[0] + pt.perCubeRouted[1], 4000u);
+            }
+        }
+    }
+}
+
+/** The top-level keys of the one JSON object in @p json, in order. */
+std::vector<std::string>
+topLevelKeys(const std::string& json)
+{
+    std::vector<std::string> keys;
+    int depth = 0;
+    char prev = 0; // the last character outside a string
+    for (std::size_t i = 0; i < json.size(); ++i) {
+        const char c = json[i];
+        if (c == '"') {
+            // The row writer's keys and values carry no escapes.
+            const std::size_t end = json.find('"', i + 1);
+            if (depth == 1 && (prev == '{' || prev == ','))
+                keys.push_back(json.substr(i + 1, end - i - 1));
+            i = end;
+            prev = '"';
+            continue;
+        }
+        if (c == '{' || c == '[')
+            ++depth;
+        else if (c == '}' || c == ']')
+            --depth;
+        prev = c;
+    }
+    return keys;
+}
+
+TEST(RatePointJson, RowKeysFollowThePointsOwnData)
+{
+    // The BENCH_serving.json row schema after the identity keys.
+    const std::vector<std::string> base{
+        "offeredRps",      "achievedRps",   "completedRequests",
+        "latencyP50Ns",    "latencyP90Ns",  "latencyP99Ns",
+        "latencyP999Ns",   "latencyMaxNs",  "latencyMeanNs",
+        "effectiveBandwidth", "saturated",  "fanOutPeak",
+        "ceCount",         "dueCount",      "retryCount",
+        "scrubCount",      "sparedRows",    "poisonedRequests",
+        "schedSteps"};
+    const std::vector<std::string> telemetry{
+        "telemetry",     "stallTicks",    "queueMeanNs", "queueP99Ns",
+        "serviceMeanNs", "serviceP99Ns",  "retryMeanNs", "linkMeanNs",
+        "timeSeries"};
+    const std::vector<std::string> link{
+        "linkQueueDelayMeanNs", "linkQueueDelayP99Ns", "perCubeAchievedRps",
+        "perCubeRouted"};
+
+    const DramConfig dram = hbm4Config();
+    const NodeConfig cube = smallCubeConfig(dram, 2, 200);
+    const NodeConfig node = smallNodeConfig(dram, 2, 1, 200);
+    for (const bool counters : {false, true}) {
+        for (NodeConfig cfg : {cube, node}) {
+            SCOPED_TRACE(std::to_string(cfg.numCubes) + " cubes, counters " +
+                         std::to_string(counters));
+            cfg.makeController = [dram, counters] {
+                McConfig mc;
+                mc.telemetry.counters = counters;
+                return std::make_unique<ConventionalMc>(
+                    dram, bestBaselineMapping(dram.org), mc);
+            };
+            const RatePoint pt =
+                runRateSweep(NodeDriver(cfg), {2e7}).points[0];
+            JsonWriter w;
+            w.beginObject();
+            ratePointJson(w, pt);
+            w.endObject();
+
+            std::vector<std::string> expected = base;
+            if (counters)
+                expected.insert(expected.end(), telemetry.begin(),
+                                telemetry.end());
+            if (cfg.numCubes > 1)
+                expected.insert(expected.end(), link.begin(), link.end());
+            EXPECT_EQ(topLevelKeys(w.str()), expected) << w.str();
+        }
     }
 }
 
 // ---------------------------------------------------------------------------
-// Per-DUE request poisoning (serving-layer satellite)
+// Per-DUE request poisoning
 // ---------------------------------------------------------------------------
 
 TEST(Poisoning, DuePoisonsCompletionsAndFlowsIntoRatePoint)
@@ -670,17 +935,15 @@ TEST(Poisoning, DuePoisonsCompletionsAndFlowsIntoRatePoint)
     p.totalBytes = 400 * p.requestBytes;
     p.capacity = dram.org.channelCapacity();
     p.writeFraction = 0.0;
-    ServingConfig scfg;
-    scfg.makeController = [dram, mcfg] {
+    NodeConfig cfg = smallCubeConfig(dram, 2, 0);
+    cfg.makeController = [dram, mcfg] {
         return std::make_unique<ConventionalMc>(
             dram, bestBaselineMapping(dram.org), mcfg);
     };
-    scfg.makeSystemSource = [p] {
+    cfg.makeSystemSource = [p] {
         return std::make_unique<RandomSource>(p);
     };
-    scfg.numChannels = 2;
-    const RateSweep sweep =
-        runRateSweep(ServingDriver(scfg), {1e7});
+    const RateSweep sweep = runRateSweep(NodeDriver(cfg), {1e7});
     ASSERT_EQ(sweep.points.size(), 1u);
     EXPECT_EQ(sweep.points[0].completedRequests, 400u);
     // Requests landing in the clean spare-row region at the top of each

@@ -195,6 +195,20 @@ TEST(RomeMc, RejectsRequestsTheInFlightAccountingCannotHold)
     EXPECT_THROW(big.drain(), std::runtime_error);
 }
 
+TEST(RomeMc, TopRowCountsUsefulBytesLikeAnyOther)
+{
+    // A 64 B read in the last effective row of the address space moves
+    // the whole row and counts the same useful and overfetch bytes as
+    // the same read 8 KiB lower, whose row end does not wrap 2^64.
+    for (const std::uint64_t addr : {~0ull - 64, ~0ull - 64 - 8_KiB}) {
+        RomeMc mc = makeMc(noRefresh());
+        mc.enqueue({1, ReqKind::Read, addr, 64, 0});
+        mc.drain();
+        EXPECT_EQ(mc.bytesRead(), 64u) << addr;
+        EXPECT_EQ(mc.overfetchBytes(), 4032u) << addr;
+    }
+}
+
 TEST(RomeMc, DefaultMappingRotatesVbasFirst)
 {
     auto mc = makeMc();

@@ -1,13 +1,11 @@
 /**
  * @file
- * Serving-harness tests: LatencyHistogram percentiles against a
- * sorted-vector oracle, exact/associative merging, histogram plumbing
- * through ControllerStats::merge and the hybrid router, the stream
- * fan-out's per-channel deal (coverage, ShardSource equality) and its
- * windowed drive (bit-identical to independent per-channel drains on
- * both stacks at 1/2/4 engine threads, a drain-only wrapper drained
- * once), ServingDriver thread-count determinism, and saturation-knee
- * detection of the rate sweep on a synthetic overload.
+ * Serving-harness building blocks: LatencyHistogram percentiles against
+ * a sorted-vector oracle, exact/associative merging, histogram plumbing
+ * through ControllerStats::merge and the hybrid router, and the stream
+ * fan-out's per-channel deal (coverage, ShardSource equality). The
+ * serving driver itself, in its cube and node shapes, is tested in
+ * test_node.cc.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +13,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <numeric>
-#include <string>
 #include <vector>
 
 #include "common/random.h"
@@ -28,8 +24,6 @@
 #include "rome/hybrid.h"
 #include "rome/rome_mc.h"
 #include "sim/engine.h"
-#include "sim/memsim.h"
-#include "sim/serving.h"
 #include "sim/source.h"
 
 namespace rome
@@ -288,239 +282,6 @@ TEST(ServingShards, RepeatAndTakeCombinators)
     EXPECT_EQ(collectRequests(take).size(), 2u);
     take.reset();
     EXPECT_EQ(collectRequests(take).size(), 2u);
-}
-
-// ---------------------------------------------------------------------------
-// ServingDriver
-// ---------------------------------------------------------------------------
-
-ServingConfig
-smallCubeConfig(const DramConfig& dram, int channels,
-                std::uint64_t requests)
-{
-    RandomPattern p;
-    p.requestBytes = 4_KiB;
-    p.totalBytes = requests * p.requestBytes;
-    p.capacity = dram.org.channelCapacity();
-    ServingConfig cfg;
-    cfg.makeController = [dram] {
-        return makeChannelController(MemorySystem::RoMe, dram);
-    };
-    cfg.makeSystemSource = [p] {
-        return std::make_unique<RandomSource>(p);
-    };
-    cfg.numChannels = channels;
-    return cfg;
-}
-
-TEST(ServingDriver, ResultsAreThreadCountInvariant)
-{
-    const DramConfig dram = hbm4Config();
-    ServingConfig cfg = smallCubeConfig(dram, 4, 2000);
-    const double rps = 2e7;
-    cfg.threads = 1;
-    const ServingResult serial = ServingDriver(cfg).run(rps);
-    cfg.threads = 4;
-    const ServingResult pooled = ServingDriver(cfg).run(rps);
-
-    ASSERT_EQ(serial.perChannel.size(), pooled.perChannel.size());
-    // Bit-identical per channel and in aggregate — histograms included.
-    EXPECT_TRUE(serial.perChannel == pooled.perChannel);
-    EXPECT_TRUE(serial.aggregate == pooled.aggregate);
-    EXPECT_EQ(serial.finishedAt, pooled.finishedAt);
-    EXPECT_EQ(serial.aggregate.completedRequests, 2000u);
-    EXPECT_EQ(serial.aggregate.latencyHistNs.count(), 2000u);
-}
-
-// ---------------------------------------------------------------------------
-// Stream fan-out drive
-// ---------------------------------------------------------------------------
-
-/**
- * The oracle for a fan-out drive: every channel drained on its own over
- * a ShardSource of the stream re-timed as ServingDriver::run re-times it
- * (whole-tick mean gap for @p rps).
- */
-std::vector<ControllerStats>
-independentDrains(const ServingConfig& cfg, double rps)
-{
-    ArrivalSpec spec;
-    spec.model = cfg.arrivalModel;
-    spec.seed = cfg.arrivalSeed;
-    spec.meanGap = std::max<Tick>(ticksFromNs(1e9 / rps), 1);
-    std::vector<ControllerStats> out;
-    for (int ch = 0; ch < cfg.numChannels; ++ch) {
-        ShardSource dealt(
-            std::make_unique<ArrivalProcess>(cfg.makeSystemSource(), spec),
-            ch, cfg.numChannels, cfg.stripeBytes);
-        const auto mc = cfg.makeController();
-        out.push_back(runWorkload(*mc, dealt));
-    }
-    return out;
-}
-
-TEST(StreamFanOut, WindowedDriveMatchesIndependentDrainsOnBothStacks)
-{
-    const DramConfig dram = hbm4Config();
-    RandomPattern p;
-    p.requestBytes = 1_KiB;
-    p.totalBytes = 5000 * p.requestBytes;
-    p.capacity = dram.org.channelCapacity();
-    p.writeFraction = 0.25;
-    const int channels = 4;
-    // Half the channels' peak: queues build, and the stream spans two
-    // full windows of ChannelSimEngine::kFanOutWindow requests.
-    const double rps = 0.5 * channels *
-                       dram.org.channelBandwidthBytesPerNs() * 1e9 /
-                       static_cast<double>(p.requestBytes);
-    for (const MemorySystem sys : {MemorySystem::Hbm4, MemorySystem::RoMe}) {
-        for (const std::uint64_t stripe : {std::uint64_t{0}, 4_KiB}) {
-            ServingConfig cfg;
-            cfg.makeController = [dram, sys] {
-                return makeChannelController(sys, dram);
-            };
-            cfg.makeSystemSource = [p] {
-                return std::make_unique<RandomSource>(p);
-            };
-            cfg.numChannels = channels;
-            cfg.stripeBytes = stripe;
-            const std::vector<ControllerStats> oracle =
-                independentDrains(cfg, rps);
-            std::uint64_t peak = 0;
-            for (const int threads : {1, 2, 4}) {
-                SCOPED_TRACE(std::string(sys == MemorySystem::Hbm4 ? "hbm4"
-                                                                   : "rome") +
-                             " stripe " + std::to_string(stripe) +
-                             " threads " + std::to_string(threads));
-                cfg.threads = threads;
-                const ServingResult res = ServingDriver(cfg).run(rps);
-                ASSERT_EQ(res.perChannel.size(), oracle.size());
-                for (std::size_t ch = 0; ch < oracle.size(); ++ch)
-                    EXPECT_TRUE(res.perChannel[ch] == oracle[ch]) << ch;
-                EXPECT_EQ(res.aggregate.completedRequests, 5000u);
-                // The high-water is counted per window, so it is as
-                // thread-count invariant as the results.
-                EXPECT_GT(res.fanOutPeak, 0u);
-                if (threads == 1)
-                    peak = res.fanOutPeak;
-                EXPECT_EQ(res.fanOutPeak, peak);
-            }
-        }
-    }
-}
-
-/**
- * A controller wrapper that forwards only the calls a wrapper written
- * before drainUntil existed knows — bindSource, runUntil, drain — and
- * counts its drains; drainUntil stays at the interface default.
- */
-class DrainCountingController final : public IMemoryController
-{
-  public:
-    DrainCountingController(std::unique_ptr<IMemoryController> inner,
-                            int* drains)
-        : inner_(std::move(inner)), drains_(drains)
-    {
-    }
-
-    std::string name() const override { return inner_->name(); }
-    void enqueue(const Request& req) override { inner_->enqueue(req); }
-    void bindSource(RequestSource* src) override { inner_->bindSource(src); }
-    void runUntil(Tick until) override { inner_->runUntil(until); }
-
-    Tick
-    drain() override
-    {
-        ++*drains_;
-        return inner_->drain();
-    }
-
-    bool idle() const override { return inner_->idle(); }
-    Tick now() const override { return inner_->now(); }
-    const std::vector<Completion>&
-    completions() const override
-    {
-        return inner_->completions();
-    }
-    void
-    setRetainCompletions(bool retain) override
-    {
-        inner_->setRetainCompletions(retain);
-    }
-    const Accumulator& latencyNs() const override
-    {
-        return inner_->latencyNs();
-    }
-    const LatencyHistogram&
-    latencyHistogramNs() const override
-    {
-        return inner_->latencyHistogramNs();
-    }
-    McComplexity complexity() const override { return inner_->complexity(); }
-    ControllerStats stats() const override { return inner_->stats(); }
-
-  private:
-    std::unique_ptr<IMemoryController> inner_;
-    int* drains_;
-};
-
-TEST(StreamFanOut, DrainOnlyWrapperIsDrainedOnceAndMatches)
-{
-    const DramConfig dram = hbm4Config();
-    ServingConfig cfg = smallCubeConfig(dram, 4, 8000);
-    cfg.threads = 2;
-    const double rps = 2e7;
-    const ServingResult plain = ServingDriver(cfg).run(rps);
-
-    std::deque<int> drains; // stable addresses, one counter per channel
-    ServingConfig wrapped = cfg;
-    wrapped.makeController = [&drains, make = cfg.makeController] {
-        drains.push_back(0);
-        return std::make_unique<DrainCountingController>(make(),
-                                                         &drains.back());
-    };
-    const ServingResult res = ServingDriver(wrapped).run(rps);
-
-    ASSERT_EQ(drains.size(), 4u);
-    for (const int n : drains)
-        EXPECT_EQ(n, 1);
-    EXPECT_TRUE(res.perChannel == plain.perChannel);
-    EXPECT_TRUE(res.aggregate == plain.aggregate);
-    EXPECT_EQ(res.finishedAt, plain.finishedAt);
-    // The default drains a channel whole in the first window, so the
-    // fan-out holds the other channels' shares meanwhile.
-    EXPECT_GT(res.fanOutPeak, plain.fanOutPeak);
-}
-
-TEST(ServingDriver, RateSweepFlagsSaturationKneeOnOverload)
-{
-    const DramConfig dram = hbm4Config();
-    const ServingConfig cfg = smallCubeConfig(dram, 2, 4000);
-    // Two channels deliver at most 2 x channel peak; 4 KiB requests put
-    // 100% load at peak / 4096 rps. The grid straddles that capacity.
-    const double base_rps = 2.0 * dram.org.channelBandwidthBytesPerNs() *
-                            1e9 / 4096.0;
-    const std::vector<double> loads{0.25, 0.5, 3.0, 5.0};
-    std::vector<double> rates;
-    for (const double l : loads)
-        rates.push_back(l * base_rps);
-    const RateSweep sweep = runRateSweep(ServingDriver(cfg), rates);
-
-    ASSERT_EQ(sweep.points.size(), loads.size());
-    // Below capacity the open loop keeps up...
-    EXPECT_FALSE(sweep.points[0].saturated);
-    EXPECT_FALSE(sweep.points[1].saturated);
-    // ...and a 3x overload cannot: achieved pins at capacity.
-    EXPECT_TRUE(sweep.points[2].saturated);
-    EXPECT_TRUE(sweep.points[3].saturated);
-    EXPECT_EQ(sweep.kneeIndex, 2);
-    ASSERT_NE(sweep.knee(), nullptr);
-    EXPECT_LT(sweep.points[2].achievedRps, rates[2]);
-    // Tail latency is monotone along the grid and explodes past the
-    // knee (the backlog grows with the whole stream length).
-    for (std::size_t i = 1; i < sweep.points.size(); ++i)
-        EXPECT_GE(sweep.points[i].p99Ns, sweep.points[i - 1].p99Ns);
-    EXPECT_GT(sweep.points[2].p99Ns, 10.0 * sweep.points[1].p99Ns);
 }
 
 } // namespace

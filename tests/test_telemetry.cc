@@ -336,8 +336,12 @@ TEST(Telemetry, CountersDoNotPerturbTheModeledRun)
 
 TEST(Telemetry, ServingAggregateMergesBreakdownExactly)
 {
-    ServingConfig cfg;
-    cfg.numChannels = 2;
+    // Two one-channel cubes over the ideal link: the aggregate is the
+    // merge of the cubes', and no link stall joins it.
+    NodeConfig cfg;
+    cfg.numCubes = 2;
+    cfg.channelsPerCube = 1;
+    cfg.link = LinkConfig::idealLink();
     cfg.threads = 1;
     cfg.makeController = [] {
         McConfig mc;
@@ -350,15 +354,15 @@ TEST(Telemetry, ServingAggregateMergesBreakdownExactly)
         p.totalBytes = 1_MiB;
         return std::make_unique<StreamSource>(p);
     };
-    ServingDriver driver(cfg);
-    const ServingResult res = driver.run(2.0e7);
+    const NodeResult res = NodeDriver(cfg).run(2.0e7);
 
-    // The aggregate histograms are the bucket-wise sums of the channels'.
+    // The aggregate histograms are the bucket-wise sums of the cubes'.
     LatencyHistogram queue;
     LatencyHistogram service;
     StallTicks stalls{};
     TimeSeries series;
-    for (const ControllerStats& s : res.perChannel) {
+    for (const CubeResult& cube : res.perCube) {
+        const ControllerStats& s = cube.stats;
         queue.merge(s.queueNsHist);
         service.merge(s.serviceNsHist);
         for (std::size_t i = 0; i < kNumStallCauses; ++i)
@@ -373,8 +377,7 @@ TEST(Telemetry, ServingAggregateMergesBreakdownExactly)
               res.aggregate.completedRequests);
 
     // The rate-point schema surfaces the telemetry block.
-    const RatePoint pt =
-        makeRatePoint(res.offeredRps, res.achievedRps, res.aggregate, 0.05);
+    const RatePoint pt = makeRatePoint(cfg, res, 0.05);
     EXPECT_TRUE(pt.telemetry);
     EXPECT_EQ(sumStalls(pt.stallTicks), sumStalls(stalls));
     EXPECT_GT(pt.serviceMeanNs, 0.0);
@@ -383,8 +386,9 @@ TEST(Telemetry, ServingAggregateMergesBreakdownExactly)
 TEST(Telemetry, ServingRunIsThreadCountInvariantWithTelemetry)
 {
     auto run = [](int threads) {
-        ServingConfig cfg;
-        cfg.numChannels = 4;
+        NodeConfig cfg;
+        cfg.channelsPerCube = 4;
+        cfg.link = LinkConfig::idealLink();
         cfg.threads = threads;
         cfg.makeController = [] {
             McConfig mc;
@@ -397,10 +401,10 @@ TEST(Telemetry, ServingRunIsThreadCountInvariantWithTelemetry)
             p.totalBytes = 1_MiB;
             return std::make_unique<StreamSource>(p);
         };
-        return ServingDriver(cfg).run(2.0e7);
+        return NodeDriver(cfg).run(2.0e7);
     };
-    const ServingResult serial = run(1);
-    const ServingResult threaded = run(4);
+    const NodeResult serial = run(1);
+    const NodeResult threaded = run(4);
     EXPECT_EQ(serial.finishedAt, threaded.finishedAt);
     EXPECT_EQ(serial.aggregate.stallTicks, threaded.aggregate.stallTicks);
     EXPECT_TRUE(sameDistribution(serial.aggregate.queueNsHist,
@@ -574,8 +578,7 @@ TEST(Telemetry, NodeWithoutTelemetryStaysSilent)
     NodeDriver driver(cfg);
     const NodeResult res = driver.run(2.0e7);
     EXPECT_EQ(sumStalls(res.aggregate.stallTicks), 0u);
-    const RatePoint pt =
-        makeRatePoint(res.offeredRps, res.achievedRps, res.aggregate, 0.05);
+    const RatePoint pt = makeRatePoint(cfg, res, 0.05);
     EXPECT_FALSE(pt.telemetry);
 }
 
