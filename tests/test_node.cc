@@ -897,7 +897,7 @@ TEST(RatePointJson, RowKeysFollowThePointsOwnData)
 // Per-DUE request poisoning
 // ---------------------------------------------------------------------------
 
-TEST(Poisoning, DuePoisonsCompletionsAndFlowsIntoRatePoint)
+TEST(Poisoning, DuePoisonsCompletionsAndReachesTheRatePoint)
 {
     // Every data row carries a stuck fault and every stuck fault is a
     // DUE: each read request must complete exactly once, poisoned.
