@@ -62,6 +62,20 @@ rpsFor(Tick mean_gap)
     return 1e9 / nsFromTicks(mean_gap);
 }
 
+/**
+ * The controllers ran with telemetry counters: @p s holds stall,
+ * latency-breakdown or time-series accounting.
+ */
+bool
+countedTelemetry(const ControllerStats& s)
+{
+    std::uint64_t stalled = 0;
+    for (const std::uint64_t t : s.stallTicks)
+        stalled += t;
+    return stalled > 0 || s.queueNsHist.count() > 0 ||
+           s.timeSeries.enabled();
+}
+
 /** Completions per second over a @p span-tick finish span. */
 double
 rateOver(std::uint64_t completed, Tick span)
@@ -150,11 +164,7 @@ NodeDriver::finish(ChannelSimEngine& engine, const NodeFanOut& fan,
     // controller. Fold them into the aggregate's LinkCredit stall bucket
     // — but only when the controllers themselves ran with telemetry, so
     // a telemetry-off result stays bit-identical.
-    std::uint64_t stall_total = 0;
-    for (const std::uint64_t t : res.aggregate.stallTicks)
-        stall_total += t;
-    if (stall_total > 0 || res.aggregate.queueNsHist.count() > 0 ||
-        res.aggregate.timeSeries.enabled()) {
+    if (countedTelemetry(res.aggregate)) {
         res.aggregate.stallTicks[static_cast<std::size_t>(
             StallCause::LinkCredit)] += credit_stall;
     }
@@ -229,11 +239,7 @@ makeRatePoint(const NodeConfig& cfg, const NodeResult& res,
     pt.sparedRows = aggregate.sparedRows;
     pt.poisonedRequests = aggregate.poisonedRequests;
     pt.schedSteps = aggregate.schedSteps;
-    std::uint64_t stall_total = 0;
-    for (const std::uint64_t t : aggregate.stallTicks)
-        stall_total += t;
-    pt.telemetry = stall_total > 0 || aggregate.queueNsHist.count() > 0 ||
-                   aggregate.timeSeries.enabled();
+    pt.telemetry = countedTelemetry(aggregate);
     if (pt.telemetry) {
         pt.stallTicks = aggregate.stallTicks;
         pt.queueMeanNs = aggregate.queueNsHist.meanNs();
