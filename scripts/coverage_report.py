@@ -8,8 +8,9 @@ run ctest there first. The report reads the .gcda counters of the
 rome_core library through `gcov --json-format` and prints:
 
   - per-file line coverage of every src/**/*.cc, lowest first;
-  - every unexecuted line that is not a fatal() or panic() call (those
-    arms exist to stop a run, and a passing suite never reaches them).
+  - every unexecuted line outside a fatal() or panic() call (those arms
+    exist to stop a run, and a passing suite never reaches them), leaving
+    out lines that hold only a closing brace.
 
 It only prints; there is no threshold and the exit status is 0 unless
 gcov itself fails.
@@ -43,6 +44,19 @@ def line_counts(build: pathlib.Path, root: pathlib.Path):
     return counts
 
 
+def stop_lines(text):
+    """Line numbers of fatal()/panic() statements, continuations included."""
+    out = set()
+    inside = False
+    for n, line in enumerate(text, start=1):
+        code = line.split("//")[0].strip()
+        inside = inside or "fatal(" in code or "panic(" in code
+        if inside:
+            out.add(n)
+            inside = not code.endswith(";")
+    return out
+
+
 def main():
     if len(sys.argv) != 2:
         sys.exit(__doc__)
@@ -68,11 +82,10 @@ def main():
     print("\nunexecuted lines, fatal() and panic() calls left out")
     for _, path, _, _ in rows:
         text = (root / path).read_text().splitlines()
+        stops = stop_lines(text)
         for n in sorted(counts[path]):
-            if counts[path][n] > 0:
-                continue
             src = text[n - 1].strip()
-            if "fatal(" in src or "panic(" in src:
+            if counts[path][n] > 0 or n in stops or src in ("}", "};"):
                 continue
             print(f"{path}:{n}: {src}")
 

@@ -349,13 +349,6 @@ smallCubeConfig(const DramConfig& dram, int channels, std::uint64_t requests)
     return cfg;
 }
 
-/** Both driver shapes with their request counts, for shared properties. */
-struct Shape
-{
-    NodeConfig cfg;
-    std::uint64_t requests;
-};
-
 TEST(NodeDriver, SingleCubeIdealLinkIsBitIdenticalToServingDriver)
 {
     // ServingDriver is the cube-only spelling kept for perfbench: it must
@@ -388,10 +381,10 @@ TEST(NodeDriver, SingleCubeIdealLinkIsBitIdenticalToServingDriver)
 TEST(NodeDriver, ResultsAreThreadCountInvariantForCubesAndNodes)
 {
     const DramConfig dram = hbm4Config();
-    Shape node{smallNodeConfig(dram, 2, 2, 1200), 1200};
-    node.cfg.policy = RouterPolicy::CacheAffinity;
-    for (Shape shape : {Shape{smallCubeConfig(dram, 4, 2000), 2000}, node}) {
-        NodeConfig& cfg = shape.cfg;
+    const NodeConfig cube = smallCubeConfig(dram, 4, 2000);
+    NodeConfig node = smallNodeConfig(dram, 2, 2, 2000);
+    node.policy = RouterPolicy::CacheAffinity;
+    for (NodeConfig cfg : {cube, node}) {
         SCOPED_TRACE(std::to_string(cfg.numCubes) + " cubes");
         const double rps = 2e7;
         cfg.threads = 1;
@@ -404,8 +397,8 @@ TEST(NodeDriver, ResultsAreThreadCountInvariantForCubesAndNodes)
         EXPECT_TRUE(serial.perCube == pooled.perCube);
         EXPECT_TRUE(serial.linkQueueDelayNs == pooled.linkQueueDelayNs);
         EXPECT_EQ(serial.finishedAt, pooled.finishedAt);
-        EXPECT_EQ(serial.aggregate.completedRequests, shape.requests);
-        EXPECT_EQ(serial.aggregate.latencyHistNs.count(), shape.requests);
+        EXPECT_EQ(serial.aggregate.completedRequests, 2000u);
+        EXPECT_EQ(serial.aggregate.latencyHistNs.count(), 2000u);
     }
 }
 
