@@ -13,12 +13,12 @@
  * Usage:
  *   JsonWriter w;
  *   w.beginObject();
- *   w.key("bench").value("sched_hotpath");
+ *   w.key("bench").value("serving_curves");
  *   w.key("rows").beginArray();
  *   w.beginObject(); w.key("x").value(1); w.endObject();
  *   w.endArray();
  *   w.endObject();
- *   writeTextFile("BENCH_sched.json", w.str());
+ *   writeTextFile("BENCH_serving.json", w.str());
  */
 
 #ifndef ROME_COMMON_JSON_WRITER_H

@@ -119,8 +119,8 @@ struct McConfig
     /**
      * Use the seed's rescan-everything scheduler instead of the
      * incremental per-bank index. Decisions are bit-identical; this is
-     * the reference the parity tests and bench_sched_hotpath compare
-     * the indexed scheduler against.
+     * the reference the parity tests compare the indexed scheduler
+     * against.
      */
     bool legacyScheduler = false;
     /**

@@ -62,8 +62,8 @@ struct RomeMcConfig
     /**
      * Use the seed's scan-every-slot scheduler instead of the sorted
      * FSM-deadline buffers + per-VBA busy index. Decisions are
-     * bit-identical; this is the reference the parity tests and
-     * bench_sched_hotpath compare the indexed scheduler against.
+     * bit-identical; this is the reference the parity tests compare the
+     * indexed scheduler against.
      */
     bool legacyScheduler = false;
     /**

@@ -29,7 +29,7 @@
  * Everything here is off by default. TelemetryConfig::counters gates the
  * stall/breakdown/time-series paths behind a single branch; with it
  * false the controllers are bit-identical to a build that never heard of
- * telemetry, at 0 allocs/step (proven by bench_sched_hotpath's counting
+ * telemetry, at 0 allocs/step (proven by test_alloc's counting
  * allocator).
  */
 

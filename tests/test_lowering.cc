@@ -12,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "dram/hbm4_config.h"
@@ -225,18 +226,33 @@ TEST(LoweringParity, ControllerStatsAcrossDesignsAndSchedulers)
     p.seed = 33;
     const auto reqs = randomRequests(p);
 
-    for (const auto& d : VbaDesign::all()) {
-        for (const bool legacy_sched : {false, true}) {
-            RomeMcConfig tmpl_cfg;
-            tmpl_cfg.legacyScheduler = legacy_sched;
-            RomeMcConfig scal_cfg = tmpl_cfg;
-            scal_cfg.scalarLowering = true;
-            RomeMc a(hbm4Config(), d, tmpl_cfg);
-            RomeMc b(hbm4Config(), d, scal_cfg);
-            EXPECT_TRUE(runWorkload(a, reqs) == runWorkload(b, reqs))
-                << d.name() << (legacy_sched ? " legacy" : " indexed");
-            EXPECT_GT(a.generator().templateHits(), 0u) << d.name();
-            EXPECT_EQ(b.generator().templateHits(), 0u);
+    // Every design at its derived queue depth, and the adopted one with
+    // 64 row ops queued, where many ops contend for the FSMs at once.
+    std::vector<std::pair<VbaDesign, int>> inputs;
+    for (const auto& d : VbaDesign::all())
+        inputs.emplace_back(d, 0);
+    inputs.emplace_back(VbaDesign::adopted(), 64);
+    for (const auto& [d, depth] : inputs) {
+        // Both schedulers x both lowerings against the legacy scheduler
+        // with scalar lowering.
+        std::vector<ControllerStats> runs;
+        for (const bool legacy_sched : {true, false}) {
+            for (const bool scalar : {true, false}) {
+                RomeMcConfig cfg;
+                cfg.queueDepth = depth;
+                cfg.legacyScheduler = legacy_sched;
+                cfg.scalarLowering = scalar;
+                RomeMc mc(hbm4Config(), d, cfg);
+                runs.push_back(runWorkload(mc, reqs));
+                EXPECT_TRUE(runs.back() == runs.front())
+                    << d.name() << " depth " << depth
+                    << (legacy_sched ? " legacy" : " indexed")
+                    << (scalar ? " scalar" : " template");
+                if (scalar)
+                    EXPECT_EQ(mc.generator().templateHits(), 0u);
+                else
+                    EXPECT_GT(mc.generator().templateHits(), 0u) << d.name();
+            }
         }
     }
 }

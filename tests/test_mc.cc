@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <stdexcept>
+#include <utility>
 
 #include "common/random.h"
 #include "dram/hbm4_config.h"
@@ -295,9 +296,9 @@ TEST(ConventionalMc, ComplexityMatchesTableIV)
 
 ControllerStats
 runConv(const McConfig& cfg, const std::vector<Request>& reqs,
-        bool pathological_mapping = false)
+        bool pathological_mapping = false,
+        const DramConfig& dram = hbm4Config())
 {
-    const DramConfig dram = hbm4Config();
     const AddressMapping mapping = pathological_mapping
                                        ? standardMappings(dram.org).back()
                                        : bestBaselineMapping(dram.org);
@@ -306,12 +307,12 @@ runConv(const McConfig& cfg, const std::vector<Request>& reqs,
 }
 
 std::vector<Request>
-policyWorkload()
+policyWorkload(std::uint64_t capacity = hbm4Config().org.channelCapacity())
 {
     RandomPattern p;
     p.totalBytes = 256_KiB;
     p.requestBytes = 2_KiB;
-    p.capacity = hbm4Config().org.channelCapacity();
+    p.capacity = capacity;
     p.writeFraction = 0.3;
     p.seed = 42;
     return randomRequests(p);
@@ -340,25 +341,38 @@ writeDrainWorkload()
 
 TEST(SchedulerParity, AllPagePoliciesAndWorkloads)
 {
-    const auto policy_reqs = policyWorkload();
-    const auto drain_reqs = writeDrainWorkload();
-    RandomPattern fine;
-    fine.totalBytes = 64_KiB;
-    fine.requestBytes = 32;
-    fine.capacity = hbm4Config().org.channelCapacity();
-    fine.writeFraction = 0.1;
-    fine.seed = 9;
-    const auto fine_reqs = randomRequests(fine);
+    // The default 128-entry queues, and 64-entry queues on the full
+    // organization and on one with half its SIDs (64 banks).
+    DramConfig two_sids = hbm4Config();
+    two_sids.org.sidsPerChannel = 2;
+    const std::pair<DramConfig, int> shapes[] = {
+        {hbm4Config(), 128}, {hbm4Config(), 64}, {two_sids, 64}};
+    for (const auto& [dram, depth] : shapes) {
+        const auto policy_reqs = policyWorkload(dram.org.channelCapacity());
+        const auto drain_reqs = writeDrainWorkload();
+        RandomPattern fine;
+        fine.totalBytes = 64_KiB;
+        fine.requestBytes = 32;
+        fine.capacity = dram.org.channelCapacity();
+        fine.writeFraction = 0.1;
+        fine.seed = 9;
+        const auto fine_reqs = randomRequests(fine);
 
-    for (const PagePolicy pol :
-         {PagePolicy::Open, PagePolicy::Close, PagePolicy::Adaptive}) {
-        for (const auto* reqs : {&policy_reqs, &drain_reqs, &fine_reqs}) {
-            McConfig indexed;
-            indexed.pagePolicy = pol;
-            McConfig legacy = indexed;
-            legacy.legacyScheduler = true;
-            EXPECT_TRUE(runConv(indexed, *reqs) == runConv(legacy, *reqs))
-                << "policy " << static_cast<int>(pol);
+        for (const PagePolicy pol :
+             {PagePolicy::Open, PagePolicy::Close, PagePolicy::Adaptive}) {
+            for (const auto* reqs :
+                 {&policy_reqs, &drain_reqs, &fine_reqs}) {
+                McConfig indexed;
+                indexed.pagePolicy = pol;
+                indexed.readQueueDepth = depth;
+                indexed.writeQueueDepth = depth;
+                McConfig legacy = indexed;
+                legacy.legacyScheduler = true;
+                EXPECT_TRUE(runConv(indexed, *reqs, false, dram) ==
+                            runConv(legacy, *reqs, false, dram))
+                    << dram.org.sidsPerChannel << " SIDs, depth " << depth
+                    << ", policy " << static_cast<int>(pol);
+            }
         }
     }
 }
