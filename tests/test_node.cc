@@ -378,11 +378,15 @@ TEST(NodeDriver, SingleCubeIdealLinkIsBitIdenticalToServingDriver)
     EXPECT_EQ(node.linkQueueDelayNs.maxNs(), 0.0);
 }
 
+/** A stream spanning several ChannelSimEngine::kFanOutWindow windows. */
+constexpr std::uint64_t kWindowedRequests =
+    5 * ChannelSimEngine::kFanOutWindow;
+
 TEST(NodeDriver, ResultsAreThreadCountInvariantForCubesAndNodes)
 {
     const DramConfig dram = hbm4Config();
-    const NodeConfig cube = smallCubeConfig(dram, 4, 2000);
-    NodeConfig node = smallNodeConfig(dram, 2, 2, 2000);
+    const NodeConfig cube = smallCubeConfig(dram, 4, kWindowedRequests);
+    NodeConfig node = smallNodeConfig(dram, 2, 2, kWindowedRequests);
     node.policy = RouterPolicy::CacheAffinity;
     for (NodeConfig cfg : {cube, node}) {
         SCOPED_TRACE(std::to_string(cfg.numCubes) + " cubes");
@@ -397,8 +401,11 @@ TEST(NodeDriver, ResultsAreThreadCountInvariantForCubesAndNodes)
         EXPECT_TRUE(serial.perCube == pooled.perCube);
         EXPECT_TRUE(serial.linkQueueDelayNs == pooled.linkQueueDelayNs);
         EXPECT_EQ(serial.finishedAt, pooled.finishedAt);
-        EXPECT_EQ(serial.aggregate.completedRequests, 2000u);
-        EXPECT_EQ(serial.aggregate.latencyHistNs.count(), 2000u);
+        EXPECT_EQ(serial.aggregate.completedRequests, kWindowedRequests);
+        EXPECT_EQ(serial.aggregate.latencyHistNs.count(), kWindowedRequests);
+        // The fan-out high-water is counted per window, so it is as
+        // thread-count invariant as the results.
+        EXPECT_EQ(serial.fanOutPeak, pooled.fanOutPeak);
     }
 }
 
@@ -484,8 +491,10 @@ dealNode(const NodeConfig& cfg, double rps)
 /**
  * Check the fan-out drive of @p cfg at @p rps against independent
  * per-channel drains of the oracle's dealt streams: per channel through
- * the engine, per cube (stats, routed counts and bytes), link queue
- * delay and aggregate through NodeDriver, at 1, 2 and 4 engine threads.
+ * the engine on 4 threads, which pull the views concurrently, and per
+ * cube (stats, routed counts and bytes), link queue delay and aggregate
+ * through NodeDriver on 1 thread. The driver's thread-count invariance
+ * is NodeDriver.ResultsAreThreadCountInvariantForCubesAndNodes's.
  */
 void
 expectMatchesIndependentDrains(NodeConfig cfg, double rps)
@@ -496,65 +505,52 @@ expectMatchesIndependentDrains(NodeConfig cfg, double rps)
         const auto mc = cfg.makeController();
         oracle.push_back(runWorkload(*mc, stream));
     }
-    std::uint64_t peak = 0;
-    for (const int threads : {1, 2, 4}) {
-        SCOPED_TRACE("threads " + std::to_string(threads));
-        // Channel by channel, through the engine the driver uses.
-        ChannelSimEngine engine(threads);
-        for (std::size_t ch = 0; ch < oracle.size(); ++ch)
-            engine.addChannel(cfg.makeController());
-        engine.bindFanOut(std::make_unique<NodeFanOut>(
-            timedStream(cfg, rps), dealt.router.config(),
-            cfg.channelsPerCube, cfg.stripeBytes));
-        engine.drainAll();
-        for (std::size_t ch = 0; ch < oracle.size(); ++ch) {
-            EXPECT_TRUE(engine.channel(static_cast<int>(ch)).stats() ==
-                        oracle[ch])
-                << "channel " << ch;
-        }
 
-        // Cube by cube, through the driver.
-        cfg.threads = threads;
-        const NodeResult res = NodeDriver(cfg).run(rps);
-        ASSERT_EQ(res.perCube.size(), static_cast<std::size_t>(cfg.numCubes));
-        ControllerStats aggregate;
-        LatencyHistogram link_delay;
-        for (int cube = 0; cube < cfg.numCubes; ++cube) {
-            ControllerStats merged;
-            std::uint64_t routed = 0;
-            std::uint64_t bytes = 0;
-            for (int c = 0; c < cfg.channelsPerCube; ++c) {
-                const auto ch =
-                    static_cast<std::size_t>(cube * cfg.channelsPerCube + c);
-                merged.merge(oracle[ch]);
-                aggregate.merge(oracle[ch]);
-                routed += dealt.channels[ch].size();
-                for (const Request& r : dealt.channels[ch])
-                    bytes += r.size;
-            }
-            merged.deriveBandwidths();
-            const CubeResult& cr =
-                res.perCube[static_cast<std::size_t>(cube)];
-            EXPECT_TRUE(cr.stats == merged) << "cube " << cube;
-            EXPECT_EQ(cr.routedRequests, routed) << "cube " << cube;
-            EXPECT_EQ(cr.routedBytes, bytes) << "cube " << cube;
-            link_delay.merge(dealt.router.link(cube).queueDelayHistNs());
-        }
-        aggregate.deriveBandwidths();
-        EXPECT_TRUE(res.aggregate == aggregate);
-        EXPECT_TRUE(sameDistribution(res.linkQueueDelayNs, link_delay));
-        // The high-water is counted per window, so it is as thread-count
-        // invariant as the results.
-        EXPECT_GT(res.fanOutPeak, 0u);
-        if (threads == 1)
-            peak = res.fanOutPeak;
-        EXPECT_EQ(res.fanOutPeak, peak);
+    // Channel by channel, through the engine the driver uses.
+    ChannelSimEngine engine(4);
+    for (std::size_t ch = 0; ch < oracle.size(); ++ch)
+        engine.addChannel(cfg.makeController());
+    engine.bindFanOut(std::make_unique<NodeFanOut>(
+        timedStream(cfg, rps), dealt.router.config(), cfg.channelsPerCube,
+        cfg.stripeBytes));
+    engine.drainAll();
+    for (std::size_t ch = 0; ch < oracle.size(); ++ch) {
+        EXPECT_TRUE(engine.channel(static_cast<int>(ch)).stats() ==
+                    oracle[ch])
+            << "channel " << ch;
     }
-}
 
-/** A stream spanning several ChannelSimEngine::kFanOutWindow windows. */
-constexpr std::uint64_t kWindowedRequests =
-    5 * ChannelSimEngine::kFanOutWindow;
+    // Cube by cube, through the driver.
+    cfg.threads = 1;
+    const NodeResult res = NodeDriver(cfg).run(rps);
+    ASSERT_EQ(res.perCube.size(), static_cast<std::size_t>(cfg.numCubes));
+    ControllerStats aggregate;
+    LatencyHistogram link_delay;
+    for (int cube = 0; cube < cfg.numCubes; ++cube) {
+        ControllerStats merged;
+        std::uint64_t routed = 0;
+        std::uint64_t bytes = 0;
+        for (int c = 0; c < cfg.channelsPerCube; ++c) {
+            const auto ch =
+                static_cast<std::size_t>(cube * cfg.channelsPerCube + c);
+            merged.merge(oracle[ch]);
+            aggregate.merge(oracle[ch]);
+            routed += dealt.channels[ch].size();
+            for (const Request& r : dealt.channels[ch])
+                bytes += r.size;
+        }
+        merged.deriveBandwidths();
+        const CubeResult& cr = res.perCube[static_cast<std::size_t>(cube)];
+        EXPECT_TRUE(cr.stats == merged) << "cube " << cube;
+        EXPECT_EQ(cr.routedRequests, routed) << "cube " << cube;
+        EXPECT_EQ(cr.routedBytes, bytes) << "cube " << cube;
+        link_delay.merge(dealt.router.link(cube).queueDelayHistNs());
+    }
+    aggregate.deriveBandwidths();
+    EXPECT_TRUE(res.aggregate == aggregate);
+    EXPECT_TRUE(sameDistribution(res.linkQueueDelayNs, link_delay));
+    EXPECT_GT(res.fanOutPeak, 0u);
+}
 
 TEST(NodeFanOut, CubeDriveMatchesIndependentDrainsOnBothStacks)
 {
@@ -777,6 +773,12 @@ TEST(NodeDriver, RateSweepFlagsSaturationKneeForCubesAndNodes)
     for (const NodeConfig& cfg : {cube, node}) {
         SCOPED_TRACE(std::to_string(cfg.numCubes) + " cubes");
         const RateSweep sweep = runRateSweep(NodeDriver(cfg), rates);
+        // Sharding the points over three workers merges to the serial
+        // walk exactly.
+        const RateSweep sharded =
+            runRateSweep(NodeDriver(cfg), rates, 0.05, 3);
+        EXPECT_TRUE(sharded.points == sweep.points);
+        EXPECT_EQ(sharded.kneeIndex, sweep.kneeIndex);
 
         ASSERT_EQ(sweep.points.size(), loads.size());
         // Below capacity the open loop keeps up...
