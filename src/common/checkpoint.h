@@ -77,7 +77,9 @@ namespace rome
 // their live entries in release order.
 // v7: the device writes one column-bus tick per PC instead of its slot
 // list.
-inline constexpr std::uint32_t kCheckpointVersion = 7;
+// v8: the device's all-bank refresh window (per (PC, SID)) and REFab
+// counter left the stream.
+inline constexpr std::uint32_t kCheckpointVersion = 8;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

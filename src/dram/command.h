@@ -22,7 +22,6 @@ enum class CmdKind : int
     Pre,    ///< Precharge one bank.
     Rd,     ///< Column read (one AG_MC burst per PC).
     Wr,     ///< Column write.
-    RefAb,  ///< All-bank refresh (blocks one (PC, SID)).
     RefPb,  ///< Per-bank refresh (blocks one bank).
     NumKinds
 };
@@ -38,18 +37,9 @@ cmdName(CmdKind k)
       case CmdKind::Pre: return "PRE";
       case CmdKind::Rd: return "RD";
       case CmdKind::Wr: return "WR";
-      case CmdKind::RefAb: return "REFab";
       case CmdKind::RefPb: return "REFpb";
       default: return "?";
     }
-}
-
-/** True for commands carried on the row command bus (C/A row pins). */
-constexpr bool
-isRowCmd(CmdKind k)
-{
-    return k == CmdKind::Act || k == CmdKind::Pre || k == CmdKind::RefAb ||
-           k == CmdKind::RefPb;
 }
 
 /** True for column-bus commands (RD/WR). */

@@ -66,33 +66,6 @@ ChannelDevice::sidRec(int pc, int sid) const
     return sids_[static_cast<std::size_t>(pc * org_.sidsPerChannel + sid)];
 }
 
-Tick
-ChannelDevice::earliestRefAb(const DramAddress& a, Tick t0) const
-{
-    // Every bank in the (PC, SID) must be idle.
-    Tick t = t0;
-    for (int bg = 0; bg < org_.bankGroupsPerSid; ++bg) {
-        for (int ba = 0; ba < org_.banksPerGroup; ++ba) {
-            DramAddress ba_addr = a;
-            ba_addr.bg = bg;
-            ba_addr.bank = ba;
-            const BankRecord& b = bank(ba_addr);
-            if (b.open())
-                return kTickMax;
-            if (b.lastPre != kTickInvalid)
-                t = maxTick(t, b.lastPre + t_.tRP);
-            if (b.refUntil != kTickInvalid)
-                t = maxTick(t, b.refUntil);
-        }
-    }
-    const SidRecord& s = sidRec(a.pc, a.sid);
-    if (s.refAbUntil != kTickInvalid)
-        t = maxTick(t, s.refAbUntil);
-    if (s.lastRefPb != kTickInvalid)
-        t = maxTick(t, s.lastRefPb + t_.tRREFD);
-    return pcs_[static_cast<std::size_t>(a.pc)].rowBus.nextFree(t);
-}
-
 void
 ChannelDevice::checkProbe(Tick t) const
 {
@@ -138,8 +111,6 @@ ChannelDevice::earliestIssue(const Command& cmd, Tick not_before) const
             return kTickMax; // REFpb requires a precharged bank
         return pc.rowBus.nextFree(std::max(
             {not_before, refPbBankTerm(b), refPbSharedTerm(a.pc, a.sid)}));
-      case CmdKind::RefAb:
-        return earliestRefAb(a, not_before);
       default:
         panic("unknown command kind");
     }
@@ -232,23 +203,6 @@ ChannelDevice::commit(const Command& cmd, Tick when)
         res.bankReadyAt = b.refUntil;
         break;
 
-      case CmdKind::RefAb: {
-        for (int bg = 0; bg < org_.bankGroupsPerSid; ++bg) {
-            for (int ba = 0; ba < org_.banksPerGroup; ++ba) {
-                DramAddress a = cmd.addr;
-                a.bg = bg;
-                a.bank = ba;
-                bank(a).refUntil = when + t_.tRFCab;
-            }
-        }
-        s.refAbUntil = when + t_.tRFCab;
-        pc.rowBus.reserve(when, clock_);
-        counters_.refAbs.inc();
-        counters_.rowCmds.inc();
-        res.bankReadyAt = when + t_.tRFCab;
-        break;
-      }
-
       default:
         panic("unknown command kind");
     }
@@ -313,8 +267,6 @@ ChannelDevice::earliestSequence(const CmdTemplate& tpl,
             if (bk.lastAct != kTickInvalid && bk.lastAct + t_.tRC > at)
                 return kTickMax;
             if (bk.refUntil != kTickInvalid && bk.refUntil > at)
-                return kTickMax;
-            if (s.refAbUntil != kTickInvalid && s.refAbUntil > at)
                 return kTickMax;
             const Tick bg_last =
                 s.lastActPerBg[static_cast<std::size_t>(a.bg)];
@@ -383,8 +335,6 @@ ChannelDevice::earliestSequence(const CmdTemplate& tpl,
             if (bk.lastPre != kTickInvalid && bk.lastPre + t_.tRP > at)
                 return kTickMax;
             if (bk.refUntil != kTickInvalid && bk.refUntil > at)
-                return kTickMax;
-            if (s.refAbUntil != kTickInvalid && s.refAbUntil > at)
                 return kTickMax;
             if (n_ref[pi]++ == 0 && s.lastRefPb != kTickInvalid &&
                 s.lastRefPb + t_.tRREFD > at) {
@@ -533,9 +483,6 @@ ChannelDevice::issueSequence(const CmdTemplate& tpl,
 BankState
 ChannelDevice::bankState(const DramAddress& a, Tick now) const
 {
-    const SidRecord& s = sidRec(a.pc, a.sid);
-    if (s.refAbUntil != kTickInvalid && now < s.refAbUntil)
-        return BankState::Refreshing;
     return bank(a).stateAt(now, t_);
 }
 
@@ -563,15 +510,15 @@ ChannelDevice::fields(Ar& ar, Self& self)
         ar.fixed(s.lastActPerBg, "device bank-group");
         ar(s.lastAct);
         ar.fixed(s.actWindow, "device ACT-window");
-        ar(s.actWindowHead, s.lastRefPb, s.refAbUntil);
+        ar(s.actWindowHead, s.lastRefPb);
     });
     ar.fixed(self.pcs_, "device PC", [&ar](auto& p) {
         ar(p.lastCas, p.lastCasSid, p.lastCasBg, p.lastCasWasWrite,
            p.lastWrDataEnd, p.busBusyUntil, p.rowBus, p.colBusEnd);
     });
     auto& c = self.counters_;
-    ar(self.lastDataEnd_, c.acts, c.pres, c.reads, c.writes, c.refAbs,
-       c.refPbs, c.dataBusBusyTicks, c.dataBytes, c.rowCmds, c.colCmds);
+    ar(self.lastDataEnd_, c.acts, c.pres, c.reads, c.writes, c.refPbs,
+       c.dataBusBusyTicks, c.dataBytes, c.rowCmds, c.colCmds);
 }
 
 void

@@ -13,7 +13,7 @@
  *  - ACT-to-ACT: tRRDL / tRRDS and the tFAW window per (PC, SID)
  *  - CAS-to-CAS: tCCDL (same BG), tCCDS (diff BG), tCCDR (diff SID)
  *  - bus turnaround: tRTW and derived WR→RD gaps
- *  - refresh: tRFCab / tRFCpb busy windows, tRREFD spacing
+ *  - refresh: tRFCpb busy windows, tRREFD spacing
  *  - command bus: one row command and one column command per ns per PC
  *    (the two PCs share the C/A pins, which are fast enough for both)
  */
@@ -46,7 +46,6 @@ struct DeviceCounters
     Counter pres;
     Counter reads;
     Counter writes;
-    Counter refAbs;
     Counter refPbs;
     /** Ticks any PC's data bus carried data (summed over PCs). */
     Counter dataBusBusyTicks;
@@ -246,14 +245,12 @@ class ChannelDevice
         return t;
     }
 
-    /** All-bank refresh busy, tRRDL / tRRDS and the tFAW window. */
+    /** tRRDL / tRRDS and the tFAW window. */
     Tick
     actSharedTerm(int pc, int sid, int bg) const
     {
         const SidRecord& s = sidRec(pc, sid);
         Tick t = 0;
-        if (s.refAbUntil != kTickInvalid)
-            t = std::max(t, s.refAbUntil);
         const Tick bg_last = s.lastActPerBg[static_cast<std::size_t>(bg)];
         if (bg_last != kTickInvalid)
             t = std::max(t, bg_last + t_.tRRDL);
@@ -347,17 +344,12 @@ class ChannelDevice
         return t;
     }
 
-    /** All-bank refresh busy and tRREFD spacing in the (PC, SID). */
+    /** tRREFD spacing in the (PC, SID). */
     Tick
     refPbSharedTerm(int pc, int sid) const
     {
         const SidRecord& s = sidRec(pc, sid);
-        Tick t = 0;
-        if (s.refAbUntil != kTickInvalid)
-            t = std::max(t, s.refAbUntil);
-        if (s.lastRefPb != kTickInvalid)
-            t = std::max(t, s.lastRefPb + t_.tRREFD);
-        return t;
+        return s.lastRefPb != kTickInvalid ? s.lastRefPb + t_.tRREFD : 0;
     }
 
     /**
@@ -473,8 +465,6 @@ class ChannelDevice
         std::size_t actWindowHead = 0;
         /** Last per-bank refresh issue (tRREFD). */
         Tick lastRefPb = kTickInvalid;
-        /** Completion of the last all-bank refresh. */
-        Tick refAbUntil = kTickInvalid;
     };
 
     /**
@@ -563,8 +553,6 @@ class ChannelDevice
     const BankRecord& bank(const DramAddress& a) const;
     SidRecord& sidRec(int pc, int sid);
     const SidRecord& sidRec(int pc, int sid) const;
-
-    Tick earliestRefAb(const DramAddress& a, Tick t0) const;
 
     /** Debug check that a probe at @p t does not precede the clock. */
     void checkProbe(Tick t) const;

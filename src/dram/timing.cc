@@ -35,10 +35,8 @@ hbm4Timing()
     t.tWTRL = 10_ns;
 
     // Refresh (per-bank refresh per §V-B: tRFCpb 280 ns, tRREFD 8 ns).
-    t.tRFCab = 410_ns;
     t.tRFCpb = 280_ns;
     t.tRREFD = 8_ns;
-    t.tREFIab = 3.9_us;
     t.tREFIbank = 3.9_us;
     return t;
 }

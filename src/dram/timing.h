@@ -54,10 +54,8 @@ struct TimingParams
     Tick tWTRL = 0;   ///< WR command to RD command, same BG.
 
     // --- Refresh ----------------------------------------------------------
-    Tick tRFCab = 0;   ///< All-bank refresh cycle time.
     Tick tRFCpb = 0;   ///< Per-bank refresh cycle time.
     Tick tRREFD = 0;   ///< REFpb to REFpb, same (PC, SID).
-    Tick tREFIab = 0;  ///< Average REFab interval per (PC, SID).
     Tick tREFIbank = 0; ///< Required refresh period of each bank.
 
     /** Number of timing parameters a conventional MC tracks (Table IV). */

@@ -133,13 +133,10 @@ ConventionalMc::installCommandTrace()
           case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
           case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
           case CmdKind::RefPb: name = "REFpb"; break;
-          case CmdKind::RefAb: name = "REFab"; break;
           default: break;
         }
-        const int track = cmd.kind == CmdKind::RefAb
-                              ? TelemetrySink::kChannelTrack
-                              : flatBankIndex(dramCfg_.org, cmd.addr);
-        sink_->span(name, track, when, end > when ? end - when : 0);
+        sink_->span(name, flatBankIndex(dramCfg_.org, cmd.addr), when,
+                    end > when ? end - when : 0);
     });
 }
 

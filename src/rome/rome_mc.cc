@@ -71,14 +71,10 @@ RomeMc::installCommandTrace()
           case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
           case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
           case CmdKind::RefPb: name = "REFpb"; break;
-          case CmdKind::RefAb: name = "REFab"; break;
           default: break;
         }
-        const int track = cmd.kind == CmdKind::RefAb
-                              ? TelemetrySink::kChannelTrack
-                              : flatBankIndex(map_.deviceOrganization(),
-                                              cmd.addr);
-        sink_->span(name, track, when, end > when ? end - when : 0);
+        sink_->span(name, flatBankIndex(map_.deviceOrganization(), cmd.addr),
+                    when, end > when ? end - when : 0);
     });
 }
 

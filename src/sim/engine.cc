@@ -541,7 +541,6 @@ ChannelControllerBase::fillBaseStats(ControllerStats& s) const
     s.reads = c.reads.value();
     s.writes = c.writes.value();
     s.refPbs = c.refPbs.value();
-    s.refAbs = c.refAbs.value();
     s.rowCmds = c.rowCmds.value();
     s.colCmds = c.colCmds.value();
     s.finishedAt = device().lastDataEnd();

@@ -83,6 +83,11 @@ struct ControllerStats
     std::uint64_t reads = 0;
     std::uint64_t writes = 0;
     std::uint64_t refPbs = 0;
+    /**
+     * All-bank refreshes: always 0, since neither stack issues one. The
+     * field stays because digest() and the benchmark's stats digest hash
+     * it.
+     */
     std::uint64_t refAbs = 0;
     std::uint64_t rowCmds = 0;
     std::uint64_t colCmds = 0;

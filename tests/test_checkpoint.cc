@@ -419,24 +419,24 @@ struct PinnedBlob
  * failure messages below.
  */
 constexpr PinnedBlob kPinnedBlobs[] = {
-    {"hbm4", 42830, 0x1de60fed4b231775ull},
-    {"hbm4 streaming", 39714, 0x312d1a5e9355da03ull},
-    {"hbm4 legacy", 20069, 0x4528673eeaaf41adull},
-    {"hbm4 legacy streaming", 16953, 0x23df3af46a789e8full},
-    {"hbm4 faults telemetry", 59188, 0x0fce602cebb80f20ull},
-    {"hbm4 faults telemetry streaming", 56072, 0xd4582123a0570353ull},
-    {"rome", 13287, 0xd7a42bc844ce4f9aull},
-    {"rome streaming", 10212, 0x6d2b87317c6ad618ull},
-    {"rome legacy scalar", 13247, 0x44785c4b2bfb9641ull},
-    {"rome legacy scalar streaming", 10172, 0xb54dab5a87fee797ull},
-    {"rome faults telemetry", 16915, 0x341081a097f10f60ull},
-    {"rome faults telemetry streaming", 13799, 0x3f9d9852e50b81b2ull},
-    {"rome 7b x 8a", 13799, 0x0782fe09124a8211ull},
-    {"rome 7b x 8a streaming", 10683, 0xbe9cace98d0c75d3ull},
-    {"hybrid", 38076, 0xead9a4508698c87full},
-    {"hybrid streaming", 38035, 0x60ca3135e3121fa4ull},
-    {"hybrid faults telemetry", 58253, 0xd614a0b15260f833ull},
-    {"hybrid faults telemetry streaming", 58212, 0xe69ba79ce0c9fb9cull},
+    {"hbm4", 42758, 0xae61d87871812ebaull},
+    {"hbm4 streaming", 39642, 0x31bfe9f9d6e22cdcull},
+    {"hbm4 legacy", 19997, 0x67f3179ae60289ccull},
+    {"hbm4 legacy streaming", 16881, 0x1aed638dc891350aull},
+    {"hbm4 faults telemetry", 59116, 0x383958d0f4b646afull},
+    {"hbm4 faults telemetry streaming", 56000, 0xe2b2099f60f19ae4ull},
+    {"rome", 13215, 0xaedf41f3f302dd0bull},
+    {"rome streaming", 10140, 0xe79f3b9cc5ba92e7ull},
+    {"rome legacy scalar", 13175, 0x1b500a40475e6b04ull},
+    {"rome legacy scalar streaming", 10100, 0x0c5d1fa81df946e8ull},
+    {"rome faults telemetry", 16843, 0x940110445b5c0421ull},
+    {"rome faults telemetry streaming", 13727, 0x7eea7ff695af8407ull},
+    {"rome 7b x 8a", 13759, 0xf5b088d253433bf4ull},
+    {"rome 7b x 8a streaming", 10643, 0x885df5ac49bb06c2ull},
+    {"hybrid", 37932, 0x6f452d34a7b591dcull},
+    {"hybrid streaming", 37891, 0x1efb737d0cd9172dull},
+    {"hybrid faults telemetry", 58109, 0x6eb2ba33668ee96aull},
+    {"hybrid faults telemetry streaming", 58068, 0xfc7f75ac14c0471full},
 };
 
 TEST(Checkpoint, BlobBytesArePinned)

@@ -300,18 +300,6 @@ TEST_F(DeviceTest, RefreshRequiresIdleBank)
     EXPECT_EQ(dev_.earliestIssue({CmdKind::RefPb, a}, 0), kTickMax);
 }
 
-TEST_F(DeviceTest, AllBankRefreshBlocksSid)
-{
-    const auto a = addr(0, 0, 0, 0);
-    dev_.issue({CmdKind::RefAb, a}, 0);
-    EXPECT_EQ(dev_.bankState(addr(0, 0, 3, 3), 1_ns), BankState::Refreshing);
-    EXPECT_EQ(dev_.earliestIssue({CmdKind::Act, addr(0, 0, 2, 1, 1)}, 0),
-              cfg_.timing.tRFCab);
-    // Other SIDs are unaffected.
-    EXPECT_LE(dev_.earliestIssue({CmdKind::Act, addr(0, 1, 0, 0, 1)}, 0),
-              1_ns);
-}
-
 TEST_F(DeviceTest, RowBusSlotsArePerPc)
 {
     // The C/A pins can feed both PCs each slot (§IV-D): an ACT to the other
