@@ -4,15 +4,12 @@
 #include <cstdio>
 #include <stdexcept>
 #include <string>
-#include <vector>
 
 namespace rome
 {
 
 namespace
 {
-
-LogLevel g_level = LogLevel::Warn;
 
 std::string
 vformat(const char* fmt, std::va_list args)
@@ -31,25 +28,13 @@ vformat(const char* fmt, std::va_list args)
 }
 
 void
-emit(std::FILE* stream, const char* prefix, const std::string& msg)
+emit(const char* prefix, const std::string& msg)
 {
-    std::fprintf(stream, "%s: %s\n", prefix, msg.c_str());
-    std::fflush(stream);
+    std::fprintf(stderr, "%s: %s\n", prefix, msg.c_str());
+    std::fflush(stderr);
 }
 
 } // namespace
-
-LogLevel
-logLevel()
-{
-    return g_level;
-}
-
-void
-setLogLevel(LogLevel level)
-{
-    g_level = level;
-}
 
 void
 panic(const char* fmt, ...)
@@ -58,7 +43,7 @@ panic(const char* fmt, ...)
     va_start(args, fmt);
     const std::string msg = vformat(fmt, args);
     va_end(args);
-    emit(stderr, "panic", msg);
+    emit("panic", msg);
     // Throwing instead of abort() lets tests assert on panics; uncaught it
     // still terminates the process with the message above already printed.
     throw std::logic_error("panic: " + msg);
@@ -71,44 +56,8 @@ fatal(const char* fmt, ...)
     va_start(args, fmt);
     const std::string msg = vformat(fmt, args);
     va_end(args);
-    emit(stderr, "fatal", msg);
+    emit("fatal", msg);
     throw std::runtime_error("fatal: " + msg);
-}
-
-void
-warn(const char* fmt, ...)
-{
-    if (g_level < LogLevel::Warn)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    const std::string msg = vformat(fmt, args);
-    va_end(args);
-    emit(stderr, "warn", msg);
-}
-
-void
-inform(const char* fmt, ...)
-{
-    if (g_level < LogLevel::Info)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    const std::string msg = vformat(fmt, args);
-    va_end(args);
-    emit(stdout, "info", msg);
-}
-
-void
-debugLog(const char* fmt, ...)
-{
-    if (g_level < LogLevel::Debug)
-        return;
-    std::va_list args;
-    va_start(args, fmt);
-    const std::string msg = vformat(fmt, args);
-    va_end(args);
-    emit(stdout, "debug", msg);
 }
 
 } // namespace rome

@@ -1,15 +1,13 @@
 /**
  * @file
- * Status/error reporting in the gem5 style: panic, fatal, warn, inform.
+ * Error reporting in the gem5 style: panic and fatal.
  *
  * panic()  — an internal invariant was violated (simulator bug); throws
  *            std::logic_error after printing.
  * fatal()  — the user asked for something unsatisfiable (bad config); throws
  *            std::runtime_error after printing.
- * warn()   — something is suspicious but the simulation can continue.
- * inform() — plain status output.
  *
- * All take printf-style format strings (compile-time checked).
+ * Both take printf-style format strings (compile-time checked).
  */
 
 #ifndef ROME_COMMON_LOG_H
@@ -18,15 +16,6 @@
 namespace rome
 {
 
-/** Verbosity levels for runtime filtering. */
-enum class LogLevel { Silent, Error, Warn, Info, Debug };
-
-/** Global log level (default Warn so tests/benches stay quiet). */
-LogLevel logLevel();
-
-/** Set the global log level. */
-void setLogLevel(LogLevel level);
-
 /** Abort with a formatted message: an internal invariant failed. */
 [[noreturn]] void panic(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
@@ -34,15 +23,6 @@ void setLogLevel(LogLevel level);
 /** Exit with a formatted message: unsatisfiable user configuration. */
 [[noreturn]] void fatal(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
-
-/** Emit a warning (shown at LogLevel::Warn and above). */
-void warn(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit an informational message (shown at LogLevel::Info and above). */
-void inform(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
-
-/** Emit a debug message (shown at LogLevel::Debug). */
-void debugLog(const char* fmt, ...) __attribute__((format(printf, 1, 2)));
 
 } // namespace rome
 

@@ -17,13 +17,7 @@ Table::setHeader(std::vector<std::string> cells)
 void
 Table::addRow(std::vector<std::string> cells)
 {
-    rows_.push_back(Row{std::move(cells), false});
-}
-
-void
-Table::addSeparator()
-{
-    rows_.push_back(Row{{}, true});
+    rows_.push_back(std::move(cells));
 }
 
 std::string
@@ -32,7 +26,7 @@ Table::render() const
     // Compute column widths across header and all rows.
     std::size_t ncols = header_.size();
     for (const auto& r : rows_)
-        ncols = std::max(ncols, r.cells.size());
+        ncols = std::max(ncols, r.size());
     std::vector<std::size_t> width(ncols, 0);
     auto widen = [&](const std::vector<std::string>& cells) {
         for (std::size_t i = 0; i < cells.size(); ++i)
@@ -40,7 +34,7 @@ Table::render() const
     };
     widen(header_);
     for (const auto& r : rows_)
-        widen(r.cells);
+        widen(r);
 
     auto renderRow = [&](const std::vector<std::string>& cells) {
         std::string line = "|";
@@ -65,9 +59,8 @@ Table::render() const
         out += renderRow(header_);
         out += renderSep();
     }
-    for (const auto& r : rows_) {
-        out += r.separator ? renderSep() : renderRow(r.cells);
-    }
+    for (const auto& r : rows_)
+        out += renderRow(r);
     out += renderSep();
     return out;
 }

@@ -27,9 +27,6 @@ class Table
     /** Append a data row (cells need not match header length). */
     void addRow(std::vector<std::string> cells);
 
-    /** Append a horizontal separator between row groups. */
-    void addSeparator();
-
     /** Render to a string. */
     std::string render() const;
 
@@ -42,15 +39,9 @@ class Table
     static std::string percent(double fraction, int precision = 1);
 
   private:
-    struct Row
-    {
-        std::vector<std::string> cells;
-        bool separator = false;
-    };
-
     std::string title_;
     std::vector<std::string> header_;
-    std::vector<Row> rows_;
+    std::vector<std::vector<std::string>> rows_;
 };
 
 } // namespace rome

@@ -50,13 +50,6 @@ nsFromTicks(Tick t)
     return static_cast<double>(t) / static_cast<double>(kTicksPerNs);
 }
 
-/** Convert ticks to seconds. */
-constexpr double
-secondsFromTicks(Tick t)
-{
-    return nsFromTicks(t) * 1e-9;
-}
-
 namespace literals
 {
 

@@ -11,8 +11,6 @@
 #ifndef ROME_DRAM_BANK_H
 #define ROME_DRAM_BANK_H
 
-#include <string_view>
-
 #include "common/types.h"
 #include "dram/timing.h"
 
@@ -34,22 +32,6 @@ enum class BankState : int
 
 inline constexpr int kNumConventionalBankStates =
     static_cast<int>(BankState::NumStates);
-
-/** Short name for traces. */
-constexpr std::string_view
-bankStateName(BankState s)
-{
-    switch (s) {
-      case BankState::Idle: return "Idle";
-      case BankState::Activating: return "Activating";
-      case BankState::Active: return "Active";
-      case BankState::Reading: return "Reading";
-      case BankState::Writing: return "Writing";
-      case BankState::Precharging: return "Precharging";
-      case BankState::Refreshing: return "Refreshing";
-      default: return "?";
-    }
-}
 
 /** Timing history of one physical bank. */
 struct BankRecord
