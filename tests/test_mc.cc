@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -14,6 +15,7 @@
 #include "dram/hbm4_config.h"
 #include "mc/mc.h"
 #include "sim/engine.h"
+#include "sim/telemetry.h"
 #include "sim/workloads.h"
 
 namespace rome
@@ -294,7 +296,14 @@ TEST(ConventionalMc, ComplexityMatchesTableIV)
 // scheduler, which preserves the pre-refactor decision order.
 // ---------------------------------------------------------------------------
 
-ControllerStats
+/** A drained run's stats and its timeline of committed commands. */
+struct ConvRun
+{
+    ControllerStats stats;
+    std::vector<TelemetrySink::Event> events;
+};
+
+ConvRun
 runConv(const McConfig& cfg, const std::vector<Request>& reqs,
         bool pathological_mapping = false,
         const DramConfig& dram = hbm4Config())
@@ -303,7 +312,56 @@ runConv(const McConfig& cfg, const std::vector<Request>& reqs,
                                        ? standardMappings(dram.org).back()
                                        : bestBaselineMapping(dram.org);
     ConventionalMc mc(dram, mapping, cfg);
-    return runWorkload(mc, reqs);
+    TelemetrySink sink;
+    mc.attachTelemetrySink(&sink, true);
+    ConvRun run;
+    run.stats = runWorkload(mc, reqs);
+    run.events = sink.events();
+    return run;
+}
+
+/**
+ * The indexed and legacy schedulers of @p cfg agree on @p reqs: equal
+ * stats and equal timelines, so every command has the same kind, bank,
+ * issue tick and span, and every retry and spare the same tick. The
+ * indexed run's stats land in @p stats when given.
+ */
+::testing::AssertionResult
+schedulersAgree(McConfig cfg, const std::vector<Request>& reqs,
+                bool pathological_mapping = false,
+                const DramConfig& dram = hbm4Config(),
+                ControllerStats* stats = nullptr)
+{
+    cfg.legacyScheduler = false;
+    const ConvRun indexed = runConv(cfg, reqs, pathological_mapping, dram);
+    cfg.legacyScheduler = true;
+    const ConvRun legacy = runConv(cfg, reqs, pathological_mapping, dram);
+    if (stats != nullptr)
+        *stats = indexed.stats;
+    if (!(indexed.stats == legacy.stats))
+        return ::testing::AssertionFailure() << "stats differ";
+    const auto& a = indexed.events;
+    const auto& b = legacy.events;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        if (std::strcmp(a[i].name, b[i].name) != 0 ||
+            a[i].track != b[i].track || a[i].start != b[i].start ||
+            a[i].dur != b[i].dur) {
+            return ::testing::AssertionFailure()
+                   << "event " << i << " differs: indexed " << a[i].name
+                   << " on track " << a[i].track << " at " << a[i].start
+                   << "+" << a[i].dur << ", legacy " << b[i].name
+                   << " on track " << b[i].track << " at " << b[i].start
+                   << "+" << b[i].dur;
+        }
+    }
+    if (a.size() != b.size()) {
+        return ::testing::AssertionFailure()
+               << "timelines of " << a.size() << " and " << b.size()
+               << " events";
+    }
+    if (a.empty())
+        return ::testing::AssertionFailure() << "empty timelines";
+    return ::testing::AssertionSuccess();
 }
 
 std::vector<Request>
@@ -362,14 +420,11 @@ TEST(SchedulerParity, AllPagePoliciesAndWorkloads)
              {PagePolicy::Open, PagePolicy::Close, PagePolicy::Adaptive}) {
             for (const auto* reqs :
                  {&policy_reqs, &drain_reqs, &fine_reqs}) {
-                McConfig indexed;
-                indexed.pagePolicy = pol;
-                indexed.readQueueDepth = depth;
-                indexed.writeQueueDepth = depth;
-                McConfig legacy = indexed;
-                legacy.legacyScheduler = true;
-                EXPECT_TRUE(runConv(indexed, *reqs, false, dram) ==
-                            runConv(legacy, *reqs, false, dram))
+                McConfig cfg;
+                cfg.pagePolicy = pol;
+                cfg.readQueueDepth = depth;
+                cfg.writeQueueDepth = depth;
+                EXPECT_TRUE(schedulersAgree(cfg, *reqs, false, dram))
                     << dram.org.sidsPerChannel << " SIDs, depth " << depth
                     << ", policy " << static_cast<int>(pol);
             }
@@ -389,13 +444,11 @@ TEST(SchedulerParity, AgedQosAndSmallQueues)
     p.seed = 3;
     const auto reqs = randomRequests(p);
 
-    McConfig indexed;
-    indexed.readQueueDepth = 24;
-    indexed.writeQueueDepth = 16;
-    indexed.agePriorityThreshold = 300_ns;
-    McConfig legacy = indexed;
-    legacy.legacyScheduler = true;
-    EXPECT_TRUE(runConv(indexed, reqs) == runConv(legacy, reqs));
+    McConfig cfg;
+    cfg.readQueueDepth = 24;
+    cfg.writeQueueDepth = 16;
+    cfg.agePriorityThreshold = 300_ns;
+    EXPECT_TRUE(schedulersAgree(cfg, reqs));
 
     // A threshold of a few bus slots lets a candidate that ties the cached
     // best of its (PC, bus) age before that best issues, so the aged tie
@@ -406,12 +459,9 @@ TEST(SchedulerParity, AgedQosAndSmallQueues)
     p.seed = 1;
     const auto gathers = randomRequests(p);
     for (const Tick thr : {10_ns, 30_ns}) {
-        indexed = McConfig{};
-        indexed.agePriorityThreshold = thr;
-        legacy = indexed;
-        legacy.legacyScheduler = true;
-        EXPECT_TRUE(runConv(indexed, gathers) == runConv(legacy, gathers))
-            << "threshold " << thr;
+        cfg = McConfig{};
+        cfg.agePriorityThreshold = thr;
+        EXPECT_TRUE(schedulersAgree(cfg, gathers)) << "threshold " << thr;
     }
 }
 
@@ -427,13 +477,89 @@ TEST(SchedulerParity, PathologicalMappingAndNoRefresh)
     const auto reqs = streamRequests(p);
 
     for (const bool refresh : {true, false}) {
-        McConfig indexed;
-        indexed.refreshEnabled = refresh;
-        McConfig legacy = indexed;
-        legacy.legacyScheduler = true;
-        EXPECT_TRUE(runConv(indexed, reqs, true) ==
-                    runConv(legacy, reqs, true))
-            << "refresh " << refresh;
+        McConfig cfg;
+        cfg.refreshEnabled = refresh;
+        EXPECT_TRUE(schedulersAgree(cfg, reqs, true)) << "refresh " << refresh;
+    }
+}
+
+TEST(SchedulerParity, FaultRetriesAndSparing)
+{
+    // Transient, weak and stuck rows on 4 KiB requests: at depth 16 a
+    // retry re-enters between two admissions of one request, and a retry
+    // whose budget runs out strikes its row and replays on a spare.
+    RandomPattern p;
+    p.totalBytes = 256_KiB;
+    p.requestBytes = 4_KiB;
+    p.capacity = hbm4Config().org.channelCapacity();
+    p.writeFraction = 0.2;
+    p.seed = 5;
+    const auto reqs = randomRequests(p);
+    for (const int depth : {16, 128}) {
+        McConfig cfg;
+        cfg.readQueueDepth = depth;
+        cfg.writeQueueDepth = depth;
+        cfg.faults.enabled = true;
+        cfg.faults.seed = 7;
+        cfg.faults.transientLineRate = 2e-3;
+        cfg.faults.weakRowFraction = 0.3;
+        cfg.faults.weakRowOnset = 4;
+        cfg.faults.stuckRowFraction = 0.05;
+        cfg.faults.retryLimit = 1;
+        cfg.faults.ceSpareThreshold = 2;
+        ControllerStats s;
+        EXPECT_TRUE(schedulersAgree(cfg, reqs, false, hbm4Config(), &s))
+            << "depth " << depth;
+        EXPECT_GT(s.retryCount, 0u) << "depth " << depth;
+        EXPECT_GT(s.sparedRows, 0u) << "depth " << depth;
+    }
+}
+
+TEST(SchedulerParity, ScrubDrivenSparing)
+{
+    // Half of all rows are stuck CE sites and one strike spares a row, so
+    // the patrol scrub, which starts at bank 0 row 0, remaps rows that a
+    // sequential stream from address 0 still has ops queued on.
+    StreamPattern p;
+    p.totalBytes = 256_KiB;
+    p.requestBytes = 4_KiB;
+    const auto reqs = streamRequests(p);
+    McConfig cfg;
+    cfg.faults.enabled = true;
+    cfg.faults.stuckRowFraction = 0.5;
+    cfg.faults.stuckDueFraction = 0.0;
+    cfg.faults.ceSpareThreshold = 1;
+    cfg.faults.scrubRowsPerRefresh = 64;
+    ControllerStats s;
+    EXPECT_TRUE(schedulersAgree(cfg, reqs, false, hbm4Config(), &s));
+    EXPECT_GT(s.sparedRows, 0u);
+    EXPECT_GT(s.retryCount, 0u);
+}
+
+TEST(SchedulerParity, ArrivalGaps)
+{
+    // Bursts of four random requests every 300 ns drain before the next
+    // burst, so both schedulers advance idle time, and adaptive rows
+    // time out in the gaps.
+    RandomPattern p;
+    p.totalBytes = 128_KiB;
+    p.requestBytes = 512;
+    p.capacity = hbm4Config().org.channelCapacity();
+    p.writeFraction = 0.3;
+    p.seed = 11;
+    auto reqs = randomRequests(p);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        reqs[i].arrival = static_cast<Tick>(i / 4) * 300_ns;
+    for (const bool refresh : {false, true}) {
+        for (const PagePolicy pol :
+             {PagePolicy::Open, PagePolicy::Close, PagePolicy::Adaptive}) {
+            McConfig cfg;
+            cfg.refreshEnabled = refresh;
+            cfg.pagePolicy = pol;
+            EXPECT_TRUE(schedulersAgree(cfg, reqs))
+                << "refresh " << refresh << ", policy "
+                << static_cast<int>(pol);
+        }
     }
 }
 
@@ -483,9 +609,8 @@ TEST(SchedulerGolden, PagePolicySnapshots)
         indexed.pagePolicy = policies[i];
         McConfig legacy = indexed;
         legacy.legacyScheduler = true;
-        const ControllerStats si = runConv(indexed, reqs);
-        expectGolden(si, golden[i]);
-        expectGolden(runConv(legacy, reqs), golden[i]);
+        expectGolden(runConv(indexed, reqs).stats, golden[i]);
+        expectGolden(runConv(legacy, reqs).stats, golden[i]);
     }
 }
 
@@ -497,8 +622,8 @@ TEST(SchedulerGolden, WriteDrainHysteresisSnapshot)
     McConfig indexed;
     McConfig legacy;
     legacy.legacyScheduler = true;
-    expectGolden(runConv(indexed, reqs), golden);
-    expectGolden(runConv(legacy, reqs), golden);
+    expectGolden(runConv(indexed, reqs).stats, golden);
+    expectGolden(runConv(legacy, reqs).stats, golden);
 }
 
 } // namespace
