@@ -6,20 +6,23 @@
  *
  * Stall attribution and the latency breakdown ride the scheduler hot
  * path. The workload is 8 MiB of 2 KiB random requests (25% writes,
- * seed 7) at queue depth 64. The trials run in off/on pairs, alternating
- * which goes first, so a drift in host speed lands on both sides instead
- * of on whichever ran later; the gate reads the median pair, so one pair
- * that a burst of host load hit on one side cannot move it. Both sides
- * execute the same steps, so a pair's overhead 1 - t_off / t_on is its
- * steps/s overhead (off - on) / off.
+ * seed 7) at queue depth 64. Each drain is timed on the thread's CPU
+ * clock, so time the host spends running other work while the drain is
+ * descheduled is not charged to either side. The trials run in off/on
+ * pairs, alternating which goes first, so a drift in host speed lands on
+ * both sides instead of on whichever ran later; the gate reads the median
+ * pair, so one pair that a burst of host load hit on one side cannot move
+ * it. Both sides execute the same steps, so a pair's overhead
+ * 1 - t_off / t_on is its steps/s overhead (off - on) / off.
  *
  * The exit status also requires equal ControllerStats on every pair:
  * operator== excludes the telemetry fields by design, so equality shows
  * that counting moves no decision, latency or energy figure.
  */
 
+#include <time.h>
+
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -33,6 +36,21 @@
 
 using namespace rome;
 using namespace rome::literals;
+
+namespace
+{
+
+/** CPU seconds the calling thread has run. */
+double
+threadCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_THREAD_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) +
+           1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+} // namespace
 
 int
 main()
@@ -52,21 +70,21 @@ main()
     McConfig on_cfg = off_cfg;
     on_cfg.telemetry.counters = true;
 
-    // Drain a fresh controller: the drain's seconds, and its stats.
+    // Drain a fresh controller: the drain's CPU seconds, and its stats.
     const auto trial = [&](const McConfig& cfg, ControllerStats& stats) {
         ConventionalMc mc(dram, bestBaselineMapping(dram.org), cfg);
         for (const Request& r : reqs)
             mc.enqueue(r);
-        const auto t0 = std::chrono::steady_clock::now();
+        const double t0 = threadCpuSeconds();
         mc.drain();
-        const auto t1 = std::chrono::steady_clock::now();
+        const double t1 = threadCpuSeconds();
         stats = mc.stats();
-        return std::chrono::duration<double>(t1 - t0).count();
+        return t1 - t0;
     };
 
     constexpr int kPairs = 7;
     Table t("Telemetry counter tier: one channel's drain, counters off vs on");
-    t.setHeader({"pair", "off s", "on s", "overhead", "stats"});
+    t.setHeader({"pair", "off cpu s", "on cpu s", "overhead", "stats"});
     std::vector<double> overhead;
     bool stats_match = true;
     for (int i = 0; i < kPairs; ++i) {
