@@ -79,7 +79,9 @@ namespace rome
 // list.
 // v8: the device's all-bank refresh window (per (PC, SID)) and REFab
 // counter left the stream.
-inline constexpr std::uint32_t kCheckpointVersion = 8;
+// v9: the conventional stack's pooled queue nodes hold runs of same-row
+// column ops: each node gained its admission stride and op count.
+inline constexpr std::uint32_t kCheckpointVersion = 9;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

@@ -188,12 +188,9 @@ ConventionalMc::admitOps()
     const auto& outstanding = is_read ? readOutstanding_ : writeOutstanding_;
     const auto depth = static_cast<std::size_t>(
         is_read ? cfg_.readQueueDepth : cfg_.writeQueueDepth);
-    const auto has_room = [&] {
-        return (is_read ? readQueueSize() : writeQueueSize()) +
-                   outstanding.size() <
-               depth;
-    };
-    if (!has_room())
+    const std::size_t used =
+        (is_read ? readQueueSize() : writeQueueSize()) + outstanding.size();
+    if (used >= depth)
         return false;
     // Lines are columnBytes apart, a power of two the mapping checked.
     const int shift = map_.columnShift();
@@ -201,29 +198,37 @@ ConventionalMc::admitOps()
     const std::uint64_t total =
         ((req.addr + req.size - 1) >> shift) - first_line + 1;
     const int slot = frontSlot(total);
-    do {
-        const std::uint64_t line = first_line + frontChunk_;
-        Op op{map_.decode(line << shift), req.id, req.kind, req.arrival,
-              slot};
-        op.linkDelay = req.linkDelay;
-        if (faults_.enabled()) {
-            // Spared rows are remapped at admission so every queued op
-            // carries the physical row it will access.
-            op.addr.row = faults_.remappedRow(
-                flatBankIndex(dramCfg_.org, op.addr), op.addr.row);
+    // Each admitted line takes one queue entry.
+    const std::uint64_t end =
+        frontChunk_ + std::min<std::uint64_t>(total - frontChunk_, depth - used);
+    for (; frontChunk_ < end; ++frontChunk_) {
+        const DramAddress a = lineAddr(first_line + frontChunk_);
+        if (cfg_.legacyScheduler) {
+            (is_read ? readQ_ : writeQ_)
+                .push_back(Op{a, req.id, req.kind, req.arrival, slot, 0, 0,
+                              req.linkDelay});
+        } else {
+            queueOp(req, slot, a);
         }
-        if (cfg_.legacyScheduler)
-            (is_read ? readQ_ : writeQ_).push_back(op);
-        else
-            insertOpIndexed(op);
-        ++frontChunk_;
-    } while (frontChunk_ < total && has_room());
+    }
     if (frontChunk_ == total) {
         host_.pop_front();
         frontChunk_ = 0;
         return true;
     }
     return false;
+}
+
+DramAddress
+ConventionalMc::lineAddr(std::uint64_t line) const
+{
+    DramAddress a = map_.decode(line << map_.columnShift());
+    if (faults_.enabled()) {
+        // Spared rows are remapped at admission so every queued op
+        // carries the physical row it will access.
+        a.row = faults_.remappedRow(flatBankIndex(dramCfg_.org, a), a.row);
+    }
+    return a;
 }
 
 void
@@ -346,7 +351,7 @@ ConventionalMc::pumpRetries()
             if (cfg_.legacyScheduler)
                 readQ_.push_back(r.op);
             else
-                insertOpIndexed(r.op);
+                insertRun(r.op, admitSeq_++); // its attempt is its own
             continue;
         }
         next = std::min(next, std::max(r.readyAt, now_ + 1));
@@ -381,6 +386,7 @@ ConventionalMc::applySpare(const SpareEvent& ev)
         for (Op& op : writeQ_)
             rewrite(op);
     } else {
+        // All ops of a run share its row, so the head's row is the run's.
         BankEntry& e = bankIx_[static_cast<std::size_t>(ev.bank)];
         for (BankList* l : {&e.read, &e.write}) {
             for (int i = l->head; i != -1;
@@ -447,8 +453,58 @@ ConventionalMc::agedAt(Tick arrival) const
     return thr >= kTickMax - 1 - arrival ? kTickMax : arrival + thr + 1;
 }
 
+std::uint64_t
+ConventionalMc::headRankLo(const RunNode& n)
+{
+    // The category is the op's queue.
+    return rankKey(0, 0,
+                   n.op.kind == ReqKind::Write ? kRankWriteOp : kRankReadOp,
+                   n.seq)
+        .lo;
+}
+
 void
-ConventionalMc::insertOpIndexed(Op op)
+ConventionalMc::queueOp(const Request& req, int slot, const DramAddress& a)
+{
+    const std::uint64_t seq = admitSeq_++;
+    const int bank = flatBankIndex(dramCfg_.org, a);
+    BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
+    const bool is_write = req.kind == ReqKind::Write;
+    BankList& l = is_write ? e.write : e.read;
+    if (l.tail != -1 && slot >= 0) {
+        // Only a request of several ops has a slot, and only its own ops
+        // carry it; a re-read or a spare replay keeps a run of its own. A
+        // retry admitted since the tail run's last op breaks its stride.
+        RunNode& r = pool_[static_cast<std::size_t>(l.tail)];
+        if (r.op.slot == slot && r.op.addr.row == a.row &&
+            r.op.addr.col + r.count == a.col && r.op.attempt == 0 &&
+            r.op.retryWait == 0 &&
+            (r.count == 1 ||
+             seq - r.seq == r.stride * static_cast<std::uint64_t>(r.count))) {
+            if (r.count == 1)
+                r.stride = seq - r.seq;
+            ++r.count;
+            ++l.count;
+            if (is_write)
+                ++writeCount_;
+            else
+                ++readCount_;
+            // The op joins the tail behind its run's head, with its
+            // arrival and row: the list stays as sorted, the hit run and
+            // the oldest arrival stand, and the bank's candidates read
+            // neither its sequence nor a count it moves from zero.
+            const BankRecord& rec = dev_.bankRecord(bank);
+            if (rec.open() && rec.openRow == a.row)
+                ++l.hitCount;
+            return;
+        }
+    }
+    insertRun(Op{a, req.id, req.kind, req.arrival, slot, 0, 0, req.linkDelay},
+              seq);
+}
+
+void
+ConventionalMc::insertRun(const Op& op, std::uint64_t seq)
 {
     int node;
     if (!freeNodes_.empty()) {
@@ -458,9 +514,11 @@ ConventionalMc::insertOpIndexed(Op op)
         node = static_cast<int>(pool_.size());
         pool_.emplace_back();
     }
-    OpNode& n = pool_[static_cast<std::size_t>(node)];
+    RunNode& n = pool_[static_cast<std::size_t>(node)];
     n.op = op;
-    n.seq = admitSeq_++;
+    n.seq = seq;
+    n.stride = 1;
+    n.count = 1;
     n.bank = flatBankIndex(dramCfg_.org, op.addr);
     n.prev = n.next = -1;
 
@@ -520,9 +578,35 @@ ConventionalMc::insertOpIndexed(Op op)
 }
 
 void
-ConventionalMc::removeOpIndexed(int node)
+ConventionalMc::serveRunHead(int node)
 {
-    OpNode& n = pool_[static_cast<std::size_t>(node)];
+    RunNode& n = pool_[static_cast<std::size_t>(node)];
+    if (n.count == 1) {
+        removeRun(node);
+        return;
+    }
+    BankEntry& e = bankIx_[static_cast<std::size_t>(n.bank)];
+    const bool is_write = n.op.kind == ReqKind::Write;
+    BankList& l = is_write ? e.write : e.read;
+    ++n.op.addr.col;
+    n.seq += n.stride;
+    --n.count;
+    --l.count;
+    if (is_write)
+        --writeCount_;
+    else
+        --readCount_;
+    // The served op hit the open row, and so do the run's others. The
+    // run keeps the min (arrival, seq) among the hits: an op between its
+    // old and new head would have to lie inside the run in list order.
+    --l.hitCount;
+    patchCands(n.bank, node);
+}
+
+void
+ConventionalMc::removeRun(int node)
+{
+    RunNode& n = pool_[static_cast<std::size_t>(node)];
     BankEntry& e = bankIx_[static_cast<std::size_t>(n.bank)];
     const bool is_write = n.op.kind == ReqKind::Write;
     BankList& l = is_write ? e.write : e.read;
@@ -584,13 +668,13 @@ ConventionalMc::rescanList(BankList& l, int open_row)
     Tick prev_arr = 0;
     for (int i = l.head; i != -1;
          i = pool_[static_cast<std::size_t>(i)].next) {
-        const OpNode& n = pool_[static_cast<std::size_t>(i)];
+        const RunNode& n = pool_[static_cast<std::size_t>(i)];
         min_arr = std::min(min_arr, n.op.arrival);
         if (n.op.arrival < prev_arr)
             l.sorted = false;
         prev_arr = n.op.arrival;
         if (open_row >= 0 && n.op.addr.row == open_row) {
-            ++l.hitCount;
+            l.hitCount += n.count;
             if (l.hitRep == kRepNone ||
                 n.op.arrival <
                     pool_[static_cast<std::size_t>(l.hitRep)].op.arrival) {
@@ -627,6 +711,7 @@ ConventionalMc::agedConflictRep(const BankEntry& e, bool any_write,
 {
     // An op ahead of the result in list order that ages later takes its
     // place; an unwalked list ages no earlier than its oldest arrival.
+    // A run's ops share its arrival and row, so its head answers for all.
     const Tick thr = cfg_.agePriorityThreshold;
     const auto scan = [&](const BankList& l) {
         if (now_ - l.minArrivalLb <= thr) {
@@ -693,17 +778,12 @@ ConventionalMc::rebuildCands(int bank)
         return;
 
     const auto add = [&](CmdKind kind, int node, Tick bank_term) {
-        const OpNode& n = pool_[static_cast<std::size_t>(node)];
+        const RunNode& n = pool_[static_cast<std::size_t>(node)];
         const int slot = c.count++;
         CachedCand& k = c.cand[static_cast<std::size_t>(slot)];
         k.bankTerm = bank_term;
         k.age = n.op.arrival;
-        // The category is the op's queue.
-        k.rankLo = rankKey(0, 0,
-                           n.op.kind == ReqKind::Write ? kRankWriteOp
-                                                       : kRankReadOp,
-                           n.seq)
-                       .lo;
+        k.rankLo = headRankLo(n);
         k.node = node;
         const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
         k.sharedIdx = static_cast<std::uint16_t>(
@@ -713,20 +793,11 @@ ConventionalMc::rebuildCands(int bank)
         k.classMask = is_cas ? -1 : 0;
         k.kind = static_cast<std::uint8_t>(kind);
 
-        // Join the partition; one whose best stands takes the entry as a
-        // challenger, remembering when it would reorder a tie by aging.
+        // Join the partition as a challenger.
         Partition& p = sc_->parts[static_cast<std::size_t>(partOf(c, k))];
-        const int ref = bank * kRefSlots + slot;
         c.pos[static_cast<std::size_t>(slot)] = static_cast<int>(p.refs.size());
-        p.refs.push_back(ref);
-        if (!p.valid || held(c, bank))
-            return;
-        const Tick tick = candTick(c, k);
-        const RankKey key = candKey(k);
-        p.best.offer(tick, key.hi, key.lo, ref);
-        const Tick aged = agedAt(k.age);
-        if (tick == p.best.e && aged > now_)
-            p.expires = std::min(p.expires, aged);
+        p.refs.push_back(bank * kRefSlots + slot);
+        offerCand(bank, slot);
     };
 
     const BankRecord& rec = dev_.bankRecord(bank);
@@ -764,6 +835,55 @@ ConventionalMc::rebuildCands(int bank)
     }
     if (rep != -1)
         add(CmdKind::Pre, rep, dev_.preBankTerm(rec));
+}
+
+void
+ConventionalMc::patchCands(int bank, int node)
+{
+    BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
+    if (c.stale)
+        return; // the bank's rebuild reads the run as it is now
+    // The CAS moved only the bank's CAS and PRE terms (the bank stays
+    // open) and the served run's head. Every other input of the cached
+    // set stands: the served list still has a hit, the same run is its
+    // best, the hit and conflict counts kept their difference, and the
+    // conflict PRE's op can change only at the bank's validUntil, which
+    // the aging recheck watches.
+    const BankRecord& rec = dev_.bankRecord(bank);
+    for (int k = 0; k < c.count; ++k) {
+        CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
+        const auto kind = static_cast<CmdKind>(cc.kind);
+        cc.bankTerm = kind == CmdKind::Pre
+                          ? dev_.preBankTerm(rec)
+                          : dev_.casBankTerm(rec, kind == CmdKind::Wr);
+        if (cc.node == node)
+            cc.rankLo = headRankLo(pool_[static_cast<std::size_t>(node)]);
+        // An entry that was its partition's best re-walks it; any other
+        // challenges the best that stands.
+        Partition& p = sc_->parts[static_cast<std::size_t>(partOf(c, cc))];
+        if (p.best.ref == bank * kRefSlots + k)
+            p.valid = false;
+        else
+            offerCand(bank, k);
+    }
+}
+
+void
+ConventionalMc::offerCand(int bank, int slot)
+{
+    // A partition whose best stands takes the entry as a challenger,
+    // remembering when it would reorder a tie by aging.
+    const BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
+    const CachedCand& k = c.cand[static_cast<std::size_t>(slot)];
+    Partition& p = sc_->parts[static_cast<std::size_t>(partOf(c, k))];
+    if (!p.valid || held(c, bank))
+        return;
+    const Tick tick = candTick(c, k);
+    const RankKey key = candKey(k);
+    p.best.offer(tick, key.hi, key.lo, bank * kRefSlots + slot);
+    const Tick aged = agedAt(k.age);
+    if (tick == p.best.e && aged > now_)
+        p.expires = std::min(p.expires, aged);
 }
 
 Tick
@@ -1259,9 +1379,20 @@ ConventionalMc::stepOnceIndexed(Tick until)
 #endif
     now_ = best.earliest;
     const auto res = dev_.issue(cmd, now_);
-    // Every command moves its bank's timing terms.
-    markStale(best.bank);
     updateSharedTerms(cmd);
+    if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
+        // The CAS moved its bank's timing terms: serving the run's head
+        // patches the bank's candidates, or rebuilds them once it empties.
+        const Op op = pool_[static_cast<std::size_t>(best.node)].op;
+        serveRunHead(best.node);
+        (cmd.kind == CmdKind::Wr ? writeOutstanding_ : readOutstanding_)
+            .push(res.dataUntil);
+        ++casIssued_;
+        completeOp(op, res.dataUntil);
+        return true;
+    }
+    // Every other command moves its bank's timing terms too.
+    markStale(best.bank);
     if (cmd.kind == CmdKind::Pre)
         sc_->refreshWake = 0; // a refresh at this bank turns PRE into REFpb
 
@@ -1276,13 +1407,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
         } else {
             applyRowCommand(cmd); // opportunistic-refresh precharge
         }
-    } else if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
-        const Op op = pool_[static_cast<std::size_t>(best.node)].op;
-        removeOpIndexed(best.node);
-        (cmd.kind == CmdKind::Wr ? writeOutstanding_ : readOutstanding_)
-            .push(res.dataUntil);
-        ++casIssued_;
-        completeOp(op, res.dataUntil);
     } else {
         applyRowCommand(cmd); // ACT or conflict/idle PRE
     }
@@ -1618,7 +1742,7 @@ ConventionalMc::fields(Ar& ar, Self& self)
     ar.seq(self.writeQ_, op);
     ar.seq(self.pool_, [&](auto& n) {
         op(n.op);
-        ar(n.seq, n.bank, n.prev, n.next);
+        ar(n.seq, n.stride, n.count, n.bank, n.prev, n.next);
     });
     ar.seq(self.freeNodes_);
     ar.fixed(self.bankIx_, "hbm4 bank-index", [&](auto& e) {
@@ -1627,6 +1751,43 @@ ConventionalMc::fields(Ar& ar, Self& self)
         ar(e.activePos, e.openPos);
         addr(e.addr);
     });
+    if constexpr (Ar::kLoading) {
+        // Each list's runs must lie in the pool, each hold ops of one row
+        // at a forward stride, and together hold the list's op count.
+        const auto cols =
+            static_cast<std::int64_t>(self.dramCfg_.org.columnsPerRow());
+        const std::size_t nodes = self.pool_.size();
+        for (const auto& e : self.bankIx_) {
+            for (const auto* l : {&e.read, &e.write}) {
+                std::int64_t ops = 0;
+                std::size_t runs = 0;
+                for (int i = l->head; i != -1;
+                     i = self.pool_[static_cast<std::size_t>(i)].next) {
+                    if (i < 0 || static_cast<std::size_t>(i) >= nodes ||
+                        ++runs > nodes) {
+                        fatal("checkpoint links a bank list outside its "
+                              "%zu pooled runs", nodes);
+                    }
+                    const auto& n = self.pool_[static_cast<std::size_t>(i)];
+                    if (n.count < 1)
+                        fatal("checkpoint run holds %d ops", n.count);
+                    if (n.stride < 1)
+                        fatal("checkpoint run has admission stride 0");
+                    if (n.op.addr.col < 0 ||
+                        std::int64_t{n.op.addr.col} + n.count > cols) {
+                        fatal("checkpoint run of %d ops from column %d "
+                              "leaves its %lld-column row", n.count,
+                              n.op.addr.col, static_cast<long long>(cols));
+                    }
+                    ops += n.count;
+                }
+                if (ops != l->count) {
+                    fatal("checkpoint bank list counts %d ops, its runs "
+                          "hold %lld", l->count, static_cast<long long>(ops));
+                }
+            }
+        }
+    }
     ar.seq(self.activeBanks_);
     ar.seq(self.openBanks_);
     ar(self.admitSeq_, self.readCount_, self.writeCount_,

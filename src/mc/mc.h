@@ -9,17 +9,24 @@
  *
  * Two scheduler implementations produce bit-identical command streams:
  *
- *  - The *indexed* scheduler (default) keeps every queued column op in a
- *    pooled node linked into its bank's per-queue FIFO list, with per-bank
- *    summaries (queued-op counts, open-row hit counts, cached best-hit
- *    representatives, oldest-arrival bounds) maintained incrementally on
- *    admit/issue/row-change. Each bank with work also caches its
- *    scheduling candidates — at most one ACT, or a RD-hit, a WR-hit and a
- *    conflict PRE — with the op each serves and the device's bank-local
- *    timing terms. Only an event on the bank re-derives them: an admitted
- *    op that changes them, an issued op, any command to the bank, a
- *    spare-row rewrite, a write-drain flip, or the first tick at which an
- *    op's aging can change which op a conflict PRE is ranked by.
+ *  - The *indexed* scheduler (default) queues column ops as *runs*:
+ *    consecutive columns of one request in one row, admitted back to
+ *    back into one bank's queue. Each run is one pooled node linked into
+ *    its bank's per-queue FIFO list; an admitted line that continues the
+ *    list's tail run extends it in place. Per-bank summaries (queued-op
+ *    counts, open-row hit counts, cached best-hit runs, oldest-arrival
+ *    bounds) are maintained incrementally on admit/issue/row-change and
+ *    still count ops. Each bank with work also caches its scheduling
+ *    candidates — at most one ACT, or a RD-hit, a WR-hit and a conflict
+ *    PRE — with the run whose head op each serves or is ranked by, and
+ *    the device's bank-local timing terms. Only an event on the bank
+ *    re-derives them: an admitted op that changes them, a CAS that
+ *    empties its run, any other command to the bank, a spare-row
+ *    rewrite, a write-drain flip, or the first tick at which an op's
+ *    aging can change which op a conflict PRE is ranked by. A CAS that
+ *    leaves ops in its run patches the bank's candidates in place
+ *    instead: the served candidate takes the run's next op, and every
+ *    candidate takes the bank terms the CAS moved.
  *
  *    Every device probe has the form bus.nextFree(max(now, bank term,
  *    shared term)), and the shared term depends only on (PC, SID, bank
@@ -42,6 +49,8 @@
  *      - a rebuilt bank swap-removes its old entries, which re-walks a
  *        partition only if one of them was the partition's best, and
  *        offers each new entry to the cached best;
+ *      - a patched bank re-walks the partition of each entry that was
+ *        its partition's best and offers the others to the cached best;
  *      - a refresh scan that changes any forced-refresh hold re-walks
  *        every partition;
  *      - a partition expires at the first tick at which a candidate
@@ -60,8 +69,9 @@
  *
  *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
  *    FR-FCFS loop that rebuilds its whole candidate set from the flat
- *    queues every step. It is retained as the decision-order oracle: the
- *    parity tests assert ControllerStats equality between the two.
+ *    queues every step, one op at a time. It is retained as the
+ *    decision-order oracle: the parity tests assert equal ControllerStats
+ *    and equal command timelines between the two.
  *
  * The controller drives one ChannelDevice; every command it emits is
  * re-validated by the device against the full timing rule set.
@@ -234,17 +244,25 @@ class ConventionalMc : public ChannelControllerBase
     static constexpr int kRefRefresh = 3;
     static constexpr int kRefIdlePre = 4;
 
-    /** Pooled node of one queued op, linked into its bank's FIFO list. */
-    struct OpNode
+    /**
+     * Pooled node of one run: consecutive columns of one request in one
+     * row, adjacent in its bank's FIFO list. op is the run's head op; op
+     * k of the run has column op.addr.col + k and admission sequence
+     * seq + k * stride, and shares every other field with the head.
+     */
+    struct RunNode
     {
         Op op;
-        std::uint64_t seq = 0; ///< admission order (== flat-queue position)
-        int bank = -1;         ///< flat bank index
+        std::uint64_t seq = 0;    ///< head op's admission order
+        std::uint64_t stride = 1; ///< admission-order step between its ops
+        int count = 1;            ///< queued ops in the run (>= 1)
+        int bank = -1;            ///< flat bank index
         int prev = -1;
         int next = -1;
     };
 
-    /** One bank's per-queue FIFO list plus its incremental summary. */
+    /** One bank's per-queue FIFO list of runs plus its incremental
+     *  summary, which counts ops. */
     struct BankList
     {
         int head = -1;
@@ -252,7 +270,8 @@ class ConventionalMc : public ChannelControllerBase
         int count = 0;
         /** Ops hitting the currently open row (meaningful while open). */
         int hitCount = 0;
-        /** Min-(arrival, seq) hit op — the bank's best CAS candidate. */
+        /** Run of the min-(arrival, seq) hit op — the bank's best CAS
+         *  candidate, always a run's head op. */
         int hitRep = kRepNone;
         /** Arrivals never decrease along the list (a retry can break it). */
         bool sorted = true;
@@ -307,7 +326,7 @@ class ConventionalMc : public ChannelControllerBase
         Tick age = 0;
         /** RankKey::lo of that op: its queue category and sequence. */
         std::uint64_t rankLo = 0;
-        /** Pool node of that op. */
+        /** Pool node of that op's run; the op is the run's head. */
         int node = -1;
         std::uint16_t sharedIdx = 0;
         /** -1 for RD/WR (column bus, classed term), 0 for ACT/PRE. */
@@ -384,7 +403,8 @@ class ConventionalMc : public ChannelControllerBase
         Tick earliest = kTickMax;
         CmdKind kind = CmdKind::Act;
         int bank = -1;
-        /** Pool node (op candidates), -1 for refresh and idle-PRE. */
+        /** Pool node of the run (op candidates), -1 for refresh and
+         *  idle-PRE. */
         int node = -1;
         int refreshUnit = -1;
     };
@@ -423,8 +443,24 @@ class ConventionalMc : public ChannelControllerBase
 
     // ---- indexed scheduler ---------------------------------------------
     bool stepOnceIndexed(Tick until);
-    void insertOpIndexed(Op op);
-    void removeOpIndexed(int node);
+    /** Coordinates of column line @p line, its row remapped if spared. */
+    DramAddress lineAddr(std::uint64_t line) const;
+    /**
+     * Queue the op of @p req (in-flight slot @p slot) at @p a. It extends
+     * its bank list's tail run when it continues that run (next column,
+     * same row and request, at the run's admission-order stride) and
+     * starts a run otherwise; no Op is built for an extension.
+     */
+    void queueOp(const Request& req, int slot, const DramAddress& a);
+    /** Queue @p op, admitted as @p seq, as a one-op run at its bank
+     *  list's tail. */
+    void insertRun(const Op& op, std::uint64_t seq);
+    /** Unlink and free an emptied run. */
+    void removeRun(int node);
+    /** Dequeue the head op of run @p node, which a CAS just served. */
+    void serveRunHead(int node);
+    /** RankKey::lo of run @p n's head op. */
+    static std::uint64_t headRankLo(const RunNode& n);
     /** Rebuild a bank's hit summaries after its open row changed. */
     void reindexBankRow(int bank);
     void rescanList(BankList& l, int open_row);
@@ -457,6 +493,15 @@ class ConventionalMc : public ChannelControllerBase
      * entries from their partitions and offer the new ones to theirs.
      */
     void rebuildCands(int bank);
+    /**
+     * After a CAS that left ops in its run @p node: refresh every cached
+     * candidate of @p bank in place with the bank terms the CAS moved and
+     * the run's new head op, and re-offer each to its partition.
+     */
+    void patchCands(int bank, int node);
+    /** Offer candidate @p slot of @p bank to its partition's cached best
+     *  when that best stands. */
+    void offerCand(int bank, int slot);
     /** Recompute a partition's best and expiry at now_. */
     void walkPartition(int part);
     /** Queue a bank whose candidates an event invalidated. */
@@ -500,7 +545,7 @@ class ConventionalMc : public ChannelControllerBase
     std::vector<Op> writeQ_;
 
     // Indexed scheduler state (used otherwise).
-    std::vector<OpNode> pool_;
+    std::vector<RunNode> pool_;
     std::vector<int> freeNodes_;
     std::vector<BankEntry> bankIx_;
     std::vector<int> activeBanks_; ///< banks with any queued op

@@ -21,6 +21,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <functional>
@@ -419,24 +421,24 @@ struct PinnedBlob
  * failure messages below.
  */
 constexpr PinnedBlob kPinnedBlobs[] = {
-    {"hbm4", 42758, 0xae61d87871812ebaull},
-    {"hbm4 streaming", 39642, 0x31bfe9f9d6e22cdcull},
-    {"hbm4 legacy", 19997, 0x67f3179ae60289ccull},
-    {"hbm4 legacy streaming", 16881, 0x1aed638dc891350aull},
-    {"hbm4 faults telemetry", 59116, 0x383958d0f4b646afull},
-    {"hbm4 faults telemetry streaming", 56000, 0xe2b2099f60f19ae4ull},
-    {"rome", 13215, 0xaedf41f3f302dd0bull},
-    {"rome streaming", 10140, 0xe79f3b9cc5ba92e7ull},
-    {"rome legacy scalar", 13175, 0x1b500a40475e6b04ull},
-    {"rome legacy scalar streaming", 10100, 0x0c5d1fa81df946e8ull},
-    {"rome faults telemetry", 16843, 0x940110445b5c0421ull},
-    {"rome faults telemetry streaming", 13727, 0x7eea7ff695af8407ull},
-    {"rome 7b x 8a", 13759, 0xf5b088d253433bf4ull},
-    {"rome 7b x 8a streaming", 10643, 0x885df5ac49bb06c2ull},
-    {"hybrid", 37932, 0x6f452d34a7b591dcull},
-    {"hybrid streaming", 37891, 0x1efb737d0cd9172dull},
-    {"hybrid faults telemetry", 58109, 0x6eb2ba33668ee96aull},
-    {"hybrid faults telemetry streaming", 58068, 0xfc7f75ac14c0471full},
+    {"hbm4", 28376, 0xdc1b10cff9b06cfbull},
+    {"hbm4 streaming", 25260, 0x4736533691eee889ull},
+    {"hbm4 legacy", 19997, 0x713d1708b071b6f7ull},
+    {"hbm4 legacy streaming", 16881, 0x0b8d2c3f161f6f41ull},
+    {"hbm4 faults telemetry", 45372, 0x3fb85bc1060a449cull},
+    {"hbm4 faults telemetry streaming", 42256, 0xc108771e5a75b097ull},
+    {"rome", 13215, 0x9ac0eaabd5bdf014ull},
+    {"rome streaming", 10140, 0xf84c849eb86e467eull},
+    {"rome legacy scalar", 13175, 0x219e9c5b472ba35bull},
+    {"rome legacy scalar streaming", 10100, 0xbd597d5a84f65c8dull},
+    {"rome faults telemetry", 16843, 0x373307bf385f5e62ull},
+    {"rome faults telemetry streaming", 13727, 0x37d7858f89ee3848ull},
+    {"rome 7b x 8a", 13759, 0x397e0cc1845625b3ull},
+    {"rome 7b x 8a streaming", 10643, 0x1b41c37229064615ull},
+    {"hybrid", 35391, 0x2a019bc5aeaf6b46ull},
+    {"hybrid streaming", 35350, 0x203728e0a5ec572full},
+    {"hybrid faults telemetry", 55568, 0x854f031d121b30b9ull},
+    {"hybrid faults telemetry streaming", 55527, 0xcd56406c1e5fe090ull},
 };
 
 TEST(Checkpoint, BlobBytesArePinned)
@@ -608,6 +610,54 @@ TEST(Checkpoint, ForeignGeometryIsFatal)
                    RomeMcConfig{});
     EXPECT_NE(restoreError(widened, blob_of(adopted)).find("refresh-FSM"),
               std::string::npos);
+}
+
+TEST(Checkpoint, MalformedRunsAreFatal)
+{
+    // One 4 KiB read, admitted before its first CAS, queues 8 runs of 16
+    // columns from column 0 at admission stride 8 (two PCs times four
+    // bank groups lie below the column bits). Patching the run whose head
+    // sequence is 3 must trip each restore check of the runs.
+    const DramConfig dram = hbm4Config();
+    McConfig cfg;
+    cfg.refreshEnabled = false;
+    ConventionalMc mc(dram, bestBaselineMapping(dram.org), cfg);
+    mc.enqueue({1, ReqKind::Read, 0, 4_KiB, 0});
+    mc.runUntil(1);
+    const auto blob = saveControllerCheckpoint(mc);
+
+    // The run's sequence, stride and count fields, in field-list order.
+    CheckpointWriter w;
+    w(std::uint64_t{3}, std::uint64_t{8}, 16);
+    const std::vector<std::uint8_t> run = w.take();
+    const auto at = std::search(blob.begin(), blob.end(), run.begin(),
+                                run.end());
+    ASSERT_NE(at, blob.end());
+    ASSERT_EQ(std::search(at + 1, blob.end(), run.begin(), run.end()),
+              blob.end());
+    const auto off = static_cast<std::size_t>(at - blob.begin());
+    const auto patched = [&](std::uint64_t stride, int count) {
+        CheckpointWriter p;
+        p(std::uint64_t{3}, stride, count);
+        auto m = blob;
+        std::copy(p.data().begin(), p.data().end(),
+                  m.begin() + static_cast<std::ptrdiff_t>(off));
+        return m;
+    };
+    const auto cols = static_cast<int>(dram.org.columnsPerRow());
+    const std::pair<std::vector<std::uint8_t>, const char*> cases[] = {
+        {patched(8, 0), "run holds 0 ops"},
+        {patched(0, 16), "admission stride 0"},
+        {patched(8, cols + 1), "leaves its"},
+        {patched(8, 15), "its runs hold"},
+    };
+    for (const auto& [m, what] : cases) {
+        ConventionalMc target(dram, bestBaselineMapping(dram.org), cfg);
+        EXPECT_NE(restoreError(target, m).find(what), std::string::npos)
+            << what;
+    }
+    ConventionalMc intact(dram, bestBaselineMapping(dram.org), cfg);
+    EXPECT_EQ(restoreError(intact, patched(8, 16)), "");
 }
 
 TEST(Checkpoint, MutatedBlobsRestoreOrFailCleanly)
