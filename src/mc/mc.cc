@@ -351,7 +351,7 @@ ConventionalMc::pumpRetries()
             if (cfg_.legacyScheduler)
                 readQ_.push_back(r.op);
             else
-                insertRun(r.op, admitSeq_++); // its attempt is its own
+                insertRun(r.op, admitSeq_++); // a run of its own attempt
             continue;
         }
         next = std::min(next, std::max(r.readyAt, now_ + 1));
@@ -841,8 +841,6 @@ void
 ConventionalMc::patchCands(int bank, int node)
 {
     BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
-    if (c.stale)
-        return; // the bank's rebuild reads the run as it is now
     // The CAS moved only the bank's CAS and PRE terms (the bank stays
     // open) and the served run's head. Every other input of the cached
     // set stands: the served list still has a hit, the same run is its
