@@ -200,7 +200,8 @@ ConventionalMc::admitOps()
     const int slot = frontSlot(total);
     // Each admitted line takes one queue entry.
     const std::uint64_t end =
-        frontChunk_ + std::min<std::uint64_t>(total - frontChunk_, depth - used);
+        frontChunk_ +
+        std::min<std::uint64_t>(total - frontChunk_, depth - used);
     for (; frontChunk_ < end; ++frontChunk_) {
         const DramAddress a = lineAddr(first_line + frontChunk_);
         if (cfg_.legacyScheduler) {

@@ -480,7 +480,8 @@ TEST(SchedulerParity, PathologicalMappingAndNoRefresh)
     for (const bool refresh : {true, false}) {
         McConfig cfg;
         cfg.refreshEnabled = refresh;
-        EXPECT_TRUE(schedulersAgree(cfg, reqs, true)) << "refresh " << refresh;
+        EXPECT_TRUE(schedulersAgree(cfg, reqs, true))
+            << "refresh " << refresh;
     }
 }
 
