@@ -8,11 +8,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
 #include <set>
 #include <stdexcept>
 
 #include "dram/hbm4_config.h"
 #include "rome/rome_mc.h"
+#include "sim/engine.h"
+#include "sim/telemetry.h"
 #include "sim/workloads.h"
 
 namespace rome
@@ -315,6 +319,159 @@ TEST(RomeSchedulerParity, AllDesignsAndMapOrders)
         auto a = makeMc({}, order);
         auto b = makeMc(legacy, order);
         EXPECT_TRUE(runWorkload(a, reqs) == runWorkload(b, reqs));
+    }
+}
+
+/** A drained run's stats, command timeline and FSM high-water marks. */
+struct RomeRun
+{
+    ControllerStats stats;
+    std::vector<TelemetrySink::Event> events;
+    int opHighWater = 0;
+    int refHighWater = 0;
+};
+
+RomeRun
+runRome(const RomeMcConfig& cfg, VbaDesign design,
+        const std::vector<Request>& reqs)
+{
+    RomeMc mc(hbm4Config(), design, cfg);
+    TelemetrySink sink;
+    mc.attachTelemetrySink(&sink, true);
+    RomeRun run;
+    run.stats = runWorkload(mc, reqs);
+    run.events = sink.events();
+    run.opHighWater = mc.operateFsmHighWater();
+    run.refHighWater = mc.refreshFsmHighWater();
+    return run;
+}
+
+/**
+ * The indexed and legacy schedulers of @p cfg agree on @p reqs: equal
+ * stats, equal FSM high-water marks and equal timelines, so every device
+ * command has the same kind, bank, issue tick and span, and every retry
+ * and spare the same tick. The indexed run's stats land in @p stats when
+ * given.
+ */
+::testing::AssertionResult
+romeSchedulersAgree(RomeMcConfig cfg, VbaDesign design,
+                    const std::vector<Request>& reqs,
+                    ControllerStats* stats = nullptr)
+{
+    cfg.legacyScheduler = false;
+    const RomeRun indexed = runRome(cfg, design, reqs);
+    cfg.legacyScheduler = true;
+    const RomeRun legacy = runRome(cfg, design, reqs);
+    if (stats != nullptr)
+        *stats = indexed.stats;
+    if (!(indexed.stats == legacy.stats))
+        return ::testing::AssertionFailure() << "stats differ";
+    if (indexed.opHighWater != legacy.opHighWater ||
+        indexed.refHighWater != legacy.refHighWater) {
+        return ::testing::AssertionFailure()
+               << "FSM high-water marks " << indexed.opHighWater << "/"
+               << indexed.refHighWater << " and " << legacy.opHighWater
+               << "/" << legacy.refHighWater;
+    }
+    const auto& a = indexed.events;
+    const auto& b = legacy.events;
+    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
+        if (std::strcmp(a[i].name, b[i].name) != 0 ||
+            a[i].track != b[i].track || a[i].start != b[i].start ||
+            a[i].dur != b[i].dur) {
+            return ::testing::AssertionFailure()
+                   << "event " << i << " differs: indexed " << a[i].name
+                   << " on track " << a[i].track << " at " << a[i].start
+                   << "+" << a[i].dur << ", legacy " << b[i].name
+                   << " on track " << b[i].track << " at " << b[i].start
+                   << "+" << b[i].dur;
+        }
+    }
+    if (a.size() != b.size()) {
+        return ::testing::AssertionFailure()
+               << "timelines of " << a.size() << " and " << b.size()
+               << " events";
+    }
+    if (a.empty())
+        return ::testing::AssertionFailure() << "empty timelines";
+    return ::testing::AssertionSuccess();
+}
+
+TEST(RomeSchedulerParity, FaultRetriesAndSparing)
+{
+    // Transient, weak and stuck rows on 4 KiB requests, with one retry
+    // and one strike before a row is spared: retries re-enter the queue
+    // and spares rewrite queued ops, on every design, at the derived
+    // depth and at 16, where a retry waits for queue room.
+    RandomPattern p;
+    p.totalBytes = 512_KiB;
+    p.requestBytes = 4_KiB;
+    p.capacity = hbm4Config().org.channelCapacity();
+    p.writeFraction = 0.2;
+    p.seed = 5;
+    const auto reqs = randomRequests(p);
+    for (const auto& d : VbaDesign::all()) {
+        for (const int depth : {0, 16}) {
+            RomeMcConfig cfg;
+            cfg.queueDepth = depth;
+            cfg.faults.enabled = true;
+            cfg.faults.seed = 7;
+            cfg.faults.transientLineRate = 2e-5;
+            cfg.faults.weakRowFraction = 0.3;
+            cfg.faults.weakRowOnset = 4;
+            cfg.faults.stuckRowFraction = 0.2;
+            cfg.faults.stuckDueFraction = 0.0;
+            cfg.faults.retryLimit = 1;
+            cfg.faults.ceSpareThreshold = 1;
+            ControllerStats s;
+            EXPECT_TRUE(romeSchedulersAgree(cfg, d, reqs, &s))
+                << d.name() << " depth " << depth;
+            EXPECT_GT(s.retryCount, 0u) << d.name() << " depth " << depth;
+            EXPECT_GT(s.sparedRows, 0u) << d.name() << " depth " << depth;
+        }
+    }
+}
+
+TEST(RomeSchedulerParity, ScrubDrivenSparing)
+{
+    // Half of all rows are stuck CE sites and one strike spares a row, so
+    // the patrol scrub that rides each refresh remaps rows that the
+    // sequential stream still has ops queued or retrying on.
+    StreamPattern p;
+    p.totalBytes = 512_KiB;
+    p.requestBytes = 4_KiB;
+    const auto reqs = streamRequests(p);
+    RomeMcConfig cfg;
+    cfg.faults.enabled = true;
+    cfg.faults.stuckRowFraction = 0.5;
+    cfg.faults.stuckDueFraction = 0.0;
+    cfg.faults.ceSpareThreshold = 1;
+    cfg.faults.scrubRowsPerRefresh = 64;
+    ControllerStats s;
+    EXPECT_TRUE(romeSchedulersAgree(cfg, VbaDesign::adopted(), reqs, &s));
+    EXPECT_GT(s.sparedRows, 0u);
+    EXPECT_GT(s.retryCount, 0u);
+}
+
+TEST(RomeSchedulerParity, ArrivalGaps)
+{
+    // Bursts of four random requests every 300 ns drain before the next
+    // burst, so both schedulers advance idle time to the next arrival,
+    // refresh due tick or FSM release.
+    RandomPattern p;
+    p.totalBytes = 256_KiB;
+    p.requestBytes = 512;
+    p.capacity = hbm4Config().org.channelCapacity();
+    p.writeFraction = 0.3;
+    p.seed = 11;
+    auto reqs = randomRequests(p);
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        reqs[i].arrival = static_cast<Tick>(i / 4) * 300_ns;
+    for (const bool refresh : {false, true}) {
+        RomeMcConfig cfg;
+        cfg.refreshEnabled = refresh;
+        EXPECT_TRUE(romeSchedulersAgree(cfg, VbaDesign::adopted(), reqs))
+            << "refresh " << refresh;
     }
 }
 
