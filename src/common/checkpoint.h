@@ -81,7 +81,10 @@ namespace rome
 // counter left the stream.
 // v9: the conventional stack's pooled queue nodes hold runs of same-row
 // column ops: each node gained its admission stride and op count.
-inline constexpr std::uint32_t kCheckpointVersion = 9;
+// v10: the conventional flat op queues and RoMe's FSM-slot arrays left
+// the stream with the scheduler that used them; RoMe writes its two FSM
+// counts in their place.
+inline constexpr std::uint32_t kCheckpointVersion = 10;
 
 /** Envelope magic ("RMCK" little-endian). */
 inline constexpr std::uint32_t kCheckpointMagic = 0x4b434d52u;

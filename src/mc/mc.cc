@@ -2,8 +2,6 @@
 
 #include <algorithm>
 #include <limits>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "common/log.h"
 
@@ -23,7 +21,6 @@ constexpr int kPrioRefresh = 6;  // opportunistic refresh
 
 /** Refresh postponement bound before a refresh becomes forced (JEDEC: 8). */
 constexpr int kRefreshForceAt = 8;
-constexpr int kRefreshPendingCap = 9;
 
 /** Write-drain hysteresis: start draining at this write-queue occupancy
  *  fraction, stop at the low one. */
@@ -33,7 +30,7 @@ constexpr double kWriteLowWatermark = 0.05;
 /** Adaptive policy: precharge an idle open row after this long. */
 constexpr Tick kAdaptiveIdleTimeout = ticksFromNs(std::int64_t{100});
 
-/** Candidate tie-break categories, in legacy collection order. */
+/** Candidate tie-break categories, in the seed's collection order. */
 constexpr int kRankRefresh = 0;
 constexpr int kRankReadOp = 1;
 constexpr int kRankWriteOp = 2;
@@ -88,96 +85,28 @@ ConventionalMc::ConventionalMc(const DramConfig& cfg, AddressMapping mapping,
             }
         }
     }
-    if (!cfg_.legacyScheduler) {
-        const int nbanks = cfg.org.banksPerChannel();
-        bankIx_.resize(static_cast<std::size_t>(nbanks));
-        for (int b = 0; b < nbanks; ++b) {
-            DramAddress a; // inverse of flatBankIndex (PC-major)
-            int idx = b;
-            a.bank = idx % cfg.org.banksPerGroup;
-            idx /= cfg.org.banksPerGroup;
-            a.bg = idx % cfg.org.bankGroupsPerSid;
-            idx /= cfg.org.bankGroupsPerSid;
-            a.sid = idx % cfg.org.sidsPerChannel;
-            idx /= cfg.org.sidsPerChannel;
-            a.pc = idx;
-            bankIx_[static_cast<std::size_t>(b)].addr = a;
-        }
-        const auto cap = static_cast<std::size_t>(cfg_.readQueueDepth +
-                                                  cfg_.writeQueueDepth);
-        pool_.reserve(cap);
-        freeNodes_.reserve(cap);
-        activeBanks_.reserve(static_cast<std::size_t>(nbanks));
-        openBanks_.reserve(static_cast<std::size_t>(nbanks));
-        unitForcedBank_.assign(refreshUnits_.size(), -1);
+    const int nbanks = cfg.org.banksPerChannel();
+    bankIx_.resize(static_cast<std::size_t>(nbanks));
+    for (int b = 0; b < nbanks; ++b) {
+        DramAddress a; // inverse of flatBankIndex (PC-major)
+        int idx = b;
+        a.bank = idx % cfg.org.banksPerGroup;
+        idx /= cfg.org.banksPerGroup;
+        a.bg = idx % cfg.org.bankGroupsPerSid;
+        idx /= cfg.org.bankGroupsPerSid;
+        a.sid = idx % cfg.org.sidsPerChannel;
+        idx /= cfg.org.sidsPerChannel;
+        a.pc = idx;
+        bankIx_[static_cast<std::size_t>(b)].addr = a;
     }
+    const auto cap = static_cast<std::size_t>(cfg_.readQueueDepth +
+                                              cfg_.writeQueueDepth);
+    pool_.reserve(cap);
+    freeNodes_.reserve(cap);
+    activeBanks_.reserve(static_cast<std::size_t>(nbanks));
+    openBanks_.reserve(static_cast<std::size_t>(nbanks));
+    unitForcedBank_.assign(refreshUnits_.size(), -1);
     initTelemetry(cfg_.telemetry, cfg.org.banksPerChannel());
-}
-
-void
-ConventionalMc::installCommandTrace()
-{
-    // Every committed command becomes one span on its bank's track: CAS
-    // spans cover the data burst, row/refresh commands the bank-busy
-    // window. Commands commit only on event ticks, so the recorded
-    // timeline is the literal per-command schedule regardless of slicing.
-    dev_.setTrace([this](Tick when, const Command& cmd,
-                         const ChannelDevice::IssueResult& res) {
-        if (sink_ == nullptr)
-            return;
-        const char* name = "CMD";
-        Tick end = res.bankReadyAt;
-        switch (cmd.kind) {
-          case CmdKind::Act: name = "ACT"; break;
-          case CmdKind::Pre: name = "PRE"; break;
-          case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
-          case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
-          case CmdKind::RefPb: name = "REFpb"; break;
-          default: break;
-        }
-        sink_->span(name, flatBankIndex(dramCfg_.org, cmd.addr), when,
-                    end > when ? end - when : 0);
-    });
-}
-
-int
-ConventionalMc::pendingRefreshCount(const RefreshUnit& u) const
-{
-    return u.rot.pendingCount(now_, kRefreshPendingCap);
-}
-
-bool
-ConventionalMc::refreshBlocked(const DramAddress& a) const
-{
-    // ACTs to a bank with a forced refresh pending are held off so the bank
-    // can reach Idle and the refresh can issue.
-    if (!cfg_.refreshEnabled)
-        return false;
-    for (const auto& u : refreshUnits_) {
-        if (u.pc != a.pc || u.sid != a.sid)
-            continue;
-        if (pendingRefreshCount(u) < kRefreshForceAt)
-            continue;
-        const int bg = u.rot.cursor / dramCfg_.org.banksPerGroup;
-        const int ba = u.rot.cursor % dramCfg_.org.banksPerGroup;
-        if (bg == a.bg && ba == a.bank)
-            return true;
-    }
-    return false;
-}
-
-std::size_t
-ConventionalMc::readQueueSize() const
-{
-    return cfg_.legacyScheduler ? readQ_.size()
-                                : static_cast<std::size_t>(readCount_);
-}
-
-std::size_t
-ConventionalMc::writeQueueSize() const
-{
-    return cfg_.legacyScheduler ? writeQ_.size()
-                                : static_cast<std::size_t>(writeCount_);
 }
 
 bool
@@ -189,7 +118,8 @@ ConventionalMc::admitOps()
     const auto depth = static_cast<std::size_t>(
         is_read ? cfg_.readQueueDepth : cfg_.writeQueueDepth);
     const std::size_t used =
-        (is_read ? readQueueSize() : writeQueueSize()) + outstanding.size();
+        static_cast<std::size_t>(is_read ? readCount_ : writeCount_) +
+        outstanding.size();
     if (used >= depth)
         return false;
     // Lines are columnBytes apart, a power of two the mapping checked.
@@ -202,16 +132,8 @@ ConventionalMc::admitOps()
     const std::uint64_t end =
         frontChunk_ +
         std::min<std::uint64_t>(total - frontChunk_, depth - used);
-    for (; frontChunk_ < end; ++frontChunk_) {
-        const DramAddress a = lineAddr(first_line + frontChunk_);
-        if (cfg_.legacyScheduler) {
-            (is_read ? readQ_ : writeQ_)
-                .push_back(Op{a, req.id, req.kind, req.arrival, slot, 0, 0,
-                              req.linkDelay});
-        } else {
-            queueOp(req, slot, a);
-        }
-    }
+    for (; frontChunk_ < end; ++frontChunk_)
+        queueOp(req, slot, lineAddr(first_line + frontChunk_));
     if (frontChunk_ == total) {
         host_.pop_front();
         frontChunk_ = 0;
@@ -236,9 +158,9 @@ void
 ConventionalMc::updateWriteDrain()
 {
     // Write-drain hysteresis.
-    const auto w_occ = static_cast<double>(writeQueueSize());
+    const auto w_occ = static_cast<double>(writeCount_);
     const auto w_depth = static_cast<double>(cfg_.writeQueueDepth);
-    const bool forced = readQueueSize() == 0 && writeQueueSize() != 0;
+    const bool forced = readCount_ == 0 && writeCount_ != 0;
     const bool was = drainingWrites_;
     if (!drainingWrites_) {
         if (w_occ >= kWriteHighWatermark * w_depth || forced)
@@ -348,11 +270,9 @@ ConventionalMc::pumpRetries()
         // the entry pending (the queue drains every step, so no wake-up
         // bookkeeping is needed for that case).
         if (r.readyAt <= now_ &&
-            readQueueSize() + readOutstanding_.size() < depth) {
-            if (cfg_.legacyScheduler)
-                readQ_.push_back(r.op);
-            else
-                insertRun(r.op, admitSeq_++); // a run of its own attempt
+            static_cast<std::size_t>(readCount_) + readOutstanding_.size() <
+                depth) {
+            insertRun(r.op, admitSeq_++); // a run of its own attempt
             continue;
         }
         next = std::min(next, std::max(r.readyAt, now_ + 1));
@@ -381,23 +301,16 @@ ConventionalMc::applySpare(const SpareEvent& ev)
             flatBankIndex(dramCfg_.org, op.addr) == ev.bank)
             op.addr.row = ev.newRow;
     };
-    if (cfg_.legacyScheduler) {
-        for (Op& op : readQ_)
-            rewrite(op);
-        for (Op& op : writeQ_)
-            rewrite(op);
-    } else {
-        // All ops of a run share its row, so the head's row is the run's.
-        BankEntry& e = bankIx_[static_cast<std::size_t>(ev.bank)];
-        for (BankList* l : {&e.read, &e.write}) {
-            for (int i = l->head; i != -1;
-                 i = pool_[static_cast<std::size_t>(i)].next) {
-                rewrite(pool_[static_cast<std::size_t>(i)].op);
-            }
+    // All ops of a run share its row, so the head's row is the run's.
+    BankEntry& e = bankIx_[static_cast<std::size_t>(ev.bank)];
+    for (BankList* l : {&e.read, &e.write}) {
+        for (int i = l->head; i != -1;
+             i = pool_[static_cast<std::size_t>(i)].next) {
+            rewrite(pool_[static_cast<std::size_t>(i)].op);
         }
-        // Row identities in the bank changed: hit summaries are stale.
-        reindexBankRow(ev.bank);
     }
+    // Row identities in the bank changed: hit summaries are stale.
+    reindexBankRow(ev.bank);
     for (PendingRetry& r : retryQ_)
         rewrite(r.op);
 }
@@ -425,16 +338,8 @@ ConventionalMc::idleWakeTick(Tick adaptive_next) const
     return next;
 }
 
-bool
-ConventionalMc::stepOnce(Tick until)
-{
-    dev_.setClock(now_);
-    return cfg_.legacyScheduler ? stepOnceLegacy(until)
-                                : stepOnceIndexed(until);
-}
-
 // ---------------------------------------------------------------------------
-// Indexed scheduler
+// Scheduler
 // ---------------------------------------------------------------------------
 
 ConventionalMc::RankKey
@@ -1115,8 +1020,9 @@ ConventionalMc::pickCommand(const Pick& p) const
 }
 
 bool
-ConventionalMc::stepOnceIndexed(Tick until)
+ConventionalMc::stepOnce(Tick until)
 {
+    dev_.setClock(now_);
     if (sc_ == nullptr)
         initCaches();
     readOutstanding_.release(now_);
@@ -1413,248 +1319,6 @@ ConventionalMc::stepOnceIndexed(Tick until)
 }
 
 // ---------------------------------------------------------------------------
-// Legacy scheduler (the seed's rescan-everything loop; the parity tests'
-// reference).
-// ---------------------------------------------------------------------------
-
-void
-ConventionalMc::collectRefreshCandidates(std::vector<Candidate>& out) const
-{
-    for (std::size_t i = 0; i < refreshUnits_.size(); ++i) {
-        const RefreshUnit& u = refreshUnits_[i];
-        const int pending = pendingRefreshCount(u);
-        if (pending == 0)
-            continue;
-        DramAddress a;
-        a.pc = u.pc;
-        a.sid = u.sid;
-        a.bg = u.rot.cursor / dramCfg_.org.banksPerGroup;
-        a.bank = u.rot.cursor % dramCfg_.org.banksPerGroup;
-
-        const bool forced = pending >= kRefreshForceAt;
-        if (!forced) {
-            // Postpone while the target bank has queued work.
-            const auto targets_bank = [&](const Op& op) {
-                return op.addr.pc == a.pc && op.addr.sid == a.sid &&
-                       op.addr.bg == a.bg && op.addr.bank == a.bank;
-            };
-            if (std::any_of(readQ_.begin(), readQ_.end(), targets_bank) ||
-                std::any_of(writeQ_.begin(), writeQ_.end(), targets_bank)) {
-                continue;
-            }
-        }
-
-        Candidate c;
-        c.isRefresh = true;
-        c.refreshUnit = static_cast<int>(i);
-        c.priority = forced ? kPrioForced : kPrioRefresh;
-        c.age = u.rot.due; // most-overdue first among refresh ties
-        if (dev_.bankRecord(a).open()) {
-            a.row = dev_.openRow(a);
-            c.cmd = Command{CmdKind::Pre, a};
-        } else {
-            c.cmd = Command{CmdKind::RefPb, a};
-        }
-        c.earliest = dev_.earliestIssue(c.cmd, now_);
-        if (c.earliest != kTickMax)
-            out.push_back(c);
-    }
-}
-
-void
-ConventionalMc::collectOpCandidates(std::vector<Candidate>& out) const
-{
-    // Per-bank summary: does any queued op hit the open row?
-    struct BankWork
-    {
-        bool hasHit = false;
-    };
-    std::unordered_map<int, BankWork> work;
-    const auto scan = [&](const std::vector<Op>& q) {
-        for (const Op& op : q) {
-            const int idx = flatBankIndex(dramCfg_.org, op.addr);
-            const BankRecord& rec = dev_.bankRecord(op.addr);
-            auto& w = work[idx];
-            if (rec.open() && rec.openRow == op.addr.row)
-                w.hasHit = true;
-        }
-    };
-    scan(readQ_);
-    if (drainingWrites_)
-        scan(writeQ_);
-
-    // Track banks we already emitted an ACT/PRE candidate for (dedupe).
-    std::unordered_set<int> act_banks, pre_banks;
-
-    const auto consider = [&](const std::vector<Op>& q, bool is_write) {
-        for (std::size_t i = 0; i < q.size(); ++i) {
-            const Op& op = q[i];
-            if (refreshBlocked(op.addr))
-                continue;
-            const BankRecord& rec = dev_.bankRecord(op.addr);
-            const int bank_idx = flatBankIndex(dramCfg_.org, op.addr);
-            const bool aged = now_ - op.arrival > cfg_.agePriorityThreshold;
-
-            Candidate c;
-            c.age = op.arrival;
-            c.opIndex = static_cast<int>(i);
-            c.isWrite = is_write;
-            if (rec.open() && rec.openRow == op.addr.row) {
-                c.cmd = Command{is_write ? CmdKind::Wr : CmdKind::Rd,
-                                op.addr};
-                c.priority = aged ? kPrioForced : kPrioCasHit;
-            } else if (!rec.open()) {
-                if (!act_banks.insert(bank_idx).second)
-                    continue;
-                c.cmd = Command{CmdKind::Act, op.addr};
-                c.priority = aged ? kPrioForced : kPrioAct;
-                c.opIndex = -1;
-            } else {
-                // Conflict: precharge only when no queued op still hits the
-                // open row, unless the conflicting op is aged (QoS).
-                const auto it = work.find(bank_idx);
-                const bool has_hit = it != work.end() && it->second.hasHit;
-                if (has_hit && !aged)
-                    continue;
-                if (!pre_banks.insert(bank_idx).second)
-                    continue;
-                DramAddress a = op.addr;
-                a.row = rec.openRow;
-                c.cmd = Command{CmdKind::Pre, a};
-                c.priority = aged ? kPrioForced : kPrioPre;
-                c.opIndex = -1;
-            }
-            c.earliest = dev_.earliestIssue(c.cmd, now_);
-            if (c.earliest != kTickMax)
-                out.push_back(c);
-        }
-    };
-    consider(readQ_, false);
-    if (drainingWrites_)
-        consider(writeQ_, true);
-
-    // Close/adaptive page policies: precharge open rows with no pending hit.
-    if (cfg_.pagePolicy != PagePolicy::Open) {
-        for (int pc = 0; pc < dramCfg_.org.pcsPerChannel; ++pc) {
-            for (int sid = 0; sid < dramCfg_.org.sidsPerChannel; ++sid) {
-                for (int bg = 0; bg < dramCfg_.org.bankGroupsPerSid; ++bg) {
-                    for (int ba = 0; ba < dramCfg_.org.banksPerGroup; ++ba) {
-                        DramAddress a{pc, sid, bg, ba, 0, 0};
-                        const BankRecord& rec = dev_.bankRecord(a);
-                        if (!rec.open())
-                            continue;
-                        const int idx = flatBankIndex(dramCfg_.org, a);
-                        const auto it = work.find(idx);
-                        if (it != work.end() && it->second.hasHit)
-                            continue;
-                        if (cfg_.pagePolicy == PagePolicy::Adaptive &&
-                            now_ - bankLastUse(rec) <
-                                kAdaptiveIdleTimeout) {
-                            continue;
-                        }
-                        if (!pre_banks.insert(idx).second)
-                            continue;
-                        a.row = rec.openRow;
-                        Candidate c;
-                        c.cmd = Command{CmdKind::Pre, a};
-                        c.priority = kPrioIdlePre;
-                        c.age = 0;
-                        c.earliest = dev_.earliestIssue(c.cmd, now_);
-                        if (c.earliest != kTickMax)
-                            out.push_back(c);
-                    }
-                }
-            }
-        }
-    }
-}
-
-bool
-ConventionalMc::stepOnceLegacy(Tick until)
-{
-    readOutstanding_.release(now_);
-    writeOutstanding_.release(now_);
-    if (faults_.enabled())
-        pumpRetries(); // before admission: retries compete for queue space
-    pumpArrivals();
-    updateWriteDrain();
-
-    std::vector<Candidate> cands;
-    cands.reserve(readQ_.size() + writeQ_.size() + refreshUnits_.size());
-    collectRefreshCandidates(cands);
-    collectOpCandidates(cands);
-
-    if (cands.empty()) {
-        Tick adaptive_next = kTickMax;
-        if (cfg_.pagePolicy == PagePolicy::Adaptive) {
-            for (int pc = 0; pc < dramCfg_.org.pcsPerChannel; ++pc) {
-                for (int sid = 0; sid < dramCfg_.org.sidsPerChannel; ++sid) {
-                    for (int bg = 0; bg < dramCfg_.org.bankGroupsPerSid;
-                         ++bg) {
-                        for (int ba = 0; ba < dramCfg_.org.banksPerGroup;
-                             ++ba) {
-                            const BankRecord& rec = dev_.bankRecord(
-                                DramAddress{pc, sid, bg, ba, 0, 0});
-                            if (!rec.open())
-                                continue;
-                            adaptive_next = std::min(
-                                adaptive_next,
-                                std::max(now_ + 1,
-                                         bankLastUse(rec) +
-                                         kAdaptiveIdleTimeout));
-                        }
-                    }
-                }
-            }
-        }
-        const Tick next = idleWakeTick(adaptive_next);
-        if (next == kTickMax || next > until) {
-            // now_ stays on its last event tick (slice invariance).
-            return false;
-        }
-        now_ = next;
-        return true;
-    }
-
-    const Candidate* best = nullptr;
-    for (const Candidate& c : cands) {
-        if (!best || c.earliest < best->earliest ||
-            (c.earliest == best->earliest &&
-             (c.priority < best->priority ||
-              (c.priority == best->priority && c.age < best->age)))) {
-            best = &c;
-        }
-    }
-
-    if (best->earliest > until) {
-        // Retried verbatim from the same event tick by the next call.
-        return false;
-    }
-
-    now_ = best->earliest;
-    const auto res = dev_.issue(best->cmd, now_);
-
-    if (best->isRefresh) {
-        if (best->cmd.kind == CmdKind::RefPb) {
-            RefreshUnit& u =
-                refreshUnits_[static_cast<std::size_t>(best->refreshUnit)];
-            u.rot.advance(dramCfg_.org.banksPerSid());
-            if (faults_.enabled())
-                runScrub(); // patrol scrub rides the refresh calendar
-        }
-    } else if (best->cmd.kind == CmdKind::Rd || best->cmd.kind == CmdKind::Wr) {
-        auto& queue = best->isWrite ? writeQ_ : readQ_;
-        const Op op = queue[static_cast<std::size_t>(best->opIndex)];
-        queue.erase(queue.begin() + best->opIndex);
-        (best->isWrite ? writeOutstanding_ : readOutstanding_)
-            .push(res.dataUntil);
-        ++casIssued_;
-        completeOp(op, res.dataUntil);
-    }
-    return true;
-}
-
-// ---------------------------------------------------------------------------
 // Statistics
 // ---------------------------------------------------------------------------
 
@@ -1737,8 +1401,6 @@ ConventionalMc::fields(Ar& ar, Self& self)
 
     self.baseState(ar);
     ar(self.dev_);
-    ar.seq(self.readQ_, op);
-    ar.seq(self.writeQ_, op);
     ar.seq(self.pool_, [&](auto& n) {
         op(n.op);
         ar(n.seq, n.stride, n.count, n.bank, n.prev, n.next);
@@ -1750,43 +1412,6 @@ ConventionalMc::fields(Ar& ar, Self& self)
         ar(e.activePos, e.openPos);
         addr(e.addr);
     });
-    if constexpr (Ar::kLoading) {
-        // Each list's runs must lie in the pool, each hold ops of one row
-        // at a forward stride, and together hold the list's op count.
-        const auto cols =
-            static_cast<std::int64_t>(self.dramCfg_.org.columnsPerRow());
-        const std::size_t nodes = self.pool_.size();
-        for (const auto& e : self.bankIx_) {
-            for (const auto* l : {&e.read, &e.write}) {
-                std::int64_t ops = 0;
-                std::size_t runs = 0;
-                for (int i = l->head; i != -1;
-                     i = self.pool_[static_cast<std::size_t>(i)].next) {
-                    if (i < 0 || static_cast<std::size_t>(i) >= nodes ||
-                        ++runs > nodes) {
-                        fatal("checkpoint links a bank list outside its "
-                              "%zu pooled runs", nodes);
-                    }
-                    const auto& n = self.pool_[static_cast<std::size_t>(i)];
-                    if (n.count < 1)
-                        fatal("checkpoint run holds %d ops", n.count);
-                    if (n.stride < 1)
-                        fatal("checkpoint run has admission stride 0");
-                    if (n.op.addr.col < 0 ||
-                        std::int64_t{n.op.addr.col} + n.count > cols) {
-                        fatal("checkpoint run of %d ops from column %d "
-                              "leaves its %lld-column row", n.count,
-                              n.op.addr.col, static_cast<long long>(cols));
-                    }
-                    ops += n.count;
-                }
-                if (ops != l->count) {
-                    fatal("checkpoint bank list counts %d ops, its runs "
-                          "hold %lld", l->count, static_cast<long long>(ops));
-                }
-            }
-        }
-    }
     ar.seq(self.activeBanks_);
     ar.seq(self.openBanks_);
     ar(self.admitSeq_, self.readCount_, self.writeCount_,
@@ -1799,6 +1424,140 @@ ConventionalMc::fields(Ar& ar, Self& self)
         ar(p.readyAt);
     });
     ar(self.nextRetryAt_, self.casIssued_);
+    if constexpr (Ar::kLoading)
+        self.checkRestoredIndices();
+}
+
+void
+ConventionalMc::checkRestoredIndices() const
+{
+    // Every index a step follows must name an entry of the table it
+    // indexes, and every queued op a cell of the device: a malformed blob
+    // fatals here instead of running on into a crash.
+    const Organization& org = dramCfg_.org;
+    const auto cols = static_cast<std::int64_t>(org.columnsPerRow());
+    const std::size_t nodes = pool_.size();
+    const auto in_device = [&org, cols](const DramAddress& a) {
+        return a.pc >= 0 && a.pc < org.pcsPerChannel && a.sid >= 0 &&
+               a.sid < org.sidsPerChannel && a.bg >= 0 &&
+               a.bg < org.bankGroupsPerSid && a.bank >= 0 &&
+               a.bank < org.banksPerGroup && a.row >= 0 &&
+               a.row < org.rowsPerBank && a.col >= 0 && a.col < cols;
+    };
+
+    // Each list links its runs once each, both ways, from head to tail.
+    // Each run holds ops of its kind and bank in one row at a forward
+    // stride, and together they hold the list's op count.
+    std::vector<char> listed(nodes, 0);
+    for (std::size_t b = 0; b < bankIx_.size(); ++b) {
+        const BankEntry& e = bankIx_[b];
+        for (const BankList* l : {&e.read, &e.write}) {
+            const ReqKind kind =
+                l == &e.read ? ReqKind::Read : ReqKind::Write;
+            std::int64_t ops = 0;
+            int prev = -1;
+            bool rep_listed = false;
+            for (int i = l->head; i != -1;
+                 i = pool_[static_cast<std::size_t>(i)].next) {
+                if (i < 0 || static_cast<std::size_t>(i) >= nodes ||
+                    listed[static_cast<std::size_t>(i)]) {
+                    fatal("checkpoint links a bank list outside its %zu "
+                          "pooled runs", nodes);
+                }
+                listed[static_cast<std::size_t>(i)] = 1;
+                const RunNode& n = pool_[static_cast<std::size_t>(i)];
+                if (n.bank != static_cast<int>(b)) {
+                    fatal("checkpoint run %d in bank %zu's list has bank %d",
+                          i, b, n.bank);
+                }
+                if (n.prev != prev) {
+                    fatal("checkpoint run %d has prev %d, but follows run %d",
+                          i, n.prev, prev);
+                }
+                if (n.op.kind != kind) {
+                    fatal("checkpoint run %d holds a kind-%d op in a %s list",
+                          i, static_cast<int>(n.op.kind),
+                          kind == ReqKind::Read ? "read" : "write");
+                }
+                if (!in_device(n.op.addr) ||
+                    flatBankIndex(org, n.op.addr) != n.bank) {
+                    fatal("checkpoint pooled op at %s lies outside its bank "
+                          "%d", n.op.addr.str().c_str(), n.bank);
+                }
+                if (n.count < 1)
+                    fatal("checkpoint run holds %d ops", n.count);
+                if (n.stride < 1)
+                    fatal("checkpoint run has admission stride 0");
+                if (std::int64_t{n.op.addr.col} + n.count > cols) {
+                    fatal("checkpoint run of %d ops from column %d leaves its "
+                          "%lld-column row", n.count, n.op.addr.col,
+                          static_cast<long long>(cols));
+                }
+                rep_listed |= i == l->hitRep;
+                ops += n.count;
+                prev = i;
+            }
+            if (l->tail != prev) {
+                fatal("checkpoint bank list tail %d is not its last run %d",
+                      l->tail, prev);
+            }
+            if (ops != l->count) {
+                fatal("checkpoint bank list counts %d ops, its runs hold %lld",
+                      l->count, static_cast<long long>(ops));
+            }
+            if (l->hitRep != kRepNone && l->hitRep != kRepUnknown &&
+                !rep_listed) {
+                fatal("checkpoint bank list hitRep %d is not one of its runs",
+                      l->hitRep);
+            }
+        }
+    }
+    for (const int f : freeNodes_) {
+        if (f < 0 || static_cast<std::size_t>(f) >= nodes ||
+            listed[static_cast<std::size_t>(f)]) {
+            fatal("checkpoint freeNodes entry %d is not an unlisted pooled "
+                  "run", f);
+        }
+        listed[static_cast<std::size_t>(f)] = 1;
+    }
+
+    // Each bank-set entry names a bank placed at that entry, and no other
+    // bank holds a place.
+    const auto check_set = [this](const std::vector<int>& set,
+                                  int BankEntry::*pos, const char* what) {
+        for (std::size_t i = 0; i < set.size(); ++i) {
+            const int b = set[i];
+            if (b < 0 || static_cast<std::size_t>(b) >= bankIx_.size() ||
+                bankIx_[static_cast<std::size_t>(b)].*pos !=
+                    static_cast<int>(i)) {
+                fatal("checkpoint %s entry %zu names bank %d, which is not "
+                      "placed there", what, i, b);
+            }
+        }
+        const auto placed = std::count_if(
+            bankIx_.begin(), bankIx_.end(),
+            [pos](const BankEntry& e) { return e.*pos != -1; });
+        if (static_cast<std::size_t>(placed) != set.size()) {
+            fatal("checkpoint %s holds %zu banks, %lld banks have a place "
+                  "in it", what, set.size(), static_cast<long long>(placed));
+        }
+    };
+    check_set(activeBanks_, &BankEntry::activePos, "activeBanks");
+    check_set(openBanks_, &BankEntry::openPos, "openBanks");
+
+    for (std::size_t i = 0; i < refreshUnits_.size(); ++i) {
+        const int c = refreshUnits_[i].rot.cursor;
+        if (c < 0 || c >= org.banksPerSid()) {
+            fatal("checkpoint refresh unit %zu has cursor %d of %d banks", i,
+                  c, org.banksPerSid());
+        }
+    }
+    for (const PendingRetry& r : retryQ_) {
+        if (!in_device(r.op.addr)) {
+            fatal("checkpoint retrying op at %s lies outside the device",
+                  r.op.addr.str().c_str());
+        }
+    }
 }
 
 void

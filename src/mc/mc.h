@@ -7,71 +7,67 @@
  * command scheduler with open/close/adaptive page policies and age-based
  * QoS, and a per-bank refresh scheduler with bounded postponing.
  *
- * Two scheduler implementations produce bit-identical command streams:
+ * The scheduler queues column ops as *runs*: consecutive columns of one
+ * request in one row, admitted back to back into one bank's queue. Each
+ * run is one pooled node linked into its bank's per-queue FIFO list; an
+ * admitted line that continues the list's tail run extends it in place.
+ * Per-bank summaries (queued-op counts, open-row hit counts, cached
+ * best-hit runs, oldest-arrival bounds) are maintained incrementally on
+ * admit/issue/row-change and still count ops. Each bank with work also
+ * caches its scheduling candidates — at most one ACT, or a RD-hit, a
+ * WR-hit and a conflict PRE — with the run whose head op each serves or
+ * is ranked by, and the device's bank-local timing terms. Only an event
+ * on the bank re-derives them: an admitted op that changes them, a CAS
+ * that empties its run, any other command to the bank, a spare-row
+ * rewrite, a write-drain flip, or the first tick at which an op's aging
+ * can change which op a conflict PRE is ranked by. A CAS that leaves ops
+ * in its run patches the bank's candidates in place instead: the served
+ * candidate takes the run's next op, and every candidate takes the bank
+ * terms the CAS moved.
  *
- *  - The *indexed* scheduler (default) queues column ops as *runs*:
- *    consecutive columns of one request in one row, admitted back to
- *    back into one bank's queue. Each run is one pooled node linked into
- *    its bank's per-queue FIFO list; an admitted line that continues the
- *    list's tail run extends it in place. Per-bank summaries (queued-op
- *    counts, open-row hit counts, cached best-hit runs, oldest-arrival
- *    bounds) are maintained incrementally on admit/issue/row-change and
- *    still count ops. Each bank with work also caches its scheduling
- *    candidates — at most one ACT, or a RD-hit, a WR-hit and a conflict
- *    PRE — with the run whose head op each serves or is ranked by, and
- *    the device's bank-local timing terms. Only an event on the bank
- *    re-derives them: an admitted op that changes them, a CAS that
- *    empties its run, any other command to the bank, a spare-row
- *    rewrite, a write-drain flip, or the first tick at which an op's
- *    aging can change which op a conflict PRE is ranked by. A CAS that
- *    leaves ops in its run patches the bank's candidates in place
- *    instead: the served candidate takes the run's next op, and every
- *    candidate takes the bank terms the CAS moved.
+ * Every device probe has the form bus.nextFree(max(now, bank term, shared
+ * term)), and the shared term depends only on (PC, SID, bank group,
+ * direction). The scheduler keeps the shared terms in a table that only
+ * the command moving them refreshes (ACT terms per bank group, RD/WR
+ * terms per PC and CAS class), and since it issues in time order the bus
+ * slot is one more max term: the newest reservation's end. A candidate's
+ * issue tick is then a max of cached values, with no per-bank device
+ * probe.
  *
- *    Every device probe has the form bus.nextFree(max(now, bank term,
- *    shared term)), and the shared term depends only on (PC, SID, bank
- *    group, direction). The scheduler keeps the shared terms in a table
- *    that only the command moving them refreshes (ACT terms per bank
- *    group, RD/WR terms per PC and CAS class), and since it issues in
- *    time order the bus slot is one more max term: the newest
- *    reservation's end. A candidate's issue tick is then a max of cached
- *    values, with no per-bank device probe.
+ * The cached candidates are split into one partition per (PC, command
+ * bus): ACT/PRE on the row bus, RD/WR on the column bus. Each partition
+ * caches its min (issue tick, rank key), and a step takes the min over
+ * the partitions, the refresh candidates and the idle PREs. Only these
+ * events re-walk a partition:
+ *   - a committed RD/WR re-walks its (PC, column): it moved the PC's CAS
+ *     terms, last-CAS SID and bank group and column-bus floor;
+ *   - an ACT, PRE or REFpb re-walks its (PC, row): it moved its (PC,
+ *     SID)'s ACT terms and the row-bus floor;
+ *   - a rebuilt bank swap-removes its old entries, which re-walks a
+ *     partition only if one of them was the partition's best, and offers
+ *     each new entry to the cached best;
+ *   - a patched bank re-walks the partition of each entry that was its
+ *     partition's best and offers the others to the cached best;
+ *   - a refresh scan that changes any forced-refresh hold re-walks every
+ *     partition;
+ *   - a partition expires at the first tick at which a candidate that
+ *     tied its best tick ages, since aging reorders ties;
+ *   - the first step and a checkpoint restore start with every partition
+ *     unwalked.
+ * Between them a partition's best stands. now only advances to the last
+ * winner's tick, which is at most every partition's best tick, or jumps
+ * while no partition has a candidate, so max(now, ...) moves none of its
+ * ticks. Rank keys are unique, so the min over the partition minima is
+ * the min over every candidate; Debug builds check that on every step.
+ * Refresh units are rescanned only at their due and forcing deadlines or
+ * after an event that can move them. The caches are allocated by the
+ * first step; there is no heap allocation in steady state.
  *
- *    The cached candidates are split into one partition per (PC,
- *    command bus): ACT/PRE on the row bus, RD/WR on the column bus. Each
- *    partition caches its min (issue tick, rank key), and a step takes
- *    the min over the partitions, the refresh candidates and the idle
- *    PREs. Only these events re-walk a partition:
- *      - a committed RD/WR re-walks its (PC, column): it moved the PC's
- *        CAS terms, last-CAS SID and bank group and column-bus floor;
- *      - an ACT, PRE or REFpb re-walks its (PC, row): it moved its
- *        (PC, SID)'s ACT terms and the row-bus floor;
- *      - a rebuilt bank swap-removes its old entries, which re-walks a
- *        partition only if one of them was the partition's best, and
- *        offers each new entry to the cached best;
- *      - a patched bank re-walks the partition of each entry that was
- *        its partition's best and offers the others to the cached best;
- *      - a refresh scan that changes any forced-refresh hold re-walks
- *        every partition;
- *      - a partition expires at the first tick at which a candidate
- *        that tied its best tick ages, since aging reorders ties;
- *      - the first step and a checkpoint restore start with every
- *        partition unwalked.
- *    Between them a partition's best stands. now only advances to the
- *    last winner's tick, which is at most every partition's best tick,
- *    or jumps while no partition has a candidate, so max(now, ...) moves
- *    none of its ticks. Rank keys are unique, so the min over the
- *    partition minima is the min over every candidate; Debug builds
- *    check that on every step. Refresh units are rescanned only at
- *    their due and forcing deadlines or after an event that can move
- *    them. The caches are allocated by the first step; there is no heap
- *    allocation in steady state.
- *
- *  - The *legacy* scheduler (McConfig::legacyScheduler) is the seed
- *    FR-FCFS loop that rebuilds its whole candidate set from the flat
- *    queues every step, one op at a time. It is retained as the
- *    decision-order oracle: the parity tests assert equal ControllerStats
- *    and equal command timelines between the two.
+ * Its decisions are those of the seed's FR-FCFS loop, which rebuilt the
+ * whole candidate set from flat queues every step, one op at a time. That
+ * loop lives on as a test-only oracle (tests/oracle/): the parity tests
+ * assert equal ControllerStats and equal command timelines between the
+ * two.
  *
  * The controller drives one ChannelDevice; every command it emits is
  * re-validated by the device against the full timing rule set.
@@ -126,13 +122,6 @@ struct McConfig
     bool refreshEnabled = true;
     /** Ops older than this get absolute priority (QoS, §II-D). */
     Tick agePriorityThreshold = ticksFromNs(static_cast<std::int64_t>(5000));
-    /**
-     * Use the seed's rescan-everything scheduler instead of the
-     * incremental per-bank index. Decisions are bit-identical; this is
-     * the reference the parity tests compare the indexed scheduler
-     * against.
-     */
-    bool legacyScheduler = false;
     /**
      * Fault injection + ECC/recovery (sim/fault.h). The conventional
      * stack evaluates one SEC-DED codeword per 32 B line, so each read
@@ -218,19 +207,6 @@ class ConventionalMc : public ChannelControllerBase
         RefreshRotation rot;
     };
 
-    /** A schedulable command candidate (legacy scheduler). */
-    struct Candidate
-    {
-        Command cmd;
-        Tick earliest;
-        int priority;     // smaller = more urgent
-        Tick age;         // older first among equals
-        int opIndex = -1; ///< index into the flat queue
-        bool isWrite = false;
-        bool isRefresh = false;
-        int refreshUnit = -1;
-    };
-
     // ---- incremental per-bank scheduling index -------------------------
 
     /** PCs per channel the scheduler supports. */
@@ -294,11 +270,11 @@ class ConventionalMc : public ChannelControllerBase
 
     /**
      * Tie-break key among candidates that issue on the same tick, in the
-     * legacy collection order: priority, age, then category (refresh <
+     * seed's collection order: priority, age, then category (refresh <
      * read op < write op < idle-PRE) and the in-category index
      * (refresh-unit index, op admission sequence, or flat bank index).
      * Unique per candidate, so the min-key selection reproduces the
-     * legacy first-encountered-wins result exactly. Packed so that
+     * seed's first-encountered-wins result exactly. Packed so that
      * (hi, lo) compares lexicographically: the priority sits above a
      * 60-bit age, the category above a 62-bit index.
      */
@@ -413,16 +389,17 @@ class ConventionalMc : public ChannelControllerBase
     bool stepOnce(Tick until) override;
 
     /** Telemetry timeline: one span per committed device command. */
-    void installCommandTrace() override;
+    void installCommandTrace() override { traceCommands(dev_); }
 
     // ---- shared helpers ------------------------------------------------
     void updateWriteDrain();
-    std::size_t readQueueSize() const;
-    std::size_t writeQueueSize() const;
     void completeOp(const Op& op, Tick data_end);
-    int pendingRefreshCount(const RefreshUnit& u) const;
-    bool refreshBlocked(const DramAddress& a) const;
     Tick idleWakeTick(Tick adaptive_next) const;
+    /**
+     * Fatal unless every restored index names an entry of the table it
+     * indexes and every restored op a cell of the device (restore only).
+     */
+    void checkRestoredIndices() const;
 
     // ---- reliability (ECC classify / retry / scrub / sparing) -----------
     /**
@@ -441,8 +418,7 @@ class ConventionalMc : public ChannelControllerBase
     /** Rewrite queued + retrying ops of a spared row to its new home. */
     void applySpare(const SpareEvent& ev);
 
-    // ---- indexed scheduler ---------------------------------------------
-    bool stepOnceIndexed(Tick until);
+    // ---- scheduler -----------------------------------------------------
     /** Coordinates of column line @p line, its row remapped if spared. */
     DramAddress lineAddr(std::uint64_t line) const;
     /**
@@ -530,21 +506,12 @@ class ConventionalMc : public ChannelControllerBase
     /** The device command a pick stands for. */
     Command pickCommand(const Pick& p) const;
 
-    // ---- legacy scheduler (decision-order oracle) ----------------------
-    bool stepOnceLegacy(Tick until);
-    void collectRefreshCandidates(std::vector<Candidate>& out) const;
-    void collectOpCandidates(std::vector<Candidate>& out) const;
-
     DramConfig dramCfg_;
     AddressMapping map_;
     McConfig cfg_;
     ChannelDevice dev_;
 
-    // Legacy flat queues (used only when cfg_.legacyScheduler).
-    std::vector<Op> readQ_;
-    std::vector<Op> writeQ_;
-
-    // Indexed scheduler state (used otherwise).
+    // Scheduler state.
     std::vector<RunNode> pool_;
     std::vector<int> freeNodes_;
     std::vector<BankEntry> bankIx_;
@@ -558,7 +525,7 @@ class ConventionalMc : public ChannelControllerBase
     int writeCount_ = 0;
 
     /**
-     * State the indexed step derives and caches, allocated by the first
+     * State the step derives and caches, allocated by the first
      * step (initCaches) so that set-ups which never step pay nothing.
      */
     struct StepCache

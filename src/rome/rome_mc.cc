@@ -38,8 +38,6 @@ RomeMc::RomeMc(const DramConfig& base, VbaDesign design, RomeMcConfig cfg,
     const double demand = static_cast<double>(stall) /
                           static_cast<double>(refresh_.interval);
     refreshFsms_ = std::max(3, static_cast<int>(demand * 1.2) + 1);
-    opSlots_.resize(static_cast<std::size_t>(operateFsms_));
-    refSlots_.resize(static_cast<std::size_t>(refreshFsms_));
     vbaBusyUntil_.assign(static_cast<std::size_t>(totalVbas_), 0);
     vbaBusyState_.assign(static_cast<std::size_t>(totalVbas_),
                          VbaState::Idle);
@@ -51,31 +49,6 @@ RomeMc::RomeMc(const DramConfig& base, VbaDesign design, RomeMcConfig cfg,
                       lines_per_row, lines_per_row);
     // Telemetry "banks" are VBAs: one stall row per (SID, VBA) key.
     initTelemetry(cfg_.telemetry, totalVbas_);
-}
-
-void
-RomeMc::installCommandTrace()
-{
-    // The generator lowers every row op to device commands; tracing them
-    // gives the literal per-bank schedule. Commands commit only on event
-    // ticks, so the timeline is slicing-invariant by construction.
-    dev_.setTrace([this](Tick when, const Command& cmd,
-                         const ChannelDevice::IssueResult& res) {
-        if (sink_ == nullptr)
-            return;
-        const char* name = "CMD";
-        Tick end = res.bankReadyAt;
-        switch (cmd.kind) {
-          case CmdKind::Act: name = "ACT"; break;
-          case CmdKind::Pre: name = "PRE"; break;
-          case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
-          case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
-          case CmdKind::RefPb: name = "REFpb"; break;
-          default: break;
-        }
-        sink_->span(name, flatBankIndex(map_.deviceOrganization(), cmd.addr),
-                    when, end > when ? end - when : 0);
-    });
 }
 
 VbaAddress
@@ -154,41 +127,6 @@ RomeMc::admitOps()
     return false;
 }
 
-bool
-RomeMc::vbaBusy(const VbaAddress& a, Tick at) const
-{
-    const auto busy_in = [&](const std::vector<FsmSlot>& slots) {
-        for (const auto& s : slots) {
-            if (s.busyUntil != kTickInvalid && s.busyUntil > at &&
-                s.vba.sameVba(a)) {
-                return true;
-            }
-        }
-        return false;
-    };
-    return busy_in(opSlots_) || busy_in(refSlots_);
-}
-
-int
-RomeMc::busyCount(const std::vector<FsmSlot>& slots, Tick at) const
-{
-    int n = 0;
-    for (const auto& s : slots)
-        n += s.busyUntil != kTickInvalid && s.busyUntil > at;
-    return n;
-}
-
-void
-RomeMc::retireSlots(Tick at)
-{
-    for (auto* slots : {&opSlots_, &refSlots_}) {
-        for (auto& s : *slots) {
-            if (s.busyUntil != kTickInvalid && s.busyUntil <= at)
-                s.state = VbaState::Idle;
-        }
-    }
-}
-
 Tick
 RomeMc::nextRefreshDue() const
 {
@@ -198,37 +136,14 @@ RomeMc::nextRefreshDue() const
 VbaState
 RomeMc::vbaState(const VbaAddress& a, Tick at) const
 {
-    if (!cfg_.legacyScheduler) {
-        const auto key = static_cast<std::size_t>(vbaKey(a));
-        return vbaBusyUntil_[key] > at ? vbaBusyState_[key]
-                                       : VbaState::Idle;
-    }
-    for (const auto& s : refSlots_) {
-        if (s.busyUntil != kTickInvalid && s.busyUntil > at &&
-            s.vba.sameVba(a)) {
-            return VbaState::Refreshing;
-        }
-    }
-    for (const auto& s : opSlots_) {
-        if (s.busyUntil != kTickInvalid && s.busyUntil > at &&
-            s.vba.sameVba(a)) {
-            return s.state;
-        }
-    }
-    return VbaState::Idle;
+    const auto key = static_cast<std::size_t>(vbaKey(a));
+    return vbaBusyUntil_[key] > at ? vbaBusyState_[key] : VbaState::Idle;
 }
 
 bool
 RomeMc::stepOnce(Tick until)
 {
     dev_.setClock(now_);
-    return cfg_.legacyScheduler ? stepOnceLegacy(until)
-                                : stepOnceIndexed(until);
-}
-
-bool
-RomeMc::stepOnceIndexed(Tick until)
-{
     outstanding_.release(now_);
     if (faults_.enabled())
         pumpRetries();
@@ -445,181 +360,6 @@ RomeMc::stepOnceIndexed(Tick until)
     return true;
 }
 
-// Legacy scheduler (the seed's rescan-everything loop; the parity tests'
-// reference).
-
-bool
-RomeMc::stepOnceLegacy(Tick until)
-{
-    outstanding_.release(now_);
-    if (faults_.enabled())
-        pumpRetries();
-    pumpArrivals();
-    retireSlots(now_);
-
-    // --- Refresh: one VBA pair-refresh per interval, rotating (§V-B) ----
-    std::optional<VbaAddress> refresh_target;
-    if (cfg_.refreshEnabled && now_ >= refresh_.due) {
-        const int v = map_.vbasPerSid();
-        VbaAddress t;
-        t.vba = refresh_.cursor % v;
-        t.sid = (refresh_.cursor / v) %
-                map_.deviceOrganization().sidsPerChannel;
-        refresh_target = t;
-        if (!vbaBusy(t, now_) &&
-            busyCount(refSlots_, now_) < refreshFsms_) {
-            const auto res = gen_.execute({RowCmdKind::Ref, t}, now_);
-            for (auto& s : refSlots_) {
-                if (s.busyUntil == kTickInvalid || s.busyUntil <= now_) {
-                    s = FsmSlot{t, res.vbaReadyAt, VbaState::Refreshing};
-                    break;
-                }
-            }
-            refHighWater_ = std::max(refHighWater_,
-                                     busyCount(refSlots_, now_));
-            refresh_.advance(totalVbas_);
-            if (faults_.enabled())
-                runScrub();
-            return true;
-        }
-    }
-
-    // --- Data scheduling: issue the op that can go earliest; ties go to
-    // VBAs other than the last issued one (interleaving), then to age.
-    Tick op_slot_free = kTickMax;
-    for (const auto& s : opSlots_) {
-        op_slot_free = std::min(op_slot_free, s.busyUntil == kTickInvalid
-                                                  ? now_ : s.busyUntil);
-    }
-    op_slot_free = std::max(op_slot_free, now_);
-
-    const RowOp* best = nullptr;
-    std::size_t best_idx = 0;
-    Tick best_at = kTickMax;
-    bool best_diff_vba = false;
-    for (std::size_t i = 0; i < queue_.size(); ++i) {
-        const RowOp& op = queue_[i];
-        if (refresh_target && refresh_target->sameVba(op.cmd.addr))
-            continue; // let the pending refresh win the VBA
-        const bool is_write = op.cmd.kind == RowCmdKind::WrRow;
-        Tick at = op_slot_free;
-        if (lastRowCmdAt_ != kTickInvalid) {
-            const bool same_sid = lastRowCmdSid_ == op.cmd.addr.sid;
-            at = std::max(at, lastRowCmdAt_ +
-                          timing_.gap(lastRowCmdWasWrite_, is_write,
-                                          same_sid));
-        }
-        for (const auto* slots : {&opSlots_, &refSlots_}) {
-            for (const auto& s : *slots) {
-                if (s.busyUntil != kTickInvalid &&
-                    s.vba.sameVba(op.cmd.addr)) {
-                    at = std::max(at, s.busyUntil);
-                }
-            }
-        }
-        const bool diff_vba = !lastRowCmdVba_ ||
-                              !lastRowCmdVba_->sameVba(op.cmd.addr);
-        const bool better =
-            at < best_at ||
-            (at == best_at && diff_vba && !best_diff_vba) ||
-            (at == best_at && diff_vba == best_diff_vba && best &&
-             op.arrival < best->arrival);
-        if (!best || better) {
-            best = &op;
-            best_idx = i;
-            best_at = at;
-            best_diff_vba = diff_vba;
-        }
-    }
-
-    if (best) {
-        const bool is_write = best->cmd.kind == RowCmdKind::WrRow;
-        const Tick at = best_at;
-        if (at > until) {
-            // Retried verbatim from the same event tick by the next call.
-            return false;
-        }
-
-        const RowOp op = queue_[best_idx];
-        queue_.erase(queue_.begin() + static_cast<std::ptrdiff_t>(best_idx));
-        const auto res = gen_.execute(op.cmd, at);
-        now_ = at;
-        outstanding_.push(res.dataUntil);
-
-        for (auto& s : opSlots_) {
-            if (s.busyUntil == kTickInvalid || s.busyUntil <= at) {
-                s = FsmSlot{op.cmd.addr, res.vbaReadyAt,
-                            is_write ? VbaState::Writing
-                                     : VbaState::Reading};
-                break;
-            }
-        }
-        opHighWater_ = std::max(opHighWater_, busyCount(opSlots_, at));
-
-        lastRowCmdAt_ = at;
-        lastRowCmdWasWrite_ = is_write;
-        lastRowCmdSid_ = op.cmd.addr.sid;
-        lastRowCmdVba_ = op.cmd.addr;
-
-        bool poisoned = false;
-        if (faults_.enabled() && deferForFault(op, res.dataUntil, poisoned)) {
-            // Transfer happened; completion waits for a clean retry.
-            return true;
-        }
-
-        if (is_write)
-            bytesWritten_ += op.usefulBytes;
-        else
-            bytesRead_ += op.usefulBytes;
-        overfetch_ += res.bytes - op.usefulBytes;
-
-        if (op.slot < 0)
-            noteSingleOpDone(op.reqId, op.arrival, res.dataUntil, poisoned,
-                             op.retryWait, op.linkDelay);
-        else
-            noteOpDone(op.slot, res.dataUntil, poisoned, op.retryWait);
-        return true;
-    }
-
-    // --- Nothing issuable: advance to the next event ----------------------
-    Tick next = kTickMax;
-    if (!retryQ_.empty()) {
-        // A retry re-enters once its backoff passed and the queue has
-        // room; room only appears when an outstanding transfer ends.
-        Tick retry_at = std::max(nextRetryAt_, now_ + 1);
-        if (queue_.size() + outstanding_.size() >=
-            static_cast<std::size_t>(cfg_.queueDepth)) {
-            retry_at = std::max(retry_at, outstanding_.firstAfter(now_));
-        }
-        next = std::min(next, retry_at);
-    }
-    if (!host_.empty()) {
-        Tick admit_at = std::max(host_.front().arrival, now_ + 1);
-        if (queue_.size() + outstanding_.size() >=
-            static_cast<std::size_t>(cfg_.queueDepth)) {
-            // Admission is queue-bound: wake when the first entry frees.
-            admit_at = std::max(admit_at, outstanding_.firstAfter(now_));
-        }
-        next = std::min(next, admit_at);
-    }
-    // A refresh that is already due but blocked wakes up when a slot frees
-    // (covered by the busyUntil scan below).
-    if (nextRefreshDue() > now_)
-        next = std::min(next, nextRefreshDue());
-    for (const auto* slots : {&opSlots_, &refSlots_}) {
-        for (const auto& s : *slots) {
-            if (s.busyUntil != kTickInvalid && s.busyUntil > now_)
-                next = std::min(next, s.busyUntil);
-        }
-    }
-    if (next == kTickMax || next > until) {
-        // now_ stays on its last event tick (slice invariance).
-        return false;
-    }
-    now_ = next;
-    return true;
-}
-
 // ---------------------------------------------------------------------------
 // Reliability (sim/fault.h)
 //
@@ -792,17 +532,22 @@ RomeMc::fields(Ar& ar, Self& self)
         ar(op.reqId, op.arrival, op.usefulBytes, op.slot, op.attempt,
            op.retryWait, op.linkDelay);
     };
-    const auto fsm_slot = [&](auto& s) {
-        vba(s.vba);
-        ar(s.busyUntil, s.state);
+    // A blob restores only into a design with the same FSM counts.
+    const auto fsms = [&ar](int n, const char* what) {
+        int saved = n;
+        ar(saved);
+        if (saved != n) {
+            fatal("checkpoint holds %d %s slots, the restore target %d",
+                  saved, what, n);
+        }
     };
 
     self.baseState(ar);
     ar(self.dev_, self.gen_);
     ar.seq(self.queue_, row_op);
     ar(self.outstanding_);
-    ar.fixed(self.opSlots_, "RoMe operate-FSM", fsm_slot);
-    ar.fixed(self.refSlots_, "RoMe refresh-FSM", fsm_slot);
+    fsms(self.operateFsms_, "RoMe operate-FSM");
+    fsms(self.refreshFsms_, "RoMe refresh-FSM");
     ar(self.opBusy_, self.refBusy_);
     ar.fixed(self.vbaBusyUntil_, "RoMe VBA");
     for (auto& s : self.vbaBusyState_)
@@ -826,6 +571,33 @@ RomeMc::fields(Ar& ar, Self& self)
     });
     ar(self.nextRetryAt_, self.overfetch_, self.opHighWater_,
        self.refHighWater_);
+    if constexpr (Ar::kLoading)
+        self.checkRestoredOps();
+}
+
+void
+RomeMc::checkRestoredOps() const
+{
+    // A queued or retrying op's VBA key indexes the busy table and the
+    // fault state, and its kind picks what the generator lowers.
+    const auto check = [this](const RowOp& op, const char* what) {
+        if (op.cmd.kind != RowCmdKind::RdRow &&
+            op.cmd.kind != RowCmdKind::WrRow) {
+            fatal("checkpoint %s op has kind %d, not a row read or write",
+                  what, static_cast<int>(op.cmd.kind));
+        }
+        const auto in = [what](int v, int n, const char* field) {
+            if (v < 0 || v >= n)
+                fatal("checkpoint %s op has %s %d of %d", what, field, v, n);
+        };
+        in(op.cmd.addr.sid, map_.deviceOrganization().sidsPerChannel, "SID");
+        in(op.cmd.addr.vba, map_.vbasPerSid(), "VBA");
+        in(op.cmd.addr.row, map_.rowsPerVba(), "row");
+    };
+    for (const RowOp& op : queue_)
+        check(op, "queued");
+    for (const PendingRetry& r : retryQ_)
+        check(r.op, "retrying");
 }
 
 void

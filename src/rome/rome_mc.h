@@ -16,6 +16,12 @@
  * Requests are split into effective-row-sized (4 KB) operations; partially
  * covered rows are transferred whole and counted as overfetch.
  *
+ * The scheduler keeps FSM occupancy as retire-deadline buffers and a
+ * per-VBA busy table. Its decisions are those of the seed's loop, which
+ * rescanned every FSM slot for every queued op; that loop lives on as a
+ * test-only oracle (tests/oracle/), and the parity tests assert equal
+ * ControllerStats, command timelines and FSM high-water marks.
+ *
  * Host-request admission, in-flight/completion accounting, and the
  * runUntil/drain loop live in ChannelControllerBase (sim/engine.h), shared
  * with the conventional controller.
@@ -59,13 +65,6 @@ struct RomeMcConfig
      */
     int queueDepth = 0;
     bool refreshEnabled = true;
-    /**
-     * Use the seed's scan-every-slot scheduler instead of the sorted
-     * FSM-deadline buffers + per-VBA busy index. Decisions are
-     * bit-identical; this is the reference the parity tests compare the
-     * indexed scheduler against.
-     */
-    bool legacyScheduler = false;
     /**
      * Lower every row op through the scalar per-command path instead of
      * the precomputed-template fast path. Results are bit-identical;
@@ -180,24 +179,14 @@ class RomeMc : public ChannelControllerBase
         Tick readyAt;
     };
 
-    /** An FSM slot tracking an in-flight row operation or refresh. */
-    struct FsmSlot
-    {
-        VbaAddress vba;
-        Tick busyUntil = kTickInvalid;
-        VbaState state = VbaState::Idle;
-    };
-
     bool admitOps() override;
     bool stepOnce(Tick until) override;
-    bool stepOnceLegacy(Tick until);
-    bool stepOnceIndexed(Tick until);
-    void installCommandTrace() override;
+    void installCommandTrace() override { traceCommands(dev_); }
 
-    bool vbaBusy(const VbaAddress& a, Tick at) const;
-    int busyCount(const std::vector<FsmSlot>& slots, Tick at) const;
-    void retireSlots(Tick at);
     Tick nextRefreshDue() const;
+    /** Fatal unless every restored queued and retrying op has a row
+     *  op's kind and lies in the channel's VBAs (restore only). */
+    void checkRestoredOps() const;
 
     // ---- reliability (sim/fault.h) --------------------------------------
     /** Classify a completed read against the fault model; returns true if
@@ -211,7 +200,7 @@ class RomeMc : public ChannelControllerBase
     /** Rewrite queued and retrying ops after a row got spared. */
     void applySpare(const SpareEvent& ev);
 
-    // ---- FSM-deadline slot accounting (indexed scheduler) ---------------
+    // ---- FSM-deadline slot accounting ------------------------------------
     int vbaKey(const VbaAddress& a) const
     {
         return a.sid * map_.vbasPerSid() + a.vba;
@@ -238,16 +227,12 @@ class RomeMc : public ChannelControllerBase
     /** CAM entries of issued-but-incomplete row ops (count against
      *  queueDepth until their data transfers). */
     SortedTicks outstanding_;
-    /** Legacy scheduler: flat FSM-slot arrays, rescanned per step. */
-    std::vector<FsmSlot> opSlots_;
-    std::vector<FsmSlot> refSlots_;
     /**
-     * Indexed scheduler: FSM occupancy as buffers sorted by retire
-     * deadline (SortedTicks: retirement advances a cursor past the
-     * expired prefix instead of scanning slots; a window that ends before
-     * an earlier one moves back a few places on push) plus a per-VBA busy
-     * table indexed by (sid, vba) key, so vbaBusy and the per-op
-     * ready-time query are O(1) lookups.
+     * FSM occupancy as buffers sorted by retire deadline (SortedTicks:
+     * retirement advances a cursor past the expired prefix instead of
+     * scanning slots; a window that ends before an earlier one moves back
+     * a few places on push) plus a per-VBA busy table indexed by (sid,
+     * vba) key, so a VBA's state and an op's ready time are O(1) lookups.
      */
     SortedTicks opBusy_;
     SortedTicks refBusy_;

@@ -512,6 +512,28 @@ ChannelControllerBase::idle() const
 }
 
 void
+ChannelControllerBase::traceCommands(ChannelDevice& dev)
+{
+    dev.setTrace([this, &dev](Tick when, const Command& cmd,
+                              const ChannelDevice::IssueResult& res) {
+        if (sink_ == nullptr)
+            return;
+        const char* name = "CMD";
+        Tick end = res.bankReadyAt;
+        switch (cmd.kind) {
+          case CmdKind::Act: name = "ACT"; break;
+          case CmdKind::Pre: name = "PRE"; break;
+          case CmdKind::Rd: name = "RD"; end = res.dataUntil; break;
+          case CmdKind::Wr: name = "WR"; end = res.dataUntil; break;
+          case CmdKind::RefPb: name = "REFpb"; break;
+          default: break;
+        }
+        sink_->span(name, flatBankIndex(dev.organization(), cmd.addr), when,
+                    end > when ? end - when : 0);
+    });
+}
+
+void
 ChannelControllerBase::fillBaseStats(ControllerStats& s) const
 {
     s.bytesRead = bytesRead_;

@@ -570,6 +570,15 @@ class ChannelControllerBase : public IMemoryController
     virtual void installCommandTrace() {}
 
     /**
+     * Trace every command @p dev commits as one span on its bank's track:
+     * CAS spans cover the data burst, row and refresh commands the
+     * bank-busy window. Commands commit only on event ticks, so the
+     * timeline is the literal per-command schedule however the drive is
+     * sliced. The installCommandTrace overrides call this.
+     */
+    void traceCommands(ChannelDevice& dev);
+
+    /**
      * Serialize / restore every base-owned mutable field (clock, host
      * window, in-flight slots, completion log, latency stats, source
      * cursor, fault state). Subclass field lists run this first, then

@@ -9,7 +9,7 @@
  * the hybrid router, with faults on and off, in both drive modes
  * (pre-enqueued requests and streaming bindSource). A restored twin must
  * also re-save byte-identically, and a table pins the size and FNV-1a of
- * 18 blobs, so the format cannot move between builds unnoticed. The
+ * 16 blobs, so the format cannot move between builds unnoticed. The
  * streaming variants restore the source cursor through resumeSource on a
  * fresh source instance — the mechanism NodeDriver::resume relies on —
  * and the serving tests close the loop: snapshot a mid-flight cube or
@@ -353,20 +353,17 @@ struct BlobCase
 };
 
 /**
- * One case per checkpointed configuration: both conventional schedulers,
- * both RoMe lowerings, a non-adopted VBA design and the hybrid router,
- * with faults and telemetry counters on and off.
+ * One case per checkpointed configuration: the conventional stack, both
+ * RoMe lowerings, a non-adopted VBA design and the hybrid router, with
+ * faults and telemetry counters on and off.
  */
 std::vector<BlobCase>
 blobCorpus()
 {
     const DramConfig dram = hbm4Config();
-    McConfig legacy;
-    legacy.legacyScheduler = true;
     McConfig mc_faults = faultyMcConfig();
     mc_faults.telemetry.counters = true;
     RomeMcConfig scalar;
-    scalar.legacyScheduler = true;
     scalar.scalarLowering = true;
     RomeMcConfig rome_faults = faultyRomeConfig();
     rome_faults.telemetry.counters = true;
@@ -393,10 +390,9 @@ blobCorpus()
     const auto mixed = mixedWorkload(341, 0.3);
     return {
         {"hbm4", hbm4(McConfig{}), mixed},
-        {"hbm4 legacy", hbm4(legacy), mixed},
         {"hbm4 faults telemetry", hbm4(mc_faults), mixed},
         {"rome", rome(VbaDesign::adopted(), RomeMcConfig{}), mixed},
-        {"rome legacy scalar", rome(VbaDesign::adopted(), scalar), mixed},
+        {"rome scalar", rome(VbaDesign::adopted(), scalar), mixed},
         {"rome faults telemetry", rome(VbaDesign::adopted(), rome_faults),
          mixed},
         {"rome 7b x 8a", rome(VbaDesign::all().back(), RomeMcConfig{}),
@@ -421,24 +417,22 @@ struct PinnedBlob
  * failure messages below.
  */
 constexpr PinnedBlob kPinnedBlobs[] = {
-    {"hbm4", 28376, 0xdc1b10cff9b06cfbull},
-    {"hbm4 streaming", 25260, 0x4736533691eee889ull},
-    {"hbm4 legacy", 19997, 0x713d1708b071b6f7ull},
-    {"hbm4 legacy streaming", 16881, 0x0b8d2c3f161f6f41ull},
-    {"hbm4 faults telemetry", 45372, 0x3fb85bc1060a449cull},
-    {"hbm4 faults telemetry streaming", 42256, 0xc108771e5a75b097ull},
-    {"rome", 13215, 0x9ac0eaabd5bdf014ull},
-    {"rome streaming", 10140, 0xf84c849eb86e467eull},
-    {"rome legacy scalar", 13175, 0x219e9c5b472ba35bull},
-    {"rome legacy scalar streaming", 10100, 0xbd597d5a84f65c8dull},
-    {"rome faults telemetry", 16843, 0x373307bf385f5e62ull},
-    {"rome faults telemetry streaming", 13727, 0x37d7858f89ee3848ull},
-    {"rome 7b x 8a", 13759, 0x397e0cc1845625b3ull},
-    {"rome 7b x 8a streaming", 10643, 0x1b41c37229064615ull},
-    {"hybrid", 35391, 0x2a019bc5aeaf6b46ull},
-    {"hybrid streaming", 35350, 0x203728e0a5ec572full},
-    {"hybrid faults telemetry", 55568, 0x854f031d121b30b9ull},
-    {"hybrid faults telemetry streaming", 55527, 0xcd56406c1e5fe090ull},
+    {"hbm4", 28360, 0xb7cbe85b0e036218ull},
+    {"hbm4 streaming", 25244, 0x3a21f3c1b39660f2ull},
+    {"hbm4 faults telemetry", 45356, 0x016cb1de641ab997ull},
+    {"hbm4 faults telemetry streaming", 42240, 0x7d4af7091e04b27cull},
+    {"rome", 13102, 0x7e8fdec2c4f1fe97ull},
+    {"rome streaming", 10027, 0xfa3ceee8c5d8db27ull},
+    {"rome scalar", 13102, 0xb87a4c8f5f030a68ull},
+    {"rome scalar streaming", 10027, 0x57ee16069f4aa438ull},
+    {"rome faults telemetry", 16730, 0x602854c1d1af54cdull},
+    {"rome faults telemetry streaming", 13614, 0xd6bcc7fc81b6eb33ull},
+    {"rome 7b x 8a", 13436, 0x6af4dd0f7ad0e10cull},
+    {"rome 7b x 8a streaming", 10320, 0xf285c846a0e75fb6ull},
+    {"hybrid", 35262, 0x3e501585a16ba711ull},
+    {"hybrid streaming", 35221, 0x27dafede4e8f97c0ull},
+    {"hybrid faults telemetry", 55439, 0x0423adb5131aa75eull},
+    {"hybrid faults telemetry streaming", 55398, 0x845b52772bb9ba0dull},
 };
 
 TEST(Checkpoint, BlobBytesArePinned)
@@ -658,6 +652,230 @@ TEST(Checkpoint, MalformedRunsAreFatal)
     }
     ConventionalMc intact(dram, bestBaselineMapping(dram.org), cfg);
     EXPECT_EQ(restoreError(intact, patched(8, 16)), "");
+}
+
+/** The checkpoint encoding of @p fields. */
+template <class... T>
+std::vector<std::uint8_t>
+encoded(const T&... fields)
+{
+    CheckpointWriter w;
+    w(fields...);
+    return w.take();
+}
+
+/** Offset of the only copy of @p bytes in @p blob; npos if none or
+ *  several. */
+std::size_t
+onlyOffset(const std::vector<std::uint8_t>& blob,
+           const std::vector<std::uint8_t>& bytes)
+{
+    const auto at = std::search(blob.begin(), blob.end(), bytes.begin(),
+                                bytes.end());
+    if (at == blob.end() ||
+        std::search(at + 1, blob.end(), bytes.begin(), bytes.end()) !=
+            blob.end())
+        return std::string::npos;
+    return static_cast<std::size_t>(at - blob.begin());
+}
+
+/** @p blob with @p fields encoded over its bytes from @p off. */
+template <class... T>
+std::vector<std::uint8_t>
+patched(std::vector<std::uint8_t> blob, std::size_t off, const T&... fields)
+{
+    const auto bytes = encoded(fields...);
+    std::copy(bytes.begin(), bytes.end(),
+              blob.begin() + static_cast<std::ptrdiff_t>(off));
+    return blob;
+}
+
+/** The little-endian @p bytes-byte field at @p off of @p blob. */
+std::uint64_t
+fieldAt(const std::vector<std::uint8_t>& blob, std::size_t off,
+        std::size_t bytes)
+{
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < bytes; ++i)
+        v |= static_cast<std::uint64_t>(blob[off + i]) << (8 * i);
+    return v;
+}
+
+TEST(Checkpoint, MalformedIndicesAreFatal)
+{
+    // The blob of MalformedRunsAreFatal: runs 0-7 in pool order, one per
+    // bank, run k admitted as sequence k. A run is its 65-byte head op
+    // (coordinates, reqId, kind, ...), then seq, stride, count, bank, prev
+    // and next. Patching one field per restore check must trip that check.
+    const DramConfig dram = hbm4Config();
+    const Organization& org = dram.org;
+    const AddressMapping mapping = bestBaselineMapping(org);
+    const auto make = [&](const McConfig& c) {
+        return ConventionalMc(dram, mapping, c);
+    };
+    McConfig cfg;
+    cfg.refreshEnabled = false;
+    ConventionalMc mc = make(cfg);
+    mc.enqueue({1, ReqKind::Read, 0, 4_KiB, 0});
+    mc.runUntil(1);
+    const auto blob = saveControllerCheckpoint(mc);
+
+    constexpr std::size_t kOpBytes = 65;
+    constexpr std::size_t kRunBytes = kOpBytes + 32;
+    const std::size_t run3 =
+        onlyOffset(blob, encoded(std::uint64_t{3}, std::uint64_t{8}, 16));
+    ASSERT_NE(run3, std::string::npos);
+    const std::size_t op3 = run3 - kOpBytes;
+    const auto bank3 = static_cast<int>(fieldAt(blob, run3 + 20, 4));
+    // Run 3's read list: head, tail, count, hitCount, hitRep.
+    const std::size_t list3 = onlyOffset(blob, encoded(3, 3, 16));
+    ASSERT_NE(list3, std::string::npos);
+    // The empty freeNodes follows the pool's last run.
+    const std::size_t free_nodes = op3 + 5 * kRunBytes;
+    ASSERT_EQ(fieldAt(blob, free_nodes, 8), 0u);
+    auto one_free = patched(blob, free_nodes, std::uint64_t{1});
+    const auto entry = encoded(3);
+    one_free.insert(one_free.begin() +
+                        static_cast<std::ptrdiff_t>(free_nodes + 8),
+                    entry.begin(), entry.end());
+    // activeBanks lists the runs' banks in admission order; openBanks
+    // follows it.
+    CheckpointWriter active;
+    active.putCount(8);
+    const int idle_bank = org.banksPerChannel() - 1;
+    for (std::uint64_t k = 0; k < 8; ++k) {
+        const int b = flatBankIndex(org, mapping.decode(k * org.columnBytes));
+        ASSERT_NE(b, idle_bank);
+        active(b);
+    }
+    const std::size_t active_at = onlyOffset(blob, active.data());
+    ASSERT_NE(active_at, std::string::npos);
+    const std::size_t open_at = active_at + active.data().size();
+    ASSERT_GE(fieldAt(blob, open_at, 8), 1u);
+
+    // An idle refreshing controller: unit 7 is not due yet and keeps its
+    // interval, due tick and cursor 0.
+    ConventionalMc refreshing = make(McConfig{});
+    refreshing.runUntil(1);
+    const auto ref_blob = saveControllerCheckpoint(refreshing);
+    const Tick interval = dram.timing.tREFIbank / org.banksPerSid();
+    const std::size_t unit7 =
+        onlyOffset(ref_blob, encoded(interval, interval * 7 / 8, 0));
+    ASSERT_NE(unit7, std::string::npos);
+
+    // Every read hits a stuck row: the first CAS queues a retry, which
+    // the blob ends with, before its ready tick, nextRetryAt and
+    // casIssued.
+    McConfig faulty = cfg;
+    faulty.faults.enabled = true;
+    faulty.faults.stuckRowFraction = 1.0;
+    faulty.faults.stuckDueFraction = 0.0;
+    ConventionalMc retrying = make(faulty);
+    retrying.enqueue({1, ReqKind::Read, 0, 32, 0});
+    retrying.runUntil(100_ns);
+    const auto retry_blob = saveControllerCheckpoint(retrying);
+    const std::size_t retry_op = retry_blob.size() - 24 - kOpBytes;
+    ASSERT_EQ(fieldAt(retry_blob, retry_op - 8, 8), 1u);
+
+    struct Case
+    {
+        std::vector<std::uint8_t> blob;
+        McConfig cfg;
+        const char* what;
+    };
+    const Case cases[] = {
+        {patched(blob, run3 + 20, (bank3 + 1) % org.banksPerChannel()), cfg,
+         "has bank"},
+        {patched(blob, run3 + 24, 0), cfg, "has prev"},
+        {patched(blob, op3 + 32, ReqKind::Write), cfg, "kind-1 op"},
+        {patched(blob, op3 + 16, org.rowsPerBank), cfg, "pooled op at"},
+        {patched(blob, list3 + 4, 2), cfg, "list tail 2"},
+        {patched(blob, list3 + 16, 2), cfg, "hitRep 2"},
+        {one_free, cfg, "freeNodes entry 3"},
+        {patched(blob, active_at + 8, idle_bank), cfg, "activeBanks entry 0"},
+        {patched(blob, open_at + 8, idle_bank), cfg, "openBanks entry 0"},
+        {patched(ref_blob, unit7 + 16, org.banksPerSid()), McConfig{},
+         "has cursor"},
+        {patched(retry_blob, retry_op + 16, org.rowsPerBank), faulty,
+         "retrying op at"},
+    };
+    for (const Case& c : cases) {
+        ConventionalMc target = make(c.cfg);
+        EXPECT_NE(restoreError(target, c.blob).find(c.what),
+                  std::string::npos)
+            << c.what;
+    }
+    for (const auto& [intact, c] :
+         {std::pair{blob, cfg}, std::pair{ref_blob, McConfig{}},
+          std::pair{retry_blob, faulty}}) {
+        ConventionalMc target = make(c);
+        EXPECT_EQ(restoreError(target, intact), "");
+    }
+}
+
+TEST(Checkpoint, MalformedRomeOpsAreFatal)
+{
+    // One 16 KiB read queues row ops for VBAs 0-3 of SID 0, and the
+    // first issues at tick 0. A row op is its kind, (SID, VBA, row),
+    // reqId, arrival, useful bytes and the rest; patching one field per
+    // check must trip it.
+    const DramConfig dram = hbm4Config();
+    RomeMcConfig cfg;
+    cfg.refreshEnabled = false;
+    const auto make = [&](const RomeMcConfig& c) {
+        return RomeMc(dram, VbaDesign::adopted(), c);
+    };
+    RomeMc mc = make(cfg);
+    mc.enqueue({1, ReqKind::Read, 0, 16_KiB, 0});
+    mc.runUntil(1);
+    const auto blob = saveControllerCheckpoint(mc);
+    const std::size_t vba2 =
+        onlyOffset(blob, encoded(RowCmdKind::RdRow, 0, 2, 0, std::uint64_t{1},
+                                 Tick{0}, std::uint64_t{4_KiB}));
+    ASSERT_NE(vba2, std::string::npos);
+
+    // Every read hits a stuck row: the first op queues a retry, which the
+    // blob ends with, before its ready tick, nextRetryAt, overfetch and
+    // the two FSM high-water marks.
+    RomeMcConfig faulty = cfg;
+    faulty.faults.enabled = true;
+    faulty.faults.stuckRowFraction = 1.0;
+    faulty.faults.stuckDueFraction = 0.0;
+    RomeMc retrying = make(faulty);
+    retrying.enqueue({1, ReqKind::Read, 0, 4_KiB, 0});
+    retrying.runUntil(1);
+    const auto retry_blob = saveControllerCheckpoint(retrying);
+    constexpr std::size_t kRowOpBytes = 61;
+    const std::size_t retry_op = retry_blob.size() - 32 - kRowOpBytes;
+    ASSERT_EQ(fieldAt(retry_blob, retry_op - 8, 8), 1u);
+
+    const VbaMap& map = mc.vbaMap();
+    struct Case
+    {
+        std::vector<std::uint8_t> blob;
+        RomeMcConfig cfg;
+        const char* what;
+    };
+    const Case cases[] = {
+        {patched(blob, vba2, RowCmdKind::Ref), cfg, "queued op has kind"},
+        {patched(blob, vba2 + 1, map.deviceOrganization().sidsPerChannel),
+         cfg, "queued op has SID"},
+        {patched(blob, vba2 + 5, map.vbasPerSid()), cfg, "queued op has VBA"},
+        {patched(blob, vba2 + 9, map.rowsPerVba()), cfg, "queued op has row"},
+        {patched(retry_blob, retry_op + 9, -1), faulty,
+         "retrying op has row"},
+    };
+    for (const Case& c : cases) {
+        RomeMc target = make(c.cfg);
+        EXPECT_NE(restoreError(target, c.blob).find(c.what),
+                  std::string::npos)
+            << c.what;
+    }
+    for (const auto& [intact, c] :
+         {std::pair{blob, cfg}, std::pair{retry_blob, faulty}}) {
+        RomeMc target = make(c);
+        EXPECT_EQ(restoreError(target, intact), "");
+    }
 }
 
 TEST(Checkpoint, MutatedBlobsRestoreOrFailCleanly)

@@ -391,7 +391,7 @@ goldenCorpus()
     }
     hbm4_stream("refresh", McConfig{}, {4_MiB});
 
-    // Conventional scheduler corner paths, each the workload of a legacy
+    // Conventional scheduler corner paths, each the workload of a
     // scheduler parity test (tests/test_mc.cc), replayed through one
     // controller.
     const auto hbm4_sched = [&](const std::string& name, McConfig c,

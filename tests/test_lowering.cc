@@ -4,8 +4,8 @@
  * template path must be bit-identical to scalar per-command lowering:
  * identical RowOpResult fields, identical device command traces, and
  * identical ControllerStats through the RoMe MC — across every VBA design
- * point, both MC drive paths (indexed and legacy schedulers), and all
- * address-map orders. Forced-fallback scenarios (back-to-back same VBA,
+ * point, both schedulers (RomeMc and the test-side oracle LegacyRomeMc),
+ * and all address-map orders. Forced-fallback scenarios (back-to-back same VBA,
  * REF-adjacent ops, stretch-the-schedule requests from the cmdgen header
  * comment) must take the scalar path and still agree.
  */
@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "dram/hbm4_config.h"
+#include "oracle/legacy_rome_mc.h"
 #include "rome/cmdgen.h"
 #include "rome/rome_mc.h"
 #include "rome/rome_timing.h"
@@ -211,9 +212,9 @@ TEST(LoweringParity, StretchedScheduleAgrees)
 
 // ---------------------------------------------------------------------------
 // Controller-level parity: template vs scalar lowering must produce
-// bit-identical ControllerStats through both RoMe MC drive paths. These
-// runs install no device trace, so they exercise the release bulk
-// committer end to end.
+// bit-identical ControllerStats through RomeMc and the oracle. These runs
+// install no device trace, so they exercise the release bulk committer
+// end to end.
 // ---------------------------------------------------------------------------
 
 TEST(LoweringParity, ControllerStatsAcrossDesignsAndSchedulers)
@@ -233,25 +234,33 @@ TEST(LoweringParity, ControllerStatsAcrossDesignsAndSchedulers)
         inputs.emplace_back(d, 0);
     inputs.emplace_back(VbaDesign::adopted(), 64);
     for (const auto& [d, depth] : inputs) {
-        // Both schedulers x both lowerings against the legacy scheduler
-        // with scalar lowering.
+        // Both schedulers x both lowerings against the oracle with
+        // scalar lowering.
         std::vector<ControllerStats> runs;
         for (const bool legacy_sched : {true, false}) {
             for (const bool scalar : {true, false}) {
                 RomeMcConfig cfg;
                 cfg.queueDepth = depth;
-                cfg.legacyScheduler = legacy_sched;
                 cfg.scalarLowering = scalar;
-                RomeMc mc(hbm4Config(), d, cfg);
-                runs.push_back(runWorkload(mc, reqs));
-                EXPECT_TRUE(runs.back() == runs.front())
-                    << d.name() << " depth " << depth
-                    << (legacy_sched ? " legacy" : " indexed")
-                    << (scalar ? " scalar" : " template");
-                if (scalar)
-                    EXPECT_EQ(mc.generator().templateHits(), 0u);
-                else
-                    EXPECT_GT(mc.generator().templateHits(), 0u) << d.name();
+                const auto check = [&](auto& mc) {
+                    runs.push_back(runWorkload(mc, reqs));
+                    EXPECT_TRUE(runs.back() == runs.front())
+                        << d.name() << " depth " << depth
+                        << (legacy_sched ? " legacy" : " indexed")
+                        << (scalar ? " scalar" : " template");
+                    if (scalar)
+                        EXPECT_EQ(mc.generator().templateHits(), 0u);
+                    else
+                        EXPECT_GT(mc.generator().templateHits(), 0u)
+                            << d.name();
+                };
+                if (legacy_sched) {
+                    LegacyRomeMc mc(hbm4Config(), d, cfg);
+                    check(mc);
+                } else {
+                    RomeMc mc(hbm4Config(), d, cfg);
+                    check(mc);
+                }
             }
         }
     }

@@ -7,17 +7,17 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
 #include "common/random.h"
 #include "dram/hbm4_config.h"
 #include "mc/mc.h"
+#include "oracle/legacy_mc.h"
 #include "sim/engine.h"
 #include "sim/telemetry.h"
 #include "sim/workloads.h"
+#include "timeline.h"
 
 namespace rome
 {
@@ -292,9 +292,9 @@ TEST(ConventionalMc, ComplexityMatchesTableIV)
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler parity: the indexed (incremental per-bank) scheduler must make
-// bit-identical decisions to the retained legacy (rescan-everything)
-// scheduler, which preserves the pre-refactor decision order.
+// Scheduler parity: the production (incremental per-bank) scheduler must
+// make bit-identical decisions to the seed's rescan-everything scheduler,
+// kept as the test-only oracle LegacyConventionalMc (tests/oracle/).
 // ---------------------------------------------------------------------------
 
 /** A drained run's stats and its timeline of committed commands. */
@@ -304,6 +304,8 @@ struct ConvRun
     std::vector<TelemetrySink::Event> events;
 };
 
+/** Drain @p reqs through an @p Mc built from @p cfg, tracing commands. */
+template <class Mc = ConventionalMc>
 ConvRun
 runConv(const McConfig& cfg, const std::vector<Request>& reqs,
         bool pathological_mapping = false,
@@ -312,7 +314,7 @@ runConv(const McConfig& cfg, const std::vector<Request>& reqs,
     const AddressMapping mapping = pathological_mapping
                                        ? standardMappings(dram.org).back()
                                        : bestBaselineMapping(dram.org);
-    ConventionalMc mc(dram, mapping, cfg);
+    Mc mc(dram, mapping, cfg);
     TelemetrySink sink;
     mc.attachTelemetrySink(&sink, true);
     ConvRun run;
@@ -322,47 +324,25 @@ runConv(const McConfig& cfg, const std::vector<Request>& reqs,
 }
 
 /**
- * The indexed and legacy schedulers of @p cfg agree on @p reqs: equal
- * stats and equal timelines, so every command has the same kind, bank,
- * issue tick and span, and every retry and spare the same tick. The
- * indexed run's stats land in @p stats when given.
+ * ConventionalMc and the oracle agree on @p reqs under @p cfg: equal stats
+ * and equal timelines, so every command has the same kind, bank, issue
+ * tick and span, and every retry and spare the same tick. The production
+ * run's stats land in @p stats when given.
  */
 ::testing::AssertionResult
-schedulersAgree(McConfig cfg, const std::vector<Request>& reqs,
+schedulersAgree(const McConfig& cfg, const std::vector<Request>& reqs,
                 bool pathological_mapping = false,
                 const DramConfig& dram = hbm4Config(),
                 ControllerStats* stats = nullptr)
 {
-    cfg.legacyScheduler = false;
     const ConvRun indexed = runConv(cfg, reqs, pathological_mapping, dram);
-    cfg.legacyScheduler = true;
-    const ConvRun legacy = runConv(cfg, reqs, pathological_mapping, dram);
+    const ConvRun legacy = runConv<LegacyConventionalMc>(
+        cfg, reqs, pathological_mapping, dram);
     if (stats != nullptr)
         *stats = indexed.stats;
     if (!(indexed.stats == legacy.stats))
         return ::testing::AssertionFailure() << "stats differ";
-    const auto& a = indexed.events;
-    const auto& b = legacy.events;
-    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-        if (std::strcmp(a[i].name, b[i].name) != 0 ||
-            a[i].track != b[i].track || a[i].start != b[i].start ||
-            a[i].dur != b[i].dur) {
-            return ::testing::AssertionFailure()
-                   << "event " << i << " differs: indexed " << a[i].name
-                   << " on track " << a[i].track << " at " << a[i].start
-                   << "+" << a[i].dur << ", legacy " << b[i].name
-                   << " on track " << b[i].track << " at " << b[i].start
-                   << "+" << b[i].dur;
-        }
-    }
-    if (a.size() != b.size()) {
-        return ::testing::AssertionFailure()
-               << "timelines of " << a.size() << " and " << b.size()
-               << " events";
-    }
-    if (a.empty())
-        return ::testing::AssertionFailure() << "empty timelines";
-    return ::testing::AssertionSuccess();
+    return sameTimeline(indexed.events, legacy.events);
 }
 
 std::vector<Request>
@@ -568,7 +548,7 @@ TEST(SchedulerParity, ArrivalGaps)
 // ---------------------------------------------------------------------------
 // Golden-stats snapshots: integer command/byte counts of the pre-refactor
 // scheduler, pinned so any future decision-order change is caught even if
-// both implementations drift together.
+// the production scheduler and the oracle drift together.
 // ---------------------------------------------------------------------------
 
 struct GoldenStats
@@ -607,12 +587,11 @@ TEST(SchedulerGolden, PagePolicySnapshots)
                                    PagePolicy::Adaptive};
     const auto reqs = policyWorkload();
     for (int i = 0; i < 3; ++i) {
-        McConfig indexed;
-        indexed.pagePolicy = policies[i];
-        McConfig legacy = indexed;
-        legacy.legacyScheduler = true;
-        expectGolden(runConv(indexed, reqs).stats, golden[i]);
-        expectGolden(runConv(legacy, reqs).stats, golden[i]);
+        McConfig cfg;
+        cfg.pagePolicy = policies[i];
+        expectGolden(runConv(cfg, reqs).stats, golden[i]);
+        expectGolden(runConv<LegacyConventionalMc>(cfg, reqs).stats,
+                     golden[i]);
     }
 }
 
@@ -621,11 +600,9 @@ TEST(SchedulerGolden, WriteDrainHysteresisSnapshot)
     const GoldenStats golden{"write-drain", 1955u, 1859u, 12288u, 49152u,
                              1030u, 61440u, 480u, 1966080u, 126372};
     const auto reqs = writeDrainWorkload();
-    McConfig indexed;
-    McConfig legacy;
-    legacy.legacyScheduler = true;
-    expectGolden(runConv(indexed, reqs).stats, golden);
-    expectGolden(runConv(legacy, reqs).stats, golden);
+    expectGolden(runConv(McConfig{}, reqs).stats, golden);
+    expectGolden(runConv<LegacyConventionalMc>(McConfig{}, reqs).stats,
+                 golden);
 }
 
 } // namespace

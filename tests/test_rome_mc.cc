@@ -8,16 +8,16 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-#include <cstring>
 #include <set>
 #include <stdexcept>
 
 #include "dram/hbm4_config.h"
+#include "oracle/legacy_rome_mc.h"
 #include "rome/rome_mc.h"
 #include "sim/engine.h"
 #include "sim/telemetry.h"
 #include "sim/workloads.h"
+#include "timeline.h"
 
 namespace rome
 {
@@ -34,8 +34,8 @@ makeMc(RomeMcConfig cfg = {},
 }
 
 void
-streamReads(RomeMc& mc, std::uint64_t total, std::uint64_t chunk,
-            std::uint64_t base = 0)
+streamReads(ChannelControllerBase& mc, std::uint64_t total,
+            std::uint64_t chunk, std::uint64_t base = 0)
 {
     std::uint64_t id = 1;
     for (std::uint64_t off = 0; off < total; off += chunk)
@@ -286,8 +286,9 @@ TEST(RomeMc, WorksAcrossAllVbaDesigns)
 }
 
 // ---------------------------------------------------------------------------
-// Scheduler parity: the deadline-heap + per-VBA-index scheduler must make
-// bit-identical decisions to the retained slot-rescan (legacy) scheduler.
+// Scheduler parity: the deadline-buffer + per-VBA-index scheduler must make
+// bit-identical decisions to the seed's slot-rescan scheduler, kept as the
+// test-only oracle LegacyRomeMc (tests/oracle/).
 // ---------------------------------------------------------------------------
 
 TEST(RomeSchedulerParity, AllDesignsAndMapOrders)
@@ -301,11 +302,8 @@ TEST(RomeSchedulerParity, AllDesignsAndMapOrders)
     const auto reqs = randomRequests(p);
 
     for (const auto& d : VbaDesign::all()) {
-        RomeMcConfig indexed;
-        RomeMcConfig legacy;
-        legacy.legacyScheduler = true;
-        RomeMc a(hbm4Config(), d, indexed);
-        RomeMc b(hbm4Config(), d, legacy);
+        RomeMc a(hbm4Config(), d, RomeMcConfig{});
+        LegacyRomeMc b(hbm4Config(), d, RomeMcConfig{});
         EXPECT_TRUE(runWorkload(a, reqs) == runWorkload(b, reqs))
             << d.name();
         EXPECT_EQ(a.operateFsmHighWater(), b.operateFsmHighWater());
@@ -314,10 +312,9 @@ TEST(RomeSchedulerParity, AllDesignsAndMapOrders)
     for (const RomeMapOrder order :
          {RomeMapOrder::VbaSidRow, RomeMapOrder::SidVbaRow,
           RomeMapOrder::RowVbaSid}) {
-        RomeMcConfig legacy;
-        legacy.legacyScheduler = true;
         auto a = makeMc({}, order);
-        auto b = makeMc(legacy, order);
+        LegacyRomeMc b(hbm4Config(), VbaDesign::adopted(), RomeMcConfig{},
+                       order);
         EXPECT_TRUE(runWorkload(a, reqs) == runWorkload(b, reqs));
     }
 }
@@ -331,11 +328,13 @@ struct RomeRun
     int refHighWater = 0;
 };
 
+/** Drain @p reqs through an @p Mc built from @p cfg, tracing commands. */
+template <class Mc>
 RomeRun
 runRome(const RomeMcConfig& cfg, VbaDesign design,
         const std::vector<Request>& reqs)
 {
-    RomeMc mc(hbm4Config(), design, cfg);
+    Mc mc(hbm4Config(), design, cfg);
     TelemetrySink sink;
     mc.attachTelemetrySink(&sink, true);
     RomeRun run;
@@ -347,21 +346,18 @@ runRome(const RomeMcConfig& cfg, VbaDesign design,
 }
 
 /**
- * The indexed and legacy schedulers of @p cfg agree on @p reqs: equal
- * stats, equal FSM high-water marks and equal timelines, so every device
- * command has the same kind, bank, issue tick and span, and every retry
- * and spare the same tick. The indexed run's stats land in @p stats when
- * given.
+ * RomeMc and the oracle agree on @p reqs under @p cfg: equal stats, equal
+ * FSM high-water marks and equal timelines, so every device command has
+ * the same kind, bank, issue tick and span, and every retry and spare the
+ * same tick. The production run's stats land in @p stats when given.
  */
 ::testing::AssertionResult
-romeSchedulersAgree(RomeMcConfig cfg, VbaDesign design,
+romeSchedulersAgree(const RomeMcConfig& cfg, VbaDesign design,
                     const std::vector<Request>& reqs,
                     ControllerStats* stats = nullptr)
 {
-    cfg.legacyScheduler = false;
-    const RomeRun indexed = runRome(cfg, design, reqs);
-    cfg.legacyScheduler = true;
-    const RomeRun legacy = runRome(cfg, design, reqs);
+    const RomeRun indexed = runRome<RomeMc>(cfg, design, reqs);
+    const RomeRun legacy = runRome<LegacyRomeMc>(cfg, design, reqs);
     if (stats != nullptr)
         *stats = indexed.stats;
     if (!(indexed.stats == legacy.stats))
@@ -373,28 +369,7 @@ romeSchedulersAgree(RomeMcConfig cfg, VbaDesign design,
                << indexed.refHighWater << " and " << legacy.opHighWater
                << "/" << legacy.refHighWater;
     }
-    const auto& a = indexed.events;
-    const auto& b = legacy.events;
-    for (std::size_t i = 0; i < std::min(a.size(), b.size()); ++i) {
-        if (std::strcmp(a[i].name, b[i].name) != 0 ||
-            a[i].track != b[i].track || a[i].start != b[i].start ||
-            a[i].dur != b[i].dur) {
-            return ::testing::AssertionFailure()
-                   << "event " << i << " differs: indexed " << a[i].name
-                   << " on track " << a[i].track << " at " << a[i].start
-                   << "+" << a[i].dur << ", legacy " << b[i].name
-                   << " on track " << b[i].track << " at " << b[i].start
-                   << "+" << b[i].dur;
-        }
-    }
-    if (a.size() != b.size()) {
-        return ::testing::AssertionFailure()
-               << "timelines of " << a.size() << " and " << b.size()
-               << " events";
-    }
-    if (a.empty())
-        return ::testing::AssertionFailure() << "empty timelines";
-    return ::testing::AssertionSuccess();
+    return sameTimeline(indexed.events, legacy.events);
 }
 
 TEST(RomeSchedulerParity, FaultRetriesAndSparing)
@@ -477,10 +452,8 @@ TEST(RomeSchedulerParity, ArrivalGaps)
 
 TEST(RomeSchedulerParity, VbaStateAgrees)
 {
-    RomeMcConfig legacy;
-    legacy.legacyScheduler = true;
     auto a = makeMc();
-    auto b = makeMc(legacy);
+    LegacyRomeMc b(hbm4Config(), VbaDesign::adopted(), RomeMcConfig{});
     streamReads(a, 64_KiB, 4_KiB);
     streamReads(b, 64_KiB, 4_KiB);
     a.runUntil(200_ns);
