@@ -116,9 +116,10 @@ struct ControllerStats
     /**
      * Scheduling steps executed: the host-cost diagnostic RatePoint and
      * the benchmark's layer tracer report. Excluded from operator==
-     * because step counts are an implementation diagnostic: legacy/
-     * indexed and eager/streaming drives may legitimately chop idle
-     * jumps differently while producing identical results.
+     * because step counts are an implementation diagnostic: a scheduler
+     * and its test oracle, or eager and streaming drives, may
+     * legitimately chop idle jumps differently while producing identical
+     * results.
      */
     std::uint64_t schedSteps = 0;
 
