@@ -52,10 +52,10 @@ LegacyRomeMc::LegacyRomeMc(const DramConfig& base, VbaDesign design,
                        (plan.banks.size() == 2 ? base.timing.tRREFD : 0);
     const double demand = static_cast<double>(stall) /
                           static_cast<double>(refresh_.interval);
-    refreshFsms_ = std::max(
+    const int refresh_fsms = std::max(
         kMinRefreshFsms, static_cast<int>(demand * kRefreshFsmMargin) + 1);
     opSlots_.resize(operate_fsms);
-    refSlots_.resize(static_cast<std::size_t>(refreshFsms_));
+    refSlots_.resize(static_cast<std::size_t>(refresh_fsms));
     // Fault domains are VBAs; one codeword covers a whole effective row.
     const int lines_per_row = static_cast<int>(map_.effectiveRowBytes() /
                                                baseCfg_.org.columnBytes);

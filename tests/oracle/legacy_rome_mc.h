@@ -109,7 +109,6 @@ class LegacyRomeMc : public ChannelControllerBase
     VbaMap map_;
     RomeMcConfig cfg_;
     RomeTimingParams timing_;
-    int refreshFsms_ = 0;
     /** (SID, VBA) pairs of the channel: the refresh rotation's targets. */
     int totalVbas_ = 0;
     RomeMapOrder mapOrder_;

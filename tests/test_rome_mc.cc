@@ -375,9 +375,9 @@ romeSchedulersAgree(const RomeMcConfig& cfg, VbaDesign design,
 TEST(RomeSchedulerParity, FaultRetriesAndSparing)
 {
     // Transient, weak and stuck rows on 4 KiB requests, with one retry
-    // and one strike before a row is spared: retries re-enter the queue
-    // and spares rewrite queued ops, on every design, at the derived
-    // depth and at 16, where a retry waits for queue room.
+    // and one strike before a row is spared: re-reads re-enter the queue
+    // and persistent errors replay on spare rows, on every design, at the
+    // derived depth and at 16.
     RandomPattern p;
     p.totalBytes = 512_KiB;
     p.requestBytes = 4_KiB;
@@ -410,8 +410,8 @@ TEST(RomeSchedulerParity, FaultRetriesAndSparing)
 TEST(RomeSchedulerParity, ScrubDrivenSparing)
 {
     // Half of all rows are stuck CE sites and one strike spares a row, so
-    // the patrol scrub that rides each refresh remaps rows that the
-    // sequential stream still has ops queued or retrying on.
+    // both the stream's re-reads and the patrol scrub that rides each
+    // refresh remap rows.
     StreamPattern p;
     p.totalBytes = 512_KiB;
     p.requestBytes = 4_KiB;
