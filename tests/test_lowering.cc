@@ -5,9 +5,9 @@
  * identical RowOpResult fields, identical device command traces, and
  * identical ControllerStats through the RoMe MC — across every VBA design
  * point, both schedulers (RomeMc and the test-side oracle LegacyRomeMc),
- * and all address-map orders. Forced-fallback scenarios (back-to-back same VBA,
- * REF-adjacent ops, stretch-the-schedule requests from the cmdgen header
- * comment) must take the scalar path and still agree.
+ * and all address-map orders. Forced-fallback scenarios (back-to-back
+ * same VBA, REF-adjacent ops, stretch-the-schedule requests from the
+ * cmdgen header comment) must take the scalar path and still agree.
  */
 
 #include <gtest/gtest.h>
