@@ -82,7 +82,10 @@ main()
         return t1 - t0;
     };
 
-    constexpr int kPairs = 7;
+    // A trial is tens of ms, so one burst of host load can move a pair by
+    // tens of percent; the median of 15 pairs needs eight such pairs to
+    // move.
+    constexpr int kPairs = 15;
     Table t("Telemetry counter tier: one channel's drain, counters off vs on");
     t.setHeader({"pair", "off cpu s", "on cpu s", "overhead", "stats"});
     std::vector<double> overhead;

@@ -323,6 +323,20 @@ class ChannelDevice
         return pcs_[static_cast<std::size_t>(pc)].lastCasBg;
     }
 
+    /** Issue tick of the PC's last RD/WR (kTickInvalid before the first). */
+    Tick
+    lastCasAt(int pc) const
+    {
+        return pcs_[static_cast<std::size_t>(pc)].lastCas;
+    }
+
+    /** Whether the PC's last RD/WR was a write. */
+    bool
+    lastCasWasWrite(int pc) const
+    {
+        return pcs_[static_cast<std::size_t>(pc)].lastCasWasWrite;
+    }
+
     /** casClassTerm of a RD/WR to (@p sid, @p bg). */
     Tick
     casSharedTerm(int pc, int sid, int bg, bool is_write) const

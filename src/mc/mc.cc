@@ -1,6 +1,7 @@
 #include "mc/mc.h"
 
 #include <algorithm>
+#include <cmath>
 #include <limits>
 
 #include "common/log.h"
@@ -29,6 +30,9 @@ constexpr double kWriteLowWatermark = 0.05;
 
 /** Adaptive policy: precharge an idle open row after this long. */
 constexpr Tick kAdaptiveIdleTimeout = ticksFromNs(std::int64_t{100});
+
+/** RankKey::hi's age bits, below the priority. */
+constexpr std::uint64_t kAgeMask = (std::uint64_t{1} << 60) - 1;
 
 /** Candidate tie-break categories, in the seed's collection order. */
 constexpr int kRankRefresh = 0;
@@ -158,17 +162,15 @@ void
 ConventionalMc::updateWriteDrain()
 {
     // Write-drain hysteresis.
-    const auto w_occ = static_cast<double>(writeCount_);
-    const auto w_depth = static_cast<double>(cfg_.writeQueueDepth);
     const bool forced = readCount_ == 0 && writeCount_ != 0;
     const bool was = drainingWrites_;
     if (!drainingWrites_) {
-        if (w_occ >= kWriteHighWatermark * w_depth || forced)
+        if (writeCount_ >= sc_->writeHigh || forced)
             drainingWrites_ = true;
-    } else if (w_occ <= kWriteLowWatermark * w_depth && !forced) {
+    } else if (writeCount_ <= sc_->writeLow && !forced) {
         drainingWrites_ = false;
     }
-    if (drainingWrites_ != was && sc_ != nullptr) {
+    if (drainingWrites_ != was) {
         // Queued writes join or leave every bank's candidate set.
         for (const int b : activeBanks_) {
             if (bankIx_[static_cast<std::size_t>(b)].write.count > 0)
@@ -451,7 +453,7 @@ ConventionalMc::insertRun(const Op& op, std::uint64_t seq)
     if (e.activePos == -1) {
         e.activePos = static_cast<int>(activeBanks_.size());
         activeBanks_.push_back(n.bank);
-        sc_->refreshWake = 0; // a refresh at this bank is now postponed
+        wakeRefreshAt(n.bank); // a refresh at this bank is now postponed
     }
 
     const BankRecord& rec = dev_.bankRecord(n.bank);
@@ -558,7 +560,7 @@ ConventionalMc::removeRun(int node)
         bankIx_[static_cast<std::size_t>(last)].activePos = e.activePos;
         activeBanks_.pop_back();
         e.activePos = -1;
-        sc_->refreshWake = 0; // a refresh postponed for this bank may issue
+        wakeRefreshAt(n.bank); // a refresh postponed for this bank may issue
     }
     markStale(n.bank);
     freeNodes_.push_back(node);
@@ -657,6 +659,20 @@ ConventionalMc::markStale(int bank)
 }
 
 void
+ConventionalMc::wakeRefreshAt(int bank)
+{
+    // A unit's scan reads only its cursor bank, and only once it is due;
+    // before then its due tick wakes the scan anyway.
+    if (!cfg_.refreshEnabled)
+        return;
+    const int unit = sc_->cands[static_cast<std::size_t>(bank)].unit;
+    const RefreshUnit& u = refreshUnits_[static_cast<std::size_t>(unit)];
+    if (now_ >= u.rot.due &&
+        unit * dramCfg_.org.banksPerSid() + u.rot.cursor == bank)
+        sc_->refreshWake = 0;
+}
+
+void
 ConventionalMc::rebuildCands(int bank)
 {
     BankEntry& e = bankIx_[static_cast<std::size_t>(bank)];
@@ -664,16 +680,16 @@ ConventionalMc::rebuildCands(int bank)
     // Swap-remove the old entries. Removing any other entry leaves a
     // partition's best standing.
     for (int k = 0; k < c.count; ++k) {
-        Partition& p = sc_->parts[static_cast<std::size_t>(
-            partOf(c, c.cand[static_cast<std::size_t>(k)]))];
-        const int pos = c.pos[static_cast<std::size_t>(k)];
-        const int last = p.refs.back();
-        p.refs[static_cast<std::size_t>(pos)] = last;
-        sc_->cands[static_cast<std::size_t>(last / kRefSlots)]
-            .pos[static_cast<std::size_t>(last % kRefSlots)] = pos;
-        p.refs.pop_back();
+        const auto slot = static_cast<std::size_t>(k);
+        Partition& p = sc_->parts[static_cast<std::size_t>(c.part[slot])];
+        const int pos = c.pos[slot];
+        const CachedCand& last = p.cands.back();
+        sc_->cands[static_cast<std::size_t>(last.ref / kRefSlots)]
+            .pos[static_cast<std::size_t>(last.ref % kRefSlots)] = pos;
+        p.cands[static_cast<std::size_t>(pos)] = last;
+        p.cands.pop_back();
         if (p.best.ref == bank * kRefSlots + k)
-            p.valid = false;
+            p.expires = 0;
     }
     c.stale = false;
     c.count = 0;
@@ -686,24 +702,39 @@ ConventionalMc::rebuildCands(int bank)
     const auto add = [&](CmdKind kind, int node, Tick bank_term) {
         const RunNode& n = pool_[static_cast<std::size_t>(node)];
         const int slot = c.count++;
-        CachedCand& k = c.cand[static_cast<std::size_t>(slot)];
+        const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
+        // An aged op takes absolute priority; until then the command kind
+        // sets it.
+        CachedCand k;
         k.bankTerm = bank_term;
-        k.age = n.op.arrival;
+        k.hi = rankKey(kind == CmdKind::Act   ? kPrioAct
+                       : kind == CmdKind::Pre ? kPrioPre
+                                              : kPrioCasHit,
+                       n.op.arrival, 0, 0)
+                   .hi;
+        k.aged = agedAt(n.op.arrival);
         k.rankLo = headRankLo(n);
         k.node = node;
-        const bool is_cas = kind == CmdKind::Rd || kind == CmdKind::Wr;
+        k.ref = bank * kRefSlots + slot;
         k.sharedIdx = static_cast<std::uint16_t>(
             kind == CmdKind::Act ? actTermIdx(c.group)
-            : is_cas             ? casTermIdx(c.pc, 0, kind == CmdKind::Wr)
+            : is_cas             ? (kind == CmdKind::Wr ? 1 : 0)
                                  : 0); // PRE: bank-local terms only
+        k.unit = c.unit;
+        k.sid = c.sid;
+        k.bg = c.bg;
         k.classMask = is_cas ? -1 : 0;
         k.kind = static_cast<std::uint8_t>(kind);
 
         // Join the partition as a challenger.
-        Partition& p = sc_->parts[static_cast<std::size_t>(partOf(c, k))];
-        c.pos[static_cast<std::size_t>(slot)] = static_cast<int>(p.refs.size());
-        p.refs.push_back(bank * kRefSlots + slot);
-        offerCand(bank, slot);
+        const int part = 2 * c.pc + (is_cas ? 1 : 0);
+        Partition& p = sc_->parts[static_cast<std::size_t>(part)];
+        c.part[static_cast<std::size_t>(slot)] =
+            static_cast<std::int8_t>(part);
+        c.pos[static_cast<std::size_t>(slot)] =
+            static_cast<std::int32_t>(p.cands.size());
+        p.cands.push_back(k);
+        offerCand(part, k);
     };
 
     const BankRecord& rec = dev_.bankRecord(bank);
@@ -746,7 +777,7 @@ ConventionalMc::rebuildCands(int bank)
 void
 ConventionalMc::patchCands(int bank, int node)
 {
-    BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
+    const BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
     // The CAS moved only the bank's CAS and PRE terms (the bank stays
     // open) and the served run's head. Every other input of the cached
     // set stands: the served list still has a hit, the same run is its
@@ -755,7 +786,10 @@ ConventionalMc::patchCands(int bank, int node)
     // the aging recheck watches.
     const BankRecord& rec = dev_.bankRecord(bank);
     for (int k = 0; k < c.count; ++k) {
-        CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
+        const auto slot = static_cast<std::size_t>(k);
+        const int part = c.part[slot];
+        Partition& p = sc_->parts[static_cast<std::size_t>(part)];
+        CachedCand& cc = p.cands[static_cast<std::size_t>(c.pos[slot])];
         const auto kind = static_cast<CmdKind>(cc.kind);
         cc.bankTerm = kind == CmdKind::Pre
                           ? dev_.preBankTerm(rec)
@@ -764,109 +798,81 @@ ConventionalMc::patchCands(int bank, int node)
             cc.rankLo = headRankLo(pool_[static_cast<std::size_t>(node)]);
         // An entry that was its partition's best re-walks it; any other
         // challenges the best that stands.
-        Partition& p = sc_->parts[static_cast<std::size_t>(partOf(c, cc))];
-        if (p.best.ref == bank * kRefSlots + k)
-            p.valid = false;
+        if (p.best.ref == cc.ref)
+            p.expires = 0;
         else
-            offerCand(bank, k);
+            offerCand(part, cc);
     }
 }
 
 void
-ConventionalMc::offerCand(int bank, int slot)
+ConventionalMc::offerCand(int part, const CachedCand& cc)
 {
     // A partition whose best stands takes the entry as a challenger,
     // remembering when it would reorder a tie by aging.
-    const BankCands& c = sc_->cands[static_cast<std::size_t>(bank)];
-    const CachedCand& k = c.cand[static_cast<std::size_t>(slot)];
-    Partition& p = sc_->parts[static_cast<std::size_t>(partOf(c, k))];
-    if (!p.valid || held(c, bank))
+    Partition& p = sc_->parts[static_cast<std::size_t>(part)];
+    if (now_ >= p.expires || held(cc))
         return;
-    const Tick tick = candTick(c, k);
-    const RankKey key = candKey(k);
-    p.best.offer(tick, key.hi, key.lo, bank * kRefSlots + slot);
-    const Tick aged = agedAt(k.age);
-    if (tick == p.best.e && aged > now_)
-        p.expires = std::min(p.expires, aged);
+    const Tick tick = candTick(part, cc);
+    const RankKey key = candKey(cc);
+    p.best.offer(tick, key.hi, key.lo, cc.ref, cc.node,
+                 static_cast<CmdKind>(cc.kind));
+    if (tick == p.best.e && cc.aged > now_)
+        p.expires = std::min(p.expires, cc.aged);
 }
 
 Tick
-ConventionalMc::candTick(const BankCands& c, const CachedCand& cc) const
+ConventionalMc::candTick(int part, const CachedCand& cc) const
 {
-    const int* last_cas = sc_->lastCas.data();
-    const int cas_class = 2 * (2 * (c.sid == last_cas[2 * c.pc]) +
-                               (c.bg == last_cas[2 * c.pc + 1]));
-    const Tick term = sc_->sharedTerm[static_cast<std::size_t>(
-        cc.sharedIdx + (cas_class & cc.classMask))];
-    const Tick floor =
-        sc_->busFloor[static_cast<std::size_t>(partOf(c, cc))];
+    const int* last_cas = sc_->lastCas.data() + (part & ~1);
+    const int cas_class =
+        2 * (2 * (cc.sid == last_cas[0]) + (cc.bg == last_cas[1]));
+    const auto at = static_cast<std::size_t>(part);
+    const Tick term =
+        sc_->termBase[at] +
+        sc_->sharedTerm[static_cast<std::size_t>(
+            sc_->termOff[at] + cc.sharedIdx + (cas_class & cc.classMask))];
+    const Tick floor = sc_->busFloor[at];
     return std::max(std::max(now_, cc.bankTerm), std::max(term, floor));
 }
 
 bool
-ConventionalMc::held(const BankCands& c, int bank) const
+ConventionalMc::held(const CachedCand& cc) const
 {
     return sc_->heldAny &&
-           unitForcedBank_[static_cast<std::size_t>(c.unit)] == bank;
+           unitForcedBank_[static_cast<std::size_t>(cc.unit)] ==
+               cc.ref / kRefSlots;
 }
 
 void
 ConventionalMc::walkPartition(int part)
 {
     Partition& p = sc_->parts[static_cast<std::size_t>(part)];
-    const BankCands* cands = sc_->cands.data();
-    const int* held_bank = sc_->heldAny ? unitForcedBank_.data() : nullptr;
-    // Two passes: the first finds the earliest issue tick over the
-    // candidates (a min chain of one compare each, no data-dependent
-    // branch) and keeps those that reached the running min when seen;
-    // the second ranks the ones that reach the final min.
-    Tick* kept_e = sc_->walkTick.data();
-    int* kept_ref = sc_->walkRef.data();
-    int n_walked = 0;
-    Tick min_e = kTickMax;
-    for (const int ref : p.refs) {
-        const int b = ref / kRefSlots;
-        const BankCands& c = cands[b];
-        if (held_bank != nullptr && held_bank[c.unit] == b)
+    // One pass over the partition's own array.
+    Best b;
+    Tick expires = kTickMax;
+    for (const CachedCand& cc : p.cands) {
+        if (held(cc))
             continue; // bank held for a forced refresh
-        const Tick e =
-            candTick(c, c.cand[static_cast<std::size_t>(ref % kRefSlots)]);
-        kept_e[n_walked] = e;
-        kept_ref[n_walked] = ref;
-        n_walked += e <= min_e;
-        min_e = std::min(min_e, e);
-    }
-    p.best = Best{};
-    p.expires = kTickMax;
-    p.valid = true;
-    for (int i = 0; i < n_walked; ++i) {
-        if (kept_e[i] != min_e)
-            continue;
-        const int ref = kept_ref[i];
-        const CachedCand& cc = cands[ref / kRefSlots].cand[
-            static_cast<std::size_t>(ref % kRefSlots)];
+        const Tick e = candTick(part, cc);
         const RankKey key = candKey(cc);
-        p.best.offer(min_e, key.hi, key.lo, ref);
-        // A tie that ages later may overtake the best then.
-        const Tick aged = agedAt(cc.age);
-        if (aged > now_)
-            p.expires = std::min(p.expires, aged);
+        // The best stands until the first tie at its tick ages, since
+        // aging reorders ties.
+        const Tick aged = cc.aged > now_ ? cc.aged : kTickMax;
+        expires = e < b.e    ? aged
+                  : e == b.e ? std::min(expires, aged)
+                             : expires;
+        b.offer(e, key.hi, key.lo, cc.ref, cc.node,
+                static_cast<CmdKind>(cc.kind));
     }
+    p.best = b;
+    p.expires = expires;
 }
 
 ConventionalMc::RankKey
 ConventionalMc::candKey(const CachedCand& cc) const
 {
-    // An aged op takes absolute priority; otherwise the command kind
-    // sets it.
-    const auto kind = static_cast<CmdKind>(cc.kind);
-    const int prio = now_ >= agedAt(cc.age) ? kPrioForced
-                     : kind == CmdKind::Act ? kPrioAct
-                     : kind == CmdKind::Pre ? kPrioPre
-                                            : kPrioCasHit;
-    RankKey key = rankKey(prio, cc.age, 0, 0);
-    key.lo = cc.rankLo;
-    return key;
+    return {now_ >= cc.aged ? cc.hi & kAgeMask : cc.hi, cc.rankLo};
 }
 
 void
@@ -925,18 +931,39 @@ ConventionalMc::initCaches()
     sc_->staleBanks.reserve(sc_->cands.size());
     for (int b = 0; b < nbanks; ++b)
         sc_->staleBanks.push_back(b);
-    // A PC's banks hold at most three candidates each, on two buses.
-    const auto part_cap =
-        static_cast<std::size_t>(nbanks / org.pcsPerChannel * 3);
+    // Each of a PC's banks holds at most one row-bus candidate (ACT or
+    // PRE) and two column-bus ones (RD and WR).
+    const int pc_banks = nbanks / org.pcsPerChannel;
     sc_->parts.resize(static_cast<std::size_t>(2 * org.pcsPerChannel));
-    for (Partition& p : sc_->parts)
-        p.refs.reserve(part_cap);
-    sc_->walkTick.resize(part_cap);
-    sc_->walkRef.resize(part_cap);
+    for (std::size_t i = 0; i < sc_->parts.size(); ++i) {
+        sc_->parts[i].cands.reserve(
+            static_cast<std::size_t>(pc_banks * (i % 2 == 0 ? 1 : 2)));
+    }
     sc_->liveRefresh.reserve(refreshUnits_.size());
     sc_->numGroups = nbanks / org.banksPerGroup;
-    sc_->sharedTerm.assign(
-        static_cast<std::size_t>(1 + sc_->numGroups + 8 * org.pcsPerChannel), 0);
+    sc_->sharedTerm.assign(static_cast<std::size_t>(casGapIdx() + 24), 0);
+    // ChannelDevice::casClassTerm's gaps: CAS-to-CAS by class, then the
+    // read-to-write or write-to-read turnaround. The row for no CAS yet
+    // stays 0.
+    const TimingParams& t = dramCfg_.timing;
+    for (int i = 0; i < 16; ++i) {
+        const bool after_write = i >= 8;
+        const bool same_sid = (i & 4) != 0;
+        const bool same_bg = (i & 2) != 0;
+        const bool is_write = (i & 1) != 0;
+        Tick gap = !same_sid ? t.tCCDR : same_bg ? t.tCCDL : t.tCCDS;
+        if (!after_write && is_write)
+            gap = std::max(gap, t.tRTW);
+        if (after_write && !is_write)
+            gap = std::max(gap, same_bg ? t.tWTRL : t.tWTRS);
+        sc_->sharedTerm[static_cast<std::size_t>(casGapIdx() + i)] = gap;
+    }
+    // The watermarks as the integer occupancies their fractions bound.
+    const auto w_depth = static_cast<double>(cfg_.writeQueueDepth);
+    sc_->writeHigh =
+        static_cast<int>(std::ceil(kWriteHighWatermark * w_depth));
+    sc_->writeLow =
+        static_cast<int>(std::floor(kWriteLowWatermark * w_depth));
     fillSharedTerms();
 }
 
@@ -964,15 +991,14 @@ ConventionalMc::fillSharedTerms()
 void
 ConventionalMc::fillCasTerms(int pc)
 {
-    for (const bool same_sid : {false, true}) {
-        for (const bool same_bg : {false, true}) {
-            for (const bool w : {false, true}) {
-                sc_->sharedTerm[static_cast<std::size_t>(casTermIdx(
-                    pc, 2 * same_sid + same_bg, w))] =
-                    dev_.casClassTerm(pc, same_sid, same_bg, w);
-            }
-        }
-    }
+    // No term binds before the PC's first CAS.
+    const Tick last = dev_.lastCasAt(pc);
+    const int row = last == kTickInvalid        ? 2
+                    : dev_.lastCasWasWrite(pc) ? 1
+                                               : 0;
+    const auto at = static_cast<std::size_t>(2 * pc + 1);
+    sc_->termBase[at] = last == kTickInvalid ? 0 : last;
+    sc_->termOff[at] = casGapIdx() + 8 * row;
 }
 
 void
@@ -1001,22 +1027,19 @@ ConventionalMc::updateSharedTerms(const Command& cmd)
     const auto part = static_cast<std::size_t>(2 * a.pc + (is_cas ? 1 : 0));
     sc_->busFloor[part] =
         is_cas ? dev_.colBusFloor(a.pc) : dev_.rowBusFloor(a.pc);
-    sc_->parts[part].valid = false;
+    sc_->parts[part].expires = 0;
 }
 
 Command
-ConventionalMc::pickCommand(const Pick& p) const
+ConventionalMc::pickCommand(const Best& b) const
 {
-    if (p.node >= 0) {
-        DramAddress a = pool_[static_cast<std::size_t>(p.node)].op.addr;
-        if (p.kind == CmdKind::Pre)
-            a.row = dev_.bankRecord(p.bank).openRow; // conflict PRE
-        return Command{p.kind, a};
-    }
-    DramAddress a = bankIx_[static_cast<std::size_t>(p.bank)].addr;
-    if (p.kind == CmdKind::Pre)
-        a.row = dev_.bankRecord(p.bank).openRow; // refresh or idle PRE
-    return Command{p.kind, a};
+    const int bank = b.ref / kRefSlots;
+    DramAddress a = b.node >= 0
+                        ? pool_[static_cast<std::size_t>(b.node)].op.addr
+                        : bankIx_[static_cast<std::size_t>(bank)].addr;
+    if (b.kind == CmdKind::Pre)
+        a.row = dev_.bankRecord(bank).openRow; // conflict, refresh, idle
+    return Command{b.kind, a};
 }
 
 bool
@@ -1037,7 +1060,6 @@ ConventionalMc::stepOnce(Tick until)
     // that slot is max(that max, the bus's newest reservation end): one
     // max of cached terms per candidate, with ties broken by rank.
     // The winner is the min of (issue tick, rank key).
-    Best run;
 
     // --- refresh candidates + the forced-block table ---------------------
     if (cfg_.refreshEnabled && now_ >= sc_->refreshWake) {
@@ -1071,8 +1093,11 @@ ConventionalMc::stepOnce(Tick until)
                 if (e.read.count + e.write.count > 0)
                     continue; // postponed while the bank has queued work
             }
+            // Until the next scan no ACT or PRE reaches this bank: it has
+            // no work or is held, and a PRE to it wakes the scan.
             const BankRecord& rec = dev_.bankRecord(bank);
             RefreshCand rc;
+            rc.kind = rec.open() ? CmdKind::Pre : CmdKind::RefPb;
             rc.term = rec.open() ? dev_.preBankTerm(rec)
                                  : std::max(dev_.refPbBankTerm(rec),
                                             dev_.refPbSharedTerm(u.pc, u.sid));
@@ -1087,21 +1112,13 @@ ConventionalMc::stepOnce(Tick until)
         if (holds_moved) {
             // A held bank's candidates left or rejoined their partitions.
             for (Partition& p : sc_->parts)
-                p.valid = false;
+                p.expires = 0;
         }
-    }
-    for (const RefreshCand& rc : sc_->liveRefresh) {
-        run.offer(std::max({now_, rc.term,
-                            sc_->busFloor[static_cast<std::size_t>(
-                                2 * rc.pc)]}),
-                  rc.key.hi, rc.key.lo, rc.bank * kRefSlots + kRefRefresh);
     }
 
     // --- op candidates: the minima of the (PC, bus) partitions ----------
-    for (Partition& p : sc_->parts) {
-        if (now_ >= p.expires)
-            p.valid = false; // a tie aged: its rank moved
-    }
+    Partition* parts = sc_->parts.data();
+    const int num_parts = static_cast<int>(sc_->parts.size());
     if (now_ >= sc_->nextAging) {
         // Some cache may hold an op that has aged since: recheck them all.
         sc_->nextAging = kTickMax;
@@ -1116,39 +1133,64 @@ ConventionalMc::stepOnce(Tick until)
     for (const int b : sc_->staleBanks)
         rebuildCands(b);
     sc_->staleBanks.clear();
-    Best ops;
-    for (std::size_t part = 0; part < sc_->parts.size(); ++part) {
-        const Partition& p = sc_->parts[part];
-        if (!p.valid)
-            walkPartition(static_cast<int>(part));
-        if (p.best.ref >= 0)
-            ops.offer(p.best.e, p.best.hi, p.best.lo, p.best.ref);
+    // A partition re-walks when an event moved its best or a tie aged,
+    // which reorders ties.
+    for (int i = 0; i < num_parts; ++i) {
+        if (now_ >= parts[i].expires)
+            walkPartition(i);
+    }
+    Best run;
+    for (int i = 0; i < num_parts; ++i) {
+        const Best& b = parts[i].best;
+        run.offer(b.e, b.hi, b.lo, b.ref, b.node, b.kind);
     }
 #ifndef NDEBUG
     {
-        // The flat walk over every cached candidate must pick the same.
+        // The flat walk over every cached candidate, reached through each
+        // bank's positions, must pick the same.
         Best flat;
+        std::size_t listed = 0;
         for (std::size_t b = 0; b < sc_->cands.size(); ++b) {
             const BankCands& c = sc_->cands[b];
-            if (held(c, static_cast<int>(b)))
-                continue;
             for (int k = 0; k < c.count; ++k) {
-                const CachedCand& cc = c.cand[static_cast<std::size_t>(k)];
+                const int part = c.part[static_cast<std::size_t>(k)];
+                const CachedCand& cc =
+                    parts[part].cands[static_cast<std::size_t>(
+                        c.pos[static_cast<std::size_t>(k)])];
+                if (cc.ref != static_cast<int>(b) * kRefSlots + k)
+                    panic("bank %zu's candidate %d is not at its position", b,
+                          k);
+                ++listed;
+                if (held(cc))
+                    continue;
                 const RankKey key = candKey(cc);
-                flat.offer(candTick(c, cc), key.hi, key.lo,
-                           static_cast<int>(b) * kRefSlots + k);
+                flat.offer(candTick(part, cc), key.hi, key.lo, cc.ref,
+                           cc.node, static_cast<CmdKind>(cc.kind));
             }
         }
-        if (flat.e != ops.e || flat.hi != ops.hi || flat.lo != ops.lo ||
-            flat.ref != ops.ref) {
+        std::size_t held_in_parts = 0;
+        for (int i = 0; i < num_parts; ++i)
+            held_in_parts += parts[i].cands.size();
+        if (held_in_parts != listed) {
+            panic("partitions hold %zu candidates, the banks list %zu",
+                  held_in_parts, listed);
+        }
+        if (flat.e != run.e || flat.hi != run.hi || flat.lo != run.lo ||
+            flat.ref != run.ref || flat.node != run.node ||
+            flat.kind != run.kind) {
             panic("partitioned pick (ref %d) differs from the flat walk's "
-                  "(ref %d) at tick %lld", ops.ref, flat.ref,
+                  "(ref %d) at tick %lld", run.ref, flat.ref,
                   static_cast<long long>(now_));
         }
     }
 #endif
-    if (ops.ref >= 0)
-        run.offer(ops.e, ops.hi, ops.lo, ops.ref);
+    for (const RefreshCand& rc : sc_->liveRefresh) {
+        run.offer(std::max({now_, rc.term,
+                            sc_->busFloor[static_cast<std::size_t>(
+                                2 * rc.pc)]}),
+                  rc.key.hi, rc.key.lo, rc.bank * kRefSlots + kRefRefresh, -1,
+                  rc.kind);
+    }
 
     // --- close/adaptive policies: precharge idle open rows --------------
     // A bank with a conflict PRE offers the same command at a better
@@ -1169,31 +1211,11 @@ ConventionalMc::stepOnce(Tick until)
             const RankKey key = rankKey(kPrioIdlePre, 0, kRankIdlePre,
                                         static_cast<std::uint64_t>(b));
             run.offer(std::max({now_, dev_.preBankTerm(rec), floor}), key.hi,
-                      key.lo, b * kRefSlots + kRefIdlePre);
+                      key.lo, b * kRefSlots + kRefIdlePre, -1, CmdKind::Pre);
         }
     }
 
     const bool have_best = run.ref >= 0;
-    Pick best;
-    if (have_best) {
-        best.earliest = run.e;
-        best.bank = run.ref / kRefSlots;
-        const int slot = run.ref % kRefSlots;
-        if (slot == kRefRefresh) {
-            best.kind = dev_.bankRecord(best.bank).open() ? CmdKind::Pre
-                                                          : CmdKind::RefPb;
-            best.refreshUnit = sc_->cands[static_cast<std::size_t>(best.bank)].unit;
-        } else if (slot == kRefIdlePre) {
-            best.kind = CmdKind::Pre;
-        } else {
-            const CachedCand& cc =
-                sc_->cands[static_cast<std::size_t>(best.bank)]
-                    .cand[static_cast<std::size_t>(slot)];
-            best.kind = static_cast<CmdKind>(cc.kind);
-            best.node = cc.node;
-        }
-    }
-
     if (!have_best) {
         Tick adaptive_next = kTickMax;
         if (cfg_.pagePolicy == PagePolicy::Adaptive) {
@@ -1252,44 +1274,45 @@ ConventionalMc::stepOnce(Tick until)
         return true;
     }
 
-    if (best.earliest > until) {
+    if (run.e > until) {
         // Retried verbatim from the same event tick by the next call.
         return false;
     }
 
-    const Command cmd = pickCommand(best);
-    if (telemetryOn() && best.earliest > now_) {
+    const int bank = run.ref / kRefSlots;
+    const bool refresh = run.ref % kRefSlots == kRefRefresh;
+    const Command cmd = pickCommand(run);
+    if (telemetryOn() && run.e > now_) {
         // The winning candidate waited [now_, earliest): when the
         // structural floor set by other banks' traffic (tRRD/tFAW for
         // ACT, CAS-chain/turnaround for RD/WR) already equals the exact
         // issue tick, that constraint binds; otherwise the bank FSM
         // itself was the holdup.
         StallCause cause = StallCause::BankBusy;
-        if (best.refreshUnit >= 0) {
+        if (refresh) {
             cause = StallCause::Refresh;
         } else if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
-            if (dev_.casFloor(cmd.addr.pc, now_) == best.earliest)
+            if (dev_.casFloor(cmd.addr.pc, now_) == run.e)
                 cause = StallCause::CasChain;
         } else if (cmd.kind == CmdKind::Act &&
-                   dev_.actFloor(cmd.addr.pc, cmd.addr.sid, now_) ==
-                       best.earliest) {
+                   dev_.actFloor(cmd.addr.pc, cmd.addr.sid, now_) == run.e) {
             cause = StallCause::ActWindow;
         }
-        chargeStall(cause, now_, best.earliest, best.bank);
+        chargeStall(cause, now_, run.e, bank);
     }
 #ifndef NDEBUG
-    if (dev_.earliestIssue(cmd, now_) != best.earliest)
+    if (dev_.earliestIssue(cmd, now_) != run.e)
         panic("cached terms disagree with the device probe for %s",
               cmd.str().c_str());
 #endif
-    now_ = best.earliest;
+    now_ = run.e;
     const auto res = dev_.issue(cmd, now_);
     updateSharedTerms(cmd);
     if (cmd.kind == CmdKind::Rd || cmd.kind == CmdKind::Wr) {
         // The CAS moved its bank's timing terms: serving the run's head
         // patches the bank's candidates, or rebuilds them once it empties.
-        const Op op = pool_[static_cast<std::size_t>(best.node)].op;
-        serveRunHead(best.node);
+        const Op op = pool_[static_cast<std::size_t>(run.node)].op;
+        serveRunHead(run.node);
         (cmd.kind == CmdKind::Wr ? writeOutstanding_ : readOutstanding_)
             .push(res.dataUntil);
         ++casIssued_;
@@ -1297,23 +1320,19 @@ ConventionalMc::stepOnce(Tick until)
         return true;
     }
     // Every other command moves its bank's timing terms too.
-    markStale(best.bank);
+    markStale(bank);
     if (cmd.kind == CmdKind::Pre)
-        sc_->refreshWake = 0; // a refresh at this bank turns PRE into REFpb
+        wakeRefreshAt(bank); // a refresh at this bank turns PRE into REFpb
 
-    if (best.refreshUnit >= 0) {
-        if (cmd.kind == CmdKind::RefPb) {
-            RefreshUnit& u =
-                refreshUnits_[static_cast<std::size_t>(best.refreshUnit)];
-            u.rot.advance(dramCfg_.org.banksPerSid());
-            sc_->refreshWake = 0;
-            if (faults_.enabled())
-                runScrub(); // patrol scrub rides the refresh calendar
-        } else {
-            applyRowCommand(cmd); // opportunistic-refresh precharge
-        }
+    if (refresh && cmd.kind == CmdKind::RefPb) {
+        RefreshUnit& u = refreshUnits_[static_cast<std::size_t>(
+            sc_->cands[static_cast<std::size_t>(bank)].unit)];
+        u.rot.advance(dramCfg_.org.banksPerSid());
+        sc_->refreshWake = 0;
+        if (faults_.enabled())
+            runScrub(); // patrol scrub rides the refresh calendar
     } else {
-        applyRowCommand(cmd); // ACT or conflict/idle PRE
+        applyRowCommand(cmd); // ACT, or a conflict, idle or refresh PRE
     }
     return true;
 }
@@ -1484,6 +1503,10 @@ ConventionalMc::checkRestoredIndices() const
                     fatal("checkpoint pooled op at %s lies outside its bank "
                           "%d", n.op.addr.str().c_str(), n.bank);
                 }
+                if (n.op.slot >= 0 && !liveSlot(n.op.slot)) {
+                    fatal("checkpoint pooled op has slot %d, not a live "
+                          "in-flight slot", n.op.slot);
+                }
                 if (n.count < 1)
                     fatal("checkpoint run holds %d ops", n.count);
                 if (n.stride < 1)
@@ -1556,6 +1579,10 @@ ConventionalMc::checkRestoredIndices() const
         if (!in_device(r.op.addr)) {
             fatal("checkpoint retrying op at %s lies outside the device",
                   r.op.addr.str().c_str());
+        }
+        if (r.op.slot >= 0 && !liveSlot(r.op.slot)) {
+            fatal("checkpoint retrying op has slot %d, not a live in-flight "
+                  "slot", r.op.slot);
         }
     }
 }

@@ -27,18 +27,27 @@
  *
  * Every device probe has the form bus.nextFree(max(now, bank term, shared
  * term)), and the shared term depends only on (PC, SID, bank group,
- * direction). The scheduler keeps the shared terms in a table that only
- * the command moving them refreshes (ACT terms per bank group, RD/WR
- * terms per PC and CAS class), and since it issues in time order the bus
- * slot is one more max term: the newest reservation's end. A candidate's
- * issue tick is then a max of cached values, with no per-bank device
- * probe.
+ * direction). The scheduler keeps the ACT terms in a table that only the
+ * ACT moving them refreshes, one per bank group. A RD/WR's term is its
+ * PC's last CAS tick plus a gap that depends only on its CAS class (same
+ * SID and bank group as that CAS or not), its direction and whether that
+ * CAS wrote: a 3 x 8 gap table built once from TimingParams, with a row of
+ * zeros for a PC that has issued no CAS. Since the scheduler issues in
+ * time order the bus slot is one more max term: the newest reservation's
+ * end. A candidate's issue tick is then a max of cached values, with no
+ * per-bank device probe.
  *
  * The cached candidates are split into one partition per (PC, command
  * bus): ACT/PRE on the row bus, RD/WR on the column bus. Each partition
- * caches its min (issue tick, rank key), and a step takes the min over
- * the partitions, the refresh candidates and the idle PREs. Only these
- * events re-walk a partition:
+ * owns its candidates in one array, each entry holding every input of
+ * its issue tick and rank key (bank term, SID, bank group, refresh unit,
+ * term index, rank words, run node, kind); a bank keeps only each
+ * candidate's (partition, position), and rebuilds swap-remove, patches
+ * rewrite and offers read the entry in place. Each partition caches its
+ * min (issue tick, rank key) with the winner's run node and kind, so the
+ * pick reads no entry, and a step takes the min over the partitions, the
+ * refresh candidates and the idle PREs. Only these events re-walk a
+ * partition, in one pass over its array:
  *   - a committed RD/WR re-walks its (PC, column): it moved the PC's CAS
  *     terms, last-CAS SID and bank group and column-bus floor;
  *   - an ACT, PRE or REFpb re-walks its (PC, row): it moved its (PC,
@@ -59,9 +68,16 @@
  * while no partition has a candidate, so max(now, ...) moves none of its
  * ticks. Rank keys are unique, so the min over the partition minima is
  * the min over every candidate; Debug builds check that on every step.
- * Refresh units are rescanned only at their due and forcing deadlines or
- * after an event that can move them. The caches are allocated by the
- * first step; there is no heap allocation in steady state.
+ *
+ * A refresh unit's scan reads only its cursor bank, and only once the
+ * unit is due. So the units are rescanned only at the next due tick or
+ * forcing deadline, after a REFpb, or when an event touches the cursor
+ * bank of a due unit: the bank gains its first queued op, loses its last
+ * one, or precharges. No ACT or CAS reaches such a bank between scans: it
+ * has no work, or it is held for its forced refresh.
+ *
+ * The caches are allocated by the first step; there is no heap
+ * allocation in steady state.
  *
  * Its decisions are those of the seed's FR-FCFS loop, which rebuilt the
  * whole candidate set from flat queues every step, one op at a time. That
@@ -287,30 +303,41 @@ class ConventionalMc : public ChannelControllerBase
                            std::uint64_t rank_idx);
 
     /**
-     * One cached candidate of a bank (32 bytes). Its issue tick at now is
-     * max(now, bankTerm, sharedTerm[sharedIdx + (class & classMask)],
-     * its bus floor), where a RD/WR's class says whether its bank shares
-     * the SID and bank group of its PC's last CAS. Its rank key, taken
-     * only when it ties for the earliest tick, is candKey(): the op's
-     * arrival and (category, sequence) word with the priority at now.
+     * One cached candidate (48 bytes), stored in its partition's array
+     * with every input of its issue tick and rank key. That tick at now is
+     * max(now, bankTerm, its shared term, its bus floor); the shared term
+     * is termBase + sharedTerm[termOff + sharedIdx + (class & classMask)]
+     * of its partition, where a RD/WR's class says whether its bank shares
+     * the SID and bank group of its PC's last CAS. Its rank key at now is
+     * candKey(): (hi, rankLo), with hi's priority dropped to kPrioForced
+     * from the tick aged on.
      */
     struct CachedCand
     {
         /** The device's bank-local timing term for the command. */
         Tick bankTerm = 0;
-        /** Arrival of the op the candidate serves or is ranked by. */
-        Tick age = 0;
+        /** RankKey::hi of the op the candidate serves or is ranked by,
+         *  at its command's priority: the op's arrival below that. */
+        std::uint64_t hi = 0;
+        /** First tick at which that op is aged (agedAt). */
+        Tick aged = kTickMax;
         /** RankKey::lo of that op: its queue category and sequence. */
         std::uint64_t rankLo = 0;
         /** Pool node of that op's run; the op is the run's head. */
         int node = -1;
+        /** bank * kRefSlots + the candidate's slot in its BankCands. */
+        int ref = -1;
         std::uint16_t sharedIdx = 0;
+        std::int16_t unit = 0; ///< its bank's refresh unit
+        std::int8_t sid = 0;
+        std::int8_t bg = 0;
         /** -1 for RD/WR (column bus, classed term), 0 for ACT/PRE. */
         std::int8_t classMask = 0;
         std::uint8_t kind = 0; ///< CmdKind
     };
 
-    /** A bank's cached candidates plus its constant coordinates. */
+    /** Where a bank's cached candidates live, plus its constant
+     *  coordinates. */
     struct BankCands
     {
         std::int8_t count = 0;
@@ -321,22 +348,28 @@ class ConventionalMc : public ChannelControllerBase
         std::int8_t bg = 0;
         std::int16_t unit = 0;  ///< refresh unit ((PC, SID) index)
         std::int32_t group = 0; ///< flat (PC, SID, bank group) index
-        /** Each candidate's index in its partition's ref list. */
+        /** Each candidate's partition and position in its array. */
+        std::array<std::int8_t, 3> part{};
         std::array<std::int32_t, 3> pos{};
-        std::array<CachedCand, 3> cand{};
     };
 
     /** Running min of (issue tick, rank key hi, rank key lo), with a ref
-     *  naming its candidate. */
+     *  naming its candidate and the run node and command kind it stands
+     *  for. */
     struct Best
     {
         Tick e = kTickMax;
         std::uint64_t hi = ~std::uint64_t{0};
         std::uint64_t lo = ~std::uint64_t{0};
         int ref = -1;
+        /** Pool node of an op candidate's run, -1 for refresh and
+         *  idle-PRE. */
+        int node = -1;
+        CmdKind kind = CmdKind::Act;
 
         void
-        offer(Tick oe, std::uint64_t ohi, std::uint64_t olo, int oref)
+        offer(Tick oe, std::uint64_t ohi, std::uint64_t olo, int oref,
+              int onode, CmdKind okind)
         {
             if (oe < e ||
                 (oe == e && (ohi < hi || (ohi == hi && olo < lo)))) {
@@ -344,23 +377,26 @@ class ConventionalMc : public ChannelControllerBase
                 hi = ohi;
                 lo = olo;
                 ref = oref;
+                node = onode;
+                kind = okind;
             }
         }
     };
 
     /**
      * The cached candidates of one (PC, command bus) and their cached
-     * minimum. A ref is bank * kRefSlots + the candidate's slot.
+     * minimum.
      */
     struct Partition
     {
-        std::vector<int> refs;
-        /** Min over the refs not held for a forced refresh. */
+        std::vector<CachedCand> cands;
+        /** Min over the candidates not held for a forced refresh. */
         Best best;
-        /** First tick at which a candidate that ties best.e ages. */
-        Tick expires = kTickMax;
-        /** best and expires stand; cleared by the events that move them. */
-        bool valid = false;
+        /**
+         * best stands before this tick: the first at which a candidate
+         * that ties best.e ages, or 0 once an event moved it.
+         */
+        Tick expires = 0;
     };
 
     /** A refresh unit's live candidate (PRE or REFpb at its cursor). */
@@ -371,18 +407,7 @@ class ConventionalMc : public ChannelControllerBase
         RankKey key;
         int bank = 0;
         int pc = 0;
-    };
-
-    /** A step's winning candidate. */
-    struct Pick
-    {
-        Tick earliest = kTickMax;
-        CmdKind kind = CmdKind::Act;
-        int bank = -1;
-        /** Pool node of the run (op candidates), -1 for refresh and
-         *  idle-PRE. */
-        int node = -1;
-        int refreshUnit = -1;
+        CmdKind kind = CmdKind::RefPb; ///< PRE while the bank is open
     };
 
     bool admitOps() override;
@@ -397,7 +422,8 @@ class ConventionalMc : public ChannelControllerBase
     Tick idleWakeTick(Tick adaptive_next) const;
     /**
      * Fatal unless every restored index names an entry of the table it
-     * indexes and every restored op a cell of the device (restore only).
+     * indexes and every restored op a cell of the device and -1 or a live
+     * in-flight slot (restore only).
      */
     void checkRestoredIndices() const;
 
@@ -452,16 +478,10 @@ class ConventionalMc : public ChannelControllerBase
                         Tick& valid_until);
     /** Rank key of a cached candidate at now_. */
     RankKey candKey(const CachedCand& cc) const;
-    /** Issue tick at now_ of candidate @p cc of bank cands @p c. */
-    Tick candTick(const BankCands& c, const CachedCand& cc) const;
-    /** Partition of candidate @p cc of bank cands @p c. */
-    static int
-    partOf(const BankCands& c, const CachedCand& cc)
-    {
-        return 2 * c.pc + (cc.classMask & 1);
-    }
-    /** The bank is held for its unit's forced refresh. */
-    bool held(const BankCands& c, int bank) const;
+    /** Issue tick at now_ of candidate @p cc of partition @p part. */
+    Tick candTick(int part, const CachedCand& cc) const;
+    /** The candidate's bank is held for its unit's forced refresh. */
+    bool held(const CachedCand& cc) const;
     /** Allocate and fill the scheduling caches (first step, restore). */
     void initCaches();
     /**
@@ -475,27 +495,29 @@ class ConventionalMc : public ChannelControllerBase
      * the run's new head op, and re-offer each to its partition.
      */
     void patchCands(int bank, int node);
-    /** Offer candidate @p slot of @p bank to its partition's cached best
-     *  when that best stands. */
-    void offerCand(int bank, int slot);
+    /** Offer candidate @p cc of partition @p part to its cached best when
+     *  that best stands. */
+    void offerCand(int part, const CachedCand& cc);
     /** Recompute a partition's best and expiry at now_. */
     void walkPartition(int part);
     /** Queue a bank whose candidates an event invalidated. */
     void markStale(int bank);
     /**
-     * Shared-term table slots: ACT per group; RD/WR per PC, CAS class
-     * (2 * same SID + same bank group as the PC's last CAS) and way.
+     * Rescan the refresh units at the next step when @p bank, whose work
+     * or open row just changed, is the cursor of a due unit: no other
+     * bank's change moves a scan's result.
+     */
+    void wakeRefreshAt(int bank);
+    /**
+     * Shared-term table slots: the ACT term of a group; the first gap of
+     * the CAS gap table.
      */
     int actTermIdx(int group) const { return 1 + group; }
-    int
-    casTermIdx(int pc, int cas_class, bool is_write) const
-    {
-        return 1 + sc_->numGroups + 8 * pc + 2 * cas_class +
-               (is_write ? 1 : 0);
-    }
+    int casGapIdx() const { return 1 + sc_->numGroups; }
     /** Recompute every shared term and bus floor (construction, restore). */
     void fillSharedTerms();
-    /** Recompute @p pc's RD/WR terms for every CAS class. */
+    /** Point @p pc's RD/WR terms at its last CAS: its tick and the gap
+     *  row of its direction. */
     void fillCasTerms(int pc);
     /** Recompute the shared terms and bus floor @p cmd (just committed)
      *  moved. */
@@ -503,8 +525,8 @@ class ConventionalMc : public ChannelControllerBase
     void noteBankOpened(int bank);
     void noteBankClosed(int bank);
     void applyRowCommand(const Command& cmd);
-    /** The device command a pick stands for. */
-    Command pickCommand(const Pick& p) const;
+    /** The device command the winning candidate @p b stands for. */
+    Command pickCommand(const Best& b) const;
 
     DramConfig dramCfg_;
     AddressMapping map_;
@@ -537,18 +559,25 @@ class ConventionalMc : public ChannelControllerBase
         Tick nextAging = kTickMax;
         /** Per (PC, bus), at 2 * pc + (column bus), like busFloor. */
         std::vector<Partition> parts;
-        /** A partition walk's kept candidates: issue tick and ref of
-         *  each. */
-        std::vector<Tick> walkTick;
-        std::vector<int> walkRef;
         int numGroups = 0; ///< (PC, SID, bank group) triples
         /**
-         * The device's shared timing terms, refreshed only by the
-         * commands that move them: slot 0 is the empty term of a PRE,
-         * then one ACT term per group, then per PC one RD and one WR term
-         * per CAS class.
+         * The device's shared timing terms: slot 0 is the empty term of a
+         * PRE, then one ACT term per group, refreshed only by the ACTs
+         * that move them. Then the CAS gap table: a RD/WR's CAS-chain and
+         * turnaround gap after its PC's last CAS, at casGapIdx() + 8 *
+         * (that CAS read, wrote, or none issued yet) + 2 * CAS class +
+         * (this one writes). ChannelDevice::casClassTerm is the last CAS's
+         * tick plus that gap, or 0 before the first CAS.
          */
         std::vector<Tick> sharedTerm;
+        /**
+         * Per (PC, bus), like busFloor: the partition's shared terms are
+         * termBase + sharedTerm[termOff + ...]. The row bus reads the ACT
+         * and PRE terms as they stand (0, 0); the column bus its PC's last
+         * CAS tick and gap row.
+         */
+        std::array<Tick, 2 * kMaxPcs> termBase{};
+        std::array<int, 2 * kMaxPcs> termOff{};
         /** Per PC: SID at 2 * pc and bank group at 2 * pc + 1 of its
          *  last CAS (ChannelDevice::lastCasSid / lastCasBg). */
         std::array<int, 2 * kMaxPcs> lastCas{};
@@ -557,15 +586,19 @@ class ConventionalMc : public ChannelControllerBase
          *  commands issue. */
         std::array<Tick, 2 * kMaxPcs> busFloor{};
         // Refresh units are rescanned only when their candidates can
-        // change: at the next due tick or forcing deadline, or after an
-        // event that can move one (a bank joining or leaving the set with
-        // work, a precharge, a refresh). In between the scan's results
-        // stand.
+        // change: at the next due tick or forcing deadline, after a
+        // refresh, or when the cursor bank of a due unit gains or loses
+        // work or precharges (wakeRefreshAt). In between the scan's
+        // results stand.
         bool heldAny = false;
         /** Refresh candidates found by the last scan. */
         std::vector<RefreshCand> liveRefresh;
         /** First step tick at which the units must be rescanned. */
         Tick refreshWake = 0;
+        /** Write-queue occupancies at which a drain starts (at or above)
+         *  and stops (at or below). */
+        int writeHigh = 0;
+        int writeLow = 0;
     };
     std::unique_ptr<StepCache> sc_;
 

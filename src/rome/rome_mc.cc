@@ -579,7 +579,8 @@ void
 RomeMc::checkRestoredOps() const
 {
     // A queued or retrying op's VBA key indexes the busy table and the
-    // fault state, and its kind picks what the generator lowers.
+    // fault state, its kind picks what the generator lowers, and its slot
+    // names the request its completion counts toward.
     const auto check = [this](const RowOp& op, const char* what) {
         if (op.cmd.kind != RowCmdKind::RdRow &&
             op.cmd.kind != RowCmdKind::WrRow) {
@@ -593,6 +594,10 @@ RomeMc::checkRestoredOps() const
         in(op.cmd.addr.sid, map_.deviceOrganization().sidsPerChannel, "SID");
         in(op.cmd.addr.vba, map_.vbasPerSid(), "VBA");
         in(op.cmd.addr.row, map_.rowsPerVba(), "row");
+        if (op.slot >= 0 && !liveSlot(op.slot)) {
+            fatal("checkpoint %s op has slot %d, not a live in-flight slot",
+                  what, op.slot);
+        }
     };
     for (const RowOp& op : queue_)
         check(op, "queued");

@@ -185,7 +185,8 @@ class RomeMc : public ChannelControllerBase
 
     Tick nextRefreshDue() const;
     /** Fatal unless every restored queued and retrying op has a row
-     *  op's kind and lies in the channel's VBAs (restore only). */
+     *  op's kind, lies in the channel's VBAs and names -1 or a live
+     *  in-flight slot (restore only). */
     void checkRestoredOps() const;
 
     // ---- reliability (sim/fault.h) --------------------------------------

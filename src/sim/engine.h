@@ -542,6 +542,17 @@ class ChannelControllerBase : public IMemoryController
     /** Fill the base-owned fields of @p s (bytes, latency, bandwidth). */
     void fillBaseStats(ControllerStats& s) const;
 
+    /**
+     * Whether @p slot names an in-flight slot that holds a request (for
+     * restore checks: a queued op's slot must be live).
+     */
+    bool
+    liveSlot(int slot) const
+    {
+        return slot >= 0 && static_cast<std::size_t>(slot) < slots_.size() &&
+               slots_[static_cast<std::size_t>(slot)].opsRemaining > 0;
+    }
+
     // ---- telemetry plumbing ---------------------------------------------
 
     /**

@@ -705,8 +705,9 @@ TEST(Checkpoint, MalformedIndicesAreFatal)
 {
     // The blob of MalformedRunsAreFatal: runs 0-7 in pool order, one per
     // bank, run k admitted as sequence k. A run is its 65-byte head op
-    // (coordinates, reqId, kind, ...), then seq, stride, count, bank, prev
-    // and next. Patching one field per restore check must trip that check.
+    // (coordinates, reqId, kind, arrival, slot, ...), then seq, stride,
+    // count, bank, prev and next. Patching one field per restore check
+    // must trip that check.
     const DramConfig dram = hbm4Config();
     const Organization& org = dram.org;
     const AddressMapping mapping = bestBaselineMapping(org);
@@ -789,6 +790,7 @@ TEST(Checkpoint, MalformedIndicesAreFatal)
         {patched(blob, run3 + 24, 0), cfg, "has prev"},
         {patched(blob, op3 + 32, ReqKind::Write), cfg, "kind-1 op"},
         {patched(blob, op3 + 16, org.rowsPerBank), cfg, "pooled op at"},
+        {patched(blob, op3 + 41, 1000), cfg, "slot 1000, not a live"},
         {patched(blob, list3 + 4, 2), cfg, "list tail 2"},
         {patched(blob, list3 + 16, 2), cfg, "hitRep 2"},
         {one_free, cfg, "freeNodes entry 3"},
@@ -817,8 +819,8 @@ TEST(Checkpoint, MalformedRomeOpsAreFatal)
 {
     // One 16 KiB read queues row ops for VBAs 0-3 of SID 0, and the
     // first issues at tick 0. A row op is its kind, (SID, VBA, row),
-    // reqId, arrival, useful bytes and the rest; patching one field per
-    // check must trip it.
+    // reqId, arrival, useful bytes, slot and the rest; patching one field
+    // per check must trip it.
     const DramConfig dram = hbm4Config();
     RomeMcConfig cfg;
     cfg.refreshEnabled = false;
@@ -862,6 +864,7 @@ TEST(Checkpoint, MalformedRomeOpsAreFatal)
          cfg, "queued op has SID"},
         {patched(blob, vba2 + 5, map.vbasPerSid()), cfg, "queued op has VBA"},
         {patched(blob, vba2 + 9, map.rowsPerVba()), cfg, "queued op has row"},
+        {patched(blob, vba2 + 37, 1000), cfg, "queued op has slot 1000"},
         {patched(retry_blob, retry_op + 9, -1), faulty,
          "retrying op has row"},
     };

@@ -428,6 +428,53 @@ TEST(RomeSchedulerParity, ScrubDrivenSparing)
     EXPECT_GT(s.retryCount, 0u);
 }
 
+TEST(RomeSchedulerParity, FullQueueRetries)
+{
+    // Every row is stuck, so every read re-reads once. With one queue
+    // entry the entry is in flight whenever a re-read waits, so the
+    // retry's wake is bound by that entry's release.
+    StreamPattern p;
+    p.totalBytes = 128_KiB;
+    p.requestBytes = 4_KiB;
+    const auto reqs = streamRequests(p);
+    RomeMcConfig cfg;
+    cfg.queueDepth = 1;
+    cfg.faults.enabled = true;
+    cfg.faults.stuckRowFraction = 1.0;
+    cfg.faults.stuckDueFraction = 0.0;
+    cfg.faults.retryLimit = 1;
+    ControllerStats s;
+    EXPECT_TRUE(romeSchedulersAgree(cfg, VbaDesign::adopted(), reqs, &s));
+    EXPECT_GT(s.retryCount, 0u);
+}
+
+TEST(RomeSchedulerParity, SparesRewriteQueuedOps)
+{
+    // Every row is stuck and one strike spares it, while a stream that
+    // revisits the same 16 rows keeps later ops to a row queued (or
+    // retrying) when its first read spares it: the spare rewrites them.
+    StreamPattern p;
+    p.totalBytes = 64_KiB;
+    p.requestBytes = 4_KiB;
+    const auto rows = streamRequests(p);
+    std::vector<Request> reqs;
+    for (std::uint64_t id = 0; reqs.size() < 8 * rows.size(); ++id) {
+        Request r = rows[id % rows.size()];
+        r.id = id;
+        reqs.push_back(r);
+    }
+    RomeMcConfig cfg;
+    cfg.queueDepth = 32;
+    cfg.faults.enabled = true;
+    cfg.faults.stuckRowFraction = 1.0;
+    cfg.faults.stuckDueFraction = 0.0;
+    cfg.faults.retryLimit = 0;
+    cfg.faults.ceSpareThreshold = 1;
+    ControllerStats s;
+    EXPECT_TRUE(romeSchedulersAgree(cfg, VbaDesign::adopted(), reqs, &s));
+    EXPECT_GT(s.sparedRows, 0u);
+}
+
 TEST(RomeSchedulerParity, ArrivalGaps)
 {
     // Bursts of four random requests every 300 ns drain before the next
